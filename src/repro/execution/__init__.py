@@ -114,9 +114,11 @@ Staleness is tracked with a leaf-data snapshot fingerprint:
 * **match** — the steady state: nothing is respawned or recopied;
 * **data-only tensor replacement or plan recompilation** — the segments
   are *republished* and the workers re-initialize in place (the payload
-  travels generation-tagged with the next chunks); the pool survives,
-  which is what lets :meth:`CorrelatedSampler.session` amortize worker
-  start-up across the per-bitstring networks of a sampling run;
+  travels generation-tagged with the next chunks); the pool survives.
+  The data-only case is the steady state of a sampling run:
+  :class:`CorrelatedSampler` rebinds each bitstring's leaf data into one
+  resident plan, so :meth:`CorrelatedSampler.session` amortizes worker
+  start-up (and, on the distributed backend, the plan broadcast);
 * **axis-order mutation** — every published buffer layout is invalid, so
   the session is rebuilt from scratch (``reset_session``).
 

@@ -1758,7 +1758,7 @@ class SharedMemoryProcessPoolBackend(_PooledBackend):
         warmed: the invariant cache is computed, the segments published
         and the pool spawned before the first ``run_subtasks`` call.
         Without them the session starts idle and materializes on first
-        use — the form long-lived callers whose plan changes per batch
+        use — the form long-lived callers that build their plan later
         (e.g. a sampling run) use.
         """
         session = self._session

@@ -782,12 +782,15 @@ class DistributedSession:
 
         Mirrors the shared-memory publication: with a warm cache only the
         slice-dependent leaves ship (the cache covers the rest); without
-        one every leaf does.
+        one every leaf does.  Arrays are made C-contiguous with
+        ``np.asarray(order="C")``, which — unlike ``np.ascontiguousarray``
+        — keeps a rank-0 array rank-0 (the root of an unsliced closed
+        network sits in the invariant cache as a scalar).
         """
         if cache is not None:
             needed = [ls for ls in plan.leaf_steps if ls.node in plan.dependent_nodes]
             cache_payload: Optional[Dict[int, np.ndarray]] = {
-                node: np.ascontiguousarray(buffer) for node, buffer in cache.items()
+                node: np.asarray(buffer, order="C") for node, buffer in cache.items()
             }
         else:
             needed = list(plan.leaf_steps)
@@ -797,7 +800,7 @@ class DistributedSession:
             tensor = network.tensor(ls.tid)
             leaves[ls.tid] = (
                 tensor.indices,
-                np.ascontiguousarray(tensor.require_data()),
+                np.asarray(tensor.require_data(), order="C"),
             )
         return pickle.dumps((leaves, cache_payload), protocol=pickle.HIGHEST_PROTOCOL)
 

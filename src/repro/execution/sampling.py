@@ -13,17 +13,20 @@ This module implements that workflow on top of the planning/execution stack:
 * :class:`CorrelatedSampleBatch` — the result of contracting a network with
   ``k`` open output qubits: a ``2^k`` amplitude tensor over the open qubits
   with the remaining qubits fixed to a base bitstring;
-* :class:`CorrelatedSampler` — plans and executes such batches (numerically
-  for laptop-scale circuits, abstractly for planning-only studies);
+* :class:`CorrelatedSampler` — plans such a batch once per network
+  *structure* and executes it per base bitstring by rebinding leaf data
+  into a resident compiled plan (numerically for laptop-scale circuits,
+  abstractly for planning-only studies);
 * :func:`linear_xeb_fidelity` — the standard XEB estimator
   ``F = 2^n <p(x)> - 1``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+import hashlib
+import logging
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .resilience import FaultPolicy
 
 __all__ = ["CorrelatedSampleBatch", "CorrelatedSampler", "linear_xeb_fidelity"]
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass
@@ -122,8 +127,35 @@ class CorrelatedSampleBatch:
         return self.bitstrings()[picks]
 
 
+@dataclass
+class _ResidentPlan:
+    """Everything planned and compiled for one network structure.
+
+    ``network`` is the resident network the executors were compiled
+    against; each batch rebinds its leaves (``replace_tensor``) instead of
+    compiling a new plan.
+    """
+
+    key: Tuple
+    digest: str
+    tree: ContractionTree
+    network: Optional[TensorNetwork] = None
+    derived_slicing: Optional[FrozenSet[str]] = None
+    executors: Dict[FrozenSet[str], SlicedExecutor] = field(default_factory=dict)
+
+
 class CorrelatedSampler:
     """Plans and executes correlated-amplitude batches for a circuit.
+
+    The simplified network of every base bitstring has the same structure
+    (tensor ids, index names, axis orders, shapes); only the data of the
+    few leaves that absorbed an output ket differs.  The sampler therefore
+    searches for a contraction tree, derives a slicing set and compiles a
+    :class:`SlicedExecutor` **once** per structure
+    (:meth:`TensorNetwork.structure_key`) and, per batch, only swaps the
+    leaf data into the resident network — the paper's protocol of one path
+    and one slicing set reused for every batch.  Results are bitwise what a
+    fresh sampler (same ``seed``) returns for each bitstring.
 
     Parameters
     ----------
@@ -136,7 +168,10 @@ class CorrelatedSampler:
     target_rank:
         Memory target for process-level slicing.
     max_trials, seed:
-        Path-search configuration.
+        Path-search configuration.  The search runs once per network
+        structure, so with ``seed=None`` the sampler keeps the first tree
+        it draws for all later batches instead of drawing a new one per
+        batch; a pinned ``seed`` gives the tree a fresh sampler would find.
     executor_mode:
         ``"compiled"`` (default) contracts batches through the compiled
         plan with slice-invariant caching; ``"reference"`` uses the einsum
@@ -153,8 +188,9 @@ class CorrelatedSampler:
         :class:`SlicedExecutor` enforces).  A sampling run that computes
         many batches against one circuit is the prime beneficiary of the
         backend's persistent session — wrap the loop in
-        ``with sampler.session(): ...`` so the process pool is spawned
-        once and only the per-batch segments are republished.
+        ``with sampler.session(): ...`` so the workers are spawned once
+        and each batch only republishes leaf data and the invariant cache
+        for the resident plan.
     fault_policy:
         Optional :class:`~repro.execution.resilience.FaultPolicy` for
         batch execution: a long sampling run survives worker crashes and
@@ -165,7 +201,7 @@ class CorrelatedSampler:
         unaffected).  Recovery counters accumulate across batches in
         :attr:`stats`.  A policy carrying ``checkpoint_dir`` additionally
         arms durable checkpointing per base bitstring: each batch
-        contracts a different network, so each gets its own
+        contracts different leaf data, so each gets its own
         content-fingerprinted ledger in the same
         :class:`~repro.execution.checkpoint.CheckpointStore`, and a
         sampling run interrupted by a coordinator crash resumes with only
@@ -182,6 +218,8 @@ class CorrelatedSampler:
         :class:`~repro.execution.plan.PlanStats` accumulated across every
         :meth:`compute_batch` call — including the resilience counters
         (``retries``, ``faults``, ``degraded_to``, ``recovery_seconds``).
+        The resident executors write into this object directly, so each
+        subtask is counted exactly once however many batches reuse them.
     """
 
     def __init__(
@@ -225,6 +263,8 @@ class CorrelatedSampler:
         #: PlanStats accumulated across compute_batch calls (includes the
         #: resilience counters: retries, faults, degraded_to, recovery_seconds)
         self.stats = PlanStats()
+        # single entry: the last network structure seen
+        self._resident: Optional[_ResidentPlan] = None
 
     # ------------------------------------------------------------------
     def build_network(
@@ -268,24 +308,101 @@ class CorrelatedSampler:
         return network, open_index_of_qubit, report.scalar_prefactor
 
     def plan_tree(self, network: TensorNetwork) -> ContractionTree:
-        """Contraction tree for a batch network."""
+        """Contraction tree for a batch network, searched once per structure.
+
+        Memoised on :meth:`TensorNetwork.structure_key` (single entry, the
+        last structure seen): structurally equal networks — every base
+        bitstring of this sampler — get the same tree object back.  A
+        different structure discards the resident executors and replans.
+        """
+        key = network.structure_key()
+        resident = self._resident
+        if resident is not None and resident.key == key:
+            _LOG.debug("plan memo hit: structure %s", resident.digest)
+            return resident.tree
+        digest = hashlib.sha1(repr(key).encode()).hexdigest()[:12]
+        if resident is None:
+            _LOG.debug("plan memo miss: searching structure %s", digest)
+        else:
+            _LOG.info(
+                "network structure changed (%s -> %s): dropping %d resident "
+                "executor(s) and replanning",
+                resident.digest,
+                digest,
+                len(resident.executors),
+            )
         optimizer = HyperOptimizer(
             max_trials=self.max_trials,
             minimize="combo",
             memory_target_rank=self.target_rank,
             seed=self.seed,
         )
-        return optimizer.search(network)
+        tree = optimizer.search(network)
+        self._resident = _ResidentPlan(key, digest, tree)
+        return tree
+
+    def _derived_slicing(self, network: TensorNetwork) -> FrozenSet[str]:
+        """The planner's slicing set for the resident tree (found once)."""
+        resident = self._resident
+        assert resident is not None
+        if resident.derived_slicing is None:
+            tree = resident.tree
+            slicing: FrozenSet[str] = frozenset()
+            if self.target_rank is not None and tree.max_rank() > self.target_rank:
+                from ..core.slice_finder import LifetimeSliceFinder
+
+                result = LifetimeSliceFinder(self.target_rank).find(tree)
+                slicing = frozenset(result.sliced) & network.inner_indices()
+            resident.derived_slicing = slicing
+        return resident.derived_slicing
+
+    def _rebound_executor(
+        self, network: TensorNetwork, slicing: FrozenSet[str]
+    ) -> SlicedExecutor:
+        """The resident executor for ``slicing``, holding ``network``'s leaves.
+
+        The leaves are rebound into the resident network, which the
+        executor sees as a data-only mutation: it keeps the compiled plan
+        and drops the invariant cache, and a backend session takes its
+        data-only republish path.
+        """
+        resident = self._resident
+        assert resident is not None
+        if resident.network is None:
+            resident.network = network
+        else:
+            for tid in network:
+                resident.network.replace_tensor(tid, network.tensor(tid))
+        executor = resident.executors.get(slicing)
+        if executor is None:
+            # max_workers was already resolved into self.backend at
+            # construction, so only the backend is forwarded here; the
+            # fault policy/injector stay scoped to this sampler's runs
+            executor = SlicedExecutor(
+                resident.network,
+                resident.tree,
+                slicing,
+                mode=self.executor_mode,
+                backend=self.backend,
+                fault_policy=self.fault_policy,
+                fault_injector=self.fault_injector,
+            )
+            # a resident executor's counters are cumulative; pointing it at
+            # the sampler-lifetime stats counts every subtask exactly once
+            executor.stats = self.stats
+            resident.executors[slicing] = executor
+        return executor
 
     # ------------------------------------------------------------------
     def session(self):
         """Open (or reuse) the backend's persistent execution session.
 
-        Each :meth:`compute_batch` call builds a fresh network and plan
-        for its base bitstring, so what the session amortizes across
-        batches is the expensive part of the pool backend's start-up: the
-        worker processes themselves.  Segments and the pickled plan are
-        republished per batch; the pool is spawned once::
+        Every :meth:`compute_batch` call runs the same resident compiled
+        plan with new leaf data, so inside a session the workers are
+        spawned once and each batch takes the session's data-only path:
+        the slice-dependent leaves and the re-warmed invariant cache are
+        republished for the same plan object (the distributed session
+        broadcasts the plan once and never again)::
 
             with sampler.session():
                 batches = [sampler.compute_batch(b) for b in bases]
@@ -327,36 +444,11 @@ class CorrelatedSampler:
             base_bitstring, concrete=True
         )
         tree = self.plan_tree(network)
-
-        slicing: frozenset
-        if sliced is not None:
-            slicing = frozenset(sliced)
-        elif self.target_rank is not None and tree.max_rank() > self.target_rank:
-            from ..core.slice_finder import LifetimeSliceFinder
-
-            result = LifetimeSliceFinder(self.target_rank).find(tree)
-            inner = network.inner_indices()
-            slicing = frozenset(ix for ix in result.sliced if ix in inner)
-        else:
-            slicing = frozenset()
-
+        slicing = (
+            frozenset(sliced) if sliced is not None else self._derived_slicing(network)
+        )
         if slicing:
-            # max_workers was already resolved into self.backend at
-            # construction, so only the backend is forwarded here; the
-            # fault policy/injector ride along per batch (run-scoped)
-            executor = SlicedExecutor(
-                network,
-                tree,
-                slicing,
-                mode=self.executor_mode,
-                backend=self.backend,
-                fault_policy=self.fault_policy,
-                fault_injector=self.fault_injector,
-            )
-            tensor = executor.run()
-            # roll the batch's counters (including retries/faults/
-            # recovery_seconds) into the sampler-lifetime stats
-            self.stats.merge(executor.stats)
+            tensor = self._rebound_executor(network, slicing).run()
         else:
             tensor = TreeExecutor(
                 compiled=self.executor_mode == "compiled",

@@ -760,9 +760,10 @@ class SlicedExecutor:
         """Resolve the checkpoint store arming this run, if any.
 
         Explicit ``resume`` wins; otherwise a fault policy carrying
-        ``checkpoint_dir`` auto-arms (which is how per-bitstring executors
-        built by :class:`~repro.sampling.CorrelatedSampler` inherit
-        durability).  Construction fails fast on unwritable roots.
+        ``checkpoint_dir`` auto-arms (which is how the resident executors
+        of :class:`~repro.execution.sampling.CorrelatedSampler` inherit
+        durability, one ledger per base bitstring).  Construction fails
+        fast on unwritable roots.
         """
         if isinstance(resume, CheckpointStore):
             store: Optional[CheckpointStore] = resume

@@ -211,6 +211,22 @@ class TensorNetwork:
         """Whether every tensor carries numerical data."""
         return all(not t.is_abstract for t in self._tensors.values())
 
+    def structure_key(self) -> Tuple:
+        """Hashable identity of everything a plan depends on except the data.
+
+        Per tensor id the ordered index labels and the shape, plus the open
+        indices.  Two networks with equal keys accept the same contraction
+        tree, slicing set and compiled plan (the baked axis positions line
+        up); only their leaf data may differ.
+        """
+        return (
+            tuple(
+                (tid, tensor.indices, tensor.shape)
+                for tid, tensor in sorted(self._tensors.items())
+            ),
+            tuple(sorted(self.output_indices())),
+        )
+
     # ------------------------------------------------------------------
     # Graph views
     # ------------------------------------------------------------------

@@ -123,6 +123,21 @@ class TestBitIdentity:
         finally:
             backend.close()
 
+    def test_single_assignment_run_matches_serial(self):
+        # regression: an empty slicing is one assignment whose rank-0 root
+        # sits in the invariant cache; the data payload used to promote it
+        # to shape (1,) and the worker died building the result tensor
+        tn, tree = _case()
+        serial = SlicedExecutor(tn, tree, frozenset(), backend=SerialBackend()).run()
+        backend = DistributedBackend(num_workers=2)
+        try:
+            remote = SlicedExecutor(tn, tree, frozenset(), backend=backend).run()
+        finally:
+            backend.close()
+        assert remote.indices == serial.indices == ()
+        assert remote.require_data().shape == ()
+        assert remote.require_data().tobytes() == serial.require_data().tobytes()
+
     def test_adversarial_arrival_order(self, case, serial_value):
         # delay the worker holding chunk 0 long enough that every other
         # chunk arrives first: ordered accumulation must still fold the
@@ -363,6 +378,31 @@ class TestRemoteSession:
                 assert session.data_publications == 2
         finally:
             backend.close()
+
+    def test_sampler_ships_the_plan_once_and_data_per_batch(self):
+        from repro.circuits import grid_circuit
+        from repro.execution import CorrelatedSampler
+
+        # 3x3 grid sliced into 8 subtasks per batch at target rank 3
+        circ = grid_circuit(3, 3, cycles=6, seed=21)
+        kwargs = dict(open_qubits=(0, 2, 4), target_rank=3, max_trials=4, seed=2)
+        rng = np.random.default_rng(4)
+        backend = DistributedBackend(num_workers=2)
+        with CorrelatedSampler(circ, backend=backend, **kwargs) as sampler:
+            with sampler.session() as session:
+                for batches in range(1, 4):
+                    base = [int(b) for b in rng.integers(0, 2, circ.num_qubits)]
+                    batch = sampler.compute_batch(base)
+                    fresh = CorrelatedSampler(circ, **kwargs).compute_batch(base)
+                    # bitwise a fresh serial sampler for this bitstring
+                    assert batch.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+                    # resident plan: the workers are launched and the plan
+                    # broadcast once; each batch publishes data only
+                    assert session.plan_broadcasts == 1
+                    assert session.data_publications == batches
+                    assert session.worker_launches == 2
+                    assert sampler.stats.executions == batches * 8
+                    assert sampler.stats.timed_subtasks == batches * 8
 
     def test_closed_session_falls_back_to_ephemeral(self, case, serial_value):
         tn, tree, sliced = case

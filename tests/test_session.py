@@ -12,20 +12,25 @@ from __future__ import annotations
 
 import gc
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.circuits import random_brickwork_circuit
+from repro.circuits import grid_circuit, random_brickwork_circuit
 from repro.execution import (
     CorrelatedSampler,
     ExecutionSession,
+    FaultPolicy,
     NullExecutionSession,
     SerialBackend,
     SharedMemoryProcessPoolBackend,
     SlicedExecutor,
     ThreadPoolBackend,
 )
+from repro.execution import sliced as sliced_module
 from repro.paths import GreedyOptimizer
 from repro.tensornet import amplitude_network, simplify_network
 
@@ -301,8 +306,8 @@ class TestSamplerSession:
         with sampler.session() as session:
             pooled_batches = [sampler.compute_batch(base) for base in bases]
             if isinstance(session, ExecutionSession):
-                # each batch compiles its own plan, so segments republish
-                # per batch — but the worker pool is spawned exactly once
+                # this target rank leaves the batches unsliced: one
+                # assignment each, so no pool is ever needed
                 assert session.pool_launches <= 1
         for serial_batch, pooled_batch in zip(serial_batches, pooled_batches):
             np.testing.assert_array_equal(
@@ -329,6 +334,88 @@ class TestSamplerSession:
             assert isinstance(session, NullExecutionSession)
             sampler.compute_batch((1, 0, 0, 1, 0, 1))
         sampler.close()  # no backend: no-op
+
+
+#: 3x3 grid, 6 cycles: the planner slices three indices at target rank 3,
+#: so every batch is 8 subtasks — enough to reach the pool.
+_SAMPLER_CIRCUIT = grid_circuit(3, 3, cycles=6, seed=21)
+_SAMPLER_KWARGS = dict(open_qubits=(0, 2, 4), target_rank=3, max_trials=4, seed=2)
+_SAMPLER_SUBTASKS = 8
+_bases_strategy = st.lists(
+    st.tuples(*[st.integers(0, 1)] * _SAMPLER_CIRCUIT.num_qubits),
+    min_size=2,
+    max_size=3,
+    unique=True,
+)
+_POOL_SETTINGS = settings(
+    max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _fresh_amplitudes(base):
+    return CorrelatedSampler(_SAMPLER_CIRCUIT, **_SAMPLER_KWARGS).compute_batch(base).amplitudes
+
+
+class TestSamplerPlanReuseInSession:
+    """The resident plan reaches the pool session's data-only path."""
+
+    @_POOL_SETTINGS
+    @given(bases=_bases_strategy)
+    def test_long_lived_pool_sampler_is_bitwise_a_fresh_serial_one(self, bases):
+        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        with CorrelatedSampler(_SAMPLER_CIRCUIT, backend=backend, **_SAMPLER_KWARGS) as sampler:
+            with sampler.session():
+                for base in bases:
+                    batch = sampler.compute_batch(base)
+                    assert batch.amplitudes.tobytes() == _fresh_amplitudes(base).tobytes()
+
+    @_POOL_SETTINGS
+    @given(bases=_bases_strategy)
+    def test_checkpointing_policy_keeps_bits_and_per_bitstring_ledgers(self, bases):
+        fingerprints = []
+        original = sliced_module.job_fingerprint
+
+        def recording(*args, **kwargs):
+            fingerprints.append(original(*args, **kwargs))
+            return fingerprints[-1]
+
+        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sliced_module, "job_fingerprint", recording)
+            policy = FaultPolicy.retrying(checkpoint_dir=root)
+            with CorrelatedSampler(
+                _SAMPLER_CIRCUIT, backend=backend, fault_policy=policy, **_SAMPLER_KWARGS
+            ) as sampler:
+                with sampler.session():
+                    for base in bases:
+                        batch = sampler.compute_batch(base)
+                        assert batch.amplitudes.tobytes() == _fresh_amplitudes(base).tobytes()
+                assert sampler.stats.checkpointed_slots == len(bases) * _SAMPLER_SUBTASKS
+                assert sampler.stats.resumed_slots == 0
+        # distinct bitstrings hash distinct leaf bytes: one ledger each
+        assert len(set(fingerprints)) == len(bases)
+
+    def test_one_pool_one_plan_and_a_data_publication_per_batch(self):
+        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        rng = np.random.default_rng(4)
+        with CorrelatedSampler(_SAMPLER_CIRCUIT, backend=backend, **_SAMPLER_KWARGS) as sampler:
+            with sampler.session() as session:
+                published_plans = set()
+                for batches in range(1, 5):
+                    sampler.compute_batch(
+                        [int(b) for b in rng.integers(0, 2, _SAMPLER_CIRCUIT.num_qubits)]
+                    )
+                    published_plans.add(id(session._plan))
+                    # the pool is spawned once; each batch republishes
+                    # segments (new leaf data, re-warmed cache) ...
+                    assert session.pool_launches == 1
+                    assert session.publications == batches
+                    assert session.generation == batches - 1
+                    # ... and the counters see every subtask exactly once
+                    assert sampler.stats.executions == batches * _SAMPLER_SUBTASKS
+                    assert sampler.stats.timed_subtasks == batches * _SAMPLER_SUBTASKS
+                # ... always for the one resident compiled plan
+                assert len(published_plans) == 1
 
 
 class TestPlannerSession:
