@@ -7,40 +7,25 @@ rule; a Boltzmann ``temperature`` turns the deterministic choice into a
 randomised one so that many trials explore different trees, which the
 hyper-driver in :mod:`repro.paths.optimizer` exploits.
 
-The implementation works purely on index sets (abstract networks), never on
-tensor data, so a 53-qubit Sycamore network plans in milliseconds.
+The implementation works purely on index sets (abstract networks, the sets
+held as the integer masks of :mod:`repro.paths.indexspace`), never on tensor
+data, so a 53-qubit Sycamore network plans in tens of milliseconds.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
+from .indexspace import IndexSpace
 
 __all__ = ["GreedyOptimizer", "greedy_ssa_path"]
-
-
-@dataclass
-class _Candidate:
-    """A candidate pairwise contraction in the greedy frontier."""
-
-    score: float
-    tiebreak: int
-    node_a: int
-    node_b: int
-
-    def __lt__(self, other: "_Candidate") -> bool:
-        return (self.score, self.tiebreak) < (other.score, other.tiebreak)
-
-
-def _log2_size(indices: AbstractSet[str], sizes: Dict[str, float]) -> float:
-    return sum(sizes[ix] for ix in indices)
 
 
 class GreedyOptimizer:
@@ -71,11 +56,7 @@ class GreedyOptimizer:
     # ------------------------------------------------------------------
     def ssa_path(self, network: TensorNetwork) -> List[Tuple[int, int]]:
         """Compute an SSA contraction path for ``network``."""
-        tids = network.tensor_ids
-        leaf_indices = [set(network.tensor_indices(tid)) for tid in tids]
-        sizes = {ix: math.log2(size) for ix, size in network.index_sizes().items()}
-        output = set(network.output_indices())
-        return self._search(leaf_indices, sizes, output)
+        return self._search(IndexSpace.of_network(network))
 
     def tree(self, network: TensorNetwork) -> ContractionTree:
         """Compute a full :class:`ContractionTree` for ``network``."""
@@ -89,102 +70,64 @@ class GreedyOptimizer:
             score -= self.temperature * gumbel * max(abs(score), 1.0)
         return score
 
-    def _search(
-        self,
-        leaf_indices: List[Set[str]],
-        sizes: Dict[str, float],
-        output: Set[str],
-    ) -> List[Tuple[int, int]]:
-        num_leaves = len(leaf_indices)
+    def _search(self, space: IndexSpace) -> List[Tuple[int, int]]:
+        num_leaves = len(space.leaves)
         if num_leaves == 1:
             return []
 
-        # occurrence counts of each index across alive nodes
-        index_count: Dict[str, int] = {}
-        node_indices: Dict[int, FrozenSet[str]] = {}
-        for node, ixset in enumerate(leaf_indices):
-            node_indices[node] = frozenset(ixset)
-            for ix in ixset:
-                index_count[ix] = index_count.get(ix, 0) + 1
-
-        # adjacency: index -> alive nodes carrying it
-        owners: Dict[str, Set[int]] = {}
-        for node, ixset in node_indices.items():
-            for ix in ixset:
-                owners.setdefault(ix, set()).add(node)
-
+        # per SSA node: index mask, log2 size and alive neighbours (nodes sharing an index)
+        indices = list(space.leaves)
+        sizes = [space.log2size(mask) for mask in indices]
+        adjacent: List[Set[int]] = [set() for _ in indices]
+        # indices two alive nodes close when they meet; alive owners of the hyper-indices
+        pair, counts = space.pair, dict(space.counts)
         alive: Set[int] = set(range(num_leaves))
-        next_id = num_leaves
         ssa: List[Tuple[int, int]] = []
-        heap: List[_Candidate] = []
-        tiebreak = 0
-
-        def out_indices(a: int, b: int) -> FrozenSet[str]:
-            ix_a, ix_b = node_indices[a], node_indices[b]
-            union = ix_a | ix_b
-            shared = ix_a & ix_b
-            removable = {
-                ix
-                for ix in shared
-                if ix not in output and not (owners[ix] - {a, b})
-            }
-            return frozenset(union - removable)
+        heap: List[Tuple[float, int, int, int]] = []  # (score, tiebreak, node, node)
+        tiebreak = itertools.count()  # equal scores pop in push order
 
         def push(a: int, b: int) -> None:
-            nonlocal tiebreak
-            out = out_indices(a, b)
-            score = self._score(
-                _log2_size(out, sizes),
-                _log2_size(node_indices[a], sizes),
-                _log2_size(node_indices[b], sizes),
-            )
-            heapq.heappush(heap, _Candidate(score, tiebreak, a, b))
-            tiebreak += 1
+            ia, ib = indices[a], indices[b]
+            out = (ia | ib) ^ (ia & ib & pair)
+            score = self._score(space.log2size(out), sizes[a], sizes[b])
+            heapq.heappush(heap, (score, next(tiebreak), a, b))
 
-        # seed the frontier in sorted index order so results do not depend on
-        # Python's per-process string-hash randomisation
-        seen_pairs: Set[Tuple[int, int]] = set()
-        for ix in sorted(owners):
-            nodes_sorted = sorted(owners[ix])
-            for i in range(len(nodes_sorted)):
-                for j in range(i + 1, len(nodes_sorted)):
-                    pair = (nodes_sorted[i], nodes_sorted[j])
-                    if pair not in seen_pairs:
-                        seen_pairs.add(pair)
-                        push(*pair)
+        # seed the frontier in ascending bit (= sorted label) order, so results
+        # do not depend on Python's per-process string-hash randomisation
+        for bit in sorted(space.owners):
+            nodes = space.owners[bit]
+            for i, a in enumerate(nodes):
+                for b in nodes[i + 1 :]:
+                    if b not in adjacent[a]:
+                        adjacent[a].add(b)
+                        adjacent[b].add(a)
+                        push(a, b)
 
         while len(alive) > 1:
-            candidate: Optional[_Candidate] = None
             while heap:
-                cand = heapq.heappop(heap)
-                if cand.node_a in alive and cand.node_b in alive:
-                    candidate = cand
+                _, _, a, b = heapq.heappop(heap)
+                if a in alive and b in alive:
                     break
-            if candidate is None:
+            else:
                 # disconnected components: combine the two smallest nodes
-                rest = sorted(alive, key=lambda n: _log2_size(node_indices[n], sizes))
-                candidate = _Candidate(0.0, tiebreak, rest[0], rest[1])
+                a, b = sorted(alive, key=sizes.__getitem__)[:2]
 
-            a, b = candidate.node_a, candidate.node_b
-            out = out_indices(a, b)
-            new_node = next_id
-            next_id += 1
+            out, pair = space.contract(indices[a], indices[b], pair, counts)
+            new_node = len(indices)
+            indices.append(out)
+            sizes.append(space.log2size(out))
             ssa.append((a, b))
-
-            for old in (a, b):
-                alive.discard(old)
-                for ix in node_indices[old]:
-                    owners[ix].discard(old)
-            node_indices[new_node] = out
-            for ix in out:
-                owners.setdefault(ix, set()).add(new_node)
+            alive.discard(a)
+            alive.discard(b)
             alive.add(new_node)
 
-            neighbor_nodes: Set[int] = set()
-            for ix in out:
-                neighbor_nodes |= owners[ix]
-            neighbor_nodes.discard(new_node)
-            for other in sorted(neighbor_nodes):
+            # an index the merge closed had no third owner, so every other
+            # neighbour of a or b still shares an index with the result
+            neighbours = (adjacent[a] | adjacent[b]) - {a, b}
+            adjacent.append(neighbours)
+            for other in sorted(neighbours):
+                adjacent[other] -= {a, b}
+                adjacent[other].add(new_node)
                 push(new_node, other)
 
         return ssa

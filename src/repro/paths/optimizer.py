@@ -24,8 +24,9 @@ to the historical flop-count behaviour.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import logging
+import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,8 @@ from .greedy import GreedyOptimizer
 from .partition import CommunityOptimizer, PartitionOptimizer
 
 __all__ = ["HyperOptimizer", "TrialRecord", "find_tree"]
+
+_LOG = logging.getLogger("repro.paths")
 
 
 @dataclass
@@ -129,18 +132,21 @@ class HyperOptimizer:
     def search(self, network: TensorNetwork) -> ContractionTree:
         """Run all trials and return the best tree found."""
         best_tree: Optional[ContractionTree] = None
-        best_key: Optional[Tuple[float, ...]] = None
+        best: Optional[TrialRecord] = None
         self.trials = []
 
         for trial in range(self.max_trials):
             method = self.methods[trial % len(self.methods)]
             seed = int(self._rng.integers(0, 2**31 - 1))
+            started = time.perf_counter()
             tree = self._run_trial(network, method, seed)
+            built = time.perf_counter()
             if tree is None:
                 continue
             if self.refine:
                 annealer = TreeAnnealer(seed=seed)
                 tree = annealer.refine(tree).tree
+            annealed = time.perf_counter()
             record = TrialRecord(
                 method=method,
                 log10_flops=tree.log10_total_cost(),
@@ -153,11 +159,29 @@ class HyperOptimizer:
                 ),
             )
             self.trials.append(record)
-            key = record.score(self.minimize, self.memory_target_rank)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_tree = tree
+            _LOG.debug(
+                "trial %d: method=%s seed=%d log10_flops=%.4f max_rank=%d "
+                "build_s=%.4f anneal_s=%.4f",
+                trial,
+                method,
+                seed,
+                record.log10_flops,
+                record.max_rank,
+                built - started,
+                annealed - built,
+            )
+            if best is None or self._key(record) < self._key(best):
+                best, best_tree = record, tree
 
+        if best is not None:
+            _LOG.info(
+                "best of %d trials: method=%s seed=%d log10_flops=%.4f max_rank=%d",
+                len(self.trials),
+                best.method,
+                best.seed,
+                best.log10_flops,
+                best.max_rank,
+            )
         if best_tree is None:
             # all trials failed (e.g. single-tensor network): fall back to greedy
             best_tree = GreedyOptimizer(seed=0).tree(network)
@@ -189,13 +213,12 @@ class HyperOptimizer:
         return None
 
     # ------------------------------------------------------------------
+    def _key(self, record: TrialRecord) -> Tuple[float, ...]:
+        return record.score(self.minimize, self.memory_target_rank)
+
     def best_record(self) -> Optional[TrialRecord]:
         """The record of the winning trial of the last search."""
-        if not self.trials:
-            return None
-        return min(
-            self.trials, key=lambda r: r.score(self.minimize, self.memory_target_rank)
-        )
+        return min(self.trials, key=self._key, default=None)
 
     def trial_summary(self) -> Dict[str, Dict[str, float]]:
         """Per-method aggregate statistics of the last search."""

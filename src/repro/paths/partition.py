@@ -20,14 +20,14 @@ Both return SSA paths compatible with :class:`ContractionTree`.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
-from .greedy import GreedyOptimizer
+from .indexspace import IndexSpace
 
 __all__ = ["PartitionOptimizer", "CommunityOptimizer"]
 
@@ -48,6 +48,33 @@ def _tensor_graph(network: TensorNetwork) -> nx.Graph:
                 else:
                     g.add_edge(a, b, weight=w)
     return g
+
+
+def _greedy_merge(space: IndexSpace, group: List[int], ssa: List[Tuple[int, int]]) -> int:
+    """Contract a small group of leaves, smallest output first, emitting SSA steps.
+
+    Every group starts from the owner counts of the untouched network.
+    """
+    live: Dict[int, int] = {leaf: space.leaves[leaf] for leaf in group}  # node -> mask
+    pair, counts = space.pair, dict(space.counts)
+    while len(live) > 1:
+        best: Optional[Tuple[float, int, int]] = None
+        keys = sorted(live)
+        for i, a in enumerate(keys):
+            ia = live[a]
+            for b in keys[i + 1 :]:
+                shared = ia & live[b]
+                if not shared and best is not None:
+                    continue
+                score = space.log2size((ia | live[b]) ^ (shared & pair))
+                if best is None or score < best[0]:
+                    best = (score, a, b)
+        assert best is not None
+        _, a, b = best
+        out, pair = space.contract(live.pop(a), live.pop(b), pair, counts)
+        live[len(space.leaves) + len(ssa)] = out
+        ssa.append((a, b))
+    return next(iter(live))
 
 
 class PartitionOptimizer:
@@ -75,28 +102,35 @@ class PartitionOptimizer:
     def ssa_path(self, network: TensorNetwork) -> List[Tuple[int, int]]:
         """Compute an SSA contraction path by recursive bisection."""
         tids = network.tensor_ids
-        graph = _tensor_graph(network)
-        tid_to_leaf = {tid: leaf for leaf, tid in enumerate(tids)}
-
+        leaf_of = {tid: leaf for leaf, tid in enumerate(tids)}
+        space = IndexSpace.of_network(network)  # once per path, shared by every group
         ssa: List[Tuple[int, int]] = []
-        next_id = [len(tids)]
-
-        def conquer(group: List[int]) -> int:
-            """Contract ``group`` (list of tids); return the SSA node id."""
-            if len(group) == 1:
-                return tid_to_leaf[group[0]]
-            if len(group) <= self.cutoff:
-                return self._greedy_merge(network, group, tid_to_leaf, ssa, next_id)
-            part_a, part_b = self._bisect(graph.subgraph(group).copy())
-            node_a = conquer(sorted(part_a))
-            node_b = conquer(sorted(part_b))
-            ssa.append((node_a, node_b))
-            node = next_id[0]
-            next_id[0] += 1
-            return node
-
-        conquer(list(tids))
+        self._conquer(list(tids), _tensor_graph(network), space, leaf_of, ssa)
         return ssa
+
+    def _conquer(
+        self,
+        group: List[int],
+        graph: nx.Graph,
+        space: IndexSpace,
+        leaf_of: Dict[int, int],
+        ssa: List[Tuple[int, int]],
+    ) -> int:
+        """Contract ``group`` (a list of tids) onto ``ssa``; return the SSA node id.
+
+        A method, not a closure of :meth:`ssa_path`: a closure that calls
+        itself is a reference cycle, which kept the graph and the index
+        space alive until the next pass of the cycle collector.
+        """
+        if len(group) == 1:
+            return leaf_of[group[0]]
+        if len(group) <= self.cutoff:
+            return _greedy_merge(space, [leaf_of[tid] for tid in group], ssa)
+        part_a, part_b = self._bisect(graph.subgraph(group).copy())
+        node_a = self._conquer(sorted(part_a), graph, space, leaf_of, ssa)
+        node_b = self._conquer(sorted(part_b), graph, space, leaf_of, ssa)
+        ssa.append((node_a, node_b))
+        return len(space.leaves) + len(ssa) - 1
 
     def tree(self, network: TensorNetwork) -> ContractionTree:
         """Compute a full :class:`ContractionTree`."""
@@ -105,8 +139,10 @@ class PartitionOptimizer:
     # ------------------------------------------------------------------
     def _bisect(self, graph: nx.Graph) -> Tuple[Set[int], Set[int]]:
         """Split ``graph`` into two balanced halves with a small cut."""
-        nodes = list(graph.nodes)
-        if len(nodes) < 4 or graph.number_of_edges() == 0:
+        # list(graph) and is_empty, not graph.nodes and number_of_edges(): those
+        # cache views that point back at the graph, so it would wait for the GC
+        nodes = list(graph)
+        if len(nodes) < 4 or nx.is_empty(graph):
             half = len(nodes) // 2
             return set(nodes[:half]), set(nodes[half:])
         try:
@@ -123,59 +159,6 @@ class PartitionOptimizer:
             half = len(nodes) // 2
             return set(nodes[:half]), set(nodes[half:])
         return set(part_a), set(part_b)
-
-    def _greedy_merge(
-        self,
-        network: TensorNetwork,
-        group: List[int],
-        tid_to_leaf: Dict[int, int],
-        ssa: List[Tuple[int, int]],
-        next_id: List[int],
-    ) -> int:
-        """Contract a small group with the greedy heuristic, emitting SSA steps."""
-        sizes = {ix: math.log2(s) for ix, s in network.index_sizes().items()}
-        output = set(network.output_indices())
-        # current index sets per live ssa node
-        live: Dict[int, FrozenSet[str]] = {
-            tid_to_leaf[tid]: network.tensor_indices(tid) for tid in group
-        }
-        owner_count: Dict[str, int] = {}
-        for tid in network.tensor_ids:
-            for ix in network.tensor_indices(tid):
-                owner_count[ix] = owner_count.get(ix, 0) + 1
-
-        def pair_output(a: int, b: int) -> FrozenSet[str]:
-            ix_a, ix_b = live[a], live[b]
-            shared = ix_a & ix_b
-            inside = {ix for ix in shared if owner_count.get(ix, 0) <= 2 and ix not in output}
-            return frozenset((ix_a | ix_b) - inside)
-
-        while len(live) > 1:
-            best: Optional[Tuple[float, int, int]] = None
-            keys = sorted(live)
-            for i in range(len(keys)):
-                for j in range(i + 1, len(keys)):
-                    a, b = keys[i], keys[j]
-                    if not (live[a] & live[b]) and best is not None:
-                        continue
-                    out = pair_output(a, b)
-                    score = sum(sizes[ix] for ix in out)
-                    if best is None or score < best[0]:
-                        best = (score, a, b)
-            assert best is not None
-            _, a, b = best
-            out = pair_output(a, b)
-            for ix in live[a] & live[b]:
-                owner_count[ix] = owner_count.get(ix, 0) - 2
-                if ix in out:
-                    owner_count[ix] += 1
-            ssa.append((a, b))
-            node = next_id[0]
-            next_id[0] += 1
-            del live[a]
-            del live[b]
-            live[node] = out
-        return next(iter(live))
 
 
 class CommunityOptimizer:
@@ -207,21 +190,18 @@ class CommunityOptimizer:
         if not communities:
             communities = [set(tids)]
 
-        partition = PartitionOptimizer(cutoff=max(4, len(tids)), seed=self._seed)
+        space = IndexSpace.of_network(network)
         ssa: List[Tuple[int, int]] = []
-        next_id = [len(tids)]
-        roots: List[int] = []
-        for community in communities:
-            group = sorted(community)
-            root = partition._greedy_merge(network, group, tid_to_leaf, ssa, next_id)
-            roots.append(root)
+        roots = [
+            _greedy_merge(space, [tid_to_leaf[tid] for tid in sorted(community)], ssa)
+            for community in communities
+        ]
         # merge community roots pairwise (balanced)
         while len(roots) > 1:
             new_roots: List[int] = []
             for i in range(0, len(roots) - 1, 2):
+                new_roots.append(len(tids) + len(ssa))
                 ssa.append((roots[i], roots[i + 1]))
-                new_roots.append(next_id[0])
-                next_id[0] += 1
             if len(roots) % 2 == 1:
                 new_roots.append(roots[-1])
             roots = new_roots

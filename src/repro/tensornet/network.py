@@ -162,8 +162,10 @@ class TensorNetwork:
 
     def size_of(self, index: str) -> int:
         """Dimension size ``w(e)`` of an index."""
-        owners = self.index_owners(index)
-        tid = next(iter(owners))
+        try:
+            tid = next(iter(self._index_to_tids[index]))
+        except KeyError as exc:
+            raise TensorNetworkError(f"unknown index {index!r}") from exc
         return self._tensors[tid].size_of(index)
 
     def index_sizes(self) -> Dict[str, int]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import logging
+import sys
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,33 @@ class TestPathQuality:
         with pytest.raises(ValueError):
             TreeAnnealer(cooling=1.5)
 
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_annealer_running_cost_matches_a_recompute(self, grid_network, bounded):
+        """The reported final cost is the running sum of deltas: it must not drift."""
+        tree = GreedyOptimizer(temperature=1.0, seed=5).tree(grid_network)
+        bound = tree.max_intermediate_log2_size() if bounded else None
+        result = TreeAnnealer(seed=3).refine(tree, max_size_log2=bound)
+        assert result.accepted_moves > 100
+        assert result.initial_log10_cost == pytest.approx(tree.log10_total_cost(), rel=1e-12)
+        assert result.final_log10_cost == pytest.approx(result.tree.log10_total_cost(), rel=1e-12)
+
+    def test_annealer_emits_a_deep_stem_without_touching_the_recursion_limit(self, monkeypatch):
+        """A 3000-leaf caterpillar is deeper than the interpreter's default limit."""
+        n = 3000
+        assert sys.getrecursionlimit() < n
+
+        def forbidden(limit):
+            raise AssertionError(f"sys.setrecursionlimit({limit}) is process-wide state")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+        # a chain e1 .. e(n-1) contracted from one end: every step is on the stem
+        leaves = [{f"e{i}", f"e{i + 1}"} for i in range(n)]
+        leaves[0], leaves[-1] = {"e1"}, {f"e{n - 1}"}
+        caterpillar = [(0, 1)] + [(n + k, k + 2) for k in range(n - 2)]
+        tree = ContractionTree(leaves, {f"e{i}": 2 for i in range(1, n)}, caterpillar)
+        result = TreeAnnealer(cooling=0.5, seed=0).refine(tree)
+        assert result.accepted_moves > 0 and result.tree.num_leaves == n
+
 
 class TestNumericalEquivalence:
     @pytest.mark.parametrize(
@@ -152,6 +182,22 @@ class TestHyperOptimizer:
             max_trials=6, minimize="combo", memory_target_rank=target, seed=0
         ).search(grid_network)
         assert constrained.max_rank() <= max(target, unconstrained.max_rank())
+
+    def test_search_logs_every_trial_and_the_winner(self, grid_network, caplog):
+        opt = HyperOptimizer(max_trials=5, seed=0)
+        with caplog.at_level(logging.DEBUG, logger="repro.paths"):
+            opt.search(grid_network)
+        trials = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        winners = [r for r in caplog.records if r.levelno == logging.INFO]
+        assert {r.name for r in caplog.records} == {"repro.paths"}
+        assert len(trials) == len(opt.trials) == 5 and len(winners) == 1
+        for log, trial in zip(trials, opt.trials):
+            message = log.getMessage()
+            for field in (f"method={trial.method} ", f"seed={trial.seed} ", "log10_flops=",
+                          f"max_rank={trial.max_rank} ", "build_s=", "anneal_s="):
+                assert field in message
+        best = opt.best_record()
+        assert f"method={best.method} seed={best.seed} " in winners[0].getMessage()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,11 @@ generated circuits, trees and slicing sets rather than hand-picked cases:
 * Algorithm 1 always satisfies the memory target and the SA refiner never
   regresses it,
 * the reduced permutation map agrees with ``numpy.transpose`` for any
-  permutation.
+  permutation,
+* on adversarial networks (mixed dimensions, hyper-indices, open indices,
+  disconnected components) the path searches' integer-mask index algebra
+  agrees with :class:`ContractionTree`'s string sets, and their trees
+  contract to the dense ``einsum`` value.
 """
 
 from __future__ import annotations
@@ -33,9 +37,21 @@ from repro.core import (
     compute_lifetimes,
     extract_stem,
 )
-from repro.execution import SlicedExecutor
-from repro.paths import GreedyOptimizer
-from repro.tensornet import ContractionTree, amplitude_network, simplify_network
+from repro.execution import SlicedExecutor, contract_tree
+from repro.paths import (
+    CommunityOptimizer,
+    GreedyOptimizer,
+    PartitionOptimizer,
+    TreeAnnealer,
+)
+from repro.paths.anneal import _MutableTree
+from repro.tensornet import (
+    ContractionTree,
+    Tensor,
+    TensorNetwork,
+    amplitude_network,
+    simplify_network,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -234,3 +250,120 @@ class TestPermutationProperties:
         reduced = ReducedPermutationMap(spec)
         expected = 2.0 ** (spec.fixed_prefix + spec.fixed_suffix)
         assert reduced.reduction_factor == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# Path search on adversarial networks
+# ---------------------------------------------------------------------------
+
+
+def _adversarial_network(seed: int) -> TensorNetwork:
+    """3-8 random tensors in one or two components: dimensions 2/3/4, a
+    hyper-index on 3-4 tensors per component (sometimes open), open legs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    parts = int(rng.integers(1, 3))
+    legs = [[] for _ in range(n)]
+    dims = {}
+    open_indices = []
+
+    def add(owners):
+        ix = f"i{len(dims)}"
+        dims[ix] = int(rng.choice([2, 3, 4]))
+        for tensor in owners:
+            legs[tensor].append(ix)
+        return ix
+
+    for part in range(parts):
+        members = list(range(part, n, parts))
+        for a, b in zip(members, members[1:]):
+            add([a, b])
+        for _ in range(int(rng.integers(0, 3)) if len(members) > 1 else 0):
+            add(rng.choice(members, size=2, replace=False).tolist())
+        if len(members) >= 3:
+            owners = int(rng.integers(3, min(4, len(members)) + 1))
+            hyper = add(rng.choice(members, size=owners, replace=False).tolist())
+            if rng.random() < 0.3:
+                open_indices.append(hyper)
+    for _ in range(int(rng.integers(0, 3))):
+        open_indices.append(add([int(rng.integers(n))]))
+    network = TensorNetwork(
+        Tensor(ixs, data=rng.standard_normal([dims[ix] for ix in ixs])) for ixs in legs
+    )
+    network.set_output_indices(open_indices)
+    return network
+
+
+def _dense_value(network: TensorNetwork):
+    """``(sorted open indices, array)`` of the whole network in one einsum."""
+    axis = {ix: k for k, ix in enumerate(network.indices)}
+    operands = []
+    for tid in network.tensor_ids:
+        tensor = network.tensor(tid)
+        operands += [tensor.require_data(), [axis[ix] for ix in tensor.indices]]
+    out = sorted(network.output_indices())
+    return out, np.einsum(*operands, [axis[ix] for ix in out])
+
+
+def _leaves_below(mutable: _MutableTree, node: int) -> frozenset:
+    children = mutable.children[node]
+    if children is None:
+        return frozenset([node])
+    return _leaves_below(mutable, children[0]) | _leaves_below(mutable, children[1])
+
+
+class TestPathSearchProperties:
+    @SETTINGS
+    @given(seed=st.integers(min_value=0, max_value=10_000), moves=st.integers(0, 40))
+    def test_mask_boundaries_and_tracked_cost_survive_random_rotations(self, seed, moves):
+        tree = GreedyOptimizer(temperature=0.5, seed=seed).tree(_adversarial_network(seed))
+        mutable = _MutableTree(tree)
+        tracked = mutable.total_cost()
+        assert tracked == pytest.approx(tree.total_cost(), rel=1e-9)
+        rng = np.random.default_rng(seed)
+        for _ in range(moves):
+            node = int(rng.integers(tree.num_leaves, tree.root + 1))
+            candidates = mutable.rotation_candidates(node)
+            if not candidates:
+                continue
+            outer, inner, keep, lift = candidates[int(rng.integers(len(candidates)))]
+            if rng.random() < 0.5:
+                keep, lift = lift, keep
+            delta, move = mutable.try_rotation(node, outer, inner, keep, lift)
+            mutable.apply_rotation(node, outer, inner, keep, lift, move)
+            tracked += delta
+        emitted = mutable.to_tree()
+        assert tracked == pytest.approx(emitted.total_cost(), rel=1e-9)
+        by_leaves = {emitted.leaves_under(node): node for node in emitted.nodes()}
+        space = mutable.space
+        for node in range(tree.root + 1):
+            boundary = space.bits(mutable.indices[node])
+            labels = {space.labels[bit.bit_length() - 1] for bit in boundary}
+            assert labels == emitted.node_indices(by_leaves[_leaves_below(mutable, node)])
+
+    @SETTINGS
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_annealer_never_exceeds_the_size_bound(self, seed):
+        tree = GreedyOptimizer(seed=seed).tree(_adversarial_network(seed))
+        bound = tree.max_intermediate_log2_size()
+        result = TreeAnnealer(seed=seed).refine(tree, max_size_log2=bound + 1e-9)
+        assert result.tree.max_intermediate_log2_size() <= bound + 2e-9
+        assert result.final_log10_cost == pytest.approx(
+            math.log10(max(result.tree.total_cost(), 1.0)), rel=1e-9
+        )
+
+    @SETTINGS
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_search_trees_contract_to_the_dense_value(self, seed):
+        network = _adversarial_network(seed)
+        out, expected = _dense_value(network)
+        for optimizer in (
+            GreedyOptimizer(seed=seed),
+            GreedyOptimizer(temperature=0.5, seed=seed),
+            PartitionOptimizer(cutoff=3, seed=seed),
+            CommunityOptimizer(seed=seed),
+        ):
+            tree = TreeAnnealer(seed=seed).refine(optimizer.tree(network)).tree
+            result = contract_tree(network, tree)
+            got = result.require_data().transpose([result.indices.index(ix) for ix in out])
+            assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)

@@ -392,8 +392,10 @@ class TestSamplerPlanReuseInSession:
                         assert batch.amplitudes.tobytes() == _fresh_amplitudes(base).tobytes()
                 assert sampler.stats.checkpointed_slots == len(bases) * _SAMPLER_SUBTASKS
                 assert sampler.stats.resumed_slots == 0
-        # distinct bitstrings hash distinct leaf bytes: one ledger each
-        assert len(set(fingerprints)) == len(bases)
+        # distinct closed-qubit bits hash distinct leaf bytes: one ledger each
+        # (the bits of the open qubits never reach a leaf)
+        closed = [q for q in range(len(bases[0])) if q not in _SAMPLER_KWARGS["open_qubits"]]
+        assert len(set(fingerprints)) == len({tuple(base[q] for q in closed) for base in bases})
 
     def test_one_pool_one_plan_and_a_data_publication_per_batch(self):
         backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
