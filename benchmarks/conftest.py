@@ -39,7 +39,6 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 #: reduction the paper applies when squeezing its cotengra trees into one
 #: node's main memory; set an integer to force an absolute target.
 BENCH_TARGET_RANK = os.environ.get("REPRO_BENCH_TARGET_RANK", "auto")
-BENCH_NUM_PATHS = int(os.environ.get("REPRO_BENCH_PATHS", "40"))
 
 
 @pytest.fixture(scope="session")

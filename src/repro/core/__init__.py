@@ -12,7 +12,7 @@ from .lifetime import (
     verify_halving_property,
 )
 from .stem import Stem, StemStep, extract_stem, stem_profile, stem_slot_schedule
-from .slicing import SlicingCostModel, SlicingError, SlicingResult
+from .slicing import SlicingCostModel, SlicingError, SlicingResult, SlicingState
 from .slice_finder import LifetimeSliceFinder, find_slices
 from .slice_refiner import (
     RefinementTrace,
@@ -48,6 +48,7 @@ __all__ = [
     "SlicingCostModel",
     "SlicingError",
     "SlicingResult",
+    "SlicingState",
     "LifetimeSliceFinder",
     "find_slices",
     "RefinementTrace",

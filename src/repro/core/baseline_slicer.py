@@ -20,12 +20,12 @@ shared :class:`~repro.core.slicing.SlicingCostModel`:
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Optional
 
 import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
-from .slicing import SlicingCostModel, SlicingResult
+from .slicing import SlicingCostModel, SlicingResult, SlicingState
 
 __all__ = ["GreedySliceBaseline", "cotengra_style_slices"]
 
@@ -86,39 +86,19 @@ class GreedySliceBaseline:
 
     # ------------------------------------------------------------------
     def _single_run(self, model: SlicingCostModel, noisy: bool) -> FrozenSet[str]:
-        sliced: Set[str] = set()
-        guard = 0
-        max_steps = len(model.indices)
-        while not model.satisfies_target(sliced, self.target_rank):
-            guard += 1
-            if guard > max_steps:  # pragma: no cover - defensive
+        target = self.target_rank
+        state = SlicingState(model)
+        for _ in range(len(model.indices)):
+            if state.satisfies_target(target):
                 break
-            candidates = self._candidates(model, sliced)
-            if not candidates:  # pragma: no cover - defensive
-                break
-            best_edge: Optional[str] = None
-            best_score = math.inf
-            for edge in candidates:
-                score = model.total_cost(sliced | {edge})
-                if noisy and self.temperature > 0:
-                    score *= 1.0 + self.temperature * self._rng.standard_normal()
-                if score < best_score:
-                    best_score = score
-                    best_edge = edge
-            assert best_edge is not None
-            sliced.add(best_edge)
-        return frozenset(sliced)
-
-    def _candidates(self, model: SlicingCostModel, sliced: Set[str]) -> List[str]:
-        """Unsliced edges carried by the currently-largest intermediates."""
-        max_rank = model.max_rank(sliced)
-        out: Set[str] = set()
-        for node in model.nodes:
-            if model.node_result_rank(node, sliced) == max_rank:
-                out.update(
-                    ix for ix in model.tree.node_indices(node) if ix not in sliced
-                )
-        return sorted(out)
+            # candidates: the unsliced edges carried by the currently-largest
+            # intermediates, in label order; all scored in one batch
+            cols = np.flatnonzero(state.unsliced_counts(state.ranks == state.ranks.max()))
+            scores = state.costs(cols)
+            if noisy and self.temperature > 0:
+                scores *= 1.0 + self.temperature * self._rng.standard_normal(cols.size)
+            state.add(model.indices[cols[int(np.argmin(scores))]])
+        return frozenset(state.edges)
 
 
 def cotengra_style_slices(

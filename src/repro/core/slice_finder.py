@@ -14,12 +14,13 @@ the SA refiner then lower the overhead at fixed set size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Set
+
+import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
-from .slicing import SlicingCostModel, SlicingResult
+from .slicing import SlicingCostModel, SlicingResult, SlicingState
 from .stem import Stem, extract_stem
 
 __all__ = ["LifetimeSliceFinder", "find_slices"]
@@ -34,7 +35,7 @@ class _StemState:
     def dims(self, sliced: AbstractSet[str]) -> List[int]:
         return [len(t - sliced) for t in self.tensors]
 
-    def lifetime_length(self, index: str, sliced: AbstractSet[str]) -> int:
+    def lifetime_length(self, index: str) -> int:
         """Number of surviving stem tensors whose index set contains ``index``."""
         return sum(1 for t in self.tensors if index in t)
 
@@ -111,7 +112,7 @@ class LifetimeSliceFinder:
             if need > 0:
                 candidates = sorted(
                     (ix for ix in end_tensor if ix not in sliced),
-                    key=lambda ix: (-state.lifetime_length(ix, sliced), ix),
+                    key=lambda ix: (-state.lifetime_length(ix), ix),
                 )
                 sliced.update(candidates[:need])
 
@@ -127,30 +128,16 @@ class LifetimeSliceFinder:
         self, cost_model: SlicingCostModel, sliced: FrozenSet[str]
     ) -> FrozenSet[str]:
         """Greedy fallback: enforce the memory bound on off-stem intermediates."""
-        sliced_set = set(sliced)
-        guard = 0
-        max_extra = len(cost_model.indices)
-        while not cost_model.satisfies_target(sliced_set, self.target_rank):
-            guard += 1
-            if guard > max_extra:  # pragma: no cover - defensive
+        target = self.target_rank
+        state = SlicingState(cost_model, sliced)
+        for _ in range(len(cost_model.indices)):
+            if state.satisfies_target(target):
                 break
-            # candidate edges: those on the currently-largest intermediates,
-            # preferring the one covering the most over-target nodes
-            offenders = [
-                node
-                for node in cost_model.nodes
-                if cost_model.node_result_rank(node, sliced_set) > self.target_rank
-            ]
-            counts: Dict[str, int] = {}
-            for node in offenders:
-                for ix in cost_model.tree.node_indices(node):
-                    if ix not in sliced_set:
-                        counts[ix] = counts.get(ix, 0) + 1
-            if not counts:  # pragma: no cover - defensive
-                break
-            best = max(sorted(counts), key=lambda ix: counts[ix])
-            sliced_set.add(best)
-        return frozenset(sliced_set)
+            # the unsliced edge carried by the most over-target intermediates
+            # (first in label order on ties)
+            counts = state.unsliced_counts(state.ranks > target)
+            state.add(cost_model.indices[int(np.argmax(counts))])
+        return frozenset(state.edges)
 
 
 def find_slices(

@@ -18,6 +18,11 @@ A pre-pass (and a post-pass) removes *redundant* sliced edges — edges whose
 lifetime contains no critical tensor contribute nothing to memory reduction
 and only add overhead (§4.3).
 
+The walker is a :class:`~repro.core.slicing.SlicingState`: the candidates
+of a move are enumerated, checked against the bound and scored in one
+batch against its per-node vectors, with the same RNG draws and tie-breaks
+as a one-candidate-at-a-time loop.
+
 By default candidate sets are scored with the raw Eq. 2/4 sliced flop
 count.  Passing ``cost_model=`` (a :class:`~repro.costs.model.CostModel`)
 switches the objective to predicted wall seconds over all subtasks, so a
@@ -34,19 +39,17 @@ from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Callable,
-    Dict,
     FrozenSet,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
-from .slicing import SlicingCostModel, SlicingResult
+from .slicing import SlicingCostModel, SlicingResult, SlicingState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..costs.model import CostModel
@@ -82,21 +85,18 @@ def remove_redundant_edges(
     every contraction outside its lifetime.  Edges are re-checked after each
     removal because the critical set changes.
     """
-    current = set(sliced)
-    changed = True
-    while changed:
-        changed = False
-        critical = set(model.critical_nodes(current, target_rank))
-        for edge in sorted(current):
-            covering = set(model.nodes_covering(edge))
-            if critical & covering:
-                continue
-            trial = current - {edge}
-            if model.satisfies_target(trial, target_rank):
-                current = trial
-                changed = True
-                break
-    return frozenset(current)
+    state = SlicingState(model, sliced)
+    _drop_redundant_edges(state, target_rank)
+    return frozenset(state.edges)
+
+
+def _drop_redundant_edges(state: SlicingState, target_rank: int) -> None:
+    """Un-slice, one at a time, the first edge (in label order) the bound does not need."""
+    while True:
+        droppable = state.droppable(target_rank)
+        if not droppable.any():  # also when nothing is sliced
+            return
+        state.remove(state.edges[int(np.argmax(droppable))])
 
 
 class SimulatedAnnealingSliceRefiner:
@@ -158,7 +158,7 @@ class SimulatedAnnealingSliceRefiner:
     def _scorer(
         self, tree: ContractionTree, model: SlicingCostModel
     ) -> Callable[[AbstractSet[str]], float]:
-        """The candidate-set objective: Eq. 2/4 flops, or predicted seconds."""
+        """The objective of one slicing set: Eq. 2/4 flops, or predicted seconds."""
         if self.cost_model is None:
             return model.total_cost
 
@@ -187,25 +187,26 @@ class SimulatedAnnealingSliceRefiner:
             cost_model = SlicingCostModel(tree)
         model = cost_model
 
-        current: Set[str] = set(sliced)
+        # the walker: one sorted edge list plus the per-node vectors moves are scored from
+        state = SlicingState(model, sliced)
         trace = RefinementTrace(
-            initial_overhead=model.overhead(current), final_overhead=0.0
+            initial_overhead=model.overhead(state.edges), final_overhead=0.0
         )
 
-        pruned = remove_redundant_edges(model, current, target_rank)
-        trace.removed_redundant = len(current) - len(pruned)
-        current = set(pruned)
+        before = len(state.edges)
+        _drop_redundant_edges(state, target_rank)
+        trace.removed_redundant = before - len(state.edges)
 
         score = self._scorer(tree, model)
-        current_cost = score(current)
-        best: Set[str] = set(current)
+        current_cost = score(state.edges)
+        best: List[str] = list(state.edges)
         best_cost = current_cost
 
         temperature = self.initial_temperature
-        while temperature >= self.final_temperature and current:
+        while temperature >= self.final_temperature and state.edges:
             for _ in range(self.moves_per_temperature):
-                edge = self._pick(sorted(current))
-                swap = self._propose_swap(model, current, edge, target_rank, score)
+                edge = self._pick(state.edges)
+                swap = self._propose_swap(state, edge, target_rank, score)
                 if swap is None:
                     continue
                 candidate_edge, new_cost = swap
@@ -218,20 +219,19 @@ class SimulatedAnnealingSliceRefiner:
                     accept = self._rng.random() < prob
                 if not accept:
                     continue
-                current.discard(edge)
-                current.add(candidate_edge)
+                state.replace(edge, candidate_edge)
                 current_cost = new_cost
                 trace.accepted_swaps += 1
                 if new_cost < best_cost:
                     best_cost = new_cost
-                    best = set(current)
+                    best = list(state.edges)
             temperature *= self.cooling
 
         # final redundancy sweep on the best configuration
-        best = set(remove_redundant_edges(model, best, target_rank))
-        trace.final_overhead = model.overhead(best)
+        pruned = remove_redundant_edges(model, best, target_rank)
+        trace.final_overhead = model.overhead(pruned)
         self.last_trace = trace
-        return model.result(best, target_rank, method="lifetime-finder+sa")
+        return model.result(pruned, target_rank, method="lifetime-finder+sa")
 
     # ------------------------------------------------------------------
     def _pick(self, population: Sequence[str]) -> str:
@@ -239,36 +239,29 @@ class SimulatedAnnealingSliceRefiner:
 
     def _propose_swap(
         self,
-        model: SlicingCostModel,
-        current: Set[str],
+        state: SlicingState,
         edge: str,
         target_rank: int,
         score: Callable[[AbstractSet[str]], float],
     ) -> Optional[Tuple[str, float]]:
-        """Find the best admissible replacement for ``edge`` among sampled candidates."""
-        critical = set(model.critical_nodes(current, target_rank))
-        covered_critical = critical & set(model.nodes_covering(edge))
-        candidates = [
-            ix
-            for ix in model.edges_covering_all(sorted(covered_critical))
-            if ix not in current
-        ]
-        if not candidates:
-            return None
-        if len(candidates) > self.max_candidates:
-            picks = self._rng.choice(len(candidates), size=self.max_candidates, replace=False)
-            candidates = [candidates[i] for i in picks]
+        """Find the best admissible replacement for ``edge`` among sampled candidates.
 
-        best_edge: Optional[str] = None
-        best_cost = math.inf
-        for candidate in candidates:
-            trial = (current - {edge}) | {candidate}
-            if not model.satisfies_target(trial, target_rank):
-                continue
-            cost = score(trial)
-            if cost < best_cost:
-                best_cost = cost
-                best_edge = candidate
-        if best_edge is None:
+        All sampled candidates are scored in one batch; ties go to the first
+        in label order (after sampling: in draw order).
+        """
+        cols = state.swap_candidates(edge, target_rank)
+        if cols.size > self.max_candidates:
+            cols = cols[self._rng.choice(cols.size, size=self.max_candidates, replace=False)]
+        cols = cols[state.feasible(cols, target_rank, without=edge)]
+        if cols.size == 0:
             return None
-        return best_edge, best_cost
+        indices = state.model.indices
+        if self.cost_model is None:
+            costs = state.costs(cols, without=edge)
+        else:
+            kept = frozenset(state.edges) - {edge}
+            costs = np.array([score(kept | {indices[c]}) for c in cols])
+        best = int(np.argmin(costs))
+        if not costs[best] < math.inf:
+            return None
+        return indices[cols[best]], float(costs[best])

@@ -21,6 +21,13 @@ provides:
   SA refiner and the cotengra-style baseline all share this model, which is
   what makes the 400-path comparison of Fig. 10 tractable in pure Python.
 
+* :class:`SlicingState` — the per-node sliced ranks and reduced log2 costs of
+  one *current* slicing set, from which every candidate of a move (swap one
+  edge, add one, drop one) is scored in a single vectorised call.  The SA
+  refiner, the redundancy sweep, the finder's full-tree patch and the greedy
+  baseline all evaluate their moves through it; the scalar methods of
+  :class:`SlicingCostModel` remain the public API and the test oracle.
+
 * :class:`SlicingResult` — an immutable record of a chosen slicing set with
   its derived metrics, produced by every slicer in this package.
 """
@@ -35,7 +42,7 @@ import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
 
-__all__ = ["SlicingCostModel", "SlicingResult", "SlicingError"]
+__all__ = ["SlicingCostModel", "SlicingState", "SlicingResult", "SlicingError"]
 
 
 class SlicingError(ValueError):
@@ -106,20 +113,23 @@ class SlicingCostModel:
             [tree.log2_index_size(ix) for ix in self._indices], dtype=np.float64
         )
 
-        num_nodes = len(self._nodes)
-        num_indices = len(self._indices)
-        self._contract_membership = np.zeros((num_nodes, num_indices), dtype=bool)
-        self._result_membership = np.zeros((num_nodes, num_indices), dtype=bool)
-        for row, node in enumerate(self._nodes):
-            for ix in tree.contraction_indices(node):
-                self._contract_membership[row, self._index_pos[ix]] = True
-            for ix in tree.node_indices(node):
-                self._result_membership[row, self._index_pos[ix]] = True
+        self._contract_membership = self._membership(map(tree.contraction_indices, self._nodes))
+        self._result_membership = self._membership(map(tree.node_indices, self._nodes))
 
         self._contract_log2 = self._contract_membership @ self._log2w
         self._result_log2 = self._result_membership @ self._log2w
         self._result_rank = self._result_membership.sum(axis=1)
         self._base_cost = float(np.sum(2.0**self._contract_log2))
+        # built last: the matmuls above hold this constructor's peak memory
+        self._node_row: Dict[int, int] = {node: row for row, node in enumerate(self._nodes)}
+
+    def _membership(self, index_sets: Iterable[AbstractSet[str]]) -> np.ndarray:
+        """Boolean ``(nodes, indices)`` matrix: row ``i`` marks the ``i``-th index set."""
+        pos = self._index_pos
+        membership = np.zeros((len(self._nodes), len(self._indices)), dtype=bool)
+        for row, indices in zip(membership, index_sets):
+            row[[pos[ix] for ix in indices]] = True
+        return membership
 
     # ------------------------------------------------------------------
     # Introspection
@@ -141,39 +151,55 @@ class SlicingCostModel:
 
     def node_result_rank(self, node: int, sliced: AbstractSet[str] = frozenset()) -> int:
         """Rank of the intermediate produced at ``node`` under ``sliced``."""
-        row = self._nodes.index(node)
+        row = self._row(node)
         cols = self._columns(sliced)
-        reduction = int(self._result_membership[row, cols].sum()) if cols.size else 0
-        return int(self._result_rank[row]) - reduction
+        return int(self._result_rank[row]) - int(self._result_membership[row, cols].sum())
+
+    def _row(self, node: int) -> int:
+        try:
+            return self._node_row[node]
+        except KeyError:
+            raise SlicingError(
+                f"node {node!r} is not an internal node of this contraction tree"
+            ) from None
+
+    def _column(self, edge: str) -> int:
+        try:
+            return self._index_pos[edge]
+        except KeyError:
+            raise SlicingError(f"edge {edge!r} is not part of this contraction tree") from None
 
     def _columns(self, sliced: AbstractSet[str]) -> np.ndarray:
-        cols = []
-        for ix in sliced:
-            pos = self._index_pos.get(ix)
-            if pos is None:
-                raise SlicingError(f"edge {ix!r} is not part of this contraction tree")
-            cols.append(pos)
-        return np.asarray(sorted(cols), dtype=np.intp)
+        """Ascending positions of ``sliced`` in :attr:`indices` (so, in label order)."""
+        return np.asarray(sorted(self._column(ix) for ix in sliced), dtype=np.intp)
+
+    # Per-node vectors of a column set; everything below derives from these.
+    def _sliced_ranks(self, cols: np.ndarray) -> np.ndarray:
+        return self._result_rank - self._result_membership[:, cols].sum(axis=1)
+
+    def _reduced_log2(self, cols: np.ndarray) -> np.ndarray:
+        return self._contract_log2 - self._contract_membership[:, cols] @ self._log2w[cols]
+
+    def _num_subtasks(self, cols: np.ndarray) -> float:
+        return float(2.0 ** self._log2w[cols].sum())
+
+    def _total_cost(self, cols: np.ndarray) -> float:
+        return self._num_subtasks(cols) * float(np.sum(2.0 ** self._reduced_log2(cols)))
 
     # ------------------------------------------------------------------
     # Cost formulas (Eq. 2 / Eq. 4)
     # ------------------------------------------------------------------
     def num_subtasks(self, sliced: AbstractSet[str]) -> float:
         """``prod_{e in S} w(e)``."""
-        cols = self._columns(sliced)
-        return float(2.0 ** self._log2w[cols].sum()) if cols.size else 1.0
+        return self._num_subtasks(self._columns(sliced))
 
     def contraction_cost(self, sliced: AbstractSet[str] = frozenset()) -> float:
         """Cost of a *single* subtask under ``sliced`` (Eq. 1 with S removed)."""
-        cols = self._columns(sliced)
-        if cols.size == 0:
-            return self._base_cost
-        reduced = self._contract_log2 - self._contract_membership[:, cols] @ self._log2w[cols]
-        return float(np.sum(2.0**reduced))
+        return float(np.sum(2.0 ** self._reduced_log2(self._columns(sliced))))
 
     def total_cost(self, sliced: AbstractSet[str] = frozenset()) -> float:
         """Total cost over all subtasks (Eq. 4)."""
-        return self.num_subtasks(sliced) * self.contraction_cost(sliced)
+        return self._total_cost(self._columns(sliced))
 
     def log10_total_cost(self, sliced: AbstractSet[str] = frozenset()) -> float:
         """log10 of :meth:`total_cost`."""
@@ -185,16 +211,11 @@ class SlicingCostModel:
 
     def per_node_log2_cost(self, sliced: AbstractSet[str] = frozenset()) -> np.ndarray:
         """Per-internal-node log2 cost of one subtask, in node order."""
-        cols = self._columns(sliced)
-        if cols.size == 0:
-            return self._contract_log2.copy()
-        return self._contract_log2 - self._contract_membership[:, cols] @ self._log2w[cols]
+        return self._reduced_log2(self._columns(sliced))
 
     def per_node_multiplier(self, sliced: AbstractSet[str]) -> np.ndarray:
         """Per-node redundancy multiple ``2^{|S| - |S ∩ s_V|}`` (Fig. 6's green curve)."""
         cols = self._columns(sliced)
-        if cols.size == 0:
-            return np.ones(len(self._nodes))
         missing = self._log2w[cols].sum() - self._contract_membership[:, cols] @ self._log2w[cols]
         return 2.0**missing
 
@@ -203,19 +224,15 @@ class SlicingCostModel:
     # ------------------------------------------------------------------
     def max_rank(self, sliced: AbstractSet[str] = frozenset()) -> int:
         """Largest intermediate rank counting only unsliced indices."""
-        cols = self._columns(sliced)
-        if cols.size == 0:
-            return int(self._result_rank.max())
-        ranks = self._result_rank - self._result_membership[:, cols].sum(axis=1)
-        return int(ranks.max())
+        return int(self._sliced_ranks(self._columns(sliced)).max())
+
+    def _max_intermediate_log2_size(self, cols: np.ndarray) -> float:
+        sizes = self._result_log2 - self._result_membership[:, cols] @ self._log2w[cols]
+        return float(sizes.max())
 
     def max_intermediate_log2_size(self, sliced: AbstractSet[str] = frozenset()) -> float:
         """log2 size of the biggest intermediate under ``sliced``."""
-        cols = self._columns(sliced)
-        if cols.size == 0:
-            return float(self._result_log2.max())
-        sizes = self._result_log2 - self._result_membership[:, cols] @ self._log2w[cols]
-        return float(sizes.max())
+        return self._max_intermediate_log2_size(self._columns(sliced))
 
     def satisfies_target(self, sliced: AbstractSet[str], target_rank: int) -> bool:
         """Whether every intermediate's sliced rank is at most ``target_rank``."""
@@ -223,31 +240,22 @@ class SlicingCostModel:
 
     def critical_nodes(self, sliced: AbstractSet[str], target_rank: int) -> Tuple[int, ...]:
         """The *critical tensors* of §4.3: intermediates at exactly the target rank."""
-        cols = self._columns(sliced)
-        ranks = self._result_rank.astype(np.int64)
-        if cols.size:
-            ranks = ranks - self._result_membership[:, cols].sum(axis=1)
-        mask = ranks == target_rank
+        mask = self._sliced_ranks(self._columns(sliced)) == target_rank
         return tuple(self._nodes[i] for i in np.nonzero(mask)[0])
 
     def nodes_covering(self, edge: str) -> Tuple[int, ...]:
         """Internal nodes whose *result tensor* carries ``edge`` (its lifetime)."""
-        pos = self._index_pos.get(edge)
-        if pos is None:
-            raise SlicingError(f"edge {edge!r} is not part of this contraction tree")
-        mask = self._result_membership[:, pos]
+        mask = self._result_membership[:, self._column(edge)]
         return tuple(self._nodes[i] for i in np.nonzero(mask)[0])
 
     def edges_covering_all(self, nodes: Sequence[int]) -> Tuple[str, ...]:
         """Edges whose lifetime (result-tensor membership) covers every node in ``nodes``.
 
-        Used by the SA refiner to enumerate replacement candidates: an edge
-        can replace a sliced edge only if it reduces every critical tensor
-        the sliced edge was responsible for.
+        An edge can replace a sliced edge only if it reduces every critical
+        tensor the sliced edge was responsible for
+        (:meth:`SlicingState.swap_candidates` is the batched form).
         """
-        if not nodes:
-            return self._indices
-        rows = [self._nodes.index(n) for n in nodes]
+        rows = [self._row(n) for n in nodes]
         mask = self._result_membership[rows, :].all(axis=0)
         return tuple(self._indices[i] for i in np.nonzero(mask)[0])
 
@@ -259,14 +267,157 @@ class SlicingCostModel:
     ) -> SlicingResult:
         """Package ``sliced`` into a :class:`SlicingResult`."""
         sliced = frozenset(sliced)
+        cols = self._columns(sliced)
+        total_cost = self._total_cost(cols)
+        max_rank = int(self._sliced_ranks(cols).max())
         return SlicingResult(
             sliced=sliced,
-            num_subtasks=self.num_subtasks(sliced),
-            overhead=self.overhead(sliced),
-            log10_total_cost=self.log10_total_cost(sliced),
-            max_rank=self.max_rank(sliced),
-            max_intermediate_log2_size=self.max_intermediate_log2_size(sliced),
+            num_subtasks=self._num_subtasks(cols),
+            overhead=total_cost / self._base_cost,
+            log10_total_cost=math.log10(total_cost),
+            max_rank=max_rank,
+            max_intermediate_log2_size=self._max_intermediate_log2_size(cols),
             target_rank=target_rank,
-            satisfies_target=self.satisfies_target(sliced, target_rank),
+            satisfies_target=max_rank <= target_rank,
             method=method,
         )
+
+
+class SlicingState:
+    """One *current* slicing set, held as per-node vectors, scoring whole moves at once.
+
+    The slicers change their set one edge at a time, so the state keeps what
+    every candidate evaluation shares — each intermediate's sliced rank
+    (:attr:`ranks`), each contraction's reduced log2 cost (:attr:`reduced`)
+    and ``log2`` of the subtask count — and scores all candidates of a move
+    against it in one ``(candidates × nodes)`` array: feasibility as
+    ``max(ranks − membership) <= target``, Eq. 4 cost as
+    ``2^log2_subtasks · Σ_nodes 2^(reduced − membership · log2 w)``.  The
+    vectors are rebuilt from the membership matrices whenever the set
+    changes (O(nodes · |S|), no drift), so at all times they equal
+    :meth:`SlicingCostModel.per_node_log2_cost` and the ranks behind
+    :meth:`SlicingCostModel.max_rank` exactly.
+
+    Scores agree with the scalar :class:`SlicingCostModel` methods (the
+    oracle): feasibility always, costs bit-for-bit when every index size is a
+    power of two (all exponents are then exact integers) and to rounding
+    otherwise.
+
+    Candidates are *columns* — positions in ``model.indices``, which is
+    sorted, so ascending columns are in label order.  The state holds O(nodes)
+    numbers; the ``(candidates × nodes)`` temporaries live for one call.
+
+    Raises :exc:`SlicingError` for an edge the tree does not have, for adding
+    a sliced edge and for removing an unsliced one.
+    """
+
+    def __init__(self, model: SlicingCostModel, sliced: AbstractSet[str] = frozenset()) -> None:
+        self.model = model
+        self._set_columns(model._columns(sliced))
+
+    def _set_columns(self, cols: np.ndarray) -> None:
+        model = self.model
+        self._cols = cols
+        #: The sliced edge labels, sorted.
+        self.edges: List[str] = [model._indices[c] for c in cols]
+        #: Sliced rank of every intermediate, in ``model.nodes`` order.
+        self.ranks: np.ndarray = model._sliced_ranks(cols)
+        #: Reduced log2 cost of every contraction, in ``model.nodes`` order.
+        self.reduced: np.ndarray = model._reduced_log2(cols)
+        self._log2_subtasks = model._log2w[cols].sum()
+
+    # ------------------------------------------------------------------
+    # The set
+    # ------------------------------------------------------------------
+    def _sliced_column(self, edge: str) -> int:
+        col = self.model._column(edge)
+        if edge not in self.edges:
+            raise SlicingError(f"edge {edge!r} is not sliced")
+        return col
+
+    def _unsliced_column(self, edge: str) -> int:
+        col = self.model._column(edge)
+        if edge in self.edges:
+            raise SlicingError(f"edge {edge!r} is already sliced")
+        return col
+
+    def add(self, edge: str) -> None:
+        """Slice ``edge``."""
+        self._set_columns(np.sort(np.append(self._cols, self._unsliced_column(edge))))
+
+    def remove(self, edge: str) -> None:
+        """Un-slice ``edge``."""
+        self._set_columns(self._cols[self._cols != self._sliced_column(edge)])
+
+    def replace(self, edge: str, candidate: str) -> None:
+        """Swap the sliced ``edge`` for the unsliced ``candidate``."""
+        kept = self._cols[self._cols != self._sliced_column(edge)]
+        self._set_columns(np.sort(np.append(kept, self._unsliced_column(candidate))))
+
+    def satisfies_target(self, target_rank: int) -> bool:
+        """Whether every intermediate's sliced rank is at most ``target_rank``."""
+        return int(self.ranks.max()) <= target_rank
+
+    # ------------------------------------------------------------------
+    # Candidate enumeration
+    # ------------------------------------------------------------------
+    def unsliced_counts(self, rows: np.ndarray) -> np.ndarray:
+        """Per column, how many of the intermediates in the node mask ``rows`` carry it.
+
+        Sliced columns count zero, so ``flatnonzero`` lists the unsliced edges
+        on those intermediates and ``argmax`` the first (in label order) that
+        covers the most of them.
+        """
+        counts = self.model._result_membership[rows].sum(axis=0)
+        counts[self._cols] = 0
+        return counts
+
+    def swap_candidates(self, edge: str, target_rank: int) -> np.ndarray:
+        """Unsliced columns whose lifetime covers every critical tensor in ``edge``'s.
+
+        The critical tensors (§4.3) sit at exactly ``target_rank``; un-slicing
+        ``edge`` pushes those inside its lifetime over the bound unless the
+        replacement covers them all.
+        """
+        membership = self.model._result_membership
+        covered_critical = (self.ranks == target_rank) & membership[:, self._sliced_column(edge)]
+        mask = membership[covered_critical].all(axis=0)
+        mask[self._cols] = False
+        return np.flatnonzero(mask)
+
+    # ------------------------------------------------------------------
+    # Batched move scoring
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _per_candidate(membership: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # C order, so the sums below run along each candidate's nodes exactly
+        # as the scalar methods' 1-D reductions do
+        return np.ascontiguousarray(membership[:, cols].T)
+
+    def feasible(
+        self, cols: np.ndarray, target_rank: int, without: Optional[str] = None
+    ) -> np.ndarray:
+        """Per candidate: does the set, minus ``without``, plus the candidate, meet the bound?"""
+        membership = self.model._result_membership
+        ranks = self.ranks
+        if without is not None:
+            ranks = ranks + membership[:, self._sliced_column(without)]
+        return (ranks - self._per_candidate(membership, cols)).max(axis=1) <= target_rank
+
+    def droppable(self, target_rank: int) -> np.ndarray:
+        """Per sliced edge (in :attr:`edges` order): does the set without it meet the bound?"""
+        carried = self._per_candidate(self.model._result_membership, self._cols)
+        return (self.ranks + carried).max(axis=1) <= target_rank
+
+    def costs(self, cols: np.ndarray, without: Optional[str] = None) -> np.ndarray:
+        """Per candidate: Eq. 4 total cost of the set, minus ``without``, plus the candidate."""
+        model = self.model
+        membership, log2w = model._contract_membership, model._log2w
+        reduced, log2_subtasks = self.reduced, self._log2_subtasks
+        if without is not None:
+            col = self._sliced_column(without)
+            reduced = reduced + membership[:, col] * log2w[col]
+            log2_subtasks = log2_subtasks - log2w[col]
+        weights = log2w[cols]
+        per_node = reduced - self._per_candidate(membership, cols) * weights[:, None]
+        return np.exp2(log2_subtasks + weights) * np.exp2(per_node).sum(axis=1)

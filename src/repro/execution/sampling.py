@@ -351,8 +351,18 @@ class CorrelatedSampler:
             if self.target_rank is not None and tree.max_rank() > self.target_rank:
                 from ..core.slice_finder import LifetimeSliceFinder
 
-                result = LifetimeSliceFinder(self.target_rank).find(tree)
-                slicing = frozenset(result.sliced) & network.inner_indices()
+                found = LifetimeSliceFinder(self.target_rank).find(tree).sliced
+                # the slicers treat open output indices as sliceable; they are not
+                slicing = found & network.inner_indices()
+                realised = tree.max_rank(slicing)
+                if slicing != found and realised > self.target_rank:
+                    _LOG.warning(
+                        "slice finder chose open output indices %s, which cannot be "
+                        "sliced: realised peak rank %d exceeds target_rank=%d",
+                        sorted(found - slicing),
+                        realised,
+                        self.target_rank,
+                    )
             resident.derived_slicing = slicing
         return resident.derived_slicing
 

@@ -302,7 +302,12 @@ class TestPlanMemo:
             sampler.compute_batch(base)
             sampler.compute_batch([1] * NUM_QUBITS)
             sampler.plan_tree(other.build_network(base)[0])
-        records = [r for r in caplog.records if r.name == "repro.execution.sampling"]
+        records = [
+            r
+            for r in caplog.records
+            # the bound-violation warning has its own test below
+            if r.name == "repro.execution.sampling" and r.levelno < logging.WARNING
+        ]
         assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG, logging.INFO]
         miss, hit, replan = (r.getMessage() for r in records)
         assert "miss" in miss and "hit" in hit and "replanning" in replan
@@ -312,6 +317,29 @@ class TestPlanMemo:
         int(digest, 16)  # raises unless hexadecimal
         assert hit.endswith(digest)
         assert f"{digest} ->" in replan
+
+    def test_dropped_open_indices_that_break_the_bound_are_logged_once(self, caplog):
+        """The finder may pick an open output index; dropping it can miss ``target_rank``."""
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        with caplog.at_level(logging.WARNING, logger="repro.execution.sampling"):
+            network, _, _ = sampler.build_network([0] * NUM_QUBITS)
+            tree = sampler.plan_tree(network)
+            slicing = sampler._derived_slicing(network)
+            sampler.compute_batch([0] * NUM_QUBITS)
+            sampler.compute_batch([1] * NUM_QUBITS)
+        (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        target = REUSE_KWARGS["target_rank"]
+        realised = tree.max_rank(slicing)
+        assert realised > target
+        assert slicing <= network.inner_indices()
+        message = record.getMessage()
+        assert f"target_rank={target}" in message and f"peak rank {realised}" in message
+
+    def test_no_warning_when_the_bound_holds(self, caplog):
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **{**REUSE_KWARGS, "target_rank": 64})
+        with caplog.at_level(logging.WARNING, logger="repro.execution.sampling"):
+            sampler.compute_batch([0] * NUM_QUBITS)
+        assert not caplog.records
 
 
 class TestReuseIsBitwiseAFreshSampler:

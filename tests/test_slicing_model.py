@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
-import math
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import SlicingCostModel, SlicingError
+from repro.core import SlicingCostModel, SlicingError, SlicingState
 from repro.tensornet import ContractionTree
 
 
@@ -141,3 +141,173 @@ class TestErrors:
         assert result.num_sliced == 3
         assert result.overhead == pytest.approx(grid_cost_model.overhead(sliced))
         assert result.satisfies_target == (result.max_rank <= grid_target_rank)
+
+
+# ---------------------------------------------------------------------------
+# SlicingState: batched move scores against the scalar oracle
+# ---------------------------------------------------------------------------
+
+
+def _random_tree(rng, sizes):
+    """A random tree over a random multigraph: bonds, open legs, a random pairing order."""
+    num_leaves = int(rng.integers(3, 9))
+    leaf_indices = [set() for _ in range(num_leaves)]
+    index_sizes, output = {}, set()
+    for k in range(int(rng.integers(num_leaves, 3 * num_leaves))):
+        label = f"e{k:02d}"
+        index_sizes[label] = int(rng.choice(sizes))
+        a, b = rng.choice(num_leaves, size=2, replace=False)
+        leaf_indices[a].add(label)
+        if rng.random() < 0.85:
+            leaf_indices[b].add(label)
+        else:
+            output.add(label)  # an open leg lives up to the root
+    alive, path = list(range(num_leaves)), []
+    while len(alive) > 1:
+        a, b = (alive.pop(int(rng.integers(len(alive)))) for _ in range(2))
+        path.append((a, b))
+        alive.append(num_leaves + len(path) - 1)
+    return ContractionTree(leaf_indices, index_sizes, path, output_indices=output)
+
+
+def _random_move(rng, model):
+    """``(sliced, without, candidate columns, target)``; any of the first three may be empty."""
+    indices = model.indices
+    sliced = {ix for ix in indices if rng.random() < 0.3}
+    without = None
+    if sliced and rng.random() < 0.7:
+        without = sorted(sliced)[int(rng.integers(len(sliced)))]
+    unsliced = [col for col, ix in enumerate(indices) if ix not in sliced]
+    cols = np.array([col for col in unsliced if rng.random() < 0.6], dtype=np.intp)
+    rng.shuffle(cols)
+    target = int(rng.integers(1, model.max_rank() + 2))
+    return sliced, without, cols, target
+
+
+STATE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+class TestSlicingStateMatchesOracle:
+    @STATE_SETTINGS
+    @given(seed=st.integers(0, 10_000), mixed=st.booleans())
+    def test_swap_and_add_scores(self, seed, mixed):
+        rng = np.random.default_rng(seed)
+        model = SlicingCostModel(_random_tree(rng, sizes=(2, 3, 4) if mixed else (2, 4, 8)))
+        sliced, without, cols, target = _random_move(rng, model)
+        state = SlicingState(model, sliced)
+        trials = [(sliced - {without}) | {model.indices[col]} for col in cols]
+
+        feasible = state.feasible(cols, target, without=without)
+        assert feasible.tolist() == [model.satisfies_target(t, target) for t in trials]
+
+        costs = state.costs(cols, without=without)
+        oracle = [model.total_cost(t) for t in trials]
+        assert costs.shape == (len(cols),)
+        if mixed:
+            assert costs.tolist() == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        else:
+            assert costs.tolist() == oracle  # bit for bit
+
+    @STATE_SETTINGS
+    @given(seed=st.integers(0, 10_000))
+    def test_single_sliced_edge_and_empty_candidates(self, seed):
+        rng = np.random.default_rng(seed)
+        model = SlicingCostModel(_random_tree(rng, sizes=(2, 4)))
+        edge, *others = (model.indices[i] for i in rng.permutation(len(model.indices)))
+        state = SlicingState(model, {edge})
+        cols = np.array(sorted(model.indices.index(ix) for ix in others), dtype=np.intp)
+        # swapping out the only sliced edge scores the one-edge sets
+        assert state.costs(cols, without=edge).tolist() == [
+            model.total_cost({model.indices[col]}) for col in cols
+        ]
+        none = np.array([], dtype=np.intp)
+        assert state.costs(none, without=edge).shape == (0,)
+        assert state.feasible(none, 3, without=edge).shape == (0,)
+        assert SlicingState(model).costs(none).shape == (0,)
+
+    @STATE_SETTINGS
+    @given(seed=st.integers(0, 10_000), mixed=st.booleans())
+    def test_candidate_enumeration_and_drops(self, seed, mixed):
+        rng = np.random.default_rng(seed)
+        tree = _random_tree(rng, sizes=(2, 3, 4) if mixed else (2,))
+        model = SlicingCostModel(tree)
+        sliced, _, _, target = _random_move(rng, model)
+        state = SlicingState(model, sliced)
+        assert state.edges == sorted(sliced)
+        assert state.satisfies_target(target) == model.satisfies_target(sliced, target)
+
+        assert state.droppable(target).tolist() == [
+            model.satisfies_target(sliced - {edge}, target) for edge in state.edges
+        ]
+        critical = set(model.critical_nodes(sliced, target))
+        for edge in state.edges:
+            covered = sorted(critical & set(model.nodes_covering(edge)))
+            expected = [ix for ix in model.edges_covering_all(covered) if ix not in sliced]
+            assert [model.indices[c] for c in state.swap_candidates(edge, target)] == expected
+
+        over = [n for n in model.nodes if model.node_result_rank(n, sliced) > target]
+        counts = state.unsliced_counts(state.ranks > target)
+        for col, ix in enumerate(model.indices):
+            carried = sum(1 for n in over if ix in tree.node_indices(n))
+            assert counts[col] == (0 if ix in sliced else carried)
+
+    @STATE_SETTINGS
+    @given(seed=st.integers(0, 10_000))
+    def test_vectors_follow_the_set_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        model = SlicingCostModel(_random_tree(rng, sizes=(2, 3, 4)))
+        state, mirror = SlicingState(model), set()
+        for _ in range(12):
+            unsliced = sorted(set(model.indices) - mirror)
+            move = rng.integers(3)
+            if move == 0 and unsliced:
+                edge = unsliced[int(rng.integers(len(unsliced)))]
+                state.add(edge)
+                mirror.add(edge)
+            elif move == 1 and mirror:
+                edge = sorted(mirror)[int(rng.integers(len(mirror)))]
+                state.remove(edge)
+                mirror.discard(edge)
+            elif mirror and unsliced:
+                old = sorted(mirror)[int(rng.integers(len(mirror)))]
+                new = unsliced[int(rng.integers(len(unsliced)))]
+                state.replace(old, new)
+                mirror = (mirror - {old}) | {new}
+            assert state.edges == sorted(mirror)
+            # no drift, mixed sizes included: the vectors are the oracle's own
+            assert np.array_equal(state.reduced, model.per_node_log2_cost(mirror))
+            assert int(state.ranks.max()) == model.max_rank(mirror)
+
+
+class TestSlicingStateErrors:
+    def test_unknown_edges_raise_early(self, grid_cost_model):
+        with pytest.raises(SlicingError):
+            SlicingState(grid_cost_model, {"definitely-not-an-edge"})
+        state = SlicingState(grid_cost_model)
+        with pytest.raises(SlicingError):
+            state.add("definitely-not-an-edge")
+        with pytest.raises(SlicingError):
+            state.remove("definitely-not-an-edge")
+
+    def test_set_discipline(self, grid_cost_model):
+        first, second = grid_cost_model.indices[:2]
+        state = SlicingState(grid_cost_model, {first})
+        with pytest.raises(SlicingError):
+            state.add(first)
+        with pytest.raises(SlicingError):
+            state.remove(second)
+        with pytest.raises(SlicingError):
+            state.replace(second, first)
+        cols = np.array([1], dtype=np.intp)
+        for score in (state.costs, lambda c, without: state.feasible(c, 5, without=without)):
+            with pytest.raises(SlicingError):
+                score(cols, without=second)
+        with pytest.raises(SlicingError):
+            state.swap_candidates(second, 5)
+        assert state.edges == [first]
+
+    def test_unknown_node_is_a_slicing_error(self, grid_cost_model):
+        with pytest.raises(SlicingError):
+            grid_cost_model.node_result_rank(-1)
+        with pytest.raises(SlicingError):
+            grid_cost_model.edges_covering_all([-1])
