@@ -87,13 +87,9 @@ Backend                         Use when
                                 sweep (:func:`measure_strong_scaling`).
 =============================== =====================================================
 
-The legacy ``max_workers=N`` argument survives as a deprecated shim on
-every entry point (``SlicedExecutor``, ``TreeExecutor``,
-``contract_tree``, ``CorrelatedSampler``): any non-``None`` value emits
-one ``DeprecationWarning`` and resolves through ``resolve_backend`` (> 1
-to a thread pool, <= 1 to serial).  ``mode="reference"`` (and
-``executor_mode="reference"`` on :class:`CorrelatedSampler`) rejects both
-``backend=`` and ``max_workers=`` with the same ``ValueError``.
+``mode="reference"`` (and ``executor_mode="reference"`` on
+:class:`CorrelatedSampler`) rejects ``backend=`` with the same
+``ValueError`` on every entry point.
 
 Session lifecycle
 -----------------
@@ -132,23 +128,21 @@ backends, and every path stays bit-identical to :class:`SerialBackend`.
 
 Fault tolerance & degradation
 -----------------------------
-Every fault-handling decision lives in a
-:class:`~repro.execution.resilience.FaultPolicy` (default **fail-fast**,
-the zero-overhead pre-resilience behaviour).  ``FaultPolicy.retrying()``
-re-runs failed chunks with deterministic exponential backoff and rebuilds
-a crashed process pool — segments republished under a fresh generation,
-only the chunks whose ordered slots are still empty re-submitted —
-while ``FaultPolicy.degrading()`` additionally falls back down the
-substrate chain (process pool → thread pool → serial) when pool recovery
-is exhausted.  Because the backends fold per-position contributions
-strictly in assignment order *after* all slots are filled, recovered and
-degraded runs are **bit-identical** to a clean serial run.  Per-chunk
-timeouts can be given explicitly or derived from the calibrated cost
-model's predicted subtask seconds (``timeout_safety`` × prediction).
-Deterministic fault *injection* for tests lives in
-:mod:`repro.execution.faultinject`; recovery counters (``retries``,
-``faults``, ``degraded_to``, ``recovery_seconds``) land on
-:class:`PlanStats`.
+:mod:`repro.execution.resilience` holds the one description — and the
+one implementation — of the recovery model: a
+:class:`~repro.execution.resilience.FaultPolicy` (default **fail-fast**;
+``FaultPolicy.retrying()`` / ``FaultPolicy.degrading()`` opt into
+recovery) says what is allowed, and a single chunk scheduler
+(:func:`~repro.execution.resilience.run_chunks`) enforces it behind the
+thread, process-pool and distributed backends alike.  Because the
+backends fold per-position contributions strictly in assignment order
+*after* all slots are filled, recovered and degraded runs are
+**bit-identical** to a clean serial run.  Policy and injector are
+run-scoped (``fault_policy=`` / ``fault_injector=`` on the executors,
+``policy=`` / ``injector=`` on ``run_subtasks``); deterministic fault
+*injection* for tests lives in :mod:`repro.execution.faultinject`;
+recovery counters (``retries``, ``faults``, ``degraded_to``,
+``recovery_seconds``) land on :class:`PlanStats`.
 
 Durability: :mod:`repro.execution.checkpoint` extends the recovery story
 past the coordinator process itself.  ``SlicedExecutor.run(resume=...)``

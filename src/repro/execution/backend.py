@@ -36,6 +36,15 @@ Backends:
   ``"distributed"`` / ``"distributed:host:port,..."`` string specs of
   :func:`resolve_backend`.
 
+The three chunked backends share one scheduler: ``run_subtasks`` cuts
+the assignments into chunks and hands them to
+:func:`repro.execution.resilience.run_chunks`, which drives the
+backend's transport (:class:`LocalTransport`, :class:`ExecutionSession`,
+:class:`~repro.execution.distributed.DistributedSession`) and owns every
+retry, deadline, rebuild and degradation decision — see that module for
+the recovery model.  :func:`execute_chunk` is the one chunk body all
+worker kinds run.
+
 Each worker (and each backend's serial loop) owns a private
 :class:`~repro.execution.plan.StemSlots` arena, so the stem's running
 tensor reuses two preallocated buffers instead of hitting the allocator
@@ -55,26 +64,26 @@ import math
 import os
 import pickle
 import threading
-import time
 import warnings
 import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
 from multiprocessing import shared_memory
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from .checkpoint import CheckpointJob, payload_checksums, verify_payload
+from .checkpoint import CheckpointJob, payload_checksums
 from .faultinject import (
+    Directive,
     FaultInjector,
     apply_coordinator_directive,
     apply_directive,
@@ -83,21 +92,23 @@ from .faultinject import (
 from .plan import CompiledPlan, PlanStats, StemSlots
 from .resilience import (
     FAIL_FAST,
-    ChunkIntegrityError,
-    ChunkTimeoutError,
+    Chunk,
+    ChunkResult,
+    ChunkTransport,
     FaultPolicy,
-    RecoveryClock,
-    RecoveryExhaustedError,
-    run_degraded,
+    WorkerLost,
+    run_chunks,
 )
 
 __all__ = [
     "ExecutionBackend",
     "ExecutionSession",
+    "LocalTransport",
     "NullExecutionSession",
     "SerialBackend",
     "SharedMemoryProcessPoolBackend",
     "ThreadPoolBackend",
+    "execute_chunk",
     "resolve_backend",
     "validate_execution_args",
 ]
@@ -166,28 +177,22 @@ def _backend_from_spec(spec: str) -> "ExecutionBackend":
 def validate_execution_args(
     mode: str,
     backend: Union["ExecutionBackend", str, None] = None,
-    max_workers: Optional[int] = None,
     array_module=None,
 ) -> None:
-    """Validate the mode/parallelism/substrate combination uniformly.
+    """Validate the mode/backend/substrate combination uniformly.
 
     Every entry point (sliced executor, tree executor, sampler, planner)
-    funnels through this so that the reference mode rejects parallel
-    execution — and a device ``array_module`` rejects the shared-memory
-    process pool and the distributed backend — with the same
-    ``ValueError`` everywhere.  String backend specs are validated by
-    building the backend they name (construction is lazy: no worker is
-    spawned until the first run).
+    funnels through this so that the reference mode rejects a backend —
+    and a device ``array_module`` rejects the shared-memory process pool
+    and the distributed backend — with the same ``ValueError`` everywhere.
+    String backend specs are validated by building the backend they name
+    (construction is lazy: no worker is spawned until the first run).
     """
     if mode not in ("compiled", "reference"):
         raise ValueError(f"unknown execution mode {mode!r}")
     if isinstance(backend, str):
         backend = _backend_from_spec(backend)
-    if backend is not None and max_workers is not None:
-        raise ValueError("pass either backend= or max_workers=, not both")
     if mode == "reference":
-        if max_workers is not None:
-            raise ValueError("max_workers requires the compiled mode")
         if backend is not None:
             raise ValueError("backend requires the compiled mode")
         if array_module is not None and not getattr(array_module, "is_host", True):
@@ -202,41 +207,24 @@ def validate_execution_args(
 
 def resolve_backend(
     backend: Union["ExecutionBackend", str, None] = None,
-    max_workers: Optional[int] = None,
     array_module=None,
 ) -> "ExecutionBackend":
-    """Resolve the ``backend=`` / legacy ``max_workers=`` pair to a backend.
+    """Resolve ``backend=`` to a backend instance (default: serial).
 
-    ``backend`` may also be a string spec: ``"distributed"`` builds a
+    ``backend`` may be a string spec: ``"distributed"`` builds a
     :class:`~repro.execution.distributed.DistributedBackend` spawning the
     default localhost worker set, and ``"distributed:host:port,..."`` one
-    connecting to pre-started workers at the listed addresses.
-
-    ``max_workers`` is a deprecated shim kept for the pre-backend API:
-    any non-``None`` value warns exactly once, a value > 1 maps to
-    ``ThreadPoolBackend(max_workers)`` and a value <= 1 to
-    ``SerialBackend``.  Passing both arguments is an error regardless of
-    the values (``max_workers=0`` is not a way to sneak past the check).
-    When ``array_module`` is given, the resolved backend is checked
-    against it (device modules cannot run on the shared-memory pool or
-    the distributed backend).
+    connecting to pre-started workers at the listed addresses.  When
+    ``array_module`` is given, the resolved backend is checked against it
+    (device modules cannot run on the shared-memory pool or the
+    distributed backend).
     """
-    if backend is not None:
-        if max_workers is not None:
-            raise ValueError("pass either backend= or max_workers=, not both")
-        if isinstance(backend, str):
-            backend = _backend_from_spec(backend)
-        _check_module_backend(array_module, backend)
-        return backend
-    if max_workers is not None:
-        warnings.warn(
-            "max_workers= is deprecated; pass backend=ThreadPoolBackend(max_workers=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if int(max_workers) > 1:
-            return ThreadPoolBackend(max_workers=int(max_workers))
-    return SerialBackend()
+    if backend is None:
+        return SerialBackend()
+    if isinstance(backend, str):
+        backend = _backend_from_spec(backend)
+    _check_module_backend(array_module, backend)
+    return backend
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +249,33 @@ def _owned_contribution(tensor: Tensor, sum_batch_axes: int) -> np.ndarray:
     if sum_batch_axes:
         return contribution
     return np.array(contribution, copy=True)
+
+
+def execute_chunk(
+    plan: CompiledPlan,
+    network: Union[TensorNetwork, "_LeafStore"],
+    cache: Optional[Dict[int, np.ndarray]],
+    slots: StemSlots,
+    sum_batch_axes: int,
+    items: Chunk,
+) -> ChunkResult:
+    """Execute one chunk: ``(contributions, crc32s, stats)``.
+
+    The one chunk body every worker kind runs — pool threads, pool
+    processes, socket/MPI workers and the degradation chain.  The CRC-32s
+    are computed here, where the chunk was executed, so the coordinator
+    can verify the payload survived the trip back intact
+    (:func:`~repro.execution.checkpoint.verify_payload`).
+    """
+    stats = PlanStats()
+    contributions = [
+        _owned_contribution(
+            plan.execute(network, assignment, cache=cache, stats=stats, slots=slots),
+            sum_batch_axes,
+        )
+        for _, assignment in items
+    ]
+    return contributions, payload_checksums(contributions), stats
 
 
 def _result_tensor(
@@ -400,50 +415,18 @@ class ExecutionBackend:
             for batch in batches:
                 backend.run_subtasks(plan, network, batch, cache=cache)
 
-    Fault handling is policy-driven and opt-in: attach a
+    Fault handling is policy-driven, opt-in and run-scoped: pass a
     :class:`~repro.execution.resilience.FaultPolicy` (and, for tests, a
-    :class:`~repro.execution.faultinject.FaultInjector`) via
-    :meth:`configure_faults` to get bounded retries, per-chunk timeouts,
-    crash recovery and graceful degradation — see
-    :mod:`repro.execution.resilience` for the recovery model and why
-    recovered runs stay bit-identical.  Without a policy every backend
-    fails fast, exactly as before the resilience layer existed.
+    :class:`~repro.execution.faultinject.FaultInjector`) to
+    :meth:`run_subtasks` — which is what the executors' ``fault_policy=`` /
+    ``fault_injector=`` arguments do, so a shared backend is never
+    reconfigured behind another caller's back.  Without a policy every
+    backend fails fast.  :mod:`repro.execution.resilience` describes the
+    recovery model and why recovered runs stay bit-identical.
     """
 
     #: Short name used in benchmark tables and reprs.
     name = "base"
-
-    #: Optional :class:`~repro.execution.resilience.FaultPolicy` governing
-    #: retries/timeouts/degradation; ``None`` means fail-fast (the
-    #: pre-resilience behaviour — see :mod:`repro.execution.resilience`).
-    fault_policy: Optional[FaultPolicy] = None
-    #: Optional :class:`~repro.execution.faultinject.FaultInjector` for
-    #: deterministic fault injection (tests/CI only; ``None`` in prod).
-    fault_injector: Optional[FaultInjector] = None
-
-    def configure_faults(
-        self,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-    ) -> "ExecutionBackend":
-        """Attach a backend-level default fault policy and/or injector.
-
-        The opt-in hook of the resilience layer for callers that drive
-        ``run_subtasks`` directly.  Executors
-        (:class:`~repro.execution.SlicedExecutor`,
-        :class:`~repro.execution.CorrelatedSampler`,
-        :class:`~repro.pipeline.SimulationPlanner`) do *not* call this:
-        they pass their ``fault_policy=`` / ``fault_injector=`` arguments
-        through each ``run_subtasks`` call, scoping them to their own
-        runs so a shared backend is never reconfigured behind another
-        caller's back.  Run-scoped arguments override these defaults.
-        Returns ``self`` for chaining.
-        """
-        if policy is not None:
-            self.fault_policy = policy
-        if injector is not None:
-            self.fault_injector = injector
-        return self
 
     def session(
         self,
@@ -511,11 +494,9 @@ class ExecutionBackend:
         stats:
             Optional counters; worker-local stats are merged in.
         policy / injector:
-            Run-scoped fault policy / fault injector.  ``None`` falls back
-            to the backend-level configuration
-            (:meth:`configure_faults`), so executors that carry their own
-            policy can scope it to their runs without mutating a shared
-            backend.
+            Run-scoped fault policy (``None``: fail-fast) and fault
+            injector (``None``: no injection) — see
+            :mod:`repro.execution.resilience`.
         checkpoint:
             Optional open :class:`~repro.execution.checkpoint.CheckpointJob`
             (the durable chunk ledger).  Ordered slots it already holds —
@@ -574,8 +555,7 @@ class SerialBackend(ExecutionBackend):
         if checkpoint is not None:
             accumulated = _serial_accumulate_checkpointed(
                 plan, network, assignments, cache, sum_batch_axes, stats,
-                self._slots, checkpoint,
-                injector if injector is not None else self.fault_injector,
+                self._slots, checkpoint, injector,
             )
         else:
             accumulated = _serial_accumulate(
@@ -584,8 +564,95 @@ class SerialBackend(ExecutionBackend):
         return _result_tensor(plan, accumulated, sum_batch_axes)
 
 
+class LocalTransport(ChunkTransport):
+    """In-process :class:`~repro.execution.resilience.ChunkTransport`.
+
+    With ``workers >= 1`` chunks run on a thread pool (numpy releases the
+    GIL inside the contraction kernels), each thread owning a private
+    :class:`~repro.execution.plan.StemSlots` arena; with ``workers == 0``
+    they run inline in the calling thread, one at a time.  This is both
+    :class:`ThreadPoolBackend`'s substrate and what every pooled backend
+    degrades to (``"threads"`` / ``"serial"``).  Threads cannot be
+    killed, so the transport is not preemptible (chunk deadlines do not
+    apply) and an injected worker death raises inside the chunk instead.
+    """
+
+    def __init__(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Optional[Dict[int, np.ndarray]],
+        sum_batch_axes: int,
+        workers: int,
+    ) -> None:
+        self.name = "threads" if workers else "serial"
+        self._job = (plan, network, cache)
+        self._sum_batch_axes = sum_batch_axes
+        self._pool = ThreadPoolExecutor(max_workers=workers) if workers else None
+        self._arenas = threading.local()
+
+    def slots(self) -> Optional[int]:
+        return None if self._pool is not None else 1
+
+    def _work(self, chunk: Chunk, directive: Optional[Directive]) -> ChunkResult:
+        apply_directive(directive, in_process=True)
+        arena = getattr(self._arenas, "slots", None)
+        if arena is None:
+            arena = self._arenas.slots = StemSlots()
+        result = execute_chunk(*self._job, arena, self._sum_batch_axes, chunk)
+        # corruption (if injected) after the checksums were taken over the
+        # honest results — the driver's verification must catch it
+        corrupt_payload(directive, result[0])
+        return result
+
+    def submit(
+        self, index: int, chunk: Chunk, directive: Optional[Directive], retry: bool
+    ) -> Future:
+        if self._pool is not None:
+            return self._pool.submit(self._work, chunk, directive)
+        future: Future = Future()
+        try:
+            future.set_result(self._work(chunk, directive))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def wait(
+        self, handles: Sequence[Future], timeout: Optional[float]
+    ) -> List[Tuple[Future, object]]:
+        done, _ = futures_wait(handles, timeout=timeout, return_when=FIRST_COMPLETED)
+        # the exception travels back as data: the driver decides whether
+        # to retry, degrade, or re-raise
+        return [(future, future.exception() or future.result()) for future in done]
+
+    def abort(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "LocalTransport":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.abort()
+
+
 class _PooledBackend(ExecutionBackend):
-    """Common chunking/merging machinery of the two pool backends."""
+    """What the chunked backends share: chunking, scheduling, the fold.
+
+    ``run_subtasks`` cuts the assignments into positioned chunks, hands
+    them to the one scheduler (:func:`~repro.execution.resilience.
+    run_chunks`) over this backend's transport, and folds the returned
+    per-position contributions strictly in assignment order.  A backend
+    with resident workers names its session class in :attr:`session_type`
+    (the session *is* its transport); without one the chunks run on an
+    ephemeral :class:`LocalTransport`.
+    """
+
+    #: Resident-session class (``None``: nothing resident — threads).
+    session_type: Optional[Callable[["_PooledBackend"], "_ResidentSession"]] = None
+    #: Whether one-assignment / one-worker runs skip the transport and run
+    #: inline on the serial path.
+    inline_small_runs = True
 
     def __init__(self, max_workers: int, chunk_size: Optional[int] = None) -> None:
         self.max_workers = int(max_workers)
@@ -594,7 +661,8 @@ class _PooledBackend(ExecutionBackend):
         self.chunk_size = int(chunk_size) if chunk_size is not None else None
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        self._slots = StemSlots()
+        self._serial = SerialBackend()
+        self._session: Optional["_ResidentSession"] = None
 
     def _chunks(self, assignments: Sequence[Mapping[str, int]]) -> List[List]:
         """Positioned chunks; ~4 per worker by default to stream evenly."""
@@ -605,59 +673,49 @@ class _PooledBackend(ExecutionBackend):
             chunk_size = max(1, math.ceil(len(items) / (4 * self.max_workers)))
         return _chunked(items, chunk_size)
 
-    def _merge_ordered(
+    # ------------------------------------------------------------------
+    def session(
         self,
-        plan: CompiledPlan,
-        contributions: List[Optional[np.ndarray]],
-        sum_batch_axes: int,
-    ) -> Tensor:
-        accumulated = contributions[0]
-        assert accumulated is not None
-        for contribution in contributions[1:]:
-            assert contribution is not None
-            accumulated += contribution
-        return _result_tensor(plan, accumulated, sum_batch_axes)
+        plan: Optional[CompiledPlan] = None,
+        network: Optional[TensorNetwork] = None,
+        cache: Optional[Dict[int, np.ndarray]] = None,
+        sum_batch_axes: int = 0,
+        stats: Optional[PlanStats] = None,
+    ):
+        """Open (or reuse) the backend's persistent session.
 
-    def _run_serially(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
-        stats: Optional[PlanStats],
-        checkpoint: Optional[CheckpointJob] = None,
-        injector: Optional[FaultInjector] = None,
-    ) -> Tensor:
-        if checkpoint is not None:
-            accumulated = _serial_accumulate_checkpointed(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                self._slots, checkpoint, injector,
-            )
-        else:
-            accumulated = _serial_accumulate(
-                plan, network, assignments, cache, sum_batch_axes, stats, self._slots
-            )
-        return _result_tensor(plan, accumulated, sum_batch_axes)
+        With ``plan`` and ``network`` supplied the session is eagerly
+        warmed: the invariant cache is computed, the state published and
+        the workers brought up before the first ``run_subtasks`` call.
+        Without them the session starts idle and materializes on first
+        use — the form long-lived callers that build their plan later
+        (e.g. a sampling run) use.
+        """
+        if self.session_type is None:
+            return super().session(plan, network, cache, sum_batch_axes, stats)
+        session = self._session
+        if session is None or session.closed:
+            session = self._session = self.session_type(self)
+        if plan is not None:
+            if network is None:
+                raise ValueError("session(plan=...) also requires network=")
+            self.warm(plan, network, cache, stats)
+            session.ensure(plan, network, cache, sum_batch_axes)
+        return session
 
+    def close(self) -> None:
+        """Close the active session (idempotent)."""
+        session, self._session = self._session, None
+        if session is not None:
+            session.close()
 
-class ThreadPoolBackend(_PooledBackend):
-    """Distribute subtask chunks over a thread pool.
+    def reset_session(self) -> None:
+        """Rebuild path for axis-order mutations: drop the resident state."""
+        session = self._session
+        if session is not None and not session.closed:
+            session.reset()
 
-    numpy releases the GIL inside the contraction kernels, so threads
-    amortize well when each subtask is large; per-subtask Python overhead
-    is still serialized, which is where the process pool takes over.
-
-    Parameters
-    ----------
-    max_workers:
-        Thread count.
-    chunk_size:
-        Subtasks per work item; default streams ~4 chunks per thread.
-    """
-
-    name = "threads"
-
+    # ------------------------------------------------------------------
     def run_subtasks(
         self,
         plan: CompiledPlan,
@@ -672,141 +730,59 @@ class ThreadPoolBackend(_PooledBackend):
     ) -> Optional[Tensor]:
         if not assignments:
             return None
-        self.warm(plan, network, cache, stats)
-        if injector is None:
-            injector = self.fault_injector
-        if len(assignments) == 1 or self.max_workers == 1:
-            return self._run_serially(
+        if self.inline_small_runs and (len(assignments) == 1 or self.max_workers == 1):
+            return self._serial.run_subtasks(
                 plan, network, assignments, cache, sum_batch_axes, stats,
-                checkpoint=checkpoint, injector=injector,
+                policy, injector, checkpoint,
+            )
+        self.warm(plan, network, cache, stats)
+        job = (plan, network, cache, sum_batch_axes)
+
+        def fallback(substrate: str) -> LocalTransport:
+            # what a degrading policy falls back to once this backend's
+            # own recovery is exhausted: local threads, then inline
+            return LocalTransport(*job, self.max_workers if substrate == "threads" else 0)
+
+        def drive(transport: ChunkTransport) -> List[Optional[np.ndarray]]:
+            return run_chunks(
+                transport, self._chunks(assignments), policy or FAIL_FAST,
+                injector, checkpoint, stats, fallback,
             )
 
-        if policy is None:
-            policy = self.fault_policy or FAIL_FAST
-        contributions: List[Optional[np.ndarray]] = [None] * len(assignments)
-        if checkpoint is not None:
-            for position, loaded in checkpoint.loaded.items():
-                contributions[position] = loaded
-        thread_state = threading.local()
-        chunks = self._chunks(assignments)
+        session = self._session
+        if self.session_type is None:
+            with LocalTransport(*job, self.max_workers) as transport:
+                contributions = drive(transport)
+        elif session is not None and not session.closed:
+            contributions = session.run(*job, drive)
+        else:
+            with self.session_type(self) as scratch:
+                contributions = scratch.run(*job, drive)
+        # the ordered fold: filled slots hold bit-exact contributions no
+        # matter which worker, retry or degraded substrate computed them
+        accumulated = contributions[0]
+        for contribution in contributions[1:]:
+            accumulated += contribution
+        return _result_tensor(plan, accumulated, sum_batch_axes)
 
-        def work(
-            task: Tuple[List[Tuple[int, Mapping[str, int]]], Optional[Tuple[str, float]]]
-        ) -> Tuple[PlanStats, Optional[List[int]], Optional[BaseException]]:
-            chunk, directive = task
-            local_stats = PlanStats()
-            # one arena per pool thread, reused across its chunks
-            slots = getattr(thread_state, "slots", None)
-            if slots is None:
-                slots = thread_state.slots = StemSlots()
-            try:
-                apply_directive(directive, in_process=True)
-                results: List[np.ndarray] = []
-                for _position, assignment in chunk:
-                    tensor = plan.execute(
-                        network, assignment, cache=cache, stats=local_stats, slots=slots
-                    )
-                    results.append(_owned_contribution(tensor, sum_batch_axes))
-                # checksums over the honest results, corruption (if
-                # injected) after — the coordinator's verify must catch it
-                checksums = payload_checksums(results)
-                corrupt_payload(directive, results)
-                for (position, _), contribution in zip(chunk, results):
-                    contributions[position] = contribution
-            except Exception as exc:
-                # the exception travels back as data: the submitting loop
-                # decides whether to retry, degrade, or re-raise
-                return local_stats, None, exc
-            return local_stats, checksums, None
 
-        # a chunk all of whose ordered slots came out of the ledger has
-        # nothing left to execute
-        pending = [
-            index
-            for index, chunk in enumerate(chunks)
-            if any(contributions[position] is None for position, _ in chunk)
-        ]
-        attempts = [0] * len(chunks)
-        failure: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            while pending and failure is None:
-                tasks = [
-                    (
-                        chunks[i],
-                        injector.directive_for_next_chunk()
-                        if injector is not None
-                        else None,
-                    )
-                    for i in pending
-                ]
-                retry_now: List[int] = []
-                for chunk_index, (local_stats, checksums, exc) in zip(
-                    pending, pool.map(work, tasks)
-                ):
-                    if exc is None:
-                        positions = [p for p, _ in chunks[chunk_index]]
-                        arrays = [contributions[p] for p in positions]
-                        if not verify_payload(arrays, checksums):
-                            # poisoned payload: clear the in-place writes
-                            # so the retry (or degradation) recomputes
-                            # them — never fold or persist corrupt slots
-                            for position in positions:
-                                contributions[position] = None
-                            exc = ChunkIntegrityError(
-                                f"chunk {chunk_index} failed its payload "
-                                f"checksum"
-                            )
-                    if exc is None:
-                        if stats is not None:
-                            stats.merge(local_stats)
-                        if checkpoint is not None:
-                            checkpoint.record_chunk(positions, arrays)
-                        if injector is not None:
-                            apply_coordinator_directive(
-                                injector.coordinator_directive_for_next_harvest()
-                            )
-                        continue
-                    # a thread substrate has no pool to rebuild: every
-                    # fault is a chunk-level fault, retried in place
-                    if stats is not None:
-                        stats.faults += 1
-                    attempts[chunk_index] += 1
-                    if attempts[chunk_index] > policy.chunk_retry_budget:
-                        failure = exc
-                        break
-                    retry_now.append(chunk_index)
-                if failure is None and retry_now:
-                    with RecoveryClock(stats):
-                        if stats is not None:
-                            stats.retries += len(retry_now)
-                        backoff = max(
-                            policy.backoff(attempts[i] - 1) for i in retry_now
-                        )
-                        if backoff > 0:
-                            time.sleep(backoff)
-                pending = retry_now if failure is None else pending
+class ThreadPoolBackend(_PooledBackend):
+    """Distribute subtask chunks over a thread pool.
 
-        if failure is not None:
-            if policy.mode == "degrade":
-                # last rung of the chain for a thread run: fill the empty
-                # ordered slots serially, in the calling thread
-                from .resilience import fill_missing_serial
+    numpy releases the GIL inside the contraction kernels, so threads
+    amortize well when each subtask is large; per-subtask Python overhead
+    is still serialized, which is where the process pool takes over.
+    A degrading policy falls back to inline serial execution.
 
-                fill_missing_serial(
-                    plan, network, assignments, contributions, cache,
-                    sum_batch_axes, stats, slots=self._slots,
-                )
-                if stats is not None and stats.degraded_to is None:
-                    stats.degraded_to = "serial"
-            elif policy.mode == "retry":
-                raise RecoveryExhaustedError(
-                    f"thread chunk failed after {policy.chunk_retry_budget} "
-                    f"retries: {failure!r}",
-                    contributions,
-                ) from failure
-            else:
-                raise failure
-        return self._merge_ordered(plan, contributions, sum_batch_axes)
+    Parameters
+    ----------
+    max_workers:
+        Thread count.
+    chunk_size:
+        Subtasks per work item; default streams ~4 chunks per thread.
+    """
+
+    name = "threads"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadPoolBackend(max_workers={self.max_workers})"
@@ -977,16 +953,11 @@ def _init_worker(blob: bytes) -> None:
 
 
 def _run_chunk(
-    task: Tuple[
-        int,
-        Optional[bytes],
-        List[Tuple[int, Mapping[str, int]]],
-        Optional[Tuple[str, float]],
-    ]
-) -> Tuple[int, List[np.ndarray], List[int], PlanStats, int]:
+    task: Tuple[int, Optional[bytes], Chunk, Optional[Directive]]
+) -> Tuple[List[np.ndarray], List[int], PlanStats, int]:
     """Execute one chunk in a worker.
 
-    Returns ``(start, results, checksums, stats, pid)``.  ``task`` carries
+    Returns ``(results, checksums, stats, pid)``.  ``task`` carries
     the session generation the chunk belongs to and — for post-republish
     generations — the pickled payload a stale (or freshly spawned) worker
     needs to re-initialize itself.  The pid lets the parent track which
@@ -994,9 +965,8 @@ def _run_chunk(
     payload once all of them do.  The optional fourth element is a
     fault-injection directive (:mod:`repro.execution.faultinject`),
     applied before the chunk runs; ``None`` on every production chunk.
-    The checksums are CRC-32s over each contribution, computed here —
-    before any injected payload corruption — so the parent can verify the
-    results survived the process boundary intact.
+    Injected payload corruption happens after :func:`execute_chunk` took
+    the checksums, so the parent's verification must catch it.
     """
     generation, blob, chunk, directive = task
     apply_directive(directive)
@@ -1008,32 +978,17 @@ def _run_chunk(
                 f"{generation}"
             )
         state = _install_worker_state(pickle.loads(blob))
-    local_stats = PlanStats()
-    results: List[np.ndarray] = []
-    for _, assignment in chunk:
-        tensor = state.plan.execute(
-            state.network,  # type: ignore[arg-type]
-            assignment,
-            cache=state.cache,
-            stats=local_stats,
-            slots=state.slots,
-        )
-        results.append(_owned_contribution(tensor, state.sum_batch_axes))
-    checksums = payload_checksums(results)
+    results, checksums, local_stats = execute_chunk(
+        state.plan, state.network, state.cache, state.slots,
+        state.sum_batch_axes, chunk,
+    )
     corrupt_payload(directive, results)
-    return chunk[0][0], results, checksums, local_stats, os.getpid()
+    return results, checksums, local_stats, os.getpid()
 
 
 # ----------------------------------------------------------------------
 # Shared-memory process pool — parent side
 # ----------------------------------------------------------------------
-#: How often the parent re-checks whether a queued chunk has started
-#: running: a chunk's timeout clock starts at the first observation of its
-#: running state, not at submission, so chunks queued behind a saturated
-#: pool do not burn their budget while waiting for a worker.
-_TIMEOUT_POLL_SECONDS = 0.05
-
-
 class _SessionResources:
     """The pool and published segments of one session, released together.
 
@@ -1122,141 +1077,110 @@ def _abort_pool(pool: Optional[ProcessPoolExecutor]) -> None:
             pass
 
 
-class ExecutionSession:
-    """Resident process-pool state of a :class:`SharedMemoryProcessPoolBackend`.
+class _ResidentSession(ChunkTransport):
+    """What the resident sessions share: lifetime, healing, staleness.
 
-    A session keeps three things alive across ``run_subtasks`` calls that
-    the per-call lifecycle used to rebuild every time: the
-    ``ProcessPoolExecutor`` itself, the compiled plan shipped (pickled) to
-    each worker through the pool initializer, and the shared-memory
-    segments holding the leaf buffers and the warm invariant cache.
+    A session keeps a backend's workers and published state alive across
+    ``run_subtasks`` calls, and *is* the backend's
+    :class:`~repro.execution.resilience.ChunkTransport` while a run is in
+    progress.  Subclasses supply ``_ensure`` (publication) and the
+    transport mechanics; this base owns
 
-    Staleness is detected through a leaf-data snapshot fingerprint (the
-    identity of the plan, of every leaf tensor, and of the cache buffers,
-    plus the batch-axis count): a data-only tensor replacement or a plan
-    recompilation *republishes* the segments and re-initializes the
-    workers in place — the pool survives — while an axis-order mutation is
-    recompiled upstream and surfaces here as
-    :meth:`~ExecutionBackend.reset_session`, which rebuilds the session
-    from scratch.  Republished state travels to workers via
-    generation-tagged chunk payloads, so even a worker spawned lazily
-    after a republish initializes correctly.
-
-    Sessions are context managers with an idempotent :meth:`close`; a
-    ``weakref.finalize`` guarantees the pool is drained and the segments
-    unlinked even if ``close`` is never called, so no resource-tracker
-    leak survives the session object.
-
-    The session is also where pool *crash recovery* happens (see
-    :mod:`repro.execution.resilience` for the policy layer): under a
-    retrying/degrading :class:`~repro.execution.resilience.FaultPolicy`,
-    a dead worker or timed-out chunk aborts the poisoned pool, unlinks
-    the old generation's segments, republishes fresh ones and respawns
-    the pool through the same :meth:`ensure` path a cold session uses —
-    then re-runs only the chunks whose ordered slots are still empty, so
-    the recovered result is bit-identical to a clean run.  A run that
-    fails anyway marks the session *broken*; the next :meth:`ensure`
-    resets it transparently.
+    * the resources object and the ``weakref.finalize`` releasing it — at
+      :meth:`close`, at garbage collection or at interpreter exit — without
+      keeping the session alive;
+    * the leaf-data snapshot fingerprint (identity of the plan, of every
+      leaf tensor and of the cache buffers, plus the batch-axis count)
+      that decides what must be republished;
+    * healing: a run or publication that raises marks the session
+      *broken*, and the next :meth:`ensure` resets it transparently
+      instead of crashing on stale state.
     """
 
-    def __init__(self, backend: "SharedMemoryProcessPoolBackend") -> None:
+    def __init__(self, backend: "_PooledBackend", resources, release) -> None:
         self._backend = backend
-        self._resources = _SessionResources()
-        self._finalizer = weakref.finalize(
-            self, _release_session_resources, self._resources
-        )
-        self._generation = 0
-        self._blob: Optional[bytes] = None
-        # the current generation's full payload, always retained: retried
-        # chunks carry it so a worker whose state died (or was never
-        # installed) can self-initialize during recovery
-        self._payload_blob: Optional[bytes] = None
-        # a failed run marks the session broken; the next ensure() resets
-        # it transparently instead of crashing on stale pool/segment state
-        self._broken = False
-        # worker pids that confirmed holding the current generation; once
-        # all max_workers did, chunks stop carrying the republish payload
-        self._confirmed_pids: set = set()
-        self._plan: Optional[CompiledPlan] = None
-        self._leaf_tensors: Tuple[Tensor, ...] = ()
-        self._cache_token: Optional[Tuple] = None
-        # pinned so ``id``-based tokens cannot collide with recycled buffers
-        self._cache_buffers: Tuple[np.ndarray, ...] = ()
-        self._sum_batch_axes: Optional[int] = None
-        #: How many times this session launched a process pool.
-        self.pool_launches = 0
-        #: How many times segments were (re)published.
-        self.publications = 0
+        self._resources = resources
+        self._release = release
+        self._finalizer = weakref.finalize(self, release, resources)
+        #: ``(plan, network, cache, sum_batch_axes)`` of the run in progress.
+        self._job: Optional[Tuple] = None
+        self._drop_fingerprint()
 
-    # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
         """Whether the session has been closed."""
         return not self._finalizer.alive
 
     @property
-    def pool_is_live(self) -> bool:
-        """Whether a process pool is currently spawned."""
-        return self._resources.pool is not None
-
-    @property
-    def generation(self) -> int:
-        """The current publish generation (0 = spawn-time state)."""
-        return self._generation
-
-    def close(self) -> None:
-        """Drain the pool and unlink every segment; safe to call twice."""
-        self._finalizer()  # runs the release at most once
-        self._drop_fingerprint()
-        backend = self._backend
-        if backend is not None and backend._session is self:
-            backend._session = None
-
-    def reset(self) -> None:
-        """Tear down the pool and segments but keep the session usable.
-
-        The next :meth:`run` spawns a fresh pool with newly published
-        segments — the full-rebuild path for axis-order mutations.
-        """
-        if self.closed:
-            return
-        _release_session_resources(self._resources)
-        self._drop_fingerprint()
-
-    @property
     def broken(self) -> bool:
         """Whether the last run failed (healed transparently on next use)."""
         return self._broken
 
-    def _drop_fingerprint(self) -> None:
-        self._generation = 0
-        self._blob = None
-        self._payload_blob = None
-        self._broken = False
-        self._confirmed_pids = set()
-        self._plan = None
-        self._leaf_tensors = ()
-        self._cache_token = None
-        self._cache_buffers = ()
-        self._sum_batch_axes = None
+    def close(self) -> None:
+        """Release workers and published state; safe to call twice."""
+        self._finalizer()  # runs the release at most once
+        self._drop_fingerprint()
+        if self._backend._session is self:
+            self._backend._session = None
 
-    def __enter__(self) -> "ExecutionSession":
+    def reset(self) -> None:
+        """Tear the resident state down but keep the session usable.
+
+        The next run brings everything up from scratch — the full-rebuild
+        path for axis-order mutations
+        (:meth:`ExecutionBackend.reset_session`).
+        """
+        if not self.closed:
+            self._release(self._resources)
+            self._drop_fingerprint()
+
+    def abort(self) -> None:
+        self.reset()
+
+    def _drop_fingerprint(self) -> None:
+        self._broken = False
+        self._plan: Optional[CompiledPlan] = None
+        self._leaf_tensors: Tuple[Tensor, ...] = ()
+        self._cache_token: Optional[Tuple] = None
+        # pinned so ``id``-based tokens cannot collide with recycled buffers
+        self._cache_buffers: Tuple[np.ndarray, ...] = ()
+        self._sum_batch_axes: Optional[int] = None
+
+    def _refingerprint(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Optional[Dict[int, np.ndarray]],
+        sum_batch_axes: int,
+    ) -> Tuple[bool, bool]:
+        """Take the new snapshot: ``(plan changed, plan or data changed)``."""
+        leaf_tensors = tuple(network.tensor(ls.tid) for ls in plan.leaf_steps)
+        items = sorted(cache.items()) if cache is not None else []
+        cache_token = (
+            None
+            if cache is None
+            else (id(cache), tuple((node, id(buffer)) for node, buffer in items))
+        )
+        plan_changed = plan is not self._plan or sum_batch_axes != self._sum_batch_axes
+        changed = (
+            plan_changed
+            or leaf_tensors != self._leaf_tensors
+            or cache_token != self._cache_token
+        )
+        self._plan = plan
+        self._leaf_tensors = leaf_tensors
+        self._cache_token = cache_token
+        self._cache_buffers = tuple(buffer for _, buffer in items)
+        self._sum_batch_axes = sum_batch_axes
+        return plan_changed, changed
+
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _cache_fingerprint(
-        cache: Optional[Dict[int, np.ndarray]]
-    ) -> Tuple[Optional[Tuple], Tuple[np.ndarray, ...]]:
-        if cache is None:
-            return None, ()
-        items = sorted(cache.items())
-        token = (id(cache), tuple((node, id(buffer)) for node, buffer in items))
-        return token, tuple(buffer for _, buffer in items)
-
     def ensure(
         self,
         plan: CompiledPlan,
@@ -1266,20 +1190,14 @@ class ExecutionSession:
     ) -> None:
         """Bring the resident state up to date for ``plan``/``network``.
 
-        No-op when the fingerprint matches (the steady state: the pool and
-        every segment are reused as-is).  Otherwise the segments are
-        republished and — if no pool is live yet — the pool is spawned
-        with the new payload as its initializer.
-
-        A session whose previous run failed (worker crash, timeout,
-        ``KeyboardInterrupt``, a raised chunk) is **broken**: its pool may
-        be dead and its segment names stale.  Instead of crashing on that
-        state, ensure resets the session first, so the next call after a
-        failure transparently rebuilds — see
-        :mod:`repro.execution.resilience`.
+        No-op when the fingerprint matches (the steady state).  A session
+        whose previous run failed (worker crash, timeout,
+        ``KeyboardInterrupt``, a raised chunk) is **broken**: its workers
+        may be dead and its published names stale, so it is reset first
+        and rebuilt from scratch.
         """
         if self.closed:
-            raise RuntimeError("execution session is closed")
+            raise RuntimeError(f"{type(self).__name__} is closed")
         if self._broken:
             self.reset()
         try:
@@ -1293,18 +1211,109 @@ class ExecutionSession:
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
+        cache: Optional[Dict[int, np.ndarray]],
+        sum_batch_axes: int,
+    ) -> None:
+        raise NotImplementedError
+
+    def run(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Optional[Dict[int, np.ndarray]],
+        sum_batch_axes: int,
+        drive: Callable[[ChunkTransport], List[Optional[np.ndarray]]],
+    ) -> List[Optional[np.ndarray]]:
+        """One run over the resident workers: ``drive(self)``'s ordered slots.
+
+        Publishes what changed, then hands itself — as the transport — to
+        ``drive`` (the backend's :func:`~repro.execution.resilience.
+        run_chunks` call).  The caller folds the returned contributions
+        strictly in assignment order, so session reuse and recovery
+        cannot perturb the ordered-accumulation contract.
+        """
+        self.ensure(plan, network, cache, sum_batch_axes)
+        self._job = (plan, network, cache, sum_batch_axes)
+        try:
+            return drive(self)
+        except BaseException:
+            self._broken = True
+            raise
+        finally:
+            self._job = None
+
+
+class ExecutionSession(_ResidentSession):
+    """Resident process-pool state of a :class:`SharedMemoryProcessPoolBackend`.
+
+    A session keeps three things alive across ``run_subtasks`` calls that
+    the per-call lifecycle used to rebuild every time: the
+    ``ProcessPoolExecutor`` itself, the compiled plan shipped (pickled) to
+    each worker through the pool initializer, and the shared-memory
+    segments holding the leaf buffers and the warm invariant cache.
+
+    Staleness: a data-only tensor replacement or a plan recompilation
+    *republishes* the segments and re-initializes the workers in place —
+    the pool survives — while an axis-order mutation is recompiled
+    upstream and surfaces here as
+    :meth:`~ExecutionBackend.reset_session`, which rebuilds the session
+    from scratch.  Republished state travels to workers via
+    generation-tagged chunk payloads, so even a worker spawned lazily
+    after a republish initializes correctly.
+
+    As a transport the pool is all-or-nothing: a dead worker or a severed
+    (timed-out) chunk poisons the whole ``ProcessPoolExecutor``, so every
+    unfinished chunk is reported lost, and :meth:`rebuild` republishes and
+    respawns through the same :meth:`ensure` path a cold session uses.
+    What happens next is :mod:`repro.execution.resilience`'s decision.
+    """
+
+    name = "process-pool"
+    preemptible = True
+    rebuildable = True
+
+    def __init__(self, backend: "SharedMemoryProcessPoolBackend") -> None:
+        super().__init__(backend, _SessionResources(), _release_session_resources)
+        #: How many times this session launched a process pool.
+        self.pool_launches = 0
+        #: How many times segments were (re)published.
+        self.publications = 0
+
+    # ------------------------------------------------------------------
+    @property
+    def pool_is_live(self) -> bool:
+        """Whether a process pool is currently spawned."""
+        return self._resources.pool is not None
+
+    @property
+    def generation(self) -> int:
+        """The current publish generation (0 = spawn-time state)."""
+        return self._generation
+
+    def _drop_fingerprint(self) -> None:
+        super()._drop_fingerprint()
+        self._generation = 0
+        # the republish payload fresh chunks carry until every worker
+        # confirmed holding the current generation (None: spawn-time state)
+        self._blob: Optional[bytes] = None
+        # the current generation's full payload, always retained: retried
+        # chunks carry it so a worker whose state died (or was never
+        # installed) can self-initialize during recovery
+        self._payload_blob: Optional[bytes] = None
+        self._confirmed_pids: set = set()
+        # submitted futures not yet reported by wait(), in submission order
+        self._outstanding: Dict[Future, None] = {}
+
+    # ------------------------------------------------------------------
+    def _ensure(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]] = None,
         sum_batch_axes: int = 0,
     ) -> None:
-        leaf_tensors = tuple(network.tensor(ls.tid) for ls in plan.leaf_steps)
-        cache_token, cache_buffers = self._cache_fingerprint(cache)
-        if (
-            self._resources.pool is not None
-            and plan is self._plan
-            and leaf_tensors == self._leaf_tensors
-            and cache_token == self._cache_token
-            and sum_batch_axes == self._sum_batch_axes
-        ):
+        _, changed = self._refingerprint(plan, network, cache, sum_batch_axes)
+        if self._resources.pool is not None and not changed:
             return
 
         # republish: retire the previous generation's segments first
@@ -1334,12 +1343,6 @@ class ExecutionSession:
                 (self._generation, plan, leaf_meta, cache_meta, sum_batch_axes),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-
-        self._plan = plan
-        self._leaf_tensors = leaf_tensors
-        self._cache_token = cache_token
-        self._cache_buffers = cache_buffers
-        self._sum_batch_axes = sum_batch_axes
 
     def _publish(
         self,
@@ -1375,328 +1378,91 @@ class ExecutionSession:
         return leaf_meta, cache_meta
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """Stream chunks through the resident pool; per-position results.
+    # ChunkTransport
+    # ------------------------------------------------------------------
+    def slots(self) -> Optional[int]:
+        return None if self._resources.pool is not None else 0
 
-        The caller (the backend) folds the returned contributions strictly
-        in assignment order, so session reuse — and crash recovery, which
-        only ever re-runs chunks whose ordered slots are still empty —
-        cannot perturb the ordered-accumulation contract.
-
-        ``policy`` (default: the backend's, else fail-fast) governs what
-        happens on a fault: a dead worker or stuck chunk tears the pool
-        down and, with rebuild budget remaining, the pool is respawned
-        with the segments republished under a new generation and only the
-        missing chunks are re-submitted; a raised chunk is re-submitted
-        with backoff up to its retry budget.  Any failure that propagates
-        marks the session broken, so the next call transparently rebuilds
-        instead of crashing on stale state.
-
-        ``checkpoint`` (an open durable ledger) pre-fills slots persisted
-        by a previous run and write-ahead-records each harvested chunk —
-        the rung of recovery that survives this whole *process* dying.
-        """
-        if policy is None:
-            policy = self._backend.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self._backend.fault_injector
-        self.ensure(plan, network, cache, sum_batch_axes)
-        try:
-            return self._run_resilient(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                policy, injector, checkpoint,
-            )
-        except BaseException:
-            self._broken = True
-            raise
-
-    def _submit_chunk(
-        self,
-        pool: ProcessPoolExecutor,
-        chunk: List[Tuple[int, Mapping[str, int]]],
-        is_retry: bool,
-        injector: Optional[FaultInjector],
-    ):
-        """Submit one chunk, attaching payload/directive as needed."""
-        if is_retry:
-            # a retried chunk may land on a worker whose state died with
-            # the fault (or on a freshly respawned pool): always carry
-            # the payload so the worker can self-initialize
-            blob = self._payload_blob
-        else:
-            blob = self._blob
-        directive = (
-            injector.directive_for_next_chunk() if injector is not None else None
-        )
-        return pool.submit(
-            _run_chunk, (self._generation, blob, chunk, directive)
-        )
-
-    def _run_resilient(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
-        stats: Optional[PlanStats],
-        policy: FaultPolicy,
-        injector: Optional[FaultInjector],
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        chunks = self._backend._chunks(assignments)
-        contributions: List[Optional[np.ndarray]] = [None] * len(assignments)
-        if checkpoint is not None:
-            for position, loaded in checkpoint.loaded.items():
-                contributions[position] = loaded
-        # a chunk's *own* raised exceptions, counted against its retry
-        # budget.  Pool-wide faults (worker death, a timed-out chunk
-        # poisoning the pool) are budgeted separately through ``rebuilds``
-        # — a rebuild must not eat an unrelated chunk's documented
-        # per-chunk retries.
-        failures = [0] * len(chunks)
-        # chunks all of whose ordered slots came out of the ledger have
-        # nothing left to execute (a partially-covered chunk re-runs
-        # whole: deterministic subtasks make the overwrite bit-identical,
-        # and already-durable slots are skipped by the ledger's record)
-        pending = [
-            index
-            for index, chunk in enumerate(chunks)
-            if any(contributions[position] is None for position, _ in chunk)
-        ]
-        rebuilds = 0
-
-        def harvest(future) -> None:
-            start, results, checksums, local_stats, pid = future.result()
-            if not verify_payload(results, checksums):
-                # poisoned payload: discard before it can reach an ordered
-                # slot or the ledger; raises into the chunk-failure path
-                raise ChunkIntegrityError(
-                    f"chunk starting at position {start} failed its "
-                    f"payload checksum"
-                )
-            for offset, contribution in enumerate(results):
-                contributions[start + offset] = contribution
-            if stats is not None:
-                stats.merge(local_stats)
-            self._confirmed_pids.add(pid)
-            if checkpoint is not None:
-                checkpoint.record_chunk(
-                    range(start, start + len(results)), results
-                )
-            if injector is not None:
-                # coordinator-side faults fire here, after the chunk's
-                # slots are durable — InjectedCoordinatorDeath is a
-                # BaseException, so no recovery path below intercepts it
-                apply_coordinator_directive(
-                    injector.coordinator_directive_for_next_harvest()
-                )
-
-        while pending:
-            pool = self._resources.pool
-            assert pool is not None
-            submitted: List[Tuple[int, object]] = []
-            pool_fault: Optional[BaseException] = None
-            try:
-                for chunk_index in pending:
-                    future = self._submit_chunk(
-                        pool,
-                        chunks[chunk_index],
-                        failures[chunk_index] > 0 or rebuilds > 0,
-                        injector,
-                    )
-                    submitted.append((chunk_index, future))
-            except BrokenExecutor as exc:
-                pool_fault = exc
-
-            done: List[int] = []
-            retry_now: List[int] = []
-            if pool_fault is None:
-                index_of = {future: chunk_index for chunk_index, future in submitted}
-                budgets = {
-                    future: policy.chunk_timeout(len(chunks[index]))
-                    for future, index in index_of.items()
-                }
-                # each chunk's deadline starts when it is first observed
-                # running (or done), so harvesting happens in completion
-                # order and a wedged chunk cannot accrue free time behind
-                # slower siblings; observation granularity (the poll
-                # interval) is folded into the timeout's safety factor
-                deadlines: Dict[object, float] = {}
-                outstanding = set(index_of)
-                while outstanding and pool_fault is None:
-                    now = time.monotonic()
-                    wait_timeout: Optional[float] = None
-                    for future in outstanding:
-                        if future in deadlines or budgets[future] is None:
-                            continue
-                        if future.running() or future.done():
-                            deadlines[future] = now + budgets[future]
-                        else:
-                            # queued with a timeout: poll until it starts
-                            wait_timeout = _TIMEOUT_POLL_SECONDS
-                    expired = [
-                        index_of[f]
-                        for f in outstanding
-                        if f in deadlines and deadlines[f] <= now and not f.done()
-                    ]
-                    if expired:
-                        # a timed-out chunk may be wedged inside a live
-                        # worker — ProcessPoolExecutor cannot cancel a
-                        # running task, so the timeout poisons the pool
-                        pool_fault = FuturesTimeoutError(
-                            f"chunks {sorted(expired)} exceeded their "
-                            f"timeout budgets"
-                        )
-                        break
-                    remaining = [
-                        deadlines[f] - now for f in outstanding if f in deadlines
-                    ]
-                    if remaining:
-                        nearest = max(0.0, min(remaining))
-                        wait_timeout = (
-                            nearest
-                            if wait_timeout is None
-                            else min(wait_timeout, nearest)
-                        )
-                    completed, _ = futures_wait(
-                        outstanding, timeout=wait_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in completed:
-                        chunk_index = index_of[future]
-                        outstanding.discard(future)
-                        try:
-                            harvest(future)
-                        except BrokenExecutor as exc:
-                            # a dead worker poisons the pool
-                            pool_fault = exc
-                            break
-                        except KeyboardInterrupt:
-                            raise
-                        except Exception as exc:
-                            # chunk-level failure: the pool survives, only
-                            # this chunk is re-submitted
-                            if stats is not None:
-                                stats.faults += 1
-                            failures[chunk_index] += 1
-                            if failures[chunk_index] > policy.chunk_retry_budget:
-                                if policy.mode == "fail-fast":
-                                    raise
-                                raise RecoveryExhaustedError(
-                                    f"chunk {chunk_index} failed "
-                                    f"{failures[chunk_index]} times: {exc!r}",
-                                    contributions,
-                                ) from exc
-                            retry_now.append(chunk_index)
-                        else:
-                            done.append(chunk_index)
-
-            if pool_fault is not None:
-                # worker death or stuck chunk: the pool is poisoned.
-                # Keep every contribution that already completed, then
-                # rebuild and re-run only the still-empty slots.
-                if stats is not None:
-                    stats.faults += 1
-                for chunk_index, future in submitted:
-                    if chunk_index in done:
-                        continue
-                    try:
-                        if future.done() and future.exception() is None:
-                            harvest(future)
-                            done.append(chunk_index)
-                    except Exception:  # pragma: no cover - defensive
-                        pass
-                pending = [i for i in pending if i not in done]
-                timed_out = isinstance(pool_fault, FuturesTimeoutError)
-                if rebuilds >= policy.pool_rebuild_budget:
-                    # reset() drains the pool (shutdown(wait=True)), which
-                    # a wedged worker would block forever — hard-stop the
-                    # workers first so the terminal error actually raises
-                    # and a degrading caller can take over
-                    _abort_pool(self._resources.pool)
-                    self._resources.pool = None
-                    self.reset()
-                    if policy.mode == "fail-fast":
-                        if timed_out:
-                            raise ChunkTimeoutError(
-                                f"chunk exceeded its timeout budget "
-                                f"({len(pending)} chunks unfinished)"
-                            ) from pool_fault
-                        raise pool_fault
-                    raise RecoveryExhaustedError(
-                        f"pool fault with rebuild budget exhausted "
-                        f"({rebuilds} rebuilds used, {len(pending)} chunks "
-                        f"unfinished): {pool_fault!r}",
-                        contributions,
-                    ) from pool_fault
-                rebuilds += 1
-                if stats is not None:
-                    stats.retries += len(pending)
-                self._rebuild_after_fault(
-                    plan, network, cache, sum_batch_axes, stats,
-                    backoff=policy.backoff(rebuilds - 1),
-                )
-                continue
-
-            if retry_now:
-                with RecoveryClock(stats):
-                    if stats is not None:
-                        stats.retries += len(retry_now)
-                    backoff = max(
-                        policy.backoff(failures[i] - 1) for i in retry_now
-                    )
-                    if backoff > 0:
-                        time.sleep(backoff)
-            pending = retry_now
-
-        if (
-            self._blob is not None
-            and len(self._confirmed_pids) >= self._backend.max_workers
-        ):
+    def submit(
+        self, index: int, chunk: Chunk, directive: Optional[Directive], retry: bool
+    ) -> Future:
+        if self._blob is not None and len(self._confirmed_pids) >= self._backend.max_workers:
             # every worker the pool will ever have (it never respawns dead
-            # ones — it breaks instead) holds this generation: later
-            # chunks no longer need to carry the republish payload
+            # ones — it breaks instead) holds this generation: chunks no
+            # longer need to carry the republish payload
             self._blob = None
-        return contributions
+        # a retried chunk may land on a worker whose state died with the
+        # fault (or on a freshly respawned pool): always carry the payload
+        # so the worker can self-initialize
+        blob = self._payload_blob if retry else self._blob
+        try:
+            future = self._resources.pool.submit(
+                _run_chunk, (self._generation, blob, chunk, directive)
+            )
+        except BrokenExecutor as exc:
+            raise WorkerLost(exc, self._lose()) from exc
+        self._outstanding[future] = None
+        return future
 
-    def _rebuild_after_fault(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
-        stats: Optional[PlanStats],
-        backoff: float = 0.0,
-    ) -> None:
-        """Crash recovery: hard-stop the pool, republish, respawn.
+    def started(self, future: Future) -> bool:
+        return future.running() or future.done()
 
-        The dead pool's workers are terminated (a stuck worker would
-        otherwise keep its segment attachments alive), the previous
-        generation's segments are unlinked and fresh ones published, and
-        a new pool is spawned with the new payload as its initializer —
-        all through the same :meth:`ensure` path a cold session uses, so
-        recovery cannot diverge from a clean start.
+    def wait(
+        self, handles: Sequence[Future], timeout: Optional[float]
+    ) -> List[Tuple[Optional[Future], object]]:
+        done, _ = futures_wait(handles, timeout=timeout, return_when=FIRST_COMPLETED)
+        events: List[Tuple[Optional[Future], object]] = []
+        broken: Optional[BrokenExecutor] = None
+        for future in done:
+            try:
+                results, checksums, worker_stats, pid = future.result()
+            except BrokenExecutor as exc:
+                broken = exc
+                continue
+            except Exception as exc:
+                # the chunk raised; the worker and the pool survive
+                events.append((future, exc))
+            else:
+                self._confirmed_pids.add(pid)
+                events.append((future, (results, checksums, worker_stats)))
+            del self._outstanding[future]
+        if broken is not None:
+            events.append((None, WorkerLost(broken, self._lose())))
+        return events
+
+    def sever(self, future: Future) -> List[Future]:
+        # ProcessPoolExecutor cannot cancel a running task, so a wedged
+        # chunk takes the whole pool with it
+        return self._lose()
+
+    def _lose(self) -> List[Future]:
+        """Hard-stop the poisoned pool; the outstanding chunks it took along.
+
+        Chunks that already completed cleanly are kept (the next
+        :meth:`wait` reports them): only still-empty slots re-run.
         """
-        with RecoveryClock(stats):
-            _abort_pool(self._resources.pool)
-            self._resources.pool = None
-            if backoff > 0:
-                time.sleep(backoff)
-            # pool is gone -> ensure republishes the segments under a new
-            # generation and spawns a fresh pool
-            self._ensure(plan, network, cache, sum_batch_axes)
+        _abort_pool(self._resources.pool)
+        self._resources.pool = None
+        lost = [
+            future
+            for future in self._outstanding
+            if not future.done() or future.cancelled() or future.exception() is not None
+        ]
+        for future in lost:
+            del self._outstanding[future]
+        return lost
+
+    def rebuild(self) -> None:
+        # the pool is gone, so ensure republishes the segments under a new
+        # generation and spawns a fresh pool — recovery cannot diverge
+        # from a clean start
+        self._ensure(*self._job)
+
+    def abort(self) -> None:
+        # reset() drains the pool (shutdown(wait=True)), which a wedged
+        # worker would block forever — hard-stop the workers first
+        self._lose()
+        self.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else ("live" if self.pool_is_live else "idle")
@@ -1722,8 +1488,7 @@ class SharedMemoryProcessPoolBackend(_PooledBackend):
     session opened through :meth:`session`) consecutive ``run_subtasks``
     calls reuse the spawned pool and the published segments, republishing
     only when the leaf-data fingerprint changes.  Without an open session
-    each call runs in an ephemeral session (spawn, run, drain, unlink —
-    the pre-session behaviour).
+    each call runs in an ephemeral session (spawn, run, drain, unlink).
 
     Wins over threads for many-small-subtask workloads, where per-subtask
     interpreter overhead (plan bookkeeping, leaf slicing) dominates the
@@ -1738,120 +1503,7 @@ class SharedMemoryProcessPoolBackend(_PooledBackend):
     """
 
     name = "process-pool"
-
-    def __init__(self, max_workers: int, chunk_size: Optional[int] = None) -> None:
-        super().__init__(max_workers, chunk_size)
-        self._session: Optional[ExecutionSession] = None
-
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        plan: Optional[CompiledPlan] = None,
-        network: Optional[TensorNetwork] = None,
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-    ) -> ExecutionSession:
-        """Open (or reuse) the backend's persistent :class:`ExecutionSession`.
-
-        With ``plan`` and ``network`` supplied the session is eagerly
-        warmed: the invariant cache is computed, the segments published
-        and the pool spawned before the first ``run_subtasks`` call.
-        Without them the session starts idle and materializes on first
-        use — the form long-lived callers that build their plan later
-        (e.g. a sampling run) use.
-        """
-        session = self._session
-        if session is None or session.closed:
-            session = ExecutionSession(self)
-            self._session = session
-        if plan is not None:
-            if network is None:
-                raise ValueError("session(plan=...) also requires network=")
-            self.warm(plan, network, cache, stats)
-            session.ensure(plan, network, cache, sum_batch_axes)
-        return session
-
-    def close(self) -> None:
-        """Close the active session (idempotent)."""
-        session, self._session = self._session, None
-        if session is not None:
-            session.close()
-
-    def reset_session(self) -> None:
-        """Rebuild path for axis-order mutations: drop pool and segments."""
-        session = self._session
-        if session is not None and not session.closed:
-            session.reset()
-
-    # ------------------------------------------------------------------
-    def run_subtasks(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> Optional[Tensor]:
-        if not assignments:
-            return None
-        self.warm(plan, network, cache, stats)
-        if policy is None:
-            policy = self.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self.fault_injector
-        if len(assignments) == 1 or self.max_workers == 1:
-            return self._run_serially(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                checkpoint=checkpoint, injector=injector,
-            )
-        try:
-            session = self._session
-            if session is not None and not session.closed:
-                contributions = session.run(
-                    plan, network, assignments, cache, sum_batch_axes, stats,
-                    policy=policy, injector=injector, checkpoint=checkpoint,
-                )
-            else:
-                with ExecutionSession(self) as scratch:
-                    contributions = scratch.run(
-                        plan, network, assignments, cache, sum_batch_axes,
-                        stats, policy=policy, injector=injector,
-                        checkpoint=checkpoint,
-                    )
-        except RecoveryExhaustedError as exc:
-            if policy.mode != "degrade":
-                raise
-            # pool recovery ran out: finish the empty ordered slots on
-            # the degradation chain.  Filled slots keep their bit-exact
-            # pool-computed contributions, so the final fold is identical
-            # to a clean run.
-            contributions = list(exc.contributions)
-            if len(contributions) != len(assignments):
-                contributions = [None] * len(assignments)
-            for substrate in policy.degradation_chain:
-                try:
-                    run_degraded(
-                        substrate, plan, network, assignments, contributions,
-                        cache, sum_batch_axes, stats, self.max_workers,
-                    )
-                except Exception:
-                    continue
-                if stats is not None and stats.degraded_to is None:
-                    stats.degraded_to = substrate
-                break
-            missing = [i for i, c in enumerate(contributions) if c is None]
-            if missing:
-                raise RecoveryExhaustedError(
-                    f"degradation chain {policy.degradation_chain} left "
-                    f"{len(missing)} slots unfilled",
-                    contributions,
-                ) from exc
-        return self._merge_ordered(plan, contributions, sum_batch_axes)
+    session_type = ExecutionSession
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SharedMemoryProcessPoolBackend(max_workers={self.max_workers})"

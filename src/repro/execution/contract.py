@@ -23,7 +23,7 @@ import numpy as np
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from .backend import ExecutionBackend, resolve_backend, validate_execution_args
+from .backend import ExecutionBackend, validate_execution_args
 from .plan import CompiledPlan, compile_plan
 
 __all__ = ["TreeExecutor", "contract_tree"]
@@ -50,10 +50,6 @@ class TreeExecutor:
         exists for API uniformity (one backend object threaded through a
         mixed pipeline); :meth:`close` releases whatever resident state
         that backend holds.  Compiled mode only.
-    max_workers:
-        Deprecated shim: any non-``None`` value warns and resolves through
-        :func:`~repro.execution.backend.resolve_backend` (> 1 maps to a
-        thread pool).  Mutually exclusive with ``backend``.
     """
 
     #: Maximum number of compiled plans memoized per executor instance.
@@ -64,17 +60,12 @@ class TreeExecutor:
         dtype: Optional[np.dtype] = None,
         compiled: bool = True,
         backend: Optional[ExecutionBackend] = None,
-        max_workers: Optional[int] = None,
     ) -> None:
         self._dtype = np.dtype(dtype) if dtype is not None else None
         self._compiled = bool(compiled)
         validate_execution_args(
-            "compiled" if self._compiled else "reference",
-            backend=backend,
-            max_workers=max_workers,
+            "compiled" if self._compiled else "reference", backend=backend
         )
-        if max_workers is not None:
-            backend = resolve_backend(backend, max_workers)
         self._backend = backend
         # memo keyed on object ids; the network is held through a weakref
         # with an eviction callback, so a dropped network's (potentially
@@ -227,16 +218,13 @@ def contract_tree(
     tree: ContractionTree,
     fixed_indices: Optional[Dict[str, int]] = None,
     backend: Optional[ExecutionBackend] = None,
-    max_workers: Optional[int] = None,
 ) -> Tensor:
     """One-shot helper around :class:`TreeExecutor` (compiled path).
 
     The single contraction is a one-assignment run, which every backend
     executes on its in-process serial path — pass a backend for API
     uniformity, not for parallelism (that lives in
-    :class:`~repro.execution.sliced.SlicedExecutor`).  ``max_workers`` is
-    the deprecated legacy shim (warns; mutually exclusive with
-    ``backend``).
+    :class:`~repro.execution.sliced.SlicedExecutor`).
     """
-    executor = TreeExecutor(backend=backend, max_workers=max_workers)
+    executor = TreeExecutor(backend=backend)
     return executor.execute(network, tree, fixed_indices)

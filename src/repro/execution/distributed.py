@@ -54,26 +54,17 @@ replacement therefore re-ships the arrays without re-broadcasting the
 plan, and both travel lazily: a worker is brought up to date right before
 its next chunk, so freshly (re)spawned workers synchronize for free.
 
-**Faults.**  The PR-6 resilience layer applies unchanged: a worker
-disconnect re-queues its in-flight chunk on the surviving workers
-(rebalance), total worker loss respawns up to the policy's pool-rebuild
-budget (spawned transports only), and exhausted recovery degrades to the
-local substrate chain (thread pool → serial) with only the still-empty
-ordered slots re-run.  ``fail-fast`` (the default) propagates the first
-fault, exactly like the other backends.  Deterministic fault injection
-gains a ``"drop-connection"`` kind: the worker severs its socket
-mid-chunk, the coordinator-side view of a cut network link.
-
-**Durability.**  Result frames carry per-contribution CRC-32 checksums,
-verified before a contribution reaches its ordered slot (a corrupt
-payload — e.g. the injected ``"corrupt-result"`` fault — is retried as a
-chunk failure).  Passing an open
-:class:`~repro.execution.checkpoint.CheckpointJob` through
-``run(checkpoint=...)`` write-ahead-persists each verified chunk to the
-durable ledger of :mod:`repro.execution.checkpoint`, so even losing the
-*coordinator* (crash, OOM, reboot) — after which this module's recovery
-machinery no longer exists — leaves a ledger from which a fresh process
-resumes bit-identically, re-running only the missing slots.
+**Faults and durability.**  Recovery is not decided here: the session is
+a :class:`~repro.execution.resilience.ChunkTransport`, and the one
+scheduler in :mod:`repro.execution.resilience` (which describes the
+model) drives it.  What this transport contributes is mechanics: each
+live link takes one chunk at a time; a disconnect or a severed (timed
+out) link loses that link and its chunk only, so the survivors
+rebalance; total loss can be respawned on spawned transports; result
+frames carry per-contribution CRC-32s for the scheduler to verify.
+Deterministic fault injection gains a ``"drop-connection"`` kind: the
+worker severs its socket mid-chunk, the coordinator-side view of a cut
+network link.
 
 **Calibration.**  The coordinator measures, per chunk round-trip, the
 wall time not covered by the worker's own compute samples and records it
@@ -97,28 +88,15 @@ import struct
 import subprocess
 import sys
 import time
-import weakref
-from collections import deque
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..tensornet.network import TensorNetwork
-from ..tensornet.tensor import Tensor
-from .backend import ExecutionSession, _PooledBackend
-from .checkpoint import CheckpointJob, verify_payload
-from .faultinject import FaultInjector, apply_coordinator_directive
-from .plan import CompiledPlan, PlanStats
-from .resilience import (
-    FAIL_FAST,
-    ChunkIntegrityError,
-    ChunkTimeoutError,
-    FaultError,
-    FaultPolicy,
-    RecoveryClock,
-    RecoveryExhaustedError,
-    run_degraded,
-)
+from .backend import _PooledBackend, _ResidentSession
+from .faultinject import Directive
+from .plan import CompiledPlan
+from .resilience import Chunk, FaultError, WorkerLost
 
 __all__ = [
     "ClusterTransport",
@@ -201,19 +179,12 @@ class DistributedWorkerError(FaultError):
 class _Inflight:
     """Bookkeeping for the one chunk a worker is currently executing."""
 
-    __slots__ = ("chunk_index", "sent_at", "chunk_bytes", "deadline")
+    __slots__ = ("chunk_index", "sent_at", "chunk_bytes")
 
-    def __init__(
-        self,
-        chunk_index: int,
-        sent_at: float,
-        chunk_bytes: int,
-        deadline: Optional[float],
-    ) -> None:
+    def __init__(self, chunk_index: int, sent_at: float, chunk_bytes: int) -> None:
         self.chunk_index = chunk_index
         self.sent_at = sent_at
         self.chunk_bytes = chunk_bytes
-        self.deadline = deadline
 
 
 class WorkerLink:
@@ -589,7 +560,7 @@ def _release_session_resources(resources: _SessionResources) -> None:
         transport.close()
 
 
-class DistributedSession:
+class DistributedSession(_ResidentSession):
     """Resident cluster state of a :class:`DistributedBackend`.
 
     The remote generalization of the shared-memory
@@ -606,34 +577,25 @@ class DistributedSession:
       broadcast is *not* repeated.
 
     Payloads travel lazily: a link records which generations its worker
-    holds, and the dispatcher prepends the missing broadcast frames to
+    holds, and :meth:`submit` prepends the missing broadcast frames to
     the worker's next chunk — TCP ordering makes the sync race-free and a
     freshly (re)spawned worker needs no special casing.
 
-    The session is also where distributed *fault recovery* happens: a
-    disconnected worker's in-flight chunk is re-queued on the survivors,
-    total loss respawns workers (spawned transports, within the policy's
-    pool-rebuild budget), and timeouts sever the link of a wedged worker.
-    A failed run marks the session broken; the next :meth:`ensure` resets
-    it transparently, exactly like the shared-memory session.
+    As a transport each live link takes one chunk at a time (the stream
+    is self-balancing: a slow worker simply pulls fewer); a disconnect,
+    an out-of-turn frame or a severed wedge loses that link and its one
+    chunk only, and :meth:`rebuild` respawns a full worker set where the
+    cluster transport can.  What happens next is
+    :mod:`repro.execution.resilience`'s decision.
     """
 
+    name = "distributed"
+    preemptible = True
+
     def __init__(self, backend: "DistributedBackend") -> None:
-        self._backend = backend
-        self._resources = _SessionResources()
-        self._finalizer = weakref.finalize(
-            self, _release_session_resources, self._resources
-        )
-        self._broken = False
-        self._plan: Optional[CompiledPlan] = None
-        self._leaf_tensors: Tuple[Tensor, ...] = ()
-        self._cache_token: Optional[Tuple] = None
-        self._cache_buffers: Tuple[np.ndarray, ...] = ()
-        self._sum_batch_axes: Optional[int] = None
+        super().__init__(backend, _SessionResources(), _release_session_resources)
         self._plan_generation = -1
         self._data_generation = -1
-        self._plan_blob: Optional[bytes] = None
-        self._data_blob: Optional[bytes] = None
         #: Plan broadcasts performed (a publication event, not per worker).
         self.plan_broadcasts = 0
         #: Data publications performed (includes those riding a plan change).
@@ -646,16 +608,6 @@ class DistributedSession:
         self.broadcast_bytes = 0
 
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """Whether the session has been closed."""
-        return not self._finalizer.alive
-
-    @property
-    def broken(self) -> bool:
-        """Whether the last run failed (healed transparently on next use)."""
-        return self._broken
-
     @property
     def workers_live(self) -> int:
         """Connected workers currently alive."""
@@ -675,61 +627,12 @@ class DistributedSession:
     def _links(self) -> List[WorkerLink]:
         return self._resources.links
 
-    def close(self) -> None:
-        """Shut workers down and close the transport; safe to call twice."""
-        self._finalizer()
-        self._drop_fingerprint()
-        backend = self._backend
-        if backend is not None and backend._session is self:
-            backend._session = None
-
-    def reset(self) -> None:
-        """Tear everything down but keep the session usable.
-
-        The next run relaunches workers and re-broadcasts from scratch —
-        the full-rebuild path for axis-order mutations
-        (:meth:`~repro.execution.backend.ExecutionBackend.reset_session`).
-        """
-        if self.closed:
-            return
-        _release_session_resources(self._resources)
-        self._drop_fingerprint()
-
     def _drop_fingerprint(self) -> None:
-        self._broken = False
-        self._plan = None
-        self._leaf_tensors = ()
-        self._cache_token = None
-        self._cache_buffers = ()
-        self._sum_batch_axes = None
-        self._plan_blob = None
-        self._data_blob = None
-
-    def __enter__(self) -> "DistributedSession":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        super()._drop_fingerprint()
+        self._plan_blob: Optional[bytes] = None
+        self._data_blob: Optional[bytes] = None
 
     # ------------------------------------------------------------------
-    def ensure(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-    ) -> None:
-        """Bring workers and broadcast payloads up to date; heal if broken."""
-        if self.closed:
-            raise RuntimeError("distributed session is closed")
-        if self._broken:
-            self.reset()
-        try:
-            self._ensure(plan, network, cache, sum_batch_axes)
-        except BaseException:
-            self._broken = True
-            raise
-
     def _ensure(
         self,
         plan: CompiledPlan,
@@ -741,36 +644,18 @@ class DistributedSession:
             self._resources.transport = self._backend._make_transport()
         if not any(link.alive for link in self._links):
             self._links[:] = []
-            self._launch(self._backend.max_workers)
-
-        leaf_tensors = tuple(network.tensor(ls.tid) for ls in plan.leaf_steps)
-        cache_token, cache_buffers = ExecutionSession._cache_fingerprint(cache)
-        plan_changed = (
-            self._plan_blob is None
-            or plan is not self._plan
-            or sum_batch_axes != self._sum_batch_axes
-        )
-        data_changed = (
-            plan_changed
-            or self._data_blob is None
-            or leaf_tensors != self._leaf_tensors
-            or cache_token != self._cache_token
-        )
+            self._launch()
+        plan_changed, changed = self._refingerprint(plan, network, cache, sum_batch_axes)
         if plan_changed:
             self._plan_generation += 1
             self._plan_blob = pickle.dumps(
                 (plan, sum_batch_axes), protocol=pickle.HIGHEST_PROTOCOL
             )
             self.plan_broadcasts += 1
-        if data_changed:
+        if changed:
             self._data_generation += 1
             self._data_blob = self._data_payload(plan, network, cache)
             self.data_publications += 1
-        self._plan = plan
-        self._leaf_tensors = leaf_tensors
-        self._cache_token = cache_token
-        self._cache_buffers = cache_buffers
-        self._sum_batch_axes = sum_batch_axes
 
     @staticmethod
     def _data_payload(
@@ -804,318 +689,95 @@ class DistributedSession:
             )
         return pickle.dumps((leaves, cache_payload), protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _launch(self, count: int) -> None:
-        transport = self._resources.transport
-        assert transport is not None
-        links = transport.launch(count)
+    def _launch(self) -> None:
+        links = self._resources.transport.launch(self._backend.max_workers)
         self._links.extend(links)
         self.worker_launches += len(links)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """Stream chunks through the cluster; per-position contributions.
+    # ChunkTransport
+    # ------------------------------------------------------------------
+    @property
+    def rebuildable(self) -> bool:
+        return self._resources.transport.supports_respawn
 
-        The caller (the backend) folds the returned contributions
-        strictly in assignment order, so arrival order — adversarial or
-        not — cannot perturb the ordered-accumulation contract.
+    def slots(self) -> int:
+        return self.workers_live
 
-        ``checkpoint`` (an open durable ledger; see
-        :mod:`repro.execution.checkpoint`) pre-fills slots persisted by a
-        previous run and write-ahead-records each verified chunk.
-        """
-        if policy is None:
-            policy = self._backend.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self._backend.fault_injector
-        self.ensure(plan, network, cache, sum_batch_axes)
+    def submit(
+        self, index: int, chunk: Chunk, directive: Optional[Directive], retry: bool
+    ) -> WorkerLink:
+        """Sync an idle worker's generations, then send it the chunk."""
+        link = next(
+            link for link in self._links if link.alive and link.inflight is None
+        )
         try:
-            return self._run_resilient(
-                assignments, stats, policy, injector, checkpoint
-            )
-        except BaseException:
-            self._broken = True
-            raise
-
-    def _dispatch(
-        self,
-        link: WorkerLink,
-        chunk_index: int,
-        chunk: List[Tuple[int, Mapping[str, int]]],
-        policy: FaultPolicy,
-        injector: Optional[FaultInjector],
-    ) -> None:
-        """Sync the worker's generations, then send it one chunk."""
-        if link.plan_generation != self._plan_generation:
-            self.broadcast_bytes += link.send(
-                ("plan", (self._plan_generation, self._plan_blob))
-            )
-            link.plan_generation = self._plan_generation
-        if link.data_generation != self._data_generation:
-            self.broadcast_bytes += link.send(
-                ("data", (self._data_generation, self._data_blob))
-            )
-            link.data_generation = self._data_generation
-        directive = (
-            injector.directive_for_next_chunk() if injector is not None else None
-        )
-        chunk_bytes = link.send(
-            (
-                "chunk",
+            if link.plan_generation != self._plan_generation:
+                self.broadcast_bytes += link.send(
+                    ("plan", (self._plan_generation, self._plan_blob))
+                )
+                link.plan_generation = self._plan_generation
+            if link.data_generation != self._data_generation:
+                self.broadcast_bytes += link.send(
+                    ("data", (self._data_generation, self._data_blob))
+                )
+                link.data_generation = self._data_generation
+            chunk_bytes = link.send(
                 (
-                    chunk_index,
-                    self._plan_generation,
-                    self._data_generation,
-                    chunk,
-                    directive,
-                ),
+                    "chunk",
+                    (index, self._plan_generation, self._data_generation, chunk, directive),
+                )
             )
-        )
-        budget = policy.chunk_timeout(len(chunk))
-        now = time.monotonic()
-        link.inflight = _Inflight(
-            chunk_index, now, chunk_bytes, None if budget is None else now + budget
-        )
+        except TransportError as exc:
+            # send() already dropped the link; the chunk never left
+            raise WorkerLost(exc) from exc
+        link.inflight = _Inflight(index, time.monotonic(), chunk_bytes)
+        return link
 
-    def _run_resilient(
-        self,
-        assignments: Sequence[Mapping[str, int]],
-        stats: Optional[PlanStats],
-        policy: FaultPolicy,
-        injector: Optional[FaultInjector],
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> List[Optional[np.ndarray]]:
-        transport = self._resources.transport
-        assert transport is not None
-        chunks = self._backend._chunks(assignments)
-        contributions: List[Optional[np.ndarray]] = [None] * len(assignments)
-        if checkpoint is not None:
-            for position, loaded in checkpoint.loaded.items():
-                contributions[position] = loaded
-        failures = [0] * len(chunks)
-        # chunks fully covered by the ledger never hit the wire; a
-        # partially-covered chunk re-runs whole (deterministic subtasks
-        # make the overwrite bit-identical, and already-durable slots are
-        # skipped by the ledger's record)
-        queue: deque = deque(
-            index
-            for index, chunk in enumerate(chunks)
-            if any(contributions[position] is None for position, _ in chunk)
-        )
-        respawns_used = 0
+    def wait(
+        self, handles: Sequence[WorkerLink], timeout: Optional[float]
+    ) -> List[Tuple[WorkerLink, object]]:
+        ready = self._resources.transport.wait(handles, timeout)
+        return [(link, self._read(link)) for link in ready if link.alive]
 
-        def chunk_failed(chunk_index: int, error: BaseException) -> None:
-            # a chunk-level fault (the worker survived and reported it):
-            # counted against the chunk's own retry budget
-            if stats is not None:
-                stats.faults += 1
-            failures[chunk_index] += 1
-            if failures[chunk_index] > policy.chunk_retry_budget:
-                if policy.mode == "fail-fast":
-                    raise error
-                raise RecoveryExhaustedError(
-                    f"chunk {chunk_index} failed {failures[chunk_index]} "
-                    f"times: {error!r}",
-                    contributions,
-                ) from error
-            if stats is not None:
-                stats.retries += 1
-            with RecoveryClock(stats):
-                backoff = policy.backoff(failures[chunk_index] - 1)
-                if backoff > 0:
-                    time.sleep(backoff)
-            queue.append(chunk_index)
-
-        def fail_link(link: WorkerLink, error: BaseException) -> None:
-            # a worker-level fault (disconnect, wedge): sever the link and
-            # rebalance its in-flight chunk onto the survivors.  Worker
-            # loss does not consume the chunk's retry budget — workers
-            # only ever deplete, and total loss is budgeted separately
-            # through the policy's pool-rebuild allowance.
-            inflight, link.inflight = link.inflight, None
+    def _read(self, link: WorkerLink) -> object:
+        """One frame off ``link`` as a driver outcome."""
+        inflight, link.inflight = link.inflight, None
+        try:
+            (kind, payload), frame_bytes = link.recv()
+        except TransportError as exc:
+            return WorkerLost(exc, [link])
+        if kind not in ("result", "error") or payload[0] != inflight.chunk_index:
             link.kill()
-            if stats is not None:
-                stats.faults += 1
-            if policy.mode == "fail-fast":
-                raise error
-            if inflight is not None:
-                if stats is not None:
-                    stats.retries += 1
-                queue.appendleft(inflight.chunk_index)
+            return WorkerLost(
+                TransportError(
+                    f"worker {link.worker_id} sent a {kind!r} frame out of turn"
+                ),
+                [link],
+            )
+        if kind == "error":
+            return DistributedWorkerError(link.worker_id, *payload[1:])
+        _, arrays, checksums, worker_stats = payload
+        # everything the worker's own compute samples do not cover —
+        # serialization, transfer, dispatch — is the communication
+        # overhead the cost model prices; it rides the worker's stats so
+        # it is counted only if the payload passes verification
+        roundtrip = time.monotonic() - inflight.sent_at
+        worker_stats.comms_seconds = max(
+            0.0, roundtrip - worker_stats.subtask_seconds_sum
+        )
+        worker_stats.comms_bytes = inflight.chunk_bytes + frame_bytes
+        worker_stats.chunk_roundtrips = 1
+        return arrays, checksums, worker_stats
 
-        def handle_frame(link: WorkerLink) -> None:
-            try:
-                message, frame_bytes = link.recv()
-            except TransportError as exc:
-                fail_link(link, exc)
-                return
-            kind, payload = message
-            if kind == "result":
-                chunk_id, arrays, checksums, local_stats = payload
-                inflight = link.inflight
-                if (
-                    inflight is None
-                    or chunk_id != inflight.chunk_index
-                    or len(arrays) != len(chunks[chunk_id])
-                ):
-                    fail_link(
-                        link,
-                        TransportError(
-                            f"worker {link.worker_id} answered chunk "
-                            f"{chunk_id} out of turn"
-                        ),
-                    )
-                    return
-                link.inflight = None
-                if not verify_payload(arrays, checksums):
-                    # poisoned payload: discard before it can reach an
-                    # ordered slot or the durable ledger; charged to the
-                    # chunk's retry budget like any other chunk failure
-                    chunk_failed(
-                        chunk_id,
-                        ChunkIntegrityError(
-                            f"chunk {chunk_id} from worker {link.worker_id} "
-                            f"failed its payload checksum"
-                        ),
-                    )
-                    return
-                for (position, _), contribution in zip(chunks[chunk_id], arrays):
-                    contributions[position] = contribution
-                if stats is not None:
-                    stats.merge(local_stats)
-                    # everything the worker's own compute samples do not
-                    # cover — serialization, transfer, dispatch — is the
-                    # communication overhead the cost model prices
-                    roundtrip = time.monotonic() - inflight.sent_at
-                    compute = local_stats.subtask_seconds_sum
-                    stats.comms_seconds += max(0.0, roundtrip - compute)
-                    stats.comms_bytes += inflight.chunk_bytes + frame_bytes
-                    stats.chunk_roundtrips += 1
-                if checkpoint is not None:
-                    checkpoint.record_chunk(
-                        [position for position, _ in chunks[chunk_id]], arrays
-                    )
-                if injector is not None:
-                    # coordinator-side faults fire here, after the chunk's
-                    # slots are durable — InjectedCoordinatorDeath is a
-                    # BaseException, so no recovery path intercepts it
-                    apply_coordinator_directive(
-                        injector.coordinator_directive_for_next_harvest()
-                    )
-            elif kind == "error":
-                chunk_id, exc_repr, traceback_text = payload
-                inflight, link.inflight = link.inflight, None
-                if inflight is None or chunk_id != inflight.chunk_index:
-                    fail_link(
-                        link,
-                        TransportError(
-                            f"worker {link.worker_id} reported an error for "
-                            f"chunk {chunk_id} out of turn"
-                        ),
-                    )
-                    return
-                chunk_failed(
-                    chunk_id,
-                    DistributedWorkerError(link.worker_id, exc_repr, traceback_text),
-                )
-            else:
-                fail_link(
-                    link,
-                    TransportError(
-                        f"unexpected frame kind {kind!r} from worker "
-                        f"{link.worker_id}"
-                    ),
-                )
+    def sever(self, link: WorkerLink) -> List[WorkerLink]:
+        link.inflight = None
+        link.kill()
+        return [link]
 
-        while queue or any(
-            link.inflight is not None for link in self._links if link.alive
-        ):
-            live = [link for link in self._links if link.alive]
-            if not live:
-                if (
-                    transport.supports_respawn
-                    and respawns_used < policy.pool_rebuild_budget
-                ):
-                    respawns_used += 1
-                    self.respawns += 1
-                    with RecoveryClock(stats):
-                        backoff = policy.backoff(respawns_used - 1)
-                        if backoff > 0:
-                            time.sleep(backoff)
-                        self._launch(self._backend.max_workers)
-                    continue
-                raise RecoveryExhaustedError(
-                    f"all distributed workers are gone with {len(queue)} "
-                    f"chunks unfinished (respawn budget "
-                    f"{policy.pool_rebuild_budget}, used {respawns_used})",
-                    contributions,
-                )
-
-            # keep every idle worker busy with one chunk at a time: the
-            # stream is self-balancing, a slow worker simply pulls fewer
-            for link in live:
-                if not queue:
-                    break
-                if not link.alive or link.inflight is not None:
-                    continue
-                chunk_index = queue.popleft()
-                try:
-                    self._dispatch(link, chunk_index, chunks[chunk_index],
-                                   policy, injector)
-                except TransportError as exc:
-                    queue.appendleft(chunk_index)
-                    fail_link(link, exc)
-
-            busy = [
-                link
-                for link in self._links
-                if link.alive and link.inflight is not None
-            ]
-            if not busy:
-                continue
-            now = time.monotonic()
-            wait_timeout: Optional[float] = None
-            for link in busy:
-                deadline = link.inflight.deadline
-                if deadline is not None:
-                    remaining = max(0.0, deadline - now)
-                    wait_timeout = (
-                        remaining
-                        if wait_timeout is None
-                        else min(wait_timeout, remaining)
-                    )
-            for link in transport.wait(busy, wait_timeout):
-                if link.alive:
-                    handle_frame(link)
-            now = time.monotonic()
-            for link in busy:
-                inflight = link.inflight
-                if (
-                    link.alive
-                    and inflight is not None
-                    and inflight.deadline is not None
-                    and now >= inflight.deadline
-                ):
-                    # the worker may be wedged mid-chunk; severing the
-                    # link is the only preemption a remote process allows
-                    fail_link(
-                        link,
-                        ChunkTimeoutError(
-                            f"chunk {inflight.chunk_index} exceeded its "
-                            f"timeout budget on worker {link.worker_id}"
-                        ),
-                    )
-        return contributions
+    def rebuild(self) -> None:
+        self.respawns += 1
+        self._launch()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else f"{self.workers_live} workers"
@@ -1179,6 +841,9 @@ class DistributedBackend(_PooledBackend):
     """
 
     name = "distributed"
+    session_type = DistributedSession
+    # a one-worker distributed run is a real coordinator→worker round-trip
+    inline_small_runs = False
     #: Duck-typed marker ``validate_execution_args`` checks without
     #: importing this module: broadcast payloads and contribution frames
     #: are host-side pickles, so device array modules are rejected.
@@ -1214,7 +879,6 @@ class DistributedBackend(_PooledBackend):
         self._transport_spec = transport
         self._spawn_timeout = float(spawn_timeout)
         self._connect_timeout = float(connect_timeout)
-        self._session: Optional[DistributedSession] = None
 
     # ------------------------------------------------------------------
     @property
@@ -1246,107 +910,6 @@ class DistributedBackend(_PooledBackend):
             f"unknown transport {spec!r} (expected 'sockets', 'mpi', a "
             "ClusterTransport instance, or a factory)"
         )
-
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        plan: Optional[CompiledPlan] = None,
-        network: Optional[TensorNetwork] = None,
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-    ) -> DistributedSession:
-        """Open (or reuse) the backend's persistent :class:`DistributedSession`.
-
-        With ``plan``/``network`` the session is eagerly warmed: workers
-        launched and both payloads broadcast before the first run.
-        """
-        session = self._session
-        if session is None or session.closed:
-            session = DistributedSession(self)
-            self._session = session
-        if plan is not None:
-            if network is None:
-                raise ValueError("session(plan=...) also requires network=")
-            self.warm(plan, network, cache, stats)
-            session.ensure(plan, network, cache, sum_batch_axes)
-        return session
-
-    def close(self) -> None:
-        """Close the active session (idempotent)."""
-        session, self._session = self._session, None
-        if session is not None:
-            session.close()
-
-    def reset_session(self) -> None:
-        """Rebuild path for axis-order mutations: drop workers and payloads."""
-        session = self._session
-        if session is not None and not session.closed:
-            session.reset()
-
-    # ------------------------------------------------------------------
-    def run_subtasks(
-        self,
-        plan: CompiledPlan,
-        network: TensorNetwork,
-        assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
-        stats: Optional[PlanStats] = None,
-        policy: Optional[FaultPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        checkpoint: Optional[CheckpointJob] = None,
-    ) -> Optional[Tensor]:
-        if not assignments:
-            return None
-        self.warm(plan, network, cache, stats)
-        if policy is None:
-            policy = self.fault_policy or FAIL_FAST
-        if injector is None:
-            injector = self.fault_injector
-        try:
-            session = self._session
-            if session is not None and not session.closed:
-                contributions = session.run(
-                    plan, network, assignments, cache, sum_batch_axes, stats,
-                    policy=policy, injector=injector, checkpoint=checkpoint,
-                )
-            else:
-                with DistributedSession(self) as scratch:
-                    contributions = scratch.run(
-                        plan, network, assignments, cache, sum_batch_axes,
-                        stats, policy=policy, injector=injector,
-                        checkpoint=checkpoint,
-                    )
-        except RecoveryExhaustedError as exc:
-            if policy.mode != "degrade":
-                raise
-            # cluster recovery ran out: finish the empty ordered slots on
-            # the local substrate chain.  Filled slots keep their
-            # bit-exact remotely-computed contributions, so the final
-            # fold is identical to a clean run.
-            contributions = list(exc.contributions)
-            if len(contributions) != len(assignments):
-                contributions = [None] * len(assignments)
-            for substrate in policy.degradation_chain:
-                try:
-                    run_degraded(
-                        substrate, plan, network, assignments, contributions,
-                        cache, sum_batch_axes, stats, self.max_workers,
-                    )
-                except Exception:
-                    continue
-                if stats is not None and stats.degraded_to is None:
-                    stats.degraded_to = substrate
-                break
-            missing = [i for i, c in enumerate(contributions) if c is None]
-            if missing:
-                raise RecoveryExhaustedError(
-                    f"degradation chain {policy.degradation_chain} left "
-                    f"{len(missing)} slots unfilled",
-                    contributions,
-                ) from exc
-        return self._merge_ordered(plan, contributions, sum_batch_axes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.addresses:

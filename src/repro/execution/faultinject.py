@@ -56,10 +56,11 @@ via :meth:`FaultInjector.coordinator_directive_for_next_harvest`), so
 arming them never shifts the submission ordinals worker-side specs fire
 on.
 
-Injection is **opt-in** end to end: backends consult an injector only
-when one was configured (``configure_faults(injector=...)``, or the
-``fault_injector=`` argument of :class:`~repro.execution.SlicedExecutor`
-and friends), and a ``None`` directive is the hot path.
+Injection is **opt-in** end to end and run-scoped: the scheduler
+consults an injector only when one was passed (``injector=`` on
+``run_subtasks``, i.e. the ``fault_injector=`` argument of
+:class:`~repro.execution.SlicedExecutor` and friends), and a ``None``
+directive is the hot path.
 """
 
 from __future__ import annotations

@@ -1,56 +1,97 @@
-"""Fault tolerance for the execution stack: policies, recovery, degradation.
+"""Fault tolerance for the execution stack: one policy, one chunk scheduler.
 
 The paper's sliced decomposition (§6) is naturally restartable: every
-subtask assignment is an independent, deterministic unit, and the backends
-accumulate per-position contributions that are folded strictly in
-assignment order *after* all positions are filled.  Recovery therefore
-never perturbs the ordered-accumulation contract — a chunk that crashed,
-timed out, or was poisoned is simply re-run (on the rebuilt pool, or on a
-degraded substrate) until its ordered slot is filled, and the final fold
-is bit-identical to a clean :class:`~repro.execution.backend.SerialBackend`
-run.
+subtask assignment is an independent, deterministic unit, and the pooled
+backends keep one *ordered slot* per assignment that is folded strictly
+in assignment order *after* every slot is filled.  Recovery therefore
+never perturbs the ordered-accumulation contract: a chunk that crashed,
+timed out or arrived corrupt is simply run again — on the same workers,
+on rebuilt ones, or on a slower local substrate — until its slots are
+filled, and the final fold is bit-identical to a clean
+:class:`~repro.execution.backend.SerialBackend` run.
 
-This module carries the *policy* side of that story:
+This module is the single description, and the single implementation, of
+that recovery model.  :class:`FaultPolicy` says *what is allowed*;
+:func:`run_chunks` is the one driver that *does* it, for every pooled
+backend, over the small :class:`ChunkTransport` protocol that threads
+(:class:`~repro.execution.backend.LocalTransport`), the shared-memory
+process pool (:class:`~repro.execution.backend.ExecutionSession`) and
+sockets/MPI (:class:`~repro.execution.distributed.DistributedSession`)
+each implement.  The transports own mechanics only — publication, wire
+frames, killing a process; every decision below is taken here.
 
-* :class:`FaultPolicy` — what to do when a chunk fails: fail fast (the
-  default, and the pre-resilience behaviour), retry with exponential
-  backoff and bounded pool rebuilds, or retry and then *degrade* down a
-  substrate chain (process pool → thread pool → serial).  Per-chunk
-  timeouts can be given explicitly or derived from the calibrated cost
-  model's predicted subtask seconds
-  (:meth:`~repro.costs.CostModel.timeout_budget`).
-* :exc:`FaultError` / :exc:`ChunkTimeoutError` /
-  :exc:`RecoveryExhaustedError` — the failure taxonomy the backends raise.
-* :func:`fill_missing_serial` / :func:`fill_missing_threads` — the
-  degradation executors: given a partially-filled per-position
-  contribution list, they re-run exactly the assignments whose ordered
-  slots are still empty, in-process.
+The recovery model
+------------------
+*Ledger pre-fill.*  With a durable :class:`~repro.execution.checkpoint.
+CheckpointJob` armed, slots it already holds are folded from disk; only
+chunks with at least one empty slot are *pending* (a partially covered
+chunk re-runs whole — deterministic subtasks make the overwrite
+bit-identical, and already-durable slots are skipped by the ledger).
 
-The *mechanics* of pool crash recovery (worker-death detection, segment
-republication under a new generation, re-running only the missing chunks)
-live in :class:`~repro.execution.backend.ExecutionSession`; deterministic
-fault *injection* lives in :mod:`repro.execution.faultinject`.
+*Dispatch.*  Pending chunks are submitted in queue order, as many as the
+transport takes in flight.  Each submission consumes one
+:class:`~repro.execution.faultinject.FaultInjector` submission ordinal,
+so injector ordinals equal dispatch order.
 
-Everything above recovers within one coordinator process.  The rung
-above — surviving the coordinator itself dying — is the durable chunk
-ledger in :mod:`repro.execution.checkpoint`: arming
-:attr:`FaultPolicy.checkpoint_dir` (or passing ``resume=`` to
-:meth:`~repro.execution.SlicedExecutor.run`) write-ahead-persists each
-harvested ordered slot, every ``checkpoint_every`` completions, so an
-interrupted run resumes bit-identically in a fresh process with only the
-missing slots re-executed.  :exc:`ChunkIntegrityError` is the checksum
-half of that story: a harvested payload that fails its end-to-end CRC
-(see the ``"corrupt-result"`` fault kind) is treated as an ordinary
-chunk failure — retried under the same budget, never persisted.
+*Harvest*, in completion order, is one path: verify the payload's
+CRC-32s (:exc:`ChunkIntegrityError` on mismatch — the payload is
+discarded *before* it can reach a slot or the ledger) → write the ordered
+slots → merge the worker's stats → write-ahead-record the chunk in the
+ledger → only then consult the injector's coordinator directive.  Slots
+finished on the degradation chain go through the same path, so they are
+durable too.
+
+*Chunk faults* (the chunk raised, or failed its CRC; its worker
+survived) are charged to that chunk's own retry budget
+(``policy.chunk_retry_budget``).  **The backoff rule:** re-submission
+``k`` of a chunk gets a *not-before* time ``policy.backoff(k)`` after its
+failure and goes to the back of the queue; nothing sleeps on its behalf
+while other chunks are in flight or ready — harvesting and dispatch
+continue — and the backoff is accrued to ``stats.recovery_seconds`` when
+it is scheduled.  The driver only sleeps when every queued chunk is
+waiting out a backoff and nothing is in flight.
+
+*Deadlines.*  On a preemptible transport a chunk's clock
+(``policy.chunk_timeout``) starts when the transport reports it started,
+not when it was queued.  Expiry severs the worker running it
+(:exc:`ChunkTimeoutError`) and is handled as a worker loss.
+
+*Worker loss* (dead process, cut link, severed wedge) is not the chunk's
+fault: the chunks the worker took with it go back to the *front* of the
+queue without consuming their retry budgets.  Survivors carry on; when
+no worker is left the transport is rebuilt (respawn, republish) after
+``policy.backoff(rebuild)``, at most ``policy.pool_rebuild_budget`` times
+per run.
+
+*Giving up.*  When a budget runs out the driver aborts the transport and
+maps the failure by mode: ``fail-fast`` re-raises the original error
+(budgets are zero, so this is the first fault), ``retry`` raises
+:exc:`RecoveryExhaustedError` carrying the partial contributions, and
+``degrade`` re-runs the driver — fail-fast, no injected worker faults —
+over the local transports named by ``policy.degradation_chain`` on the
+still-empty slots, raising only if the whole chain fails.
+
+Every decision is logged once, here, on ``repro.execution.resilience``:
+``WARNING`` for a chunk fault, CRC discard, deadline expiry, worker loss,
+degradation and exhaustion; ``INFO`` for a retry, a rebuild and the
+ledger pre-fill count.  The fault-free path logs nothing per chunk.
+
+Deterministic fault *injection* lives in
+:mod:`repro.execution.faultinject`; surviving the coordinator itself
+dying is the durable ledger of :mod:`repro.execution.checkpoint`
+(``FaultPolicy.checkpoint_dir`` / ``SlicedExecutor.run(resume=...)``).
 """
 
 from __future__ import annotations
 
-import threading
+import logging
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
+    Callable,
+    ContextManager,
     Dict,
     List,
     Mapping,
@@ -61,23 +102,27 @@ from typing import (
 
 import numpy as np
 
+from .checkpoint import CheckpointJob, verify_payload
+from .faultinject import Directive, FaultInjector, apply_coordinator_directive
+from .plan import PlanStats
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..costs.model import CostModel
     from ..tensornet.contraction_tree import ContractionTree
-    from ..tensornet.network import TensorNetwork
-    from .plan import CompiledPlan, PlanStats
 
 __all__ = [
     "ChunkIntegrityError",
     "ChunkTimeoutError",
+    "ChunkTransport",
     "FaultError",
     "FaultPolicy",
     "RecoveryClock",
     "RecoveryExhaustedError",
-    "fill_missing_serial",
-    "fill_missing_threads",
-    "run_degraded",
+    "WorkerLost",
+    "run_chunks",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: The substrates a degrading pool run falls back to, in order.
 DEFAULT_DEGRADATION_CHAIN: Tuple[str, ...] = ("threads", "serial")
@@ -300,131 +345,332 @@ class FaultPolicy:
 FAIL_FAST = FaultPolicy.fail_fast()
 
 
-# ----------------------------------------------------------------------
-# Degradation executors
-# ----------------------------------------------------------------------
-def _missing_positions(contributions: List[Optional[np.ndarray]]) -> List[int]:
-    return [i for i, c in enumerate(contributions) if c is None]
-
-
-def fill_missing_serial(
-    plan: "CompiledPlan",
-    network: "TensorNetwork",
-    assignments: Sequence[Mapping[str, int]],
-    contributions: List[Optional[np.ndarray]],
-    cache: Optional[Dict[int, np.ndarray]],
-    sum_batch_axes: int,
-    stats: Optional["PlanStats"],
-    slots: Optional[object] = None,
-) -> None:
-    """Fill every empty ordered slot by executing its subtask in-process.
-
-    Only assignments whose slot is still ``None`` run; filled slots keep
-    their (bit-exact) pool-computed contributions.  Because each subtask
-    is deterministic, the final ordered fold is bit-identical to a clean
-    serial run regardless of which slots were recovered.
-    """
-    from .backend import _owned_contribution
-    from .plan import StemSlots
-
-    arena = slots if slots is not None else StemSlots()
-    for position in _missing_positions(contributions):
-        tensor = plan.execute(
-            network, assignments[position], cache=cache, stats=stats, slots=arena
-        )
-        contributions[position] = _owned_contribution(tensor, sum_batch_axes)
-
-
-def fill_missing_threads(
-    plan: "CompiledPlan",
-    network: "TensorNetwork",
-    assignments: Sequence[Mapping[str, int]],
-    contributions: List[Optional[np.ndarray]],
-    cache: Optional[Dict[int, np.ndarray]],
-    sum_batch_axes: int,
-    stats: Optional["PlanStats"],
-    max_workers: int,
-) -> None:
-    """Thread-pool variant of :func:`fill_missing_serial`.
-
-    numpy releases the GIL inside the contraction kernels, so this is the
-    preferred first fallback of a degrading process-pool run: no worker
-    processes to respawn, shared address space, still parallel.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .backend import _owned_contribution
-    from .plan import PlanStats, StemSlots
-
-    missing = _missing_positions(contributions)
-    if not missing:
-        return
-    thread_state = threading.local()
-
-    def work(position: int) -> "PlanStats":
-        local_stats = PlanStats()
-        arena = getattr(thread_state, "slots", None)
-        if arena is None:
-            arena = thread_state.slots = StemSlots()
-        tensor = plan.execute(
-            network,
-            assignments[position],
-            cache=cache,
-            stats=local_stats,
-            slots=arena,
-        )
-        contributions[position] = _owned_contribution(tensor, sum_batch_axes)
-        return local_stats
-
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
-        for local_stats in pool.map(work, missing):
-            if stats is not None:
-                stats.merge(local_stats)
-
-
-def run_degraded(
-    substrate: str,
-    plan: "CompiledPlan",
-    network: "TensorNetwork",
-    assignments: Sequence[Mapping[str, int]],
-    contributions: List[Optional[np.ndarray]],
-    cache: Optional[Dict[int, np.ndarray]],
-    sum_batch_axes: int,
-    stats: Optional["PlanStats"],
-    max_workers: int,
-) -> None:
-    """Dispatch one degradation-chain substrate by name."""
-    if substrate == "threads":
-        fill_missing_threads(
-            plan,
-            network,
-            assignments,
-            contributions,
-            cache,
-            sum_batch_axes,
-            stats,
-            max_workers,
-        )
-    elif substrate == "serial":
-        fill_missing_serial(
-            plan, network, assignments, contributions, cache, sum_batch_axes, stats
-        )
-    else:  # pragma: no cover - guarded by FaultPolicy validation
-        raise ValueError(f"unknown degradation substrate {substrate!r}")
-
-
 class RecoveryClock:
     """Accumulates wall time spent inside recovery actions onto stats."""
 
-    def __init__(self, stats: Optional["PlanStats"]) -> None:
+    def __init__(self, stats: PlanStats) -> None:
         self._stats = stats
-        self._start: Optional[float] = None
+        self._start = 0.0
 
     def __enter__(self) -> "RecoveryClock":
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self._stats is not None and self._start is not None:
-            self._stats.recovery_seconds += time.perf_counter() - self._start
-        self._start = None
+        self._stats.recovery_seconds += time.perf_counter() - self._start
+
+
+# ----------------------------------------------------------------------
+# The transport protocol
+# ----------------------------------------------------------------------
+#: A positioned chunk: ``[(ordered slot, slicing assignment), ...]``.
+Chunk = Sequence[Tuple[int, Mapping[str, int]]]
+
+#: What a harvested chunk carries: ``(contributions, crc32s, worker stats)``.
+ChunkResult = Tuple[List[np.ndarray], Optional[List[int]], PlanStats]
+
+#: How often the driver re-checks whether a queued chunk has started: the
+#: deadline clock starts at the first observation of the started state, so
+#: chunks queued behind a saturated pool do not burn their budget waiting
+#: for a worker.  The granularity is folded into the timeout's safety factor.
+_START_POLL_SECONDS = 0.05
+
+
+class WorkerLost(Exception):
+    """A worker is gone, and ``handles`` are the chunks it took with it.
+
+    Raised by :meth:`ChunkTransport.submit` (the chunk never left; no
+    handle exists for it) or returned as an outcome by
+    :meth:`ChunkTransport.wait`; ``error`` is what the transport saw.
+    """
+
+    def __init__(self, error: BaseException, handles: Sequence[object] = ()) -> None:
+        super().__init__(str(error))
+        self.error = error
+        self.handles = list(handles)
+
+
+class ChunkTransport:
+    """What :func:`run_chunks` needs from a substrate — mechanics only.
+
+    A *handle* is whatever hashable object :meth:`submit` returns for one
+    in-flight chunk.  A transport never retries, counts or sleeps; it
+    reports what happened and the driver decides.
+    """
+
+    #: Substrate name (a ``degradation_chain`` entry equal to it is skipped).
+    name = "transport"
+    #: Whether a running chunk can be abandoned by :meth:`sever`-ing its
+    #: worker.  Deadlines are only enforced on preemptible transports.
+    preemptible = False
+    #: Whether :meth:`rebuild` can replace the workers after total loss.
+    rebuildable = False
+
+    def slots(self) -> Optional[int]:
+        """Chunks the live workers take in flight at once.
+
+        ``None`` is unbounded (the substrate queues); ``0`` means no
+        worker is left — total loss."""
+        return None
+
+    def submit(
+        self, index: int, chunk: Chunk, directive: Optional[Directive], retry: bool
+    ) -> object:
+        """Start ``chunk`` (number ``index``) and return its handle.
+
+        ``retry`` is whether this chunk was submitted before.  Raises
+        :exc:`WorkerLost` when the worker it was handed to turns out dead."""
+        raise NotImplementedError
+
+    def started(self, handle: object) -> bool:
+        """Whether the chunk has begun executing (its deadline clock runs)."""
+        return True
+
+    def wait(
+        self, handles: Sequence[object], timeout: Optional[float]
+    ) -> List[Tuple[object, object]]:
+        """Block until a handle completes or ``timeout`` passes.
+
+        Returns ``(handle, outcome)`` pairs, each handle at most once per
+        submission: a :data:`ChunkResult`, the ``Exception`` the chunk
+        raised, or a :exc:`WorkerLost` naming every handle that died (the
+        paired handle is then ignored)."""
+        raise NotImplementedError
+
+    def sever(self, handle: object) -> List[object]:
+        """Kill the worker running ``handle``; the handles lost with it."""
+        raise NotImplementedError
+
+    def rebuild(self) -> None:
+        """Replace the workers after total loss."""
+        raise NotImplementedError
+
+    def abort(self) -> None:
+        """The run gave up: stop in-flight work, drop resident state."""
+
+
+# ----------------------------------------------------------------------
+# The driver
+# ----------------------------------------------------------------------
+def run_chunks(
+    transport: ChunkTransport,
+    chunks: Sequence[Chunk],
+    policy: FaultPolicy,
+    injector: Optional[FaultInjector] = None,
+    checkpoint: Optional[CheckpointJob] = None,
+    stats: Optional[PlanStats] = None,
+    fallback: Optional[Callable[[str], ContextManager[ChunkTransport]]] = None,
+) -> List[Optional[np.ndarray]]:
+    """Run every chunk to completion under ``policy``; the ordered slots.
+
+    The one scheduler behind every pooled backend — see the module
+    docstring for the recovery model it implements.  ``chunks`` must
+    cover slots ``0..n-1`` exactly once; the returned list holds one
+    contribution per slot, for the caller to fold in order.
+    ``fallback(substrate)`` opens the local transport a degrading policy
+    falls back to (``None``: nothing to degrade to).
+    """
+    if stats is None:
+        stats = PlanStats()
+    contributions: List[Optional[np.ndarray]] = [None] * sum(map(len, chunks))
+    if checkpoint is not None and checkpoint.loaded:
+        for position, loaded in checkpoint.loaded.items():
+            contributions[position] = loaded
+        logger.info(
+            "ledger pre-filled %d of %d slots", len(checkpoint.loaded), len(contributions)
+        )
+    try:
+        _drive(transport, chunks, contributions, policy, injector, True, checkpoint, stats)
+        return contributions
+    except Exception as failure:
+        transport.abort()
+        if policy.mode != "degrade" or not isinstance(failure, RecoveryExhaustedError):
+            raise
+        exhausted = failure
+    for substrate in policy.degradation_chain:
+        if fallback is None or substrate == transport.name:
+            continue
+        logger.warning("degrading from %s to %s", transport.name, substrate)
+        try:
+            with fallback(substrate) as local:
+                _drive(local, chunks, contributions, FAIL_FAST, injector, False, checkpoint, stats)
+        except Exception as error:
+            logger.warning("degraded run on %s failed: %r", substrate, error)
+            continue
+        if stats.degraded_to is None:
+            stats.degraded_to = substrate
+        return contributions
+    raise RecoveryExhaustedError(
+        f"degradation chain {policy.degradation_chain} left ordered slots unfilled",
+        contributions,
+    ) from exhausted
+
+
+def _drive(
+    transport: ChunkTransport,
+    chunks: Sequence[Chunk],
+    contributions: List[Optional[np.ndarray]],
+    policy: FaultPolicy,
+    injector: Optional[FaultInjector],
+    inject_workers: bool,
+    checkpoint: Optional[CheckpointJob],
+    stats: PlanStats,
+) -> None:
+    """One pass of :func:`run_chunks` over one transport: fill the empty slots."""
+    queue = deque(
+        index
+        for index, chunk in enumerate(chunks)
+        if any(contributions[position] is None for position, _ in chunk)
+    )
+    # a chunk's *own* faults, against its retry budget; worker losses are
+    # budgeted separately through ``rebuilds`` and never charged here
+    failures = [0] * len(chunks)
+    submissions = [0] * len(chunks)
+    not_before: Dict[int, float] = {}
+    inflight: Dict[object, int] = {}
+    deadlines: Dict[object, float] = {}
+    rebuilds = 0
+    # deadlines need a worker that can be severed, and a budget to enforce
+    timed = transport.preemptible and policy.chunk_timeout(1) is not None
+    last_loss: BaseException = FaultError(f"the {transport.name} transport has no workers")
+
+    def give_up(message: str, cause: BaseException) -> None:
+        logger.warning("giving up on %s: %s: %r", transport.name, message, cause)
+        if policy.mode == "fail-fast":
+            raise cause
+        raise RecoveryExhaustedError(f"{message}: {cause!r}", contributions) from cause
+
+    def chunk_fault(index: int, error: BaseException) -> None:
+        stats.faults += 1
+        failures[index] += 1
+        logger.warning("chunk %d fault %d: %r", index, failures[index], error)
+        if failures[index] > policy.chunk_retry_budget:
+            give_up(f"chunk {index} failed {failures[index]} times", error)
+        backoff = policy.backoff(failures[index] - 1)
+        not_before[index] = time.monotonic() + backoff
+        stats.retries += 1
+        stats.recovery_seconds += backoff
+        queue.append(index)
+        logger.info(
+            "chunk %d retry %d of %d, not before %.3f s from now",
+            index, failures[index], policy.chunk_retry_budget, backoff,
+        )
+
+    def worker_lost(lost: WorkerLost) -> None:
+        nonlocal last_loss
+        last_loss = lost.error
+        stats.faults += 1
+        indices = [inflight.pop(handle) for handle in lost.handles if handle in inflight]
+        for handle in lost.handles:
+            deadlines.pop(handle, None)
+        logger.warning(
+            "%s worker lost (%r); chunks %s go back to the front of the queue",
+            transport.name, lost.error, indices,
+        )
+        if policy.mode == "fail-fast":
+            give_up("worker lost", lost.error)
+        stats.retries += len(indices)
+        queue.extendleft(reversed(indices))
+
+    def harvest(index: int, result: ChunkResult) -> None:
+        arrays, checksums, worker_stats = result
+        positions = [position for position, _ in chunks[index]]
+        if len(arrays) != len(positions) or not verify_payload(arrays, checksums):
+            chunk_fault(
+                index,
+                ChunkIntegrityError(
+                    f"chunk {index} failed its payload checksum; payload discarded"
+                ),
+            )
+            return
+        for position, array in zip(positions, arrays):
+            contributions[position] = array
+        stats.merge(worker_stats)
+        if checkpoint is not None:
+            checkpoint.record_chunk(positions, arrays)
+        if injector is not None:
+            # coordinator-side faults fire after the chunk's slots are
+            # durable — InjectedCoordinatorDeath is a BaseException, so no
+            # recovery path intercepts it
+            apply_coordinator_directive(injector.coordinator_directive_for_next_harvest())
+
+    while queue or inflight:
+        limit = transport.slots()
+        if limit == 0 and not inflight:
+            if not transport.rebuildable or rebuilds >= policy.pool_rebuild_budget:
+                give_up(
+                    f"no {transport.name} worker left ({rebuilds} rebuilds used, "
+                    f"{len(queue)} chunks unfinished)",
+                    last_loss,
+                )
+            rebuilds += 1
+            logger.info(
+                "rebuilding the %s transport (%d of %d)",
+                transport.name, rebuilds, policy.pool_rebuild_budget,
+            )
+            with RecoveryClock(stats):
+                time.sleep(policy.backoff(rebuilds - 1))
+                transport.rebuild()
+            continue
+
+        now = time.monotonic()
+        while queue and (limit is None or len(inflight) < limit):
+            index = next((i for i in queue if not_before.get(i, 0.0) <= now), None)
+            if index is None:
+                break
+            queue.remove(index)
+            not_before.pop(index, None)
+            directive = (
+                injector.directive_for_next_chunk()
+                if inject_workers and injector is not None
+                else None
+            )
+            try:
+                handle = transport.submit(
+                    index, chunks[index], directive, submissions[index] > 0
+                )
+            except WorkerLost as lost:
+                queue.appendleft(index)
+                worker_lost(lost)
+                limit = transport.slots()
+                continue
+            submissions[index] += 1
+            inflight[handle] = index
+        if not inflight:
+            if queue and limit != 0:
+                # every queued chunk is waiting out a backoff
+                time.sleep(max(0.0, min(not_before.values(), default=now) - now))
+            continue
+
+        # only queued retries are left in ``not_before``; one already due
+        # is waiting for a free worker, which a harvest will announce
+        pauses = [release - now for release in not_before.values() if release > now]
+        for handle, index in inflight.items() if timed else ():
+            if handle in deadlines:
+                pauses.append(deadlines[handle] - now)
+            elif transport.started(handle):
+                budget = policy.chunk_timeout(len(chunks[index]))
+                deadlines[handle] = now + budget
+                pauses.append(budget)
+            else:
+                pauses.append(_START_POLL_SECONDS)
+        timeout = max(0.0, min(pauses)) if pauses else None
+        for handle, outcome in transport.wait(list(inflight), timeout):
+            if isinstance(outcome, WorkerLost):
+                worker_lost(outcome)
+            elif handle in inflight:
+                index = inflight.pop(handle)
+                deadlines.pop(handle, None)
+                if isinstance(outcome, Exception):
+                    chunk_fault(index, outcome)
+                else:
+                    harvest(index, outcome)
+        now = time.monotonic()
+        for handle in [h for h, deadline in deadlines.items() if deadline <= now]:
+            if handle in inflight:
+                # the worker may be wedged mid-chunk; severing it is the
+                # only preemption a process (local or remote) allows
+                timed_out = ChunkTimeoutError(
+                    f"chunk {inflight[handle]} exceeded its timeout budget"
+                )
+                worker_lost(WorkerLost(timed_out, transport.sever(handle)))

@@ -39,7 +39,6 @@ from ..tensornet.simplify import simplify_network
 from .backend import (
     ExecutionBackend,
     NullExecutionSession,
-    resolve_backend,
     validate_execution_args,
 )
 from .contract import TreeExecutor
@@ -176,11 +175,6 @@ class CorrelatedSampler:
         ``"compiled"`` (default) contracts batches through the compiled
         plan with slice-invariant caching; ``"reference"`` uses the einsum
         walker (useful for cross-checking).
-    max_workers:
-        Deprecated shim: any non-``None`` value warns once (at
-        construction) and resolves through
-        :func:`~repro.execution.backend.resolve_backend` (> 1 maps to a
-        thread pool).  Mutually exclusive with ``backend``.
     backend:
         Optional :class:`~repro.execution.backend.ExecutionBackend` for
         batch execution (sliced runs and the single contraction of an
@@ -230,7 +224,6 @@ class CorrelatedSampler:
         max_trials: int = 8,
         seed: Optional[int] = None,
         executor_mode: str = "compiled",
-        max_workers: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
         fault_policy: Optional["FaultPolicy"] = None,
         fault_injector: Optional["FaultInjector"] = None,
@@ -245,13 +238,8 @@ class CorrelatedSampler:
         self.target_rank = target_rank
         self.max_trials = int(max_trials)
         self.seed = seed
-        validate_execution_args(executor_mode, backend=backend, max_workers=max_workers)
+        validate_execution_args(executor_mode, backend=backend)
         self.executor_mode = executor_mode
-        self.max_workers = max_workers
-        if max_workers is not None:
-            # resolve the legacy shim eagerly so the DeprecationWarning
-            # fires exactly once, here, instead of once per compute_batch
-            backend = resolve_backend(backend, max_workers)
         self.backend = backend
         if (fault_policy is not None or fault_injector is not None) and backend is None:
             raise ValueError("fault_policy/fault_injector require a backend")
@@ -385,9 +373,7 @@ class CorrelatedSampler:
                 resident.network.replace_tensor(tid, network.tensor(tid))
         executor = resident.executors.get(slicing)
         if executor is None:
-            # max_workers was already resolved into self.backend at
-            # construction, so only the backend is forwarded here; the
-            # fault policy/injector stay scoped to this sampler's runs
+            # the fault policy/injector stay scoped to this sampler's runs
             executor = SlicedExecutor(
                 resident.network,
                 resident.tree,

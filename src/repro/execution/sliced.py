@@ -129,9 +129,6 @@ class SlicedExecutor:
         enabled the per-subtask (non-batched) plan and its invariant cache
         are compiled lazily, on first :meth:`run_subtask` or subset
         :meth:`run` — pure batched workloads never pay for them.
-    max_workers:
-        Deprecated shim: ``max_workers=N`` (N > 1) is equivalent to
-        ``backend=ThreadPoolBackend(max_workers=N)``.
     backend:
         The :class:`~repro.execution.backend.ExecutionBackend` that
         schedules the subtasks (default :class:`SerialBackend`).  Compiled
@@ -221,7 +218,6 @@ class SlicedExecutor:
         mode: str = "compiled",
         cache_invariant: bool = True,
         batch_index: Optional[str] = None,
-        max_workers: Optional[int] = None,
         batch_indices: Union[str, Sequence[str], None] = None,
         backend: Optional[ExecutionBackend] = None,
         cost_model: Optional["CostModel"] = None,
@@ -243,17 +239,14 @@ class SlicedExecutor:
             raise ValueError(f"sliced indices {bad} are not inner indices of the network")
         self._array_module = resolve_array_module(array_module)
         validate_execution_args(
-            mode,
-            backend=backend,
-            max_workers=max_workers,
-            array_module=self._array_module,
+            mode, backend=backend, array_module=self._array_module
         )
         self.mode = mode
         self._sizes = {ix: network.size_of(ix) for ix in self.sliced}
         self._dtype = np.dtype(dtype) if dtype is not None else None
         self._cache_invariant = bool(cache_invariant)
         self._backend = (
-            resolve_backend(backend, max_workers, array_module=self._array_module)
+            resolve_backend(backend, array_module=self._array_module)
             if mode == "compiled"
             else None
         )

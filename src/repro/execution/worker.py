@@ -38,16 +38,16 @@ import pickle
 import socket
 import sys
 import traceback
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..tensornet.tensor import Tensor
-from .backend import _LeafStore, _owned_contribution
-from .checkpoint import payload_checksums
+from .backend import _LeafStore, execute_chunk
 from .distributed import TransportClosed, TransportError, recv_frame, send_frame
-from .faultinject import apply_directive, corrupt_payload
-from .plan import CompiledPlan, PlanStats, StemSlots
+from .faultinject import Directive, apply_directive, corrupt_payload
+from .plan import CompiledPlan, StemSlots
+from .resilience import Chunk, ChunkResult
 
 __all__ = ["WorkerRuntime", "main", "serve"]
 
@@ -96,8 +96,11 @@ class WorkerRuntime:
         chunk_id: int,
         plan_generation: int,
         data_generation: int,
-        items: List[Tuple[int, Mapping[str, int]]],
-    ) -> Tuple[List[np.ndarray], List[int], PlanStats]:
+        items: Chunk,
+        directive: Optional[Directive] = None,
+    ) -> ChunkResult:
+        """Apply ``directive``, execute the chunk, corrupt it if so directed."""
+        apply_directive(directive)
         if self.plan is None or plan_generation != self.plan_generation:
             raise RuntimeError(
                 f"worker holds plan generation {self.plan_generation}, "
@@ -108,21 +111,23 @@ class WorkerRuntime:
                 f"worker holds data generation {self.data_generation}, "
                 f"chunk {chunk_id} needs {data_generation}"
             )
-        local_stats = PlanStats()
-        results: List[np.ndarray] = []
-        for _, assignment in items:
-            tensor = self.plan.execute(
-                self.network,  # type: ignore[arg-type]
-                assignment,
-                cache=self.cache,
-                stats=local_stats,
-                slots=self.slots,
-            )
-            results.append(_owned_contribution(tensor, self.sum_batch_axes))
-        # per-contribution CRC-32s travel with the results so the
-        # coordinator can verify the payload survived the wire intact
-        # (see repro.execution.checkpoint.verify_payload)
-        return results, payload_checksums(results), local_stats
+        result = execute_chunk(
+            self.plan, self.network, self.cache, self.slots, self.sum_batch_axes, items
+        )
+        # injected payload corruption happens after checksumming, so the
+        # coordinator's verification must catch it
+        corrupt_payload(directive, result[0])
+        return result
+
+    def reply(self, payload: Tuple) -> Tuple[str, Tuple]:
+        """The frame answering one ``chunk`` frame's payload."""
+        try:
+            results, checksums, local_stats = self.run_chunk(*payload)
+        except Exception as exc:
+            # the original exception class may not unpickle on the
+            # coordinator — ship repr + traceback text instead
+            return "error", (payload[0], repr(exc), traceback.format_exc())
+        return "result", (payload[0], results, checksums, local_stats)
 
 
 def serve(sock: socket.socket) -> None:
@@ -143,7 +148,7 @@ def serve(sock: socket.socket) -> None:
         elif kind == "data":
             runtime.install_data(*payload)
         elif kind == "chunk":
-            chunk_id, plan_generation, data_generation, items, directive = payload
+            directive = payload[4]
             if directive is not None and directive[0] == "drop-connection":
                 # model a cut link, not a clean error reply: sever the
                 # socket first so the coordinator sees EOF mid-chunk,
@@ -154,20 +159,7 @@ def serve(sock: socket.socket) -> None:
                     pass
                 sock.close()
                 os._exit(1)
-            try:
-                apply_directive(directive)
-                results, checksums, local_stats = runtime.run_chunk(
-                    chunk_id, plan_generation, data_generation, items
-                )
-                # injected payload corruption happens after checksumming,
-                # so the coordinator's verification must catch it
-                corrupt_payload(directive, results)
-            except Exception as exc:
-                # the original exception class may not unpickle on the
-                # coordinator — ship repr + traceback text instead
-                reply = ("error", (chunk_id, repr(exc), traceback.format_exc()))
-            else:
-                reply = ("result", (chunk_id, results, checksums, local_stats))
+            reply = runtime.reply(payload)
             try:
                 send_frame(sock, reply)
             except TransportClosed:
@@ -229,25 +221,7 @@ def _serve_mpi() -> None:  # pragma: no cover - requires an MPI stack
         elif kind == "data":
             runtime.install_data(*payload)
         elif kind == "chunk":
-            chunk_id, plan_generation, data_generation, items, directive = payload
-            try:
-                apply_directive(directive)
-                results, checksums, local_stats = runtime.run_chunk(
-                    chunk_id, plan_generation, data_generation, items
-                )
-                corrupt_payload(directive, results)
-            except Exception as exc:
-                comm.send(
-                    ("error", (chunk_id, repr(exc), traceback.format_exc())),
-                    dest=0,
-                    tag=tag,
-                )
-            else:
-                comm.send(
-                    ("result", (chunk_id, results, checksums, local_stats)),
-                    dest=0,
-                    tag=tag,
-                )
+            comm.send(runtime.reply(payload), dest=0, tag=tag)
 
 
 def main(argv: Optional[List[str]] = None) -> None:

@@ -298,18 +298,6 @@ class TestValidationSymmetry:
             callable_()
         return str(err.value)
 
-    def test_max_workers_rejected_identically(self, case):
-        tn, tree, _ = case
-        circ = random_brickwork_circuit(4, 2, seed=0)
-        sliced = sorted(tn.inner_indices())[:1]
-        executor_msg = self._message(
-            lambda: SlicedExecutor(tn, tree, sliced, mode="reference", max_workers=2)
-        )
-        sampler_msg = self._message(
-            lambda: CorrelatedSampler(circ, [0], executor_mode="reference", max_workers=2)
-        )
-        assert executor_msg == sampler_msg
-
     def test_backend_rejected_identically(self, case):
         tn, tree, _ = case
         circ = random_brickwork_circuit(4, 2, seed=0)
@@ -336,119 +324,17 @@ class TestValidationSymmetry:
         )
         assert executor_msg == sampler_msg
 
-    def test_backend_and_max_workers_mutually_exclusive(self, case):
-        tn, tree, _ = case
-        circ = random_brickwork_circuit(4, 2, seed=0)
-        sliced = sorted(tn.inner_indices())[:1]
-        with pytest.raises(ValueError):
-            resolve_backend(SerialBackend(), max_workers=2)
-        # both constructor entry points fail fast, with the same error
-        executor_msg = self._message(
-            lambda: SlicedExecutor(
-                tn, tree, sliced, backend=SerialBackend(), max_workers=2
-            )
-        )
-        sampler_msg = self._message(
-            lambda: CorrelatedSampler(circ, [0], backend=SerialBackend(), max_workers=2)
-        )
-        assert executor_msg == sampler_msg
-
-    def test_max_workers_shim_resolves_to_thread_pool(self):
-        with pytest.warns(DeprecationWarning):
-            backend = resolve_backend(max_workers=4)
-        assert isinstance(backend, ThreadPoolBackend)
-        assert backend.max_workers == 4
-        assert isinstance(resolve_backend(), SerialBackend)
-
-    @pytest.mark.parametrize("max_workers", [0, 1])
-    def test_low_max_workers_still_warns_and_maps_to_serial(self, max_workers):
-        # the shim is deprecated for *any* value, including the ones that
-        # resolve to the serial backend
-        with pytest.warns(DeprecationWarning):
-            backend = resolve_backend(max_workers=max_workers)
-        assert isinstance(backend, SerialBackend)
-
-    @pytest.mark.parametrize("max_workers", [0, 1, 2])
-    def test_both_passed_rejected_for_any_value(self, max_workers):
-        # the conflict check is on presence, not truthiness: max_workers=0
-        # must not slip past it
-        with pytest.raises(ValueError):
-            resolve_backend(SerialBackend(), max_workers=max_workers)
-        with pytest.raises(ValueError):
-            validate_execution_args(
-                "compiled", backend=SerialBackend(), max_workers=max_workers
-            )
-
-    def test_reference_mode_rejects_max_workers_zero(self):
-        with pytest.raises(ValueError):
-            validate_execution_args("reference", max_workers=0)
-
     def test_validate_accepts_compiled_combinations(self):
-        validate_execution_args("compiled", backend=SerialBackend(), max_workers=None)
-        validate_execution_args("compiled", backend=None, max_workers=4)
+        validate_execution_args("compiled", backend=SerialBackend())
+        validate_execution_args("compiled", backend=None)
         validate_execution_args("reference")
+        assert isinstance(resolve_backend(), SerialBackend)
 
     def test_pool_parameter_validation(self):
         with pytest.raises(ValueError):
             ThreadPoolBackend(max_workers=0)
         with pytest.raises(ValueError):
             SharedMemoryProcessPoolBackend(max_workers=2, chunk_size=0)
-
-
-class TestMaxWorkersShimWarnsOnce:
-    """Every legacy entry point emits exactly one DeprecationWarning."""
-
-    def _deprecations(self, callable_):
-        import warnings as _warnings
-
-        with _warnings.catch_warnings(record=True) as records:
-            _warnings.simplefilter("always")
-            callable_()
-        return [
-            record
-            for record in records
-            if issubclass(record.category, DeprecationWarning)
-        ]
-
-    def test_sliced_executor(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:2]
-        records = self._deprecations(
-            lambda: SlicedExecutor(tn, tree, sliced, max_workers=2).amplitude()
-        )
-        assert len(records) == 1
-
-    def test_tree_executor(self, case):
-        tn, tree, reference = case
-        records = self._deprecations(
-            lambda: TreeExecutor(max_workers=2).amplitude(tn, tree)
-        )
-        assert len(records) == 1
-        with pytest.warns(DeprecationWarning):
-            assert TreeExecutor(max_workers=2).amplitude(tn, tree) == pytest.approx(
-                reference, abs=1e-9
-            )
-
-    def test_contract_tree(self, case):
-        tn, tree, reference = case
-        records = self._deprecations(lambda: contract_tree(tn, tree, max_workers=2))
-        assert len(records) == 1
-        with pytest.warns(DeprecationWarning):
-            value = complex(contract_tree(tn, tree, max_workers=2).require_data())
-        assert value == pytest.approx(reference, abs=1e-9)
-
-    def test_correlated_sampler(self):
-        circ = random_brickwork_circuit(6, 4, seed=21)
-        kwargs = dict(open_qubits=(1, 4), target_rank=4, max_trials=4, seed=2)
-
-        def build_and_compute():
-            # the warning fires at construction, once — not once per batch
-            sampler = CorrelatedSampler(circ, max_workers=2, **kwargs)
-            sampler.compute_batch((1, 0, 0, 1, 0, 1))
-            sampler.compute_batch((0, 1, 1, 0, 1, 0))
-
-        records = self._deprecations(build_and_compute)
-        assert len(records) == 1
 
 
 class TestAutoBatchPick:

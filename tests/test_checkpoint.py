@@ -81,6 +81,8 @@ def _backend(kind):
         # fingerprint, so keeping it None lets one ledger resume across
         # all three backends
         return SharedMemoryProcessPoolBackend(WORKERS)
+    if kind == "distributed":
+        return DistributedBackend(num_workers=WORKERS)
     raise AssertionError(kind)
 
 
@@ -672,3 +674,41 @@ class TestCoordinatorCrashEndToEnd:
         assert resumed.amplitude(resume=store) == serial_value
         assert resumed.stats.resumed_slots >= 1
         assert store.jobs() == []
+
+
+# ----------------------------------------------------------------------
+# Degradation goes through the one harvest path: its slots are durable
+# ----------------------------------------------------------------------
+class TestDegradedSlotsReachTheLedger:
+    @pytest.mark.parametrize(
+        "kind",
+        ["threads", "pool", pytest.param("distributed", marks=pytest.mark.distributed)],
+    )
+    def test_degraded_run_records_every_slot(self, case, serial_value, tmp_path, kind):
+        """A persistently failing backend finishes on the degradation
+        chain; every slot — the degraded ones included — was written
+        ahead to the ledger before the fold."""
+        tn, tree = case
+        backend = _backend(kind)
+        executor = SlicedExecutor(
+            tn,
+            tree,
+            _sliced(tn),
+            backend=backend,
+            fault_policy=FaultPolicy.degrading(
+                max_retries=1, backoff_seconds=0.0, degradation_chain=("serial",)
+            ),
+            fault_injector=FaultInjector(
+                [FaultSpec("poison-pickle", chunk=0, times=1000)]
+            ),
+        )
+        try:
+            value = executor.amplitude(resume=CheckpointStore(tmp_path / "store"))
+        finally:
+            backend.close()
+        assert value == serial_value
+        assert executor.stats.degraded_to == "serial"
+        assert (
+            executor.stats.checkpointed_slots + executor.stats.resumed_slots
+            == executor.num_subtasks
+        )

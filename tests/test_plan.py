@@ -24,6 +24,7 @@ from repro.execution import (
     PlanError,
     PlanStats,
     SlicedExecutor,
+    ThreadPoolBackend,
     TreeExecutor,
     compile_plan,
 )
@@ -86,8 +87,8 @@ class TestCompiledPlanEquivalence:
             dict(batch_index=sliced[0]),
             dict(batch_indices=sliced[:2]),
             dict(batch_indices=tuple(sliced)),
-            dict(max_workers=2),
-            dict(batch_index="auto", max_workers=2),
+            dict(backend=ThreadPoolBackend(max_workers=2)),
+            dict(batch_index="auto", backend=ThreadPoolBackend(max_workers=2)),
         ):
             executor = SlicedExecutor(tn, tree, sliced, **kwargs)
             assert executor.amplitude() == pytest.approx(reference, abs=1e-9), kwargs
@@ -411,7 +412,11 @@ class TestPlanValidation:
         tn, tree, _ = case
         with pytest.raises(ValueError):
             SlicedExecutor(
-                tn, tree, sorted(tn.inner_indices())[:1], mode="reference", max_workers=2
+                tn,
+                tree,
+                sorted(tn.inner_indices())[:1],
+                mode="reference",
+                backend=ThreadPoolBackend(max_workers=2),
             )
 
     def test_sliced_executor_drops_cache_on_data_only_mutation(self, case):
@@ -470,4 +475,9 @@ class TestPlanValidation:
 
         circ = random_brickwork_circuit(4, 2, seed=0)
         with pytest.raises(ValueError):
-            CorrelatedSampler(circ, [0], executor_mode="reference", max_workers=4)
+            CorrelatedSampler(
+                circ,
+                [0],
+                executor_mode="reference",
+                backend=ThreadPoolBackend(max_workers=4),
+            )
