@@ -41,14 +41,12 @@ during the timed runs) are emitted under the JSON point's
 every CI run produces (and validates) a real input for the calibrated
 cost model.
 
-``test_tape_engine_matrix`` compares the three compiled engines —
-stepwise, fused with the Python tape walker, fused with the numba-JIT
-native tape kernel — on one workload, pins their bit-identity, audits
-the batched plan's fusion coverage structurally (fraction of
-slot-carrying GEMM steps inside fused runs, batched-GEMM ops present)
-and, where numba is installed, gates the native kernel's steady-state
-speedups.  Results land in ``BENCH_exec_plan.json["fused_engines"]``
-plus an appended trajectory point in ``BENCH_fused_tape.json``.
+``test_tape_engine_matrix`` compares the two compiled engines — the
+Python walker and the numba-JIT native tape kernel (``fused=True``) — on
+one workload, pins their bit-identity (batched plan included) and, where
+numba is installed, gates the native kernel's steady-state speedup.
+Results land in ``BENCH_exec_plan.json["fused_engines"]`` plus an
+appended trajectory point in ``BENCH_fused_tape.json``.
 
 Set ``REPRO_BENCH_QUICK=1`` (the CI default) for a smaller workload and a
 single repeat; set ``REPRO_BENCH_GATED=1`` (the CI numba leg) to size the
@@ -93,11 +91,6 @@ EXEC_RANK_DROP = int(os.environ.get("REPRO_BENCH_EXEC_RANK_DROP", "5" if QUICK e
 EXEC_REPEATS = int(os.environ.get("REPRO_BENCH_EXEC_REPEATS", "1" if QUICK else "3"))
 EXEC_WORKERS = int(os.environ.get("REPRO_BENCH_EXEC_WORKERS", str(min(4, os.cpu_count() or 1))))
 EXEC_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_EXEC_MIN_SPEEDUP", "2.0" if QUICK else "5.0"))
-#: Interleaved best-of-N repeats of the steady-state fused-vs-stepwise pair.
-FUSED_REPEATS = int(os.environ.get("REPRO_BENCH_FUSED_REPEATS", "9"))
-#: The fused regression guard: steady-state fused must beat stepwise by this.
-FUSED_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_FUSED_MIN_SPEEDUP", "1.0"))
-
 #: Gated mode: a larger-than-quick workload for the tape-engine matrix,
 #: sized so the native-vs-python kernel gap is measurable above dispatch
 #: noise.  Off by default (the quick workload still runs the matrix and
@@ -109,16 +102,10 @@ TAPE_CYCLES = int(os.environ.get("REPRO_BENCH_TAPE_CYCLES", "10" if GATED else s
 TAPE_RANK_DROP = int(
     os.environ.get("REPRO_BENCH_TAPE_RANK_DROP", "6" if GATED else str(EXEC_RANK_DROP))
 )
-#: Interleaved best-of-N repeats of the three-engine steady-state sweep.
+#: Interleaved best-of-N repeats of the two-engine steady-state sweep.
 TAPE_REPEATS = int(os.environ.get("REPRO_BENCH_TAPE_REPEATS", "7"))
-#: Native-engine speed gates (enforced only where numba is installed).
+#: Native-engine speed gate (enforced only where numba is installed).
 NATIVE_MIN_VS_PYTHON = float(os.environ.get("REPRO_BENCH_NATIVE_MIN_VS_PYTHON", "1.3"))
-NATIVE_MIN_VS_STEPWISE = float(os.environ.get("REPRO_BENCH_NATIVE_MIN_VS_STEPWISE", "1.5"))
-#: Structural gate: fraction of slot-carrying GEMM steps the fusion pass
-#: must place inside fused runs on the batched plan.
-BATCHED_FUSED_MIN_FRACTION = float(
-    os.environ.get("REPRO_BENCH_BATCHED_FUSED_MIN_FRACTION", "0.8")
-)
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +148,7 @@ def test_exec_plan_speedup(exec_workload, record_result):
         "reference": lambda: SlicedExecutor(network, tree, sliced, mode="reference"),
         "compiled": lambda: SlicedExecutor(network, tree, sliced, cache_invariant=False),
         "cached": lambda: SlicedExecutor(network, tree, sliced),
-        "fused": lambda: SlicedExecutor(network, tree, sliced, fused=True),
-        "batched": lambda: SlicedExecutor(network, tree, sliced, batch_index="auto"),
+        "batched": lambda: SlicedExecutor(network, tree, sliced, batch_indices="auto"),
         "threads": lambda: SlicedExecutor(
             network, tree, sliced, backend=ThreadPoolBackend(max_workers=EXEC_WORKERS)
         ),
@@ -187,9 +173,6 @@ def test_exec_plan_speedup(exec_workload, record_result):
     # every backend follows the ordered-accumulation contract
     assert values["threads"] == values["cached"]
     assert values["pooled"] == values["cached"]
-    # fused execution is bit-identical to the step-by-step path
-    assert values["fused"] == values["cached"]
-    assert executors["fused"].stats.fused_steps > 0, "fusion must engage"
 
     num_subtasks = executors["reference"].num_subtasks
     assert num_subtasks >= 16, "workload must have at least 16 subtasks"
@@ -266,74 +249,10 @@ def test_exec_plan_speedup(exec_workload, record_result):
         "invariant_contracted_exactly_once": True,
     }
 
-    # steady-state fused-vs-stepwise: the amortized regime of the paper —
-    # one compiled plan serves every subtask sweep, so compile cost is out
-    # of the picture and the fused kernels' per-step savings are what is
-    # measured.  Interleaved best-of-N so machine drift hits both sides
-    # equally; this ratio is what the CI regression guard gates.
-    stepwise_executor = executors["cached"]
-    fused_executor = executors["fused"]
-
-    def measure_steady(repeats):
-        best = {"stepwise": float("inf"), "fused": float("inf")}
-        for _ in range(repeats):
-            for name, executor in (
-                ("stepwise", stepwise_executor),
-                ("fused", fused_executor),
-            ):
-                start = time.perf_counter()
-                executor.run()
-                best[name] = min(best[name], time.perf_counter() - start)
-        return best
-
-    steady = measure_steady(FUSED_REPEATS)
-    if steady["stepwise"] / steady["fused"] <= FUSED_MIN_SPEEDUP:
-        # a noise spike can dent one interleaved best-of-N pass; give the
-        # guard one deeper re-measurement before declaring a regression
-        steady = measure_steady(2 * FUSED_REPEATS)
-    fused_vs_stepwise = steady["stepwise"] / steady["fused"]
-    fused_plan = fused_executor.plan
-    fused_runs = fused_plan.fused_runs_cached or fused_plan.fused_runs
-    point["fused"] = {
-        "build_included_seconds": seconds["fused"],
-        "steady_state_stepwise_seconds": steady["stepwise"],
-        "steady_state_fused_seconds": steady["fused"],
-        "fused_vs_stepwise": fused_vs_stepwise,
-        "min_speedup": FUSED_MIN_SPEEDUP,
-        "runs": [
-            {
-                "steps": run.num_steps,
-                "kept_rank": run.kept_rank,
-                "gathers_skipped": run.gathers_skipped,
-            }
-            for run in fused_runs
-        ],
-        "fused_kernel_seconds": fused_executor.stats.stage_seconds.get(
-            "fused_kernel", 0.0
-        ),
-        "bit_identical": True,
-    }
-    fused_rows = [
-        {"schedule": "stepwise (steady state)", "seconds": steady["stepwise"]},
-        {"schedule": "fused (steady state)", "seconds": steady["fused"]},
-        {"schedule": "fused-vs-stepwise speedup", "seconds": fused_vs_stepwise},
-    ]
-    record_result(
-        "exec_plan_fused",
-        format_table(
-            fused_rows,
-            title=(
-                f"EXEC_FUSED: §5 fused sub-paths vs step-by-step, "
-                f"{sum(r.num_steps for r in fused_runs)} fused GEMMs/subtask "
-                "(paper: no per-step main-memory round-trip)"
-            ),
-            precision=4,
-        ),
-    )
     # per-backend measured timings → the calibrated cost model's input.
-    # The stats of each executor cover its best-timed full run plus the
-    # steady-state sweeps above — all cache-warm per-subtask samples of
-    # the same workload, plus per-stage wall times.
+    # The stats of each executor cover its best-timed full run — all
+    # cache-warm per-subtask samples of the same workload, plus per-stage
+    # wall times.
     point["calibration"] = calibration_payload(
         {
             "serial": executors["cached"].stats,
@@ -351,13 +270,6 @@ def test_exec_plan_speedup(exec_workload, record_result):
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_exec_plan.json").write_text(json.dumps(point, indent=2) + "\n")
-
-    # gate last, *after* the JSON landed: a noise flake then fails with
-    # the real message and the measured data intact for the CI guards
-    assert fused_vs_stepwise > FUSED_MIN_SPEEDUP, (
-        f"fused execution is {fused_vs_stepwise:.3f}x the step-by-step path "
-        f"(regression guard requires > {FUSED_MIN_SPEEDUP})"
-    )
 
 
 def test_exec_session_reuse(exec_workload, record_result):
@@ -752,19 +664,14 @@ def tape_workload(exec_workload):
 
 
 def test_tape_engine_matrix(tape_workload, record_result):
-    """Stepwise vs fused-python vs fused-native on the same sliced workload.
+    """The Python walker vs the native tape kernel on one sliced workload.
 
-    The three engines must be bit-identical; where numba is installed the
-    native tape kernel must additionally clear the speed gates
-    (``NATIVE_MIN_VS_PYTHON`` over the fused Python walker,
-    ``NATIVE_MIN_VS_STEPWISE`` over the step-by-step path) — enforced
-    both here and by ``benchmarks/check_fused_regression.py`` in CI.
-    Without numba the native row silently resolves to the Python walker
-    and only the structural gates apply.  A batched fused plan is
-    additionally audited structurally: at least
-    ``BATCHED_FUSED_MIN_FRACTION`` of its slot-carrying GEMM steps must
-    sit inside fused runs, with at least one batched-GEMM (``bmm``) op
-    among them.  Results land in
+    The engines must be bit-identical, on the plain and on the batched
+    plan; where numba is installed the native kernel must additionally
+    clear the speed gate (``NATIVE_MIN_VS_PYTHON``) — enforced both here
+    and by ``benchmarks/check_fused_regression.py`` in CI.  Without numba
+    ``fused=True`` resolves to the walker, the two rows time the same
+    code, and nothing is gated.  Results land in
     ``BENCH_exec_plan.json["fused_engines"]`` plus a trajectory point in
     ``BENCH_fused_tape.json``.
     """
@@ -774,24 +681,27 @@ def test_tape_engine_matrix(tape_workload, record_result):
     native = native_available()
 
     engines = {
-        "stepwise": SlicedExecutor(network, tree, sliced),
-        "fused-python": SlicedExecutor(
-            network, tree, sliced, fused=True, tape_engine="python"
-        ),
-        "fused-native": SlicedExecutor(
-            network, tree, sliced, fused=True, tape_engine="auto"
-        ),
+        "walker": SlicedExecutor(network, tree, sliced),
+        "native": SlicedExecutor(network, tree, sliced, fused=True),
     }
-    # warm every engine (plan compile + JIT where applicable) and pin the
+    # warm both engines (plan compile + JIT where applicable) and pin the
     # bit-identity contract before any timing
     values = {name: executor.amplitude() for name, executor in engines.items()}
-    assert values["fused-python"] == values["stepwise"]
-    assert values["fused-native"] == values["stepwise"]
-    resolved = engines["fused-native"].tape_engine
+    assert values["native"] == values["walker"]
+    resolved = engines["native"].tape_engine
     assert resolved == ("native" if native else "python")
-    assert engines["fused-python"].tape_engine == "python"
-    if native:
-        assert engines["fused-native"].stats.tape_engine == "native"
+    assert engines["native"].stats.tape_engine == resolved
+    if not native:
+        assert engines["native"].stats.fusion_breaks, "the fallback must say why"
+    batched = {
+        name: SlicedExecutor(
+            network, tree, sliced, fused=fused, batch_indices="auto"
+        ).amplitude()
+        for name, fused in (("walker", False), ("native", True))
+    }
+    assert batched["native"] == batched["walker"]
+    # batched sweeps accumulate in a different order: approx, not bitwise
+    assert batched["walker"] == pytest.approx(values["walker"], abs=1e-8)
 
     def measure_steady(repeats):
         best = {name: float("inf") for name in engines}
@@ -803,42 +713,13 @@ def test_tape_engine_matrix(tape_workload, record_result):
         return best
 
     steady = measure_steady(TAPE_REPEATS)
-    if native and (
-        steady["fused-python"] / steady["fused-native"] <= NATIVE_MIN_VS_PYTHON
-        or steady["stepwise"] / steady["fused-native"] <= NATIVE_MIN_VS_STEPWISE
-    ):
-        # one deeper pass before the gates judge a possible noise spike
+    if native and steady["walker"] / steady["native"] <= NATIVE_MIN_VS_PYTHON:
+        # one deeper pass before the gate judges a possible noise spike
         steady = measure_steady(2 * TAPE_REPEATS)
-    native_vs_python = steady["fused-python"] / steady["fused-native"]
-    native_vs_stepwise = steady["stepwise"] / steady["fused-native"]
+    native_vs_python = steady["walker"] / steady["native"]
 
-    # the batched plan, audited structurally (no numba needed): every
-    # slot-carrying step with a GEMM layout is a fusion candidate; the
-    # bmm extension is what lets the batch sweep's steps join the runs
-    batched = SlicedExecutor(
-        network, tree, sliced, fused=True, batch_indices="auto", tape_engine="python"
-    )
-    batched_value = batched.amplitude()
-    # batched sweeps accumulate in a different order: approx, not bitwise
-    assert batched_value == pytest.approx(values["stepwise"], abs=1e-8)
-    bplan = batched.batched_plan
-    candidates = [
-        step
-        for step in bplan.contract_steps
-        if step.slot is not None
-        and (step.td_mkn is not None or step.bmm_lhs_shape is not None)
-    ]
-    fused_steps = sum(run.num_steps for run in bplan.fused_runs)
-    fused_fraction = fused_steps / max(len(candidates), 1)
-    bmm_fused_ops = sum(
-        1 for run in bplan.fused_runs for entry in run.tape if entry[9]
-    )
-
-    rows = [
-        {"engine": name, "seconds": steady[name]} for name in engines
-    ] + [
-        {"engine": "native-vs-python speedup", "seconds": native_vs_python},
-        {"engine": "native-vs-stepwise speedup", "seconds": native_vs_stepwise},
+    rows = [{"engine": name, "seconds": steady[name]} for name in engines] + [
+        {"engine": "native-vs-walker speedup", "seconds": native_vs_python},
     ]
     record_result(
         "exec_plan_tape_engines",
@@ -847,8 +728,7 @@ def test_tape_engine_matrix(tape_workload, record_result):
             title=(
                 f"EXEC_TAPE: {TAPE_ROWS}x{TAPE_COLS} m={TAPE_CYCLES} grid RQC, "
                 f"tape_engine={resolved} (numba "
-                f"{'present' if native else 'absent: native row = python walker'}), "
-                f"batched fused coverage {fused_fraction:.0%}"
+                f"{'present' if native else 'absent: native row = walker'})"
             ),
             precision=4,
         ),
@@ -860,18 +740,8 @@ def test_tape_engine_matrix(tape_workload, record_result):
         "tape_engine": resolved,
         "steady_state_seconds": dict(steady),
         "native_vs_python": native_vs_python,
-        "native_vs_stepwise": native_vs_stepwise,
         "min_native_vs_python": NATIVE_MIN_VS_PYTHON,
-        "min_native_vs_stepwise": NATIVE_MIN_VS_STEPWISE,
         "bit_identical": True,
-        "batched": {
-            "batch_indices": list(batched.batch_indices),
-            "slot_gemm_steps": len(candidates),
-            "fused_steps": fused_steps,
-            "fused_fraction": fused_fraction,
-            "bmm_fused_ops": bmm_fused_ops,
-            "min_fraction": BATCHED_FUSED_MIN_FRACTION,
-        },
     }
 
     results_path = RESULTS_DIR / "BENCH_exec_plan.json"
@@ -881,7 +751,7 @@ def test_tape_engine_matrix(tape_workload, record_result):
     results_path.write_text(json.dumps(point, indent=2) + "\n")
 
     # perf trajectory: one appended point per run, so the native kernel's
-    # speedups are comparable across commits
+    # speedup is comparable across commits
     trajectory_path = RESULTS_DIR / "BENCH_fused_tape.json"
     history = (
         json.loads(trajectory_path.read_text()) if trajectory_path.exists() else []
@@ -901,122 +771,10 @@ def test_tape_engine_matrix(tape_workload, record_result):
     )
     trajectory_path.write_text(json.dumps(history, indent=2) + "\n")
 
-    # gate last, after both JSON files landed (same policy as the fused
-    # guard above): a flake fails with the data intact for CI triage
-    assert fused_fraction >= BATCHED_FUSED_MIN_FRACTION, (
-        f"fusion covers only {fused_fraction:.0%} of the batched plan's "
-        f"slot GEMM steps (need >= {BATCHED_FUSED_MIN_FRACTION:.0%})"
-    )
-    assert bmm_fused_ops > 0, "no batched-GEMM step landed inside a fused run"
+    # gate last, after both JSON files landed: a flake fails with the
+    # data intact for CI triage
     if native:
         assert native_vs_python > NATIVE_MIN_VS_PYTHON, (
-            f"native tape kernel is {native_vs_python:.3f}x the fused Python "
+            f"native tape kernel is {native_vs_python:.3f}x the Python "
             f"walker (gate: > {NATIVE_MIN_VS_PYTHON})"
         )
-        assert native_vs_stepwise > NATIVE_MIN_VS_STEPWISE, (
-            f"native tape kernel is {native_vs_stepwise:.3f}x the step-by-step "
-            f"path (gate: > {NATIVE_MIN_VS_STEPWISE})"
-        )
-
-
-#: Interleaved best-of-N repeats of the per-module steady-state sweep.
-MODULE_REPEATS = int(os.environ.get("REPRO_BENCH_MODULE_REPEATS", "5"))
-
-
-def test_module_matrix(exec_workload, record_result):
-    """The same sliced workload through every importable array module.
-
-    The numpy row is the seam's bit-identity anchor (its value must equal
-    the plain default executor exactly); torch/cupy rows run where the
-    module imports (the CI ``tests-torch`` leg installs CPU torch) and
-    are allclose-gated.  Steady-state per-module seconds, values and
-    per-module calibration samples land in
-    ``BENCH_exec_plan.json["modules"]`` so the calibrated cost model can
-    fit ``"<backend>+<engine>+<module>"`` coefficients from a CI run.
-    """
-    from repro.execution import resolve_array_module
-
-    network, tree, sliced = exec_workload
-    baseline = SlicedExecutor(network, tree, sliced, fused=True)
-    baseline_value = baseline.amplitude()
-
-    executors = {}
-    skipped = []
-    for name in ("numpy", "torch", "cupy"):
-        try:
-            module = resolve_array_module(name)
-        except ImportError:
-            skipped.append(name)
-            continue
-        executors[name] = SlicedExecutor(
-            network, tree, sliced, fused=True, array_module=module
-        )
-
-    values = {name: executor.amplitude() for name, executor in executors.items()}
-    # the numpy module IS the default path — bitwise, not approx
-    assert values["numpy"] == baseline_value
-    for name, value in values.items():
-        assert value == pytest.approx(baseline_value, abs=1e-8), name
-
-    def measure_steady(repeats):
-        best = {name: float("inf") for name in executors}
-        for _ in range(repeats):
-            for name, executor in executors.items():
-                start = time.perf_counter()
-                executor.run()
-                best[name] = min(best[name], time.perf_counter() - start)
-        return best
-
-    steady = measure_steady(MODULE_REPEATS)
-
-    rows = [{"module": name, "seconds": steady[name]} for name in executors]
-    record_result(
-        "exec_plan_modules",
-        format_table(
-            rows,
-            title=(
-                f"EXEC_MODULES: array-module seam, fused plan, serial backend "
-                f"(available: {', '.join(executors)}"
-                + (f"; absent: {', '.join(skipped)}" if skipped else "")
-                + ")"
-            ),
-            precision=4,
-        ),
-    )
-
-    section = {
-        "available": sorted(executors),
-        "skipped": sorted(skipped),
-        "steady_state_seconds": dict(steady),
-        "numpy_bit_identical": True,
-        "calibration": calibration_payload(
-            {
-                f"serial+{executor.tape_engine}+{name}": executor.stats
-                for name, executor in executors.items()
-            },
-            tree,
-            frozenset(sliced),
-        ),
-    }
-    # the per-module samples must round-trip through the fit: non-numpy
-    # rows land module-qualified keys, the numpy row keeps the plain one
-    model = CalibratedCostModel.from_bench_json(
-        {"calibration": section["calibration"]}
-    )
-    for name in executors:
-        expected = (
-            "serial"
-            if name == "numpy" and executors[name].tape_engine == "python"
-            else (
-                f"serial+{executors[name].tape_engine}"
-                if name == "numpy"
-                else f"serial+{executors[name].tape_engine}+{name}"
-            )
-        )
-        assert expected in model.backends, (expected, model.backends)
-
-    results_path = RESULTS_DIR / "BENCH_exec_plan.json"
-    point = json.loads(results_path.read_text()) if results_path.exists() else {}
-    point["modules"] = section
-    RESULTS_DIR.mkdir(exist_ok=True)
-    results_path.write_text(json.dumps(point, indent=2) + "\n")

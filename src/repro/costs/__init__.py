@@ -8,9 +8,6 @@ carry independent estimators:
 * the sliced executor's ``batch_indices="auto"`` becomes lifetime-aware
   group selection (:func:`select_batch_group`) against the model's memory
   target;
-* the fused executor's ``fused="auto"`` ranks candidate working-set caps
-  by predicted seconds (:func:`select_fusion_cap`), with a calibrated
-  model's per-step overhead charged per fused group;
 * the §6.2 scaling projections
   (:class:`~repro.execution.scaling.ProcessScheduler`,
   :func:`~repro.execution.scaling.strong_scaling` /
@@ -35,7 +32,6 @@ from .calibration import (
     CalibrationRecord,
     calibration_payload,
 )
-from .fusion import predicted_fused_seconds, rank_fusion_caps, select_fusion_cap
 from .model import AnalyticCostModel, CostModel, CostModelError
 
 __all__ = [
@@ -47,8 +43,5 @@ __all__ = [
     "CostModelError",
     "batched_peak_rank",
     "calibration_payload",
-    "predicted_fused_seconds",
-    "rank_fusion_caps",
     "select_batch_group",
-    "select_fusion_cap",
 ]

@@ -86,15 +86,6 @@ class CalibrationRecord:
         very different per-step dispatch costs, so each fits its own
         coefficient key (see :attr:`key`) instead of polluting one
         global per-step overhead.
-    array_module:
-        The execution substrate that produced the samples (``"numpy"``
-        the default, ``"torch"``, ``"cupy"``, ...).  Non-numpy modules
-        stage leaves/roots across the host boundary *inside* the timed
-        per-subtask window (leaf loads happen after ``execute`` starts
-        its timer), so their fitted coefficients absorb the transfer
-        seconds — which is exactly why each module fits its own
-        ``"<backend>+<engine>+<module>"`` key instead of polluting the
-        host coefficients.
     comms_seconds_per_subtask:
         Mean per-subtask communication overhead measured by the
         distributed coordinator (chunk round-trip wall time not covered
@@ -113,7 +104,6 @@ class CalibrationRecord:
     num_steps: int
     seconds: Tuple[float, ...]
     tape_engine: str = "python"
-    array_module: str = "numpy"
     comms_seconds_per_subtask: float = 0.0
     payload_bytes_per_subtask: float = 0.0
 
@@ -132,16 +122,10 @@ class CalibrationRecord:
     def key(self) -> str:
         """The coefficient key these samples fit.
 
-        The plain backend name for the Python walker on numpy (keeping
-        every pre-tape calibration artifact valid),
-        ``"<backend>+<engine>"`` for the native engine — e.g.
-        ``"serial+native"`` — and the full
-        ``"<backend>+<engine>+<module>"`` for non-numpy substrates —
-        e.g. ``"serial+python+torch"``.
+        The plain backend name for the Python walker (keeping every
+        pre-tape calibration artifact valid) and ``"<backend>+native"``
+        for the native engine — e.g. ``"serial+native"``.
         """
-        if self.array_module not in ("numpy", "", None):
-            engine = self.tape_engine or "python"
-            return f"{self.backend}+{engine}+{self.array_module}"
         if self.tape_engine in ("python", "", None):
             return self.backend
         return f"{self.backend}+{self.tape_engine}"
@@ -192,7 +176,6 @@ class CalibrationRecord:
             num_steps=num_steps,
             seconds=tuple(stats.subtask_seconds),
             tape_engine=getattr(stats, "tape_engine", None) or "python",
-            array_module=getattr(stats, "array_module", None) or "numpy",
             comms_seconds_per_subtask=comms_seconds / timed if timed else 0.0,
             payload_bytes_per_subtask=comms_bytes / timed if timed else 0.0,
         )
@@ -323,14 +306,10 @@ class CalibratedCostModel(CostModel):
         """
         name = backend if backend is not None else self.default_backend
         fitted = self.coefficients.get(name)
-        # progressive fallback for qualified keys: drop trailing
-        # components ("backend+engine+module" → "backend+engine" →
-        # "backend") until a fitted key matches — the plain backend
-        # coefficients are the closest measured substitute
-        probe = name
-        while fitted is None and "+" in probe:
-            probe = probe.rpartition("+")[0]
-            fitted = self.coefficients.get(probe)
+        if fitted is None:
+            # "backend+native" without a native fit: the plain backend
+            # coefficients are the closest measured substitute
+            fitted = self.coefficients.get(name.partition("+")[0])
         if fitted is None:
             if self.fallback is not None:
                 return self.fallback.subtask_seconds(tree, sliced, backend=backend)
@@ -410,13 +389,11 @@ class CalibratedCostModel(CostModel):
         for name, entry in backends.items():
             if not entry.get("subtask_seconds"):
                 continue
-            # keys may be engine- and module-qualified ("serial+native",
-            # "serial+python+torch"); the entry's own tape_engine /
-            # array_module fields win when both are present
-            parts = name.split("+")
-            base = parts[0]
-            key_engine = parts[1] if len(parts) > 1 else ""
-            key_module = parts[2] if len(parts) > 2 else ""
+            # keys may be engine-qualified ("serial+native"); the entry's
+            # own tape_engine field wins when both are present.  Entries
+            # written before the array-module seam was removed may carry
+            # an "array_module" field; it is ignored.
+            base, _, key_engine = name.partition("+")
             records.append(
                 CalibrationRecord(
                     backend=base,
@@ -424,7 +401,6 @@ class CalibratedCostModel(CostModel):
                     num_steps=num_steps,
                     seconds=tuple(entry["subtask_seconds"]),
                     tape_engine=entry.get("tape_engine") or key_engine or "python",
-                    array_module=entry.get("array_module") or key_module or "numpy",
                     comms_seconds_per_subtask=float(
                         entry.get("comms_seconds_per_subtask", 0.0)
                     ),
@@ -484,7 +460,6 @@ def calibration_payload(
             "subtask_seconds_count": int(timed),
             "stage_seconds": dict(stats.stage_seconds),
             "tape_engine": getattr(stats, "tape_engine", None) or "python",
-            "array_module": getattr(stats, "array_module", None) or "numpy",
             "comms_seconds_per_subtask": comms_seconds / timed if timed else 0.0,
             "payload_bytes_per_subtask": comms_bytes / timed if timed else 0.0,
         }

@@ -35,13 +35,7 @@ from __future__ import annotations
 import math
 from typing import AbstractSet, Optional, Tuple
 
-from ..hardware.spec import (
-    COMPLEX64_BYTES,
-    GENERIC_GPU,
-    SW26010PRO,
-    DeviceSpec,
-    SunwaySpec,
-)
+from ..hardware.spec import COMPLEX64_BYTES, SW26010PRO, SunwaySpec
 from ..tensornet.contraction_tree import ContractionTree
 from .batching import select_batch_group
 
@@ -225,16 +219,9 @@ class AnalyticCostModel(CostModel):
     time is modelled as the roofline maximum of the compute time (flops
     over the achievable GEMM rate) and the memory time (traffic over the
     DMA bandwidth), the same split §5.1 uses to argue TNC is bandwidth
-    bound for narrow GEMMs.  The backend argument is normally accepted for
+    bound for narrow GEMMs.  The backend argument is accepted for
     interface uniformity only — the analytic model describes the hardware,
-    not the scheduling substrate.  The one exception is a *module-qualified*
-    backend name (``"<backend>+<engine>+<module>"`` with a non-numpy third
-    component, the key shape :mod:`repro.costs.calibration` produces for
-    device array modules): those subtasks are priced against
-    ``device_spec``'s roofline plus the per-subtask host↔device staging
-    the seam's host-staging contract implies (every leaf uploaded, the
-    root downloaded — see :mod:`repro.execution.array_module`), so device
-    execution has a sensible prediction before any calibration exists.
+    not the scheduling substrate.
 
     Parameters
     ----------
@@ -244,10 +231,6 @@ class AnalyticCostModel(CostModel):
         Bytes per tensor element (single-precision complex by default).
     memory_target_rank:
         Optional memory target for :meth:`CostModel.select_batch_group`.
-    device_spec:
-        Accelerator description used when the backend name is qualified
-        with a non-numpy array module (defaults to
-        :data:`~repro.hardware.spec.GENERIC_GPU`).
     """
 
     def __init__(
@@ -255,12 +238,10 @@ class AnalyticCostModel(CostModel):
         spec: SunwaySpec = SW26010PRO,
         element_bytes: int = COMPLEX64_BYTES,
         memory_target_rank: Optional[int] = None,
-        device_spec: Optional[DeviceSpec] = None,
     ) -> None:
         super().__init__(memory_target_rank)
         self.spec = spec
         self.element_bytes = int(element_bytes)
-        self.device_spec = device_spec if device_spec is not None else GENERIC_GPU
 
     # ------------------------------------------------------------------
     @property
@@ -276,44 +257,6 @@ class AnalyticCostModel(CostModel):
     def _roofline_seconds(self, flops: float, traffic_bytes: float) -> float:
         """Roofline maximum of compute time and memory time."""
         return max(flops / self.peak_flops, traffic_bytes / self.memory_bandwidth)
-
-    def _device_roofline_seconds(self, flops: float, traffic_bytes: float) -> float:
-        """Roofline maximum on the accelerator described by ``device_spec``."""
-        return max(
-            flops / self.device_spec.effective_flops,
-            traffic_bytes / self.device_spec.hbm_bandwidth,
-        )
-
-    @staticmethod
-    def _module_of_backend(backend: Optional[str]) -> Optional[str]:
-        """The non-numpy array module a qualified backend name carries.
-
-        Calibration keys grow ``"+<engine>+<module>"`` components for
-        device modules (see :class:`~repro.costs.calibration
-        .CalibrationRecord`); a plain or engine-qualified name, or a
-        numpy-qualified one, means host execution and returns ``None``.
-        """
-        if not backend:
-            return None
-        parts = backend.split("+")
-        if len(parts) > 2 and parts[2] and parts[2] != "numpy":
-            return parts[2]
-        return None
-
-    def staging_seconds(
-        self, tree: ContractionTree, sliced: AbstractSet[str] = frozenset()
-    ) -> float:
-        """Per-subtask host↔device staging time under the seam's contract.
-
-        Every leaf tensor is uploaded (``from_host`` in ``_load_leaf``)
-        and the root is downloaded (``to_host``) once per subtask; all
-        intermediates stay device-resident.
-        """
-        sliced = frozenset(sliced)
-        elements = 2.0 ** tree.node_log2_size(tree.root, sliced)
-        for leaf in tree.leaves_under(tree.root):
-            elements += 2.0 ** tree.node_log2_size(leaf, sliced)
-        return self.device_spec.staging_seconds(self.element_bytes * elements)
 
     def step_seconds(self, log2_flops: float, log2_traffic_elements: float) -> float:
         """Roofline time of one contraction step.
@@ -336,10 +279,6 @@ class AnalyticCostModel(CostModel):
         backend: Optional[str] = None,
     ) -> float:
         sliced = frozenset(sliced)
-        on_device = self._module_of_backend(backend) is not None
-        step_seconds = (
-            self._device_roofline_seconds if on_device else self._roofline_seconds
-        )
         total = 0.0
         for node in tree.internal_nodes():
             a, b = tree.children(node)  # type: ignore[misc]
@@ -348,12 +287,10 @@ class AnalyticCostModel(CostModel):
                 + 2.0 ** tree.node_log2_size(b, sliced)
                 + 2.0 ** tree.node_log2_size(node, sliced)
             )
-            total += step_seconds(
+            total += self._roofline_seconds(
                 8.0 * 2.0 ** tree.node_log2_flops(node, sliced),
                 self.element_bytes * traffic,
             )
-        if on_device:
-            total += self.staging_seconds(tree, sliced)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -11,12 +11,14 @@ other (and, for small circuits, against the dense state-vector simulator):
   whole tree for every call.  Slow, obviously correct, never optimized —
   it is the oracle of the equivalence tests.
 * **Compiled path** (default) — :mod:`repro.execution.plan` compiles a
-  contraction tree once into a :class:`CompiledPlan` of per-step
-  ``tensordot`` axis pairs (with a precompiled einsum fallback for hyper
+  contraction tree once into a :class:`CompiledPlan`: one step list of
+  explicit GEMM layouts (with a precompiled einsum fallback for hyper
   indices), per-leaf slicing instructions, a lifetime-derived free/reuse
   schedule and a stem slot schedule (the stem's running tensor alternates
   between the two preallocated buffers of a :class:`StemSlots` arena).
-  On top of the plan, :class:`SlicedExecutor` adds
+  One Python walker executes that list everywhere — cache warming, cached
+  and uncached subtasks, with or without an arena.  On top of the plan,
+  :class:`SlicedExecutor` adds
 
   - *slice-invariant caching*: intermediates whose subtree no sliced
     edge's lifetime reaches are contracted once and shared across all
@@ -25,35 +27,19 @@ other (and, for small circuits, against the dense state-vector simulator):
     kept as leading batch axes and all of their value combinations execute
     in a single batched (BLAS ``matmul``) contraction, with the
     per-subtask plan compiled lazily so pure batched workloads skip it,
-  - *fused stem sub-paths* (``fused=True`` / ``"auto"``): the §5
-    secondary-slicing schedule executed for real by
-    :mod:`repro.execution.fusion` — consecutive stem GEMMs run as
-    :class:`FusedRun` groups whose intermediates stay in the
-    :class:`StemSlots` arena, with operand permutations precompiled via
-    the §5.3.1 reduced maps (identity permutations skipped, others a
-    single gather into reused scratch) and group boundaries set by a
-    cost-model-ranked working-set cap
-    (:func:`repro.costs.fusion.select_fusion_cap`).  Bit-identical to the
-    step-by-step path on every backend; fused plans ship through sessions
-    and the process pool unchanged,
-  - *native tape execution* (``tape_engine="auto"`` / ``"native"``): the
-    fused sequence additionally lowered into a flat array-of-structs
+  - *native tape execution* (``fused=True``): the step list additionally
+    lowered into a flat array-of-structs
     :class:`~repro.execution.tape.TapeProgram` — opcode/operand/axis
-    tables plus a preallocated scratch arena — walked end-to-end by one
-    numba-JIT kernel with no per-step Python dispatch
+    tables with the §5.3.1 reduced permutation maps — walked end-to-end
+    by one numba-JIT kernel with no per-step Python dispatch
     (:mod:`repro.execution.tape`).  The program pickles to pool workers
     with the plan and each process JIT-compiles lazily at spawn; when
-    numba is absent (it is an *optional* dependency) or any kernel issue
-    arises, execution falls back to the bit-identical Python walker,
+    numba is absent (it is an *optional* dependency), the plan has an
+    einsum step, or the kernel declines, the bit-identical Python walker
+    runs and ``PlanStats.fusion_breaks`` / the ``repro.execution.tape``
+    logger say why,
   - *pluggable scheduling* (``backend=``): the subtasks run through an
-    :class:`ExecutionBackend` (see the guide below),
-  - *pluggable kernels* (``array_module=``): every hot-path array
-    operation dispatches through an :class:`ArrayModule`
-    (:mod:`repro.execution.array_module`) — the default
-    :class:`NumpyModule` is bit-identical to the pre-seam numpy calls,
-    while :class:`TorchModule` / :class:`CupyModule` run the same plan on
-    another substrate with leaves, slicing and accumulation staged on the
-    host (see the module docstring for the host-staging contract).
+    :class:`ExecutionBackend` (see the guide below).
 
 Backend selection guide
 -----------------------
@@ -157,26 +143,15 @@ chunk, and a corrupted payload (:exc:`ChunkIntegrityError`) is retried
 like any other chunk fault, never persisted.
 
 ``PlanStats`` instruments both cached and uncached execution with per-node
-step counters (plus slot-write and branch-write counters) so tests and
+step counters (plus a slot-write counter) so tests and
 benchmarks can assert how often each contraction actually ran — and with
 per-subtask / per-stage wall times, which are the measured input of the
 calibrated cost model (:mod:`repro.costs`): fit one with
 ``SlicedExecutor.calibration_record()`` →
 ``CalibratedCostModel.fit(...)``, or from the bench JSON via
-``CalibratedCostModel.from_bench_json``.  Plans compiled with
-``branch_buffers=True`` additionally recycle freed off-stem intermediates
-through the arena's size-bucketed free list (bit-identical values; the
-flag only changes where output buffers come from).
+``CalibratedCostModel.from_bench_json``.
 """
 
-from .array_module import (
-    NUMPY_MODULE,
-    ArrayModule,
-    CupyModule,
-    NumpyModule,
-    TorchModule,
-    resolve_array_module,
-)
 from .backend import (
     ExecutionBackend,
     ExecutionSession,
@@ -211,7 +186,6 @@ from .faultinject import (
     InjectedCoordinatorDeath,
     InjectedFault,
 )
-from .fusion import FusedOp, FusedRun, PermKernel, compile_fused_runs
 from .plan import (
     CompiledPlan,
     ContractStep,
@@ -229,7 +203,7 @@ from .resilience import (
     RecoveryExhaustedError,
 )
 from .sliced import SlicedExecutor, SubtaskResult
-from .tape import TapeProgram, interpret_program, lower_entries, native_available
+from .tape import TapeProgram, interpret_program, lower_steps, native_available
 from .fused import ThreadLevelSimulator, ThreadTiming
 from .sampling import CorrelatedSampleBatch, CorrelatedSampler, linear_xeb_fidelity
 from .scaling import (
@@ -244,12 +218,6 @@ from .scaling import (
 )
 
 __all__ = [
-    "ArrayModule",
-    "CupyModule",
-    "NumpyModule",
-    "NUMPY_MODULE",
-    "TorchModule",
-    "resolve_array_module",
     "ExecutionBackend",
     "ExecutionSession",
     "NullExecutionSession",
@@ -284,20 +252,16 @@ __all__ = [
     "contract_tree",
     "CompiledPlan",
     "ContractStep",
-    "FusedOp",
-    "FusedRun",
     "LeafStep",
-    "PermKernel",
     "PlanError",
     "PlanStats",
     "StemSlots",
     "compile_plan",
-    "compile_fused_runs",
     "SlicedExecutor",
     "SubtaskResult",
     "TapeProgram",
     "interpret_program",
-    "lower_entries",
+    "lower_steps",
     "native_available",
     "CorrelatedSampleBatch",
     "CorrelatedSampler",

@@ -48,13 +48,12 @@ worker kinds run.
 Each worker (and each backend's serial loop) owns a private
 :class:`~repro.execution.plan.StemSlots` arena, so the stem's running
 tensor reuses two preallocated buffers instead of hitting the allocator
-once per stem step.  Because the arena is what a plan's fused runs
-execute against, *fused* plans (``compile_plan(..., fused=True)``; see
-:mod:`repro.execution.fusion`) ship through sessions and the process
-pool unchanged: the precompiled permutation kernels pickle with the plan,
-every worker's private arena supplies the slots and scratch, and the
-ordered-accumulation contract keeps fused execution bit-identical to
-:class:`SerialBackend` step-by-step execution.
+once per stem step.  *Fused* plans (``compile_plan(..., fused=True)``)
+ship through sessions and the process pool unchanged: the lowered
+:class:`~repro.execution.tape.TapeProgram` pickles with the plan, every
+worker's private arena supplies the slots and the kernel's staging
+buffers, and the ordered-accumulation contract keeps native execution
+bit-identical to :class:`SerialBackend` running the Python walker.
 """
 
 from __future__ import annotations
@@ -117,37 +116,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared validation (SlicedExecutor, CorrelatedSampler, TreeExecutor)
 # ----------------------------------------------------------------------
-def _check_module_backend(module, backend: "ExecutionBackend") -> None:
-    """Reject array-module/backend combinations that cannot work yet.
-
-    Non-numpy modules hold device (or foreign-substrate) arrays that
-    cannot cross the pickled / shared-memory boundary of the process
-    pool, so they are rejected loudly instead of silently running on the
-    host.  Raises ``ValueError`` naming the supported combinations.
-    """
-    if module is None or getattr(module, "is_host", True):
-        return
-    if isinstance(backend, SharedMemoryProcessPoolBackend):
-        raise ValueError(
-            f"array_module={module.name!r} is not supported on "
-            "SharedMemoryProcessPoolBackend: shared-memory segments are "
-            "host-side and workers have no device context. Supported "
-            "combinations: numpy × (serial | threads | process pool | "
-            f"distributed); {module.name} × (serial | threads)"
-        )
-    # duck-typed so this module never imports execution.distributed
-    # (which imports this module)
-    if getattr(backend, "is_distributed", False):
-        raise ValueError(
-            f"array_module={module.name!r} is not supported on "
-            "DistributedBackend: broadcast payloads and contribution "
-            "frames are host-side pickles and remote workers have no "
-            "device context. Supported combinations: numpy × (serial | "
-            "threads | process pool | distributed); "
-            f"{module.name} × (serial | threads)"
-        )
-
-
 def _backend_from_spec(spec: str) -> "ExecutionBackend":
     """Build a backend from a string spec.
 
@@ -177,53 +145,37 @@ def _backend_from_spec(spec: str) -> "ExecutionBackend":
 def validate_execution_args(
     mode: str,
     backend: Union["ExecutionBackend", str, None] = None,
-    array_module=None,
 ) -> None:
-    """Validate the mode/backend/substrate combination uniformly.
+    """Validate the mode/backend combination uniformly.
 
     Every entry point (sliced executor, tree executor, sampler, planner)
-    funnels through this so that the reference mode rejects a backend —
-    and a device ``array_module`` rejects the shared-memory process pool
-    and the distributed backend — with the same ``ValueError`` everywhere.
-    String backend specs are validated by building the backend they name
-    (construction is lazy: no worker is spawned until the first run).
+    funnels through this so that the reference mode rejects a backend
+    with the same ``ValueError`` everywhere.  String backend specs are
+    validated by building the backend they name (construction is lazy: no
+    worker is spawned until the first run).
     """
     if mode not in ("compiled", "reference"):
         raise ValueError(f"unknown execution mode {mode!r}")
     if isinstance(backend, str):
         backend = _backend_from_spec(backend)
-    if mode == "reference":
-        if backend is not None:
-            raise ValueError("backend requires the compiled mode")
-        if array_module is not None and not getattr(array_module, "is_host", True):
-            raise ValueError(
-                f"array_module={getattr(array_module, 'name', array_module)!r} "
-                "requires the compiled mode; the reference walker is "
-                "host-numpy only"
-            )
-    if backend is not None:
-        _check_module_backend(array_module, backend)
+    if mode == "reference" and backend is not None:
+        raise ValueError("backend requires the compiled mode")
 
 
 def resolve_backend(
     backend: Union["ExecutionBackend", str, None] = None,
-    array_module=None,
 ) -> "ExecutionBackend":
     """Resolve ``backend=`` to a backend instance (default: serial).
 
     ``backend`` may be a string spec: ``"distributed"`` builds a
     :class:`~repro.execution.distributed.DistributedBackend` spawning the
     default localhost worker set, and ``"distributed:host:port,..."`` one
-    connecting to pre-started workers at the listed addresses.  When
-    ``array_module`` is given, the resolved backend is checked against it
-    (device modules cannot run on the shared-memory pool or the
-    distributed backend).
+    connecting to pre-started workers at the listed addresses.
     """
     if backend is None:
         return SerialBackend()
     if isinstance(backend, str):
         backend = _backend_from_spec(backend)
-    _check_module_backend(array_module, backend)
     return backend
 
 

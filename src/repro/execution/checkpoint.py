@@ -27,8 +27,7 @@ fingerprint pre-fills the ordered slots from the ledger and re-runs only
 the missing assignments; a mismatch invalidates the ledger and starts
 clean.  Because the backends fold per-position contributions strictly in
 assignment order after all slots fill, a resumed run is **bit-identical**
-to an uninterrupted one on every backend × stepwise/fused/tape-engine
-combination — the same ordered-accumulation contract that already makes
+to an uninterrupted one on every backend × engine combination — the same ordered-accumulation contract that already makes
 recovered and degraded runs exact.
 
 Integrity is end-to-end: workers ship a CRC-32 per contribution with
@@ -160,7 +159,7 @@ def job_fingerprint(
     shape and the backend's chunking.  Anything that could change the
     accumulated value (or the meaning of a slot position) changes the
     fingerprint; anything that provably cannot (backend choice, worker
-    count, fused/stepwise/tape-engine, array module) is deliberately
+    count, walker or native tape engine) is deliberately
     excluded, so a ledger written by one backend seeds a resume on any
     other.
     """

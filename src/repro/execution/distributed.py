@@ -844,10 +844,6 @@ class DistributedBackend(_PooledBackend):
     session_type = DistributedSession
     # a one-worker distributed run is a real coordinator→worker round-trip
     inline_small_runs = False
-    #: Duck-typed marker ``validate_execution_args`` checks without
-    #: importing this module: broadcast payloads and contribution frames
-    #: are host-side pickles, so device array modules are rejected.
-    is_distributed = True
 
     def __init__(
         self,

@@ -9,9 +9,9 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
 
 * :func:`compile_plan` turns a (network, tree, slicing set) triple into a
   :class:`CompiledPlan` — per-leaf slicing instructions plus one
-  :class:`ContractStep` per internal tree node holding precomputed
-  ``tensordot`` axis pairs (or, for the rare hyper-index cases, a
-  precompiled einsum spec) and the output index order.  Nothing about the
+  :class:`ContractStep` per internal tree node holding an explicit GEMM
+  layout (or, for the rare hyper-index cases, a precompiled einsum spec)
+  and the output index order.  Nothing about the
   plan depends on the *values* assigned to the sliced indices, so one plan
   serves every subtask.
 * The compiler classifies every tree node as *slice-dependent* or
@@ -24,29 +24,27 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   :meth:`CompiledPlan.warm_cache` and reused across all subtasks.
 * An optional *batched* mode keeps a group of sliced indices alive as
   leading batch axes instead of enumerating them: steps where every live
-  batch axis appears on both operands compile to a BLAS batched matmul
-  (``transpose → reshape → matmul → reshape``) whose single leading batch
-  axis has size ``prod w(e)`` over the group, so all of the group's value
-  combinations are swept in one batched contraction.
+  batch axis appears on both operands compile to a batched GEMM whose
+  single leading batch axis has size ``prod w(e)`` over the group, so all
+  of the group's value combinations are swept in one batched contraction.
 * The compiler derives a *slot schedule* from the stem (the most expensive
   root-to-leaf chain, :func:`repro.core.stem.extract_stem`): the stem's
   running tensor alternates between the two preallocated buffers of a
   :class:`StemSlots` arena instead of allocating a fresh output per step.
   Because each stem intermediate is consumed by exactly the next stem step,
   two slots suffice, and the free/reuse schedule guarantees a slot is never
-  overwritten while its previous content is still live.  Slot execution is
-  bit-identical to the allocating path (same transpose/reshape/GEMM, just
-  written into a caller-owned buffer).
+  overwritten while its previous content is still live.
 
-* An optional *fused* mode (``compile_plan(..., fused=True)``) runs the
-  §5 secondary-slicing schedule for real: a fusion pass
-  (:mod:`repro.execution.fusion`) groups consecutive stem GEMMs into
-  :class:`~repro.execution.fusion.FusedRun` sub-paths whose operand
-  permutations are precompiled through the §5.3.1 reduced maps — identity
-  permutations are skipped outright, every other one is a single gather
-  into arena scratch — so within a run the stem tensor never round-trips
-  through a freshly allocated ``transpose → reshape`` copy.  Fused
-  execution is bit-identical to the step-by-step path.
+One function, :func:`_walk_steps`, executes the compiled step list — for
+cache warming, cached and uncached subtasks, with or without an arena.
+Every GEMM-shaped step carries one explicit layout (operand permutations,
+``(w, m, k, n)`` extents, identity flags) and runs as ``transpose →
+reshape → dot(out=)`` on C-contiguous operands; stem outputs land in the
+arena's slots, everything else in fresh arrays.  A plan compiled with
+``fused=True`` is additionally lowered (:func:`repro.execution.tape.lower_steps`)
+into a flat :class:`~repro.execution.tape.TapeProgram` that an optional
+numba kernel walks instead; it performs the same loads, permutations and
+GEMMs on the same layouts, so both engines are bit-identical.
 
 :class:`PlanStats` instruments execution with per-node step counters; the
 benchmark and the equivalence tests use it to assert that the cached path
@@ -77,19 +75,7 @@ from ..core.stem import stem_slot_schedule
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from .array_module import (
-    NUMPY_MODULE,
-    ArrayModule,
-    resolve_array_module,
-)
-from .array_module import numpy_batched_gemm as _batched_gemm
-from .fusion import (
-    SCRATCH_LHS,
-    SCRATCH_RHS,
-    FusedRun,
-    compile_fused_runs,
-    compile_step_tapes,
-)
+from . import tape as _tape
 
 __all__ = [
     "CompiledPlan",
@@ -129,36 +115,26 @@ class PlanStats:
     slot_writes:
         Number of step outputs written into a reused stem slot instead of a
         freshly allocated buffer.
-    branch_writes:
-        Number of step outputs written into a recycled branch buffer from
-        the size-bucketed free list.
     fused_steps:
-        Number of GEMMs executed inside fused runs (stem sub-paths whose
-        intermediates never left the arena's slots and scratch); their
-        wall time accumulates under the ``"fused_kernel"`` stage of
-        :attr:`stage_seconds` so calibration can see the fused kernels.
+        Number of GEMMs executed by the native tape kernel; their wall
+        time accumulates under the ``"fused_kernel"`` stage of
+        :attr:`stage_seconds` so calibration can see the kernel.  Zero
+        when the Python walker ran.
     tape_engine:
-        Which tape interpreter actually executed the fused sequences:
-        ``"native"`` (the numba-compiled :mod:`repro.execution.tape`
-        kernel), ``"python"`` (the inlined Python walker), or ``None``
-        when no fused sequence ran.  A plan compiled for the native
-        engine stamps ``"python"`` here if the kernel was unavailable or
-        failed at runtime, so the fallback is observable, and the
-        calibration layer keys per-engine coefficients off this field.
-    array_module:
-        Name of the :class:`~repro.execution.array_module.ArrayModule`
-        the kernels executed on (``"numpy"``, ``"torch"``, ``"cupy"``,
-        ...), or ``None`` before any ``execute`` call.  The calibration
-        layer keys per-module coefficients off this field (the third
-        component of ``"backend+engine+module"`` keys), which is how
-        host↔device staging time — spent inside the timed per-subtask
-        window — gets priced per substrate.
+        Which engine executed a ``fused=True`` plan: ``"native"`` (the
+        numba-compiled :mod:`repro.execution.tape` kernel) or
+        ``"python"`` (the walker, because the plan did not lower or the
+        kernel declined — :attr:`fusion_breaks` says why); ``None`` for
+        plans compiled without ``fused``.  The calibration layer keys
+        per-engine coefficients off this field.
     fusion_breaks:
-        Compile-time diagnostics from the fusion pass: why stem steps
-        stayed *outside* fused runs, as a ``reason -> count`` dict (see
-        :func:`repro.execution.fusion.compile_fused_runs`).  Stamped once
-        per compiled plan — ``merge`` keeps the first non-empty dict
-        instead of summing, since every worker reports the same plan.
+        Why a ``fused=True`` plan ran the Python walker, as a
+        ``reason -> count`` dict: ``"einsum"`` (that many hyper-index
+        steps have no GEMM form to lower), ``"no-numba"``,
+        ``"kernel-disarmed"`` or ``"dtype"`` (mixed or unsupported
+        operand dtypes).  A fact about the plan, not a tally — ``merge``
+        keeps the first non-empty dict, since every worker reports the
+        same plan.
     subtask_seconds:
         Wall-time samples of ``execute`` calls (cache warming excluded) —
         the measured per-subtask samples the calibrated cost model fits.
@@ -223,10 +199,8 @@ class PlanStats:
     #: rejected as per-subtask calibration input.
     batched_executions: int = 0
     slot_writes: int = 0
-    branch_writes: int = 0
     fused_steps: int = 0
     tape_engine: Optional[str] = None
-    array_module: Optional[str] = None
     fusion_breaks: Dict[str, int] = field(default_factory=dict)
     subtask_seconds: List[float] = field(default_factory=list)
     subtask_seconds_sum: float = 0.0
@@ -281,14 +255,11 @@ class PlanStats:
         self.executions += other.executions
         self.batched_executions += other.batched_executions
         self.slot_writes += other.slot_writes
-        self.branch_writes += other.branch_writes
         self.fused_steps += other.fused_steps
         if other.tape_engine is not None:
             # workers report what actually ran; their observation wins
             # over a compile-time stamp on the coordinator's stats
             self.tape_engine = other.tape_engine
-        if other.array_module is not None:
-            self.array_module = other.array_module
         if not self.fusion_breaks and other.fusion_breaks:
             self.fusion_breaks = dict(other.fusion_breaks)
         room = MAX_TIMING_SAMPLES - len(self.subtask_seconds)
@@ -311,166 +282,59 @@ class PlanStats:
 
 
 class StemSlots:
-    """Reusable buffers: two stem slots, a branch free list, named scratch.
+    """Reusable buffers: the two stem slots plus the kernel's staging pair.
 
     The stem is a chain of contractions in which each intermediate is
     consumed by exactly the next step, so its running tensor only ever
     needs two buffers: step ``k`` writes slot ``k % 2`` while reading the
-    previous stem tensor out of slot ``(k - 1) % 2``.  An arena instance
-    is *not* thread-safe — every executor thread / pool worker owns its
-    own (the backends arrange this).
-
-    Off-stem (*branch*) intermediates do not follow the alternating
-    pattern, but their lifetimes are just as short — each is freed the
-    moment its parent consumes it — so the arena also keeps a
-    size-bucketed free list: :meth:`take_branch` hands out a buffer from
-    the bucket of the next power-of-two size (allocating one only when
-    the bucket is empty) and :meth:`release_branch` returns it when the
-    plan's free schedule retires the intermediate.  Only buffers the
-    arena itself loaned are ever recycled — leaf slices, cache entries
-    and foreign arrays pass through ``release_branch`` untouched — so
-    enabling the free list cannot corrupt caller-owned data.  The branch
-    path is used only by plans compiled with ``branch_buffers=True``.
+    previous stem tensor out of slot ``(k - 1) % 2``.  The native tape
+    kernel additionally stages permuted operands in two named scratch
+    buffers (:meth:`scratch`); the Python walker never touches them.
 
     Buffers are grown (never shrunk) on demand and re-typed when the
-    requested dtype changes, so one arena serves plans of any size.
-
-    Every buffer is allocated from the arena's bound
-    :class:`~repro.execution.array_module.ArrayModule` (host numpy by
-    default), so slots, branch loans and scratch all live on the plan's
-    execution substrate.  :meth:`bind_module` rebinds the arena — plans
-    call it at the top of ``execute`` — dropping all held buffers when
-    the substrate actually changes (buffers of one module are useless to
-    another).
+    requested dtype changes, so one arena serves plans of any size.  An
+    arena instance is *not* thread-safe — every executor thread / pool
+    worker owns its own (the backends arrange this).
     """
 
-    __slots__ = ("_buffers", "_free", "_loans", "_scratch", "_scratch_views", "_module")
+    __slots__ = ("_buffers", "_scratch")
 
-    def __init__(self, module: Optional[ArrayModule] = None) -> None:
-        self._module: ArrayModule = module if module is not None else NUMPY_MODULE
+    def __init__(self) -> None:
         self._buffers: List[Optional[np.ndarray]] = [None, None]
-        # (dtype key, bucket size) -> stack of flat buffers of that size
-        self._free: Dict[Tuple[str, int], List[np.ndarray]] = {}
-        # id of the flat buffer backing each outstanding loan
-        self._loans: Dict[int, np.ndarray] = {}
-        # named grow-only scratch buffers (fused permutation staging)
         self._scratch: Dict[str, np.ndarray] = {}
-        # (key, shape, dtype) -> cached shaped view of the key's buffer,
-        # so the fused hot loop skips the slice/reshape on every reuse
-        self._scratch_views: Dict[Tuple, np.ndarray] = {}
 
-    @property
-    def array_module(self) -> ArrayModule:
-        """The module every arena buffer is allocated from."""
-        return self._module
-
-    def bind_module(self, module: ArrayModule) -> None:
-        """Bind the arena to ``module``, dropping buffers on a change."""
-        if module is self._module:
-            return
-        self._module = module
-        self._buffers = [None, None]
-        self._free = {}
-        self._loans = {}
-        self._scratch = {}
-        self._scratch_views = {}
+    @staticmethod
+    def _view(
+        buffer: Optional[np.ndarray], shape: Tuple[int, ...], dtype: np.dtype
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(buffer, shaped view)``, reallocating when outgrown or re-typed."""
+        size = math.prod(shape)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = np.empty(max(size, 1), dtype)
+        return buffer, buffer[:size].reshape(shape)
 
     def out_for(
         self, slot: int, shape: Tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
         """A C-contiguous array view of ``shape``/``dtype`` backed by ``slot``."""
-        size = 1
-        for dim in shape:
-            size *= dim
-        buffer = self._buffers[slot]
-        if buffer is None or self._module.size_of(buffer) < size or buffer.dtype != dtype:
-            buffer = self._module.empty(max(size, 1), dtype)
-            self._buffers[slot] = buffer
-        return buffer[:size].reshape(shape)
+        self._buffers[slot], view = self._view(self._buffers[slot], shape, dtype)
+        return view
 
     def scratch(
         self, key: str, shape: Tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        """A named grow-only scratch view of ``shape``/``dtype``.
-
-        The fused executor stages permuted GEMM operands here (one key per
-        operand side): each staged copy is consumed by the very next
-        ``np.dot``, so a single buffer per key serves every fused step of
-        every subtask with zero steady-state allocations.  Shaped views
-        are memoized per ``(key, shape, dtype)`` — the hot loop's repeat
-        requests cost one dict lookup.  When a key's buffer is outgrown
-        (or re-typed) and replaced, every cached view of the retired
-        buffer is dropped, so a long-lived arena (a pool worker's, across
-        many plans) retains at most one buffer generation per key.
-        """
-        views = self._scratch_views
-        cache_key = (key, shape, dtype)
-        view = views.get(cache_key)
-        if view is not None:
-            return view
-        size = 1
-        for dim in shape:
-            size *= dim
-        buffer = self._scratch.get(key)
-        if buffer is None or self._module.size_of(buffer) < size or buffer.dtype != dtype:
-            buffer = self._module.empty(max(size, 1), dtype)
-            self._scratch[key] = buffer
-            for stale in [k for k in views if k[0] == key]:
-                del views[stale]
-        view = buffer[:size].reshape(shape)
-        views[cache_key] = view
+        """A named grow-only staging view (the native kernel's operands)."""
+        self._scratch[key], view = self._view(self._scratch.get(key), shape, dtype)
         return view
 
     @property
-    def scratch_bytes(self) -> int:
-        """Total bytes currently held by the named scratch buffers."""
-        return sum(self._module.nbytes_of(b) for b in self._scratch.values())
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _bucket(size: int) -> int:
-        """Free-list bucket: the next power of two at or above ``size``."""
-        return 1 << max(size - 1, 0).bit_length()
-
-    def take_branch(self, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """A loaned C-contiguous array of ``shape``/``dtype`` from the free list."""
-        size = 1
-        for dim in shape:
-            size *= dim
-        bucket = self._bucket(size)
-        module = self._module
-        key = (module.dtype_key(dtype), bucket)
-        stack = self._free.get(key)
-        flat = stack.pop() if stack else module.empty(bucket, dtype)
-        self._loans[id(flat)] = flat
-        return flat[:size].reshape(shape)
-
-    def release_branch(self, array: np.ndarray) -> None:
-        """Return a loaned buffer to its bucket; ignores foreign arrays."""
-        module = self._module
-        owner = module.owner_of(array)
-        flat = self._loans.pop(id(owner), None)
-        if flat is not None:
-            self._free.setdefault(
-                (module.dtype_key(flat.dtype), module.size_of(flat)), []
-            ).append(flat)
-
-    @property
-    def free_list_bytes(self) -> int:
-        """Total bytes currently parked in the branch free list."""
-        return sum(
-            self._module.nbytes_of(b) for stack in self._free.values() for b in stack
-        )
-
-    @property
     def allocated_bytes(self) -> int:
-        """Total bytes currently held by the two slots."""
-        return sum(
-            self._module.nbytes_of(b) for b in self._buffers if b is not None
-        )
+        """Total bytes currently held by the slots and staging buffers."""
+        held = [b for b in self._buffers if b is not None]
+        return sum(b.nbytes for b in (*held, *self._scratch.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeafStep:
     """Load (and slice) one leaf tensor.
 
@@ -488,26 +352,25 @@ class LeafStep:
     source_indices: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractStep:
     """One precompiled pair contraction.
 
-    ``kind`` selects the kernel:
+    ``kind`` names the shape of the step:
 
-    * ``"tensordot"`` — ``np.tensordot(a, b, axes)``; the planned output
-      order equals tensordot's natural order so no transpose is needed.
-    * ``"bmm"`` — batched matmul over the batch axis:
-      ``transpose/reshape`` both operands to ``(w_b, m, k)``/``(w_b, k, n)``
-      and ``np.matmul``; used when the batch index lives on both operands.
+    * ``"tensordot"`` — a plain GEMM: the operands are permuted to
+      ``(m, k)`` / ``(k, n)`` and contracted with ``np.dot``;
+    * ``"bmm"`` — a batched GEMM over ``w`` slices, ``(w, m, k)`` /
+      ``(w, k, n)``; used when the live batch axes sit on both operands;
     * ``"einsum"`` — precompiled integer-sublist einsum (no symbol-table
       size limit, unlike spec strings); fallback for hyper indices kept on
       the output and for axes summed out of a single operand.
 
-    Steps lying on the stem additionally carry ``slot`` (0 or 1, the
-    :class:`StemSlots` buffer their output alternates into) and, for the
-    tensordot kind, the explicit ``transpose → reshape → dot`` layout
-    (``td_perm_*`` / ``td_mkn``) that reproduces ``np.tensordot`` bit for
-    bit while writing into the slot.
+    Both GEMM kinds share one layout: ``lhs_perm`` / ``rhs_perm`` bring
+    the operands into GEMM order, ``wmkn`` holds the extents (``w = 1``
+    for ``"tensordot"``), and the identity flags mark permutations the
+    walker skips.  ``slot`` (0 or 1) is set on stem steps, whose output
+    alternates between the two :class:`StemSlots` buffers.
     """
 
     node: int
@@ -515,31 +378,104 @@ class ContractStep:
     rhs: int
     kind: str
     out_indices: Tuple[str, ...]
+    out_shape: Tuple[int, ...]
     invariant: bool
     free_full: Tuple[int, ...]
     free_cached: Tuple[int, ...]
     log2_flops: float
-    axes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+    slot: Optional[int] = None
+    lhs_perm: Optional[Tuple[int, ...]] = None
+    rhs_perm: Optional[Tuple[int, ...]] = None
+    wmkn: Optional[Tuple[int, int, int, int]] = None
+    lhs_identity: bool = False
+    rhs_identity: bool = False
     sub_lhs: Optional[Tuple[int, ...]] = None
     sub_rhs: Optional[Tuple[int, ...]] = None
     sub_out: Optional[Tuple[int, ...]] = None
-    bmm_perm_lhs: Optional[Tuple[int, ...]] = None
-    bmm_perm_rhs: Optional[Tuple[int, ...]] = None
-    bmm_lhs_shape: Optional[Tuple[int, int, int]] = None
-    bmm_rhs_shape: Optional[Tuple[int, int, int]] = None
-    bmm_out_shape: Optional[Tuple[int, ...]] = None
-    slot: Optional[int] = None
-    out_shape: Optional[Tuple[int, ...]] = None
-    td_perm_lhs: Optional[Tuple[int, ...]] = None
-    td_perm_rhs: Optional[Tuple[int, ...]] = None
-    td_mkn: Optional[Tuple[int, int, int]] = None
-    #: Compile-time identity flags: when a compiled permutation is the
-    #: identity the executor skips the ``np.transpose`` call entirely (and
-    #: the trailing reshape when the shapes already match).
-    td_lhs_identity: bool = False
-    td_rhs_identity: bool = False
-    bmm_lhs_identity: bool = False
-    bmm_rhs_identity: bool = False
+
+
+def _batched_gemm(a3: np.ndarray, b3: np.ndarray, out3: np.ndarray) -> None:
+    """Slicewise 2-D GEMM — the one ``bmm`` primitive both engines share.
+
+    ``np.matmul`` over a 3-D stack is *not* bitwise identical to a loop
+    of 2-D GEMMs (its batched path accumulates differently), and the
+    numba tape kernel can only express the loop — so the walker contracts
+    the batch axis this way too.
+    """
+    if a3.dtype != out3.dtype:
+        a3 = a3.astype(out3.dtype)
+    if b3.dtype != out3.dtype:
+        b3 = b3.astype(out3.dtype)
+    for i in range(out3.shape[0]):
+        np.dot(a3[i], b3[i], out=out3[i])
+
+
+def _walk_steps(
+    steps: Sequence[ContractStep],
+    live: Dict[int, np.ndarray],
+    slots: Optional[StemSlots],
+    stats: Optional["PlanStats"],
+    cached: bool,
+) -> None:
+    """Execute ``steps`` over ``live`` — the one Python contraction loop.
+
+    GEMM operands are always staged C-contiguously: when a transposed
+    reshape happens to be expressible as a *view* (e.g. an F-contiguous
+    ``(m, k)``) — or an unpermuted operand arrives non-contiguous, as
+    einsum outputs and user-supplied leaves may — BLAS would take its
+    transposed-GEMM dispatch, whose accumulation grouping differs from
+    the C-contiguous one by ulps.  Forcing C order makes every step's
+    GEMM see the buffers the native kernel stages, which is what keeps
+    the engines bit-identical.
+
+    Stem outputs go to the arena's alternating slots when ``slots`` is
+    given; every other output is a fresh array.  ``cached`` selects the
+    free schedule (cache-warm runs must not drop frontier operands).
+    """
+    for step in steps:
+        a = live[step.lhs]
+        b = live[step.rhs]
+        slot = step.slot if slots is not None else None
+        dims = step.wmkn
+        if dims is None:
+            if slot is None:
+                out = np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out)
+            else:
+                out = slots.out_for(slot, step.out_shape, np.result_type(a, b))
+                np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out, out=out)
+        else:
+            w, m, k, n = dims
+            batched = step.kind == "bmm"
+            if batched:
+                lhs_shape, rhs_shape, gemm_shape = (w, m, k), (w, k, n), (w, m, n)
+            else:
+                lhs_shape, rhs_shape, gemm_shape = (m, k), (k, n), (m, n)
+            if not step.lhs_identity:
+                a = a.transpose(step.lhs_perm)
+            if not step.rhs_identity:
+                b = b.transpose(step.rhs_perm)
+            a2 = np.ascontiguousarray(a.reshape(lhs_shape))
+            b2 = np.ascontiguousarray(b.reshape(rhs_shape))
+            dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
+            if slot is None:
+                out2 = np.empty(gemm_shape, dtype)
+            else:
+                out2 = slots.out_for(slot, gemm_shape, dtype)
+            if batched:
+                _batched_gemm(a2, b2, out2)
+            else:
+                np.dot(a2, b2, out=out2)
+            # drop the staged copies now: the next step would otherwise
+            # allocate its own while these are still bound
+            del a2, b2
+            out = out2.reshape(step.out_shape)
+        live[step.node] = out
+        if stats is not None:
+            stats.record_step(step.node)
+            if slot is not None:
+                stats.slot_writes += 1
+        for child in step.free_cached if cached else step.free_full:
+            del live[child]
 
 
 class CompiledPlan:
@@ -562,30 +498,14 @@ class CompiledPlan:
         out_indices: Tuple[str, ...],
         out_sizes: Dict[str, int],
         root_perm: Optional[Tuple[int, ...]],
-        branch_buffers: bool = False,
         fused: bool = False,
-        fused_runs_full: Tuple[FusedRun, ...] = (),
-        fused_runs_cached: Tuple[FusedRun, ...] = (),
-        fusion_plan=None,
-        step_tapes: Optional[Dict[int, Tuple]] = None,
-        tape_engine: str = "python",
-        fusion_breaks: Optional[Dict[str, int]] = None,
-        array_module: Optional[ArrayModule] = None,
         derived_dtype: Optional[np.dtype] = None,
     ) -> None:
         self._tree = tree
-        self._module: ArrayModule = (
-            array_module if array_module is not None else NUMPY_MODULE
-        )
         # dtype inferred from the network's leaf tensors at compile time
         # (satellite of the explicit _dtype override); drives kernel
         # warming and pre-calibration sizing, never leaf casting
         self._derived_dtype = derived_dtype
-        self._branch_buffers = bool(branch_buffers)
-        # fused plans always recycle off-stem outputs through the free
-        # list: every tensordot step carries the explicit GEMM layout, so
-        # branch contractions skip the allocating np.tensordot wrapper
-        self._recycle_branches = bool(branch_buffers or fused)
         self._enumerated = enumerated
         self._enumerated_sizes: Dict[str, int] = {}
         for ix in enumerated:
@@ -609,62 +529,48 @@ class CompiledPlan:
         )
         self._invariant_steps = tuple(s for s in steps if s.invariant)
         self._variant_steps = tuple(s for s in steps if not s.invariant)
-        self._fused_runs_full = fused_runs_full
-        self._fused_runs_cached = fused_runs_cached
-        self._fusion_plan = fusion_plan
-        self._step_tapes: Dict[int, Tuple] = dict(step_tapes or {})
-        # execution sequences interleaving tape entries (inlined tensordot
-        # steps), einsum/bmm fallback steps and fused runs; a run is
-        # placed at its last member's position so every absorbed branch is
-        # already computed when the run starts
-        if fused:
-            self._exec_full: Optional[Tuple[object, ...]] = self._interleave(
-                steps, fused_runs_full
-            )
-            self._exec_cached: Optional[Tuple[object, ...]] = self._interleave(
-                self._variant_steps, fused_runs_cached
-            )
-        else:
-            self._exec_full = None
-            self._exec_cached = None
-        self._fusion_breaks: Dict[str, int] = dict(fusion_breaks or {})
-        # native tape programs: the fused execution sequences lowered into
-        # flat array-of-structs programs a numba kernel walks without
-        # per-step Python (see execution/tape.py).  Lowered eagerly in the
-        # compiling process, JIT-compiled lazily in whichever process
-        # executes them (programs pickle to pool workers; the kernel does
-        # not).  ``None`` when the engine is python, numba is absent under
-        # "auto", or a sequence contains an einsum fallback step.
+        self._fused = bool(fused)
+        # native tape programs: the full and the cache-warm step lists
+        # lowered for the numba kernel (see execution/tape.py).  Lowered
+        # eagerly in the compiling process, JIT-compiled lazily in
+        # whichever process executes them (programs pickle to pool
+        # workers; the kernel does not).  Both ``None`` — with the reason
+        # in ``_fusion_breaks`` — when the plan runs the Python walker.
         self._native_full = None
         self._native_cached = None
-        self._tape_engine = "python"
-        if fused and tape_engine == "native" and self._module.supports_native_tape:
-            from .tape import lower_entries
+        self._fusion_breaks: Dict[str, int] = {}
+        if self._fused:
+            self._lower()
 
-            self._native_full = lower_entries(self._exec_full, tree.root, cached=False)
-            self._native_cached = lower_entries(
-                self._exec_cached, tree.root, cached=True
+    def _lower(self) -> None:
+        """Lower both step lists for the native kernel, or record why not."""
+        einsum_steps = sum(1 for s in self._steps if s.wmkn is None)
+        if einsum_steps:
+            self._walker_because("einsum", einsum_steps)
+            return
+        reason = _tape.unavailable_reason()
+        if reason is not None:
+            self._walker_because(reason)
+            return
+        size = self._tree.index_size
+        shape_of = {s.node: s.out_shape for s in self._steps}
+        for ls in self._leaf_steps:
+            shape_of[ls.node] = tuple(size(ix) for ix in ls.out_indices)
+        root = self._tree.root
+        self._native_full = _tape.lower_steps(self._steps, root, False, shape_of)
+        self._native_cached = _tape.lower_steps(
+            self._variant_steps, root, True, shape_of
+        )
+
+    def _walker_because(self, reason: str, count: int = 1) -> None:
+        """Record (and log, once per plan) why a fused plan is not native."""
+        if reason not in self._fusion_breaks:
+            self._fusion_breaks[reason] = count
+            _tape.logger.info(
+                "fused plan (%d steps) runs the Python walker: %s",
+                len(self._steps),
+                reason,
             )
-            if self._native_full is not None or self._native_cached is not None:
-                self._tape_engine = "native"
-
-    def _interleave(
-        self, steps: Sequence[ContractStep], runs: Tuple[FusedRun, ...]
-    ) -> Tuple[object, ...]:
-        """Replace each run's steps with the run itself, at the last slot."""
-        run_of: Dict[int, FusedRun] = {
-            node: run for run in runs for node in run.nodes
-        }
-        entries: List[object] = []
-        for step in steps:
-            run = run_of.get(step.node)
-            if run is None:
-                tape = self._step_tapes.get(step.node)
-                entries.append(step if tape is None else tape)
-            elif step.node == run.nodes[-1]:
-                entries.append(run)
-            # earlier members execute inside the run, not as entries
-        return tuple(entries)
 
     # ------------------------------------------------------------------
     @property
@@ -683,11 +589,6 @@ class CompiledPlan:
         return self._batch_indices
 
     @property
-    def array_module(self) -> ArrayModule:
-        """The execution substrate every kernel of this plan runs on."""
-        return self._module
-
-    @property
     def dtype(self) -> Optional[np.dtype]:
         """The dtype execution runs in.
 
@@ -703,56 +604,28 @@ class CompiledPlan:
         return self._derived_dtype
 
     @property
-    def branch_buffers(self) -> bool:
-        """Whether branch intermediates draw from the arena's free list."""
-        return self._branch_buffers
-
-    @property
     def fused(self) -> bool:
-        """Whether this plan carries precompiled fused stem runs."""
-        return bool(self._fused_runs_full or self._fused_runs_cached)
-
-    @property
-    def fused_runs(self) -> Tuple[FusedRun, ...]:
-        """The fused runs of the full (uncached) execution sequence."""
-        return self._fused_runs_full
-
-    @property
-    def fused_runs_cached(self) -> Tuple[FusedRun, ...]:
-        """The fused runs of the cache-warm execution sequence."""
-        return self._fused_runs_cached
+        """Whether the plan was compiled for the native tape kernel."""
+        return self._fused
 
     @property
     def contract_steps(self) -> Tuple[ContractStep, ...]:
-        """Every compiled pair-contraction step, in execution order.
-
-        What the benchmarks' fusion-coverage accounting walks: a step
-        with a :attr:`ContractStep.slot` and a GEMM layout
-        (``td_mkn``/``bmm_lhs_shape``) is a stem GEMM the fusion pass
-        could place inside a run.
-        """
+        """Every compiled pair-contraction step, in execution order."""
         return self._steps
 
     @property
-    def fusion_plan(self):
-        """The §5 :class:`~repro.core.secondary.FusedPlan` behind the runs."""
-        return self._fusion_plan
-
-    @property
     def fusion_breaks(self) -> Dict[str, int]:
-        """Why stem steps stayed outside fused runs (reason → count)."""
+        """Why this fused plan runs the Python walker (reason → count)."""
         return dict(self._fusion_breaks)
 
     @property
     def tape_engine(self) -> str:
-        """The tape interpreter this plan carries (``"python"``/``"native"``).
+        """``"native"`` when the plan carries lowered programs, else ``"python"``.
 
-        ``"native"`` means the fused sequences were lowered to
-        :class:`~repro.execution.tape.TapeProgram` form; execution still
-        falls back to the Python walker (bit-identically) if the numba
-        kernel is unavailable in the executing process.
+        Execution still falls back to the walker (bit-identically) if the
+        numba kernel is unavailable in the executing process.
         """
-        return self._tape_engine
+        return "native" if self._native_full is not None else "python"
 
     @property
     def native_programs(self) -> Tuple[object, object]:
@@ -850,22 +723,17 @@ class CompiledPlan:
         """Compute every slice-invariant intermediate once into ``cache``.
 
         Runs only the invariant portion of the plan (which touches no sliced
-        index, hence needs no assignment); interior invariant buffers are
-        freed as soon as they are consumed and only the frontier survives.
+        index, hence needs no assignment) with the cache-warm free schedule,
+        so interior invariant buffers are freed as soon as they are consumed
+        and only the frontier survives.  No arena: cache entries outlive
+        the subtask, so they must not sit in a reused slot.
         """
         start = time.perf_counter()
         live: Dict[int, np.ndarray] = {}
         for ls in self._leaf_steps:
-            if ls.node in self._dependent:
-                continue
-            live[ls.node] = self._load_leaf(network, ls, None)
-        for step in self._invariant_steps:
-            self._run_step(step, live)
-            if stats is not None:
-                stats.record_step(step.node)
-            for child in step.free_full:
-                if child not in self._frontier:
-                    del live[child]
+            if ls.node not in self._dependent:
+                live[ls.node] = self._load_leaf(network, ls, None)
+        _walk_steps(self._invariant_steps, live, None, stats, True)
         for node in self._frontier:
             cache[node] = live[node]
         if stats is not None:
@@ -915,72 +783,38 @@ class CompiledPlan:
                 )
         if stats is not None:
             stats.executions += 1
-            stats.array_module = self._module.name
             if self._batch_indices:
                 stats.batched_executions += 1
-        if slots is not None:
-            # identity check on the common path; on a change the arena
-            # drops buffers of the previous substrate
-            slots.bind_module(self._module)
-        release = self._recycle_branches and slots is not None
 
-        if cache is None:
-            start = time.perf_counter()
-            live: Dict[int, np.ndarray] = {}
-            for ls in self._leaf_steps:
-                live[ls.node] = self._load_leaf(network, ls, assignment)
-            if slots is not None and self._exec_full is not None:
-                if not self._try_native(self._native_full, live, slots, stats):
-                    self._run_entries(
-                        self._exec_full, live, slots, stats, release, False
-                    )
-            else:
-                for step in self._steps:
-                    self._run_step(step, live, slots, stats)
-                    if stats is not None:
-                        stats.record_step(step.node)
-                    for child in step.free_full:
-                        if release:
-                            slots.release_branch(live[child])  # type: ignore[union-attr]
-                        del live[child]
-        else:
+        cached = cache is not None
+        if cached:
             if not self.cache_is_warm(cache):
                 self.warm_cache(network, cache, stats)
             start = time.perf_counter()
             live = {node: cache[node] for node in self._frontier}
             if stats is not None:
                 stats.cache_hits += len(self._frontier)
-            for ls in self._variant_leaf_steps:
-                live[ls.node] = self._load_leaf(network, ls, assignment)
-            if slots is not None and self._exec_cached is not None:
-                if not self._try_native(self._native_cached, live, slots, stats):
-                    self._run_entries(
-                        self._exec_cached, live, slots, stats, release, True
-                    )
-            else:
-                for step in self._variant_steps:
-                    self._run_step(step, live, slots, stats)
-                    if stats is not None:
-                        stats.record_step(step.node)
-                    for child in step.free_cached:
-                        if release:
-                            slots.release_branch(live[child])  # type: ignore[union-attr]
-                        del live[child]
+            leaf_steps = self._variant_leaf_steps
+            steps, program = self._variant_steps, self._native_cached
+        else:
+            start = time.perf_counter()
+            live = {}
+            leaf_steps = self._leaf_steps
+            steps, program = self._steps, self._native_full
+        for ls in leaf_steps:
+            live[ls.node] = self._load_leaf(network, ls, assignment)
+        if not (self._fused and self._run_native(program, live, slots, stats)):
+            _walk_steps(steps, live, slots, stats, cached)
 
         if stats is not None:
             elapsed = time.perf_counter() - start
             stats.record_subtask_time(elapsed)
             stats.record_stage("execute", elapsed)
 
-        # stage the root back to the host before anything downstream sees
-        # it: accumulation, sessions and shared-memory segments are
-        # host-numpy by contract (identity, hence bit-identical, for the
-        # numpy module)
-        data = self._module.to_host(live[self._tree.root])
-        if cache is not None and self._tree.root in self._frontier:
+        data = live[self._tree.root]
+        if cached and self._tree.root in self._frontier:
             # the root itself is cached (nothing is slice-dependent): hand
             # out a copy so callers cannot corrupt the shared cache buffer
-            # (for device modules to_host may alias the cached buffer)
             data = data.copy()
         if self._root_perm is not None:
             data = np.transpose(data, self._root_perm)
@@ -1005,328 +839,39 @@ class CompiledPlan:
         if self._dtype is not None:
             # convert after slicing so the cast copies only the slice
             data = np.asarray(data, dtype=self._dtype)
-        # slice host-side (leaves and segments are host arrays by
-        # contract), then stage the slice onto the execution substrate;
-        # the numpy module's from_host is the identity
-        return self._module.from_host(data)
+        return data
 
-    def _try_native(
+    def _run_native(
         self,
         program,
         live: Dict[int, np.ndarray],
-        slots: StemSlots,
+        slots: Optional[StemSlots],
         stats: Optional[PlanStats],
     ) -> bool:
-        """Run one lowered tape program through the numba kernel.
+        """Run one lowered program through the numba kernel, if it can.
 
-        Returns ``False`` (and leaves ``live`` usable) whenever the native
-        path cannot run — no program, numba missing, mixed operand dtypes,
-        or a kernel failure (which poisons the engine for this process) —
-        so the caller falls through to the bit-identical Python walker.
+        Returns ``False`` (and leaves ``live`` usable) whenever the walker
+        must run instead — the plan did not lower, numba is missing in
+        this process, the kernel disarmed itself, or the operand dtypes
+        are mixed or unsupported.  The reason lands in ``fusion_breaks``
+        and is logged once.
         """
-        if program is None:
-            return False
-        from .tape import run_native
-
-        return run_native(program, live, slots, stats)
-
-    def _run_entries(
-        self,
-        entries: Tuple[object, ...],
-        live: Dict[int, np.ndarray],
-        slots: StemSlots,
-        stats: Optional[PlanStats],
-        release: bool,
-        cached: bool,
-    ) -> None:
-        """Execute a fused sequence with the Python tape walker.
-
-        Three entry kinds: precompiled tape tuples (every GEMM-shaped
-        step, ``dot`` and batched ``matmul`` alike — operands staged
-        through the §5.3.1 permutation kernels, the GEMM written into a
-        stem slot, a recycled free-list buffer, or — for the root only —
-        a fresh caller-owned buffer), :class:`FusedRun` objects (whole
-        stem sub-paths), and plain :class:`ContractStep` fallbacks
-        (einsum kind).  All three produce bit-identical values to the
-        step-by-step loop.
-        """
-        timed = stats is not None
-        if timed:
-            stats.tape_engine = "python"  # type: ignore[union-attr]
-        out_for = slots.out_for
-        take_branch = slots.take_branch
-        scratch = slots.scratch
-        xp = self._module
-        dot = xp.dot
-        batched = xp.batched_gemm
-        copyto = xp.copyto
-        take = xp.take
-        transpose = xp.transpose
-        empty = xp.empty
-        result_type = xp.result_type
-        for entry in entries:
-            kind = type(entry)
-            if kind is tuple:
-                (
-                    node,
-                    lhs_node,
-                    rhs_node,
-                    (l_mode, l_p1, l_p2, l_out2d),
-                    (r_mode, r_p1, r_p2, r_out2d),
-                    slot,
-                    mn,
-                    out_shape,
-                    is_root,
-                    free_full,
-                    free_cached,
-                    is_bmm,
-                ) = entry
-                a = live[lhs_node]
-                b = live[rhs_node]
-                if l_mode == 0:
-                    a2 = a.reshape(l_out2d)
-                elif l_mode == 1:
-                    staged = scratch(SCRATCH_LHS, l_p1, a.dtype)
-                    take(a.reshape(l_p1), l_p2, 1, staged)
-                    a2 = staged.reshape(l_out2d)
-                else:
-                    staged = scratch(SCRATCH_LHS, l_p2, a.dtype)
-                    copyto(staged, transpose(a, l_p1))
-                    a2 = staged.reshape(l_out2d)
-                if r_mode == 0:
-                    b2 = b.reshape(r_out2d)
-                elif r_mode == 1:
-                    staged = scratch(SCRATCH_RHS, r_p1, b.dtype)
-                    take(b.reshape(r_p1), r_p2, 1, staged)
-                    b2 = staged.reshape(r_out2d)
-                else:
-                    staged = scratch(SCRATCH_RHS, r_p2, b.dtype)
-                    copyto(staged, transpose(b, r_p1))
-                    b2 = staged.reshape(r_out2d)
-                adt = a.dtype
-                bdt = b.dtype
-                dtype = adt if adt == bdt else result_type(a, b)
-                if slot is not None:
-                    out2 = out_for(slot, mn, dtype)
-                    if timed:
-                        stats.slot_writes += 1  # type: ignore[union-attr]
-                elif is_root:
-                    # handed to the caller: never a recycled buffer
-                    out2 = empty(mn, dtype)
-                else:
-                    out2 = take_branch(mn, dtype)
-                    if timed:
-                        stats.branch_writes += 1  # type: ignore[union-attr]
-                if is_bmm:
-                    batched(a2, b2, out2)
-                else:
-                    dot(a2, b2, out=out2)
-                live[node] = out2 if out_shape is None else out2.reshape(out_shape)
-                if timed:
-                    stats.record_step(node)  # type: ignore[union-attr]
-                for child in free_cached if cached else free_full:
-                    if release:
-                        slots.release_branch(live[child])
-                    del live[child]
-            elif kind is FusedRun:
-                self._run_fused(entry, live, slots, stats, release, cached)
-            else:
-                step = entry  # type: ignore[assignment]
-                self._run_step(step, live, slots, stats)
-                if timed:
-                    stats.record_step(step.node)  # type: ignore[union-attr]
-                for child in step.free_cached if cached else step.free_full:
-                    if release:
-                        slots.release_branch(live[child])
-                    del live[child]
-
-    def _run_fused(
-        self,
-        run: FusedRun,
-        live: Dict[int, np.ndarray],
-        slots: StemSlots,
-        stats: Optional[PlanStats],
-        release: bool,
-        cached: bool,
-    ) -> None:
-        """Execute one fused stem sub-path with no main-memory round-trip.
-
-        The running stem tensor lives in the arena's alternating slots;
-        permuted operands are staged through the arena's named scratch (or
-        taken as reshape views when the compiled permutation is the
-        identity).  Interior intermediates never enter ``live`` — only the
-        run's final output does.  Every GEMM sees exactly the operands the
-        step-by-step path would build, so the result is bit-identical.
-        """
-        timed = stats is not None
-        start = time.perf_counter() if timed else 0.0
-        out_for = slots.out_for
-        scratch = slots.scratch
-        xp = self._module
-        dot = xp.dot
-        batched = xp.batched_gemm
-        copyto = xp.copyto
-        take = xp.take
-        transpose = xp.transpose
-        result_type = xp.result_type
-        running = live[run.first_stem]
-        free_lists = run.tape_free_cached if cached else run.tape_free_full  # type: ignore[attr-defined]
-        node = run.first_stem
-        for entry, free_nodes in zip(run.tape, free_lists):  # type: ignore[attr-defined]
-            (
-                node,
-                lhs_node,
-                rhs_node,
-                stem_on_lhs,
-                (l_mode, l_p1, l_p2, l_out2d),
-                (r_mode, r_p1, r_p2, r_out2d),
-                slot,
-                mn,
-                out_shape,
-                is_bmm,
-            ) = entry
-            if stem_on_lhs:
-                a, b = running, live[rhs_node]
-            else:
-                a, b = live[lhs_node], running
-            if l_mode == 0:
-                a2 = a.reshape(l_out2d)
-            elif l_mode == 1:
-                staged = scratch(SCRATCH_LHS, l_p1, a.dtype)
-                take(a.reshape(l_p1), l_p2, 1, staged)
-                a2 = staged.reshape(l_out2d)
-            else:
-                staged = scratch(SCRATCH_LHS, l_p2, a.dtype)
-                copyto(staged, transpose(a, l_p1))
-                a2 = staged.reshape(l_out2d)
-            if r_mode == 0:
-                b2 = b.reshape(r_out2d)
-            elif r_mode == 1:
-                staged = scratch(SCRATCH_RHS, r_p1, b.dtype)
-                take(b.reshape(r_p1), r_p2, 1, staged)
-                b2 = staged.reshape(r_out2d)
-            else:
-                staged = scratch(SCRATCH_RHS, r_p2, b.dtype)
-                copyto(staged, transpose(b, r_p1))
-                b2 = staged.reshape(r_out2d)
-            adt = a.dtype
-            bdt = b.dtype
-            out2 = out_for(slot, mn, adt if adt == bdt else result_type(a, b))
-            if is_bmm:
-                batched(a2, b2, out2)
-            else:
-                dot(a2, b2, out=out2)
-            running = out2 if out_shape is None else out2.reshape(out_shape)
-            for child in free_nodes:
-                if release:
-                    slots.release_branch(live[child])
-                del live[child]
-        live[node] = running
-        if timed:
-            counts = stats.node_counts  # type: ignore[union-attr]
-            for step_node in run.tape_nodes:  # type: ignore[attr-defined]
-                counts[step_node] = counts.get(step_node, 0) + 1
-            num_ops = len(run.ops)
-            stats.slot_writes += num_ops  # type: ignore[union-attr]
-            stats.fused_steps += num_ops  # type: ignore[union-attr]
-            stats.record_stage("fused_kernel", time.perf_counter() - start)  # type: ignore[union-attr]
-
-    def _run_step(
-        self,
-        step: ContractStep,
-        live: Dict[int, np.ndarray],
-        slots: Optional[StemSlots] = None,
-        stats: Optional[PlanStats] = None,
-    ) -> None:
-        a = live[step.lhs]
-        b = live[step.rhs]
-        xp = self._module
-        use_slot = slots is not None and step.slot is not None
-        # branch steps draw from the arena's size-bucketed free list; the
-        # root is excluded because its buffer is handed to the caller
-        use_branch = (
-            not use_slot
-            and self._recycle_branches
-            and slots is not None
-            and step.kind == "tensordot"
-            and step.td_mkn is not None
-            and step.node != self._tree.root
-        )
-        if step.kind == "tensordot":
-            if use_slot or use_branch:
-                # the explicit transpose → reshape → dot sequence below is
-                # what np.tensordot performs, with one normalization: when
-                # the transposed reshape happens to be expressible as a
-                # *view* (e.g. an F-contiguous (m, k)), BLAS would take the
-                # transposed-GEMM dispatch, whose accumulation grouping
-                # differs from the C-contiguous dispatch by ulps.  The
-                # fused tape walkers always stage permuted operands into
-                # C-contiguous scratch, so this path forces C order too —
-                # every engine's GEMM then sees identical buffers and the
-                # fused/stepwise bit-identity contract holds on every
-                # workload, not just those where reshape copies anyway.
-                m, k, n = step.td_mkn  # type: ignore[misc]
-                if step.td_lhs_identity:
-                    a2 = a.reshape(m, k)
-                else:
-                    a2 = xp.ascontiguousarray(
-                        xp.transpose(a, step.td_perm_lhs).reshape(m, k)
-                    )
-                if step.td_rhs_identity:
-                    b2 = b.reshape(k, n)
-                else:
-                    b2 = xp.ascontiguousarray(
-                        xp.transpose(b, step.td_perm_rhs).reshape(k, n)
-                    )
-                if use_slot:
-                    out2 = slots.out_for(step.slot, (m, n), xp.result_type(a, b))  # type: ignore[union-attr, arg-type]
-                else:
-                    out2 = slots.take_branch((m, n), xp.result_type(a, b))  # type: ignore[union-attr, arg-type]
-                    if stats is not None:
-                        stats.branch_writes += 1
-                xp.dot(a2, b2, out=out2)
-                out = out2 if out2.shape == step.out_shape else out2.reshape(step.out_shape)
-            else:
-                out = xp.tensordot(a, b, step.axes)
-        elif step.kind == "bmm":
-            # same C-order normalization as the tensordot branch above:
-            # the per-slice GEMMs must see the buffers the fused walkers
-            # would stage, or a view-expressible reshape flips the BLAS
-            # dispatch and breaks cross-engine bit-identity by ulps
-            if step.bmm_lhs_identity:
-                a3 = a.reshape(step.bmm_lhs_shape)
-            else:
-                a3 = xp.ascontiguousarray(
-                    xp.transpose(a, step.bmm_perm_lhs).reshape(step.bmm_lhs_shape)
-                )
-            if step.bmm_rhs_identity:
-                b3 = b.reshape(step.bmm_rhs_shape)
-            else:
-                b3 = xp.ascontiguousarray(
-                    xp.transpose(b, step.bmm_perm_rhs).reshape(step.bmm_rhs_shape)
-                )
-            shape3 = (step.bmm_lhs_shape[0], step.bmm_lhs_shape[1], step.bmm_rhs_shape[2])  # type: ignore[index]
-            if use_slot:
-                out3 = slots.out_for(step.slot, shape3, xp.result_type(a, b))  # type: ignore[union-attr, arg-type]
-            else:
-                out3 = xp.empty(shape3, xp.result_type(a, b))
-            xp.batched_gemm(a3, b3, out3)
-            out = out3.reshape(step.bmm_out_shape)
-        else:
-            if use_slot:
-                out = slots.out_for(step.slot, step.out_shape, xp.result_type(a, b))  # type: ignore[union-attr, arg-type]
-                xp.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out, out=out)
-            else:
-                out = xp.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out)
-        if use_slot and stats is not None:
-            stats.slot_writes += 1
-        live[step.node] = out
+        if program is not None:
+            arena = slots if slots is not None else StemSlots()
+            if _tape.run_native(program, live, arena, stats):
+                return True
+            self._walker_because(_tape.unavailable_reason() or "dtype")
+        if stats is not None:
+            stats.tape_engine = "python"
+            if not stats.fusion_breaks:
+                stats.fusion_breaks = dict(self._fusion_breaks)
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        fused = sum(run.num_steps for run in self._fused_runs_full)
         return (
             f"CompiledPlan(steps={len(self._steps)}, "
-            f"invariant={len(self._invariant_steps)}, fused={fused}, "
+            f"invariant={len(self._invariant_steps)}, "
+            f"engine={self.tape_engine}, "
             f"sliced={list(self._enumerated)}, batch={list(self._batch_indices)})"
         )
 
@@ -1338,15 +883,9 @@ def compile_plan(
     network: TensorNetwork,
     tree: ContractionTree,
     sliced: AbstractSet[str] = frozenset(),
-    batch_index: Optional[str] = None,
     dtype: Optional[np.dtype] = None,
     batch_indices: Optional[Sequence[str]] = None,
-    branch_buffers: bool = False,
     fused: bool = False,
-    fused_cap: Optional[int] = None,
-    fused_max_steps: Optional[int] = None,
-    tape_engine: str = "auto",
-    array_module=None,
 ) -> CompiledPlan:
     """Compile ``tree`` over ``network`` for a fixed slicing set.
 
@@ -1361,9 +900,6 @@ def compile_plan(
     sliced:
         The slicing set.  Every index in it is removed from the leaves; at
         execution time an assignment supplies the value of each one.
-    batch_index:
-        Optional single member of ``sliced`` to keep as a live batch axis —
-        shorthand for ``batch_indices=(batch_index,)``.
     dtype:
         Optional dtype override applied to every leaf at load time.
     batch_indices:
@@ -1372,79 +908,18 @@ def compile_plan(
         to the root (leading axes, in the order given), so a single
         execution sweeps all ``prod w(e)`` value combinations of the group.
         Steps where every live batch axis sits on both operands compile to
-        one BLAS batched matmul whose leading batch axis has size
-        ``prod w(e)``.
-    branch_buffers:
-        Compile the explicit GEMM layout for *every* tensordot step (not
-        just the stem chain) so that off-stem intermediates can be written
-        into recycled buffers from the arena's size-bucketed free list at
-        execution time.  Values are bit-identical either way; the flag
-        only changes where output buffers come from.
+        one batched GEMM whose leading batch axis has size ``prod w(e)``.
     fused:
-        Run the §5 fusion pass (:func:`repro.execution.fusion.compile_fused_runs`):
-        consecutive stem GEMMs become fused runs whose operand
-        permutations are precompiled via the §5.3.1 reduced maps and whose
-        intermediates stay in the arena (engaged at execution time only
-        when a :class:`StemSlots` arena is supplied).  Bit-identical to
-        the step-by-step path.
-    fused_cap:
-        Working-set rank cap of the fusion pass's §5 group analysis (the
-        LDM-budget analogue): it bounds each group's *kept rank* and
-        thereby fixes the group boundaries — it does not cap this
-        process's actual in-flight tensor ranks, which stay what the
-        tree dictates.  ``None`` uses the machine spec's LDM rank.  See
-        :func:`repro.costs.fusion.select_fusion_cap` for cost-model-ranked
-        selection.
-    fused_max_steps:
-        Optional cap on the number of steps fused into one group.
-    tape_engine:
-        Which interpreter walks the fused tape: ``"python"`` (the inlined
-        walker in this module), ``"native"`` (lower the fused sequences
-        into :class:`~repro.execution.tape.TapeProgram` form for the
-        numba kernel — required, but execution still falls back
-        bit-identically if numba is absent in the executing process), or
-        ``"auto"`` (native exactly when numba is importable).  Only
-        meaningful with ``fused``; requesting ``"native"`` on an unfused
-        plan is an error.  The native kernel walks raw numpy buffers, so
-        with a non-numpy ``array_module`` ``"auto"`` resolves to the
-        Python walker and ``"native"`` is rejected.
-    array_module:
-        The execution substrate every kernel of the plan runs on: an
-        :class:`~repro.execution.array_module.ArrayModule` instance or a
-        name (``"numpy"``/``"cupy"``/``"torch"``); ``None`` means host
-        numpy, which is bit-identical to the pre-seam behaviour.  Leaves
-        are staged onto the module per subtask and the root staged back —
-        see :mod:`repro.execution.array_module` for the host-staging
-        contract.
+        Also lower the step list into
+        :class:`~repro.execution.tape.TapeProgram` form and execute it
+        through the numba tape kernel when one is available (in the
+        compiling process for the lowering, in the executing process for
+        the run); otherwise the plan runs the Python walker and
+        :attr:`CompiledPlan.fusion_breaks` says why.  Bit-identical
+        either way.
     """
     sliced = frozenset(sliced)
-    module = resolve_array_module(array_module)
-    if tape_engine not in ("auto", "python", "native"):
-        raise PlanError(
-            f"unknown tape_engine {tape_engine!r}; "
-            "expected 'auto', 'python' or 'native'"
-        )
-    if tape_engine == "native" and not fused:
-        raise PlanError("tape_engine='native' requires a fused plan")
-    engine = "python"
-    if fused and tape_engine != "python":
-        if not module.supports_native_tape:
-            # the numba kernel walks raw numpy buffers only
-            if tape_engine == "native":
-                raise PlanError(
-                    "tape_engine='native' requires the numpy array module; "
-                    f"module {module.name!r} runs the Python tape walker"
-                )
-        else:
-            from .tape import native_available
-
-            if tape_engine == "native" or native_available():
-                engine = "native"
-    if batch_index is not None and batch_indices is not None:
-        raise PlanError("pass either batch_index or batch_indices, not both")
-    batch: Tuple[str, ...] = (
-        tuple(batch_indices) if batch_indices else ((batch_index,) if batch_index else ())
-    )
+    batch: Tuple[str, ...] = tuple(batch_indices) if batch_indices else ()
     if len(set(batch)) != len(batch):
         raise PlanError(f"repeated batch indices in {batch}")
     for ix in batch:
@@ -1541,38 +1016,10 @@ def compile_plan(
             ix for ix in b_ixs if ix in out_set and ix not in a_set
         ]
 
-        invariant = node not in dependent
-
         kwargs: Dict[str, object] = {}
         if not kept_shared and not solo_summed:
             kind = "tensordot"
-            kwargs["axes"] = (
-                tuple(a_ixs.index(ix) for ix in contracted),
-                tuple(b_ixs.index(ix) for ix in contracted),
-            )
-            if node in slot_of or branch_buffers or fused:
-                # explicit transpose → reshape → dot layout mirroring
-                # np.tensordot, so the step can write into a stem slot or
-                # a recycled branch buffer
-                kept_a = [ix for ix in a_ixs if ix in out_set]
-                kept_b = [ix for ix in b_ixs if ix in out_set]
-                kwargs["td_perm_lhs"] = tuple(
-                    a_ixs.index(ix) for ix in (*kept_a, *contracted)
-                )
-                kwargs["td_perm_rhs"] = tuple(
-                    b_ixs.index(ix) for ix in (*contracted, *kept_b)
-                )
-                kwargs["td_mkn"] = (
-                    math.prod(size(ix) for ix in kept_a),
-                    math.prod(size(ix) for ix in contracted),
-                    math.prod(size(ix) for ix in kept_b),
-                )
-                kwargs["td_lhs_identity"] = kwargs["td_perm_lhs"] == tuple(
-                    range(len(a_ixs))
-                )
-                kwargs["td_rhs_identity"] = kwargs["td_perm_rhs"] == tuple(
-                    range(len(b_ixs))
-                )
+            b_order: List[str] = []
         elif (
             node_batch
             and not solo_summed
@@ -1583,30 +1030,6 @@ def compile_plan(
             kind = "bmm"
             # canonical batch-axis order: as given in the batch group
             b_order = [ix for ix in batch if ix in node_batch]
-            m_ixs = [ix for ix in a_ixs if ix in out_set and ix not in node_batch]
-            n_ixs = [ix for ix in b_ixs if ix in out_set and ix not in node_batch]
-            w_b = math.prod(size(ix) for ix in b_order)
-            m = math.prod(size(ix) for ix in m_ixs)
-            k = math.prod(size(ix) for ix in contracted)
-            n = math.prod(size(ix) for ix in n_ixs)
-            kwargs["bmm_perm_lhs"] = tuple(
-                a_ixs.index(ix) for ix in (*b_order, *m_ixs, *contracted)
-            )
-            kwargs["bmm_perm_rhs"] = tuple(
-                b_ixs.index(ix) for ix in (*b_order, *contracted, *n_ixs)
-            )
-            kwargs["bmm_lhs_shape"] = (w_b, m, k)
-            kwargs["bmm_rhs_shape"] = (w_b, k, n)
-            kwargs["bmm_out_shape"] = tuple(
-                size(ix) for ix in (*b_order, *m_ixs, *n_ixs)
-            )
-            kwargs["bmm_lhs_identity"] = kwargs["bmm_perm_lhs"] == tuple(
-                range(len(a_ixs))
-            )
-            kwargs["bmm_rhs_identity"] = kwargs["bmm_perm_rhs"] == tuple(
-                range(len(b_ixs))
-            )
-            out_order = [*b_order, *m_ixs, *n_ixs]
         else:
             kind = "einsum"
             # integer axis labels (einsum's interleaved form): unlike spec
@@ -1619,6 +1042,24 @@ def compile_plan(
             kwargs["sub_lhs"] = tuple(label(ix) for ix in a_ixs)
             kwargs["sub_rhs"] = tuple(label(ix) for ix in b_ixs)
             kwargs["sub_out"] = tuple(label(ix) for ix in out_order)
+        if kind != "einsum":
+            # the explicit transpose → reshape → dot layout: shared batch
+            # axes lead, then the kept axes of each operand around the
+            # contracted block — np.tensordot's own order, so the GEMM
+            # output needs no transpose
+            m_ixs = [ix for ix in a_ixs if ix in out_set and ix not in b_order]
+            n_ixs = [ix for ix in b_ixs if ix in out_set and ix not in b_order]
+            lhs_perm = tuple(a_ixs.index(ix) for ix in (*b_order, *m_ixs, *contracted))
+            rhs_perm = tuple(b_ixs.index(ix) for ix in (*b_order, *contracted, *n_ixs))
+            kwargs["lhs_perm"] = lhs_perm
+            kwargs["rhs_perm"] = rhs_perm
+            kwargs["wmkn"] = tuple(
+                math.prod(size(ix) for ix in group)
+                for group in (b_order, m_ixs, contracted, n_ixs)
+            )
+            kwargs["lhs_identity"] = lhs_perm == tuple(range(len(a_ixs)))
+            kwargs["rhs_identity"] = rhs_perm == tuple(range(len(b_ixs)))
+            out_order = [*b_order, *m_ixs, *n_ixs]
 
         orders[node] = tuple(out_order)
         steps.append(
@@ -1628,12 +1069,12 @@ def compile_plan(
                 rhs=rhs,
                 kind=kind,
                 out_indices=orders[node],
-                invariant=invariant,
+                out_shape=tuple(size(ix) for ix in out_order),
+                invariant=node not in dependent,
                 free_full=(lhs, rhs),
                 free_cached=tuple(c for c in (lhs, rhs) if c not in frontier),
                 log2_flops=tree.node_log2_flops(node, enumerated),
                 slot=slot_of.get(node),
-                out_shape=tuple(size(ix) for ix in out_order),
                 **kwargs,  # type: ignore[arg-type]
             )
         )
@@ -1654,30 +1095,6 @@ def compile_plan(
             out_order_final = tuple(root_order[i] for i in perm)
     out_sizes = {ix: tree.index_size(ix) for ix in out_order_final}
 
-    fused_runs_full: Tuple[FusedRun, ...] = ()
-    fused_runs_cached: Tuple[FusedRun, ...] = ()
-    fusion_plan = None
-    step_tapes: Optional[Dict[int, Tuple]] = None
-    fusion_breaks: Dict[str, int] = {}
-    if fused:
-        shape_of = {
-            node: tuple(size(ix) for ix in order) for node, order in orders.items()
-        }
-        kernel_cache: Dict[int, Tuple] = {}
-        fused_runs_full, fused_runs_cached, fusion_plan, fusion_breaks = (
-            compile_fused_runs(
-                tree,
-                steps,
-                enumerated=frozenset(enumerated),
-                dependent=dependent,
-                shape_of=shape_of,
-                cap=fused_cap,
-                max_fused_steps=fused_max_steps,
-                kernel_cache=kernel_cache,
-            )
-        )
-        step_tapes = compile_step_tapes(tree, steps, shape_of, kernel_cache)
-
     return CompiledPlan(
         tree=tree,
         enumerated=tuple(sorted(enumerated)),
@@ -1690,15 +1107,6 @@ def compile_plan(
         out_indices=out_order_final,
         out_sizes=out_sizes,
         root_perm=root_perm,
-        branch_buffers=branch_buffers,
         fused=fused,
-        fused_runs_full=fused_runs_full,
-        fused_runs_cached=fused_runs_cached,
-        fusion_plan=fusion_plan,
-        step_tapes=step_tapes,
-        tape_engine=engine,
-        fusion_breaks=fusion_breaks,
-        array_module=module,
         derived_dtype=derived_dtype,
     )
-

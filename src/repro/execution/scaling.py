@@ -406,7 +406,7 @@ def measure_strong_scaling(
         to the workload's actual root-contribution size.
     executor_kwargs:
         Extra :class:`~repro.execution.SlicedExecutor` arguments (e.g.
-        ``fused=True``, ``tape_engine="native"``).
+        ``fused=True``).
     verify_against_serial:
         Disable only when the serial reference itself is too slow to run
         (the sweep then trusts the backend's internal ordered fold).

@@ -18,12 +18,11 @@ once and shared across every subtask, the stem's running tensor alternates
 between two preallocated slots, and optionally a group of sliced indices is
 kept as leading batch axes so that all of their value combinations are
 swept in a single batched contraction (``batch_indices=``).  With
-``fused=True`` (or ``"auto"``) whole stem sub-paths additionally execute
-as fused runs — intermediates pinned in the arena, permutations
-precompiled via the §5.3.1 reduced maps; see
-:mod:`repro.execution.fusion`.  ``mode="reference"`` selects the seed
-einsum walker, which re-plans and re-contracts everything per subtask; it
-is the path everything else is cross-checked against.
+``fused=True`` the plan is additionally lowered for the numba tape kernel
+of :mod:`repro.execution.tape`, which then replaces the Python walker
+wherever it is available.  ``mode="reference"`` selects the seed einsum
+walker, which re-plans and re-contracts everything per subtask; it is the
+path everything else is cross-checked against.
 
 *How* the subtasks run — serial, thread pool, shared-memory process pool —
 is the backend's concern (``backend=``); see
@@ -62,7 +61,6 @@ import numpy as np
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from .array_module import ArrayModule, resolve_array_module
 from .backend import ExecutionBackend, resolve_backend, validate_execution_args
 from .checkpoint import CheckpointJob, CheckpointStore, job_fingerprint
 from .contract import TreeExecutor
@@ -112,10 +110,6 @@ class SlicedExecutor:
         cache; mutating a tensor's numpy buffer *in place* is not — treat
         tensor data as immutable (as the rest of the codebase does) or
         construct a fresh executor after such a mutation.
-    batch_index:
-        Keep one sliced index as a live batch axis — shorthand for a
-        one-element ``batch_indices`` group.  ``"auto"`` picks the largest
-        sliced index; ``None`` disables batching.  Compiled mode only.
     batch_indices:
         Keep a *group* of sliced indices as live batch axes so :meth:`run`
         sweeps all ``prod w(e)`` of their value combinations in a single
@@ -146,28 +140,15 @@ class SlicedExecutor:
     memory_target_rank:
         Explicit memory target for the auto batch group; overrides the
         cost model's.
-    branch_buffers:
-        Route freed off-stem intermediates through the arena's
-        size-bucketed free list (see
-        :class:`~repro.execution.plan.StemSlots`).  Values are
-        bit-identical with the flag on or off.
     fused:
-        Execute stem sub-paths as fused runs (§5 brought into the
-        compiled plan; see :mod:`repro.execution.fusion`): within a run
-        the running stem tensor stays in the arena's slots and scratch —
-        no per-step ``transpose → reshape`` allocation — with operand
-        permutations precompiled via the §5.3.1 reduced maps.  ``True``
-        fuses under ``fused_cap`` (default: the spec's LDM rank);
-        ``"auto"`` asks :func:`repro.costs.fusion.select_fusion_cap` for
-        the cost-model-ranked cap and stays step-by-step when the stem
-        has nothing to fuse; ``False`` (default) keeps the step-by-step
-        path.  Results are bit-identical in every mode and on every
+        Lower the compiled step list into a
+        :class:`~repro.execution.tape.TapeProgram` and run it through the
+        numba tape kernel when numba is importable; otherwise (and
+        whenever the plan cannot lower, or the kernel declines) the same
+        Python walker as ``fused=False`` runs, and
+        ``stats.tape_engine`` / ``stats.fusion_breaks`` say which engine
+        ran and why.  Results are bit-identical either way and on every
         backend.  Compiled mode only.
-    fused_cap:
-        Explicit working-set rank cap for the fusion pass's §5 group
-        analysis (the LDM-budget analogue); overrides the auto-ranked
-        choice.  The cap places group boundaries — it is not a bound on
-        this process's peak memory.
     fault_policy:
         Optional :class:`~repro.execution.resilience.FaultPolicy`
         governing crash recovery, retries/timeouts and degradation for
@@ -185,28 +166,6 @@ class SlicedExecutor:
         :class:`~repro.execution.faultinject.FaultInjector` (testing
         hook): injects scheduled worker kills, delays and chunk failures
         at submission time.  Compiled mode only.
-    tape_engine:
-        Which interpreter walks the fused tape: ``"python"`` keeps the
-        pure-Python walker, ``"native"`` lowers the tape into the flat
-        numba-JIT program of :mod:`repro.execution.tape` (falling back
-        to the Python walker at runtime when the JIT is unavailable),
-        and ``"auto"`` (default) selects native exactly when numba is
-        importable.  Results are bit-identical across engines; the
-        choice also keys the cost model's per-step overhead lookup so
-        ``fused="auto"`` ranks caps against the engine that will
-        actually run.  Only meaningful together with ``fused``;
-        compiled mode only.
-    array_module:
-        The execution substrate the compiled plans' kernels run on: an
-        :class:`~repro.execution.array_module.ArrayModule` instance or a
-        name (``"numpy"``/``"cupy"``/``"torch"``).  The default (host
-        numpy) is bit-identical to the pre-seam behaviour on every
-        engine and backend.  Non-numpy modules stage leaves onto the
-        substrate per subtask and the root back to the host (results are
-        numerically equal, not bitwise — their BLAS accumulates in a
-        different order), force the Python tape walker, and are rejected
-        on the shared-memory process pool, whose segments are host-side
-        by contract.  Compiled mode only.
     """
 
     def __init__(
@@ -217,18 +176,13 @@ class SlicedExecutor:
         dtype: Optional[np.dtype] = None,
         mode: str = "compiled",
         cache_invariant: bool = True,
-        batch_index: Optional[str] = None,
         batch_indices: Union[str, Sequence[str], None] = None,
         backend: Optional[ExecutionBackend] = None,
         cost_model: Optional["CostModel"] = None,
         memory_target_rank: Optional[int] = None,
-        branch_buffers: bool = False,
-        fused: Union[bool, str] = False,
-        fused_cap: Optional[int] = None,
+        fused: bool = False,
         fault_policy: Optional["FaultPolicy"] = None,
         fault_injector: Optional["FaultInjector"] = None,
-        tape_engine: str = "auto",
-        array_module=None,
     ) -> None:
         self.network = network
         self.tree = tree
@@ -237,30 +191,22 @@ class SlicedExecutor:
         bad = [ix for ix in self.sliced if ix not in inner]
         if bad:
             raise ValueError(f"sliced indices {bad} are not inner indices of the network")
-        self._array_module = resolve_array_module(array_module)
-        validate_execution_args(
-            mode, backend=backend, array_module=self._array_module
-        )
+        validate_execution_args(mode, backend=backend)
+        if not isinstance(fused, bool):
+            raise ValueError(f"fused must be True or False, got {fused!r}")
+        if fused and mode == "reference":
+            raise ValueError("fused execution requires the compiled mode")
         self.mode = mode
         self._sizes = {ix: network.size_of(ix) for ix in self.sliced}
         self._dtype = np.dtype(dtype) if dtype is not None else None
         self._cache_invariant = bool(cache_invariant)
-        self._backend = (
-            resolve_backend(backend, array_module=self._array_module)
-            if mode == "compiled"
-            else None
-        )
+        self._backend = resolve_backend(backend) if mode == "compiled" else None
         self.cost_model = cost_model
         self._memory_target_rank = (
             int(memory_target_rank) if memory_target_rank is not None else None
         )
-        self._branch_buffers = bool(branch_buffers)
-
-        self.batch_indices: Tuple[str, ...] = self._normalize_batch(
-            batch_index, batch_indices, mode
-        )
-        self._tape_engine_request = self._normalize_tape_engine(tape_engine, fused, mode)
-        self._fused, self._fused_cap = self._normalize_fused(fused, fused_cap, mode)
+        self._fused = fused
+        self.batch_indices: Tuple[str, ...] = self._normalize_batch(batch_indices, mode)
         self._configure_faults(fault_policy, fault_injector)
 
         #: Per-node execution counters (compiled mode); the cached path must
@@ -285,16 +231,8 @@ class SlicedExecutor:
                 self._compile_plain_plan()
 
     def _normalize_batch(
-        self,
-        batch_index: Optional[str],
-        batch_indices: Union[str, Sequence[str], None],
-        mode: str,
+        self, spec: Union[str, Sequence[str], None], mode: str
     ) -> Tuple[str, ...]:
-        if batch_index is not None and batch_indices is not None:
-            raise ValueError("pass either batch_index or batch_indices, not both")
-        spec: Union[str, Sequence[str], None] = (
-            batch_indices if batch_indices is not None else batch_index
-        )
         if spec is None:
             return ()
         if mode == "reference":
@@ -327,73 +265,6 @@ class SlicedExecutor:
             if ix not in self.sliced:
                 raise ValueError(f"batch index {ix!r} is not in the sliced set")
         return group
-
-    def _normalize_tape_engine(
-        self,
-        tape_engine: str,
-        fused: Union[bool, str],
-        mode: str,
-    ) -> str:
-        """Validate the ``tape_engine=`` spec (resolution happens per plan)."""
-        if tape_engine not in ("auto", "python", "native"):
-            raise ValueError(
-                f"tape_engine must be 'auto', 'python' or 'native', got {tape_engine!r}"
-            )
-        if mode == "reference" and tape_engine != "auto":
-            raise ValueError("tape_engine requires the compiled mode")
-        if tape_engine == "native" and (fused is False or fused is None):
-            raise ValueError("tape_engine='native' requires fused=True or fused='auto'")
-        if tape_engine == "native" and not self._array_module.supports_native_tape:
-            raise ValueError(
-                "tape_engine='native' requires the numpy array module; "
-                f"array_module={self._array_module.name!r} runs the Python "
-                "tape walker"
-            )
-        return tape_engine
-
-    def _cost_tape_engine(self) -> str:
-        """The engine fused plans would actually run on (cost-lookup key)."""
-        if self._tape_engine_request == "python":
-            return "python"
-        if not self._array_module.supports_native_tape:
-            # the numba kernel walks raw numpy buffers only
-            return "python"
-        from .tape import native_available
-
-        return "native" if native_available() else "python"
-
-    def _normalize_fused(
-        self,
-        fused: Union[bool, str],
-        fused_cap: Optional[int],
-        mode: str,
-    ) -> Tuple[bool, Optional[int]]:
-        """Resolve the ``fused=`` spec to a (flag, working-set cap) pair."""
-        if fused is False or fused is None:
-            if fused_cap is not None:
-                raise ValueError("fused_cap requires fused=True or fused='auto'")
-            return False, None
-        if mode == "reference":
-            raise ValueError("fused execution requires the compiled mode")
-        if fused is True:
-            return True, fused_cap
-        if fused == "auto":
-            cap = fused_cap
-            if cap is None:
-                from ..costs.fusion import select_fusion_cap
-
-                cap = select_fusion_cap(
-                    self.tree,
-                    frozenset(self.sliced),
-                    cost_model=self.cost_model,
-                    backend=self._backend.name if self._backend is not None else None,
-                    tape_engine=self._cost_tape_engine(),
-                    array_module=self._array_module.name,
-                )
-            if cap is None:  # nothing to fuse: stay step-by-step
-                return False, None
-            return True, cap
-        raise ValueError(f"fused must be True, False or 'auto', got {fused!r}")
 
     def _configure_faults(
         self,
@@ -441,11 +312,6 @@ class SlicedExecutor:
         return self._backend
 
     @property
-    def array_module(self) -> ArrayModule:
-        """The execution substrate the compiled plans run on."""
-        return self._array_module
-
-    @property
     def fault_policy(self) -> Optional["FaultPolicy"]:
         """The run-scoped fault policy (timeouts already derived), if any."""
         return self._fault_policy
@@ -457,29 +323,15 @@ class SlicedExecutor:
 
     @property
     def fused(self) -> bool:
-        """Whether plans are compiled with the §5 fusion pass."""
+        """Whether plans are compiled for the native tape kernel."""
         return self._fused
 
     @property
-    def fused_cap(self) -> Optional[int]:
-        """The resolved working-set cap of the fusion pass (``None`` = spec)."""
-        return self._fused_cap
-
-    @property
     def tape_engine(self) -> str:
-        """The resolved tape engine of the primary compiled plan.
-
-        ``"native"`` when the plan carries a lowered JIT program (see
-        :mod:`repro.execution.tape`), else ``"python"``.  Before any plan
-        exists (reference mode, or a still-lazy plain plan) this reports
-        the engine a fused plan *would* resolve to.
-        """
+        """``"native"`` when the primary compiled plan carries a lowered
+        program (see :mod:`repro.execution.tape`), else ``"python"``."""
         plan = self._batched_plan if self._batched_plan is not None else self._plan
-        if plan is not None:
-            return plan.tape_engine
-        if self.mode != "compiled" or not self._fused:
-            return "python"
-        return self._cost_tape_engine()
+        return plan.tape_engine if plan is not None else "python"
 
     @property
     def plan(self) -> Optional[CompiledPlan]:
@@ -545,11 +397,7 @@ class SlicedExecutor:
             self.tree,
             frozenset(self.sliced),
             dtype=self._dtype,
-            branch_buffers=self._branch_buffers,
             fused=self._fused,
-            fused_cap=self._fused_cap,
-            tape_engine=self._tape_engine_request if self._fused else "python",
-            array_module=self._array_module,
         )
         self._cache = self._plan.new_cache() if self._cache_invariant else None
         self._stamp_plan_stats(self._plan)
@@ -563,11 +411,7 @@ class SlicedExecutor:
             frozenset(self.sliced),
             batch_indices=self.batch_indices,
             dtype=self._dtype,
-            branch_buffers=self._branch_buffers,
             fused=self._fused,
-            fused_cap=self._fused_cap,
-            tape_engine=self._tape_engine_request if self._fused else "python",
-            array_module=self._array_module,
         )
         self._batched_cache = (
             self._batched_plan.new_cache() if self._cache_invariant else None
@@ -576,7 +420,7 @@ class SlicedExecutor:
         self._snapshot_leaves()
 
     def _stamp_plan_stats(self, plan: CompiledPlan) -> None:
-        """Record compile-time plan facts (fusion split reasons) in stats."""
+        """Record why a fused plan runs the Python walker, if it does."""
         if plan.fusion_breaks and not self.stats.fusion_breaks:
             self.stats.fusion_breaks = plan.fusion_breaks
 

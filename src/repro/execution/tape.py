@@ -1,16 +1,14 @@
-"""Native-speed fused tape: the §5 sub-path schedule without Python.
+"""Native tape engine: the compiled step list without per-step Python.
 
-The fused executor (:mod:`repro.execution.fusion` +
-:meth:`~repro.execution.plan.CompiledPlan.execute`) removed the
-per-step allocations from the hot path, but every tape entry still
-round-trips through the Python interpreter — tuple unpacking, attribute
-lookups, numpy wrapper calls — which at circuit-simulation tensor sizes
-costs a sizable fraction of each GEMM.  This module removes that last
-layer: the fused execution sequence is **lowered** once, at plan-compile
-time, into a flat array-of-structs :class:`TapeProgram` — an opcode
-table plus integer operand/register/axis arrays and one preallocated
-scratch arena — that a numba-``@njit`` kernel walks with zero per-step
-Python.
+:func:`repro.execution.plan._walk_steps` runs a plan's GEMM sequence from
+Python — attribute lookups and numpy wrapper calls per step, which at
+circuit-simulation tensor sizes cost a sizable fraction of each GEMM.
+This module removes that layer for plans compiled with ``fused=True``:
+the step list is **lowered** once, at plan-compile time, into a flat
+array-of-structs :class:`TapeProgram` — an opcode table plus integer
+operand/register/axis arrays — that a numba-``@njit`` kernel walks with
+zero per-step Python.  The step list stays the one compiled form; the
+program is derived from it and exists only for the kernel.
 
 This is the CPU analogue of the paper's §5.3.1 *thread-level* fused
 kernel (modelled analytically by
@@ -19,12 +17,10 @@ kernel (modelled analytically by
 steps through the 64 CPEs' LDM with reduced permutation maps resident,
 the tape program streams them through a compiled loop with the same
 §5.3.1 reduced core maps baked into one concatenated index table.  Every
-operand permutation — including the Python walker's strided-``copyto``
-cases — lowers to the recursion-formula gather
-``dst[(p·C + c)·S + s] = src[(p·C + map[c])·S + s]``, which a compiled
-loop executes efficiently at any suffix size, so one op shape serves all
-permutations.  Batched (``bmm``) steps lower to a batched-GEMM op whose
-leading batch axis sits in the permutation's fixed prefix (see
+non-identity operand permutation lowers to the recursion-formula gather
+``dst[(p·C + c)·S + s] = src[(p·C + map[c])·S + s]``.  Batched (``bmm``)
+steps lower to a batched-GEMM op whose leading batch axis sits in the
+permutation's fixed prefix (see
 :meth:`~repro.core.permutation_map.PermutationSpec.with_leading_batch`),
 so the stored maps stay batch-invariant.
 
@@ -32,56 +28,59 @@ Engine contract
 ---------------
 * **Import-guarded**: numba (and scipy, whose ``cython_blas`` numba's
   ``np.dot`` lowering requires) are *optional*.  Without them
-  :func:`native_available` is ``False``, plans compiled with
-  ``tape_engine="auto"`` carry no program, and explicitly requested
-  native plans fall back — bit-identically — to the Python walker at
-  execution time.
+  :func:`native_available` is ``False``, fused plans carry no program and
+  run the Python walker.
 * **Picklable**: a :class:`TapeProgram` is plain ndarrays and tuples, so
   fused plans ship to pool workers unchanged; the JIT kernel itself is
   process-local and compiles lazily on first use in each worker
   (:func:`warm_kernel` lets the pool pay that at spawn instead of on the
   first chunk).
-* **Bit-identical**: the kernel performs exactly the loads, gathers and
-  BLAS GEMMs of the Python walker, in the same order, on the same
+* **Bit-identical**: the kernel performs exactly the loads, permutations
+  and BLAS GEMMs of the Python walker, in the same order, on the same
   operand layouts.  :func:`interpret_program` is the pure-numpy
   executable specification of the kernel's semantics; the equivalence
-  tests pin both against the stepwise oracle.
-* **Self-disarming**: any kernel failure poisons the engine for the
-  process (:func:`run_native` returns ``False`` forever after), so a
-  broken JIT environment degrades to the Python walker instead of
-  failing runs.
+  tests pin the lowering against the walker through it.
+* **Self-disarming, audibly**: any kernel failure poisons the engine for
+  the process (:func:`run_native` returns ``False`` forever after) and
+  logs one ``WARNING`` with the exception on :data:`logger`; a fused plan
+  that runs the walker instead logs one ``INFO`` with the reason
+  (:func:`unavailable_reason`, or a dtype decline).
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.permutation_map import PermutationSpec, ReducedPermutationMap
-from .fusion import TAPE_COPY, TAPE_GATHER, TAPE_VIEW, FusedRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .plan import PlanStats, StemSlots
+    from .plan import ContractStep, PlanStats, StemSlots
 
 __all__ = [
     "TapeProgram",
     "interpret_program",
-    "lower_entries",
+    "lower_steps",
     "native_available",
     "run_native",
+    "unavailable_reason",
     "warm_kernel",
 ]
+
+#: ``WARNING`` when the kernel disarms itself, ``INFO`` when a fused plan
+#: runs the Python walker instead; silent otherwise.
+logger = logging.getLogger(__name__)
 
 
 #: Opcodes of the lowered program.
 OP_DOT, OP_BMM = 0, 1
 
 #: Scratch keys in the :class:`~repro.execution.plan.StemSlots` arena for
-#: the kernel's permutation staging (kept separate from the Python
-#: walker's keys so a runtime fallback never churns buffer generations).
+#: the kernel's permutation staging.
 SCRATCH_TAPE_LHS = "tape-lhs"
 SCRATCH_TAPE_RHS = "tape-rhs"
 
@@ -107,9 +106,18 @@ except Exception:  # pragma: no cover - the numba-free default environment
 _BROKEN = False
 
 
+def unavailable_reason() -> Optional[str]:
+    """Why the native engine cannot run in this process (``None``: it can)."""
+    if not _HAVE_NUMBA:
+        return "no-numba"
+    if _BROKEN:
+        return "kernel-disarmed"
+    return None
+
+
 def native_available() -> bool:
     """Whether the native tape engine can run in this process."""
-    return _HAVE_NUMBA and not _BROKEN
+    return unavailable_reason() is None
 
 
 if _HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
@@ -179,7 +187,7 @@ if _HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TapeProgram:
-    """A fused execution sequence lowered to array-of-structs form.
+    """A compiled step list lowered to array-of-structs form.
 
     All step state lives in parallel int64 tables (one row per GEMM), so
     the kernel's walk touches no Python objects:
@@ -199,8 +207,8 @@ class TapeProgram:
     nodes the program computes (for stats parity with the Python walker);
     ``root``/``root_reg``/``root_shape`` locate and shape the result.
     ``scratch_lhs``/``scratch_rhs`` size the two staging buffers
-    (elements), and the ``*_steps`` counters mirror the Python walker's
-    ``slot_writes``/``branch_writes``/``fused_steps`` accounting.
+    (elements); ``slot_steps`` counts the stem steps (the walker's
+    ``slot_writes``) and ``fused_steps`` every GEMM the kernel runs.
 
     Instances contain only ndarrays and tuples: they pickle to pool
     workers with the plan, and each process JIT-compiles the kernel
@@ -221,7 +229,6 @@ class TapeProgram:
     scratch_lhs: int
     scratch_rhs: int
     slot_steps: int
-    branch_steps: int
     fused_steps: int
 
     @property
@@ -231,32 +238,19 @@ class TapeProgram:
 
 
 class _Lowering:
-    """Builder state for one :func:`lower_entries` pass."""
+    """Builder state for one :func:`lower_steps` pass."""
 
     def __init__(self) -> None:
         self.rows: List[Tuple[int, int, int, int]] = []
         self.dims: List[Tuple[int, int, int, int]] = []
-        self.lhs_perm: List[Tuple[int, int, int, int, int]] = []
-        self.rhs_perm: List[Tuple[int, int, int, int, int]] = []
+        self.perms: Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]] = ([], [])
         self.map_parts: List[np.ndarray] = []
         self.map_offset = 0
         self.reg_of: Dict[int, int] = {}
         self.free_regs: List[int] = []
         self.next_reg = 0
         self.inputs: List[Tuple[int, int]] = []
-        self.nodes: List[int] = []
-        self.scratch_lhs = 0
-        self.scratch_rhs = 0
-        self.slot_steps = 0
-        self.branch_steps = 0
-        self.fused_steps = 0
-
-    def alloc(self) -> int:
-        if self.free_regs:
-            return self.free_regs.pop()
-        reg = self.next_reg
-        self.next_reg += 1
-        return reg
+        self.scratch = [0, 0]
 
     def operand_reg(self, node: int) -> int:
         reg = self.reg_of.get(node)
@@ -274,178 +268,79 @@ class _Lowering:
             self.inputs.append((node, reg))
         return reg
 
-    def free_node(self, node: int) -> None:
-        reg = self.reg_of.pop(node, None)
-        if reg is not None:
-            self.free_regs.append(reg)
-
-    def perm_descriptor(self, kernel_tape: Tuple) -> Tuple[int, int, int, int, int]:
-        """Lower one flattened perm kernel to ``(mode, P, C, S, offset)``.
-
-        Identity permutations stay mode 0.  Both the walker's gather and
-        copy strategies become the reduced-map gather: the gather tape
-        already carries ``(P, C, S)`` and the core map, the copy tape
-        carries ``(perm, target_shape)`` from which the source shape —
-        and hence the same reduced map the gather would use — is
-        reconstructed.  A compiled loop has no minimum-suffix economics
-        (the walker's ``GATHER_MIN_SUFFIX`` exists because ``np.take``
-        on near-scalar rows loses to numpy's strided copy), so one op
-        shape serves every permutation.
-        """
-        mode, p1, p2, _ = kernel_tape
-        if mode == TAPE_VIEW:
-            return (0, 1, 1, 1, 0)
-        if mode == TAPE_GATHER:
-            prefix, core, suffix = p1
-            core_map = p2
-        else:
-            assert mode == TAPE_COPY
-            perm, target_shape = p1, p2
-            source_shape = [0] * len(perm)
-            for position, axis in enumerate(perm):
-                source_shape[axis] = target_shape[position]
-            reduced = ReducedPermutationMap(
-                PermutationSpec(perm=tuple(perm), shape=tuple(source_shape))
-            )
-            prefix = reduced.prefix_size
-            core = reduced.core_size
-            suffix = reduced.suffix_size
-            core_map = reduced.core_map
-        offset = self.map_offset
-        self.map_parts.append(np.asarray(core_map, dtype=np.int64))
-        self.map_offset += int(core_map.size)
-        return (1, int(prefix), int(core), int(suffix), offset)
-
-    def emit(
+    def stage(
         self,
-        node: int,
-        lhs: int,
-        rhs: int,
-        lhs_kernel: Tuple,
-        rhs_kernel: Tuple,
-        is_bmm: bool,
+        side: int,
+        perm: Tuple[int, ...],
+        shape: Tuple[int, ...],
+        identity: bool,
+        size: int,
     ) -> None:
-        lhs_out = lhs_kernel[3]
-        rhs_out = rhs_kernel[3]
-        if is_bmm:
-            w, m, k = lhs_out
-            n = rhs_out[2]
-        else:
-            w = 1
-            m, k = lhs_out
-            n = rhs_out[1]
-        lhs_reg = self.operand_reg(lhs)
-        rhs_reg = self.operand_reg(rhs)
-        lhs_desc = self.perm_descriptor(lhs_kernel)
-        rhs_desc = self.perm_descriptor(rhs_kernel)
-        if lhs_desc[0] == 1:
-            self.scratch_lhs = max(self.scratch_lhs, w * m * k)
-        if rhs_desc[0] == 1:
-            self.scratch_rhs = max(self.scratch_rhs, w * k * n)
-        out_reg = self.alloc()
-        self.rows.append((OP_BMM if is_bmm else OP_DOT, lhs_reg, rhs_reg, out_reg))
-        self.dims.append((w, m, k, n))
-        self.lhs_perm.append(lhs_desc)
-        self.rhs_perm.append(rhs_desc)
-        self.reg_of[node] = out_reg
-        self.nodes.append(node)
+        """Append one operand's ``(mode, P, C, S, offset)`` descriptor.
+
+        Identity permutations pass the register through (mode 0); every
+        other one becomes the §5.3.1 reduced-map gather over the
+        operand's ``(prefix, core, suffix)`` view.
+        """
+        if identity:
+            self.perms[side].append((0, 1, 1, 1, 0))
+            return
+        reduced = ReducedPermutationMap(PermutationSpec(perm=perm, shape=shape))
+        self.perms[side].append(
+            (
+                1,
+                reduced.prefix_size,
+                reduced.core_size,
+                reduced.suffix_size,
+                self.map_offset,
+            )
+        )
+        self.map_parts.append(np.asarray(reduced.core_map, dtype=np.int64))
+        self.map_offset += int(reduced.core_map.size)
+        self.scratch[side] = max(self.scratch[side], size)
 
 
-def lower_entries(
-    entries: Optional[Tuple[object, ...]],
+def lower_steps(
+    steps: Sequence["ContractStep"],
     root: int,
     cached: bool,
+    shape_of: Mapping[int, Tuple[int, ...]],
 ) -> Optional[TapeProgram]:
-    """Lower one fused execution sequence into a :class:`TapeProgram`.
+    """Lower one compiled step list into a :class:`TapeProgram`.
 
-    ``entries`` is a :meth:`CompiledPlan._interleave` sequence: inline
-    tape tuples, :class:`~repro.execution.fusion.FusedRun` objects, and
-    (for hyper-index einsum fallbacks) plain ``ContractStep`` objects.
-    Einsum steps have no GEMM form, so a sequence containing one cannot
-    be lowered — the function returns ``None`` and the plan keeps the
-    Python walker.  ``cached`` selects which free schedule drives
-    register recycling (it must match the sequence being lowered).
+    ``steps`` is a plan's full or cache-warm step list and ``cached``
+    selects the matching free schedule, which drives register recycling.
+    ``shape_of`` maps every node (leaves included) to the shape its
+    tensor arrives in — the source shape of the operand permutations.
+    Einsum steps have no GEMM form, so a list containing one cannot be
+    lowered: the function returns ``None`` (as it does for an empty list)
+    and the plan keeps the Python walker.
     """
-    if not entries:
+    if not steps or any(step.wmkn is None for step in steps):
         return None
     state = _Lowering()
-    for entry in entries:
-        kind = type(entry)
-        if kind is tuple:
-            (
-                node,
-                lhs,
-                rhs,
-                lhs_kernel,
-                rhs_kernel,
-                slot,
-                _dims,
-                _out_shape,
-                is_root,
-                free_full,
-                free_cached,
-                is_bmm,
-            ) = entry
-            state.emit(node, lhs, rhs, lhs_kernel, rhs_kernel, is_bmm)
-            if slot is not None:
-                state.slot_steps += 1
-            elif not is_root:
-                state.branch_steps += 1
-            for child in free_cached if cached else free_full:
-                state.free_node(child)
-        elif kind is FusedRun:
-            free_lists = (
-                entry.tape_free_cached if cached else entry.tape_free_full
-            )
-            previous: Optional[int] = None
-            for tape_entry, frees in zip(entry.tape, free_lists):
-                (
-                    node,
-                    lhs,
-                    rhs,
-                    _stem_on_lhs,
-                    lhs_kernel,
-                    rhs_kernel,
-                    _slot,
-                    _dims,
-                    _out_shape,
-                    is_bmm,
-                ) = tape_entry
-                state.emit(node, lhs, rhs, lhs_kernel, rhs_kernel, is_bmm)
-                state.slot_steps += 1
-                state.fused_steps += 1
-                for child in frees:
-                    state.free_node(child)
-                if previous is not None:
-                    # the interior stem intermediate was consumed by this
-                    # op; the plan's free lists never mention it because
-                    # the Python walker keeps it out of ``live``
-                    state.free_node(previous)
-                previous = node
+    for step in steps:
+        w, m, k, n = step.wmkn
+        lhs_reg = state.operand_reg(step.lhs)
+        rhs_reg = state.operand_reg(step.rhs)
+        state.stage(0, step.lhs_perm, shape_of[step.lhs], step.lhs_identity, w * m * k)
+        state.stage(1, step.rhs_perm, shape_of[step.rhs], step.rhs_identity, w * k * n)
+        if state.free_regs:
+            out_reg = state.free_regs.pop()
         else:
-            return None  # einsum fallback step: no GEMM form to lower
-    root_reg = state.reg_of.get(root)
-    if root_reg is None:
-        return None
-    # the root's logical shape: its producing entry's reshape (or raw
-    # GEMM dims when no reshape was needed)
-    root_shape: Optional[Tuple[int, ...]] = None
-    for entry in entries:
-        if type(entry) is tuple and entry[0] == root:
-            root_shape = entry[7] if entry[7] is not None else entry[6]
-        elif type(entry) is FusedRun:
-            for tape_entry in entry.tape:
-                if tape_entry[0] == root:
-                    root_shape = (
-                        tape_entry[8] if tape_entry[8] is not None else tape_entry[7]
-                    )
-    if root_shape is None:
-        return None
+            out_reg = state.next_reg
+            state.next_reg += 1
+        opcode = OP_BMM if step.kind == "bmm" else OP_DOT
+        state.rows.append((opcode, lhs_reg, rhs_reg, out_reg))
+        state.dims.append(step.wmkn)
+        state.reg_of[step.node] = out_reg
+        for child in step.free_cached if cached else step.free_full:
+            state.free_regs.append(state.reg_of.pop(child))
     return TapeProgram(
         ops=np.asarray(state.rows, dtype=np.int64),
         dims=np.asarray(state.dims, dtype=np.int64),
-        lhs_perm=np.asarray(state.lhs_perm, dtype=np.int64),
-        rhs_perm=np.asarray(state.rhs_perm, dtype=np.int64),
+        lhs_perm=np.asarray(state.perms[0], dtype=np.int64),
+        rhs_perm=np.asarray(state.perms[1], dtype=np.int64),
         core_maps=(
             np.concatenate(state.map_parts)
             if state.map_parts
@@ -453,15 +348,14 @@ def lower_entries(
         ),
         num_regs=state.next_reg,
         inputs=tuple(state.inputs),
-        nodes=tuple(state.nodes),
+        nodes=tuple(step.node for step in steps),
         root=root,
-        root_reg=root_reg,
-        root_shape=tuple(root_shape),
-        scratch_lhs=state.scratch_lhs,
-        scratch_rhs=state.scratch_rhs,
-        slot_steps=state.slot_steps,
-        branch_steps=state.branch_steps,
-        fused_steps=state.fused_steps,
+        root_reg=state.reg_of[root],
+        root_shape=tuple(shape_of[root]),
+        scratch_lhs=state.scratch[0],
+        scratch_rhs=state.scratch[1],
+        slot_steps=sum(1 for step in steps if step.slot is not None),
+        fused_steps=len(steps),
     )
 
 
@@ -494,7 +388,7 @@ def interpret_program(
     Semantically identical, op for op, to the njit ``_walk`` kernel —
     same register file, same reduced-map gathers, same per-batch-slice
     ``np.dot`` calls — so the numba-free test environment can pin the
-    lowering against the stepwise oracle, and CI (with numba installed)
+    lowering against the Python walker, and CI (with numba installed)
     pins the kernel against *this*.  Returns the root array, reshaped.
     """
     if dtype is None:
@@ -524,7 +418,14 @@ def interpret_program(
 # Native execution
 # ----------------------------------------------------------------------
 def _mark_broken() -> None:
+    """Disarm the engine; called from the failing kernel call's handler."""
     global _BROKEN
+    if not _BROKEN:
+        logger.warning(
+            "native tape kernel failed and is disarmed for this process; "
+            "fused plans run the Python walker from here on",
+            exc_info=True,
+        )
     _BROKEN = True
 
 
@@ -597,7 +498,6 @@ def run_native(
         for node in program.nodes:
             counts[node] = counts.get(node, 0) + 1
         stats.slot_writes += program.slot_steps
-        stats.branch_writes += program.branch_steps
         stats.fused_steps += program.fused_steps
         stats.record_stage("fused_kernel", time.perf_counter() - start)
     return True

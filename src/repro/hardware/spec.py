@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "DeviceSpec",
-    "GENERIC_GPU",
     "SunwaySpec",
     "SW26010PRO",
     "COMPLEX64_BYTES",
@@ -139,58 +137,3 @@ class SunwaySpec:
 
 #: The default machine model used throughout the package.
 SW26010PRO = SunwaySpec()
-
-
-@dataclass(frozen=True)
-class DeviceSpec:
-    """Description of an accelerator device behind a non-numpy array module.
-
-    The array-module seam (:mod:`repro.execution.array_module`) lets the
-    compiled plan run its kernels on a device (CUDA through CuPy or torch)
-    while leaves, slicing, and accumulation stay host-side.  Before any
-    calibration data for a ``"<backend>+<engine>+<module>"`` key exists,
-    :class:`~repro.costs.model.AnalyticCostModel` prices that execution
-    with the three numbers that dominate it:
-
-    * ``hbm_bandwidth`` — device-memory bandwidth for the kernels'
-      memory-bound regime,
-    * ``device_flops`` — the device's peak flop rate for the compute-bound
-      regime (``effective_flops`` applies the achievable GEMM fraction),
-    * ``pcie_bandwidth`` — the host↔device staging rate paid per subtask
-      for leaf uploads and the root download (the seam's host-staging
-      contract keeps everything else resident).
-
-    The defaults sketch a generic data-center GPU (≈ A100-class: 1.555
-    TB/s HBM2e, 19.5 Tflop/s single precision, PCIe 4.0 x16 ≈ 25 GB/s
-    effective).  Like :class:`SunwaySpec`, it is a frozen dataclass so
-    what-if variants come from :meth:`with_overrides`.
-    """
-
-    name: str = "generic-gpu"
-
-    # memory system (bytes / second)
-    hbm_bandwidth: float = 1.555e12  # device memory <-> compute
-    pcie_bandwidth: float = 25.0e9  # host <-> device staging
-
-    # compute rate
-    device_flops: float = 19.5e12  # single-precision peak, flop / s
-    gemm_peak_fraction: float = 0.75  # achievable fraction on dense GEMM
-
-    @property
-    def effective_flops(self) -> float:
-        """Achievable GEMM flop rate (peak scaled by the GEMM fraction)."""
-        return self.device_flops * self.gemm_peak_fraction
-
-    def staging_seconds(self, transfer_bytes: float) -> float:
-        """Seconds to move ``transfer_bytes`` across the host↔device link."""
-        if transfer_bytes <= 0.0:
-            return 0.0
-        return float(transfer_bytes) / self.pcie_bandwidth
-
-    def with_overrides(self, **kwargs: object) -> "DeviceSpec":
-        """Return a modified copy (thin wrapper over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **kwargs)  # type: ignore[arg-type]
-
-
-#: The default device model for non-numpy array modules.
-GENERIC_GPU = DeviceSpec()

@@ -199,10 +199,6 @@ class TestMultiIndexBatching:
             SlicedExecutor(tn, tree, sliced, batch_indices=["nope"])
         with pytest.raises(ValueError):
             SlicedExecutor(tn, tree, sliced, batch_indices=[sliced[0], sliced[0]])
-        with pytest.raises(ValueError):
-            SlicedExecutor(
-                tn, tree, sliced, batch_index=sliced[0], batch_indices=[sliced[1]]
-            )
 
     @SETTINGS
     @given(
@@ -246,7 +242,7 @@ class TestLazyPlanCompilation:
     def test_pure_batched_run_skips_per_subtask_plan(self, case):
         tn, tree, reference = case
         sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_index="auto")
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         # a full batched run never needs the enumerated plan or its cache
         assert executor._plan is None
@@ -255,14 +251,14 @@ class TestLazyPlanCompilation:
     def test_subset_run_compiles_lazily(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_index="auto")
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
         executor.run([0, 1])
         assert executor._plan is not None
 
     def test_run_subtask_compiles_lazily(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_index="auto")
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
         assert executor._plan is None
         executor.run_subtask(0)
         assert executor._plan is not None
@@ -270,14 +266,14 @@ class TestLazyPlanCompilation:
     def test_plan_property_forces_compilation(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_index="auto")
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
         assert executor.plan is not None
 
     def test_lazy_plan_sees_mutations_before_first_compile(self, case):
         tn, tree, reference = case
         mutated = tn.copy()
         sliced = sorted(mutated.inner_indices())[:2]
-        executor = SlicedExecutor(mutated, tree, sliced, batch_index="auto")
+        executor = SlicedExecutor(mutated, tree, sliced, batch_indices="auto")
         # permute a leaf before the enumerated plan ever compiles
         tid = mutated.tensor_ids[0]
         tensor = mutated.tensor(tid)
@@ -338,7 +334,7 @@ class TestValidationSymmetry:
 
 
 class TestAutoBatchPick:
-    """``batch_index="auto"`` must pick deterministically, ties included."""
+    """``batch_indices="auto"`` must pick deterministically, ties included."""
 
     def test_auto_tie_break_is_lexicographically_largest(self, case):
         tn, tree, _ = case
@@ -347,7 +343,7 @@ class TestAutoBatchPick:
         # entirely by the documented tie-break
         sizes = {ix: tn.size_of(ix) for ix in sliced}
         assert len(set(sizes.values())) == 1
-        executor = SlicedExecutor(tn, tree, sliced, batch_index="auto")
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
         assert executor.batch_indices == (max(sliced),)
 
     def test_auto_pick_stable_across_constructions_and_orders(self, case):
@@ -355,7 +351,7 @@ class TestAutoBatchPick:
         sliced = sorted(tn.inner_indices())[:4]
         picks = set()
         for ordering in (sliced, list(reversed(sliced)), sliced[2:] + sliced[:2]):
-            executor = SlicedExecutor(tn, tree, ordering, batch_index="auto")
+            executor = SlicedExecutor(tn, tree, ordering, batch_indices="auto")
             picks.add(executor.batch_indices)
         assert len(picks) == 1
 
@@ -372,7 +368,7 @@ class TestAutoBatchPick:
         tn.add_tensor(Tensor(("k", "a"), data=rng.normal(size=(3, 2)), sizes=sizes))
         tn.add_tensor(Tensor(("a", "j"), data=rng.normal(size=(2, 4)), sizes=sizes))
         tree = GreedyOptimizer(seed=1).tree(tn)
-        executor = SlicedExecutor(tn, tree, {"j", "k", "a"}, batch_index="auto")
+        executor = SlicedExecutor(tn, tree, {"j", "k", "a"}, batch_indices="auto")
         assert executor.batch_indices == ("j",)
 
 

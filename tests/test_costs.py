@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis import cost_model_summary, predicted_vs_measured
@@ -34,7 +33,6 @@ from repro.execution import (
     HeadlineProjection,
     PlanStats,
     ProcessScheduler,
-    SerialBackend,
     SlicedExecutor,
     strong_scaling,
     weak_scaling,
@@ -188,46 +186,6 @@ class TestAutoBatchOnExecutor:
         assert executor.batch_indices == ()
         plain = SlicedExecutor(small_network, small_tree, small_sliced)
         assert executor.amplitude() == pytest.approx(plain.amplitude(), abs=1e-10)
-
-
-class TestBranchFreeListOnCachedPath:
-    def test_cached_run_recycles_branch_buffers_bit_identically(self, workload):
-        network, tree, sliced = workload
-        baseline = SlicedExecutor(network, tree, sliced)
-        expected = baseline.run().require_data().copy()
-        flagged = SlicedExecutor(network, tree, sliced, branch_buffers=True)
-        np.testing.assert_array_equal(flagged.run().require_data(), expected)
-        # this workload has slice-dependent off-stem steps, so the cached
-        # path must draw from the free list
-        assert flagged.stats.branch_writes > 0
-        backend = flagged.backend
-        assert isinstance(backend, SerialBackend)
-        assert backend._slots.free_list_bytes > 0
-
-    def test_branch_flag_composes_with_batching(self, workload):
-        network, tree, sliced = workload
-        plain = SlicedExecutor(network, tree, sliced).amplitude()
-        batched = SlicedExecutor(
-            network, tree, sliced, batch_indices="auto", branch_buffers=True
-        )
-        assert batched.amplitude() == pytest.approx(plain, abs=1e-10)
-
-    def test_branch_flag_on_uncached_process_pool(self, workload):
-        # regression: workers hold shared-memory-backed leaves whose array
-        # base is an mmap, which release_branch must treat as foreign
-        from repro.execution import SharedMemoryProcessPoolBackend
-
-        network, tree, sliced = workload
-        plain = SlicedExecutor(network, tree, sliced).run().require_data().copy()
-        pooled = SlicedExecutor(
-            network,
-            tree,
-            sliced,
-            branch_buffers=True,
-            cache_invariant=False,
-            backend=SharedMemoryProcessPoolBackend(max_workers=2),
-        )
-        np.testing.assert_array_equal(pooled.run().require_data(), plain)
 
 
 # ----------------------------------------------------------------------

@@ -453,22 +453,6 @@ class TestSpecsAndValidation:
         with pytest.raises(ValueError, match="empty"):
             DistributedBackend(addresses=[])
 
-    def test_device_module_rejected_on_distributed(self):
-        class FakeDeviceModule:
-            name = "cupy"
-            is_host = False
-
-        module = FakeDeviceModule()
-        with pytest.raises(ValueError, match="DistributedBackend"):
-            validate_execution_args(
-                "compiled",
-                DistributedBackend(num_workers=2),
-                array_module=module,
-            )
-        # the same rejection fires on the string spec path
-        with pytest.raises(ValueError, match="DistributedBackend"):
-            validate_execution_args("compiled", "distributed", array_module=module)
-
     def test_unknown_transport_rejected(self):
         backend = DistributedBackend(num_workers=2, transport="carrier-pigeon")
         with pytest.raises(ValueError, match="transport"):

@@ -83,12 +83,12 @@ class TestCompiledPlanEquivalence:
         for kwargs in (
             dict(),
             dict(cache_invariant=False),
-            dict(batch_index="auto"),
-            dict(batch_index=sliced[0]),
+            dict(batch_indices="auto"),
+            dict(batch_indices=(sliced[0],)),
             dict(batch_indices=sliced[:2]),
             dict(batch_indices=tuple(sliced)),
             dict(backend=ThreadPoolBackend(max_workers=2)),
-            dict(batch_index="auto", backend=ThreadPoolBackend(max_workers=2)),
+            dict(batch_indices="auto", backend=ThreadPoolBackend(max_workers=2)),
         ):
             executor = SlicedExecutor(tn, tree, sliced, **kwargs)
             assert executor.amplitude() == pytest.approx(reference, abs=1e-9), kwargs
@@ -162,7 +162,7 @@ class TestCompiledPlanEquivalence:
         picks = rng.choice(len(inner), size=min(num_sliced, len(inner)), replace=False)
         sliced = [inner[i] for i in picks]
         reference = SlicedExecutor(tn, tree, sliced, mode="reference").amplitude()
-        kwargs = dict(batch_index="auto") if batched else {}
+        kwargs = dict(batch_indices="auto") if batched else {}
         executor = SlicedExecutor(tn, tree, sliced, **kwargs)
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         assert reference == pytest.approx(amplitude(circ, bits), abs=1e-8)
@@ -204,7 +204,7 @@ class TestInvariantCaching:
     def test_batched_plan_uses_batched_matmul(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_index="auto")
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
         kinds = {step.kind for step in executor.batched_plan._steps}
         assert "bmm" in kinds or "einsum" in kinds
         # one sweep covers all w(b) values of the batch index
@@ -272,72 +272,47 @@ class TestStemSlots:
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         assert executor.stats.slot_writes > 0
 
+    def test_cached_sweeps_hold_two_buffers_and_retain_nothing(self):
+        """The walker's whole standing footprint is the invariant cache
+        plus the two stem slots: no scratch, no free list, and a second
+        sweep leaves exactly the bytes the first one did."""
+        import gc
+        import tracemalloc
 
-class TestBranchFreeList:
-    def test_bucket_is_next_power_of_two(self):
         from repro.execution import StemSlots
+        from repro.execution import plan as plan_module
 
-        assert StemSlots._bucket(1) == 1
-        assert StemSlots._bucket(5) == 8
-        assert StemSlots._bucket(8) == 8
+        tn, tree, _ = _case(num_qubits=8, depth=5)
+        sliced = sorted(tn.inner_indices())[-3:]
+        plan = compile_plan(tn, tree, frozenset(sliced))
+        dependent_stem = [
+            s for s in plan.contract_steps if s.slot is not None and not s.invariant
+        ]
+        assert len(dependent_stem) >= 2 and plan.frontier  # both slots, real cache
+        cache, slots = plan.new_cache(), StemSlots()
+        sizes = [range(tn.size_of(ix)) for ix in sliced]
+        assignments = [dict(zip(sliced, v)) for v in itertools.product(*sizes)]
 
-    def test_take_release_recycles_the_same_buffer(self):
-        from repro.execution import StemSlots
+        engine = tracemalloc.Filter(True, plan_module.__file__)
 
-        slots = StemSlots()
-        loaned = slots.take_branch((2, 3), np.dtype(np.complex64))
-        owner = loaned
-        while owner.base is not None:
-            owner = owner.base
-        # release through a *different* view of the loan — the free list
-        # must still find the owning buffer
-        slots.release_branch(loaned.reshape(6))
-        assert slots.free_list_bytes == owner.nbytes
-        again = slots.take_branch((3, 2), np.dtype(np.complex64))  # same bucket
-        owner_again = again
-        while owner_again.base is not None:
-            owner_again = owner_again.base
-        assert owner_again is owner
-        assert slots.free_list_bytes == 0
+        def sweep():
+            """One cached sweep; bytes allocated by plan.py still alive after it."""
+            for assignment in assignments:
+                plan.execute(tn, assignment, cache=cache, slots=slots)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces([engine])
+            return sum(stat.size for stat in snapshot.statistics("filename"))
 
-    def test_foreign_arrays_pass_through_release(self):
-        from repro.execution import StemSlots
-
-        slots = StemSlots()
-        foreign = np.zeros(4)
-        slots.release_branch(foreign)  # no-op, never recycled
-        assert slots.free_list_bytes == 0
-
-    def test_branch_path_bit_identical_to_allocating_path(self, case):
-        tn, tree, reference = case
-        sliced = sorted(tn.inner_indices())[:3]
-        baseline = SlicedExecutor(tn, tree, sliced, cache_invariant=False)
-        expected = baseline.run().require_data().copy()
-        flagged = SlicedExecutor(
-            tn, tree, sliced, cache_invariant=False, branch_buffers=True
-        )
-        np.testing.assert_array_equal(flagged.run().require_data(), expected)
-        assert baseline.stats.branch_writes == 0
-        assert flagged.stats.branch_writes > 0
-        # every subtask recycles the same branch buffers
-        assert flagged.stats.branch_writes % flagged.stats.executions == 0
-
-    def test_recycled_buffers_do_not_corrupt_results(self, case):
-        tn, tree, _ = case
-        from repro.execution import StemSlots
-
-        plan = compile_plan(
-            tn, tree, frozenset(sorted(tn.inner_indices())[:2]), branch_buffers=True
-        )
-        slots = StemSlots()
-        assignment = {ix: 0 for ix in plan.sliced}
-        first = plan.execute(tn, assignment, slots=slots).require_data().copy()
-        # interleave a different assignment so every branch buffer is
-        # recycled with other contents, then re-check determinism
-        other = {ix: 1 if tn.size_of(ix) > 1 else 0 for ix in plan.sliced}
-        plan.execute(tn, other, slots=slots)
-        again = plan.execute(tn, assignment, slots=slots).require_data()
-        np.testing.assert_array_equal(first, again)
+        tracemalloc.start()
+        try:
+            first = sweep()
+            second = sweep()
+        finally:
+            tracemalloc.stop()
+        assert sum(buffer is not None for buffer in slots._buffers) == 2
+        assert not slots._scratch
+        assert first >= slots.allocated_bytes > 0  # the trace saw the slots
+        assert second == first
 
 
 class TestHyperIndexKernel:
@@ -379,9 +354,9 @@ class TestPlanValidation:
     def test_batch_index_must_be_sliced(self, case):
         tn, tree, _ = case
         with pytest.raises(PlanError):
-            compile_plan(tn, tree, frozenset(), batch_index="nope")
+            compile_plan(tn, tree, frozenset(), batch_indices=("nope",))
         with pytest.raises(ValueError):
-            SlicedExecutor(tn, tree, sorted(tn.inner_indices())[:1], batch_index="nope")
+            SlicedExecutor(tn, tree, sorted(tn.inner_indices())[:1], batch_indices=("nope",))
 
     def test_assignment_keys_validated(self, case):
         tn, tree, _ = case
@@ -405,7 +380,7 @@ class TestPlanValidation:
         tn, tree, _ = case
         with pytest.raises(ValueError):
             SlicedExecutor(
-                tn, tree, sorted(tn.inner_indices())[:1], mode="reference", batch_index="auto"
+                tn, tree, sorted(tn.inner_indices())[:1], mode="reference", batch_indices="auto"
             )
 
     def test_reference_mode_rejects_thread_pool(self, case):

@@ -1,28 +1,32 @@
 """Tests of the native tape engine (§5.3.1 lowered to a flat program).
 
-The fused execution sequence lowers into a :class:`TapeProgram` — opcode
-table, operand/register tables, permutation descriptors, concatenated
-reduced maps — that a numba kernel walks with no per-step Python.  Numba
-is an *optional* dependency, so these tests pin the machinery that must
-hold either way:
+A ``fused=True`` plan's step list lowers into a :class:`TapeProgram` —
+opcode table, operand/register tables, permutation descriptors,
+concatenated reduced maps — that a numba kernel walks with no per-step
+Python.  Numba is an *optional* dependency, so these tests pin the
+machinery that must hold either way:
 
 * the lowering itself (register allocation, perm descriptors, scratch
   sizing, pickling) is pure numpy and is tested directly;
 * :func:`interpret_program` — the kernel's executable specification —
-  must be bit-identical to the stepwise oracle on every assignment; the
+  must be bit-identical to the Python walker on every assignment; the
   CI leg that installs numba pins the njit kernel against the same
   contract;
-* engine selection (``tape_engine="auto"|"python"|"native"``) and the
-  graceful fallback when numba is absent or the kernel is disarmed;
-* a fake native engine (``run_native`` monkeypatched to the reference
-  interpreter) drives the full executor stack — caching, batching,
-  chunked backends, fault recovery — through the native code path in a
-  numba-free environment.
+* engine selection (native exactly when available) and the graceful,
+  logged fallback when numba is absent or the kernel is disarmed;
+* a fake native engine (:func:`fake_native_engine`: the lowering armed
+  and ``run_native`` replaced by the reference interpreter) drives the
+  full executor stack — caching, batching, chunked backends, fault
+  recovery — through the native code path in a numba-free environment.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import logging
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +38,6 @@ from repro.execution import (
     FaultInjector,
     FaultPolicy,
     FaultSpec,
-    PlanError,
     PlanStats,
     SharedMemoryProcessPoolBackend,
     SlicedExecutor,
@@ -83,9 +86,9 @@ def stepwise_value(case, sliced):
 
 
 def _native_plan(tn, tree, sliced, **kwargs):
-    return compile_plan(
-        tn, tree, frozenset(sliced), fused=True, tape_engine="native", **kwargs
-    )
+    """A fused plan lowered whether or not numba is installed."""
+    with mock.patch.object(tape_module, "unavailable_reason", lambda: None):
+        return compile_plan(tn, tree, frozenset(sliced), fused=True, **kwargs)
 
 
 def _leaf_inputs(plan, network, assignment):
@@ -110,10 +113,23 @@ def _fake_run_native(program, live, slots, stats):
         for node in program.nodes:
             counts[node] = counts.get(node, 0) + 1
         stats.slot_writes += program.slot_steps
-        stats.branch_writes += program.branch_steps
         stats.fused_steps += program.fused_steps
         stats.record_stage("fused_kernel", 0.0)
     return True
+
+
+@contextlib.contextmanager
+def fake_native_engine():
+    """Arm the native path without numba: fused plans lower, and the
+    reference interpreter stands in for the kernel.  Where numba is
+    installed the real kernel is live and nothing is faked."""
+    if native_available():
+        yield
+        return
+    with mock.patch.object(
+        tape_module, "unavailable_reason", lambda: None
+    ), mock.patch.object(tape_module, "run_native", _fake_run_native):
+        yield
 
 
 class TestLowering:
@@ -233,8 +249,6 @@ class TestInterpreterEquivalence:
         plan = _native_plan(tn, tree, sliced)
         program = plan.native_programs[0]
         slots = StemSlots()
-        import itertools
-
         sizes = {ix: tree.index_size(ix) for ix in sliced}
         for values in itertools.product(*[range(sizes[ix]) for ix in sliced]):
             assignment = dict(zip(sliced, values))
@@ -265,15 +279,11 @@ class TestInterpreterEquivalence:
         if program is None:
             # einsum fallback in the sequence: nothing to lower, and the
             # executor transparently keeps the Python walker
-            fused = SlicedExecutor(
-                tn, tree, sliced, fused=True, tape_engine="native"
-            )
+            fused = SlicedExecutor(tn, tree, sliced, fused=True)
             assert fused.amplitude() == stepwise
             return
         slots = StemSlots()
         oracle = compile_plan(tn, tree, frozenset(sliced))
-        import itertools
-
         sizes = {ix: tree.index_size(ix) for ix in sliced}
         for values in itertools.product(*[range(sizes[ix]) for ix in sliced]):
             assignment = dict(zip(sliced, values))
@@ -285,64 +295,35 @@ class TestInterpreterEquivalence:
 
 
 class TestEngineSelection:
-    """``tape_engine`` resolution, validation, and graceful fallback."""
-
-    def test_bad_engine_rejected_by_compile(self, case, sliced):
-        tn, tree = case
-        with pytest.raises(PlanError, match="tape_engine"):
-            compile_plan(tn, tree, frozenset(sliced), fused=True, tape_engine="llvm")
-
-    def test_native_requires_fused_plan(self, case, sliced):
-        tn, tree = case
-        with pytest.raises(PlanError, match="fused"):
-            compile_plan(tn, tree, frozenset(sliced), tape_engine="native")
-
-    def test_bad_engine_rejected_by_executor(self, case, sliced):
-        tn, tree = case
-        with pytest.raises(ValueError, match="tape_engine"):
-            SlicedExecutor(tn, tree, sliced, fused=True, tape_engine="llvm")
-
-    def test_executor_native_requires_fused(self, case, sliced):
-        tn, tree = case
-        with pytest.raises(ValueError, match="fused"):
-            SlicedExecutor(tn, tree, sliced, tape_engine="native")
-
-    def test_reference_mode_rejects_engine(self, case, sliced):
-        tn, tree = case
-        with pytest.raises(ValueError, match="compiled"):
-            SlicedExecutor(
-                tn, tree, sliced, mode="reference", tape_engine="python"
-            )
+    """Native exactly when available, and a graceful fallback otherwise."""
 
     def test_auto_resolves_by_availability(self, case, sliced, monkeypatch):
         tn, tree = case
-        monkeypatch.setattr(tape_module, "native_available", lambda: False)
-        plan = compile_plan(
-            tn, tree, frozenset(sliced), fused=True, tape_engine="auto"
-        )
+        monkeypatch.setattr(tape_module, "unavailable_reason", lambda: "no-numba")
+        plan = compile_plan(tn, tree, frozenset(sliced), fused=True)
         assert plan.tape_engine == "python"
         assert plan.native_programs == (None, None)
-        monkeypatch.setattr(tape_module, "native_available", lambda: True)
-        plan = compile_plan(
-            tn, tree, frozenset(sliced), fused=True, tape_engine="auto"
-        )
+        assert plan.fusion_breaks == {"no-numba": 1}
+        monkeypatch.setattr(tape_module, "unavailable_reason", lambda: None)
+        plan = compile_plan(tn, tree, frozenset(sliced), fused=True)
         assert plan.tape_engine == "native"
         assert plan.native_programs[0] is not None
+        assert plan.fusion_breaks == {}
 
     def test_runtime_fallback_is_bit_identical(
         self, case, sliced, stepwise_value, monkeypatch
     ):
-        """``run_native`` declining (numba absent, kernel disarmed, bad
-        dtype) must leave the Python walker's result untouched."""
+        """``run_native`` declining (numba absent in the worker, kernel
+        disarmed, bad dtype) must leave the walker's result untouched."""
         tn, tree = case
+        monkeypatch.setattr(tape_module, "unavailable_reason", lambda: None)
         monkeypatch.setattr(tape_module, "run_native", lambda *args: False)
-        executor = SlicedExecutor(
-            tn, tree, sliced, fused=True, tape_engine="native"
-        )
+        executor = SlicedExecutor(tn, tree, sliced, fused=True)
         assert executor.plan.tape_engine == "native"
         assert executor.amplitude() == stepwise_value
         assert executor.stats.tape_engine == "python"
-        assert executor.stats.fused_steps > 0
+        assert executor.stats.fused_steps == 0
+        assert executor.stats.fusion_breaks == {"dtype": 1}
 
     def test_run_native_declines_when_disarmed(self, case, sliced, monkeypatch):
         tn, tree = case
@@ -376,19 +357,57 @@ class TestEngineSelection:
     def test_warm_kernel_tracks_availability(self):
         assert warm_kernel(np.complex128) == native_available()
 
+    def test_disarm_logs_one_warning_with_the_exception(
+        self, case, sliced, monkeypatch, caplog
+    ):
+        tn, tree = case
+        plan = _native_plan(tn, tree, sliced)
+        program = plan.native_programs[0]
+        live = _leaf_inputs(plan, tn, {ix: 0 for ix in sliced})
+        monkeypatch.setattr(tape_module, "_BROKEN", False)
+        monkeypatch.setattr(tape_module, "_HAVE_NUMBA", True)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(tape_module, "_walk", boom, raising=False)
+        with caplog.at_level(logging.WARNING, logger="repro.execution.tape"):
+            assert run_native(program, live, StemSlots(), None) is False
+            assert run_native(program, live, StemSlots(), None) is False
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1  # once per process, not per call
+        assert "disarmed" in warnings[0].getMessage()
+        assert warnings[0].exc_info is not None  # the exception rides along
+
+    def test_walker_fallback_logs_one_info_per_plan(
+        self, case, sliced, monkeypatch, caplog
+    ):
+        tn, tree = case
+        monkeypatch.setattr(tape_module, "unavailable_reason", lambda: "no-numba")
+        with caplog.at_level(logging.INFO, logger="repro.execution.tape"):
+            SlicedExecutor(tn, tree, sliced).run()  # not fused: silent
+            assert not caplog.records
+            executor = SlicedExecutor(tn, tree, sliced, fused=True)
+            executor.run()
+        infos = [r for r in caplog.records if r.levelno == logging.INFO]
+        assert len(infos) == 1  # per plan, nothing per subtask
+        assert "no-numba" in infos[0].getMessage()
+        assert executor.stats.executions > 1
+        assert executor.stats.tape_engine == "python"
+        assert executor.stats.fusion_breaks == {"no-numba": 1}
+
 
 class TestFakeNativeEngine:
     """The full executor stack through the native dispatch path."""
 
     @pytest.fixture(autouse=True)
-    def fake_native(self, monkeypatch):
-        monkeypatch.setattr(tape_module, "run_native", _fake_run_native)
+    def fake_native(self):
+        with fake_native_engine():
+            yield
 
     def test_serial_bit_identical(self, case, sliced, stepwise_value):
         tn, tree = case
-        executor = SlicedExecutor(
-            tn, tree, sliced, fused=True, tape_engine="native"
-        )
+        executor = SlicedExecutor(tn, tree, sliced, fused=True)
         assert executor.amplitude() == stepwise_value
         assert executor.stats.tape_engine == "native"
         assert executor.stats.fused_steps > 0
@@ -400,7 +419,6 @@ class TestFakeNativeEngine:
             tree,
             sliced,
             fused=True,
-            tape_engine="native",
             cache_invariant=False,
         )
         assert executor.amplitude() == stepwise_value
@@ -408,34 +426,23 @@ class TestFakeNativeEngine:
     def test_node_counts_match_stepwise(self, case, sliced):
         tn, tree = case
         plain = SlicedExecutor(tn, tree, sliced)
-        native = SlicedExecutor(
-            tn, tree, sliced, fused=True, tape_engine="native"
-        )
+        native = SlicedExecutor(tn, tree, sliced, fused=True)
         plain.run()
         native.run()
         assert native.stats.node_counts == plain.stats.node_counts
 
     def test_batched_matches_python_engine(self, case, sliced):
-        """Both tape engines on the same batched plan: exact equality."""
+        """Walker and native engine on the same batched plan: exact equality."""
         tn, tree = case
         for group in ([sliced[0]], sliced[:2]):
             python_engine = SlicedExecutor(
-                tn,
-                tree,
-                sliced,
-                fused=True,
-                batch_indices=group,
-                tape_engine="python",
+                tn, tree, sliced, batch_indices=group
             ).amplitude()
-            native_engine = SlicedExecutor(
-                tn,
-                tree,
-                sliced,
-                fused=True,
-                batch_indices=group,
-                tape_engine="native",
-            ).amplitude()
-            assert native_engine == python_engine, group
+            native = SlicedExecutor(
+                tn, tree, sliced, fused=True, batch_indices=group
+            )
+            assert native.amplitude() == python_engine, group
+            assert native.stats.tape_engine == "native"
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -453,7 +460,6 @@ class TestFakeNativeEngine:
             tree,
             sliced,
             fused=True,
-            tape_engine="native",
             backend=ThreadPoolBackend(max_workers=2, chunk_size=chunk_size),
             **kwargs,
         )
@@ -461,14 +467,7 @@ class TestFakeNativeEngine:
         if batch:
             # batch sweeps accumulate in a different order than the
             # enumerated loop: engines agree exactly, stepwise only approx
-            python_engine = SlicedExecutor(
-                tn,
-                tree,
-                sliced,
-                fused=True,
-                tape_engine="python",
-                **kwargs,
-            ).amplitude()
+            python_engine = SlicedExecutor(tn, tree, sliced, **kwargs).amplitude()
             assert value == python_engine
             assert value == pytest.approx(stepwise, abs=1e-10)
         else:
@@ -477,6 +476,12 @@ class TestFakeNativeEngine:
 
 class TestNativeThroughPool:
     """Native plans ship to pool workers and survive fault recovery."""
+
+    @pytest.fixture(autouse=True)
+    def lowering_armed(self, monkeypatch):
+        # plans lower here and ship with their programs; the workers'
+        # own (real) run_native then declines without numba
+        monkeypatch.setattr(tape_module, "unavailable_reason", lambda: None)
 
     def test_plan_pickles_with_programs(self, case, sliced):
         tn, tree = case
@@ -494,7 +499,6 @@ class TestNativeThroughPool:
             tree,
             sliced,
             fused=True,
-            tape_engine="native",
             backend=SharedMemoryProcessPoolBackend(max_workers=2),
         )
         assert executor.amplitude() == stepwise_value
@@ -507,7 +511,6 @@ class TestNativeThroughPool:
             tree,
             sliced,
             fused=True,
-            tape_engine="native",
             backend=SharedMemoryProcessPoolBackend(max_workers=2),
             fault_policy=FaultPolicy.retrying(max_retries=2),
             fault_injector=injector,
