@@ -8,6 +8,7 @@ from .lifetime import (
     lifetime_lengths,
     lifetime_of,
     lifetimes_on_nodes,
+    slice_dependency_levels,
     slice_dependent_nodes,
     verify_halving_property,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "lifetime_lengths",
     "lifetime_of",
     "lifetimes_on_nodes",
+    "slice_dependency_levels",
     "slice_dependent_nodes",
     "verify_halving_property",
     "Stem",

@@ -37,7 +37,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -51,6 +50,7 @@ __all__ = [
     "lifetimes_on_nodes",
     "lifetime_contains",
     "lifetime_is_contiguous_on_path",
+    "slice_dependency_levels",
     "slice_dependent_nodes",
     "verify_halving_property",
 ]
@@ -204,6 +204,38 @@ def lifetime_is_contiguous_on_path(
     return all(membership[first : last + 1])
 
 
+def slice_dependency_levels(
+    tree: ContractionTree, ordered_sliced: Sequence[str]
+) -> Dict[int, int]:
+    """How far down an enumeration order each node's value reaches.
+
+    ``ordered_sliced`` lists the sliced edges slowest-varying first (the
+    order a lexicographic sweep enumerates them in).  The *level* of a node
+    is the 1-based position of the fastest-varying sliced edge whose
+    lifetime contains a leaf of its subtree, or 0 when there is none: a
+    level-0 node is slice-invariant, and a level-``j`` node changes value
+    only when one of the first ``j`` edges does.  Between two assignments
+    that first differ at position ``j`` every node below level ``j`` keeps
+    its value, so a full sweep contracts a node ``prod_{i <= level} w(e_i)``
+    times instead of ``prod_i w(e_i)`` — the recomputation slicing forces
+    (Eq. 2), confined per edge to what its lifetime reaches.
+
+    The levels depend on the order given and on nothing else (no set
+    iteration), so a plan compiled from sorted labels is reproducible.
+    """
+    position = {ix: k + 1 for k, ix in enumerate(ordered_sliced)}
+    levels: Dict[int, int] = {}
+    for leaf in range(tree.num_leaves):
+        levels[leaf] = max(
+            (position[ix] for ix in tree.node_indices(leaf) if ix in position),
+            default=0,
+        )
+    for node in tree.internal_nodes():
+        a, b = tree.children(node)  # type: ignore[misc]
+        levels[node] = max(levels[a], levels[b])
+    return levels
+
+
 def slice_dependent_nodes(
     tree: ContractionTree, sliced: Iterable[str]
 ) -> FrozenSet[int]:
@@ -219,23 +251,12 @@ def slice_dependent_nodes(
     slicing does force is confined to exactly the dependent set, which is
     the executable form of the lifetime/overhead argument of Eq. 2.
 
-    Returns the set of dependent nodes (leaves and intermediates).  The
-    empty slicing set yields the empty set: everything is invariant.
+    Returns the set of dependent nodes (leaves and intermediates) — the
+    nodes of nonzero :func:`slice_dependency_levels`.  The empty slicing
+    set yields the empty set: everything is invariant.
     """
-    sliced = frozenset(sliced)
-    if not sliced:
-        return frozenset()
-    lifetimes = compute_lifetimes(tree, edges=sliced, include_leaves=True)
-    num_leaves = tree.num_leaves
-    touched_leaves: Set[int] = set()
-    for lifetime in lifetimes.values():
-        touched_leaves.update(n for n in lifetime.nodes if n < num_leaves)
-    dependent: Set[int] = set(touched_leaves)
-    for node in tree.internal_nodes():
-        a, b = tree.children(node)  # type: ignore[misc]
-        if a in dependent or b in dependent:
-            dependent.add(node)
-    return frozenset(dependent)
+    levels = slice_dependency_levels(tree, sorted(frozenset(sliced)))
+    return frozenset(node for node, level in levels.items() if level)
 
 
 def verify_halving_property(

@@ -17,10 +17,10 @@ position, so the map is periodic in those blocks and only ``N / 2^m``
 entries need to be stored; the remaining addresses follow from the
 recursion ``map[i + k] = map[i] + k * offset`` for ``k < stride``.
 :class:`ReducedPermutationMap` implements exactly that reduction and is
-verified against ``numpy.transpose`` in the tests.  The real fused
-executor (:mod:`repro.execution.fusion`) consumes these specs at plan
-compile time: identity permutations compile to reshape views and every
-other one to a reduced-map gather into reusable scratch.
+verified against ``numpy.transpose`` in the tests.  The tape lowering
+(:mod:`repro.execution.tape`) consumes these specs at plan compile time:
+identity permutations pass the operand through and every other one becomes
+a reduced-map gather into reusable scratch.
 """
 
 from __future__ import annotations
@@ -258,10 +258,10 @@ class ReducedPermutationMap:
     def core_map(self) -> np.ndarray:
         """The stored middle-block map (target → source core positions).
 
-        This is the only table the recursion formula needs; the fused
-        executor (:mod:`repro.execution.fusion`) bakes it into its
-        precompiled permutation kernels and applies it as a single
-        vectorised gather along the core axis.
+        This is the only table the recursion formula needs; the tape
+        lowering (:mod:`repro.execution.tape`) concatenates these maps into
+        its program and the kernel applies each as a single gather along
+        the core axis.
         """
         return self._core_map
 
@@ -287,10 +287,10 @@ class ReducedPermutationMap:
     def permute(self, array: np.ndarray, module=None) -> np.ndarray:
         """Apply the permutation using only the reduced map (vectorised).
 
-        The gather along the core axis goes through ``module`` (an
-        :class:`~repro.execution.array_module.ArrayModule`, passed in so
-        this core-layer module never imports the execution package) when
-        one is given; the default is the equivalent host ``np.take``.
+        The gather along the core axis goes through ``module`` (any object
+        with numpy's ``reshape(array, shape)`` / ``take(array, indices,
+        axis)`` functions, e.g. a device array namespace) when one is
+        given; the default is the equivalent host ``np.take``.
         """
         if module is None:
             flat = np.asarray(array).reshape(-1)

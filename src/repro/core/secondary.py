@@ -20,11 +20,11 @@ kernels bandwidth bound (§5.1).  The paper's fused design instead:
 groups with their secondary slicing sets and DMA statistics — which the
 thread-level simulator (:mod:`repro.execution.fused`) turns into a timing
 breakdown, and whose invariants (no overhead, DMA savings of ``n-1`` per
-length-``n`` group) are property-tested.  The *real* executor consumes
-the same group boundaries: the fusion pass of
-:mod:`repro.execution.fusion` turns each group's stem GEMMs into a fused
-run whose intermediates never round-trip through freshly allocated
-buffers (the working-set cap playing the LDM budget's role).
+length-``n`` group) are property-tested.  The *real* executor
+(:mod:`repro.execution.plan`) does not group steps: its stem
+intermediates alternate between two preallocated slots instead, and with
+``fused=True`` the whole step list is lowered to one tape program
+(:mod:`repro.execution.tape`).
 """
 
 from __future__ import annotations

@@ -193,6 +193,7 @@ from .plan import (
     PlanError,
     PlanStats,
     StemSlots,
+    SweepCost,
     compile_plan,
 )
 from .resilience import (
@@ -256,6 +257,7 @@ __all__ = [
     "PlanError",
     "PlanStats",
     "StemSlots",
+    "SweepCost",
     "compile_plan",
     "SlicedExecutor",
     "SubtaskResult",

@@ -217,16 +217,19 @@ def execute_chunk(
     processes, socket/MPI workers and the degradation chain.  The CRC-32s
     are computed here, where the chunk was executed, so the coordinator
     can verify the payload survived the trip back intact
-    (:func:`~repro.execution.checkpoint.verify_payload`).
+    (:func:`~repro.execution.checkpoint.verify_payload`).  The chunk is
+    one resumed sweep on the worker's arena: consecutive items recontract
+    only what their changed indices reach, and no state outlives the chunk.
     """
     stats = PlanStats()
-    contributions = [
-        _owned_contribution(
-            plan.execute(network, assignment, cache=cache, stats=stats, slots=slots),
-            sum_batch_axes,
-        )
-        for _, assignment in items
-    ]
+    with slots.sweep():
+        contributions = [
+            _owned_contribution(
+                plan.execute(network, assignment, cache=cache, stats=stats, slots=slots),
+                sum_batch_axes,
+            )
+            for _, assignment in items
+        ]
     return contributions, payload_checksums(contributions), stats
 
 
@@ -248,19 +251,26 @@ def _serial_accumulate(
     cache: Optional[Dict[int, np.ndarray]],
     sum_batch_axes: int,
     stats: Optional[PlanStats],
-    slots: Optional[StemSlots],
+    slots: StemSlots,
 ) -> np.ndarray:
-    """In-order, in-process accumulation — the reduction all backends match."""
+    """In-order, in-process accumulation — the reduction all backends match.
+
+    The loop is one resumed sweep on ``slots`` (see
+    :meth:`~repro.execution.plan.CompiledPlan.execute`).
+    """
     accumulated: Optional[np.ndarray] = None
-    for assignment in assignments:
-        tensor = plan.execute(network, assignment, cache=cache, stats=stats, slots=slots)
-        if accumulated is None:
-            # the first contribution may alias the invariant cache or a
-            # stem slot, both overwritten by later subtasks, so take an
-            # owned buffer once
-            accumulated = _owned_contribution(tensor, sum_batch_axes)
-        else:
-            accumulated += _contribution(tensor, sum_batch_axes)
+    with slots.sweep():
+        for assignment in assignments:
+            tensor = plan.execute(
+                network, assignment, cache=cache, stats=stats, slots=slots
+            )
+            if accumulated is None:
+                # the first contribution may alias the invariant cache or a
+                # stem slot, both overwritten by later subtasks, so take an
+                # owned buffer once
+                accumulated = _owned_contribution(tensor, sum_batch_axes)
+            else:
+                accumulated += _contribution(tensor, sum_batch_axes)
     assert accumulated is not None
     return accumulated
 
@@ -272,7 +282,7 @@ def _serial_accumulate_checkpointed(
     cache: Optional[Dict[int, np.ndarray]],
     sum_batch_axes: int,
     stats: Optional[PlanStats],
-    slots: Optional[StemSlots],
+    slots: StemSlots,
     checkpoint: CheckpointJob,
     injector: Optional[FaultInjector] = None,
 ) -> np.ndarray:
@@ -282,28 +292,30 @@ def _serial_accumulate_checkpointed(
     ledger instead of re-executed; freshly computed slots are recorded
     *before* being folded (the fold mutates the running buffer in place).
     Position order is unchanged, so the result stays bit-identical to the
-    plain serial loop.  Each computed slot is one harvest ordinal for an
-    armed injector's coordinator-side faults.
+    plain serial loop — skipped slots are just gaps in the resumed sweep,
+    which compares assignments by value.  Each computed slot is one harvest
+    ordinal for an armed injector's coordinator-side faults.
     """
     accumulated: Optional[np.ndarray] = None
-    for position, assignment in enumerate(assignments):
-        contribution = checkpoint.loaded.get(position)
-        if contribution is None:
-            tensor = plan.execute(
-                network, assignment, cache=cache, stats=stats, slots=slots
-            )
-            contribution = _owned_contribution(tensor, sum_batch_axes)
-            checkpoint.record(position, contribution)
-            if injector is not None:
-                apply_coordinator_directive(
-                    injector.coordinator_directive_for_next_harvest()
+    with slots.sweep():
+        for position, assignment in enumerate(assignments):
+            contribution = checkpoint.loaded.get(position)
+            if contribution is None:
+                tensor = plan.execute(
+                    network, assignment, cache=cache, stats=stats, slots=slots
                 )
-        if accumulated is None:
-            # both branches yield an owned buffer (loaded slots are fresh
-            # copies off disk), safe to mutate in the fold
-            accumulated = contribution
-        else:
-            accumulated += contribution
+                contribution = _owned_contribution(tensor, sum_batch_axes)
+                checkpoint.record(position, contribution)
+                if injector is not None:
+                    apply_coordinator_directive(
+                        injector.coordinator_directive_for_next_harvest()
+                    )
+            if accumulated is None:
+                # both branches yield an owned buffer (loaded slots are
+                # fresh copies off disk), safe to mutate in the fold
+                accumulated = contribution
+            else:
+                accumulated += contribution
     assert accumulated is not None
     return accumulated
 

@@ -18,12 +18,11 @@ hardware models, which is exactly the data plotted in Fig. 12, plus the
 achieved flop rate and arithmetic intensity needed for the Roofline of
 Fig. 13.
 
-This module *models* the Sunway hardware; the same fused schedule is
-*executed* for real by the compiled-plan layer — see
-:mod:`repro.execution.fusion` (fused runs over the arena, §5.3.1
-permutation kernels) and ``SlicedExecutor(..., fused=True)``.  Both are
-driven by the group boundaries of
-:class:`~repro.core.secondary.SecondarySlicer`.
+This module *models* the Sunway hardware from the group boundaries of
+:class:`~repro.core.secondary.SecondarySlicer`.  What *executes* for real
+is the compiled-plan layer: ``SlicedExecutor(..., fused=True)`` lowers the
+whole step list to one tape program (:mod:`repro.execution.tape`, §5.3.1
+reduced permutation maps) without grouping it.
 """
 
 from __future__ import annotations

@@ -14,14 +14,19 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   and the output index order.  Nothing about the
   plan depends on the *values* assigned to the sliced indices, so one plan
   serves every subtask.
-* The compiler classifies every tree node as *slice-dependent* or
-  *slice-invariant* using :func:`repro.core.lifetime.slice_dependent_nodes`:
-  a node is invariant exactly when no sliced edge's lifetime reaches a leaf
-  of its subtree, so it produces the identical intermediate in every
-  subtask.  The plan derives from this a free/reuse schedule: dependent
-  intermediates are freed as soon as their parent consumes them, while the
+* The compiler stamps every tree node with its *level*
+  (:func:`repro.core.lifetime.slice_dependency_levels` over the sliced
+  indices in enumeration order): level 0 is *slice-invariant* — no sliced
+  edge's lifetime reaches a leaf of its subtree, so it produces the
+  identical intermediate in every subtask — and a level-``j`` node changes
+  only when one of the first ``j`` sliced indices does.  The plan derives
+  from this a static free/reuse schedule: a child is freed at its parent
+  only when both share a level; a lower-level child is *retained*.  The
   maximal invariant subtrees (the *frontier*) are computed once by
-  :meth:`CompiledPlan.warm_cache` and reused across all subtasks.
+  :meth:`CompiledPlan.warm_cache`; the retained partials of levels ``>= 1``
+  let a sweep over consecutive assignments *resume* from the first changed
+  level instead of recontracting the whole dependent part (see
+  :meth:`CompiledPlan.execute`).
 * An optional *batched* mode keeps a group of sliced indices alive as
   leading batch axes instead of enumerating them: steps where every live
   batch axis appears on both operands compile to a batched GEMM whose
@@ -37,6 +42,12 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
 
 One function, :func:`_walk_steps`, executes the compiled step list — for
 cache warming, cached and uncached subtasks, with or without an arena.
+The state a resumed sweep carries from one subtask to the next (the
+previous assignment's values and the retained partials) lives on the
+:class:`StemSlots` arena and its lifetime is one run of consecutive
+assignments — one serial sweep or one worker chunk
+(:meth:`StemSlots.sweep`); nothing survives a ``run_subtasks`` call, so no
+tensor replacement or plan recompile can fall inside it.
 Every GEMM-shaped step carries one explicit layout (operand permutations,
 ``(w, m, k, n)`` extents, identity flags) and runs as ``transpose →
 reshape → dot(out=)`` on C-contiguous operands; stem outputs land in the
@@ -48,18 +59,22 @@ GEMMs on the same layouts, so both engines are bit-identical.
 
 :class:`PlanStats` instruments execution with per-node step counters; the
 benchmark and the equivalence tests use it to assert that the cached path
-performs each slice-invariant contraction exactly once.
+performs each slice-invariant contraction exactly once, and a full ordered
+sweep exactly the :meth:`CompiledPlan.sweep_cost` the levels predict.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -70,7 +85,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.lifetime import slice_dependent_nodes
+from ..core.lifetime import slice_dependency_levels
 from ..core.stem import stem_slot_schedule
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
@@ -84,8 +99,11 @@ __all__ = [
     "PlanError",
     "PlanStats",
     "StemSlots",
+    "SweepCost",
     "compile_plan",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class PlanError(ValueError):
@@ -291,17 +309,28 @@ class StemSlots:
     kernel additionally stages permuted operands in two named scratch
     buffers (:meth:`scratch`); the Python walker never touches them.
 
+    The arena also carries the *resume state* of the sweep in progress:
+    which plan and cache last ran here, the values that run assigned (a
+    list updated in place) and its persistent ``live`` table holding the
+    retained partials.  :meth:`CompiledPlan.execute` trusts it for exactly
+    "same plan, same cache object", so its lifetime is one run of
+    consecutive assignments, scoped by :meth:`sweep`: the serial loops and
+    the chunk body open one around their loop, and nothing that can change
+    tensor data or recompile a plan happens inside.
+
     Buffers are grown (never shrunk) on demand and re-typed when the
     requested dtype changes, so one arena serves plans of any size.  An
     arena instance is *not* thread-safe — every executor thread / pool
     worker owns its own (the backends arrange this).
     """
 
-    __slots__ = ("_buffers", "_scratch")
+    __slots__ = ("_buffers", "_scratch", "_resume")
 
     def __init__(self) -> None:
         self._buffers: List[Optional[np.ndarray]] = [None, None]
         self._scratch: Dict[str, np.ndarray] = {}
+        #: ``(plan, cache, values, live)`` of the last cached execute
+        self._resume: Optional[Tuple] = None
 
     @staticmethod
     def _view(
@@ -327,11 +356,50 @@ class StemSlots:
         self._scratch[key], view = self._view(self._scratch.get(key), shape, dtype)
         return view
 
+    @contextmanager
+    def sweep(self) -> Iterator["StemSlots"]:
+        """Scope one run of consecutive assignments on this arena.
+
+        The resume state starts empty and is dropped on the way out (also
+        on an exception), so retained partials never outlive the loop that
+        produced them.
+        """
+        self._resume = None
+        try:
+            yield self
+        finally:
+            self._resume = None
+
     @property
     def allocated_bytes(self) -> int:
         """Total bytes currently held by the slots and staging buffers."""
         held = [b for b in self._buffers if b is not None]
         return sum(b.nbytes for b in (*held, *self._scratch.values()))
+
+
+@dataclass(frozen=True)
+class SweepCost:
+    """Predicted work of one full ordered sweep, additive over steps.
+
+    ``steps`` and ``leaf_loads`` count pair contractions and leaf
+    loads/slices over all ``prod w(e)`` subtasks, the one-off cache warm
+    included; ``flops`` weighs each step by its scalar multiply-adds;
+    ``retained_bytes`` is what the retained partials (levels ``>= 1``; the
+    level-0 frontier sits in the invariant cache) hold between subtasks.
+    """
+
+    steps: int = 0
+    leaf_loads: int = 0
+    flops: float = 0.0
+    retained_bytes: int = 0
+
+    def __add__(self, other: "SweepCost") -> "SweepCost":
+        return SweepCost(
+            self.steps + other.steps,
+            self.leaf_loads + other.leaf_loads,
+            self.flops + other.flops,
+            self.retained_bytes + other.retained_bytes,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,7 +410,10 @@ class LeafStep:
     ``np.take``; the axis positions already account for previously removed
     axes, so they are applied left to right with no per-call bookkeeping.
     ``source_indices`` records the axis order of the network tensor the
-    step was compiled against, so staleness is detectable.
+    step was compiled against, so staleness is detectable.  ``level`` is
+    the position (1-based, 0 = none) of the fastest-varying enumerated
+    index among ``takes``: a resumed sweep reloads the leaf only when an
+    index at or before that position changed.
     """
 
     node: int
@@ -350,6 +421,7 @@ class LeafStep:
     takes: Tuple[Tuple[str, int], ...]
     out_indices: Tuple[str, ...]
     source_indices: Tuple[str, ...]
+    level: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,7 +442,14 @@ class ContractStep:
     the operands into GEMM order, ``wmkn`` holds the extents (``w = 1``
     for ``"tensordot"``), and the identity flags mark permutations the
     walker skips.  ``slot`` (0 or 1) is set on stem steps, whose output
-    alternates between the two :class:`StemSlots` buffers.
+    alternates between the two :class:`StemSlots` buffers — except a stem
+    node the cached schedule *retains*, which gets a fresh buffer (its
+    grandparent would overwrite the slot while it is still needed).
+
+    ``level`` is the node's :func:`~repro.core.lifetime.slice_dependency_levels`
+    entry (0 = slice-invariant).  ``free_cached`` drops a child only when
+    it shares the step's level; a lower-level child stays in the live
+    table for the subtasks that do not change it.
     """
 
     node: int
@@ -379,7 +458,7 @@ class ContractStep:
     kind: str
     out_indices: Tuple[str, ...]
     out_shape: Tuple[int, ...]
-    invariant: bool
+    level: int
     free_full: Tuple[int, ...]
     free_cached: Tuple[int, ...]
     log2_flops: float
@@ -392,6 +471,11 @@ class ContractStep:
     sub_lhs: Optional[Tuple[int, ...]] = None
     sub_rhs: Optional[Tuple[int, ...]] = None
     sub_out: Optional[Tuple[int, ...]] = None
+
+    @property
+    def invariant(self) -> bool:
+        """Whether the step's output is the same in every subtask."""
+        return self.level == 0
 
 
 def _batched_gemm(a3: np.ndarray, b3: np.ndarray, out3: np.ndarray) -> None:
@@ -430,19 +514,29 @@ def _walk_steps(
 
     Stem outputs go to the arena's alternating slots when ``slots`` is
     given; every other output is a fresh array.  ``cached`` selects the
-    free schedule (cache-warm runs must not drop frontier operands).
+    free schedule (cached runs keep frontier operands and lower-level
+    partials).  A GEMM operand's lifetime ends the moment its staged copy
+    exists — before the other operand is staged and before the output is
+    allocated — so an operand never coexists with its own copy *and* the
+    output (a staged *view* keeps the buffer alive by itself).
     """
     for step in steps:
-        a = live[step.lhs]
-        b = live[step.rhs]
+        lhs, rhs = step.lhs, step.rhs
+        frees = step.free_cached if cached else step.free_full
         slot = step.slot if slots is not None else None
         dims = step.wmkn
         if dims is None:
+            a, b = live[lhs], live[rhs]
             if slot is None:
                 out = np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out)
             else:
                 out = slots.out_for(slot, step.out_shape, np.result_type(a, b))
                 np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out, out=out)
+            del a, b
+            for child in frees:
+                del live[child]
+            live[step.node] = out
+            del out
         else:
             w, m, k, n = dims
             batched = step.kind == "bmm"
@@ -450,13 +544,23 @@ def _walk_steps(
                 lhs_shape, rhs_shape, gemm_shape = (w, m, k), (w, k, n), (w, m, n)
             else:
                 lhs_shape, rhs_shape, gemm_shape = (m, k), (k, n), (m, n)
+            a = live[lhs]
+            if lhs in frees:
+                del live[lhs]
+            dtype = a.dtype
             if not step.lhs_identity:
                 a = a.transpose(step.lhs_perm)
+            a2 = np.ascontiguousarray(a.reshape(lhs_shape))
+            del a
+            b = live[rhs]
+            if rhs in frees:
+                del live[rhs]
+            if b.dtype != dtype:
+                dtype = np.result_type(dtype, b.dtype)
             if not step.rhs_identity:
                 b = b.transpose(step.rhs_perm)
-            a2 = np.ascontiguousarray(a.reshape(lhs_shape))
             b2 = np.ascontiguousarray(b.reshape(rhs_shape))
-            dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
+            del b
             if slot is None:
                 out2 = np.empty(gemm_shape, dtype)
             else:
@@ -465,17 +569,14 @@ def _walk_steps(
                 _batched_gemm(a2, b2, out2)
             else:
                 np.dot(a2, b2, out=out2)
-            # drop the staged copies now: the next step would otherwise
-            # allocate its own while these are still bound
-            del a2, b2
-            out = out2.reshape(step.out_shape)
-        live[step.node] = out
+            live[step.node] = out2.reshape(step.out_shape)
+            # drop the staged copies and the output local now: the next
+            # step would otherwise allocate its own while these are bound
+            del a2, b2, out2
         if stats is not None:
             stats.record_step(step.node)
             if slot is not None:
                 stats.slot_writes += 1
-        for child in step.free_cached if cached else step.free_full:
-            del live[child]
 
 
 class CompiledPlan:
@@ -524,11 +625,26 @@ class CompiledPlan:
         self._out_indices = out_indices
         self._out_sizes = dict(out_sizes)
         self._root_perm = root_perm
-        self._variant_leaf_steps = tuple(
-            ls for ls in leaf_steps if ls.node in dependent
+        self._invariant_steps = tuple(s for s in steps if s.level == 0)
+        # what a cached execute re-runs when position ``p`` of the
+        # enumeration order is the first whose value changed: the leaf
+        # loads and steps of level > p.  Entry 0 is the whole dependent
+        # part, entry len(enumerated) is empty (nothing changed).
+        self._resume_suffixes = tuple(
+            (
+                tuple(ls for ls in leaf_steps if ls.level > p),
+                tuple(s for s in steps if s.level > p),
+            )
+            for p in range(len(enumerated) + 1)
         )
-        self._invariant_steps = tuple(s for s in steps if s.invariant)
-        self._variant_steps = tuple(s for s in steps if not s.invariant)
+        # dependent nodes a resumed sweep keeps between subtasks: the
+        # children no step frees, the cached frontier aside
+        self._retained = frozenset(
+            child
+            for step in steps
+            for child in (step.lhs, step.rhs)
+            if child not in step.free_cached and child not in frontier
+        )
         self._fused = bool(fused)
         # native tape programs: the full and the cache-warm step lists
         # lowered for the numba kernel (see execution/tape.py).  Lowered
@@ -559,7 +675,7 @@ class CompiledPlan:
         root = self._tree.root
         self._native_full = _tape.lower_steps(self._steps, root, False, shape_of)
         self._native_cached = _tape.lower_steps(
-            self._variant_steps, root, True, shape_of
+            self._resume_suffixes[0][1], root, True, shape_of
         )
 
     def _walker_because(self, reason: str, count: int = 1) -> None:
@@ -686,10 +802,48 @@ class CompiledPlan:
         """Maximal invariant subtree roots retained in the cache."""
         return self._frontier
 
+    @property
+    def retained_nodes(self) -> FrozenSet[int]:
+        """Dependent nodes (leaves and internals) of a lower level than their
+        parent: the partials a resumed sweep keeps between subtasks."""
+        return self._retained
+
     def invariant_log2_flops(self) -> float:
         """log2 of the per-subtask flops saved by the invariant cache."""
         total = sum(2.0**s.log2_flops for s in self._invariant_steps)
         return math.log2(total) if total else float("-inf")
+
+    def sweep_cost(self) -> SweepCost:
+        """Predicted cost of one full sweep in enumeration order.
+
+        Computed from the levels alone: a level-``j`` step or leaf load
+        runs ``prod_{i <= j} w(e_i)`` times (once for level 0, in the cache
+        warm), which is exactly what ``stats.steps_executed`` counts after
+        one serial ``run()`` with an invariant cache.
+        """
+        runs = [1]
+        for ix in self._enumerated:
+            runs.append(runs[-1] * self._enumerated_sizes.get(ix, 1))
+        itemsize = np.dtype(self.dtype or np.complex128).itemsize
+        size = self._tree.index_size
+        nbytes = {
+            ls.node: itemsize * math.prod(size(ix) for ix in ls.out_indices)
+            for ls in self._leaf_steps
+        }
+        cost = SweepCost(leaf_loads=sum(runs[ls.level] for ls in self._leaf_steps))
+        for step in self._steps:
+            nbytes[step.node] = itemsize * math.prod(step.out_shape)
+            count = runs[step.level]
+            cost += SweepCost(
+                steps=count,
+                flops=count * 2.0**step.log2_flops,
+                retained_bytes=sum(
+                    nbytes[child]
+                    for child in (step.lhs, step.rhs)
+                    if child in self._retained
+                ),
+            )
+        return cost
 
     def matches_network(self, network: TensorNetwork) -> bool:
         """Whether the network's leaf index orders still match the plan.
@@ -768,6 +922,19 @@ class CompiledPlan:
             of allocating — the returned tensor may alias the arena, so it
             is only valid until the next ``execute`` with the same arena
             (the execution backends accumulate it immediately).
+
+        With both a cache and an arena the call *resumes*: the assignment
+        is compared, by value and in enumeration order, with the one the
+        arena last ran for this plan and cache, and only the leaf loads and
+        steps at or above the first differing position's level run — the
+        whole dependent part when the arena holds no state for this plan
+        and cache, nothing but the root fetch when no value differs.  Any
+        sequence of assignments is therefore correct, not only ``id + 1``.
+        The state is trusted for "same plan, same cache object" only: the
+        caller scopes it with :meth:`StemSlots.sweep` so that no tensor
+        replacement falls between two resumed calls.  Without an arena (or
+        a cache) the call is stateless, and a plan carrying a lowered
+        native program runs it whole.
         """
         assignment = dict(assignment or {})
         if set(assignment) != set(self._enumerated):
@@ -786,25 +953,51 @@ class CompiledPlan:
             if self._batch_indices:
                 stats.batched_executions += 1
 
+        state = None
+        if slots is not None:
+            # taken off the arena for the duration of the call: an execute
+            # that raises, or that does not resume (no cache, a native
+            # program), leaves the arena without state
+            state, slots._resume = slots._resume, None
         cached = cache is not None
         if cached:
             if not self.cache_is_warm(cache):
                 self.warm_cache(network, cache, stats)
+                state = None  # its partials came from the previous cache contents
             start = time.perf_counter()
-            live = {node: cache[node] for node in self._frontier}
             if stats is not None:
                 stats.cache_hits += len(self._frontier)
-            leaf_steps = self._variant_leaf_steps
-            steps, program = self._variant_steps, self._native_cached
+            program = self._native_cached
+            first = 0
+            if state is not None and state[0] is self and state[1] is cache:
+                _, _, values, live = state
+                enumerated = self._enumerated
+                for ix in enumerated:
+                    if values[first] != assignment[ix]:
+                        break
+                    first += 1
+                for position in range(first, len(enumerated)):
+                    values[position] = assignment[enumerated[position]]
+            else:
+                live = {node: cache[node] for node in self._frontier}
+                state = None
+                if slots is not None and program is None:
+                    # (a lowered program runs whole: nothing to resume from)
+                    values = [assignment[ix] for ix in self._enumerated]
+                    state = (self, cache, values, live)
+            leaf_steps, steps = self._resume_suffixes[first]
         else:
             start = time.perf_counter()
             live = {}
+            state = None
             leaf_steps = self._leaf_steps
             steps, program = self._steps, self._native_full
         for ls in leaf_steps:
             live[ls.node] = self._load_leaf(network, ls, assignment)
         if not (self._fused and self._run_native(program, live, slots, stats)):
             _walk_steps(steps, live, slots, stats, cached)
+        if state is not None:
+            slots._resume = state
 
         if stats is not None:
             elapsed = time.perf_counter() - start
@@ -945,12 +1138,22 @@ def compile_plan(
             elif data.dtype != derived_dtype:
                 derived_dtype = np.result_type(derived_dtype, data.dtype)
 
-    dependent = slice_dependent_nodes(tree, enumerated)
+    # levels over the enumerated indices in the executors' enumeration
+    # order (sorted labels, slowest-varying first); 0 = slice-invariant
+    ordered = tuple(sorted(enumerated))
+    levels = slice_dependency_levels(tree, ordered)
+    dependent = frozenset(node for node, level in levels.items() if level)
 
     # the stem (most expensive root-to-leaf chain) drives the slot
     # schedule: its running tensor alternates between the two StemSlots
     # buffers, step k writing slot k % 2
     slot_of = stem_slot_schedule(tree)
+    for child, parent in tree.parent_map().items():
+        if 0 < levels[child] < levels[parent]:
+            # a partial retained across subtasks: the grandparent's write
+            # into the same slot would clobber it, so it gets a fresh
+            # buffer (a level-0 child is computed by the slot-less warm pass)
+            slot_of.pop(child, None)
 
     orders: Dict[int, Tuple[str, ...]] = {}
     has_batch: Dict[int, FrozenSet[str]] = {}
@@ -979,6 +1182,7 @@ def compile_plan(
                 takes=tuple(takes),
                 out_indices=orders[leaf],
                 source_indices=tensor.indices,
+                level=levels[leaf],
             )
         )
 
@@ -1070,9 +1274,11 @@ def compile_plan(
                 kind=kind,
                 out_indices=orders[node],
                 out_shape=tuple(size(ix) for ix in out_order),
-                invariant=node not in dependent,
+                level=levels[node],
                 free_full=(lhs, rhs),
-                free_cached=tuple(c for c in (lhs, rhs) if c not in frontier),
+                free_cached=tuple(
+                    c for c in (lhs, rhs) if levels[c] == levels[node]
+                ),
                 log2_flops=tree.node_log2_flops(node, enumerated),
                 slot=slot_of.get(node),
                 **kwargs,  # type: ignore[arg-type]
@@ -1095,9 +1301,9 @@ def compile_plan(
             out_order_final = tuple(root_order[i] for i in perm)
     out_sizes = {ix: tree.index_size(ix) for ix in out_order_final}
 
-    return CompiledPlan(
+    plan = CompiledPlan(
         tree=tree,
-        enumerated=tuple(sorted(enumerated)),
+        enumerated=ordered,
         batch_indices=batch,
         dtype=np.dtype(dtype) if dtype is not None else None,
         leaf_steps=tuple(leaf_steps),
@@ -1110,3 +1316,23 @@ def compile_plan(
         fused=fused,
         derived_dtype=derived_dtype,
     )
+    if logger.isEnabledFor(logging.DEBUG):
+        cost = plan.sweep_cost()
+        per_level: Dict[int, int] = {}
+        for step in steps:
+            if step.level:
+                per_level[step.level] = per_level.get(step.level, 0) + 1
+        num_dependent = sum(per_level.values())
+        subtasks = math.prod(plan._enumerated_sizes.values())
+        logger.debug(
+            "compiled %d steps, %d dependent: a full sweep runs %d steps of %d "
+            "naive, retains %d partials / %d bytes, steps per level %s",
+            len(steps),
+            num_dependent,
+            cost.steps,
+            len(steps) - num_dependent + subtasks * num_dependent,
+            len(plan.retained_nodes),
+            cost.retained_bytes,
+            dict(sorted(per_level.items())),
+        )
+    return plan

@@ -444,7 +444,11 @@ class CorrelatedSampler:
             frozenset(sliced) if sliced is not None else self._derived_slicing(network)
         )
         if slicing:
-            tensor = self._rebound_executor(network, slicing).run()
+            executor = self._rebound_executor(network, slicing)
+            # its leaves now live in the resident network: do not hold the
+            # per-batch network (and its tensors' bookkeeping) through the run
+            del network
+            tensor = executor.run()
         else:
             tensor = TreeExecutor(
                 compiled=self.executor_mode == "compiled",

@@ -32,6 +32,12 @@ contributions in the same order and are bit-identical to each other.
 :class:`SlicedExecutor` also supports partial execution (a subset of the
 subtasks), which is what the sampling workflows use, and reports per-subtask
 statistics that the process-level scheduler consumes.
+
+A run's assignments are never materialised: the backends receive a small
+read-only sequence that decodes subtask ids on demand (mixed radix over the
+sorted labels), and a serial sweep over it *resumes* — consecutive subtasks
+differ in a suffix of the sorted labels only, so each recontracts just the
+nodes those indices reach (:meth:`CompiledPlan.execute`).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import (
     AbstractSet,
     Dict,
     Iterator,
-    List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -67,6 +73,38 @@ from .contract import TreeExecutor
 from .plan import CompiledPlan, PlanStats, compile_plan
 
 __all__ = ["SlicedExecutor", "SubtaskResult"]
+
+
+class _Assignments:
+    """The assignments of a run of subtask ids, decoded on demand.
+
+    A read-only sequence (``len``, indexing, iteration) over ``ids``: entry
+    ``k`` is the mixed-radix decoding of ``ids[k]`` over ``labels`` — last
+    label fastest, so ascending ids enumerate the assignments in
+    lexicographic order.  Nothing is stored per subtask.
+    """
+
+    __slots__ = ("_labels", "_sizes", "_ids")
+
+    def __init__(
+        self, labels: Sequence[str], sizes: Sequence[int], ids: Sequence[int]
+    ) -> None:
+        self._labels = tuple(labels)
+        self._sizes = tuple(sizes)
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, position: int) -> Dict[str, int]:
+        remaining = self._ids[position]
+        values = [0] * len(self._sizes)
+        for axis in range(len(values) - 1, -1, -1):
+            remaining, values[axis] = divmod(remaining, self._sizes[axis])
+        return dict(zip(self._labels, values))
+
+    def __iter__(self) -> Iterator[Dict[str, int]]:
+        return map(self.__getitem__, range(len(self._ids)))
 
 
 @dataclass(frozen=True)
@@ -372,22 +410,29 @@ class SlicedExecutor:
 
     def assignment(self, subtask_id: int) -> Dict[str, int]:
         """The assignment of subtask ``subtask_id`` (mixed-radix decoding)."""
-        if not 0 <= subtask_id < self.num_subtasks:
-            raise ValueError(f"subtask id {subtask_id} out of range")
-        values: Dict[str, int] = {}
-        remaining = subtask_id
-        for ix in reversed(self.sliced):
-            size = self._sizes[ix]
-            values[ix] = remaining % size
-            remaining //= size
-        return {ix: values[ix] for ix in self.sliced}
+        return self._assignments_of(self._valid_ids([subtask_id]))[0]
 
-    def batched_assignments(self) -> Iterator[Dict[str, int]]:
+    def _valid_ids(self, ids: Sequence[int]) -> Sequence[int]:
+        total = self.num_subtasks
+        for subtask_id in ids:
+            if not 0 <= subtask_id < total:
+                raise ValueError(f"subtask id {subtask_id} out of range")
+        return ids
+
+    def _assignments_of(self, ids: Sequence[int]) -> _Assignments:
+        """The lazy assignment sequence of (valid) subtask ``ids``."""
+        return _Assignments(
+            self.sliced, [self._sizes[ix] for ix in self.sliced], ids
+        )
+
+    def batched_assignments(self) -> _Assignments:
         """Assignments of the enumerated (non-batch) indices, in order."""
         enumerated = [ix for ix in self.sliced if ix not in self.batch_indices]
-        ranges = [range(self._sizes[ix]) for ix in enumerated]
-        for values in itertools.product(*ranges):
-            yield dict(zip(enumerated, values))
+        return _Assignments(
+            enumerated,
+            [self._sizes[ix] for ix in enumerated],
+            range(self.num_batched_sweeps),
+        )
 
     # ------------------------------------------------------------------
     def _compile_plain_plan(self) -> None:
@@ -559,15 +604,17 @@ class SlicedExecutor:
         store = self._checkpoint_store(resume)
         if subtask_ids is None and self._batched_plan is not None:
             return self._run_batched(store)
-        ids: List[int] = list(
-            range(self.num_subtasks) if subtask_ids is None else subtask_ids
+        ids: Sequence[int] = (
+            range(self.num_subtasks)
+            if subtask_ids is None
+            else self._valid_ids(list(subtask_ids))
         )
         if not ids:
             raise ValueError("no subtasks were executed")
         plan = self._ensure_plan()
         if plan is not None:
             assert self._backend is not None
-            assignments = [self.assignment(subtask_id) for subtask_id in ids]
+            assignments = self._assignments_of(ids)
             checkpoint = self._open_checkpoint_job(store, plan, assignments, 0)
             try:
                 result = self._backend.run_subtasks(
@@ -621,7 +668,7 @@ class SlicedExecutor:
         self,
         store: Optional[CheckpointStore],
         plan: CompiledPlan,
-        assignments: Sequence[Dict[str, int]],
+        assignments: Sequence[Mapping[str, int]],
         sum_batch_axes: int,
     ) -> Optional[CheckpointJob]:
         """Open (or resume) this run's ledger and bind the live stats.
@@ -680,7 +727,7 @@ class SlicedExecutor:
         """Sweep the batch group in bulk, enumerating the remaining indices."""
         plan = self._batched_plan
         assert plan is not None and self._backend is not None
-        assignments = list(self.batched_assignments())
+        assignments = self.batched_assignments()
         checkpoint = self._open_checkpoint_job(
             store, plan, assignments, plan.num_batch_axes
         )

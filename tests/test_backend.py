@@ -87,13 +87,18 @@ class TestBackendEquivalence:
         assert pooled == serial_value  # exact: same values, same sum order
 
     def test_thread_pool_bit_identical_to_serial(self, case, serial_value):
+        # each chunk is one resumed sweep on its thread's arena, wherever
+        # the chunk boundaries fall
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:4]
-        backend = ThreadPoolBackend(max_workers=3)
-        threaded = SlicedExecutor(tn, tree, sliced, backend=backend).amplitude()
-        assert threaded == serial_value
+        for chunk_size in (None, 1, 3, 7):
+            backend = ThreadPoolBackend(max_workers=3, chunk_size=chunk_size)
+            threaded = SlicedExecutor(tn, tree, sliced, backend=backend).amplitude()
+            assert threaded == serial_value, chunk_size
 
-    @pytest.mark.parametrize("max_workers,chunk_size", [(1, None), (2, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize(
+        "max_workers,chunk_size", [(1, None), (2, 1), (2, 3), (3, 2), (2, 7), (2, None)]
+    )
     def test_process_pool_deterministic_across_chunking(
         self, case, serial_value, max_workers, chunk_size
     ):
@@ -103,6 +108,44 @@ class TestBackendEquivalence:
             max_workers=max_workers, chunk_size=chunk_size
         )
         assert SlicedExecutor(tn, tree, sliced, backend=backend).amplitude() == serial_value
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            lambda: SerialBackend(),
+            lambda: ThreadPoolBackend(max_workers=2, chunk_size=3),
+            lambda: SharedMemoryProcessPoolBackend(max_workers=2, chunk_size=3),
+        ],
+        ids=["serial", "threads", "process-pool"],
+    )
+    def test_replaced_dependent_leaf_between_runs_gives_fresh_bits(self, case, make_backend):
+        """No partial of the first run may leak into the second: the resume
+        state's lifetime is one sweep / one chunk."""
+        tn, tree, _ = case
+        mutated = tn.copy()
+        sliced = sorted(mutated.inner_indices())[:4]
+        executor = SlicedExecutor(mutated, tree, sliced, backend=make_backend())
+        # the second run starts where the first one ended, so a leaked
+        # resume state would skip every level but the last
+        last = executor.num_subtasks - 1
+        tail = [last - 1, last]
+        with executor.session():
+            executor.amplitude()
+            before = executor.amplitude(tail)
+            # the dependent leaf of the lowest level: the one a stale
+            # partial would survive longest in
+            leaf = min(
+                (ls for ls in executor.plan.leaf_steps if ls.level), key=lambda ls: ls.level
+            )
+            assert leaf.level < len(sliced)
+            tensor = mutated.tensor(leaf.tid)
+            mutated.replace_tensor(
+                leaf.tid, tensor.with_data(tensor.require_data() * (2.0 - 0.5j))
+            )
+            after = executor.amplitude(tail)
+        fresh = SlicedExecutor(mutated, tree, sliced, backend=SerialBackend())
+        assert after == fresh.amplitude(tail)  # bitwise
+        assert after != before
 
     def test_process_pool_without_invariant_cache(self, case, serial_value):
         # cache=None ships every leaf buffer instead of the dependent ones

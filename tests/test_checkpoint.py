@@ -285,6 +285,27 @@ class TestJobFingerprint:
             tn, tree, sliced, assignments, sum_batch_axes=1
         )
 
+    def test_lazy_assignments_hash_like_the_materialised_list(self, case):
+        """``run()`` hands the fingerprint a sequence that decodes ids on
+        demand; a ledger written from the materialised dict list (every
+        release so far) must still be found."""
+        tn, tree = case
+        sliced = _sliced(tn)
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices=sliced[:1])
+        for lazy, listed in (
+            (executor._assignments_of(range(16)), list(executor.assignments())),
+            (executor._assignments_of([5, 2, 2, 11]), [executor.assignment(i) for i in (5, 2, 2, 11)]),
+            (executor.batched_assignments(), [
+                {ix: a[ix] for ix in sliced[1:]} for a in executor.assignments() if a[sliced[0]] == 0
+            ]),
+        ):
+            assert len(lazy) == len(listed)
+            assert list(lazy) == listed == [lazy[k] for k in range(len(lazy))]
+            assert all(list(entry) == list(ref) for entry, ref in zip(lazy, listed))  # key order
+            assert job_fingerprint(tn, tree, sliced, lazy) == job_fingerprint(
+                tn, tree, sliced, listed
+            )
+
     def test_leaf_data_is_part_of_the_key(self, case):
         tn, tree = case
         other, _ = _case(seed=14)
@@ -301,20 +322,25 @@ class TestJobFingerprint:
 class TestCorruptResult:
     @pytest.mark.parametrize("kind", ["threads", "pool"])
     def test_retry_heals_bit_identically(self, case, serial_value, kind):
+        # chunk 3's retry re-runs on an arena that has swept other chunks
+        # since: it must start from no resume state
         tn, tree = case
-        injector = FaultInjector([FaultSpec("corrupt-result", chunk=0, seconds=11)])
-        executor = SlicedExecutor(
-            tn,
-            tree,
-            _sliced(tn),
-            backend=_backend(kind),
-            fault_policy=FaultPolicy.retrying(),
-            fault_injector=injector,
-        )
-        assert executor.amplitude() == serial_value
-        assert executor.stats.retries >= 1
-        assert executor.stats.faults >= 1
-        assert injector.exhausted
+        for chunk in (0, 3):
+            injector = FaultInjector(
+                [FaultSpec("corrupt-result", chunk=chunk, seconds=11)]
+            )
+            executor = SlicedExecutor(
+                tn,
+                tree,
+                _sliced(tn),
+                backend=_backend(kind),
+                fault_policy=FaultPolicy.retrying(),
+                fault_injector=injector,
+            )
+            assert executor.amplitude() == serial_value
+            assert executor.stats.retries >= 1
+            assert executor.stats.faults >= 1
+            assert injector.exhausted
 
     def test_fail_fast_raises_integrity_error(self, case):
         tn, tree = case
@@ -430,6 +456,37 @@ class TestResume:
             assert resumed.amplitude(resume=store) == serial_value
             assert resumed.stats.resumed_slots == ordinal + 1
             assert store.jobs() == []
+
+    @pytest.mark.parametrize("kind", ["serial", "threads", "pool"])
+    def test_ledger_with_every_other_slot_filled(self, case, serial_value, tmp_path, kind):
+        """The resumed sweep skips the filled slots, so consecutive executes
+        are two ids apart: the walker must compare assignments by value,
+        not assume ``id + 1``."""
+        tn, tree = case
+        sliced = _sliced(tn)
+        policy = FaultPolicy.retrying()
+        executor = SlicedExecutor(
+            tn, tree, sliced, backend=_backend(kind), fault_policy=policy
+        )
+        num = executor.num_subtasks
+        store = CheckpointStore(tmp_path / "store")
+        fingerprint = job_fingerprint(
+            tn,
+            tree,
+            sliced,
+            [executor.assignment(i) for i in range(num)],
+            dtype=executor.plan.dtype,
+            policy=policy,
+            chunk_size=None,
+        )
+        job = store.job(fingerprint, num_slots=num)
+        for position in range(0, num, 2):
+            data = executor.run_subtask(position).tensor.require_data()
+            job.record(position, np.array(data, copy=True))
+        job.close()
+        assert executor.amplitude(resume=store) == serial_value
+        assert executor.stats.resumed_slots == num // 2
+        assert store.jobs() == []
 
     @settings(
         max_examples=10,

@@ -84,7 +84,7 @@ def serial_value(case):
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "num_workers,chunk_size",
-        [(1, None), (2, 1), (2, 3), (3, None)],
+        [(1, None), (2, 1), (2, 3), (2, 7), (3, None)],
     )
     def test_matches_serial_across_worker_counts_and_chunks(
         self, case, serial_value, num_workers, chunk_size

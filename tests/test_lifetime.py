@@ -14,6 +14,8 @@ from repro.core import (
     lifetime_lengths,
     lifetime_of,
     lifetimes_on_nodes,
+    slice_dependency_levels,
+    slice_dependent_nodes,
     verify_halving_property,
 )
 from repro.tensornet import ContractionTree
@@ -156,3 +158,30 @@ class TestOverheadSuperposition:
         tree = _chain_tree()
         # x is contracted at the first step: the second contraction is redone
         assert tree.slicing_overhead({"x"}) > 1.0
+
+
+class TestDependencyLevels:
+    def test_levels_on_chain(self):
+        tree = _chain_tree()
+        # x sits on leaves 0/1, y on leaves 1/2: listing y last makes every
+        # node above leaf 0 change with y, and leaf 0 only with x
+        assert slice_dependency_levels(tree, ("x", "y")) == {0: 1, 1: 2, 2: 2, 3: 2, 4: 2}
+        assert slice_dependency_levels(tree, ("y", "x")) == {0: 2, 1: 2, 2: 1, 3: 2, 4: 2}
+        assert slice_dependency_levels(tree, ()) == dict.fromkeys(range(5), 0)
+
+    def test_level_is_the_last_position_reaching_a_leaf_below(self, grid_tree):
+        ordered = sorted(grid_tree.all_indices())[3:40:6]
+        levels = slice_dependency_levels(grid_tree, ordered)
+        lifetimes = compute_lifetimes(grid_tree, edges=ordered)
+        for node in grid_tree.nodes():
+            reaching = [
+                position
+                for position, ix in enumerate(ordered, start=1)
+                if lifetimes[ix].nodes & grid_tree.leaves_under(node)
+            ]
+            assert levels[node] == max(reaching, default=0), node
+        # the binary split is the level > 0 set, whatever the order
+        dependent = slice_dependent_nodes(grid_tree, ordered)
+        assert dependent == {node for node, level in levels.items() if level}
+        backwards = slice_dependency_levels(grid_tree, ordered[::-1])
+        assert dependent == {node for node, level in backwards.items() if level}

@@ -179,7 +179,9 @@ class TestInvariantCaching:
             assert counts.get(node, 0) == 1, f"invariant node {node} ran {counts.get(node, 0)}x"
         for node in executor.plan.dependent_nodes:
             if node >= tree.num_leaves:
-                assert counts.get(node, 0) == executor.num_subtasks
+                assert 1 <= counts.get(node, 0) <= executor.num_subtasks
+        # the root is reached by every sliced index: once per subtask
+        assert counts[tree.root] == executor.num_subtasks
 
     def test_uncached_runs_everything_every_subtask(self, case):
         tn, tree, _ = case
@@ -273,9 +275,12 @@ class TestStemSlots:
         assert executor.stats.slot_writes > 0
 
     def test_cached_sweeps_hold_two_buffers_and_retain_nothing(self):
-        """The walker's whole standing footprint is the invariant cache
-        plus the two stem slots: no scratch, no free list, and a second
-        sweep leaves exactly the bytes the first one did."""
+        """The walker's standing footprint is the invariant cache, the two
+        stem slots and — while a sweep's resume state is on the arena — the
+        retained partials the plan itself predicts: no scratch, no free
+        list, and in steady state every sweep leaves exactly the bytes the
+        previous one did.  Once the sweep's scope closes the partials are
+        gone too."""
         import gc
         import tracemalloc
 
@@ -289,30 +294,186 @@ class TestStemSlots:
             s for s in plan.contract_steps if s.slot is not None and not s.invariant
         ]
         assert len(dependent_stem) >= 2 and plan.frontier  # both slots, real cache
+        retained_bytes = plan.sweep_cost().retained_bytes
+        assert retained_bytes > 0  # the sweep really keeps partials
         cache, slots = plan.new_cache(), StemSlots()
         sizes = [range(tn.size_of(ix)) for ix in sliced]
         assignments = [dict(zip(sliced, v)) for v in itertools.product(*sizes)]
 
         engine = tracemalloc.Filter(True, plan_module.__file__)
 
-        def sweep():
-            """One cached sweep; bytes allocated by plan.py still alive after it."""
-            for assignment in assignments:
-                plan.execute(tn, assignment, cache=cache, slots=slots)
+        def alive():
+            """Bytes allocated by plan.py that are still alive."""
             gc.collect()
             snapshot = tracemalloc.take_snapshot().filter_traces([engine])
             return sum(stat.size for stat in snapshot.statistics("filename"))
 
+        def sweep():
+            for assignment in assignments:
+                plan.execute(tn, assignment, cache=cache, slots=slots)
+            return alive()
+
         tracemalloc.start()
         try:
-            first = sweep()
-            second = sweep()
+            with slots.sweep():
+                # the first sweep creates the state and the second settles
+                # the capacity of its live table (a dict); from then on
+                # every sweep must leave exactly the same bytes
+                sweep()
+                sweep()
+                third = sweep()
+                fourth = sweep()
+            closed = alive()
         finally:
             tracemalloc.stop()
         assert sum(buffer is not None for buffer in slots._buffers) == 2
         assert not slots._scratch
-        assert first >= slots.allocated_bytes > 0  # the trace saw the slots
-        assert second == first
+        assert fourth == third
+        cache_bytes = sum(buffer.nbytes for buffer in cache.values())
+        # beyond cache and slots: the predicted partials, plus the live
+        # table, the values list and the state tuple (well under 4 KiB)
+        overhead = third - slots.allocated_bytes - cache_bytes
+        assert 0 < overhead <= retained_bytes + 4096
+        # nothing of the resume state survives the sweep's scope
+        assert slots._resume is None
+        assert slots.allocated_bytes + cache_bytes <= closed <= third - retained_bytes
+
+    def test_nothing_of_the_resume_state_survives_run_subtasks(self, case):
+        tn, tree, _ = case
+        sliced = sorted(tn.inner_indices())[:3]
+        executor = SlicedExecutor(tn, tree, sliced)
+        executor.run()
+        assert executor.plan.sweep_cost().retained_bytes > 0
+        assert executor.backend._slots._resume is None
+
+
+def _bench_plan(rows, cols, cycles, target_rank):
+    """A ``bench/`` execution workload's plan (workload seed 3, planner
+    seed 1, 8 trials): its counts are the ones README and CHANGES quote."""
+    from repro.circuits import grid_circuit
+    from repro.pipeline import SimulationPlanner
+
+    bits = [int(b) for b in np.random.default_rng(3).integers(0, 2, rows * cols)]
+    circuit = grid_circuit(rows, cols, cycles=cycles, seed=3)
+    planner = SimulationPlanner(target_rank=target_rank, max_trials=8, seed=1)
+    return planner.plan_circuit(circuit, bits, concrete=True)
+
+
+def _assert_counts_match_levels(executor, plan):
+    """After one full serial run: node ``n`` ran ``prod_{i <= level(n)} w(e_i)``
+    times and the total is the plan's own prediction."""
+    runs = [1]
+    for ix in plan.sliced:
+        runs.append(runs[-1] * executor.network.size_of(ix))
+    counts = executor.stats.node_counts
+    for step in plan.contract_steps:
+        assert counts[step.node] == runs[step.level], step.node
+    assert plan.invariant_nodes == {s.node for s in plan.contract_steps if not s.level}
+    assert executor.stats.steps_executed == plan.sweep_cost().steps
+
+
+class TestLevelResume:
+    """A changed sliced index recontracts only the nodes its lifetime reaches."""
+
+    @pytest.mark.parametrize("batch", [None, "auto", 2])
+    def test_full_sweep_runs_exactly_the_predicted_steps(self, batch):
+        tn, tree, reference = _case(num_qubits=8, depth=5)
+        sliced = sorted(tn.inner_indices())[:4]
+        batch_indices = tuple(sliced[1:3]) if batch == 2 else batch
+        executor = SlicedExecutor(tn, tree, sliced, batch_indices=batch_indices)
+        assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
+        plan = executor.batched_plan if batch else executor.plan
+        _assert_counts_match_levels(executor, plan)
+
+    @pytest.mark.parametrize(
+        "shape,steps,batched_steps",
+        [((4, 5, 10, 10), 12_248, 5_851), ((5, 7, 9, 18), 535, None)],
+        ids=["small_subtasks", "large_subtasks"],
+    )
+    def test_bench_plans_run_the_published_step_counts(self, shape, steps, batched_steps):
+        planned = _bench_plan(*shape)
+        executor = SlicedExecutor(planned.network, planned.tree, planned.slicing.sliced)
+        executor.run()
+        _assert_counts_match_levels(executor, executor.plan)
+        assert executor.stats.steps_executed == steps
+        if batched_steps is not None:
+            batched = SlicedExecutor(
+                planned.network, planned.tree, planned.slicing.sliced, batch_indices="auto"
+            )
+            batched.run()
+            _assert_counts_match_levels(batched, batched.batched_plan)
+            assert batched.stats.steps_executed == batched_steps
+
+    def test_fused_run_is_bitwise_the_resumed_walker(self):
+        """Where numba is live the lowered program runs whole, subtask by
+        subtask, while the walker resumes; elsewhere ``fused=True`` runs the
+        (resuming) walker.  Same bits either way."""
+        tn, tree, _ = _case(num_qubits=8, depth=5)
+        sliced = sorted(tn.inner_indices())[-4:]
+        walker = SlicedExecutor(tn, tree, sliced)
+        fused = SlicedExecutor(tn, tree, sliced, fused=True)
+        assert fused.amplitude() == walker.amplitude()
+        assert walker.stats.steps_executed == walker.plan.sweep_cost().steps
+        if fused.stats.tape_engine == "native":
+            for step in fused.plan.contract_steps:
+                if step.level:
+                    assert fused.stats.node_counts[step.node] == fused.num_subtasks
+        else:
+            assert fused.stats.node_counts == walker.stats.node_counts
+
+    def test_sweep_cost_is_additive_and_counts_the_warm_pass(self, case):
+        from repro.execution import SweepCost
+
+        tn, tree, _ = case
+        sliced = sorted(tn.inner_indices())[:3]
+        plan = compile_plan(tn, tree, frozenset(sliced))
+        cost = plan.sweep_cost()
+        assert cost + SweepCost() == cost
+        assert (cost + cost).steps == 2 * cost.steps
+        invariant_leaves = tree.num_leaves - sum(1 for ls in plan.leaf_steps if ls.level)
+        assert cost.leaf_loads >= invariant_leaves + sum(1 for ls in plan.leaf_steps if ls.level)
+        # nothing sliced: one pass over everything, nothing retained
+        whole = compile_plan(tn, tree).sweep_cost()
+        assert (whole.steps, whole.leaf_loads, whole.retained_bytes) == (
+            tree.num_leaves - 1,
+            tree.num_leaves,
+            0,
+        )
+        assert whole.flops == pytest.approx(tree.contraction_cost(), rel=1e-12)
+
+    def test_retained_children_are_the_lower_level_ones(self, case):
+        tn, tree, _ = case
+        sliced = sorted(tn.inner_indices())[:4]
+        plan = compile_plan(tn, tree, frozenset(sliced))
+        level = {ls.node: ls.level for ls in plan.leaf_steps}
+        level.update((s.node, s.level) for s in plan.contract_steps)
+        for step in plan.contract_steps:
+            assert step.level == max(level[step.lhs], level[step.rhs])
+            for child in (step.lhs, step.rhs):
+                assert (child in step.free_cached) == (level[child] == step.level)
+        # the level-0 children of dependent steps are the frontier
+        assert plan.frontier == {
+            child
+            for step in plan.contract_steps
+            if step.level
+            for child in (step.lhs, step.rhs)
+            if not level[child]
+        }
+
+    def test_one_debug_line_per_compile_and_none_per_subtask(self, case, caplog):
+        import logging
+
+        tn, tree, _ = case
+        sliced = sorted(tn.inner_indices())[:3]
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
+            executor = SlicedExecutor(tn, tree, sliced)
+            executor.run()
+        records = [r for r in caplog.records if r.name == "repro.execution.plan"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        message = records[0].getMessage()
+        cost = executor.plan.sweep_cost()
+        assert f"runs {cost.steps} steps of" in message
+        assert f"{cost.retained_bytes} bytes" in message
 
 
 class TestHyperIndexKernel:

@@ -17,7 +17,10 @@ generated circuits, trees and slicing sets rather than hand-picked cases:
   contract to the dense ``einsum`` value,
 * on the same adversarial networks, sliced any which way, the one plan
   walker agrees with the einsum oracle and — bitwise — with the tape
-  program lowered from its own step list.
+  program lowered from its own step list,
+* and a walker that *resumes* on one arena through any sequence of subtask
+  ids (repeats, reversals, gaps, another plan interleaved) returns, call by
+  call, the bits of a stateless execute of the same assignment.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from repro.core import (
     SlicingCostModel,
     compute_lifetimes,
     extract_stem,
+    stem_slot_schedule,
 )
 from repro.execution import (
     SlicedExecutor,
@@ -449,3 +453,101 @@ class TestExecutorProperties:
                 assert np.array_equal(
                     interpret_program(warm, {**leaves, **cache}), uncached
                 )
+
+
+def _hostile_plan(seed: int, num_sliced: int, batched: bool = False):
+    """``(network, plan)``: an adversarial network sliced ``num_sliced`` ways,
+    the first sliced index kept as a batch axis when ``batched``."""
+    network = _adversarial_network(seed)
+    tree = GreedyOptimizer(seed=seed).tree(network)
+    rng = np.random.default_rng(seed)
+    inner = sorted(network.inner_indices())
+    picks = rng.choice(len(inner), size=min(num_sliced, len(inner)), replace=False)
+    sliced = sorted(inner[i] for i in picks)
+    group = sliced[:1] if batched and len(sliced) > 1 else None
+    return network, compile_plan(network, tree, frozenset(sliced), batch_indices=group)
+
+
+def _hostile_ids(rng, total: int) -> list:
+    """Subtask ids with repeats, a reversal, gaps and a plain ascending run."""
+    jumps = [int(i) for i in rng.integers(0, total, size=6)]
+    return jumps + jumps[::-1] + list(range(0, total, 3)) + list(range(total))
+
+
+def _decode(network, plan, subtask_id: int) -> dict:
+    values = {}
+    for ix in reversed(plan.sliced):
+        subtask_id, values[ix] = divmod(subtask_id, network.size_of(ix))
+    return values
+
+
+def _assert_resumed_equals_stateless(jobs, ids) -> None:
+    """Run ``ids`` round-robin over ``jobs`` — ``(network, plan, cache)``
+    triples sharing ONE arena — and compare every call with a stateless
+    (fresh-arena) execute of the same assignment, bit for bit."""
+    arena = StemSlots()
+    for position, subtask_id in enumerate(ids):
+        network, plan, cache = jobs[position % len(jobs)]
+        total = math.prod(network.size_of(ix) for ix in plan.sliced)
+        assignment = _decode(network, plan, subtask_id % total)
+        resumed = plan.execute(network, assignment, cache=cache, slots=arena)
+        resumed = resumed.require_data().copy()  # the next call reuses the arena
+        fresh = plan.execute(network, assignment, cache=cache, slots=StemSlots())
+        assert np.array_equal(resumed, fresh.require_data()), (position, assignment)
+
+
+class TestResumedWalkerProperties:
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_sliced=st.integers(min_value=0, max_value=3),
+        batched=st.booleans(),
+    )
+    def test_any_id_sequence_on_one_arena_equals_stateless_executes(
+        self, seed, num_sliced, batched
+    ):
+        network, plan = _hostile_plan(seed, num_sliced, batched)
+        total = math.prod(network.size_of(ix) for ix in plan.sliced)
+        ids = _hostile_ids(np.random.default_rng(seed + 1), total)
+        _assert_resumed_equals_stateless([(network, plan, plan.new_cache())], ids)
+
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        other=st.integers(min_value=0, max_value=10_000),
+        num_sliced=st.integers(min_value=1, max_value=3),
+    )
+    def test_two_plans_interleaved_on_one_arena(self, seed, other, num_sliced):
+        first, second = _hostile_plan(seed, num_sliced), _hostile_plan(other, 2)
+        jobs = [(*first, first[1].new_cache()), (*second, second[1].new_cache())]
+        # the same plan over other leaf data, with its own cache, is a third
+        # job: the state is keyed by plan *and* cache object
+        network, plan = first
+        rescaled = network.copy()
+        for tid in rescaled.tensor_ids:
+            tensor = rescaled.tensor(tid)
+            rescaled.replace_tensor(tid, tensor.with_data(tensor.require_data() * 1.5))
+        jobs.append((rescaled, plan, plan.new_cache()))
+        ids = _hostile_ids(np.random.default_rng(seed + other), 24)
+        _assert_resumed_equals_stateless(jobs, ids)
+
+    def test_retained_stem_nodes_leave_their_slot(self):
+        """A partial retained on the stem must not sit in an alternating
+        slot (its grandparent would overwrite it): such plans exist in the
+        hostile sample, with GEMM and with einsum steps, and they resume
+        correctly."""
+        kinds = set()
+        for seed in range(40):
+            network, plan = _hostile_plan(seed, 3)
+            stem = stem_slot_schedule(plan.tree)
+            off_slot = [
+                step for step in plan.contract_steps if step.node in stem and step.slot is None
+            ]
+            assert {step.node for step in off_slot} == plan.retained_nodes & set(stem)
+            if not off_slot:
+                continue
+            kinds.update(step.kind for step in off_slot)
+            total = math.prod(network.size_of(ix) for ix in plan.sliced)
+            ids = _hostile_ids(np.random.default_rng(seed), total)
+            _assert_resumed_equals_stateless([(network, plan, plan.new_cache())], ids)
+        assert {"tensordot", "einsum"} <= kinds

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import StateVectorSimulator, grid_circuit, random_brickwork_circuit
-from repro.execution import ThreadPoolBackend
+from repro.execution import SharedMemoryProcessPoolBackend, ThreadPoolBackend
 from repro.execution.sampling import (
     CorrelatedSampleBatch,
     CorrelatedSampler,
@@ -360,6 +360,27 @@ class TestReuseIsBitwiseAFreshSampler:
         )
         for base in bases:
             _assert_bitwise(sampler.compute_batch(base), _fresh_batch(base))
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            lambda: None,
+            lambda: ThreadPoolBackend(max_workers=2),
+            lambda: SharedMemoryProcessPoolBackend(max_workers=2),
+        ],
+        ids=["serial", "threads", "process-pool"],
+    )
+    def test_batches_differing_in_one_closed_qubit(self, make_backend):
+        """Only one projector leaf changes between the batches: no partial
+        contracted from the previous one may be resumed from."""
+        closed = next(q for q in range(NUM_QUBITS) if q not in REUSE_KWARGS["open_qubits"])
+        base = [0] * NUM_QUBITS
+        flipped = list(base)
+        flipped[closed] = 1
+        with CorrelatedSampler(REUSE_CIRCUIT, backend=make_backend(), **REUSE_KWARGS) as sampler:
+            with sampler.session():
+                for bits in (base, flipped, base, flipped):
+                    _assert_bitwise(sampler.compute_batch(bits), _fresh_batch(bits))
 
     @REUSE_SETTINGS
     @given(bases=bases_strategy)
