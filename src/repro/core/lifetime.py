@@ -40,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from ..tensornet.contraction_tree import ContractionTree
+from ..tensornet.contraction_tree import ContractionTree, ContractionTreeError
 
 __all__ = [
     "Lifetime",
@@ -50,8 +50,10 @@ __all__ = [
     "lifetimes_on_nodes",
     "lifetime_contains",
     "lifetime_is_contiguous_on_path",
+    "plan_sweep",
     "slice_dependency_levels",
     "slice_dependent_nodes",
+    "sweep_prediction",
     "verify_halving_property",
 ]
 
@@ -257,6 +259,332 @@ def slice_dependent_nodes(
     """
     levels = slice_dependency_levels(tree, sorted(frozenset(sliced)))
     return frozenset(node for node, level in levels.items() if level)
+
+
+# ----------------------------------------------------------------------
+# Sweep planning: which index varies fastest, and where one must be fixed
+# ----------------------------------------------------------------------
+#: Sliced indices the exact order search places.  With more, the slowest
+#: positions keep label order and the search places the last (fastest)
+#: ``MAX_SEARCH_INDICES`` only — ``2**12`` subsets is 0.1-0.2 s of plain
+#: Python per threshold, so compiling a plan never hangs on a large
+#: slicing set.
+MAX_SEARCH_INDICES = 12
+
+
+def _index_width(tree: ContractionTree, index: str) -> int:
+    """``w(index)``; 1 for a label the tree does not know (fixing it is a no-op)."""
+    try:
+        return tree.index_size(index)
+    except ContractionTreeError:
+        return 1
+
+
+def _node_tables(tree: ContractionTree, labels: Sequence[str]) -> Tuple[List[int], ...]:
+    """Per-node integers the sweep planner works on, leaves first.
+
+    ``reach`` is the bit mask (bit ``i`` = ``labels[i]``) of the sliced
+    indices on some leaf of the node's subtree; ``carried`` whether all of
+    them are still on the node's own tensor; ``full`` / ``fixed`` the
+    tensor's element count with the sliced indices left on / fixed;
+    ``deepest`` the largest ``full`` over the subtree; ``work_full`` /
+    ``work_fixed`` the contraction's scalar multiply-adds likewise (0 on
+    leaves).  Exact integers: sums over them are order-independent.
+    """
+    bit = {ix: 1 << i for i, ix in enumerate(labels)}
+    count = tree.root + 1
+    reach, carried = [0] * count, [True] * count
+    full, fixed, deepest = [1] * count, [1] * count, [1] * count
+    work_full, work_fixed = [0] * count, [0] * count
+    for node in range(count):
+        own = 0
+        for ix in tree.node_indices(node):
+            width = tree.index_size(ix)
+            full[node] *= width
+            if ix in bit:
+                own |= bit[ix]
+            else:
+                fixed[node] *= width
+        children = tree.children(node)
+        if children is None:
+            reach[node], deepest[node] = own, full[node]
+            continue
+        a, b = children
+        reach[node] = reach[a] | reach[b]
+        carried[node] = own == reach[node]
+        deepest[node] = max(full[node], deepest[a], deepest[b])
+        work_full[node] = work_fixed[node] = 1
+        for ix in tree.contraction_indices(node):
+            width = tree.index_size(ix)
+            work_full[node] *= width
+            if ix not in bit:
+                work_fixed[node] *= width
+    return reach, carried, full, fixed, deepest, work_full, work_fixed
+
+
+def _sweep_tables(
+    tree: ContractionTree,
+    tables: Tuple[List[int], ...],
+    num_labels: int,
+    open_nodes: AbstractSet[int],
+) -> Tuple[int, int, int, List[List[List[int]]]]:
+    """What a sweep costs with ``open_nodes`` carried, split by order-dependence.
+
+    Returns ``(steps, work, cache, entries)``.  The first three are what
+    the warm pass costs whatever the order: one step and its unsliced work
+    per node no sliced index reaches or that is open, and the elements of
+    the cache entries (the maximal such nodes; a leaf entry aliases the
+    network's own array).  ``entries[i]`` lists, for every distinct reach
+    mask ``m`` containing bit ``i``, ``[m, steps, work, held]``: the nodes
+    of reach ``m`` run once per value combination of the indices placed up
+    to the one that completes ``m``, and *if that one is ``i``* they keep
+    ``held`` elements of children ``i`` does not reach between subtasks
+    (internal children only — leaf loads and fetches are views).
+    """
+    reach, _, full, fixed, _, work_full, work_fixed = tables
+    parents = tree.parent_map()
+    steps = work = cache = 0
+    entries: List[List[List[int]]] = [[] for _ in range(num_labels)]
+    where: Dict[int, List[int]] = {}
+    for node in tree.internal_nodes():
+        mask = reach[node]
+        if not mask or node in open_nodes:
+            steps += 1
+            work += work_full[node]
+            parent = parents.get(node)
+            if parent is None or (reach[parent] and parent not in open_nodes):
+                cache += full[node]
+            continue
+        for i in range(num_labels):
+            if not mask >> i & 1:
+                continue
+            entry = where.get(mask * num_labels + i)
+            if entry is None:
+                entry = where[mask * num_labels + i] = [mask, 0, 0, 0]
+                entries[i].append(entry)
+            entry[1] += 1
+            entry[2] += work_fixed[node]
+            for child in tree.children(node):  # type: ignore[union-attr]
+                if (
+                    child >= tree.num_leaves
+                    and reach[child]
+                    and child not in open_nodes
+                    and not reach[child] >> i & 1
+                ):
+                    entry[3] += fixed[child]
+    return steps, work, cache, entries
+
+
+def _place(
+    entries: List[List[int]], placed: int, runs: int
+) -> Tuple[int, int, int]:
+    """``(steps, work, held)`` added by placing one index next-fastest.
+
+    ``entries`` is that index's row of :func:`_sweep_tables`, ``placed``
+    the mask of the indices placed so far *including* it and ``runs`` the
+    product of their widths.
+    """
+    steps = work = held = 0
+    for mask, count, cost, keep in entries:
+        if not mask & ~placed:
+            steps += count
+            work += cost
+            held += keep
+    return runs * steps, runs * work, held
+
+
+def _fold(
+    entries: List[List[List[int]]],
+    widths: Sequence[int],
+    positions: Sequence[int],
+) -> Tuple[int, int, int, int, int]:
+    """Place ``positions`` in turn, slowest first: ``(placed, runs, steps, work, held)``."""
+    placed, runs, steps, work, held = 0, 1, 0, 0, 0
+    for i in positions:
+        placed |= 1 << i
+        runs *= widths[i]
+        more = _place(entries[i], placed, runs)
+        steps, work, held = steps + more[0], work + more[1], held + more[2]
+    return placed, runs, steps, work, held
+
+
+def _search_order(
+    entries: List[List[List[int]]],
+    widths: Sequence[int],
+    free: Sequence[int],
+    start: Tuple[int, int, int, int, int],
+    caps: Tuple[int, int, int],
+) -> Optional[List[int]]:
+    """Best order in which to place ``free`` after ``start`` under ``caps``.
+
+    A subset search: what placing index ``i`` after the set ``P`` adds
+    depends on ``P`` and ``i`` only (:func:`_place`), so it is enough to
+    keep, per subset, the Pareto front of ``(steps, work, held)`` over its
+    orderings, one popcount layer at a time.  Exact: returns the ordering
+    with the least ``(steps, work, held, positions)``, or ``None`` when
+    every ordering exceeds one of the ``(steps, work, held)`` caps.
+
+    An ordering is held as *one integer* with the fields ``steps | work |
+    held | order`` from the top — ``work`` and ``held`` as wide as their
+    caps plus a guard bit, ``order`` one digit per free index, first placed
+    highest — so integers compare as the tuples would, a placement is one
+    addition and a dominance test one subtraction (:func:`_no_worse`); the
+    search's working set is a few words per live subset.
+    """
+    placed, runs, steps, work, held = start
+    steps_cap, work_cap, held_cap = caps
+    if steps > steps_cap or work > work_cap or held > held_cap:
+        return None
+    digit = len(widths).bit_length()
+    low = digit * len(free)
+    mid = low + held_cap.bit_length() + 1
+    high = mid + work_cap.bit_length() + 1
+    guards = ((1 << (mid - 1)) | (1 << (high - 1))) >> low
+    work_mask, held_mask = (1 << (high - mid)) - 1, (1 << (mid - low)) - 1
+    layer = {placed: ((steps << high) | (work << mid) | (held << low),)}
+    for slot in range(low - digit, -1, -digit):
+        following: Dict[int, Tuple[int, ...]] = {}
+        while layer:
+            placed, front = layer.popitem()
+            wider = runs
+            for i in free:
+                if placed >> i & 1:
+                    wider *= widths[i]
+            for i in free:
+                if placed >> i & 1:
+                    continue
+                union = placed | (1 << i)
+                more = _place(entries[i], union, wider * widths[i])
+                if more[1] > work_cap or more[2] > held_cap:
+                    continue
+                step = (more[0] << high) + (more[1] << mid) + (more[2] << low) + (i << slot)
+                for code in front:
+                    code += step
+                    if (
+                        code >> high <= steps_cap
+                        and (code >> mid) & work_mask <= work_cap
+                        and (code >> low) & held_mask <= held_cap
+                    ):
+                        following[union] = _keep_undominated(
+                            following.get(union, ()), code, low, guards
+                        )
+        layer = following
+    if not layer:
+        return None
+    best = min(min(front) for front in layer.values())
+    return [(best >> slot) & ((1 << digit) - 1) for slot in range(low - digit, -1, -digit)]
+
+
+def _no_worse(ours: int, theirs: int, guards: int) -> bool:
+    """Whether ``ours`` is ``<= theirs`` in every field (order field shifted off).
+
+    With the guard bit of each bounded field set in ``theirs``, the
+    subtraction borrows from a guard exactly where ``ours`` is larger, and
+    goes negative when the unbounded top field (steps) is.
+    """
+    gap = (theirs | guards) - ours
+    return gap >= 0 and gap & guards == guards
+
+
+def _keep_undominated(
+    front: Tuple[int, ...], new: int, low: int, guards: int
+) -> Tuple[int, ...]:
+    """``front`` with ``new`` inserted, as a Pareto front of ``(steps, work,
+    held)``; on a full tie the smaller order (the earlier labels) stays."""
+    fields = new >> low
+    for old in front:
+        if _no_worse(old >> low, fields, guards) and old <= new:
+            return front
+    return (*(old for old in front if not _no_worse(fields, old >> low, guards)), new)
+
+
+def plan_sweep(
+    tree: ContractionTree, sliced: Iterable[str], open_subtrees: bool = True
+) -> Tuple[Tuple[str, ...], FrozenSet[int]]:
+    """Choose how a sweep over ``sliced`` runs: ``(order, open_nodes)``.
+
+    ``order`` lists the sliced indices slowest-varying first (the argument
+    of :func:`slice_dependency_levels`).  ``open_nodes`` are internal nodes
+    contracted *once* with the sliced indices reaching them left on as
+    ordinary axes; a subtask takes a view of the result instead of fixing
+    the index on every tensor below.  A node can be open under a threshold
+    ``M`` when every tensor of its subtree, indices left on, holds at most
+    ``M`` elements and every sliced index reaching it is still on its own
+    tensor (none was summed below); ``M`` never exceeds the largest tensor
+    of the sliced plan, which is what the slicing was sized for.
+
+    Thresholds are tried from the largest down (the last, 0, opens
+    nothing); at each, :func:`_search_order` finds the order with the
+    fewest executed steps — ties: less work, fewer resident elements,
+    earlier labels — among those whose steps, work *and* resident elements
+    (cache entries plus retained partials) do not exceed those of
+    sorted-label order with nothing open.  The first threshold with such
+    an order wins, so the result is no worse than label order on any of
+    the three, or is label order.  ``open_subtrees=False`` chooses the
+    order only.
+
+    Deterministic in ``(tree, sliced)``: labels are only ever sorted, never
+    iterated as a set.  Beyond :data:`MAX_SEARCH_INDICES` indices the
+    slowest positions keep label order and the search places the rest.
+    """
+    labels = tuple(sorted(frozenset(sliced)))
+    count = len(labels)
+    if not count:
+        return (), frozenset()
+    widths = [_index_width(tree, ix) for ix in labels]
+    tables = _node_tables(tree, labels)
+    reach, carried, _, fixed, deepest = tables[:5]
+    # the ceilings: what sorted-label order costs with nothing open
+    steps, work, cache, entries = _sweep_tables(tree, tables, count, frozenset())
+    today = _fold(entries, widths, range(count))
+    steps_cap, work_cap, held_cap = steps + today[2], work + today[3], cache + today[4]
+    candidates = [
+        node for node in tree.internal_nodes() if reach[node] and carried[node]
+    ]
+    thresholds = [0]
+    if open_subtrees:
+        peak = max(fixed)
+        thresholds = sorted(
+            {deepest[node] for node in candidates if deepest[node] <= peak},
+            reverse=True,
+        ) + [0]
+    free = range(max(0, count - MAX_SEARCH_INDICES), count)
+    for threshold in thresholds:
+        open_nodes = frozenset(n for n in candidates if deepest[n] <= threshold)
+        steps, work, cache, entries = _sweep_tables(tree, tables, count, open_nodes)
+        best = _search_order(
+            entries,
+            widths,
+            free,
+            _fold(entries, widths, range(free[0])),
+            (steps_cap - steps, work_cap - work, held_cap - cache),
+        )
+        if best is not None:
+            break
+    # (threshold 0 opens nothing and admits label order itself)
+    return (*labels[: free[0]], *(labels[i] for i in best)), open_nodes
+
+
+def sweep_prediction(
+    tree: ContractionTree,
+    order: Sequence[str],
+    open_nodes: AbstractSet[int] = frozenset(),
+) -> Tuple[int, int, int]:
+    """``(steps, work, resident elements)`` of one full sweep in ``order``.
+
+    The quantities :func:`plan_sweep` minimises and bounds, for any order
+    and open set: pair contractions executed (warm pass included), their
+    scalar multiply-adds, and the elements held between subtasks (cache
+    entries plus retained partials).  A compiled plan's ``sweep_cost()``
+    reports the same numbers from its own step list.
+    """
+    labels = tuple(sorted(order))
+    widths = [_index_width(tree, ix) for ix in labels]
+    steps, work, cache, entries = _sweep_tables(
+        tree, _node_tables(tree, labels), len(labels), open_nodes
+    )
+    swept = _fold(entries, widths, [labels.index(ix) for ix in order])
+    return steps + swept[2], work + swept[3], cache + swept[4]
 
 
 def verify_halving_property(

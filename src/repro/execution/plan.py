@@ -14,19 +14,26 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   and the output index order.  Nothing about the
   plan depends on the *values* assigned to the sliced indices, so one plan
   serves every subtask.
+* The compiler *plans the sweep* (:func:`repro.core.lifetime.plan_sweep`):
+  it chooses the enumeration order of the sliced indices — the plan's
+  :attr:`CompiledPlan.sliced`, which the executors decode subtask ids in —
+  and the *open* subtrees, small enough to be contracted once with the
+  sliced indices reaching them left on as ordinary axes.  Both are chosen
+  to minimise the executed steps without exceeding the flops or the
+  resident bytes of sorted-label order with nothing open.
 * The compiler stamps every tree node with its *level*
-  (:func:`repro.core.lifetime.slice_dependency_levels` over the sliced
-  indices in enumeration order): level 0 is *slice-invariant* — no sliced
-  edge's lifetime reaches a leaf of its subtree, so it produces the
-  identical intermediate in every subtask — and a level-``j`` node changes
+  (:func:`repro.core.lifetime.slice_dependency_levels` over that order):
+  level 0 is contracted once — *slice-invariant* (no sliced edge's lifetime
+  reaches a leaf of its subtree) or open — and a level-``j`` node changes
   only when one of the first ``j`` sliced indices does.  The plan derives
   from this a static free/reuse schedule: a child is freed at its parent
   only when both share a level; a lower-level child is *retained*.  The
-  maximal invariant subtrees (the *frontier*) are computed once by
-  :meth:`CompiledPlan.warm_cache`; the retained partials of levels ``>= 1``
-  let a sweep over consecutive assignments *resume* from the first changed
-  level instead of recontracting the whole dependent part (see
-  :meth:`CompiledPlan.execute`).
+  maximal level-0 subtrees (the *frontier*) are computed once by
+  :meth:`CompiledPlan.warm_cache`; per subtask an open root costs one
+  basic-index view of its cache entry (:attr:`CompiledPlan.fetches`), and
+  the retained partials of levels ``>= 1`` let a sweep over consecutive
+  assignments *resume* from the first changed level instead of
+  recontracting the whole dependent part (see :meth:`CompiledPlan.execute`).
 * An optional *batched* mode keeps a group of sliced indices alive as
   leading batch axes instead of enumerating them: steps where every live
   batch axis appears on both operands compile to a batched GEMM whose
@@ -85,7 +92,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.lifetime import slice_dependency_levels
+from ..core.lifetime import plan_sweep, slice_dependency_levels, sweep_prediction
 from ..core.stem import stem_slot_schedule
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
@@ -114,6 +121,9 @@ class PlanError(ValueError):
 #: (sum, count) stay exact beyond it; only the raw sample list is bounded,
 #: so stats stay O(1) per worker chunk and per long-running session.
 MAX_TIMING_SAMPLES = 256
+
+#: An axis a load leaves alone (the rest are fixed to the subtask's values).
+_WHOLE_AXIS = slice(None)
 
 
 @dataclass
@@ -382,16 +392,21 @@ class SweepCost:
     """Predicted work of one full ordered sweep, additive over steps.
 
     ``steps`` and ``leaf_loads`` count pair contractions and leaf
-    loads/slices over all ``prod w(e)`` subtasks, the one-off cache warm
-    included; ``flops`` weighs each step by its scalar multiply-adds;
-    ``retained_bytes`` is what the retained partials (levels ``>= 1``; the
-    level-0 frontier sits in the invariant cache) hold between subtasks.
+    loads/slices (fetches from open cache entries included) over all
+    ``prod w(e)`` subtasks, the one-off cache warm included; ``flops``
+    weighs each step by its scalar multiply-adds (an open step's are its
+    *unsliced* ones, once).  ``cache_bytes`` is what the frontier cache
+    holds for the whole sweep and ``retained_bytes`` what the retained
+    partials (levels ``>= 1``) hold between subtasks; leaf loads and
+    fetches are views and hold nothing (a ``dtype`` override that casts
+    them is not counted).
     """
 
     steps: int = 0
     leaf_loads: int = 0
     flops: float = 0.0
     retained_bytes: int = 0
+    cache_bytes: int = 0
 
     def __add__(self, other: "SweepCost") -> "SweepCost":
         return SweepCost(
@@ -399,25 +414,28 @@ class SweepCost:
             self.leaf_loads + other.leaf_loads,
             self.flops + other.flops,
             self.retained_bytes + other.retained_bytes,
+            self.cache_bytes + other.cache_bytes,
         )
 
 
 @dataclass(frozen=True, slots=True)
 class LeafStep:
-    """Load (and slice) one leaf tensor.
+    """Load (and slice) one leaf tensor, or fetch from an open cache entry.
 
-    ``takes`` is the ordered list of ``(index, axis)`` pairs to apply with
-    ``np.take``; the axis positions already account for previously removed
-    axes, so they are applied left to right with no per-call bookkeeping.
-    ``source_indices`` records the axis order of the network tensor the
-    step was compiled against, so staleness is detectable.  ``level`` is
-    the position (1-based, 0 = none) of the fastest-varying enumerated
-    index among ``takes``: a resumed sweep reloads the leaf only when an
-    index at or before that position changed.
+    ``takes`` lists the ``(index, axis)`` pairs a subtask fixes, ``axis``
+    being the position in the *source* array: the load is one basic-index
+    expression over all of them, hence a view.  ``source_indices`` records
+    the axis order of the source the step was compiled against — the
+    network tensor ``tid`` (so staleness is detectable), or, when ``tid``
+    is ``None``, the cache entry of the open node ``node``, which carries
+    the sliced indices reaching it as ordinary axes.  ``level`` is the
+    position (1-based, 0 = none) of the fastest-varying enumerated index
+    among ``takes``: a resumed sweep repeats the load only when an index
+    at or before that position changed.
     """
 
     node: int
-    tid: int
+    tid: Optional[int]
     takes: Tuple[Tuple[str, int], ...]
     out_indices: Tuple[str, ...]
     source_indices: Tuple[str, ...]
@@ -447,9 +465,10 @@ class ContractStep:
     grandparent would overwrite the slot while it is still needed).
 
     ``level`` is the node's :func:`~repro.core.lifetime.slice_dependency_levels`
-    entry (0 = slice-invariant).  ``free_cached`` drops a child only when
-    it shares the step's level; a lower-level child stays in the live
-    table for the subtasks that do not change it.
+    entry (0 = slice-invariant, or *open*: contracted once by the warm pass
+    with the sliced indices reaching it left on as axes).  ``free_cached``
+    drops a child only when it shares the step's level; a lower-level
+    child stays in the live table for the subtasks that do not change it.
     """
 
     node: int
@@ -593,6 +612,7 @@ class CompiledPlan:
         batch_indices: Tuple[str, ...],
         dtype: Optional[np.dtype],
         leaf_steps: Tuple[LeafStep, ...],
+        fetches: Tuple[LeafStep, ...],
         steps: Tuple[ContractStep, ...],
         frontier: FrozenSet[int],
         dependent: FrozenSet[int],
@@ -619,6 +639,7 @@ class CompiledPlan:
         self._batch_indices = batch_indices
         self._dtype = dtype
         self._leaf_steps = leaf_steps
+        self._fetches = fetches
         self._steps = steps
         self._frontier = frontier
         self._dependent = dependent
@@ -628,11 +649,11 @@ class CompiledPlan:
         self._invariant_steps = tuple(s for s in steps if s.level == 0)
         # what a cached execute re-runs when position ``p`` of the
         # enumeration order is the first whose value changed: the leaf
-        # loads and steps of level > p.  Entry 0 is the whole dependent
-        # part, entry len(enumerated) is empty (nothing changed).
+        # loads, fetches and steps of level > p.  Entry 0 is the whole
+        # dependent part, entry len(enumerated) is empty (nothing changed).
         self._resume_suffixes = tuple(
             (
-                tuple(ls for ls in leaf_steps if ls.level > p),
+                tuple(ls for ls in (*leaf_steps, *fetches) if ls.level > p),
                 tuple(s for s in steps if s.level > p),
             )
             for p in range(len(enumerated) + 1)
@@ -651,7 +672,9 @@ class CompiledPlan:
         # eagerly in the compiling process, JIT-compiled lazily in
         # whichever process executes them (programs pickle to pool
         # workers; the kernel does not).  Both ``None`` — with the reason
-        # in ``_fusion_breaks`` — when the plan runs the Python walker.
+        # in ``_fusion_breaks`` — when the plan runs the Python walker; a
+        # plan with open nodes has no full program (its stateless execute
+        # runs the cached one over a call-local cache).
         self._native_full = None
         self._native_cached = None
         self._fusion_breaks: Dict[str, int] = {}
@@ -670,10 +693,12 @@ class CompiledPlan:
             return
         size = self._tree.index_size
         shape_of = {s.node: s.out_shape for s in self._steps}
-        for ls in self._leaf_steps:
+        # (a consumer reads an open root through its fetch: that shape wins)
+        for ls in (*self._leaf_steps, *self._fetches):
             shape_of[ls.node] = tuple(size(ix) for ix in ls.out_indices)
         root = self._tree.root
-        self._native_full = _tape.lower_steps(self._steps, root, False, shape_of)
+        if not self._fetches:
+            self._native_full = _tape.lower_steps(self._steps, root, False, shape_of)
         self._native_cached = _tape.lower_steps(
             self._resume_suffixes[0][1], root, True, shape_of
         )
@@ -741,7 +766,8 @@ class CompiledPlan:
         Execution still falls back to the walker (bit-identically) if the
         numba kernel is unavailable in the executing process.
         """
-        return "native" if self._native_full is not None else "python"
+        lowered = self._native_full is not None or self._native_cached is not None
+        return "native" if lowered else "python"
 
     @property
     def native_programs(self) -> Tuple[object, object]:
@@ -783,23 +809,31 @@ class CompiledPlan:
         return self._leaf_steps
 
     @property
+    def fetches(self) -> Tuple[LeafStep, ...]:
+        """The per-subtask views of open cache entries, one per open root."""
+        return self._fetches
+
+    @property
     def num_steps(self) -> int:
         """Number of pair contractions in one full (uncached) execution."""
         return len(self._steps)
 
     @property
     def invariant_nodes(self) -> FrozenSet[int]:
-        """Internal nodes whose contraction is slice-invariant."""
+        """Internal nodes contracted once, by the warm pass: no sliced index
+        reaches them, or they are open and carry the ones that do."""
         return frozenset(s.node for s in self._invariant_steps)
 
     @property
     def dependent_nodes(self) -> FrozenSet[int]:
-        """Nodes (leaves and internals) that depend on the slice assignment."""
+        """Nodes (leaves and internals) loaded or contracted per subtask:
+        a sliced index reaches them and they are not inside an open subtree."""
         return self._dependent
 
     @property
     def frontier(self) -> FrozenSet[int]:
-        """Maximal invariant subtree roots retained in the cache."""
+        """Roots of the maximal subtrees the warm pass contracts — invariant
+        or open — whose tensors the cache retains."""
         return self._frontier
 
     @property
@@ -816,29 +850,28 @@ class CompiledPlan:
     def sweep_cost(self) -> SweepCost:
         """Predicted cost of one full sweep in enumeration order.
 
-        Computed from the levels alone: a level-``j`` step or leaf load
-        runs ``prod_{i <= j} w(e_i)`` times (once for level 0, in the cache
-        warm), which is exactly what ``stats.steps_executed`` counts after
-        one serial ``run()`` with an invariant cache.
+        Computed from the levels alone: a level-``j`` step, leaf load or
+        fetch runs ``prod_{i <= j} w(e_i)`` times (once for level 0, in the
+        cache warm), which is exactly what ``stats.steps_executed`` counts
+        after one serial ``run()`` with an invariant cache.
         """
         runs = [1]
         for ix in self._enumerated:
             runs.append(runs[-1] * self._enumerated_sizes.get(ix, 1))
         itemsize = np.dtype(self.dtype or np.complex128).itemsize
-        size = self._tree.index_size
-        nbytes = {
-            ls.node: itemsize * math.prod(size(ix) for ix in ls.out_indices)
-            for ls in self._leaf_steps
-        }
-        cost = SweepCost(leaf_loads=sum(runs[ls.level] for ls in self._leaf_steps))
+        # what a node's own buffer holds; loads and fetches are views
+        held = {s.node: itemsize * math.prod(s.out_shape) for s in self._steps}
+        cost = SweepCost(
+            leaf_loads=sum(runs[ls.level] for ls in (*self._leaf_steps, *self._fetches)),
+            cache_bytes=sum(held.get(node, 0) for node in self._frontier),
+        )
         for step in self._steps:
-            nbytes[step.node] = itemsize * math.prod(step.out_shape)
             count = runs[step.level]
             cost += SweepCost(
                 steps=count,
                 flops=count * 2.0**step.log2_flops,
                 retained_bytes=sum(
-                    nbytes[child]
+                    held.get(child, 0)
                     for child in (step.lhs, step.rhs)
                     if child in self._retained
                 ),
@@ -874,13 +907,13 @@ class CompiledPlan:
         cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats] = None,
     ) -> None:
-        """Compute every slice-invariant intermediate once into ``cache``.
+        """Compute every slice-invariant and open intermediate once into ``cache``.
 
-        Runs only the invariant portion of the plan (which touches no sliced
+        Runs only the level-0 portion of the plan (which fixes no sliced
         index, hence needs no assignment) with the cache-warm free schedule,
-        so interior invariant buffers are freed as soon as they are consumed
-        and only the frontier survives.  No arena: cache entries outlive
-        the subtask, so they must not sit in a reused slot.
+        so interior buffers are freed as soon as they are consumed and only
+        the frontier survives.  No arena: cache entries outlive the
+        subtask, so they must not sit in a reused slot.
         """
         start = time.perf_counter()
         live: Dict[int, np.ndarray] = {}
@@ -934,7 +967,9 @@ class CompiledPlan:
         caller scopes it with :meth:`StemSlots.sweep` so that no tensor
         replacement falls between two resumed calls.  Without an arena (or
         a cache) the call is stateless, and a plan carrying a lowered
-        native program runs it whole.
+        native program runs it whole.  A stateless call on a plan with open
+        nodes warms a cache of its own and runs the cached path over it —
+        one step list, the cached run's bits.
         """
         assignment = dict(assignment or {})
         if set(assignment) != set(self._enumerated):
@@ -959,13 +994,16 @@ class CompiledPlan:
             # that raises, or that does not resume (no cache, a native
             # program), leaves the arena without state
             state, slots._resume = slots._resume, None
+        shared = cache is not None
+        if not shared and self._fetches:
+            cache = {}
         cached = cache is not None
         if cached:
             if not self.cache_is_warm(cache):
                 self.warm_cache(network, cache, stats)
                 state = None  # its partials came from the previous cache contents
             start = time.perf_counter()
-            if stats is not None:
+            if stats is not None and shared:
                 stats.cache_hits += len(self._frontier)
             program = self._native_cached
             first = 0
@@ -981,7 +1019,7 @@ class CompiledPlan:
             else:
                 live = {node: cache[node] for node in self._frontier}
                 state = None
-                if slots is not None and program is None:
+                if slots is not None and program is None and shared:
                     # (a lowered program runs whole: nothing to resume from)
                     values = [assignment[ix] for ix in self._enumerated]
                     state = (self, cache, values, live)
@@ -993,7 +1031,7 @@ class CompiledPlan:
             leaf_steps = self._leaf_steps
             steps, program = self._steps, self._native_full
         for ls in leaf_steps:
-            live[ls.node] = self._load_leaf(network, ls, assignment)
+            live[ls.node] = self._load_leaf(network, ls, assignment, cache)
         if not (self._fused and self._run_native(program, live, slots, stats)):
             _walk_steps(steps, live, slots, stats, cached)
         if state is not None:
@@ -1017,19 +1055,29 @@ class CompiledPlan:
     def _load_leaf(
         self,
         network: TensorNetwork,
-        leaf_step: LeafStep,
+        step: LeafStep,
         assignment: Optional[Mapping[str, int]],
+        cache: Optional[Mapping[int, np.ndarray]] = None,
     ) -> np.ndarray:
-        tensor = network.tensor(leaf_step.tid)
-        data = tensor.data
-        if data is None:
-            raise ValueError(
-                f"tensor {leaf_step.tid} is abstract; the executor needs "
-                "concrete data"
-            )
-        for index, axis in leaf_step.takes:
-            data = np.take(data, assignment[index], axis=axis)  # type: ignore[index]
-        if self._dtype is not None:
+        """The array a load or fetch yields: a view of its source when it can be."""
+        if step.tid is None:
+            data = cache[step.node]  # type: ignore[index]
+        else:
+            data = network.tensor(step.tid).data
+            if data is None:
+                raise ValueError(
+                    f"tensor {step.tid} is abstract; the executor needs "
+                    "concrete data"
+                )
+        if step.takes:
+            # one basic-index expression (the Ellipsis keeps a rank-0
+            # result an array)
+            index: List[object] = [_WHOLE_AXIS] * len(step.source_indices)
+            for ix, axis in step.takes:
+                index[axis] = assignment[ix]  # type: ignore[index]
+            index.append(Ellipsis)
+            data = data[tuple(index)]
+        if self._dtype is not None and step.tid is not None:
             # convert after slicing so the cast copies only the slice
             data = np.asarray(data, dtype=self._dtype)
         return data
@@ -1138,11 +1186,20 @@ def compile_plan(
             elif data.dtype != derived_dtype:
                 derived_dtype = np.result_type(derived_dtype, data.dtype)
 
-    # levels over the enumerated indices in the executors' enumeration
-    # order (sorted labels, slowest-varying first); 0 = slice-invariant
-    ordered = tuple(sorted(enumerated))
+    # the sweep plan: the enumeration order (slowest-varying first — the
+    # executors decode subtask ids in it) and the open subtrees, which the
+    # warm pass contracts once with the sliced indices reaching them left
+    # on as axes.  Batched plans take the order and open nothing.
+    ordered, open_nodes = plan_sweep(tree, enumerated, open_subtrees=not batch)
     levels = slice_dependency_levels(tree, ordered)
-    dependent = frozenset(node for node, level in levels.items() if level)
+    carried: Set[int] = set()
+    for node in reversed(tree.internal_nodes()):
+        if node in open_nodes or node in carried:
+            carried.add(node)
+            carried.update(tree.children(node))  # type: ignore[arg-type]
+    dependent = frozenset(
+        node for node, level in levels.items() if level and node not in carried
+    )
 
     # the stem (most expensive root-to-leaf chain) drives the slot
     # schedule: its running tensor alternates between the two StemSlots
@@ -1167,27 +1224,20 @@ def compile_plan(
                 f"{sorted(tree.node_indices(leaf))}; recompile the plan "
                 "against the current network"
             )
-        working = list(tensor.indices)
-        takes: List[Tuple[str, int]] = []
-        for ix in tensor.indices:
-            if ix in enumerated:
-                takes.append((ix, working.index(ix)))
-                working.remove(ix)
-        orders[leaf] = tuple(working)
-        has_batch[leaf] = batch_set & frozenset(working)
         leaf_steps.append(
-            LeafStep(
-                node=leaf,
-                tid=tid,
-                takes=tuple(takes),
-                out_indices=orders[leaf],
-                source_indices=tensor.indices,
-                level=levels[leaf],
+            _load_step(
+                leaf,
+                tid,
+                tensor.indices,
+                frozenset() if leaf in carried else enumerated,
+                levels[leaf],
             )
         )
+        orders[leaf] = leaf_steps[-1].out_indices
+        has_batch[leaf] = batch_set & frozenset(orders[leaf])
 
-    # frontier: maximal slice-invariant subtree roots — the nodes whose
-    # intermediates the cache retains across subtasks
+    # frontier: roots of the maximal subtrees the warm pass contracts
+    # (invariant or open) — the nodes whose tensors the cache retains
     frontier: Set[int] = set()
     for node in tree.internal_nodes():
         if node in dependent:
@@ -1201,11 +1251,13 @@ def compile_plan(
 
     size = tree.index_size
     steps: List[ContractStep] = []
+    fetches: List[LeafStep] = []
     for node in tree.internal_nodes():
         lhs, rhs = tree.children(node)  # type: ignore[misc]
         a_ixs, b_ixs = orders[lhs], orders[rhs]
         a_set, b_set = set(a_ixs), set(b_ixs)
-        out_set = {ix for ix in tree.node_indices(node) if ix not in enumerated}
+        fixed = frozenset() if node in carried else enumerated
+        out_set = {ix for ix in tree.node_indices(node) if ix not in fixed}
         node_batch = has_batch[lhs] | has_batch[rhs]
         has_batch[node] = node_batch
         out_set.update(node_batch)  # never sum the batch axes
@@ -1274,16 +1326,25 @@ def compile_plan(
                 kind=kind,
                 out_indices=orders[node],
                 out_shape=tuple(size(ix) for ix in out_order),
-                level=levels[node],
+                level=0 if node in carried else levels[node],
                 free_full=(lhs, rhs),
                 free_cached=tuple(
-                    c for c in (lhs, rhs) if levels[c] == levels[node]
+                    c
+                    for c in (lhs, rhs)
+                    if node in carried or levels[c] == levels[node]
                 ),
-                log2_flops=tree.node_log2_flops(node, enumerated),
+                log2_flops=tree.node_log2_flops(node, fixed),
                 slot=slot_of.get(node),
                 **kwargs,  # type: ignore[arg-type]
             )
         )
+        if node in carried and node in frontier and levels[node]:
+            # an open root: its consumer sees, per subtask, a view of the
+            # cache entry with the sliced indices fixed
+            fetches.append(
+                _load_step(node, None, orders[node], enumerated, levels[node])
+            )
+            orders[node] = fetches[-1].out_indices
 
     root = tree.root
     root_order = orders[root]
@@ -1307,6 +1368,7 @@ def compile_plan(
         batch_indices=batch,
         dtype=np.dtype(dtype) if dtype is not None else None,
         leaf_steps=tuple(leaf_steps),
+        fetches=tuple(fetches),
         steps=tuple(steps),
         frontier=frozenset(frontier),
         dependent=dependent,
@@ -1317,22 +1379,66 @@ def compile_plan(
         derived_dtype=derived_dtype,
     )
     if logger.isEnabledFor(logging.DEBUG):
-        cost = plan.sweep_cost()
-        per_level: Dict[int, int] = {}
-        for step in steps:
-            if step.level:
-                per_level[step.level] = per_level.get(step.level, 0) + 1
-        num_dependent = sum(per_level.values())
-        subtasks = math.prod(plan._enumerated_sizes.values())
-        logger.debug(
-            "compiled %d steps, %d dependent: a full sweep runs %d steps of %d "
-            "naive, retains %d partials / %d bytes, steps per level %s",
-            len(steps),
-            num_dependent,
-            cost.steps,
-            len(steps) - num_dependent + subtasks * num_dependent,
-            len(plan.retained_nodes),
-            cost.retained_bytes,
-            dict(sorted(per_level.items())),
-        )
+        _log_sweep_plan(plan, open_nodes, carried)
     return plan
+
+
+def _load_step(
+    node: int,
+    tid: Optional[int],
+    source_indices: Tuple[str, ...],
+    fixed: AbstractSet[str],
+    level: int,
+) -> LeafStep:
+    """The load of ``node`` from a source laid out as ``source_indices``,
+    with the indices in ``fixed`` taken per subtask (level 0 when none is)."""
+    takes = tuple(
+        (ix, axis) for axis, ix in enumerate(source_indices) if ix in fixed
+    )
+    return LeafStep(
+        node=node,
+        tid=tid,
+        takes=takes,
+        out_indices=tuple(ix for ix in source_indices if ix not in fixed),
+        source_indices=source_indices,
+        level=level if takes else 0,
+    )
+
+
+def _log_sweep_plan(
+    plan: CompiledPlan, open_nodes: AbstractSet[int], carried: AbstractSet[int]
+) -> None:
+    """The per-compile ``DEBUG`` line: the chosen sweep beside label order."""
+    tree = plan.tree
+    cost = plan.sweep_cost()
+    per_level: Dict[int, int] = {}
+    for step in plan.contract_steps:
+        if step.level:
+            per_level[step.level] = per_level.get(step.level, 0) + 1
+    itemsize = np.dtype(plan.dtype or np.complex128).itemsize
+    label_steps, label_work, label_held = sweep_prediction(tree, sorted(plan.sliced))
+    threshold = max(
+        (math.prod(map(tree.index_size, tree.node_indices(n))) for n in carried),
+        default=0,
+    )
+    logger.debug(
+        "compiled %d steps, %d dependent: sweep order %s, %d open nodes under "
+        "threshold %d (%d fetches); a full sweep runs %d steps / %.4g flops / "
+        "%d resident bytes (label order, nothing open: %d / %.4g / %d), "
+        "retains %d partials / %d bytes, steps per level %s",
+        len(plan.contract_steps),
+        sum(per_level.values()),
+        list(plan.sliced),
+        len(open_nodes),
+        threshold,
+        len(plan.fetches),
+        cost.steps,
+        cost.flops,
+        cost.cache_bytes + cost.retained_bytes,
+        label_steps,
+        float(label_work),
+        itemsize * label_held,
+        len(plan.retained_nodes),
+        cost.retained_bytes,
+        dict(sorted(per_level.items())),
+    )

@@ -35,14 +35,15 @@ statistics that the process-level scheduler consumes.
 
 A run's assignments are never materialised: the backends receive a small
 read-only sequence that decodes subtask ids on demand (mixed radix over the
-sorted labels), and a serial sweep over it *resumes* — consecutive subtasks
-differ in a suffix of the sorted labels only, so each recontracts just the
-nodes those indices reach (:meth:`CompiledPlan.execute`).
+plan's sweep order, :attr:`SlicedExecutor.sliced`), and a serial sweep over
+it *resumes* — consecutive subtasks differ in a suffix of that order only,
+so each recontracts just the nodes those indices reach
+(:meth:`CompiledPlan.execute`).  The order is the compiled plan's choice
+(:func:`repro.core.lifetime.plan_sweep`): the cheapest reach varies fastest.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import (
@@ -79,9 +80,10 @@ class _Assignments:
     """The assignments of a run of subtask ids, decoded on demand.
 
     A read-only sequence (``len``, indexing, iteration) over ``ids``: entry
-    ``k`` is the mixed-radix decoding of ``ids[k]`` over ``labels`` — last
-    label fastest, so ascending ids enumerate the assignments in
-    lexicographic order.  Nothing is stored per subtask.
+    ``k`` is the mixed-radix decoding of ``ids[k]`` over ``labels`` (the
+    plan's sweep order) — last label fastest, so ascending ids enumerate
+    the assignments in the order the plan's levels were compiled for.
+    Nothing is stored per subtask.
     """
 
     __slots__ = ("_labels", "_sizes", "_ids")
@@ -224,9 +226,9 @@ class SlicedExecutor:
     ) -> None:
         self.network = network
         self.tree = tree
-        self.sliced: Tuple[str, ...] = tuple(sorted(sliced))
+        self._labels: Tuple[str, ...] = tuple(sorted(sliced))
         inner = network.inner_indices()
-        bad = [ix for ix in self.sliced if ix not in inner]
+        bad = [ix for ix in self._labels if ix not in inner]
         if bad:
             raise ValueError(f"sliced indices {bad} are not inner indices of the network")
         validate_execution_args(mode, backend=backend)
@@ -235,7 +237,7 @@ class SlicedExecutor:
         if fused and mode == "reference":
             raise ValueError("fused execution requires the compiled mode")
         self.mode = mode
-        self._sizes = {ix: network.size_of(ix) for ix in self.sliced}
+        self._sizes = {ix: network.size_of(ix) for ix in self._labels}
         self._dtype = np.dtype(dtype) if dtype is not None else None
         self._cache_invariant = bool(cache_invariant)
         self._backend = resolve_backend(backend) if mode == "compiled" else None
@@ -276,7 +278,7 @@ class SlicedExecutor:
         if mode == "reference":
             raise ValueError("batched execution requires the compiled mode")
         if spec == "auto":
-            if not self.sliced:
+            if not self._labels:
                 return ()
             target = self._memory_target_rank
             if target is None and self.cost_model is not None:
@@ -290,17 +292,17 @@ class SlicedExecutor:
                 # admission policy.
                 if self.cost_model is not None:
                     return self.cost_model.select_batch_group(
-                        self.tree, frozenset(self.sliced), target
+                        self.tree, frozenset(self._labels), target
                     )
                 from ..costs.batching import select_batch_group
 
-                return select_batch_group(self.tree, frozenset(self.sliced), target)
-            return (max(self.sliced, key=lambda ix: (self._sizes[ix], ix)),)
+                return select_batch_group(self.tree, frozenset(self._labels), target)
+            return (max(self._labels, key=lambda ix: (self._sizes[ix], ix)),)
         group: Tuple[str, ...] = (spec,) if isinstance(spec, str) else tuple(spec)
         if len(set(group)) != len(group):
             raise ValueError(f"repeated batch indices in {group}")
         for ix in group:
-            if ix not in self.sliced:
+            if ix not in self._labels:
                 raise ValueError(f"batch index {ix!r} is not in the sliced set")
         return group
 
@@ -330,13 +332,25 @@ class SlicedExecutor:
             fault_policy = fault_policy.derived_from(
                 self.cost_model,
                 self.tree,
-                frozenset(self.sliced),
+                frozenset(self._labels),
                 backend=self._backend.name,
             )
         self._fault_policy = fault_policy
         self._fault_injector = fault_injector
 
     # ------------------------------------------------------------------
+    @property
+    def sliced(self) -> Tuple[str, ...]:
+        """The sliced indices in sweep order, slowest-varying first.
+
+        Subtask ids are the mixed-radix encoding of an assignment over this
+        order, so ascending ids walk the sweep the per-subtask plan was
+        compiled for (:attr:`CompiledPlan.sliced`; with batching enabled,
+        asking compiles that plan).  Reference mode sweeps sorted labels.
+        """
+        plan = self._ensure_plan()
+        return plan.sliced if plan is not None else self._labels
+
     @property
     def batch_index(self) -> Optional[str]:
         """The single batch index when exactly one is live, else ``None``."""
@@ -388,10 +402,7 @@ class SlicedExecutor:
     @property
     def num_subtasks(self) -> int:
         """Total number of independent subtasks ``prod w(e)``."""
-        out = 1
-        for ix in self.sliced:
-            out *= self._sizes[ix]
-        return out
+        return math.prod(self._sizes.values())
 
     @property
     def num_batched_sweeps(self) -> int:
@@ -403,10 +414,8 @@ class SlicedExecutor:
         )
 
     def assignments(self) -> Iterator[Dict[str, int]]:
-        """Iterate over every slicing assignment in lexicographic order."""
-        ranges = [range(self._sizes[ix]) for ix in self.sliced]
-        for values in itertools.product(*ranges):
-            yield dict(zip(self.sliced, values))
+        """Iterate over every slicing assignment in sweep (subtask id) order."""
+        return iter(self._assignments_of(range(self.num_subtasks)))
 
     def assignment(self, subtask_id: int) -> Dict[str, int]:
         """The assignment of subtask ``subtask_id`` (mixed-radix decoding)."""
@@ -421,13 +430,13 @@ class SlicedExecutor:
 
     def _assignments_of(self, ids: Sequence[int]) -> _Assignments:
         """The lazy assignment sequence of (valid) subtask ``ids``."""
-        return _Assignments(
-            self.sliced, [self._sizes[ix] for ix in self.sliced], ids
-        )
+        order = self.sliced
+        return _Assignments(order, [self._sizes[ix] for ix in order], ids)
 
     def batched_assignments(self) -> _Assignments:
-        """Assignments of the enumerated (non-batch) indices, in order."""
-        enumerated = [ix for ix in self.sliced if ix not in self.batch_indices]
+        """Assignments of the enumerated (non-batch) indices, in sweep order."""
+        assert self._batched_plan is not None
+        enumerated = self._batched_plan.sliced
         return _Assignments(
             enumerated,
             [self._sizes[ix] for ix in enumerated],
@@ -440,7 +449,7 @@ class SlicedExecutor:
         self._plan = compile_plan(
             self.network,
             self.tree,
-            frozenset(self.sliced),
+            frozenset(self._labels),
             dtype=self._dtype,
             fused=self._fused,
         )
@@ -453,7 +462,7 @@ class SlicedExecutor:
         self._batched_plan = compile_plan(
             self.network,
             self.tree,
-            frozenset(self.sliced),
+            frozenset(self._labels),
             batch_indices=self.batch_indices,
             dtype=self._dtype,
             fused=self._fused,
@@ -684,7 +693,7 @@ class SlicedExecutor:
         fingerprint = job_fingerprint(
             self.network,
             self.tree,
-            self.sliced,
+            self._labels,
             assignments,
             sum_batch_axes=sum_batch_axes,
             dtype=getattr(plan, "dtype", None) or self._dtype,
@@ -784,13 +793,13 @@ class SlicedExecutor:
         if backend_name is None:
             backend_name = self._backend.name if self._backend is not None else "serial"
         return CalibrationRecord.from_stats(
-            self.stats, self.tree, frozenset(self.sliced), backend_name
+            self.stats, self.tree, frozenset(self._labels), backend_name
         )
 
     def subtask_cost_estimate(self) -> float:
         """Planned flops of one subtask (scalar multiply-adds, Eq. 1 with S removed)."""
-        return self.tree.contraction_cost(frozenset(self.sliced))
+        return self.tree.contraction_cost(frozenset(self._labels))
 
     def total_cost_estimate(self) -> float:
         """Planned flops over all subtasks (Eq. 4)."""
-        return self.tree.total_cost(frozenset(self.sliced))
+        return self.tree.total_cost(frozenset(self._labels))

@@ -146,3 +146,30 @@ def grid_cost_model(grid_tree):
 def grid_target_rank(grid_tree):
     """A slicing target that forces a non-trivial slicing set on the grid tree."""
     return max(grid_tree.max_rank() - 4, 4)
+
+
+@pytest.fixture(scope="session")
+def open_case():
+    """``(network, tree, sliced, amplitude)`` of a slicing whose compiled
+    plan *plans the sweep*: two open subtrees (one rooted on the stem) that
+    a subtask fetches views from, partials retained between subtasks, and a
+    sweep order that is not label order — what the backend, ledger and
+    staleness suites run beside their label-order, nothing-open fixtures."""
+    import numpy as np
+
+    from repro.circuits import amplitude
+    from repro.core import stem_slot_schedule
+    from repro.execution import compile_plan
+
+    circuit = random_brickwork_circuit(8, 5, seed=13)
+    bits = [int(b) for b in np.random.default_rng(13).integers(0, 2, 8)]
+    network = amplitude_network(circuit, bits)
+    simplify_network(network)
+    tree = GreedyOptimizer(seed=1).tree(network)
+    inner = sorted(network.inner_indices())
+    sliced = [inner[i] for i in (1, 2, 7, 14)]
+    plan = compile_plan(network, tree, frozenset(sliced))
+    stem = stem_slot_schedule(tree)
+    assert len(plan.fetches) == 2 and any(f.node in stem for f in plan.fetches)
+    assert plan.sweep_cost().retained_bytes and plan.sliced != tuple(sliced)
+    return network, tree, sliced, amplitude(circuit, bits)

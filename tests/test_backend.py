@@ -218,6 +218,73 @@ class TestBackendEquivalence:
         assert planner.execute_plan(plan) == pytest.approx(reference, abs=1e-8)
 
 
+class TestSweepPlannedPlans:
+    """The ordered-accumulation and staleness contracts on a plan that opens
+    subtrees, retains partials and sweeps in its own order (``open_case``)."""
+
+    @pytest.mark.parametrize("kind", ["threads", "process-pool"])
+    def test_bit_identical_to_serial_across_chunk_sizes(self, open_case, kind):
+        tn, tree, sliced, reference = open_case
+        serial = SlicedExecutor(tn, tree, sliced, backend=SerialBackend())
+        value = serial.amplitude()
+        assert value == pytest.approx(reference, abs=1e-9)
+        assert serial.stats.steps_executed == serial.plan.sweep_cost().steps
+        for chunk_size in (1, 3, 7, None):
+            if kind == "threads":
+                backend = ThreadPoolBackend(max_workers=3, chunk_size=chunk_size)
+            else:
+                backend = SharedMemoryProcessPoolBackend(max_workers=2, chunk_size=chunk_size)
+            pooled = SlicedExecutor(tn, tree, sliced, backend=backend)
+            assert pooled.amplitude() == value, chunk_size  # bitwise
+
+    def test_uncached_run_is_bitwise_the_cached_one(self, open_case):
+        # no cache: each execute warms one of its own and runs the same steps
+        tn, tree, sliced, _ = open_case
+        cached = SlicedExecutor(tn, tree, sliced)
+        uncached = SlicedExecutor(tn, tree, sliced, cache_invariant=False)
+        assert uncached.amplitude() == cached.amplitude()
+        assert uncached.stats.steps_executed == uncached.num_subtasks * uncached.plan.num_steps
+        assert uncached.stats.cache_hits == 0
+
+    @pytest.mark.parametrize("where", ["dependent", "inside-open-subtree"])
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            lambda: SerialBackend(),
+            lambda: ThreadPoolBackend(max_workers=2, chunk_size=3),
+            lambda: SharedMemoryProcessPoolBackend(max_workers=2, chunk_size=3),
+        ],
+        ids=["serial", "threads", "process-pool"],
+    )
+    def test_replaced_leaf_between_runs_gives_fresh_bits(self, open_case, make_backend, where):
+        """Neither a retained partial nor an open cache entry of the first
+        run may leak into the second."""
+        tn, tree, sliced, _ = open_case
+        mutated = tn.copy()
+        executor = SlicedExecutor(mutated, tree, sliced, backend=make_backend())
+        last = executor.num_subtasks - 1
+        tail = [last - 1, last]
+        with executor.session():
+            executor.amplitude()
+            before = executor.amplitude(tail)
+            loads = executor.plan.leaf_steps
+            if where == "dependent":
+                leaf = min((ls for ls in loads if ls.level), key=lambda ls: ls.level)
+                assert leaf.level < len(sliced)
+            else:  # loaded once, by the warm pass, with its sliced index left on
+                leaf = next(
+                    ls for ls in loads if not ls.takes and set(ls.source_indices) & set(sliced)
+                )
+            tensor = mutated.tensor(leaf.tid)
+            mutated.replace_tensor(
+                leaf.tid, tensor.with_data(tensor.require_data() * (2.0 - 0.5j))
+            )
+            after = executor.amplitude(tail)
+        fresh = SlicedExecutor(mutated, tree, sliced, backend=SerialBackend())
+        assert after == fresh.amplitude(tail)  # bitwise
+        assert after != before
+
+
 class TestMultiIndexBatching:
     def test_batch_group_matches_reference(self, case):
         tn, tree, reference = case

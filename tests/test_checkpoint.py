@@ -342,6 +342,23 @@ class TestCorruptResult:
             assert executor.stats.faults >= 1
             assert injector.exhausted
 
+    @pytest.mark.parametrize("kind", ["threads", "pool"])
+    def test_retry_heals_a_sweep_planned_plan(self, open_case, kind):
+        # the retried chunk fetches from the open cache entries again
+        tn, tree, sliced, _ = open_case
+        serial = SlicedExecutor(tn, tree, sliced, backend=SerialBackend()).amplitude()
+        injector = FaultInjector([FaultSpec("corrupt-result", chunk=3, seconds=11)])
+        executor = SlicedExecutor(
+            tn,
+            tree,
+            sliced,
+            backend=_backend(kind),
+            fault_policy=FaultPolicy.retrying(),
+            fault_injector=injector,
+        )
+        assert executor.amplitude() == serial
+        assert executor.stats.retries >= 1 and injector.exhausted
+
     def test_fail_fast_raises_integrity_error(self, case):
         tn, tree = case
         injector = FaultInjector([FaultSpec("corrupt-result", chunk=0, seconds=3)])
@@ -464,6 +481,37 @@ class TestResume:
         not assume ``id + 1``."""
         tn, tree = case
         sliced = _sliced(tn)
+        policy = FaultPolicy.retrying()
+        executor = SlicedExecutor(
+            tn, tree, sliced, backend=_backend(kind), fault_policy=policy
+        )
+        num = executor.num_subtasks
+        store = CheckpointStore(tmp_path / "store")
+        fingerprint = job_fingerprint(
+            tn,
+            tree,
+            sliced,
+            [executor.assignment(i) for i in range(num)],
+            dtype=executor.plan.dtype,
+            policy=policy,
+            chunk_size=None,
+        )
+        job = store.job(fingerprint, num_slots=num)
+        for position in range(0, num, 2):
+            data = executor.run_subtask(position).tensor.require_data()
+            job.record(position, np.array(data, copy=True))
+        job.close()
+        assert executor.amplitude(resume=store) == serial_value
+        assert executor.stats.resumed_slots == num // 2
+        assert store.jobs() == []
+
+    @pytest.mark.parametrize("kind", ["serial", "threads", "pool"])
+    def test_half_filled_ledger_of_a_sweep_planned_plan(self, open_case, tmp_path, kind):
+        """Skipped slots are gaps in a sweep that fetches from open cache
+        entries and retains partials: still compared by value, still the
+        serial bits."""
+        tn, tree, sliced, _ = open_case
+        serial_value = SlicedExecutor(tn, tree, sliced, backend=SerialBackend()).amplitude()
         policy = FaultPolicy.retrying()
         executor = SlicedExecutor(
             tn, tree, sliced, backend=_backend(kind), fault_policy=policy

@@ -100,6 +100,22 @@ class TestBitIdentity:
         finally:
             backend.close()
 
+    def test_sweep_planned_plan_matches_serial_across_chunks(self, open_case):
+        # open subtrees (their leaves stay on the coordinator), retained
+        # partials, a sweep order of the plan's own choosing
+        tn, tree, sliced, reference = open_case
+        serial = _serial_value(tn, tree, sliced)
+        assert serial == pytest.approx(reference, abs=1e-9)
+        for chunk_size in (1, 3, 7, None):
+            backend = DistributedBackend(num_workers=2, chunk_size=chunk_size)
+            try:
+                executor = SlicedExecutor(tn, tree, sliced, backend=backend)
+                with executor.session():
+                    assert executor.amplitude() == serial, chunk_size
+                    assert executor.amplitude() == serial, chunk_size
+            finally:
+                backend.close()
+
     def test_ephemeral_run_without_session(self, case, serial_value):
         tn, tree, sliced = case
         backend = DistributedBackend(num_workers=2)

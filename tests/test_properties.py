@@ -20,7 +20,11 @@ generated circuits, trees and slicing sets rather than hand-picked cases:
   program lowered from its own step list,
 * and a walker that *resumes* on one arena through any sequence of subtask
   ids (repeats, reversals, gaps, another plan interleaved) returns, call by
-  call, the bits of a stateless execute of the same assignment.
+  call, the bits of a stateless execute of the same assignment — plans that
+  open subtrees (fetching views of cache entries) included,
+* the sweep planner returns a permutation of the sliced indices that is no
+  worse than label order in steps, work or resident bytes, equal to the
+  exhaustive optimum under the same ceilings wherever that is enumerable.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from repro.core import (
     extract_stem,
     stem_slot_schedule,
 )
+from repro.core import lifetime as lifetime_module
+from repro.core.lifetime import plan_sweep, sweep_prediction
 from repro.execution import (
     SlicedExecutor,
     StemSlots,
@@ -418,7 +424,8 @@ class TestExecutorProperties:
             assert (full, warm) == (None, None)
             assert plan.fusion_breaks == {"einsum": einsum_steps}
         else:
-            assert full is not None
+            # (open nodes: the stateless execute runs the warm program too)
+            assert (full is None) == bool(plan.fetches)
             assert plan.fusion_breaks == {}
 
         walker = compile_plan(network, tree, frozenset(sliced))
@@ -450,8 +457,12 @@ class TestExecutorProperties:
             if full is not None:
                 assert np.array_equal(interpret_program(full, leaves), uncached)
             if warm is not None:
+                fetched = {
+                    f.node: plan._load_leaf(network, f, assignment, cache)
+                    for f in plan.fetches
+                }
                 assert np.array_equal(
-                    interpret_program(warm, {**leaves, **cache}), uncached
+                    interpret_program(warm, {**leaves, **cache, **fetched}), uncached
                 )
 
 
@@ -551,3 +562,109 @@ class TestResumedWalkerProperties:
             ids = _hostile_ids(np.random.default_rng(seed), total)
             _assert_resumed_equals_stateless([(network, plan, plan.new_cache())], ids)
         assert {"tensordot", "einsum"} <= kinds
+
+
+def _open_hostile_plans():
+    """Every hostile plan of seeds 0-59 x 1-3 sliced indices that opens a
+    subtree, as ``(seed, network, plan)``."""
+    for seed in range(60):
+        for num_sliced in (1, 2, 3):
+            network, plan = _hostile_plan(seed, num_sliced)
+            if plan.fetches:
+                yield seed, network, plan
+
+
+class TestOpenSubtreeProperties:
+    def test_open_plans_resume_like_any_other(self):
+        """Open subtrees occur in the hostile sample — rooted on the stem,
+        rooted at an einsum step — and such plans resume through hostile
+        id sequences, alone or interleaved with another plan on one arena,
+        with the bits of a stateless execute; every amplitude is the
+        einsum oracle's."""
+        oracle = TreeExecutor(compiled=False)
+        roots = set()
+        jobs = []
+        for seed, network, plan in _open_hostile_plans():
+            stem = stem_slot_schedule(plan.tree)
+            kinds = {step.node: step.kind for step in plan.contract_steps}
+            roots.update((kinds[f.node], f.node in stem) for f in plan.fetches)
+            for f in plan.fetches:
+                assert f.node in plan.frontier and f.level and f.takes
+            total = math.prod(network.size_of(ix) for ix in plan.sliced)
+            ids = _hostile_ids(np.random.default_rng(seed), total)
+            jobs.append((network, plan, plan.new_cache()))
+            _assert_resumed_equals_stateless(jobs[-1:], ids)
+            for subtask_id in range(total):
+                assignment = _decode(network, plan, subtask_id)
+                expected = oracle.execute(network, plan.tree, assignment)
+                stateless = plan.execute(network, assignment)
+                order = [expected.indices.index(ix) for ix in stateless.indices]
+                assert np.allclose(
+                    stateless.require_data(),
+                    expected.require_data().transpose(order),
+                    rtol=1e-10,
+                    atol=1e-10,
+                )
+        assert {kind for kind, _ in roots} >= {"tensordot", "einsum"}
+        assert {on_stem for _, on_stem in roots} == {True, False}
+        _assert_resumed_equals_stateless(jobs, _hostile_ids(np.random.default_rng(7), 24))
+
+
+def _exhaustive_sweep_plan(tree, labels):
+    """:func:`plan_sweep`'s rule by brute force: thresholds from the largest
+    down, every permutation, ceilings from label order with nothing open."""
+    reach, carried, _, fixed, deepest = lifetime_module._node_tables(tree, labels)[:5]
+    steps_cap, work_cap, held_cap = sweep_prediction(tree, labels)
+    candidates = [n for n in tree.internal_nodes() if reach[n] and carried[n]]
+    thresholds = sorted({deepest[n] for n in candidates if deepest[n] <= max(fixed)})
+    for threshold in [*reversed(thresholds), 0]:
+        open_nodes = frozenset(n for n in candidates if deepest[n] <= threshold)
+        admitted = []
+        for order in itertools.permutations(labels):
+            steps, work, held = sweep_prediction(tree, order, open_nodes)
+            if steps <= steps_cap and work <= work_cap and held <= held_cap:
+                admitted.append((steps, work, held, order))
+        if admitted:
+            return min(admitted)[3], open_nodes
+    raise AssertionError("label order with nothing open is always admitted")
+
+
+class TestSweepPlannerProperties:
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_sliced=st.integers(min_value=0, max_value=5),
+    )
+    def test_chosen_plan_dominates_label_order_and_is_the_exhaustive_optimum(
+        self, seed, num_sliced
+    ):
+        network = _adversarial_network(seed)
+        tree = GreedyOptimizer(seed=seed).tree(network)
+        rng = np.random.default_rng(seed)
+        inner = sorted(network.inner_indices())
+        picks = rng.choice(len(inner), size=min(num_sliced, len(inner)), replace=False)
+        labels = tuple(sorted(inner[i] for i in picks))
+
+        order, open_nodes = plan_sweep(tree, labels)
+        assert sorted(order) == list(labels)
+        assert open_nodes <= set(tree.internal_nodes())
+        chosen = sweep_prediction(tree, order, open_nodes)
+        today = sweep_prediction(tree, labels)
+        assert all(ours <= theirs for ours, theirs in zip(chosen, today))
+        assert (order, open_nodes) == _exhaustive_sweep_plan(tree, labels)
+        # order only (what batched plans take): same guarantee, nothing open
+        only, nothing = plan_sweep(tree, labels, open_subtrees=False)
+        assert not nothing and sorted(only) == list(labels)
+        assert all(
+            ours <= theirs for ours, theirs in zip(sweep_prediction(tree, only), today)
+        )
+
+        # the compiled plan is that plan, and accounts for itself exactly
+        plan = compile_plan(network, tree, frozenset(labels))
+        assert plan.sliced == order
+        assert {s.node for s in plan.contract_steps if not s.level} >= open_nodes
+        cost = plan.sweep_cost()
+        itemsize = np.dtype(plan.dtype).itemsize
+        assert cost.steps == chosen[0]
+        assert cost.flops == pytest.approx(chosen[1], rel=1e-9)
+        assert cost.cache_bytes + cost.retained_bytes == itemsize * chosen[2]
