@@ -182,25 +182,23 @@ def resolve_backend(
 # ----------------------------------------------------------------------
 # Helpers shared by the backends and the pool workers
 # ----------------------------------------------------------------------
-def _contribution(tensor: Tensor, sum_batch_axes: int) -> np.ndarray:
+def _contribution(data: np.ndarray, sum_batch_axes: int) -> np.ndarray:
     """One subtask's contribution (batched sweeps collapse the batch axes)."""
-    data = tensor.require_data()
     if sum_batch_axes:
         return data.sum(axis=tuple(range(sum_batch_axes)))
     return data
 
 
-def _owned_contribution(tensor: Tensor, sum_batch_axes: int) -> np.ndarray:
+def _owned_contribution(data: np.ndarray, sum_batch_axes: int) -> np.ndarray:
     """A contribution buffer the caller may keep and mutate.
 
     The batch-axis sum already allocates a fresh array; otherwise the
     plan's output may alias the invariant cache or a stem slot and must be
     copied out.
     """
-    contribution = _contribution(tensor, sum_batch_axes)
     if sum_batch_axes:
-        return contribution
-    return np.array(contribution, copy=True)
+        return _contribution(data, sum_batch_axes)
+    return np.array(data, copy=True)
 
 
 def execute_chunk(
@@ -225,7 +223,7 @@ def execute_chunk(
     with slots.sweep():
         contributions = [
             _owned_contribution(
-                plan.execute(network, assignment, cache=cache, stats=stats, slots=slots),
+                plan.execute_array(network, assignment, cache, stats, slots),
                 sum_batch_axes,
             )
             for _, assignment in items
@@ -261,16 +259,14 @@ def _serial_accumulate(
     accumulated: Optional[np.ndarray] = None
     with slots.sweep():
         for assignment in assignments:
-            tensor = plan.execute(
-                network, assignment, cache=cache, stats=stats, slots=slots
-            )
+            data = plan.execute_array(network, assignment, cache, stats, slots)
             if accumulated is None:
                 # the first contribution may alias the invariant cache or a
                 # stem slot, both overwritten by later subtasks, so take an
                 # owned buffer once
-                accumulated = _owned_contribution(tensor, sum_batch_axes)
+                accumulated = _owned_contribution(data, sum_batch_axes)
             else:
-                accumulated += _contribution(tensor, sum_batch_axes)
+                accumulated += _contribution(data, sum_batch_axes)
     assert accumulated is not None
     return accumulated
 
@@ -301,10 +297,10 @@ def _serial_accumulate_checkpointed(
         for position, assignment in enumerate(assignments):
             contribution = checkpoint.loaded.get(position)
             if contribution is None:
-                tensor = plan.execute(
-                    network, assignment, cache=cache, stats=stats, slots=slots
+                contribution = _owned_contribution(
+                    plan.execute_array(network, assignment, cache, stats, slots),
+                    sum_batch_axes,
                 )
-                contribution = _owned_contribution(tensor, sum_batch_axes)
                 checkpoint.record(position, contribution)
                 if injector is not None:
                     apply_coordinator_directive(

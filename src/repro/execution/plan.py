@@ -56,13 +56,23 @@ assignments — one serial sweep or one worker chunk
 (:meth:`StemSlots.sweep`); nothing survives a ``run_subtasks`` call, so no
 tensor replacement or plan recompile can fall inside it.
 Every GEMM-shaped step carries one explicit layout (operand permutations,
-``(w, m, k, n)`` extents, identity flags) and runs as ``transpose →
+the three GEMM shapes, identity flags) and runs as ``transpose →
 reshape → dot(out=)`` on C-contiguous operands; stem outputs land in the
-arena's slots, everything else in fresh arrays.  A plan compiled with
+arena's slots, everything else in fresh arrays.  Lifetimes govern the
+permutations as they govern the contractions: *when an operand's producer
+runs less often than its consumer, the permutation moves to the producer*
+(:func:`_stage_at_producers`).  A frontier entry is staged by the warm
+pass, an open root keeps the sliced axes it carries in front of its
+consumer's layout (the per-subtask fetch is then the contiguous operand),
+a retained partial or leaf load is staged by its own step — and the
+consumer reads the buffer as is, byte for byte the one it would have
+staged itself.  A plan compiled with
 ``fused=True`` is additionally lowered (:func:`repro.execution.tape.lower_steps`)
 into a flat :class:`~repro.execution.tape.TapeProgram` that an optional
 numba kernel walks instead; it performs the same loads, permutations and
-GEMMs on the same layouts, so both engines are bit-identical.
+GEMMs on the same layouts, so both engines are bit-identical.  A plan
+that lowers keeps every permutation at its consumer: the tape has no op
+for a producer-side one.
 
 :class:`PlanStats` instruments execution with per-node step counters; the
 benchmark and the equivalence tests use it to assert that the cached path
@@ -74,11 +84,14 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import (
     AbstractSet,
+    Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -244,9 +257,6 @@ class PlanStats:
     checkpointed_slots: int = 0
     resumed_slots: int = 0
 
-    def record_step(self, node: int) -> None:
-        self.node_counts[node] = self.node_counts.get(node, 0) + 1
-
     def record_stage(self, stage: str, seconds: float) -> None:
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
 
@@ -343,28 +353,29 @@ class StemSlots:
         self._resume: Optional[Tuple] = None
 
     @staticmethod
-    def _view(
-        buffer: Optional[np.ndarray], shape: Tuple[int, ...], dtype: np.dtype
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(buffer, shaped view)``, reallocating when outgrown or re-typed."""
+    def _fit(store, key, buffer, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """A view of ``shape`` over ``store[key]`` (``buffer``), reallocated
+        when outgrown or re-typed.  The outgrown buffer is released *before*
+        its successor is allocated: its content is dead by the slot schedule,
+        and two generations side by side were the peak of a large plan's
+        first subtask."""
         size = math.prod(shape)
         if buffer is None or buffer.size < size or buffer.dtype != dtype:
-            buffer = np.empty(max(size, 1), dtype)
-        return buffer, buffer[:size].reshape(shape)
+            store[key] = buffer = None
+            store[key] = buffer = np.empty(max(size, 1), dtype)
+        return buffer[:size].reshape(shape)
 
     def out_for(
         self, slot: int, shape: Tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
         """A C-contiguous array view of ``shape``/``dtype`` backed by ``slot``."""
-        self._buffers[slot], view = self._view(self._buffers[slot], shape, dtype)
-        return view
+        return self._fit(self._buffers, slot, self._buffers[slot], shape, dtype)
 
     def scratch(
         self, key: str, shape: Tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
         """A named grow-only staging view (the native kernel's operands)."""
-        self._scratch[key], view = self._view(self._scratch.get(key), shape, dtype)
-        return view
+        return self._fit(self._scratch, key, self._scratch.get(key), shape, dtype)
 
     @contextmanager
     def sweep(self) -> Iterator["StemSlots"]:
@@ -383,8 +394,8 @@ class StemSlots:
     @property
     def allocated_bytes(self) -> int:
         """Total bytes currently held by the slots and staging buffers."""
-        held = [b for b in self._buffers if b is not None]
-        return sum(b.nbytes for b in (*held, *self._scratch.values()))
+        held = (*self._buffers, *self._scratch.values())
+        return sum(b.nbytes for b in held if b is not None)
 
 
 @dataclass(frozen=True)
@@ -395,11 +406,16 @@ class SweepCost:
     loads/slices (fetches from open cache entries included) over all
     ``prod w(e)`` subtasks, the one-off cache warm included; ``flops``
     weighs each step by its scalar multiply-adds (an open step's are its
-    *unsliced* ones, once).  ``cache_bytes`` is what the frontier cache
-    holds for the whole sweep and ``retained_bytes`` what the retained
-    partials (levels ``>= 1``) hold between subtasks; leaf loads and
-    fetches are views and hold nothing (a ``dtype`` override that casts
-    them is not counted).
+    *unsliced* ones, once).  ``stagings`` counts the GEMM operands a
+    consumer brings into GEMM layout itself, once per use (``transpose →
+    reshape → ascontiguousarray``), and ``producer_stagings`` the ones a
+    producer that runs less often wrote in that layout instead — at the
+    warm pass or when a retained partial is produced.  ``cache_bytes`` is
+    what the frontier cache holds for the whole sweep and
+    ``retained_bytes`` what the retained partials (levels ``>= 1``) hold
+    between subtasks, the staged copies of leaves included; other leaf
+    loads and fetches are views and hold nothing (a ``dtype`` override, or
+    a leaf that is not C-contiguous, copies more than is counted).
     """
 
     steps: int = 0
@@ -407,15 +423,16 @@ class SweepCost:
     flops: float = 0.0
     retained_bytes: int = 0
     cache_bytes: int = 0
+    stagings: int = 0
+    producer_stagings: int = 0
 
     def __add__(self, other: "SweepCost") -> "SweepCost":
-        return SweepCost(
-            self.steps + other.steps,
-            self.leaf_loads + other.leaf_loads,
-            self.flops + other.flops,
-            self.retained_bytes + other.retained_bytes,
-            self.cache_bytes + other.cache_bytes,
-        )
+        return SweepCost(*map(operator.add, astuple(self), astuple(other)))
+
+
+#: A producer-side staging: ``(axis permutation, target shape)`` — the
+#: array is written once as ``transpose(perm).reshape(shape)``, C-contiguous.
+Staging = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -432,6 +449,12 @@ class LeafStep:
     position (1-based, 0 = none) of the fastest-varying enumerated index
     among ``takes``: a resumed sweep repeats the load only when an index
     at or before that position changed.
+
+    ``stage`` is set on a leaf whose load runs less often than the GEMM
+    that consumes it (see :class:`ContractStep`): the load then yields the
+    operand in that GEMM's layout.  A fetch never stages — its open root's
+    step wrote the entry with the taken axes leading and the rest in
+    consumer layout, so the view *is* the contiguous operand.
     """
 
     node: int
@@ -440,6 +463,7 @@ class LeafStep:
     out_indices: Tuple[str, ...]
     source_indices: Tuple[str, ...]
     level: int = 0
+    stage: Optional[Staging] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,12 +481,24 @@ class ContractStep:
       the output and for axes summed out of a single operand.
 
     Both GEMM kinds share one layout: ``lhs_perm`` / ``rhs_perm`` bring
-    the operands into GEMM order, ``wmkn`` holds the extents (``w = 1``
-    for ``"tensordot"``), and the identity flags mark permutations the
-    walker skips.  ``slot`` (0 or 1) is set on stem steps, whose output
-    alternates between the two :class:`StemSlots` buffers — except a stem
-    node the cached schedule *retains*, which gets a fresh buffer (its
-    grandparent would overwrite the slot while it is still needed).
+    the operands into GEMM order, ``shapes`` holds the three GEMM shapes
+    (lhs, rhs, output; ``None`` on einsum steps), and the identity flags
+    mark permutations the walker skips.  ``slot`` (0 or 1) is set on stem
+    steps, whose output alternates between the two :class:`StemSlots`
+    buffers — except a stem node the cached schedule *retains*, which gets
+    a fresh buffer (its grandparent would overwrite the slot while it is
+    still needed).
+
+    *Staging moves to the producer that runs less often.*  When an
+    operand's producer has a lower level than this step — a frontier
+    entry, an open root, a retained partial or leaf load — the producer
+    writes it once, C-contiguous, in the layout this step reads, and the
+    operand's ``*_perm`` here is ``None``: it is taken as is.  The
+    producer carries the permutation as ``stage`` (an open root's also
+    moves the sliced axes it carries to the front, where its fetch takes
+    them).  Every node has one consumer, so one layout.  Plans lowered for
+    the native kernel keep per-use staging throughout: the tape has no op
+    for a producer-side permutation.
 
     ``level`` is the node's :func:`~repro.core.lifetime.slice_dependency_levels`
     entry (0 = slice-invariant, or *open*: contracted once by the warm pass
@@ -478,15 +514,15 @@ class ContractStep:
     out_indices: Tuple[str, ...]
     out_shape: Tuple[int, ...]
     level: int
-    free_full: Tuple[int, ...]
     free_cached: Tuple[int, ...]
     log2_flops: float
     slot: Optional[int] = None
     lhs_perm: Optional[Tuple[int, ...]] = None
     rhs_perm: Optional[Tuple[int, ...]] = None
-    wmkn: Optional[Tuple[int, int, int, int]] = None
+    shapes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = None
     lhs_identity: bool = False
     rhs_identity: bool = False
+    stage: Optional[Staging] = None
     sub_lhs: Optional[Tuple[int, ...]] = None
     sub_rhs: Optional[Tuple[int, ...]] = None
     sub_out: Optional[Tuple[int, ...]] = None
@@ -495,6 +531,24 @@ class ContractStep:
     def invariant(self) -> bool:
         """Whether the step's output is the same in every subtask."""
         return self.level == 0
+
+    @property
+    def free_full(self) -> Tuple[int, int]:
+        """What an uncached run frees at this step: both children."""
+        return self.lhs, self.rhs
+
+    @property
+    def wmkn(self) -> Optional[Tuple[int, int, int, int]]:
+        """The GEMM extents ``(w, m, k, n)`` (``w = 1`` for ``"tensordot"``)."""
+        if self.shapes is None:
+            return None
+        *batch, m, k = self.shapes[0]
+        return (batch[0] if batch else 1, m, k, self.shapes[1][-1])
+
+
+def _staged(array: np.ndarray, stage: Staging) -> np.ndarray:
+    """``array`` written once in its consumer's GEMM layout (C-contiguous)."""
+    return np.ascontiguousarray(array.transpose(stage[0]).reshape(stage[1]))
 
 
 def _batched_gemm(a3: np.ndarray, b3: np.ndarray, out3: np.ndarray) -> None:
@@ -529,7 +583,10 @@ def _walk_steps(
     transposed-GEMM dispatch, whose accumulation grouping differs from
     the C-contiguous one by ulps.  Forcing C order makes every step's
     GEMM see the buffers the native kernel stages, which is what keeps
-    the engines bit-identical.
+    the engines bit-identical.  An operand whose ``*_perm`` is ``None``
+    was written in exactly that form by its producer (``stage``) and is
+    read as is: same buffer contents, staged once per lifetime instead of
+    once per use.
 
     Stem outputs go to the arena's alternating slots when ``slots`` is
     given; every other output is a fresh array.  ``cached`` selects the
@@ -537,14 +594,16 @@ def _walk_steps(
     partials).  A GEMM operand's lifetime ends the moment its staged copy
     exists — before the other operand is staged and before the output is
     allocated — so an operand never coexists with its own copy *and* the
-    output (a staged *view* keeps the buffer alive by itself).
+    output (a staged *view* keeps the buffer alive by itself); likewise a
+    step that stages its own output releases its staged operands first.
     """
+    counts = stats.node_counts if stats is not None else None
     for step in steps:
         lhs, rhs = step.lhs, step.rhs
-        frees = step.free_cached if cached else step.free_full
+        frees = step.free_cached if cached else (lhs, rhs)
         slot = step.slot if slots is not None else None
-        dims = step.wmkn
-        if dims is None:
+        shapes = step.shapes
+        if shapes is None:
             a, b = live[lhs], live[rhs]
             if slot is None:
                 out = np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out)
@@ -554,46 +613,46 @@ def _walk_steps(
             del a, b
             for child in frees:
                 del live[child]
-            live[step.node] = out
-            del out
         else:
-            w, m, k, n = dims
-            batched = step.kind == "bmm"
-            if batched:
-                lhs_shape, rhs_shape, gemm_shape = (w, m, k), (w, k, n), (w, m, n)
-            else:
-                lhs_shape, rhs_shape, gemm_shape = (m, k), (k, n), (m, n)
+            lhs_shape, rhs_shape, gemm_shape = shapes
             a = live[lhs]
             if lhs in frees:
                 del live[lhs]
             dtype = a.dtype
-            if not step.lhs_identity:
-                a = a.transpose(step.lhs_perm)
-            a2 = np.ascontiguousarray(a.reshape(lhs_shape))
-            del a
+            perm = step.lhs_perm
+            if perm is not None:
+                if not step.lhs_identity:
+                    a = a.transpose(perm)
+                a = np.ascontiguousarray(a.reshape(lhs_shape))
             b = live[rhs]
             if rhs in frees:
                 del live[rhs]
             if b.dtype != dtype:
                 dtype = np.result_type(dtype, b.dtype)
-            if not step.rhs_identity:
-                b = b.transpose(step.rhs_perm)
-            b2 = np.ascontiguousarray(b.reshape(rhs_shape))
-            del b
+            perm = step.rhs_perm
+            if perm is not None:
+                if not step.rhs_identity:
+                    b = b.transpose(perm)
+                b = np.ascontiguousarray(b.reshape(rhs_shape))
             if slot is None:
-                out2 = np.empty(gemm_shape, dtype)
+                out = np.empty(gemm_shape, dtype)
             else:
-                out2 = slots.out_for(slot, gemm_shape, dtype)
-            if batched:
-                _batched_gemm(a2, b2, out2)
+                out = slots.out_for(slot, gemm_shape, dtype)
+            if len(gemm_shape) == 3:
+                _batched_gemm(a, b, out)
             else:
-                np.dot(a2, b2, out=out2)
-            live[step.node] = out2.reshape(step.out_shape)
-            # drop the staged copies and the output local now: the next
-            # step would otherwise allocate its own while these are bound
-            del a2, b2, out2
-        if stats is not None:
-            stats.record_step(step.node)
+                np.dot(a, b, out=out)
+            # drop the staged operands now: staging this step's own output,
+            # or the next step's allocations, would otherwise sit on top
+            del a, b
+            out = out.reshape(step.out_shape)
+        if step.stage is not None:
+            out = _staged(out, step.stage)
+        node = step.node
+        live[node] = out
+        del out
+        if counts is not None:
+            counts[node] = counts.get(node, 0) + 1
             if slot is not None:
                 stats.slot_writes += 1
 
@@ -628,14 +687,16 @@ class CompiledPlan:
         # warming and pre-calibration sizing, never leaf casting
         self._derived_dtype = derived_dtype
         self._enumerated = enumerated
-        self._enumerated_sizes: Dict[str, int] = {}
+        #: size of every enumerated index, in sweep order: its keys are what
+        #: an assignment must name, its values what theirs must stay below
+        self._enumerated_sizes: Dict[str, Optional[int]] = {}
         for ix in enumerated:
             try:
                 self._enumerated_sizes[ix] = tree.index_size(ix)
             except Exception:
                 # index unknown to the tree: fixing it is a no-op (matches
                 # the reference walker), so no range to enforce
-                pass
+                self._enumerated_sizes[ix] = None
         self._batch_indices = batch_indices
         self._dtype = dtype
         self._leaf_steps = leaf_steps
@@ -683,7 +744,7 @@ class CompiledPlan:
 
     def _lower(self) -> None:
         """Lower both step lists for the native kernel, or record why not."""
-        einsum_steps = sum(1 for s in self._steps if s.wmkn is None)
+        einsum_steps = sum(1 for s in self._steps if s.shapes is None)
         if einsum_steps:
             self._walker_because("einsum", einsum_steps)
             return
@@ -847,23 +908,36 @@ class CompiledPlan:
         total = sum(2.0**s.log2_flops for s in self._invariant_steps)
         return math.log2(total) if total else float("-inf")
 
+    def _level_runs(self) -> List[int]:
+        """How often a level-``j`` step or load runs in one full sweep."""
+        runs = [1]
+        for ix in self._enumerated:
+            runs.append(runs[-1] * (self._enumerated_sizes[ix] or 1))
+        return runs
+
     def sweep_cost(self) -> SweepCost:
         """Predicted cost of one full sweep in enumeration order.
 
         Computed from the levels alone: a level-``j`` step, leaf load or
         fetch runs ``prod_{i <= j} w(e_i)`` times (once for level 0, in the
         cache warm), which is exactly what ``stats.steps_executed`` counts
-        after one serial ``run()`` with an invariant cache.
+        after one serial ``run()`` with an invariant cache — and each run
+        stages the operands its step still permutes itself, plus its own
+        output when a less frequent consumer reads it staged.
         """
-        runs = [1]
-        for ix in self._enumerated:
-            runs.append(runs[-1] * self._enumerated_sizes.get(ix, 1))
+        runs = self._level_runs()
         itemsize = np.dtype(self.dtype or np.complex128).itemsize
-        # what a node's own buffer holds; loads and fetches are views
+        # what a node's own buffer holds; loads and fetches are views,
+        # except a leaf staged through a real permutation (a copy)
         held = {s.node: itemsize * math.prod(s.out_shape) for s in self._steps}
+        loads = (*self._leaf_steps, *self._fetches)
+        for ls in self._leaf_steps:
+            if ls.stage is not None and ls.stage[0] != tuple(range(len(ls.stage[0]))):
+                held[ls.node] = itemsize * math.prod(ls.stage[1])
         cost = SweepCost(
-            leaf_loads=sum(runs[ls.level] for ls in (*self._leaf_steps, *self._fetches)),
+            leaf_loads=sum(runs[ls.level] for ls in loads),
             cache_bytes=sum(held.get(node, 0) for node in self._frontier),
+            producer_stagings=sum(runs[ls.level] for ls in loads if ls.stage is not None),
         )
         for step in self._steps:
             count = runs[step.level]
@@ -875,6 +949,10 @@ class CompiledPlan:
                     for child in (step.lhs, step.rhs)
                     if child in self._retained
                 ),
+                stagings=count * sum(
+                    perm is not None for perm in (step.lhs_perm, step.rhs_perm)
+                ),
+                producer_stagings=count * (step.stage is not None),
             )
         return cost
 
@@ -899,7 +977,7 @@ class CompiledPlan:
 
     def cache_is_warm(self, cache: Mapping[int, np.ndarray]) -> bool:
         """Whether every frontier intermediate is present in ``cache``."""
-        return all(node in cache for node in self._frontier)
+        return cache.keys() >= self._frontier
 
     def warm_cache(
         self,
@@ -971,23 +1049,28 @@ class CompiledPlan:
         nodes warms a cache of its own and runs the cached path over it —
         one step list, the cached run's bits.
         """
-        assignment = dict(assignment or {})
-        if set(assignment) != set(self._enumerated):
+        data = self.execute_array(network, assignment, cache, stats, slots)
+        return Tensor(self._out_indices, data=data, sizes=self._out_sizes)
+
+    def execute_array(
+        self,
+        network: TensorNetwork,
+        assignment: Optional[Mapping[str, int]] = None,
+        cache: Optional[Dict[int, np.ndarray]] = None,
+        stats: Optional[PlanStats] = None,
+        slots: Optional[StemSlots] = None,
+    ) -> np.ndarray:
+        """:meth:`execute` without the :class:`Tensor` wrapper: the result
+        array, axes in :attr:`out_indices` order — what the sweep loops fold."""
+        if assignment is None:
+            assignment = {}
+        enumerated = self._enumerated
+        sizes = self._enumerated_sizes
+        if assignment.keys() != sizes.keys():
             raise PlanError(
                 f"assignment keys {sorted(assignment)} do not match the "
-                f"plan's sliced indices {sorted(self._enumerated)}"
+                f"plan's sliced indices {sorted(enumerated)}"
             )
-        for ix, size in self._enumerated_sizes.items():
-            # np.take would silently wrap negative values
-            if not 0 <= assignment[ix] < size:
-                raise PlanError(
-                    f"slice value {assignment[ix]} out of range for index {ix!r}"
-                )
-        if stats is not None:
-            stats.executions += 1
-            if self._batch_indices:
-                stats.batched_executions += 1
-
         state = None
         if slots is not None:
             # taken off the arena for the duration of the call: an execute
@@ -998,36 +1081,47 @@ class CompiledPlan:
         if not shared and self._fetches:
             cache = {}
         cached = cache is not None
+        if cached and not self.cache_is_warm(cache):
+            self.warm_cache(network, cache, stats)
+            state = None  # its partials came from the previous cache contents
+        # one pass over the order validates the values and finds the first
+        # position that differs from the assignment the arena last ran (a
+        # value equal to a validated one needs no range check)
+        first = 0
+        if state is not None and state[0] is self and state[1] is cache:
+            values, live = state[2], state[3]
+            for ix in enumerated:
+                if values[first] != assignment[ix]:
+                    break
+                first += 1
+        else:
+            state = None
+            values = [None] * len(enumerated)
+        for position in range(first, len(enumerated)):
+            ix = enumerated[position]
+            values[position] = value = assignment[ix]
+            size = sizes[ix]
+            # a basic index would silently wrap negative values
+            if size is not None and not 0 <= value < size:
+                raise PlanError(f"slice value {value} out of range for index {ix!r}")
+        if stats is not None:
+            stats.executions += 1
+            if self._batch_indices:
+                stats.batched_executions += 1
+
+        start = time.perf_counter()
         if cached:
-            if not self.cache_is_warm(cache):
-                self.warm_cache(network, cache, stats)
-                state = None  # its partials came from the previous cache contents
-            start = time.perf_counter()
             if stats is not None and shared:
                 stats.cache_hits += len(self._frontier)
             program = self._native_cached
-            first = 0
-            if state is not None and state[0] is self and state[1] is cache:
-                _, _, values, live = state
-                enumerated = self._enumerated
-                for ix in enumerated:
-                    if values[first] != assignment[ix]:
-                        break
-                    first += 1
-                for position in range(first, len(enumerated)):
-                    values[position] = assignment[enumerated[position]]
-            else:
+            if state is None:
                 live = {node: cache[node] for node in self._frontier}
-                state = None
                 if slots is not None and program is None and shared:
                     # (a lowered program runs whole: nothing to resume from)
-                    values = [assignment[ix] for ix in self._enumerated]
                     state = (self, cache, values, live)
             leaf_steps, steps = self._resume_suffixes[first]
         else:
-            start = time.perf_counter()
             live = {}
-            state = None
             leaf_steps = self._leaf_steps
             steps, program = self._steps, self._native_full
         for ls in leaf_steps:
@@ -1049,7 +1143,7 @@ class CompiledPlan:
             data = data.copy()
         if self._root_perm is not None:
             data = np.transpose(data, self._root_perm)
-        return Tensor(self._out_indices, data=data, sizes=self._out_sizes)
+        return data
 
     # ------------------------------------------------------------------
     def _load_leaf(
@@ -1069,17 +1163,20 @@ class CompiledPlan:
                     f"tensor {step.tid} is abstract; the executor needs "
                     "concrete data"
                 )
-        if step.takes:
-            # one basic-index expression (the Ellipsis keeps a rank-0
-            # result an array)
-            index: List[object] = [_WHOLE_AXIS] * len(step.source_indices)
-            for ix, axis in step.takes:
+        takes = step.takes
+        if takes:
+            # one basic-index expression up to the last taken axis (the
+            # Ellipsis covers the rest and keeps a rank-0 result an array)
+            index: List[object] = [_WHOLE_AXIS] * (takes[-1][1] + 1)
+            for ix, axis in takes:
                 index[axis] = assignment[ix]  # type: ignore[index]
             index.append(Ellipsis)
             data = data[tuple(index)]
         if self._dtype is not None and step.tid is not None:
             # convert after slicing so the cast copies only the slice
             data = np.asarray(data, dtype=self._dtype)
+        if step.stage is not None:
+            data = _staged(data, step.stage)
         return data
 
     def _run_native(
@@ -1250,7 +1347,16 @@ def compile_plan(
         frontier.add(tree.root)
 
     size = tree.index_size
-    steps: List[ContractStep] = []
+    # one record of ContractStep fields per internal node, in node order;
+    # the steps are built from them once the staging pass has edited them
+    specs: List[Dict[str, Any]] = []
+    # equal shape and permutation tuples share one object: a plan's steps
+    # repeat a handful of them, and the plan sits in every sweep's footprint
+    shared_tuples: Dict[Tuple, Tuple] = {}
+
+    def share(value: Tuple) -> Tuple:
+        return shared_tuples.setdefault(value, value)
+
     fetches: List[LeafStep] = []
     for node in tree.internal_nodes():
         lhs, rhs = tree.children(node)  # type: ignore[misc]
@@ -1272,7 +1378,7 @@ def compile_plan(
             ix for ix in b_ixs if ix in out_set and ix not in a_set
         ]
 
-        kwargs: Dict[str, object] = {}
+        spec: Dict[str, Any] = {}
         if not kept_shared and not solo_summed:
             kind = "tensordot"
             b_order: List[str] = []
@@ -1295,9 +1401,9 @@ def compile_plan(
             def label(ix: str) -> int:
                 return labels.setdefault(ix, len(labels))
 
-            kwargs["sub_lhs"] = tuple(label(ix) for ix in a_ixs)
-            kwargs["sub_rhs"] = tuple(label(ix) for ix in b_ixs)
-            kwargs["sub_out"] = tuple(label(ix) for ix in out_order)
+            spec["sub_lhs"] = tuple(label(ix) for ix in a_ixs)
+            spec["sub_rhs"] = tuple(label(ix) for ix in b_ixs)
+            spec["sub_out"] = tuple(label(ix) for ix in out_order)
         if kind != "einsum":
             # the explicit transpose → reshape → dot layout: shared batch
             # axes lead, then the kept axes of each operand around the
@@ -1305,39 +1411,38 @@ def compile_plan(
             # output needs no transpose
             m_ixs = [ix for ix in a_ixs if ix in out_set and ix not in b_order]
             n_ixs = [ix for ix in b_ixs if ix in out_set and ix not in b_order]
-            lhs_perm = tuple(a_ixs.index(ix) for ix in (*b_order, *m_ixs, *contracted))
-            rhs_perm = tuple(b_ixs.index(ix) for ix in (*b_order, *contracted, *n_ixs))
-            kwargs["lhs_perm"] = lhs_perm
-            kwargs["rhs_perm"] = rhs_perm
-            kwargs["wmkn"] = tuple(
+            lhs_perm = share(tuple(a_ixs.index(ix) for ix in (*b_order, *m_ixs, *contracted)))
+            rhs_perm = share(tuple(b_ixs.index(ix) for ix in (*b_order, *contracted, *n_ixs)))
+            spec["lhs_perm"] = lhs_perm
+            spec["rhs_perm"] = rhs_perm
+            w, m, k, n = (
                 math.prod(size(ix) for ix in group)
                 for group in (b_order, m_ixs, contracted, n_ixs)
             )
-            kwargs["lhs_identity"] = lhs_perm == tuple(range(len(a_ixs)))
-            kwargs["rhs_identity"] = rhs_perm == tuple(range(len(b_ixs)))
+            lead = (w,) if kind == "bmm" else ()
+            spec["shapes"] = share(
+                (share((*lead, m, k)), share((*lead, k, n)), share((*lead, m, n)))
+            )
+            spec["lhs_identity"] = lhs_perm == tuple(range(len(a_ixs)))
+            spec["rhs_identity"] = rhs_perm == tuple(range(len(b_ixs)))
             out_order = [*b_order, *m_ixs, *n_ixs]
 
         orders[node] = tuple(out_order)
-        steps.append(
-            ContractStep(
-                node=node,
-                lhs=lhs,
-                rhs=rhs,
-                kind=kind,
-                out_indices=orders[node],
-                out_shape=tuple(size(ix) for ix in out_order),
-                level=0 if node in carried else levels[node],
-                free_full=(lhs, rhs),
-                free_cached=tuple(
-                    c
-                    for c in (lhs, rhs)
-                    if node in carried or levels[c] == levels[node]
-                ),
-                log2_flops=tree.node_log2_flops(node, fixed),
-                slot=slot_of.get(node),
-                **kwargs,  # type: ignore[arg-type]
-            )
+        spec.update(
+            node=node,
+            lhs=lhs,
+            rhs=rhs,
+            kind=kind,
+            out_indices=orders[node],
+            out_shape=share(tuple(size(ix) for ix in out_order)),
+            level=0 if node in carried else levels[node],
+            free_cached=tuple(
+                c for c in (lhs, rhs) if node in carried or levels[c] == levels[node]
+            ),
+            log2_flops=tree.node_log2_flops(node, fixed),
+            slot=slot_of.get(node),
         )
+        specs.append(spec)
         if node in carried and node in frontier and levels[node]:
             # an open root: its consumer sees, per subtask, a view of the
             # cache entry with the sliced indices fixed
@@ -1345,6 +1450,18 @@ def compile_plan(
                 _load_step(node, None, orders[node], enumerated, levels[node])
             )
             orders[node] = fetches[-1].out_indices
+
+    # a plan the native kernel will run keeps every permutation at its
+    # consumer: the tape has no op for a producer-side one
+    lowers = (
+        fused
+        and _tape.unavailable_reason() is None
+        and all(spec["kind"] != "einsum" for spec in specs)
+    )
+    if not lowers:
+        _stage_at_producers(specs, leaf_steps, fetches, size)
+    steps = [ContractStep(**spec) for spec in specs]
+    del specs
 
     root = tree.root
     root_order = orders[root]
@@ -1383,6 +1500,62 @@ def compile_plan(
     return plan
 
 
+def _stage_at_producers(
+    specs: List[Dict[str, Any]],
+    leaf_steps: List[LeafStep],
+    fetches: List[LeafStep],
+    size: Callable[[str], int],
+) -> None:
+    """Move each GEMM operand's permutation to a producer that runs less often.
+
+    Edits the step records, leaf loads and fetches in place.  An operand
+    whose producer has a lower level than its (GEMM) consumer — a frontier
+    entry, an open root, a retained partial or leaf load — is staged by
+    the producer: the consumer's ``*_perm`` becomes ``None`` and the
+    producer's ``stage`` takes the permutation and the consumer's operand
+    shape.  An open root additionally moves the sliced axes it carries to
+    the front, and its fetch takes them there, so the fetched view is the
+    contiguous operand.  Einsum consumers keep their operands as they are.
+    """
+    num_leaves = len(leaf_steps)
+    fetch_at = {fetch.node: position for position, fetch in enumerate(fetches)}
+    for spec in specs:
+        if spec["kind"] == "einsum":
+            continue
+        for side, shape in zip(("lhs", "rhs"), spec["shapes"]):
+            child = spec[side]
+            # (internal node ids follow the leaves, in step order)
+            if child < num_leaves:
+                level = leaf_steps[child].level
+            else:
+                level = specs[child - num_leaves]["level"]
+            if level >= spec["level"]:
+                continue
+            perm = spec[side + "_perm"]
+            spec[side + "_perm"], spec[side + "_identity"] = None, True
+            if child in fetch_at:
+                fetch = fetches[fetch_at[child]]
+                taken = [axis for _, axis in fetch.takes]
+                rest = [a for a in range(len(fetch.source_indices)) if a not in taken]
+                moved = (*taken, *(rest[p] for p in perm))
+                specs[child - num_leaves]["stage"] = (
+                    moved,
+                    (*(size(ix) for ix, _ in fetch.takes), *shape),
+                )
+                fetches[fetch_at[child]] = LeafStep(
+                    node=child,
+                    tid=None,
+                    takes=tuple((ix, axis) for axis, (ix, _) in enumerate(fetch.takes)),
+                    out_indices=tuple(fetch.out_indices[p] for p in perm),
+                    source_indices=tuple(fetch.source_indices[a] for a in moved),
+                    level=fetch.level,
+                )
+            elif child < num_leaves:
+                leaf_steps[child] = replace(leaf_steps[child], stage=(perm, shape))
+            else:
+                specs[child - num_leaves]["stage"] = (perm, shape)
+
+
 def _load_step(
     node: int,
     tid: Optional[int],
@@ -1399,7 +1572,12 @@ def _load_step(
         node=node,
         tid=tid,
         takes=takes,
-        out_indices=tuple(ix for ix in source_indices if ix not in fixed),
+        # (nothing taken: the source's own tuple, not a copy of it)
+        out_indices=(
+            tuple(ix for ix in source_indices if ix not in fixed)
+            if takes
+            else source_indices
+        ),
         source_indices=source_indices,
         level=level if takes else 0,
     )
@@ -1411,6 +1589,7 @@ def _log_sweep_plan(
     """The per-compile ``DEBUG`` line: the chosen sweep beside label order."""
     tree = plan.tree
     cost = plan.sweep_cost()
+    runs = plan._level_runs()
     per_level: Dict[int, int] = {}
     for step in plan.contract_steps:
         if step.level:
@@ -1425,7 +1604,8 @@ def _log_sweep_plan(
         "compiled %d steps, %d dependent: sweep order %s, %d open nodes under "
         "threshold %d (%d fetches); a full sweep runs %d steps / %.4g flops / "
         "%d resident bytes (label order, nothing open: %d / %.4g / %d), "
-        "retains %d partials / %d bytes, steps per level %s",
+        "retains %d partials / %d bytes, steps per level %s, "
+        "stagings per sweep: %d (per-use layout: %d)",
         len(plan.contract_steps),
         sum(per_level.values()),
         list(plan.sliced),
@@ -1441,4 +1621,8 @@ def _log_sweep_plan(
         len(plan.retained_nodes),
         cost.retained_bytes,
         dict(sorted(per_level.items())),
+        cost.stagings + cost.producer_stagings,
+        2 * sum(
+            runs[step.level] for step in plan.contract_steps if step.shapes is not None
+        ),
     )

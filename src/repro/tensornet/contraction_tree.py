@@ -74,7 +74,6 @@ class _NodeRecord:
     """Internal per-node bookkeeping."""
 
     children: Optional[Tuple[int, int]]
-    leaves: FrozenSet[int]
     indices: FrozenSet[str]
 
 
@@ -137,7 +136,6 @@ class ContractionTree:
         for leaf, ixset in enumerate(leaf_indices):
             self._nodes[leaf] = _NodeRecord(
                 children=None,
-                leaves=frozenset({leaf}),
                 indices=frozenset(ixset),
             )
             subtree_count[leaf] = {ix: 1 for ix in ixset}
@@ -168,7 +166,6 @@ class ContractionTree:
             )
             self._nodes[next_id] = _NodeRecord(
                 children=(a, b),
-                leaves=self._nodes[a].leaves | self._nodes[b].leaves,
                 indices=indices,
             )
             subtree_count[next_id] = counts
@@ -258,8 +255,21 @@ class ContractionTree:
         return self._record(node).children
 
     def leaves_under(self, node: int) -> FrozenSet[int]:
-        """Leaf positions contained in the subtree of ``node``."""
-        return self._record(node).leaves
+        """Leaf positions contained in the subtree of ``node``.
+
+        Walked on demand: nothing on the planning or execution path reads
+        it, and an eager set per node was a fifth of a large tree's bytes.
+        """
+        leaves: List[int] = []
+        pending = [node]
+        while pending:
+            current = pending.pop()
+            children = self._record(current).children
+            if children is None:
+                leaves.append(current)
+            else:
+                pending.extend(children)
+        return frozenset(leaves)
 
     def node_indices(self, node: int) -> FrozenSet[str]:
         """Index set ``s_v`` of the (intermediate) tensor produced at ``node``."""

@@ -285,6 +285,49 @@ class TestSweepPlannedPlans:
         assert after != before
 
 
+    @pytest.mark.parametrize("where", ["staged-frontier-leaf", "under-staged-open-root"])
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            lambda: SerialBackend(),
+            lambda: ThreadPoolBackend(max_workers=2, chunk_size=3),
+            lambda: SharedMemoryProcessPoolBackend(max_workers=2, chunk_size=3),
+        ],
+        ids=["serial", "threads", "process-pool"],
+    )
+    def test_replaced_leaf_behind_a_staged_cache_entry_gives_fresh_bits(
+        self, open_case, make_backend, where
+    ):
+        """The cache holds *copies* in their consumer's layout where it held
+        views of the network's arrays: a replaced leaf must still re-warm
+        them, staleness cannot hide behind a copy."""
+        tn, tree, sliced, _ = open_case
+        mutated = tn.copy()
+        executor = SlicedExecutor(mutated, tree, sliced, backend=make_backend())
+        plan = executor.plan
+        steps = {step.node: step for step in plan.contract_steps}
+        if where == "staged-frontier-leaf":
+            leaf = next(
+                ls for ls in plan.leaf_steps if ls.node in plan.frontier and ls.stage is not None
+            )
+            entry = leaf.node
+        else:
+            entry = next(f.node for f in plan.fetches if steps[f.node].stage is not None)
+            under = tree.leaves_under(entry)
+            leaf = next(ls for ls in plan.leaf_steps if ls.node in under)
+        with executor.session():
+            before = executor.amplitude()
+            tensor = mutated.tensor(leaf.tid)
+            assert not np.shares_memory(executor._cache[entry], tensor.require_data())
+            mutated.replace_tensor(
+                leaf.tid, tensor.with_data(tensor.require_data() * (2.0 - 0.5j))
+            )
+            after = executor.amplitude()
+        fresh = SlicedExecutor(mutated, tree, sliced, backend=SerialBackend())
+        assert after == fresh.amplitude()  # bitwise
+        assert after != before
+
+
 class TestMultiIndexBatching:
     def test_batch_group_matches_reference(self, case):
         tn, tree, reference = case

@@ -185,6 +185,29 @@ class TestNavigation:
             tree.contraction_indices(0)  # leaves have no contraction
 
 
+    def test_leaves_under_walks_on_demand_what_the_eager_sets_held(self):
+        """No per-node leaf set is stored any more (a fifth of a Sycamore
+        tree's bytes, read by nothing in ``src/``): the walk must return
+        what the eager bottom-up union did, on the hostile trees too."""
+        from repro.paths import GreedyOptimizer
+        from test_properties import _adversarial_network
+
+        trees = [_chain_tree()]
+        for seed in range(30):
+            network = _adversarial_network(seed)
+            trees.append(GreedyOptimizer(seed=seed).tree(network))
+        for tree in trees:
+            eager = {leaf: frozenset({leaf}) for leaf in range(tree.num_leaves)}
+            for node in tree.internal_nodes():
+                lhs, rhs = tree.children(node)
+                eager[node] = eager[lhs] | eager[rhs]
+            for node in tree.nodes():
+                assert tree.leaves_under(node) == eager[node]
+            assert tree.leaves_under(tree.root) == frozenset(range(tree.num_leaves))
+            with pytest.raises(ContractionTreeError):
+                tree.leaves_under(tree.root + 1)
+
+
 class TestLinearPathConversion:
     def test_ssa_from_linear(self):
         # linear path over 4 tensors: contract positions (0,1) -> new at end,

@@ -267,6 +267,36 @@ class TestStemSlots:
             plan.execute(tn, {ix: value for ix in sliced}, slots=slots)
         assert slots.allocated_bytes == first  # grown once, then stable
 
+    def test_growing_a_slot_never_holds_two_generations(self):
+        """The outgrown buffer is released before its successor is
+        allocated — side by side they were the peak of ``large_subtasks``'
+        first subtask (2.1 MB old + 4.2 MB new at node 187)."""
+        import tracemalloc
+
+        from repro.execution import StemSlots
+
+        slots = StemSlots()
+        small, large = (1 << 17,), (1 << 18,)
+        dtype = np.dtype(np.complex128)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            slots.out_for(0, small, dtype)
+            slots.scratch("staging", small, dtype)
+            for grow in (
+                lambda: slots.out_for(0, large, dtype),
+                lambda: slots.scratch("staging", large, dtype),
+            ):
+                tracemalloc.reset_peak()
+                assert grow().nbytes == 16 << 18
+                # everything the arena holds now, and never the outgrown
+                # generation (2 MiB) on top of it
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak <= slots.allocated_bytes + 4096
+        finally:
+            tracemalloc.stop()
+        assert slots.allocated_bytes == 2 * (16 << 18)
+
     def test_serial_backend_run_uses_slots(self, case):
         tn, tree, reference = case
         sliced = sorted(tn.inner_indices())[:3]
@@ -624,8 +654,9 @@ class TestSweepPlanner:
     def test_measured_bytes_stay_within_the_prediction(self, shape):
         """What the cache and the live table really own during a resumed
         sweep — network arrays, stem slots and the root aside — never
-        exceeds ``cache_bytes + retained_bytes`` (+ 4 KiB); a fetch owns
-        nothing, it is a view of its cache entry."""
+        exceeds ``cache_bytes + retained_bytes`` (+ 4 KiB), leaves staged
+        at their producer included; a fetch owns nothing, it is a view of
+        its cache entry."""
         from repro.execution import StemSlots
 
         planned = _bench_plan(*shape)
@@ -653,10 +684,112 @@ class TestSweepPlanner:
                 for fetch in plan.fetches:  # (one freed at its parent is gone)
                     if fetch.node in live:
                         assert np.shares_memory(live[fetch.node], cache[fetch.node])
-        assert sum(b.nbytes for n, b in cache.items() if n >= plan.tree.num_leaves) == (
+        # (what the cache owns: its step outputs and the staged copies of leaves)
+        assert sum(b.nbytes for b in cache.values() if id(_owner(b)) not in foreign) == (
             cost.cache_bytes
         )
         assert 0 < worst <= cost.cache_bytes + cost.retained_bytes + 4096
+
+
+class TestProducerStaging:
+    """When a GEMM operand's producer runs less often than its consumer,
+    the permutation moves to the producer: frontier entries, open roots,
+    retained partials and leaf loads arrive in their consumer's layout."""
+
+    #: bench plan -> (per-use stagings, producer stagings, per-use layout)
+    #: of one full sweep, the warm pass included
+    PINNED = {
+        (4, 5, 10, 10): (6_128, 192, 13_520),
+        (5, 7, 9, 18): (524, 47, 956),
+    }
+
+    @pytest.mark.parametrize("shape", list(PINNED), ids=["small_subtasks", "large_subtasks"])
+    def test_stagings_per_sweep_are_the_predicted_ones(self, shape, monkeypatch, caplog):
+        """A spy on ``np.ascontiguousarray`` — every staging ends in one —
+        counts what a serial sweep really stages; CI runs this under two
+        fixed ``PYTHONHASHSEED``s (the rewrite never iterates a set)."""
+        import logging
+
+        planned = _bench_plan(*shape)
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
+            executor = SlicedExecutor(planned.network, planned.tree, planned.slicing.sliced)
+        plan = executor.plan
+        cost = plan.sweep_cost()
+        per_use, at_producers, per_use_layout = self.PINNED[shape]
+        assert (cost.stagings, cost.producer_stagings) == (per_use, at_producers)
+        assert per_use_layout == 2 * cost.steps  # every step of these plans is a GEMM
+        assert (
+            f"stagings per sweep: {per_use + at_producers} (per-use layout: {per_use_layout})"
+            in caplog.records[-1].getMessage()
+        )
+
+        calls = []
+        real = np.ascontiguousarray
+        monkeypatch.setattr(
+            np, "ascontiguousarray", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        executor.run()
+        monkeypatch.undo()
+        assert len(calls) == per_use + at_producers
+        assert executor.stats.steps_executed == cost.steps
+
+        # where the operands come from: a staged one has a producer of a
+        # lower level that carries the permutation, and only those do
+        producers = {ls.node: ls for ls in plan.leaf_steps}
+        producers.update((s.node, s) for s in plan.contract_steps)
+        for step in plan.contract_steps:
+            assert step.shapes is not None
+            for child, perm in ((step.lhs, step.lhs_perm), (step.rhs, step.rhs_perm)):
+                producer = producers[child]
+                assert (perm is None) == (producer.stage is not None)
+                assert (perm is None) == (producer.level < step.level)
+        for fetch in plan.fetches:  # the taken axes lead the staged entry
+            assert fetch.stage is None
+            assert [axis for _, axis in fetch.takes] == list(range(len(fetch.takes)))
+
+    def test_a_step_that_stages_its_output_releases_its_operands_first(self):
+        """Mutation check: staging a retained partial while the step's own
+        staged operands are still bound holds four buffers where three
+        suffice."""
+        import tracemalloc
+
+        from repro.execution import ContractStep
+        from repro.execution.plan import _walk_steps
+
+        side = 256
+        square = (side, side)
+        step = ContractStep(
+            node=2,
+            lhs=0,
+            rhs=1,
+            kind="tensordot",
+            out_indices=("i", "k"),
+            out_shape=square,
+            level=1,
+            free_cached=(0, 1),
+            log2_flops=24.0,
+            lhs_perm=(1, 0),
+            rhs_perm=(1, 0),
+            shapes=(square, square, square),
+            stage=((1, 0), square),
+        )
+        rng = np.random.default_rng(5)
+        live = {0: rng.normal(size=square), 1: rng.normal(size=square)}
+        expected = (live[0].T @ live[1].T).T
+        buffer = live[0].nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _walk_steps([step], live, None, None, True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert list(live) == [2] and live[2].flags.c_contiguous
+        np.testing.assert_allclose(live[2], expected)
+        # the operands arrived untraced; traced at once are the two staged
+        # copies and the output — never those three *and* the staged output
+        assert peak <= 3 * buffer + 4096
 
 
 class TestHyperIndexKernel:

@@ -432,6 +432,8 @@ class TestExecutorProperties:
         oracle = TreeExecutor(compiled=False)
         cache, slots = walker.new_cache(), StemSlots()
         walker.warm_cache(network, cache)
+        lowered_cache = plan.new_cache()
+        plan.warm_cache(network, lowered_cache)
         sizes = [range(network.size_of(ix)) for ix in sliced]
         for values in itertools.product(*sizes):
             assignment = dict(zip(sliced, values))
@@ -457,12 +459,15 @@ class TestExecutorProperties:
             if full is not None:
                 assert np.array_equal(interpret_program(full, leaves), uncached)
             if warm is not None:
+                # (a lowered plan keeps per-use layouts, the walker's cache
+                # holds staged entries: the program reads its own plan's)
                 fetched = {
-                    f.node: plan._load_leaf(network, f, assignment, cache)
+                    f.node: plan._load_leaf(network, f, assignment, lowered_cache)
                     for f in plan.fetches
                 }
                 assert np.array_equal(
-                    interpret_program(warm, {**leaves, **cache, **fetched}), uncached
+                    interpret_program(warm, {**leaves, **lowered_cache, **fetched}),
+                    uncached,
                 )
 
 
@@ -610,6 +615,84 @@ class TestOpenSubtreeProperties:
         _assert_resumed_equals_stateless(jobs, _hostile_ids(np.random.default_rng(7), 24))
 
 
+class TestProducerStagingProperties:
+    def test_staged_plans_sweep_like_stateless_executes_and_the_oracle(self):
+        """Hostile generator (dims 2/3/4, hyper-indices, open legs, rank-0
+        roots, two components), plain and under ``batch_indices=``: a cached
+        sweep on one arena equals, call by call, a stateless
+        ``execute(cache=None)`` on a fresh one — bit for bit where every
+        step is a GEMM, to 1e-12 where an ``einsum(out=slot)`` may differ
+        from ``einsum()`` in the last ulp — and the einsum oracle.  The
+        sample covers every way an operand arrives staged: an open root on
+        the stem, an einsum-produced entry, a ``bmm`` consumer, a leaf; an
+        einsum consumer never reads a staged operand (it keeps its
+        sublists, and its producers their layouts)."""
+        oracle = TreeExecutor(compiled=False)
+        seen = set()
+        for seed in range(40):
+            for num_sliced, batched in ((1, False), (2, False), (3, False), (3, True)):
+                network, plan = _hostile_plan(seed, num_sliced, batched)
+                stem = stem_slot_schedule(plan.tree)
+                producers = {ls.node: ls for ls in plan.leaf_steps}
+                producers.update((s.node, s) for s in plan.contract_steps)
+                fetched = {f.node for f in plan.fetches}
+                for step in plan.contract_steps:
+                    for child, perm in ((step.lhs, step.lhs_perm), (step.rhs, step.rhs_perm)):
+                        producer = producers[child]
+                        staged = producer.stage is not None
+                        assert staged == (
+                            step.kind != "einsum" and producer.level < step.level
+                        )
+                        if step.kind != "einsum":
+                            assert staged == (perm is None)
+                        if staged:
+                            seen.add(
+                                "open root on the stem"
+                                if child in fetched and child in stem
+                                else "leaf"
+                                if child < plan.tree.num_leaves
+                                else f"{producer.kind} producer"
+                            )
+                            seen.add(f"{step.kind} consumer")
+                exact = all(step.kind != "einsum" for step in plan.contract_steps)
+                cache, arena = plan.new_cache(), StemSlots()
+                sizes = [range(network.size_of(ix)) for ix in plan.sliced]
+                for values in itertools.product(*sizes):
+                    assignment = dict(zip(plan.sliced, values))
+                    swept = plan.execute(network, assignment, cache=cache, slots=arena)
+                    swept = swept.require_data().copy()  # the next call reuses the arena
+                    stateless = plan.execute(network, assignment, slots=StemSlots())
+                    if exact:
+                        assert np.array_equal(swept, stateless.require_data())
+                    else:
+                        assert np.allclose(swept, stateless.require_data(), rtol=1e-12)
+                    # (batch axes lead the plan's output; the oracle has none)
+                    group = plan.batch_indices
+                    for batch_values in itertools.product(
+                        *(range(network.size_of(ix)) for ix in group)
+                    ):
+                        expected = oracle.execute(
+                            network, plan.tree, {**assignment, **dict(zip(group, batch_values))}
+                        )
+                        ours = stateless.require_data()[batch_values]
+                        rest = stateless.indices[len(group) :]
+                        order = [expected.indices.index(ix) for ix in rest]
+                        assert np.allclose(
+                            ours,
+                            expected.require_data().transpose(order),
+                            rtol=1e-10,
+                            atol=1e-10,
+                        )
+        assert seen >= {
+            "open root on the stem",
+            "einsum producer",
+            "tensordot producer",
+            "leaf",
+            "bmm consumer",
+            "tensordot consumer",
+        }
+
+
 def _exhaustive_sweep_plan(tree, labels):
     """:func:`plan_sweep`'s rule by brute force: thresholds from the largest
     down, every permutation, ceilings from label order with nothing open."""
@@ -667,4 +750,11 @@ class TestSweepPlannerProperties:
         itemsize = np.dtype(plan.dtype).itemsize
         assert cost.steps == chosen[0]
         assert cost.flops == pytest.approx(chosen[1], rel=1e-9)
-        assert cost.cache_bytes + cost.retained_bytes == itemsize * chosen[2]
+        # (the planner counts step outputs; the executor also holds the
+        # leaves a less frequent producer copies into their consumer's layout)
+        leaf_copies = sum(
+            math.prod(ls.stage[1])
+            for ls in plan.leaf_steps
+            if ls.stage is not None and ls.stage[0] != tuple(range(len(ls.stage[0])))
+        )
+        assert cost.cache_bytes + cost.retained_bytes == itemsize * (chosen[2] + leaf_copies)
