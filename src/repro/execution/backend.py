@@ -15,8 +15,11 @@ Every backend honours the same **ordered-accumulation contract**: subtask
 contributions are summed strictly in assignment order, so all backends —
 any worker count, any chunk size — produce **bit-identical** results.  The
 parallel backends exploit this by shipping per-subtask contributions back
-to the caller (cheap: a subtask's result is the small output tensor; the
-expensive part is the contraction) and folding them in order.
+to the caller (cheap: a contribution is the plan's fold-node array, no
+larger than the resident budget left it; the expensive part is the
+contraction) and folding them in order.  The caller then runs the plan's
+slice-invariant tail once over the sum
+(:meth:`~repro.execution.plan.CompiledPlan.finish`).
 
 Backends:
 
@@ -234,7 +237,7 @@ def execute_chunk(
 def _result_tensor(
     plan: CompiledPlan, accumulated: np.ndarray, sum_batch_axes: int
 ) -> Tensor:
-    """Wrap the accumulated array with the plan's (batch-stripped) indices."""
+    """Wrap the finished array with the plan's (batch-stripped) indices."""
     out_indices = plan.out_indices[sum_batch_axes:]
     sizes = plan.out_sizes
     return Tensor(
@@ -513,6 +516,7 @@ class SerialBackend(ExecutionBackend):
             return None
         self.warm(plan, network, cache, stats)
         if checkpoint is not None:
+            checkpoint.require_slot_shape(plan.contribution_shape[sum_batch_axes:])
             accumulated = _serial_accumulate_checkpointed(
                 plan, network, assignments, cache, sum_batch_axes, stats,
                 self._slots, checkpoint, injector,
@@ -521,7 +525,9 @@ class SerialBackend(ExecutionBackend):
             accumulated = _serial_accumulate(
                 plan, network, assignments, cache, sum_batch_axes, stats, self._slots
             )
-        return _result_tensor(plan, accumulated, sum_batch_axes)
+        return _result_tensor(
+            plan, plan.finish(network, accumulated, cache, stats), sum_batch_axes
+        )
 
 
 class LocalTransport(ChunkTransport):
@@ -696,6 +702,8 @@ class _PooledBackend(ExecutionBackend):
                 policy, injector, checkpoint,
             )
         self.warm(plan, network, cache, stats)
+        if checkpoint is not None:
+            checkpoint.require_slot_shape(plan.contribution_shape[sum_batch_axes:])
         job = (plan, network, cache, sum_batch_axes)
 
         def fallback(substrate: str) -> LocalTransport:
@@ -723,7 +731,9 @@ class _PooledBackend(ExecutionBackend):
         accumulated = contributions[0]
         for contribution in contributions[1:]:
             accumulated += contribution
-        return _result_tensor(plan, accumulated, sum_batch_axes)
+        return _result_tensor(
+            plan, plan.finish(network, accumulated, cache, stats), sum_batch_axes
+        )
 
 
 class ThreadPoolBackend(_PooledBackend):

@@ -9,8 +9,9 @@ This module closes that gap with a write-ahead chunk ledger:
 
 * :class:`CheckpointStore` — a directory of *jobs*, each keyed by a
   content fingerprint of the run (:func:`job_fingerprint`: leaf data,
-  contraction tree, slicing assignments, batch-axis count, plus the
-  fault policy and chunking the run was configured with).
+  contraction tree, slicing assignments, batch-axis count, what a slot
+  holds when the plan sums below its root, plus the fault policy and
+  chunking the run was configured with).
 * :class:`CheckpointJob` — one run's ledger: a ``manifest.json``, a
   ``stats.json`` with the resilience counters accumulated across
   restarts, and one checksummed record per completed ordered slot under
@@ -99,7 +100,8 @@ _STATS_FIELDS = ("retries", "faults", "recovery_seconds")
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint store is unusable (unwritable root, lock conflict)."""
+    """A checkpoint store is unusable (unwritable root, lock conflict, a
+    ledger slot this run cannot fold)."""
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +150,7 @@ def job_fingerprint(
     dtype: Optional[object] = None,
     policy: Optional["FaultPolicy"] = None,
     chunk_size: Optional[int] = None,
+    fold: Optional[Tuple[int, Tuple[int, ...]]] = None,
 ) -> str:
     """Content hash identifying a resumable run.
 
@@ -155,7 +158,10 @@ def job_fingerprint(
     (which die with the process), this one is computed from *content*:
     the raw bytes of every leaf tensor, the contraction tree's SSA path,
     the sliced index set, the ordered assignment schedule, the batch-axis
-    count, and — per the ledger contract — the fault policy's recovery
+    count, what a slot holds when it is not the root's array — ``fold``,
+    the ``(fold node, contribution shape)`` of a plan that sums below its
+    root (:attr:`~repro.execution.plan.CompiledPlan.fold_node`) — and, per
+    the ledger contract, the fault policy's recovery
     shape and the backend's chunking.  Anything that could change the
     accumulated value (or the meaning of a slot position) changes the
     fingerprint; anything that provably cannot (backend choice, worker
@@ -178,6 +184,9 @@ def job_fingerprint(
         digest.update(data.tobytes())
         digest.update(b"\x00")
     feed(f"batch-axes:{int(sum_batch_axes)}")
+    if fold is not None:
+        # (a root fold hashes as every ledger written before folds existed)
+        feed(f"fold:{fold[0]}:{tuple(fold[1])!r}")
     feed(f"dtype:{np.dtype(dtype).str if dtype is not None else None}")
     for assignment in assignments:
         feed(repr(tuple(sorted(assignment.items()))))
@@ -508,6 +517,21 @@ class CheckpointJob:
         for field, prior in self.prior_stats.items():
             setattr(stats, field, getattr(stats, field) + type(getattr(stats, field))(prior))
         stats.resumed_slots += len(self.loaded)
+
+    def require_slot_shape(self, shape: Sequence[int]) -> None:
+        """Refuse a ledger whose loaded slots do not hold ``shape`` arrays.
+
+        The fingerprint already covers what a slot holds, so this trips only
+        on a ledger keyed some other way; folding such a slot would
+        broadcast it (a scalar into a whole accumulator) without an error.
+        """
+        shape = tuple(shape)
+        for position, array in sorted(self.loaded.items()):
+            if array.shape != shape:
+                raise CheckpointError(
+                    f"checkpoint job {self.fingerprint[:12]} slot {position} holds "
+                    f"shape {array.shape}, this run contributes shape {shape}"
+                )
 
     def record(self, position: int, array: np.ndarray) -> None:
         """Write-ahead one completed ordered slot (buffered).

@@ -34,6 +34,13 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   the retained partials of levels ``>= 1`` let a sweep over consecutive
   assignments *resume* from the first changed level instead of
   recontracting the whole dependent part (see :meth:`CompiledPlan.execute`).
+* The compiler picks where a run sums its subtasks, the *fold node*
+  (:func:`_fold_node`).  Summation is linear, so wherever nothing above a
+  node depends on a sliced index, ``sum_a tail(S(a)) == tail(sum_a S(a))``:
+  a subtask contributes that node's array
+  (:meth:`CompiledPlan.execute_array`), the sweep loops fold those in
+  assignment order, and its ancestors — the *tail* — run once per run over
+  the sum (:meth:`CompiledPlan.finish`).
 * An optional *batched* mode keeps a group of sliced indices alive as
   leading batch axes instead of enumerating them: steps where every live
   batch axis appears on both operands compile to a batched GEMM whose
@@ -416,6 +423,9 @@ class SweepCost:
     between subtasks, the staged copies of leaves included; other leaf
     loads and fetches are views and hold nothing (a ``dtype`` override, or
     a leaf that is not C-contiguous, copies more than is counted).
+    ``fold_bytes`` is the accumulator of a plan that folds below its root
+    (:attr:`CompiledPlan.fold_node`): the sum of the fold node's arrays;
+    the tail above it counts once, like the warm pass.
     """
 
     steps: int = 0
@@ -425,6 +435,7 @@ class SweepCost:
     cache_bytes: int = 0
     stagings: int = 0
     producer_stagings: int = 0
+    fold_bytes: int = 0
 
     def __add__(self, other: "SweepCost") -> "SweepCost":
         return SweepCost(*map(operator.add, astuple(self), astuple(other)))
@@ -549,6 +560,13 @@ class ContractStep:
 def _staged(array: np.ndarray, stage: Staging) -> np.ndarray:
     """``array`` written once in its consumer's GEMM layout (C-contiguous)."""
     return np.ascontiguousarray(array.transpose(stage[0]).reshape(stage[1]))
+
+
+def _above(items: Tuple, level: int) -> Tuple:
+    """``items`` without the ones at ``level`` — ``items`` itself when none is."""
+    if any(item.level == level for item in items):
+        return tuple(item for item in items if item.level != level)
+    return items
 
 
 def _batched_gemm(a3: np.ndarray, b3: np.ndarray, out3: np.ndarray) -> None:
@@ -680,6 +698,7 @@ class CompiledPlan:
         root_perm: Optional[Tuple[int, ...]],
         fused: bool = False,
         derived_dtype: Optional[np.dtype] = None,
+        fold_node: Optional[int] = None,
     ) -> None:
         self._tree = tree
         # dtype inferred from the network's leaf tensors at compile time
@@ -708,17 +727,38 @@ class CompiledPlan:
         self._out_sizes = dict(out_sizes)
         self._root_perm = root_perm
         self._invariant_steps = tuple(s for s in steps if s.level == 0)
+        # where a run sums its contributions: per subtask the steps end at
+        # the fold node, and its ancestors — the tail — run once, in finish
+        self._fold_node = tree.root if fold_node is None else fold_node
+        tail = frozenset(tree.path_to_root(self._fold_node)[1:])
+        self._tail = tuple(s for s in steps if s.node in tail)
+        # the cache entries a subtask reads: the frontier less the tail's
+        # operands (finish reads those, once)
+        self._subtask_frontier = tuple(
+            node
+            for node in sorted(frontier)
+            if not any(node in (s.lhs, s.rhs) for s in self._tail)
+        )
+        #: the cache-less paths' step lists, split at the fold (built on
+        #: first use, see _cacheless: a cached sweep never needs them; two
+        #: threads racing to build them build equal tuples)
+        self._cacheless_parts: Optional[Tuple] = None
         # what a cached execute re-runs when position ``p`` of the
         # enumeration order is the first whose value changed: the leaf
-        # loads, fetches and steps of level > p.  Entry 0 is the whole
-        # dependent part, entry len(enumerated) is empty (nothing changed).
-        self._resume_suffixes = tuple(
-            (
-                tuple(ls for ls in (*leaf_steps, *fetches) if ls.level > p),
-                tuple(s for s in steps if s.level > p),
-            )
-            for p in range(len(enumerated) + 1)
-        )
+        # loads, fetches and steps of level > p below the tail.  Entry 0 is
+        # the whole dependent part, entry len(enumerated) is empty; a
+        # position no load or step sits at shares its predecessor's tuples
+        # (the plan sits in every sweep's footprint).
+        loads = (*leaf_steps, *fetches)
+        work = tuple(s for s in steps if s.node not in tail)
+        suffixes: List[Tuple[Tuple[LeafStep, ...], Tuple[ContractStep, ...]]] = []
+        for p in range(len(enumerated) + 1):
+            loads, work = _above(loads, p), _above(work, p)
+            if suffixes and suffixes[-1][0] is loads and suffixes[-1][1] is work:
+                suffixes.append(suffixes[-1])
+            else:
+                suffixes.append((loads, work))
+        self._resume_suffixes = tuple(suffixes)
         # dependent nodes a resumed sweep keeps between subtasks: the
         # children no step frees, the cached frontier aside
         self._retained = frozenset(
@@ -757,11 +797,14 @@ class CompiledPlan:
         # (a consumer reads an open root through its fetch: that shape wins)
         for ls in (*self._leaf_steps, *self._fetches):
             shape_of[ls.node] = tuple(size(ix) for ix in ls.out_indices)
-        root = self._tree.root
+        # both programs end at the fold node: the tail runs once, in finish
+        fold = self._fold_node
         if not self._fetches:
-            self._native_full = _tape.lower_steps(self._steps, root, False, shape_of)
+            self._native_full = _tape.lower_steps(
+                self._cacheless()[0][1], fold, False, shape_of
+            )
         self._native_cached = _tape.lower_steps(
-            self._resume_suffixes[0][1], root, True, shape_of
+            self._resume_suffixes[0][1], fold, True, shape_of
         )
 
     def _walker_because(self, reason: str, count: int = 1) -> None:
@@ -903,6 +946,26 @@ class CompiledPlan:
         parent: the partials a resumed sweep keeps between subtasks."""
         return self._retained
 
+    @property
+    def fold_node(self) -> int:
+        """The node whose array a subtask contributes (:meth:`execute_array`).
+
+        Summation is linear, so contributions can be summed below the root
+        wherever nothing above depends on a sliced index: the compiler walks
+        down from the root while the node left behind is slice-invariant
+        (:func:`_fold_node`), and the ancestors of the fold node — the
+        *tail* — run once per run, in :meth:`finish`.  The root for batched
+        plans and wherever no such walk fits the resident-byte ceiling.
+        """
+        return self._fold_node
+
+    @property
+    def contribution_shape(self) -> Tuple[int, ...]:
+        """Shape of the array :meth:`execute_array` returns (batch axes included)."""
+        if self._tail:
+            return self._steps[self._fold_node - self._tree.num_leaves].out_shape
+        return tuple(self._out_sizes[ix] for ix in self._out_indices)
+
     def invariant_log2_flops(self) -> float:
         """log2 of the per-subtask flops saved by the invariant cache."""
         total = sum(2.0**s.log2_flops for s in self._invariant_steps)
@@ -915,15 +978,22 @@ class CompiledPlan:
             runs.append(runs[-1] * (self._enumerated_sizes[ix] or 1))
         return runs
 
+    def _step_runs(self) -> List[int]:
+        """How often each step runs in one full sweep, in step order."""
+        runs = self._level_runs()
+        tail = {step.node for step in self._tail}
+        return [1 if s.node in tail else runs[s.level] for s in self._steps]
+
     def sweep_cost(self) -> SweepCost:
         """Predicted cost of one full sweep in enumeration order.
 
         Computed from the levels alone: a level-``j`` step, leaf load or
         fetch runs ``prod_{i <= j} w(e_i)`` times (once for level 0, in the
-        cache warm), which is exactly what ``stats.steps_executed`` counts
-        after one serial ``run()`` with an invariant cache — and each run
-        stages the operands its step still permutes itself, plus its own
-        output when a less frequent consumer reads it staged.
+        cache warm, and once for a step of the tail, in :meth:`finish`),
+        which is exactly what ``stats.steps_executed`` counts after one
+        serial ``run()`` with an invariant cache — and each run stages the
+        operands its step still permutes itself, plus its own output when a
+        less frequent consumer reads it staged.
         """
         runs = self._level_runs()
         itemsize = np.dtype(self.dtype or np.complex128).itemsize
@@ -938,9 +1008,9 @@ class CompiledPlan:
             leaf_loads=sum(runs[ls.level] for ls in loads),
             cache_bytes=sum(held.get(node, 0) for node in self._frontier),
             producer_stagings=sum(runs[ls.level] for ls in loads if ls.stage is not None),
+            fold_bytes=held[self._fold_node] if self._tail else 0,
         )
-        for step in self._steps:
-            count = runs[step.level]
+        for step, count in zip(self._steps, self._step_runs()):
             cost += SweepCost(
                 steps=count,
                 flops=count * 2.0**step.log2_flops,
@@ -994,15 +1064,66 @@ class CompiledPlan:
         subtask, so they must not sit in a reused slot.
         """
         start = time.perf_counter()
-        live: Dict[int, np.ndarray] = {}
-        for ls in self._leaf_steps:
-            if ls.node not in self._dependent:
-                live[ls.node] = self._load_leaf(network, ls, None)
-        _walk_steps(self._invariant_steps, live, None, stats, True)
+        live = self._contract_invariant(
+            network,
+            [ls for ls in self._leaf_steps if ls.node not in self._dependent],
+            self._invariant_steps,
+            stats,
+        )
         for node in self._frontier:
             cache[node] = live[node]
         if stats is not None:
             stats.record_stage("warm_cache", time.perf_counter() - start)
+
+    def _contract_invariant(
+        self,
+        network: TensorNetwork,
+        leaf_steps: Sequence[LeafStep],
+        steps: Sequence[ContractStep],
+        stats: Optional[PlanStats],
+    ) -> Dict[int, np.ndarray]:
+        """Load the level-0 ``leaf_steps`` and contract the level-0 ``steps``
+        over them: what survives is the roots of their subtrees."""
+        live = {ls.node: self._load_leaf(network, ls, None) for ls in leaf_steps}
+        _walk_steps(steps, live, None, stats, True)
+        return live
+
+    def _cacheless(self) -> Tuple[Tuple[Tuple, Tuple], ...]:
+        """What the cache-less paths run, split at the fold.
+
+        ``(subtask, warm, aside)``, each ``(leaf loads, steps)``: a subtask
+        without a cache; what one on a plan with open nodes warms into a
+        cache of its own; and the slice-invariant subtrees hanging off the
+        tail, which :meth:`finish` contracts once when it has no cache.
+        Built on first use — a cached sweep never needs them.
+        """
+        if self._cacheless_parts is None:
+            tail = {step.node for step in self._tail}
+            aside: Set[int] = set()
+            for step in reversed(self._steps):
+                if step.node in tail or step.node in aside:
+                    aside.update(
+                        child
+                        for child in (step.lhs, step.rhs)
+                        if child not in tail and child != self._fold_node
+                    )
+            finished = tail | aside
+            leaves = [ls for ls in self._leaf_steps if ls.node not in self._dependent]
+            self._cacheless_parts = (
+                (
+                    tuple(ls for ls in self._leaf_steps if ls.node not in finished),
+                    tuple(s for s in self._steps if s.node not in finished),
+                ),
+                (
+                    tuple(ls for ls in leaves if ls.node not in finished),
+                    tuple(s for s in self._invariant_steps if s.node not in finished),
+                ),
+                (
+                    tuple(ls for ls in leaves if ls.node in aside),
+                    tuple(s for s in self._invariant_steps if s.node in aside),
+                ),
+            )
+        return self._cacheless_parts
 
     # ------------------------------------------------------------------
     def execute(
@@ -1048,8 +1169,13 @@ class CompiledPlan:
         native program runs it whole.  A stateless call on a plan with open
         nodes warms a cache of its own and runs the cached path over it —
         one step list, the cached run's bits.
+
+        The call runs the plan's tail (:meth:`finish`) on its own
+        contribution, so the tensor is the one subtask's, computed in the
+        same order as any single-subtask contraction.
         """
         data = self.execute_array(network, assignment, cache, stats, slots)
+        data = self.finish(network, data, cache, stats)
         return Tensor(self._out_indices, data=data, sizes=self._out_sizes)
 
     def execute_array(
@@ -1060,8 +1186,14 @@ class CompiledPlan:
         stats: Optional[PlanStats] = None,
         slots: Optional[StemSlots] = None,
     ) -> np.ndarray:
-        """:meth:`execute` without the :class:`Tensor` wrapper: the result
-        array, axes in :attr:`out_indices` order — what the sweep loops fold."""
+        """One subtask's contribution: the :attr:`fold_node`'s array.
+
+        :meth:`execute` without the tail and the :class:`Tensor` wrapper —
+        what the sweep loops fold, in assignment order, before handing the
+        sum to :meth:`finish`.  Its shape is :attr:`contribution_shape`; on
+        a plan that folds at its root it is the result, axes in
+        :attr:`out_indices` order.
+        """
         if assignment is None:
             assignment = {}
         enumerated = self._enumerated
@@ -1078,12 +1210,14 @@ class CompiledPlan:
             # program), leaves the arena without state
             state, slots._resume = slots._resume, None
         shared = cache is not None
-        if not shared and self._fetches:
-            cache = {}
-        cached = cache is not None
-        if cached and not self.cache_is_warm(cache):
+        if shared and not self.cache_is_warm(cache):
             self.warm_cache(network, cache, stats)
             state = None  # its partials came from the previous cache contents
+        elif not shared and self._fetches:
+            # what this subtask reads, into a cache of its own (the tail's
+            # subtrees are finish's)
+            cache = self._contract_invariant(network, *self._cacheless()[1], stats)
+        cached = cache is not None
         # one pass over the order validates the values and finds the first
         # position that differs from the assignment the arena last ran (a
         # value equal to a validated one needs no range check)
@@ -1112,18 +1246,17 @@ class CompiledPlan:
         start = time.perf_counter()
         if cached:
             if stats is not None and shared:
-                stats.cache_hits += len(self._frontier)
+                stats.cache_hits += len(self._subtask_frontier)
             program = self._native_cached
             if state is None:
-                live = {node: cache[node] for node in self._frontier}
+                live = {node: cache[node] for node in self._subtask_frontier}
                 if slots is not None and program is None and shared:
                     # (a lowered program runs whole: nothing to resume from)
                     state = (self, cache, values, live)
             leaf_steps, steps = self._resume_suffixes[first]
         else:
             live = {}
-            leaf_steps = self._leaf_steps
-            steps, program = self._steps, self._native_full
+            (leaf_steps, steps), program = self._cacheless()[0], self._native_full
         for ls in leaf_steps:
             live[ls.node] = self._load_leaf(network, ls, assignment, cache)
         if not (self._fused and self._run_native(program, live, slots, stats)):
@@ -1136,14 +1269,50 @@ class CompiledPlan:
             stats.record_subtask_time(elapsed)
             stats.record_stage("execute", elapsed)
 
-        data = live[self._tree.root]
-        if cached and self._tree.root in self._frontier:
+        data = live[self._fold_node]
+        if cached and self._fold_node in self._frontier:
             # the root itself is cached (nothing is slice-dependent): hand
             # out a copy so callers cannot corrupt the shared cache buffer
             data = data.copy()
         if self._root_perm is not None:
+            # (batched plans only, and those fold at their root)
             data = np.transpose(data, self._root_perm)
         return data
+
+    def finish(
+        self,
+        network: TensorNetwork,
+        folded: np.ndarray,
+        cache: Optional[Mapping[int, np.ndarray]] = None,
+        stats: Optional[PlanStats] = None,
+    ) -> np.ndarray:
+        """Run the tail once over ``folded``: the root's array.
+
+        ``folded`` is a sum of :meth:`execute_array` contributions (batch
+        axes summed).  Nothing above the :attr:`fold_node` depends on a
+        sliced index, so ``sum_a tail(S(a)) == tail(sum_a S(a))`` and the
+        tail's steps run once per run instead of once per subtask, with
+        their slice-invariant operands taken from ``cache`` when it is
+        warm — or contracted here, once, when it is not.  Their counts go
+        to ``stats``.  Returns ``folded`` itself on a plan that folds at
+        its root.
+        """
+        if not self._tail:
+            return folded
+        if cache is not None and self.cache_is_warm(cache):
+            live = {
+                child: cache[child]
+                for step in self._tail
+                for child in (step.lhs, step.rhs)
+                if child in self._frontier
+            }
+            if stats is not None:
+                stats.cache_hits += len(live)
+        else:
+            live = self._contract_invariant(network, *self._cacheless()[2], stats)
+        live[self._fold_node] = folded
+        _walk_steps(self._tail, live, None, stats, False)
+        return live[self._tree.root]
 
     # ------------------------------------------------------------------
     def _load_leaf(
@@ -1494,10 +1663,55 @@ def compile_plan(
         root_perm=root_perm,
         fused=fused,
         derived_dtype=derived_dtype,
+        # (batched plans sum their batch axes at the root: they fold there)
+        fold_node=(
+            None if batch else _fold_node(tree, dependent, levels, steps, ordered, open_nodes)
+        ),
     )
     if logger.isEnabledFor(logging.DEBUG):
         _log_sweep_plan(plan, open_nodes, carried)
     return plan
+
+
+def _fold_node(
+    tree: ContractionTree,
+    dependent: AbstractSet[int],
+    levels: Mapping[int, int],
+    steps: Sequence[ContractStep],
+    order: Sequence[str],
+    open_nodes: AbstractSet[int],
+) -> int:
+    """Where a sweep sums its contributions: the deepest node on the walk
+    down from the root that keeps every sliced index below it.
+
+    The walk steps from a dependent node into its one dependent child
+    while the other child is slice-invariant — a level-0 leaf or cached
+    subtree root, never an open root (its fetch changes with the sliced
+    indices) — so that summation commutes with every step left above.
+    It never steps into a leaf, nor into the first node whose output, as the
+    run's accumulator, would not fit beside the sweep's cache and retained
+    partials under the resident ceiling :func:`~repro.core.lifetime.plan_sweep`
+    chose them under (label order, nothing open; counted in elements, as
+    the planner counts them, so every engine folds at the same node).
+    """
+    num_leaves = tree.num_leaves
+    node, room = tree.root, None
+    while node in dependent and node >= num_leaves:
+        lhs, rhs = tree.children(node)  # type: ignore[misc]
+        if (lhs in dependent) == (rhs in dependent):
+            break
+        child, sibling = (lhs, rhs) if lhs in dependent else (rhs, lhs)
+        if levels[sibling] or child < num_leaves:
+            break
+        if room is None:
+            room = (
+                sweep_prediction(tree, sorted(order))[2]
+                - sweep_prediction(tree, order, open_nodes)[2]
+            )
+        if math.prod(steps[child - num_leaves].out_shape) > room:
+            break
+        node = child
+    return node
 
 
 def _stage_at_producers(
@@ -1589,7 +1803,6 @@ def _log_sweep_plan(
     """The per-compile ``DEBUG`` line: the chosen sweep beside label order."""
     tree = plan.tree
     cost = plan.sweep_cost()
-    runs = plan._level_runs()
     per_level: Dict[int, int] = {}
     for step in plan.contract_steps:
         if step.level:
@@ -1605,7 +1818,8 @@ def _log_sweep_plan(
         "threshold %d (%d fetches); a full sweep runs %d steps / %.4g flops / "
         "%d resident bytes (label order, nothing open: %d / %.4g / %d), "
         "retains %d partials / %d bytes, steps per level %s, "
-        "stagings per sweep: %d (per-use layout: %d)",
+        "stagings per sweep: %d (per-use layout: %d); folds at node %d "
+        "(%d bytes); tail of %d steps runs once per run",
         len(plan.contract_steps),
         sum(per_level.values()),
         list(plan.sliced),
@@ -1623,6 +1837,11 @@ def _log_sweep_plan(
         dict(sorted(per_level.items())),
         cost.stagings + cost.producer_stagings,
         2 * sum(
-            runs[step.level] for step in plan.contract_steps if step.shapes is not None
+            count
+            for step, count in zip(plan.contract_steps, plan._step_runs())
+            if step.shapes is not None
         ),
+        plan.fold_node,
+        cost.fold_bytes,
+        len(plan._tail),
     )

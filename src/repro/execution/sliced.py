@@ -684,8 +684,9 @@ class SlicedExecutor:
 
         The job is keyed by :func:`~repro.execution.checkpoint.job_fingerprint`
         over the leaf data, tree, assignment schedule, batch-axis count,
-        policy shape and chunking — so a resumed ledger is only trusted for
-        byte-for-byte the same run, on any backend/engine combination.
+        fold, policy shape and chunking — so a resumed ledger is only
+        trusted for byte-for-byte the same run, on any backend/engine
+        combination.
         """
         if store is None:
             return None
@@ -699,6 +700,11 @@ class SlicedExecutor:
             dtype=getattr(plan, "dtype", None) or self._dtype,
             policy=self._fault_policy,
             chunk_size=chunk_size,
+            fold=(
+                (plan.fold_node, plan.contribution_shape[sum_batch_axes:])
+                if plan.fold_node != plan.tree.root
+                else None
+            ),
         )
         job = store.job(
             fingerprint,

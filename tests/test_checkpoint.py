@@ -817,3 +817,91 @@ class TestDegradedSlotsReachTheLedger:
             executor.stats.checkpointed_slots + executor.stats.resumed_slots
             == executor.num_subtasks
         )
+
+
+def _folding_case():
+    """``(network, tree, sliced)`` of a 3x4 grid circuit whose plan sums its
+    subtasks below the root: a slot holds the fold node's ``(2, 2, 2)``
+    array, where a root-folding build's held a scalar."""
+    from repro.circuits import grid_circuit
+    from repro.pipeline import SimulationPlanner
+
+    bits = [int(b) for b in np.random.default_rng(3).integers(0, 2, 12)]
+    circuit = grid_circuit(3, 4, cycles=10, seed=3)
+    planner = SimulationPlanner(target_rank=6, max_trials=8, seed=1)
+    planned = planner.plan_circuit(circuit, bits, concrete=True)
+    return planned.network, planned.tree, sorted(planned.slicing.sliced)
+
+
+class TestFoldLedgers:
+    """A slot holds the plan's contribution — the fold node's array — so the
+    fingerprint covers the fold, and a slot of the wrong shape never folds."""
+
+    def test_a_ledger_written_under_another_fold_starts_clean(self, tmp_path, monkeypatch):
+        from repro.execution import plan as plan_module
+
+        network, tree, sliced = _folding_case()
+        uninterrupted = SlicedExecutor(network, tree, sliced)
+        assert uninterrupted.plan.fold_node != tree.root
+        value = uninterrupted.amplitude()
+        store = CheckpointStore(tmp_path / "store")
+        policy = FaultPolicy.retrying()
+        half = uninterrupted.num_subtasks // 2
+        with monkeypatch.context() as patch:
+            # a build that folds at the root: its slots hold root scalars
+            patch.setattr(plan_module, "_fold_node", lambda tree, *_: tree.root)
+            root_fold = SlicedExecutor(
+                network,
+                tree,
+                sliced,
+                fault_policy=policy,
+                fault_injector=FaultInjector([FaultSpec("kill-coordinator", chunk=half)]),
+            )
+        assert root_fold.plan.fold_node == tree.root
+        with pytest.raises(InjectedCoordinatorDeath):
+            root_fold.run(resume=store)
+        stale = store.jobs()
+        assert len(stale) == 1
+        resumed = SlicedExecutor(network, tree, sliced, fault_policy=policy)
+        assert resumed.amplitude(resume=store) == value  # bitwise
+        assert resumed.stats.resumed_slots == 0
+        # (the run's own ledger retired; the other fold's is another job)
+        assert store.jobs() == stale
+
+    @pytest.mark.parametrize("kind", ["serial", "threads"])
+    def test_a_slot_of_another_shape_is_refused(self, tmp_path, kind):
+        """Keyed exactly as this run keys it, but holding a root scalar: the
+        fold raises a typed error instead of broadcasting the scalar."""
+        network, tree, sliced = _folding_case()
+        policy = FaultPolicy.retrying()
+        executor = SlicedExecutor(
+            network, tree, sliced, backend=_backend(kind), fault_policy=policy
+        )
+        plan = executor.plan
+        num = executor.num_subtasks
+        fingerprint = job_fingerprint(
+            network,
+            tree,
+            sliced,
+            [executor.assignment(i) for i in range(num)],
+            dtype=plan.dtype,
+            policy=policy,
+            chunk_size=None,
+            fold=(plan.fold_node, plan.contribution_shape),
+        )
+        assert fingerprint != job_fingerprint(
+            network,
+            tree,
+            sliced,
+            [executor.assignment(i) for i in range(num)],
+            dtype=plan.dtype,
+            policy=policy,
+            chunk_size=None,
+        )
+        store = CheckpointStore(tmp_path / "store")
+        job = store.job(fingerprint, num_slots=num)
+        job.record(0, np.zeros((), dtype=plan.dtype))
+        job.close()
+        with pytest.raises(CheckpointError, match=r"shape \(\)"):
+            executor.run(resume=store)
+        assert store.jobs() == [fingerprint]  # kept, unlocked, for inspection

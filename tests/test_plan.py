@@ -12,6 +12,7 @@ slice-invariant).
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -180,8 +181,12 @@ class TestInvariantCaching:
         for node in executor.plan.dependent_nodes:
             if node >= tree.num_leaves:
                 assert 1 <= counts.get(node, 0) <= executor.num_subtasks
-        # the root is reached by every sliced index: once per subtask
-        assert counts[tree.root] == executor.num_subtasks
+        # the fold node is reached by every sliced index: once per subtask;
+        # the tail above it runs once per run
+        fold = executor.plan.fold_node
+        assert counts[fold] == executor.num_subtasks
+        for node in tree.path_to_root(fold)[1:]:
+            assert counts[node] == 1
 
     def test_uncached_runs_everything_every_subtask(self, case):
         tn, tree, _ = case
@@ -393,13 +398,15 @@ def _bench_plan(rows, cols, cycles, target_rank):
 
 def _assert_counts_match_levels(executor, plan):
     """After one full serial run: node ``n`` ran ``prod_{i <= level(n)} w(e_i)``
-    times and the total is the plan's own prediction."""
+    times — once if it is on the tail above the fold node — and the total
+    is the plan's own prediction."""
     runs = [1]
     for ix in plan.sliced:
         runs.append(runs[-1] * executor.network.size_of(ix))
     counts = executor.stats.node_counts
+    tail = plan.tree.path_to_root(plan.fold_node)[1:]
     for step in plan.contract_steps:
-        assert counts[step.node] == runs[step.level], step.node
+        assert counts[step.node] == (1 if step.node in tail else runs[step.level]), step.node
     assert plan.invariant_nodes == {s.node for s in plan.contract_steps if not s.level}
     assert executor.stats.steps_executed == plan.sweep_cost().steps
 
@@ -419,7 +426,7 @@ class TestLevelResume:
 
     @pytest.mark.parametrize(
         "shape,steps,batched_steps",
-        [((4, 5, 10, 10), 6_760, 5_183), ((5, 7, 9, 18), 478, None)],
+        [((4, 5, 10, 10), 5_227, 5_183), ((5, 7, 9, 18), 463, None)],
         ids=["small_subtasks", "large_subtasks"],
     )
     def test_bench_plans_run_the_published_step_counts(self, shape, steps, batched_steps):
@@ -699,8 +706,8 @@ class TestProducerStaging:
     #: bench plan -> (per-use stagings, producer stagings, per-use layout)
     #: of one full sweep, the warm pass included
     PINNED = {
-        (4, 5, 10, 10): (6_128, 192, 13_520),
-        (5, 7, 9, 18): (524, 47, 956),
+        (4, 5, 10, 10): (4_595, 192, 10_454),
+        (5, 7, 9, 18): (509, 47, 926),
     }
 
     @pytest.mark.parametrize("shape", list(PINNED), ids=["small_subtasks", "large_subtasks"])
@@ -790,6 +797,54 @@ class TestProducerStaging:
         # the operands arrived untraced; traced at once are the two staged
         # copies and the output — never those three *and* the staged output
         assert peak <= 3 * buffer + 4096
+
+
+class TestFold:
+    """Contributions are summed where the last lifetime closes: below the
+    slice-invariant tail, whose steps then run once per run."""
+
+    @pytest.mark.parametrize(
+        "shape,fold,tail,fold_bytes",
+        [((4, 5, 10, 10), 118, [119, 120, 122], 2_048), ((5, 7, 9, 18), 201, [202], 256)],
+        ids=["small_subtasks", "large_subtasks"],
+    )
+    def test_bench_plans_fold_below_their_invariant_tail(
+        self, shape, fold, tail, fold_bytes, caplog
+    ):
+        """CI runs this under two fixed ``PYTHONHASHSEED``s: the fold walks
+        the tree, never a set of labels."""
+        import logging
+
+        from repro.core.lifetime import sweep_prediction
+
+        planned = _bench_plan(*shape)
+        tree = planned.tree
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
+            plan = compile_plan(planned.network, tree, frozenset(planned.slicing.sliced))
+        assert plan.fold_node == fold and tree.path_to_root(fold)[1:] == tail
+        cost = plan.sweep_cost()
+        assert cost.fold_bytes == fold_bytes == 16 * math.prod(plan.contribution_shape)
+        # every tail step's other operand is a cache entry no sliced index reaches
+        for step in plan.contract_steps:
+            if step.node in tail:
+                (other,) = {step.lhs, step.rhs} - {fold, *tail}
+                assert other in plan.frontier and other not in plan.dependent_nodes
+                assert other not in {f.node for f in plan.fetches}
+        # the accumulator fits under the ceiling the sweep plan was chosen under
+        ceiling = 16 * sweep_prediction(tree, sorted(plan.sliced))[2]
+        assert cost.cache_bytes + cost.retained_bytes + cost.fold_bytes <= ceiling
+        assert (
+            f"folds at node {fold} ({fold_bytes} bytes); tail of {len(tail)} steps "
+            "runs once per run" in caplog.records[-1].getMessage()
+        )
+
+    def test_sampling_batch_folds_at_its_root(self):
+        """Its root's other operand is a level-7 partial: nothing to fold past."""
+        network, tree, sliced = _sampling_batch()
+        plan = compile_plan(network, tree, sliced)
+        assert plan.fold_node == tree.root
+        assert not plan.sweep_cost().fold_bytes
+        assert plan.contribution_shape == tuple(plan.out_sizes[ix] for ix in plan.out_indices)
 
 
 class TestHyperIndexKernel:

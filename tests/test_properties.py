@@ -24,7 +24,11 @@ generated circuits, trees and slicing sets rather than hand-picked cases:
   open subtrees (fetching views of cache entries) included,
 * the sweep planner returns a permutation of the sliced indices that is no
   worse than label order in steps, work or resident bytes, equal to the
-  exhaustive optimum under the same ceilings wherever that is enumerable.
+  exhaustive optimum under the same ceilings wherever that is enumerable,
+* and a plan that sums its contributions below the root (its tail run once)
+  returns the einsum oracle's value, as one bit pattern on every backend,
+  engine and recovery path, while a single subtask keeps the bits it had
+  before the fold.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_tape import fake_native_engine
 
 from repro.circuits import amplitude, random_brickwork_circuit
 from repro.core import (
@@ -53,13 +58,22 @@ from repro.core import (
 from repro.core import lifetime as lifetime_module
 from repro.core.lifetime import plan_sweep, sweep_prediction
 from repro.execution import (
+    CheckpointStore,
+    DistributedBackend,
+    FaultInjector,
+    FaultPolicy,
+    FaultSpec,
+    InjectedCoordinatorDeath,
+    SharedMemoryProcessPoolBackend,
     SlicedExecutor,
     StemSlots,
+    ThreadPoolBackend,
     TreeExecutor,
     compile_plan,
     contract_tree,
     interpret_program,
 )
+from repro.execution import plan as plan_module
 from repro.execution import tape as tape_module
 from repro.paths import (
     CommunityOptimizer,
@@ -408,7 +422,8 @@ class TestExecutorProperties:
         disconnected components: for every slice assignment the walker
         (cached and uncached) equals ``TreeExecutor(compiled=False)`` to
         1e-10 and, whenever the plan lowers, equals the interpreted tape
-        program bit for bit; a plan that cannot lower says why."""
+        program bit for bit — the fold node's array, and through the tail
+        the result; a plan that cannot lower says why."""
         network = _adversarial_network(seed)
         tree = GreedyOptimizer(seed=seed).tree(network)
         rng = np.random.default_rng(seed)
@@ -456,8 +471,12 @@ class TestExecutorProperties:
                 ls.node: plan._load_leaf(network, ls, assignment)
                 for ls in plan.leaf_steps
             }
+            # (both programs end at the fold node; finish runs the tail)
+            contribution = walker.execute_array(network, assignment)
             if full is not None:
-                assert np.array_equal(interpret_program(full, leaves), uncached)
+                ours = interpret_program(full, leaves)
+                assert np.array_equal(ours, contribution)
+                assert np.array_equal(plan.finish(network, ours, lowered_cache), uncached)
             if warm is not None:
                 # (a lowered plan keeps per-use layouts, the walker's cache
                 # holds staged entries: the program reads its own plan's)
@@ -467,7 +486,7 @@ class TestExecutorProperties:
                 }
                 assert np.array_equal(
                     interpret_program(warm, {**leaves, **lowered_cache, **fetched}),
-                    uncached,
+                    contribution,
                 )
 
 
@@ -742,14 +761,24 @@ class TestSweepPlannerProperties:
             ours <= theirs for ours, theirs in zip(sweep_prediction(tree, only), today)
         )
 
-        # the compiled plan is that plan, and accounts for itself exactly
+        # the compiled plan is that plan, and accounts for itself exactly —
+        # but for the tail above its fold node, which runs once per sweep
         plan = compile_plan(network, tree, frozenset(labels))
         assert plan.sliced == order
         assert {s.node for s in plan.contract_steps if not s.level} >= open_nodes
         cost = plan.sweep_cost()
         itemsize = np.dtype(plan.dtype).itemsize
-        assert cost.steps == chosen[0]
-        assert cost.flops == pytest.approx(chosen[1], rel=1e-9)
+        runs = [1]
+        for ix in order:
+            runs.append(runs[-1] * network.size_of(ix))
+        tail = tree.path_to_root(plan.fold_node)[1:]
+        repeats = [
+            (runs[s.level] - 1, 2.0**s.log2_flops) for s in plan.contract_steps if s.node in tail
+        ]
+        assert cost.steps + sum(count for count, _ in repeats) == chosen[0]
+        assert cost.flops + sum(count * flops for count, flops in repeats) == pytest.approx(
+            chosen[1], rel=1e-9
+        )
         # (the planner counts step outputs; the executor also holds the
         # leaves a less frequent producer copies into their consumer's layout)
         leaf_copies = sum(
@@ -758,3 +787,186 @@ class TestSweepPlannerProperties:
             if ls.stage is not None and ls.stage[0] != tuple(range(len(ls.stage[0])))
         )
         assert cost.cache_bytes + cost.retained_bytes == itemsize * (chosen[2] + leaf_copies)
+
+
+# ---------------------------------------------------------------------------
+# Summation at the fold node
+# ---------------------------------------------------------------------------
+
+#: Hostile ``(seed, sliced indices)`` whose plans fold below their root.  The
+#: generator's networks rarely leave room for a fold buffer under the
+#: sweep's resident ceiling; these came out of a scan of seeds 0-2499 and
+#: between them cover every shape ``test_folded_sweeps...`` asserts it saw.
+_FOLDING = ((3, 1), (93, 1), (265, 1), (279, 3), (817, 3), (954, 2), (1630, 3))
+
+
+def _folding_case(seed: int, num_sliced: int):
+    """``(network, tree, sliced)`` of a folding hostile plan, every other
+    leaf made complex (mixed real/complex leaves)."""
+    network, plan = _hostile_plan(seed, num_sliced)
+    for position, tid in enumerate(network.tensor_ids):
+        if position % 2:
+            tensor = network.tensor(tid)
+            network.replace_tensor(tid, tensor.with_data(tensor.require_data() * (0.6 - 0.8j)))
+    return network, plan.tree, list(plan.sliced)
+
+
+def _subtree(tree: ContractionTree, node: int) -> list:
+    children = tree.children(node)
+    if children is None:
+        return [node]
+    return [node, *_subtree(tree, children[0]), *_subtree(tree, children[1])]
+
+
+class TestFoldProperties:
+    def test_folded_sweeps_are_the_oracle_and_one_bit_pattern_everywhere(self, tmp_path):
+        """Summation commutes with the tail, so a run folds where the last
+        lifetime closes: the einsum oracle's value to 1e-12, and the same
+        bits on serial, threads, process pool, distributed, the (fake)
+        native engine, checkpointed and killed-and-resumed runs, explicit
+        and subset ``run(ids)``.  Runs without a cache contract the tail's
+        slice-invariant subtrees once, not per subtask."""
+        seen = set()
+        pool = SharedMemoryProcessPoolBackend(max_workers=2)
+        distributed = DistributedBackend(num_workers=2)
+        try:
+            for seed, num_sliced in _FOLDING:
+                network, tree, sliced = _folding_case(seed, num_sliced)
+                serial = SlicedExecutor(network, tree, sliced)
+                plan = serial.plan
+                fold = plan.fold_node
+                tail = tree.path_to_root(fold)[1:]
+                assert tail and plan.sweep_cost().fold_bytes
+                aside = []
+                for step in plan.contract_steps:
+                    if step.node in tail:
+                        seen.add(f"{step.kind} tail step")
+                        for child in (step.lhs, step.rhs):
+                            if child != fold and child not in tail:
+                                assert child in plan.frontier and child not in plan.dependent_nodes
+                                seen.add("leaf" if child < tree.num_leaves else "cached subtree root")
+                                aside += _subtree(tree, child)
+                if plan.out_indices:
+                    seen.add("open output legs")
+                if plan.fetches:
+                    seen.add("fetches below the fold")
+                if len({tensor.require_data().dtype for tensor in network.tensors().values()}) > 1:
+                    seen.add("mixed real/complex leaves")
+
+                value = serial.run()
+                assert serial.stats.steps_executed == plan.sweep_cost().steps
+                out, expected = _dense_value(network)
+                assert np.allclose(
+                    value.transposed(out).require_data(), expected, rtol=1e-12, atol=1e-12
+                )
+                bits = value.require_data().tobytes()
+
+                def same(result, label):
+                    assert result.indices == value.indices, (seed, label)
+                    assert result.require_data().tobytes() == bits, (seed, label)
+
+                for label, backend in (
+                    ("threads", ThreadPoolBackend(max_workers=2, chunk_size=1)),
+                    ("pool", pool),
+                    ("distributed", distributed),
+                ):
+                    same(SlicedExecutor(network, tree, sliced, backend=backend).run(), label)
+                with fake_native_engine():
+                    fused = SlicedExecutor(network, tree, sliced, fused=True)
+                    same(fused.run(), "fused")
+                if fused.plan.tape_engine == "native":
+                    # (both programs end at the fold node; the tail is finish's)
+                    assert all(p is None or p.root == fold for p in fused.plan.native_programs)
+                    seen.add("native programs")
+
+                total = serial.num_subtasks
+                policy = FaultPolicy.retrying()
+                store = CheckpointStore(tmp_path / f"{seed}-{num_sliced}")
+                same(
+                    SlicedExecutor(network, tree, sliced, fault_policy=policy).run(resume=store),
+                    "checkpointed",
+                )
+                killed_at = (total - 1) // 2
+                killer = FaultInjector([FaultSpec("kill-coordinator", chunk=killed_at)])
+                with pytest.raises(InjectedCoordinatorDeath):
+                    SlicedExecutor(
+                        network, tree, sliced, fault_policy=policy, fault_injector=killer
+                    ).run(resume=store)
+                resumed = SlicedExecutor(network, tree, sliced, fault_policy=policy)
+                same(resumed.run(resume=store), "resumed")
+                assert resumed.stats.resumed_slots == killed_at + 1
+
+                same(SlicedExecutor(network, tree, sliced).run(list(range(total))), "run(ids)")
+                ids = list(range(0, total, 2))
+                subset = SlicedExecutor(network, tree, sliced).run(ids).require_data()
+                threaded = SlicedExecutor(
+                    network, tree, sliced, backend=ThreadPoolBackend(max_workers=2, chunk_size=1)
+                ).run(ids)
+                assert threaded.require_data().tobytes() == subset.tobytes()
+
+                uncached = SlicedExecutor(network, tree, sliced, cache_invariant=False)
+                assert np.allclose(uncached.run().require_data(), value.require_data(), rtol=1e-12)
+                counts = uncached.stats.node_counts
+                assert all(counts[node] == 1 for node in (*tail, *aside) if node >= tree.num_leaves)
+        finally:
+            pool.close()
+            distributed.close()
+        assert seen >= {
+            "leaf",
+            "cached subtree root",
+            "tensordot tail step",
+            "einsum tail step",
+            "open output legs",
+            "fetches below the fold",
+            "mixed real/complex leaves",
+            "native programs",
+        }
+
+    def test_a_single_subtask_keeps_the_bits_it_had_before_the_fold(self, monkeypatch):
+        """``run_subtask(i)`` runs the tail on its own contribution: bit for
+        bit the tensor of the same plan folded at its root."""
+        for seed, num_sliced in _FOLDING:
+            network, tree, sliced = _folding_case(seed, num_sliced)
+            folded = SlicedExecutor(network, tree, sliced)
+            with monkeypatch.context() as patch:
+                patch.setattr(plan_module, "_fold_node", lambda tree, *_: tree.root)
+                at_root = SlicedExecutor(network, tree, sliced)
+            assert folded.plan.fold_node != tree.root == at_root.plan.fold_node
+            for subtask_id in range(folded.num_subtasks):
+                ours = folded.run_subtask(subtask_id).tensor
+                theirs = at_root.run_subtask(subtask_id).tensor
+                assert ours.indices == theirs.indices
+                assert ours.require_data().tobytes() == theirs.require_data().tobytes()
+
+    def test_a_sibling_a_sliced_index_reaches_keeps_the_fold_at_the_root(self):
+        """Folding past a sibling that changes between subtasks — an open
+        root's fetch, a level > 0 partial — would sum away what the tail
+        still needs per subtask.  These plans fold at their root although
+        the dependent child's output would fit the fold buffer; batched
+        plans fold at their root too."""
+        for seed, num_sliced, sibling in ((61, 1, "fetch"), (7, 2, "partial")):
+            network, plan = _hostile_plan(seed, num_sliced)
+            tree = plan.tree
+            dependent = plan.dependent_nodes
+            children = tree.children(tree.root)
+            if sibling == "fetch":
+                child, other = sorted(children, key=lambda node: node not in dependent)
+                assert other not in dependent and other in {f.node for f in plan.fetches}
+                candidates = [child]
+            else:
+                assert all(node in dependent for node in children)
+                candidates = [node for node in children if node >= tree.num_leaves]
+            room = (
+                sweep_prediction(tree, sorted(plan.sliced))[2]
+                - sweep_prediction(tree, *plan_sweep(tree, plan.sliced))[2]
+            )
+            steps = {step.node: step for step in plan.contract_steps}
+            assert any(
+                node >= tree.num_leaves and math.prod(steps[node].out_shape) <= room
+                for node in candidates
+            )
+            assert plan.fold_node == tree.root and not plan.sweep_cost().fold_bytes
+        for seed, num_sliced in _FOLDING:
+            network, plan = _hostile_plan(seed, num_sliced, batched=True)
+            if plan.batch_indices:
+                assert plan.fold_node == plan.tree.root
