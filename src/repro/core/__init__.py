@@ -12,7 +12,7 @@ from .lifetime import (
     slice_dependent_nodes,
     verify_halving_property,
 )
-from .stem import Stem, StemStep, extract_stem, stem_profile, stem_slot_schedule
+from .stem import Stem, StemStep, extract_stem, stem_profile
 from .slicing import SlicingCostModel, SlicingError, SlicingResult, SlicingState
 from .slice_finder import LifetimeSliceFinder, find_slices
 from .slice_refiner import (
@@ -46,7 +46,6 @@ __all__ = [
     "StemStep",
     "extract_stem",
     "stem_profile",
-    "stem_slot_schedule",
     "SlicingCostModel",
     "SlicingError",
     "SlicingResult",

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..tensornet.contraction_tree import ContractionTree
 
-__all__ = ["Stem", "StemStep", "extract_stem", "stem_profile", "stem_slot_schedule"]
+__all__ = ["Stem", "StemStep", "extract_stem", "stem_profile"]
 
 
 @dataclass(frozen=True)
@@ -225,25 +225,6 @@ def extract_stem(tree: ContractionTree) -> Stem:
     stem = Stem(tree=tree, steps=tuple(steps), start_node=int(start_node))
     tree._cached_stem = stem  # type: ignore[attr-defined]
     return stem
-
-
-def stem_slot_schedule(tree: ContractionTree) -> Dict[int, int]:
-    """Alternating two-slot buffer assignment for the stem contractions.
-
-    Along the stem each intermediate is consumed by exactly the next stem
-    step, so the running tensor needs only two output buffers: step ``k``
-    (bottom of the tree first) writes slot ``k % 2`` while its stem operand
-    still sits in slot ``(k - 1) % 2``, which is freed by the very step
-    that reads it and is therefore safe to overwrite at step ``k + 1``.
-    The compiled execution plan bakes this mapping into its steps and the
-    :class:`~repro.execution.plan.StemSlots` arena provides the buffers.
-
-    Returns a mapping from stem node id to slot (0 or 1); branch nodes are
-    absent and keep their regular (allocating) buffers.
-    """
-    if tree.num_leaves < 2:
-        return {}
-    return {step.node: k % 2 for k, step in enumerate(extract_stem(tree).steps)}
 
 
 def stem_profile(

@@ -14,8 +14,9 @@ other (and, for small circuits, against the dense state-vector simulator):
   contraction tree once into a :class:`CompiledPlan`: one step list of
   explicit GEMM layouts (with a precompiled einsum fallback for hyper
   indices), per-leaf slicing instructions, a lifetime-derived free/reuse
-  schedule and a stem slot schedule (the stem's running tensor alternates
-  between the two preallocated buffers of a :class:`StemSlots` arena).
+  schedule and an arena layout (every buffer a cached subtask writes has a
+  compile-time offset in the one per-worker arena a :class:`StemSlots`
+  holds, sized :attr:`CompiledPlan.arena_bytes`).
   One Python walker executes that list everywhere — cache warming, cached
   and uncached subtasks, with or without an arena.  On top of the plan,
   :class:`SlicedExecutor` adds

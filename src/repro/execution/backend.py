@@ -49,14 +49,15 @@ the recovery model.  :func:`execute_chunk` is the one chunk body all
 worker kinds run.
 
 Each worker (and each backend's serial loop) owns a private
-:class:`~repro.execution.plan.StemSlots` arena, so the stem's running
-tensor reuses two preallocated buffers instead of hitting the allocator
-once per stem step.  *Fused* plans (``compile_plan(..., fused=True)``)
-ship through sessions and the process pool unchanged: the lowered
-:class:`~repro.execution.tape.TapeProgram` pickles with the plan, every
-worker's private arena supplies the slots and the kernel's staging
-buffers, and the ordered-accumulation contract keeps native execution
-bit-identical to :class:`SerialBackend` running the Python walker.
+:class:`~repro.execution.plan.StemSlots` for as long as it lives, so a
+cached subtask writes every output and copy at its compile-time offset in
+one arena instead of hitting the allocator once per step.  *Fused* plans
+(``compile_plan(..., fused=True)``) ship through sessions and the process
+pool unchanged: the lowered :class:`~repro.execution.tape.TapeProgram`
+pickles with the plan, every worker's private arena supplies the kernel's
+staging buffers, and the ordered-accumulation contract keeps native
+execution bit-identical to :class:`SerialBackend` running the Python
+walker.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def _owned_contribution(data: np.ndarray, sum_batch_axes: int) -> np.ndarray:
     """A contribution buffer the caller may keep and mutate.
 
     The batch-axis sum already allocates a fresh array; otherwise the
-    plan's output may alias the invariant cache or a stem slot and must be
-    copied out.
+    plan's output may alias the invariant cache or the worker's arena and
+    must be copied out.
     """
     if sum_batch_axes:
         return _contribution(data, sum_batch_axes)
@@ -264,9 +265,9 @@ def _serial_accumulate(
         for assignment in assignments:
             data = plan.execute_array(network, assignment, cache, stats, slots)
             if accumulated is None:
-                # the first contribution may alias the invariant cache or a
-                # stem slot, both overwritten by later subtasks, so take an
-                # owned buffer once
+                # the first contribution may alias the invariant cache or the
+                # arena, both overwritten by later subtasks, so take an owned
+                # buffer once
                 accumulated = _owned_contribution(data, sum_batch_axes)
             else:
                 accumulated += _contribution(data, sum_batch_axes)

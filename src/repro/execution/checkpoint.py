@@ -44,7 +44,11 @@ dropped (and re-run) instead of folded into the result.
 Concurrent coordinators are excluded per job with a pid-stamped
 ``job.lock``; a lock left by a dead coordinator is stolen on resume.
 Stores raise :exc:`CheckpointError` on unwritable roots — durability is
-fail-fast, never silently absent.
+fail-fast, never silently absent — and a write that fails mid-run (a full
+disk, read-only media, an I/O error) raises it too, naming the path and
+the errno, with every record not yet durable still buffered.  Nothing is
+discarded silently: a ledger invalidated on attach and each record dropped
+on load log one ``WARNING`` on :data:`logger` with the reason.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import logging
 import os
 import pickle
 import shutil
@@ -66,6 +71,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -85,6 +91,9 @@ __all__ = [
     "verify_payload",
 ]
 
+#: ``WARNING`` per ledger discarded on attach and per record dropped on load.
+logger = logging.getLogger(__name__)
+
 #: On-disk format version stamped into manifests and slot records.
 _FORMAT_VERSION = 1
 
@@ -101,7 +110,13 @@ _STATS_FIELDS = ("retries", "faults", "recovery_seconds")
 
 class CheckpointError(RuntimeError):
     """A checkpoint store is unusable (unwritable root, lock conflict, a
-    ledger slot this run cannot fold)."""
+    failed write, a ledger slot this run cannot fold)."""
+
+
+def _write_failed(path: os.PathLike, exc: OSError) -> CheckpointError:
+    """The typed error of a ledger write that failed with ``exc``."""
+    code = errno.errorcode.get(exc.errno, str(exc.errno)) if exc.errno else "no errno"
+    return CheckpointError(f"checkpoint write to {path} failed: {code} ({exc.strerror or exc})")
 
 
 # ----------------------------------------------------------------------
@@ -340,12 +355,11 @@ class CheckpointJob:
             self._slots_dir.mkdir(parents=True, exist_ok=True)
             self._acquire_lock()
             self._attach(policy, chunk_size)
-        except CheckpointError:
+        except BaseException as exc:
+            self._release_lock()
+            if isinstance(exc, OSError):
+                raise _write_failed(exc.filename or self.dir, exc) from exc
             raise
-        except OSError as exc:
-            raise CheckpointError(
-                f"checkpoint job directory {self.dir} is not writable: {exc}"
-            ) from exc
 
     # ------------------------------------------------------------------
     # Locking
@@ -399,30 +413,36 @@ class CheckpointJob:
     def _attach(
         self, policy: Optional["FaultPolicy"], chunk_size: Optional[int]
     ) -> None:
-        manifest = self._read_manifest()
-        if manifest is None or not self._manifest_matches(manifest):
-            # fingerprint mismatch (or corrupt/renamed manifest): the
-            # ledger describes some other run — invalidate it wholesale
-            self._invalidate()
+        reason = self._mismatch()
+        if reason is not None:
+            # the ledger describes some other run (or none yet): invalidate
+            # it wholesale — audibly, unless there was nothing to discard
+            if self._invalidate():
+                logger.warning("discarding checkpoint ledger %s: %s", self.dir, reason)
             self._write_manifest(policy, chunk_size)
             return
         self._sweep_tmp_files()
         self._load_slots()
         self._load_prior_stats()
 
-    def _read_manifest(self) -> Optional[Dict]:
+    def _mismatch(self) -> Optional[str]:
+        """Why the ledger on disk is not this run's (``None``: it is)."""
         try:
             manifest = json.loads(self._manifest_path.read_text())
-        except (OSError, ValueError):
-            return None
-        return manifest if isinstance(manifest, dict) else None
-
-    def _manifest_matches(self, manifest: Dict) -> bool:
-        return (
-            manifest.get("version") == _FORMAT_VERSION
-            and manifest.get("fingerprint") == self.fingerprint
-            and manifest.get("num_slots") == self.num_slots
-        )
+        except FileNotFoundError:
+            return "missing manifest"
+        except (OSError, ValueError) as exc:
+            return f"corrupt manifest ({exc})"
+        if not isinstance(manifest, dict):
+            return "corrupt manifest (not a JSON object)"
+        for label, key, ours in (
+            ("format version", "version", _FORMAT_VERSION),
+            ("fingerprint", "fingerprint", self.fingerprint),
+            ("num_slots", "num_slots", self.num_slots),
+        ):
+            if manifest.get(key) != ours:
+                return f"{label} {manifest.get(key)!r} is not this run's {ours!r}"
+        return None
 
     def _write_manifest(
         self, policy: Optional["FaultPolicy"], chunk_size: Optional[int]
@@ -437,17 +457,22 @@ class CheckpointJob:
         _atomic_write(self._manifest_path, json.dumps(manifest, indent=2).encode())
         _fsync_dir(self.dir)
 
-    def _invalidate(self) -> None:
+    def _invalidate(self) -> bool:
+        """Remove all but the lock; whether there was anything to remove."""
+        discarded = False
         for entry in list(self.dir.iterdir()):
             if entry == self._lock_path:
                 continue
             if entry.is_dir():
+                discarded = discarded or any(entry.iterdir())
                 shutil.rmtree(entry, ignore_errors=True)
             else:
+                discarded = True
                 entry.unlink(missing_ok=True)
         self._slots_dir.mkdir(parents=True, exist_ok=True)
         self.loaded = {}
         self.prior_stats = {}
+        return discarded
 
     def _sweep_tmp_files(self) -> None:
         # a crash between tmp-write and rename leaves an orphan; it holds
@@ -458,32 +483,37 @@ class CheckpointJob:
     def _load_slots(self) -> None:
         for path in sorted(self._slots_dir.glob("*.slot")):
             record = self._read_slot(path)
-            if record is None:
+            if isinstance(record, str):
                 # torn or bit-rotted record: drop it — the slot simply
                 # re-runs, which is always safe
+                logger.warning(
+                    "dropping checkpoint record %s for slot %s: %s; the slot re-runs",
+                    path,
+                    int(path.stem) if path.stem.isdigit() else path.stem,
+                    record,
+                )
                 path.unlink(missing_ok=True)
                 continue
             position, array = record
             self.loaded[position] = array
             self._recorded.add(position)
 
-    def _read_slot(self, path: Path) -> Optional[Tuple[int, np.ndarray]]:
+    def _read_slot(self, path: Path) -> Union[Tuple[int, np.ndarray], str]:
+        """``(position, array)`` of a slot record, or why it is unusable."""
         try:
             record = pickle.loads(path.read_bytes())
             position = int(record["position"])
             data = record["data"]
             if record["version"] != _FORMAT_VERSION:
-                return None
-            if not 0 <= position < self.num_slots:
-                return None
-            if path.stem != f"{position:08d}":
-                return None
+                return f"format version {record['version']!r}"
+            if not 0 <= position < self.num_slots or path.stem != f"{position:08d}":
+                return f"it holds position {position}"
             if zlib.crc32(data) != record["crc"]:
-                return None
+                return "checksum mismatch"
             array = np.frombuffer(data, dtype=np.dtype(record["dtype"]))
             return position, array.reshape(record["shape"]).copy()
-        except Exception:
-            return None
+        except Exception as exc:
+            return f"unreadable ({exc!r})"
 
     def _load_prior_stats(self) -> None:
         try:
@@ -564,27 +594,39 @@ class CheckpointJob:
             self.record(position, array)
 
     def flush(self) -> None:
-        """Make every buffered record (and the stats snapshot) durable."""
+        """Make every buffered record (and the stats snapshot) durable.
+
+        Records leave the buffer only once they are durable — written,
+        renamed and their directory fsynced.  A write that fails (ENOSPC,
+        EROFS, EIO) raises :class:`CheckpointError` naming the path and the
+        errno and keeps them all buffered, so a later flush (``close``
+        tries one) rewrites them; nothing ``recorded`` is ever lost.
+        """
         if self._closed:
             return
-        buffered, self._buffer = self._buffer, []
-        for position, dtype_str, shape, data, _ in buffered:
-            record = {
-                "version": _FORMAT_VERSION,
-                "position": position,
-                "dtype": dtype_str,
-                "shape": tuple(shape),
-                "data": data,
-                "crc": zlib.crc32(data),
-            }
-            _atomic_write(
-                self._slots_dir / f"{position:08d}.slot",
-                pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        self._write_stats()
-        if buffered:
-            _fsync_dir(self._slots_dir)
-        _fsync_dir(self.dir)
+        path = self._slots_dir
+        try:
+            for position, dtype_str, shape, data, _ in self._buffer:
+                record = {
+                    "version": _FORMAT_VERSION,
+                    "position": position,
+                    "dtype": dtype_str,
+                    "shape": tuple(shape),
+                    "data": data,
+                    "crc": zlib.crc32(data),
+                }
+                path = self._slots_dir / f"{position:08d}.slot"
+                _atomic_write(path, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+            path = self._stats_path
+            self._write_stats()
+            if self._buffer:
+                path = self._slots_dir
+                _fsync_dir(path)
+            path = self.dir
+            _fsync_dir(path)
+        except OSError as exc:
+            raise _write_failed(path, exc) from exc
+        self._buffer = []
 
     def _write_stats(self) -> None:
         if self._stats is None:

@@ -46,13 +46,17 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   batch axis appears on both operands compile to a batched GEMM whose
   single leading batch axis has size ``prod w(e)`` over the group, so all
   of the group's value combinations are swept in one batched contraction.
-* The compiler derives a *slot schedule* from the stem (the most expensive
-  root-to-leaf chain, :func:`repro.core.stem.extract_stem`): the stem's
-  running tensor alternates between the two preallocated buffers of a
-  :class:`StemSlots` arena instead of allocating a fresh output per step.
-  Because each stem intermediate is consumed by exactly the next stem step,
-  two slots suffice, and the free/reuse schedule guarantees a slot is never
-  overwritten while its previous content is still live.
+* The compiler *lays out* the cached subtask (:func:`_lay_out`): it walks
+  the dependent part once, freeing exactly as the walker frees, and gives
+  every buffer that walk writes — GEMM outputs, operand copies,
+  producer-side staged copies, staged leaf loads — one byte offset in an
+  arena of :attr:`CompiledPlan.arena_bytes`, by greedy first-fit interval
+  colouring over those lifetimes.  Retained partials are pinned for the
+  whole sweep, so a resumed subtask never overwrites them.  Each worker's
+  :class:`StemSlots` holds one arena for as long as the worker lives, so
+  a cached sweep's resident bytes are the cache, the arena and the fold
+  accumulator — a number the plan states before it runs: the paper's
+  lifetime memory bound, true by construction.
 
 One function, :func:`_walk_steps`, executes the compiled step list — for
 cache warming, cached and uncached subtasks, with or without an arena.
@@ -64,8 +68,9 @@ assignments — one serial sweep or one worker chunk
 tensor replacement or plan recompile can fall inside it.
 Every GEMM-shaped step carries one explicit layout (operand permutations,
 the three GEMM shapes, identity flags) and runs as ``transpose →
-reshape → dot(out=)`` on C-contiguous operands; stem outputs land in the
-arena's slots, everything else in fresh arrays.  Lifetimes govern the
+reshape → dot(out=)`` on C-contiguous operands; on a cached subtask with
+an arena every copy and output lands at its region, elsewhere in fresh
+arrays (and einsum steps always allocate).  Lifetimes govern the
 permutations as they govern the contractions: *when an operand's producer
 runs less often than its consumer, the permutation moves to the producer*
 (:func:`_stage_at_producers`).  A frontier entry is staged by the warm
@@ -113,7 +118,6 @@ from typing import (
 import numpy as np
 
 from ..core.lifetime import plan_sweep, slice_dependency_levels, sweep_prediction
-from ..core.stem import stem_slot_schedule
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
@@ -161,8 +165,8 @@ class PlanStats:
     executions:
         Number of ``execute`` calls (subtasks, or batched sweeps).
     slot_writes:
-        Number of step outputs written into a reused stem slot instead of a
-        freshly allocated buffer.
+        Number of step outputs written into the worker's arena instead of
+        a freshly allocated buffer.
     fused_steps:
         Number of GEMMs executed by the native tape kernel; their wall
         time accumulates under the ``"fused_kernel"`` stage of
@@ -326,63 +330,76 @@ class PlanStats:
         self.resumed_slots += other.resumed_slots
 
 
+#: The :class:`StemSlots` buffer key of the arena (the rest are scratch).
+_ARENA = "arena"
+
+
 class StemSlots:
-    """Reusable buffers: the two stem slots plus the kernel's staging pair.
+    """A worker's reusable buffers: the plan's arena plus the kernel's staging pair.
 
-    The stem is a chain of contractions in which each intermediate is
-    consumed by exactly the next step, so its running tensor only ever
-    needs two buffers: step ``k`` writes slot ``k % 2`` while reading the
-    previous stem tensor out of slot ``(k - 1) % 2``.  The native tape
-    kernel additionally stages permuted operands in two named scratch
-    buffers (:meth:`scratch`); the Python walker never touches them.
+    The arena is one grow-only byte buffer that a compiled plan lays its
+    cached subtask out in (:attr:`CompiledPlan.arena_bytes`): every GEMM
+    output, operand copy and staged copy of the dependent part has a
+    compile-time offset in it, and :meth:`views` hands the walker those
+    regions as arrays, built once per plan.  The native tape kernel stages
+    permuted operands in two named scratch buffers (:meth:`scratch`); the
+    Python walker never touches them.
 
-    The arena also carries the *resume state* of the sweep in progress:
+    The object also carries the *resume state* of the sweep in progress:
     which plan and cache last ran here, the values that run assigned (a
     list updated in place) and its persistent ``live`` table holding the
-    retained partials.  :meth:`CompiledPlan.execute` trusts it for exactly
-    "same plan, same cache object", so its lifetime is one run of
-    consecutive assignments, scoped by :meth:`sweep`: the serial loops and
-    the chunk body open one around their loop, and nothing that can change
-    tensor data or recompile a plan happens inside.
+    retained partials — arrays in the arena, at regions no other step
+    writes.  :meth:`CompiledPlan.execute` trusts it for exactly "same plan,
+    same cache object", so its lifetime is one run of consecutive
+    assignments, scoped by :meth:`sweep`: the serial loops and the chunk
+    body open one around their loop, and nothing that can change tensor
+    data or recompile a plan happens inside.
 
-    Buffers are grown (never shrunk) on demand and re-typed when the
-    requested dtype changes, so one arena serves plans of any size.  An
-    arena instance is *not* thread-safe — every executor thread / pool
-    worker owns its own (the backends arrange this).
+    Buffers are grown (never shrunk) on demand, so one instance serves
+    plans of any size, and it lives as long as its worker.  An instance is
+    *not* thread-safe — every executor thread / pool worker owns its own
+    (the backends arrange this).
     """
 
-    __slots__ = ("_buffers", "_scratch", "_resume")
+    __slots__ = ("_buffers", "_views", "_resume")
 
     def __init__(self) -> None:
-        self._buffers: List[Optional[np.ndarray]] = [None, None]
-        self._scratch: Dict[str, np.ndarray] = {}
+        self._buffers: Dict[str, np.ndarray] = {}
+        #: ``(plan, views)``: the last plan's regions over the arena
+        self._views: Optional[Tuple] = None
         #: ``(plan, cache, values, live)`` of the last cached execute
         self._resume: Optional[Tuple] = None
 
-    @staticmethod
-    def _fit(store, key, buffer, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """A view of ``shape`` over ``store[key]`` (``buffer``), reallocated
-        when outgrown or re-typed.  The outgrown buffer is released *before*
-        its successor is allocated: its content is dead by the slot schedule,
-        and two generations side by side were the peak of a large plan's
-        first subtask."""
-        size = math.prod(shape)
+    def _fit(self, key: str, size: int, dtype: np.dtype) -> np.ndarray:
+        """``size`` elements of buffer ``key``, reallocated when outgrown or
+        re-typed.  The outgrown buffer is released *before* its successor is
+        allocated: its content is dead, and two generations side by side
+        were the peak of a large plan's first subtask."""
+        buffer = self._buffers.get(key)
         if buffer is None or buffer.size < size or buffer.dtype != dtype:
-            store[key] = buffer = None
-            store[key] = buffer = np.empty(max(size, 1), dtype)
-        return buffer[:size].reshape(shape)
+            self._buffers[key] = buffer = None
+            self._buffers[key] = buffer = np.empty(max(size, 1), dtype)
+        return buffer[:size]
 
-    def out_for(
-        self, slot: int, shape: Tuple[int, ...], dtype: np.dtype
-    ) -> np.ndarray:
-        """A C-contiguous array view of ``shape``/``dtype`` backed by ``slot``."""
-        return self._fit(self._buffers, slot, self._buffers[slot], shape, dtype)
+    def views(self, plan: "CompiledPlan") -> List[Optional[Tuple]]:
+        """``plan``'s regions as arrays over the arena (:meth:`CompiledPlan.arena_views`).
+
+        Built once per plan: another plan's views are dropped — they pin the
+        buffer they view — before the arena grows to this one's size.
+        """
+        held = self._views
+        if held is not None and held[0] is plan:
+            return held[1]
+        self._views = held = None
+        views = plan.arena_views(self._fit(_ARENA, plan.arena_bytes, np.dtype(np.uint8)))
+        self._views = (plan, views)
+        return views
 
     def scratch(
         self, key: str, shape: Tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
         """A named grow-only staging view (the native kernel's operands)."""
-        return self._fit(self._scratch, key, self._scratch.get(key), shape, dtype)
+        return self._fit(key, math.prod(shape), dtype).reshape(shape)
 
     @contextmanager
     def sweep(self) -> Iterator["StemSlots"]:
@@ -400,9 +417,8 @@ class StemSlots:
 
     @property
     def allocated_bytes(self) -> int:
-        """Total bytes currently held by the slots and staging buffers."""
-        held = (*self._buffers, *self._scratch.values())
-        return sum(b.nbytes for b in held if b is not None)
+        """Total bytes currently held by the arena and staging buffers."""
+        return sum(buffer.nbytes for buffer in self._buffers.values())
 
 
 @dataclass(frozen=True)
@@ -445,6 +461,10 @@ class SweepCost:
 #: array is written once as ``transpose(perm).reshape(shape)``, C-contiguous.
 Staging = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
+#: Where a buffer of the cached subtask lives in the arena:
+#: ``(byte offset, elements)``, sized at the plan dtype's itemsize.
+Region = Tuple[int, int]
+
 
 @dataclass(frozen=True, slots=True)
 class LeafStep:
@@ -465,7 +485,9 @@ class LeafStep:
     that consumes it (see :class:`ContractStep`): the load then yields the
     operand in that GEMM's layout.  A fetch never stages — its open root's
     step wrote the entry with the taken axes leading and the rest in
-    consumer layout, so the view *is* the contiguous operand.
+    consumer layout, so the view *is* the contiguous operand.  ``region``
+    is where a cached subtask writes that staged copy in the arena, when
+    it is one (:func:`_lay_out`).
     """
 
     node: int
@@ -475,6 +497,7 @@ class LeafStep:
     source_indices: Tuple[str, ...]
     level: int = 0
     stage: Optional[Staging] = None
+    region: Optional[Region] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,11 +517,12 @@ class ContractStep:
     Both GEMM kinds share one layout: ``lhs_perm`` / ``rhs_perm`` bring
     the operands into GEMM order, ``shapes`` holds the three GEMM shapes
     (lhs, rhs, output; ``None`` on einsum steps), and the identity flags
-    mark permutations the walker skips.  ``slot`` (0 or 1) is set on stem
-    steps, whose output alternates between the two :class:`StemSlots`
-    buffers — except a stem node the cached schedule *retains*, which gets
-    a fresh buffer (its grandparent would overwrite the slot while it is
-    still needed).
+    mark permutations the walker skips.  ``regions`` places the buffers a
+    step of the cached subtask writes in the arena (:func:`_lay_out`):
+    ``(lhs copy, rhs copy, output, staged copy)``, each ``None`` where there
+    is no such buffer — an operand read as is, an einsum output (which
+    always allocates), no ``stage``.  Steps outside the cached subtask —
+    the warm pass, the tail — have no ``regions`` at all.
 
     *Staging moves to the producer that runs less often.*  When an
     operand's producer has a lower level than this step — a frontier
@@ -527,7 +551,6 @@ class ContractStep:
     level: int
     free_cached: Tuple[int, ...]
     log2_flops: float
-    slot: Optional[int] = None
     lhs_perm: Optional[Tuple[int, ...]] = None
     rhs_perm: Optional[Tuple[int, ...]] = None
     shapes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = None
@@ -537,6 +560,7 @@ class ContractStep:
     sub_lhs: Optional[Tuple[int, ...]] = None
     sub_rhs: Optional[Tuple[int, ...]] = None
     sub_out: Optional[Tuple[int, ...]] = None
+    regions: Optional[Tuple[Optional[Region], ...]] = None
 
     @property
     def invariant(self) -> bool:
@@ -560,6 +584,30 @@ class ContractStep:
 def _staged(array: np.ndarray, stage: Staging) -> np.ndarray:
     """``array`` written once in its consumer's GEMM layout (C-contiguous)."""
     return np.ascontiguousarray(array.transpose(stage[0]).reshape(stage[1]))
+
+
+def _recast(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """A region's bytes as a ``dtype`` array of ``view``'s shape.
+
+    Regions are sized at the plan dtype's itemsize, which type promotion
+    bounds every intermediate by (mixed real/complex leaves give real
+    intermediates a complex-sized region).  A wider dtype — leaf data
+    replaced after compiling — does not fit and gets a fresh array.
+    """
+    raw = view.reshape(-1).view(np.uint8)
+    nbytes = view.size * dtype.itemsize
+    if nbytes > raw.size:
+        return np.empty(view.shape, dtype)
+    return raw[:nbytes].view(dtype).reshape(view.shape)
+
+
+def _copy_into(region: np.ndarray, array: np.ndarray) -> np.ndarray:
+    """``array`` copied into its arena ``region`` (a view shaped as the copy's
+    reader takes it): the bytes ``np.ascontiguousarray`` would write."""
+    if region.dtype != array.dtype:
+        region = _recast(region, array.dtype)
+    np.copyto(region.reshape(array.shape), array)
+    return region
 
 
 def _above(items: Tuple, level: int) -> Tuple:
@@ -588,7 +636,7 @@ def _batched_gemm(a3: np.ndarray, b3: np.ndarray, out3: np.ndarray) -> None:
 def _walk_steps(
     steps: Sequence[ContractStep],
     live: Dict[int, np.ndarray],
-    slots: Optional[StemSlots],
+    views: Optional[Sequence[Optional[Tuple]]],
     stats: Optional["PlanStats"],
     cached: bool,
 ) -> None:
@@ -606,28 +654,30 @@ def _walk_steps(
     read as is: same buffer contents, staged once per lifetime instead of
     once per use.
 
-    Stem outputs go to the arena's alternating slots when ``slots`` is
-    given; every other output is a fresh array.  ``cached`` selects the
-    free schedule (cached runs keep frontier operands and lower-level
-    partials).  A GEMM operand's lifetime ends the moment its staged copy
-    exists — before the other operand is staged and before the output is
-    allocated — so an operand never coexists with its own copy *and* the
-    output (a staged *view* keeps the buffer alive by itself); likewise a
-    step that stages its own output releases its staged operands first.
+    ``views`` (:meth:`CompiledPlan.arena_views`, cached subtasks only)
+    places every operand copy, GEMM output and staged copy a step has a
+    region for in the arena: ``np.copyto`` into the region and
+    ``np.dot(out=)`` onto it — the same copies and GEMMs on the same
+    C-contiguous layouts, so the same bits.  Without ``views`` every
+    buffer is a fresh array, and einsum outputs always are.  ``cached``
+    selects the free schedule (cached runs keep frontier operands and
+    lower-level partials).  A GEMM operand's lifetime ends the moment its
+    staged copy exists — before the other operand is staged and before
+    the output is allocated — so an operand never coexists with its own
+    copy *and* the output (a staged *view* keeps the buffer alive by
+    itself); likewise a step that stages its own output releases its
+    staged operands first.
     """
     counts = stats.node_counts if stats is not None else None
     for step in steps:
-        lhs, rhs = step.lhs, step.rhs
+        lhs, rhs, node = step.lhs, step.rhs, step.node
         frees = step.free_cached if cached else (lhs, rhs)
-        slot = step.slot if slots is not None else None
+        # (lhs copy, rhs copy, output, staged copy) regions, or None
+        at = views[node] if views is not None else None
         shapes = step.shapes
         if shapes is None:
             a, b = live[lhs], live[rhs]
-            if slot is None:
-                out = np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out)
-            else:
-                out = slots.out_for(slot, step.out_shape, np.result_type(a, b))
-                np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out, out=out)
+            out = np.einsum(a, step.sub_lhs, b, step.sub_rhs, step.sub_out)
             del a, b
             for child in frees:
                 del live[child]
@@ -641,7 +691,10 @@ def _walk_steps(
             if perm is not None:
                 if not step.lhs_identity:
                     a = a.transpose(perm)
-                a = np.ascontiguousarray(a.reshape(lhs_shape))
+                if at is None or at[0] is None:
+                    a = np.ascontiguousarray(a.reshape(lhs_shape))
+                else:
+                    a = _copy_into(at[0], a)
             b = live[rhs]
             if rhs in frees:
                 del live[rhs]
@@ -651,11 +704,18 @@ def _walk_steps(
             if perm is not None:
                 if not step.rhs_identity:
                     b = b.transpose(perm)
-                b = np.ascontiguousarray(b.reshape(rhs_shape))
-            if slot is None:
+                if at is None or at[1] is None:
+                    b = np.ascontiguousarray(b.reshape(rhs_shape))
+                else:
+                    b = _copy_into(at[1], b)
+            if at is None:
                 out = np.empty(gemm_shape, dtype)
             else:
-                out = slots.out_for(slot, gemm_shape, dtype)
+                out = at[2]
+                if out.dtype != dtype:
+                    out = _recast(out, dtype)
+                if counts is not None:
+                    stats.slot_writes += 1
             if len(gemm_shape) == 3:
                 _batched_gemm(a, b, out)
             else:
@@ -665,14 +725,14 @@ def _walk_steps(
             del a, b
             out = out.reshape(step.out_shape)
         if step.stage is not None:
-            out = _staged(out, step.stage)
-        node = step.node
+            if at is None or at[3] is None:
+                out = _staged(out, step.stage)
+            else:
+                out = _copy_into(at[3], out.transpose(step.stage[0]))
         live[node] = out
         del out
         if counts is not None:
             counts[node] = counts.get(node, 0) + 1
-            if slot is not None:
-                stats.slot_writes += 1
 
 
 class CompiledPlan:
@@ -699,8 +759,10 @@ class CompiledPlan:
         fused: bool = False,
         derived_dtype: Optional[np.dtype] = None,
         fold_node: Optional[int] = None,
+        arena_bytes: int = 0,
     ) -> None:
         self._tree = tree
+        self._arena_bytes = arena_bytes
         # dtype inferred from the network's leaf tensors at compile time
         # (satellite of the explicit _dtype override); drives kernel
         # warming and pre-calibration sizing, never leaf casting
@@ -966,6 +1028,46 @@ class CompiledPlan:
             return self._steps[self._fold_node - self._tree.num_leaves].out_shape
         return tuple(self._out_sizes[ix] for ix in self._out_indices)
 
+    @property
+    def arena_bytes(self) -> int:
+        """Bytes of the arena a cached subtask runs in (:func:`_lay_out`).
+
+        Every buffer the dependent part writes — GEMM outputs, operand
+        copies, staged copies, the retained partials and the fold node's
+        array — sits at a compile-time offset inside it, at the plan
+        dtype's itemsize.  A cached sweep's resident bytes are therefore
+        ``cache_bytes + arena_bytes + fold_bytes`` of :meth:`sweep_cost`.
+        """
+        return self._arena_bytes
+
+    def arena_views(self, buffer: np.ndarray) -> List[Optional[Tuple]]:
+        """The layout's regions as arrays over the byte ``buffer``, by node.
+
+        A step's entry is ``(lhs copy, rhs copy, output, staged copy)`` and
+        a staged leaf load's its staged copy, each ``None`` without a
+        region.  Every view is shaped as its reader takes it — a copy as
+        the GEMM operand or the staged operand, the output as the GEMM
+        writes it — in the plan dtype; the walker recasts one whose step
+        runs in another (:func:`_recast`).
+        """
+        dtype = _arena_dtype(self.dtype)
+
+        def view(region: Optional[Region], shape) -> Optional[np.ndarray]:
+            if region is None:
+                return None
+            offset, elements = region
+            return buffer[offset : offset + elements * dtype.itemsize].view(dtype).reshape(shape)
+
+        views: List[Optional[Tuple]] = [None] * (self._tree.root + 1)
+        for ls in self._leaf_steps:
+            if ls.region is not None:
+                views[ls.node] = view(ls.region, ls.stage[1])
+        for s in self._steps:
+            if s.regions is not None:
+                shapes = (*(s.shapes or (None,) * 3), s.stage and s.stage[1])
+                views[s.node] = tuple(map(view, s.regions, shapes))
+        return views
+
     def invariant_log2_flops(self) -> float:
         """log2 of the per-subtask flops saved by the invariant cache."""
         total = sum(2.0**s.log2_flops for s in self._invariant_steps)
@@ -1061,7 +1163,7 @@ class CompiledPlan:
         index, hence needs no assignment) with the cache-warm free schedule,
         so interior buffers are freed as soon as they are consumed and only
         the frontier survives.  No arena: cache entries outlive the
-        subtask, so they must not sit in a reused slot.
+        subtask, so they must not sit in reused bytes.
         """
         start = time.perf_counter()
         live = self._contract_invariant(
@@ -1149,11 +1251,12 @@ class CompiledPlan:
         stats:
             Optional instrumentation counters.
         slots:
-            Optional :class:`StemSlots` arena.  Stem-chain steps then write
-            their outputs into the arena's two alternating buffers instead
-            of allocating — the returned tensor may alias the arena, so it
-            is only valid until the next ``execute`` with the same arena
-            (the execution backends accumulate it immediately).
+            Optional :class:`StemSlots` arena.  A cached subtask then
+            writes every buffer its layout places (:attr:`arena_bytes`)
+            into the arena instead of allocating — the returned tensor may
+            alias the arena, so it is only valid until the next ``execute``
+            with the same arena (the execution backends accumulate it
+            immediately).
 
         With both a cache and an arena the call *resumes*: the assignment
         is compared, by value and in enumeration order, with the one the
@@ -1254,13 +1357,18 @@ class CompiledPlan:
                     # (a lowered program runs whole: nothing to resume from)
                     state = (self, cache, values, live)
             leaf_steps, steps = self._resume_suffixes[first]
+            # (after the state check: a stale state was dropped above, so
+            # the arena may grow to this plan's size)
+            views = slots.views(self) if slots is not None else None
         else:
-            live = {}
+            live, views = {}, None
             (leaf_steps, steps), program = self._cacheless()[0], self._native_full
         for ls in leaf_steps:
-            live[ls.node] = self._load_leaf(network, ls, assignment, cache)
+            live[ls.node] = self._load_leaf(
+                network, ls, assignment, cache, None if views is None else views[ls.node]
+            )
         if not (self._fused and self._run_native(program, live, slots, stats)):
-            _walk_steps(steps, live, slots, stats, cached)
+            _walk_steps(steps, live, views, stats, cached)
         if state is not None:
             slots._resume = state
 
@@ -1321,8 +1429,10 @@ class CompiledPlan:
         step: LeafStep,
         assignment: Optional[Mapping[str, int]],
         cache: Optional[Mapping[int, np.ndarray]] = None,
+        region: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """The array a load or fetch yields: a view of its source when it can be."""
+        """The array a load or fetch yields: a view of its source when it can
+        be, a staged copy at its arena ``region`` when it has one."""
         if step.tid is None:
             data = cache[step.node]  # type: ignore[index]
         else:
@@ -1345,7 +1455,10 @@ class CompiledPlan:
             # convert after slicing so the cast copies only the slice
             data = np.asarray(data, dtype=self._dtype)
         if step.stage is not None:
-            data = _staged(data, step.stage)
+            if region is None:
+                data = _staged(data, step.stage)
+            else:
+                data = _copy_into(region, data.transpose(step.stage[0]))
         return data
 
     def _run_native(
@@ -1466,17 +1579,6 @@ def compile_plan(
     dependent = frozenset(
         node for node, level in levels.items() if level and node not in carried
     )
-
-    # the stem (most expensive root-to-leaf chain) drives the slot
-    # schedule: its running tensor alternates between the two StemSlots
-    # buffers, step k writing slot k % 2
-    slot_of = stem_slot_schedule(tree)
-    for child, parent in tree.parent_map().items():
-        if 0 < levels[child] < levels[parent]:
-            # a partial retained across subtasks: the grandparent's write
-            # into the same slot would clobber it, so it gets a fresh
-            # buffer (a level-0 child is computed by the slot-less warm pass)
-            slot_of.pop(child, None)
 
     orders: Dict[int, Tuple[str, ...]] = {}
     has_batch: Dict[int, FrozenSet[str]] = {}
@@ -1609,7 +1711,6 @@ def compile_plan(
                 c for c in (lhs, rhs) if node in carried or levels[c] == levels[node]
             ),
             log2_flops=tree.node_log2_flops(node, fixed),
-            slot=slot_of.get(node),
         )
         specs.append(spec)
         if node in carried and node in frontier and levels[node]:
@@ -1648,6 +1749,10 @@ def compile_plan(
             out_order_final = tuple(root_order[i] for i in perm)
     out_sizes = {ix: tree.index_size(ix) for ix in out_order_final}
 
+    # (batched plans sum their batch axes at the root: they fold there)
+    fold = root if batch else _fold_node(tree, dependent, levels, steps, ordered, open_nodes)
+    itemsize = _arena_dtype(derived_dtype if dtype is None else dtype).itemsize
+    arena_bytes = _lay_out(tree, steps, leaf_steps, fetches, fold, itemsize)
     plan = CompiledPlan(
         tree=tree,
         enumerated=ordered,
@@ -1663,10 +1768,8 @@ def compile_plan(
         root_perm=root_perm,
         fused=fused,
         derived_dtype=derived_dtype,
-        # (batched plans sum their batch axes at the root: they fold there)
-        fold_node=(
-            None if batch else _fold_node(tree, dependent, levels, steps, ordered, open_nodes)
-        ),
+        fold_node=fold,
+        arena_bytes=arena_bytes,
     )
     if logger.isEnabledFor(logging.DEBUG):
         _log_sweep_plan(plan, open_nodes, carried)
@@ -1770,6 +1873,149 @@ def _stage_at_producers(
                 specs[child - num_leaves]["stage"] = (perm, shape)
 
 
+#: Byte alignment of every arena region (a cache line).
+_ALIGN = 64
+
+
+def _arena_dtype(dtype: Optional[np.dtype]) -> np.dtype:
+    """The dtype a plan's regions are sized and viewed in: the plan's, or
+    complex128 when every leaf was abstract at compile time."""
+    return np.dtype(np.complex128 if dtype is None else dtype)
+
+
+def _strided(load: Optional[LeafStep]) -> bool:
+    """Whether a load's view is strided: a taken axis follows a kept one."""
+    return load is not None and any(axis != i for i, (_, axis) in enumerate(load.takes))
+
+
+def _lay_out(
+    tree: ContractionTree,
+    steps: List[ContractStep],
+    leaf_steps: List[LeafStep],
+    fetches: Sequence[LeafStep],
+    fold: int,
+    itemsize: int,
+) -> int:
+    """Give every buffer a cached subtask writes an arena offset; the arena's bytes.
+
+    Walks the dependent part below the tail as the executor does — the
+    loads of level ``>= 1``, then the steps — on a clock that ticks per
+    operand copy, GEMM and staging, freeing exactly as :func:`_walk_steps`
+    frees.  A region is born at the tick that writes it and dies at its
+    last reader's: a GEMM operand copy (a real transpose, or an identity
+    load whose taken axes do not lead) at the GEMM; a GEMM output at its
+    staging or its consumer; a staged copy (a producer-side ``stage``, a
+    leaf load staged through a permutation) at its consumer.  An operand
+    that is copied dies at its copy, so the output can reuse its bytes.
+    What the walk leaves alive is the fold node's array, which lives to the
+    end of the subtask, and the retained partials, pinned for the whole
+    sweep: a resumed subtask re-runs a suffix of the walk, whose steps must
+    not overwrite them.
+
+    Offsets come from greedy first-fit at :data:`_ALIGN` bytes over three
+    orders — by size (equal sizes earliest- or latest-born first) and by
+    birth — keeping the smallest arena; all are sorted lists, so the
+    layout never depends on hash order.  Edits ``steps`` and ``leaf_steps``
+    in place (their ``regions`` / ``region``).
+    """
+    tail = frozenset(tree.path_to_root(fold)[1:])
+    loads = {ls.node: ls for ls in (*leaf_steps, *fetches) if ls.level}
+    #: per region ``[(list, position, index), birth, death, elements]``:
+    #: list 0 is ``leaf_steps`` (index 0), list 1 ``steps`` (the index into
+    #: :attr:`ContractStep.regions`)
+    regions: List[List] = []
+    holder: Dict[int, int] = {}  # node -> the region its live array sits in
+
+    def born(owner: Tuple[int, int, int], tick: int, elements: int) -> int:
+        regions.append([owner, tick, None, elements])
+        return len(regions) - 1
+
+    def dies(node: int, tick: int) -> None:
+        index = holder.pop(node, None)
+        if index is not None:
+            regions[index][2] = tick
+
+    for position, ls in enumerate(leaf_steps):
+        if ls.level and ls.stage is not None:
+            if ls.stage[0] != tuple(range(len(ls.stage[0]))) or _strided(ls):
+                holder[ls.node] = born((0, position, 0), 0, math.prod(ls.stage[1]))
+    tick = 0
+    for position, step in enumerate(steps):
+        if not step.level or step.node in tail:
+            continue
+        frees = step.free_cached
+        gemm = tick + 3
+        if step.shapes is not None:
+            sides = (
+                (step.lhs, step.lhs_perm, step.lhs_identity),
+                (step.rhs, step.rhs_perm, step.rhs_identity),
+            )
+            for side, (child, perm, identity) in enumerate(sides):
+                tick += 1
+                if perm is not None and (not identity or _strided(loads.get(child))):
+                    copy = born((1, position, side), tick, math.prod(step.shapes[side]))
+                    regions[copy][2] = gemm
+                    if child in frees:
+                        dies(child, tick)
+        tick = gemm
+        for child in frees:
+            dies(child, tick)
+        if step.shapes is not None:
+            holder[step.node] = born((1, position, 2), tick, math.prod(step.shapes[2]))
+        if step.stage is not None:
+            tick += 1
+            dies(step.node, tick)
+            holder[step.node] = born((1, position, 3), tick, math.prod(step.stage[1]))
+    for node, index in holder.items():
+        regions[index][2] = tick + 1
+        if node != fold:
+            regions[index][1] = 0  # a retained partial: pinned for the sweep
+
+    sizes = [region[3] * itemsize for region in regions]
+    indices = range(len(regions))
+    orders = (
+        sorted(indices, key=lambda r: (-sizes[r], regions[r][1], r)),
+        # (equal sizes latest-born first: on small_subtasks this one packs
+        # three equal columns where earliest-born-first needs a fourth)
+        sorted(indices, key=lambda r: (-sizes[r], -regions[r][1], r)),
+        sorted(indices, key=lambda r: (regions[r][1], -sizes[r], r)),
+    )
+    top, offsets = min(
+        (_first_fit(regions, sizes, order) for order in orders), key=lambda fit: fit[0]
+    )
+    placed: Dict[Tuple[int, int], List[Optional[Region]]] = {}
+    for ((which, position, index), _, _, elements), offset in zip(regions, offsets):
+        placed.setdefault((which, position), [None] * 4)[index] = (offset, elements)
+    for (which, position), found in placed.items():
+        if which:
+            steps[position] = replace(steps[position], regions=tuple(found))
+        else:
+            leaf_steps[position] = replace(leaf_steps[position], region=found[0])
+    return top
+
+
+def _first_fit(
+    regions: Sequence[List], sizes: Sequence[int], order: Sequence[int]
+) -> Tuple[int, List[int]]:
+    """Place ``regions`` in ``order``, each at the lowest aligned offset free
+    over its lifetime: ``(arena bytes, offset per region)``."""
+    placed: List[Tuple[int, int, int, int]] = []  # (birth, death, start, stop)
+    offsets = [0] * len(regions)
+    top = 0
+    for r in order:
+        birth, death, nbytes = regions[r][1], regions[r][2], sizes[r]
+        offset = 0
+        for start, stop in sorted((s, e) for b, d, s, e in placed if b <= death and birth <= d):
+            if offset + nbytes <= start:
+                break
+            if stop > offset:
+                offset = -(-stop // _ALIGN) * _ALIGN
+        placed.append((birth, death, offset, offset + nbytes))
+        offsets[r] = offset
+        top = max(top, offset + nbytes)
+    return top, offsets
+
+
 def _load_step(
     node: int,
     tid: Optional[int],
@@ -1819,7 +2065,7 @@ def _log_sweep_plan(
         "%d resident bytes (label order, nothing open: %d / %.4g / %d), "
         "retains %d partials / %d bytes, steps per level %s, "
         "stagings per sweep: %d (per-use layout: %d); folds at node %d "
-        "(%d bytes); tail of %d steps runs once per run",
+        "(%d bytes); tail of %d steps runs once per run; arena of %d bytes",
         len(plan.contract_steps),
         sum(per_level.values()),
         list(plan.sliced),
@@ -1844,4 +2090,5 @@ def _log_sweep_plan(
         plan.fold_node,
         cost.fold_bytes,
         len(plan._tail),
+        plan.arena_bytes,
     )

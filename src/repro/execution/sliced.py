@@ -14,8 +14,8 @@ exhaustively and with hypothesis.
 :class:`~repro.execution.plan.CompiledPlan` by default (``mode="compiled"``):
 the tree is compiled once into ``tensordot`` axis pairs, slice-invariant
 intermediates — subtrees no sliced edge's lifetime reaches — are contracted
-once and shared across every subtask, the stem's running tensor alternates
-between two preallocated slots, and optionally a group of sliced indices is
+once and shared across every subtask, every buffer the rest writes has a
+compile-time offset in one per-worker arena, and optionally a group of sliced indices is
 kept as leading batch axes so that all of their value combinations are
 swept in a single batched contraction (``batch_indices=``).  With
 ``fused=True`` the plan is additionally lowered for the numba tape kernel

@@ -207,8 +207,7 @@ class TapeProgram:
     nodes the program computes (for stats parity with the Python walker);
     ``root``/``root_reg``/``root_shape`` locate and shape the result.
     ``scratch_lhs``/``scratch_rhs`` size the two staging buffers
-    (elements); ``slot_steps`` counts the stem steps (the walker's
-    ``slot_writes``) and ``fused_steps`` every GEMM the kernel runs.
+    (elements); ``fused_steps`` counts every GEMM the kernel runs.
 
     Instances contain only ndarrays and tuples: they pickle to pool
     workers with the plan, and each process JIT-compiles the kernel
@@ -228,7 +227,6 @@ class TapeProgram:
     root_shape: Tuple[int, ...]
     scratch_lhs: int
     scratch_rhs: int
-    slot_steps: int
     fused_steps: int
 
     @property
@@ -354,7 +352,6 @@ def lower_steps(
         root_shape=tuple(shape_of[root]),
         scratch_lhs=state.scratch[0],
         scratch_rhs=state.scratch[1],
-        slot_steps=sum(1 for step in steps if step.slot is not None),
         fused_steps=len(steps),
     )
 
@@ -497,7 +494,6 @@ def run_native(
         counts = stats.node_counts
         for node in program.nodes:
             counts[node] = counts.get(node, 0) + 1
-        stats.slot_writes += program.slot_steps
         stats.fused_steps += program.fused_steps
         stats.record_stage("fused_kernel", time.perf_counter() - start)
     return True

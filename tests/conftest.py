@@ -158,7 +158,6 @@ def open_case():
     import numpy as np
 
     from repro.circuits import amplitude
-    from repro.core import stem_slot_schedule
     from repro.execution import compile_plan
 
     circuit = random_brickwork_circuit(8, 5, seed=13)
@@ -169,7 +168,7 @@ def open_case():
     inner = sorted(network.inner_indices())
     sliced = [inner[i] for i in (1, 2, 7, 14)]
     plan = compile_plan(network, tree, frozenset(sliced))
-    stem = stem_slot_schedule(tree)
+    stem = extract_stem(tree).nodes
     assert len(plan.fetches) == 2 and any(f.node in stem for f in plan.fetches)
     assert plan.sweep_cost().retained_bytes and plan.sliced != tuple(sliced)
     return network, tree, sliced, amplitude(circuit, bits)

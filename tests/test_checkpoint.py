@@ -17,6 +17,9 @@ audit additionally asserts no test leaves an orphaned checkpoint
 
 from __future__ import annotations
 
+import errno
+import json
+import logging
 import os
 import pickle
 import subprocess
@@ -47,6 +50,7 @@ from repro.execution import (
     ThreadPoolBackend,
     job_fingerprint,
 )
+from repro.execution import checkpoint as checkpoint_module
 from repro.execution.checkpoint import payload_checksums, verify_payload
 from repro.paths import GreedyOptimizer
 from repro.tensornet import amplitude_network, simplify_network
@@ -265,6 +269,174 @@ class TestCheckpointStore:
         with store.job(fingerprint, num_slots=2) as job:
             assert sorted(job.loaded) == [0]
         assert store.jobs() == []  # clean exit retires it
+
+
+def _failing(monkeypatch, call, code, target, first=0):
+    """Make ``os.<call>`` raise ``code`` for files named ``*<target>``, from
+    the ``first``-th such file on (the medium stays full or read-only).
+
+    ``chmod`` cannot make a directory read-only for a root user, so the
+    failure is injected where the ledger writes.  ``fsync`` sees a
+    descriptor, so ``open`` records which file each one is."""
+    real_open, real_fsync = os.open, os.fsync
+    names, seen = {}, []
+
+    def hit(path):
+        if not str(path).endswith(target):
+            return False
+        seen.append(path)
+        return len(seen) > first
+
+    def failing_open(path, flags, *args, **kwargs):
+        if call == "open" and hit(path):
+            raise OSError(code, os.strerror(code), str(path))
+        fd = real_open(path, flags, *args, **kwargs)
+        names[fd] = str(path)
+        return fd
+
+    def failing_fsync(fd):
+        if call == "fsync" and hit(names.get(fd, "")):
+            raise OSError(code, os.strerror(code))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(checkpoint_module.os, "open", failing_open)
+    monkeypatch.setattr(checkpoint_module.os, "fsync", failing_fsync)
+
+
+class TestLedgerWriteFailures:
+    """A full disk, read-only media or an I/O error mid-run: the run raises
+    :class:`CheckpointError` naming the path and the errno, no recorded
+    slot leaves the buffer before it is durable, and the resumed run loads
+    exactly the durable slots and returns the uninterrupted run's bits."""
+
+    @pytest.mark.parametrize(
+        "call,code", [("open", errno.ENOSPC), ("fsync", errno.EIO)], ids=["ENOSPC", "EIO"]
+    )
+    def test_a_failed_slot_write_is_typed_and_the_resume_exact(
+        self, case, serial_value, tmp_path, monkeypatch, call, code
+    ):
+        tn, tree = case
+        sliced = _sliced(tn)
+        store = CheckpointStore(tmp_path / "store")
+        durable = 3  # the 4th slot record hits the failing medium
+
+        def executor():
+            return SlicedExecutor(
+                tn, tree, sliced, backend=SerialBackend(), fault_policy=FaultPolicy.retrying()
+            )
+
+        with monkeypatch.context() as patch:
+            _failing(patch, call, code, ".slot.tmp", first=durable)
+            with pytest.raises(CheckpointError) as raised:
+                executor().run(resume=store)
+        message = str(raised.value)
+        assert errno.errorcode[code] in message and f"{durable:08d}.slot" in message
+        assert raised.value.__cause__.errno == code
+        (fingerprint,) = store.jobs()
+        slots = sorted(p.name for p in (store.root / fingerprint / "slots").iterdir())
+        assert slots == [f"{position:08d}.slot" for position in range(durable)]
+        resumed = executor()
+        assert resumed.amplitude(resume=store) == serial_value
+        assert resumed.stats.resumed_slots == durable
+        assert store.jobs() == []
+
+    def test_read_only_media_at_the_manifest_is_typed(
+        self, case, serial_value, tmp_path, monkeypatch
+    ):
+        tn, tree = case
+        store = CheckpointStore(tmp_path / "store")
+        executor = SlicedExecutor(tn, tree, _sliced(tn), backend=SerialBackend())
+        with monkeypatch.context() as patch:
+            _failing(patch, "open", errno.EROFS, "manifest.json.tmp")
+            with pytest.raises(CheckpointError, match="EROFS") as raised:
+                executor.run(resume=store)
+        assert "manifest.json" in str(raised.value)
+        # (nothing was durable; the lock was released on the way out)
+        assert executor.amplitude(resume=store) == serial_value
+        assert executor.stats.resumed_slots == 0
+
+    def test_a_failed_flush_keeps_every_record_buffered(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path / "store")
+        job = store.job("cd" * 32, num_slots=4, every=3)
+        job.record(0, np.ones(2))
+        job.record(1, np.full(2, 2.0))
+        with monkeypatch.context() as patch:
+            _failing(patch, "open", errno.ENOSPC, ".slot.tmp", first=1)
+            with pytest.raises(CheckpointError, match="ENOSPC"):
+                job.record(2, np.full(2, 3.0))  # the batch flush: slot 1 fails
+        assert [record[0] for record in job._buffer] == [0, 1, 2]
+        job.close()  # the medium has room again: all three become durable
+        resumed = store.job("cd" * 32, num_slots=4, every=3)
+        assert sorted(resumed.loaded) == [0, 1, 2]
+        np.testing.assert_array_equal(resumed.loaded[2], np.full(2, 3.0))
+        resumed.complete()
+
+
+class TestLedgerDiscardsAreLogged:
+    """A ledger invalidated on attach, and each record dropped on load, is
+    one ``WARNING`` with the reason — never silent; a new job logs nothing."""
+
+    @pytest.mark.parametrize(
+        "damage,reason",
+        [
+            ("missing", "missing manifest"),
+            ("corrupt", "corrupt manifest"),
+            ("version", "format version 99"),
+            ("fingerprint", "fingerprint"),
+            ("num_slots", "num_slots 4 is not this run's 8"),
+        ],
+    )
+    def test_a_discarded_ledger_says_why(self, tmp_path, caplog, damage, reason):
+        store = CheckpointStore(tmp_path / "store")
+        fingerprint = "45" * 32
+        job = store.job(fingerprint, num_slots=4)
+        job.record(0, np.ones(2))
+        job.close()
+        manifest_path = store.root / fingerprint / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "missing":
+            manifest_path.unlink()
+        elif damage == "corrupt":
+            manifest_path.write_text("{not json")
+        elif damage == "version":
+            manifest_path.write_text(json.dumps({**manifest, "version": 99}))
+        elif damage == "fingerprint":
+            manifest_path.write_text(json.dumps({**manifest, "fingerprint": "ff" * 32}))
+        with caplog.at_level(logging.WARNING, logger="repro.execution.checkpoint"):
+            resumed = store.job(fingerprint, num_slots=8 if damage == "num_slots" else 4)
+        assert resumed.loaded == {}
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert reason in record.getMessage() and fingerprint in record.getMessage()
+        resumed.complete()
+
+    def test_a_new_job_logs_nothing(self, tmp_path, caplog):
+        store = CheckpointStore(tmp_path / "store")
+        with caplog.at_level(logging.WARNING, logger="repro.execution.checkpoint"):
+            store.job("67" * 32, num_slots=2).complete()
+        assert not caplog.records
+
+    def test_each_dropped_record_is_one_warning(self, tmp_path, caplog):
+        store = CheckpointStore(tmp_path / "store")
+        fingerprint = "23" * 32
+        job = store.job(fingerprint, num_slots=3)
+        for position in range(3):
+            job.record(position, np.full(3, float(position)))
+        job.close()
+        slots = store.root / fingerprint / "slots"
+        (slots / "00000000.slot").write_bytes(b"torn")
+        victim = slots / "00000002.slot"
+        record = pickle.loads(victim.read_bytes())
+        record["crc"] ^= 1
+        victim.write_bytes(pickle.dumps(record))
+        with caplog.at_level(logging.WARNING, logger="repro.execution.checkpoint"):
+            resumed = store.job(fingerprint, num_slots=3)
+        assert sorted(resumed.loaded) == [1]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2 and all(r.levelno == logging.WARNING for r in caplog.records)
+        assert "slot 0: unreadable" in messages[0] and str(slots / "00000000.slot") in messages[0]
+        assert "slot 2: checksum mismatch" in messages[1] and str(victim) in messages[1]
+        resumed.complete()
 
 
 class TestJobFingerprint:

@@ -240,23 +240,15 @@ class TestStemSlots:
         slots = StemSlots()
         assignment = {ix: 0 for ix in sliced}
         stats = PlanStats()
-        with_slots = plan.execute(tn, assignment, stats=stats, slots=slots)
+        # (the arena serves cached subtasks; a stateless call allocates)
+        with_slots = plan.execute(
+            tn, assignment, cache=plan.new_cache(), stats=stats, slots=slots
+        )
         without = plan.execute(tn, assignment)
         assert stats.slot_writes > 0
         np.testing.assert_array_equal(
             with_slots.require_data(), without.require_data()
         )
-
-    def test_slots_alternate_along_the_stem(self, case):
-        tn, tree, _ = case
-        plan = compile_plan(tn, tree)
-        chain = [s for s in plan._steps if s.slot is not None]
-        assert chain, "every nontrivial tree has a stem"
-        # the stem is a chain: each slotted step consumes the previous one
-        # and the slots alternate, so two buffers always suffice
-        for prev, step in zip(chain, chain[1:]):
-            assert prev.node in (step.lhs, step.rhs)
-            assert step.slot != prev.slot
 
     def test_slot_buffers_are_reused_across_executions(self, case):
         from repro.execution import StemSlots
@@ -264,43 +256,50 @@ class TestStemSlots:
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:2]
         plan = compile_plan(tn, tree, frozenset(sliced))
-        slots = StemSlots()
+        cache, slots = plan.new_cache(), StemSlots()
         for value in range(2):
-            plan.execute(tn, {ix: value for ix in sliced}, slots=slots)
+            plan.execute(tn, {ix: value for ix in sliced}, cache=cache, slots=slots)
         first = slots.allocated_bytes
         for value in range(2):
-            plan.execute(tn, {ix: value for ix in sliced}, slots=slots)
-        assert slots.allocated_bytes == first  # grown once, then stable
+            plan.execute(tn, {ix: value for ix in sliced}, cache=cache, slots=slots)
+        # grown once, to the plan's arena, then stable
+        assert slots.allocated_bytes == first == plan.arena_bytes > 0
 
     def test_growing_a_slot_never_holds_two_generations(self):
-        """The outgrown buffer is released before its successor is
+        """The outgrown arena is released before its successor is
         allocated — side by side they were the peak of ``large_subtasks``'
-        first subtask (2.1 MB old + 4.2 MB new at node 187)."""
+        first subtask (2.1 MB old + 4.2 MB new at node 187) — and so is an
+        outgrown staging buffer."""
         import tracemalloc
+        from types import SimpleNamespace
 
         from repro.execution import StemSlots
 
+        def plan_of(nbytes):
+            # (what StemSlots.views asks of a plan)
+            return SimpleNamespace(arena_bytes=nbytes, arena_views=lambda buffer: [buffer])
+
         slots = StemSlots()
-        small, large = (1 << 17,), (1 << 18,)
+        small, large = 1 << 21, 1 << 22
         dtype = np.dtype(np.complex128)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            slots.out_for(0, small, dtype)
-            slots.scratch("staging", small, dtype)
+            slots.views(plan_of(small))
+            slots.scratch("staging", (small // 16,), dtype)
             for grow in (
-                lambda: slots.out_for(0, large, dtype),
-                lambda: slots.scratch("staging", large, dtype),
+                lambda: slots.views(plan_of(large))[0],
+                lambda: slots.scratch("staging", (large // 16,), dtype),
             ):
                 tracemalloc.reset_peak()
-                assert grow().nbytes == 16 << 18
-                # everything the arena holds now, and never the outgrown
+                assert grow().nbytes == large
+                # everything the object holds now, and never the outgrown
                 # generation (2 MiB) on top of it
                 peak = tracemalloc.get_traced_memory()[1] - base
                 assert peak <= slots.allocated_bytes + 4096
         finally:
             tracemalloc.stop()
-        assert slots.allocated_bytes == 2 * (16 << 18)
+        assert slots.allocated_bytes == 2 * large
 
     def test_serial_backend_run_uses_slots(self, case):
         tn, tree, reference = case
@@ -310,12 +309,13 @@ class TestStemSlots:
         assert executor.stats.slot_writes > 0
 
     def test_cached_sweeps_hold_two_buffers_and_retain_nothing(self):
-        """The walker's standing footprint is the invariant cache, the two
-        stem slots and — while a sweep's resume state is on the arena — the
-        retained partials the plan itself predicts: no scratch, no free
-        list, and in steady state every sweep leaves exactly the bytes the
-        previous one did.  Once the sweep's scope closes the partials are
-        gone too."""
+        """The walker's standing footprint is the invariant cache and the
+        arena: the retained partials sit at their pinned regions, so beyond
+        the two a sweep holds only the arena's views, its live table and
+        the resume state — no scratch, no free list, no fresh buffer — and
+        in steady state every sweep leaves exactly the bytes the previous
+        one did.  Once the sweep's scope closes the resume state is gone
+        too; the arena and its views stay for the next sweep."""
         import gc
         import tracemalloc
 
@@ -327,10 +327,7 @@ class TestStemSlots:
         # (a slicing whose plan opens a subtree *and* retains partials)
         plan = compile_plan(tn, tree, frozenset(inner[i] for i in (0, 4, 11)))
         sliced = plan.sliced
-        dependent_stem = [
-            s for s in plan.contract_steps if s.slot is not None and not s.invariant
-        ]
-        assert len(dependent_stem) >= 2 and plan.fetches  # both slots, real cache
+        assert plan.fetches and plan.arena_bytes  # a real cache, a real arena
         retained_bytes = plan.sweep_cost().retained_bytes
         assert retained_bytes > 0  # the sweep really keeps partials
         cache, slots = plan.new_cache(), StemSlots()
@@ -363,17 +360,17 @@ class TestStemSlots:
             closed = alive()
         finally:
             tracemalloc.stop()
-        assert sum(buffer is not None for buffer in slots._buffers) == 2
-        assert not slots._scratch
+        assert list(slots._buffers) == ["arena"]  # one buffer, no scratch
+        assert slots.allocated_bytes == plan.arena_bytes
         assert fourth == third
         cache_bytes = sum(buffer.nbytes for buffer in cache.values())
-        # beyond cache and slots: the predicted partials, plus the live
-        # table, the values list and the state tuple (well under 4 KiB)
+        # beyond cache and arena: the views, the live table, the values
+        # list and the state tuple (a few KiB) — never a retained partial
         overhead = third - slots.allocated_bytes - cache_bytes
-        assert 0 < overhead <= retained_bytes + 4096
+        assert 0 < overhead <= 8192
         # nothing of the resume state survives the sweep's scope
         assert slots._resume is None
-        assert slots.allocated_bytes + cache_bytes <= closed <= third - retained_bytes
+        assert slots.allocated_bytes + cache_bytes < closed < third
 
     def test_nothing_of_the_resume_state_survives_run_subtasks(self, case):
         tn, tree, _ = _case(num_qubits=8, depth=5)
@@ -660,10 +657,10 @@ class TestSweepPlanner:
     )
     def test_measured_bytes_stay_within_the_prediction(self, shape):
         """What the cache and the live table really own during a resumed
-        sweep — network arrays, stem slots and the root aside — never
-        exceeds ``cache_bytes + retained_bytes`` (+ 4 KiB), leaves staged
-        at their producer included; a fetch owns nothing, it is a view of
-        its cache entry."""
+        sweep — network arrays and the arena aside, which holds the retained
+        partials, leaves staged at their producer included — never exceeds
+        ``cache_bytes + retained_bytes`` (+ 4 KiB); a fetch owns nothing, it
+        is a view of its cache entry."""
         from repro.execution import StemSlots
 
         planned = _bench_plan(*shape)
@@ -678,7 +675,7 @@ class TestSweepPlanner:
             for values in itertools.product(*sizes):
                 plan.execute(network, dict(zip(plan.sliced, values)), cache=cache, slots=slots)
                 live = slots._resume[3]
-                arena = {id(b) for b in slots._buffers if b is not None}
+                arena = {id(b) for b in slots._buffers.values()}
                 owners = {
                     id(_owner(array)): _owner(array)
                     for node, array in (*cache.items(), *live.items())
@@ -712,9 +709,10 @@ class TestProducerStaging:
 
     @pytest.mark.parametrize("shape", list(PINNED), ids=["small_subtasks", "large_subtasks"])
     def test_stagings_per_sweep_are_the_predicted_ones(self, shape, monkeypatch, caplog):
-        """A spy on ``np.ascontiguousarray`` — every staging ends in one —
-        counts what a serial sweep really stages; CI runs this under two
-        fixed ``PYTHONHASHSEED``s (the rewrite never iterates a set)."""
+        """A spy on ``np.ascontiguousarray`` and ``np.copyto`` — every
+        staging ends in one, a copy into the arena in the other — counts
+        what a serial sweep really stages; CI runs this under two fixed
+        ``PYTHONHASHSEED``s (the rewrite never iterates a set)."""
         import logging
 
         planned = _bench_plan(*shape)
@@ -731,10 +729,11 @@ class TestProducerStaging:
         )
 
         calls = []
-        real = np.ascontiguousarray
-        monkeypatch.setattr(
-            np, "ascontiguousarray", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
+        for name in ("ascontiguousarray", "copyto"):
+            real = getattr(np, name)
+            monkeypatch.setattr(
+                np, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k)
+            )
         executor.run()
         monkeypatch.undo()
         assert len(calls) == per_use + at_producers
@@ -845,6 +844,167 @@ class TestFold:
         assert plan.fold_node == tree.root
         assert not plan.sweep_cost().fold_bytes
         assert plan.contribution_shape == tuple(plan.out_sizes[ix] for ix in plan.out_indices)
+
+
+def _arena_layout(plan):
+    """``(regions, retained)`` of ``plan``'s arena, from a walk of the cached
+    subtask written independently of the compiler's: every region as
+    ``[birth, death, start, stop]`` — the ticks it is written and last read,
+    its byte range at the plan dtype's itemsize — and the regions of the
+    partials a resume keeps.  A tick is one operand copy (it reads the
+    source, writes the copy), one GEMM (reads both operands, writes the
+    output) or one staging (reads the output, writes the staged copy)."""
+    itemsize = np.dtype(plan.dtype or np.complex128).itemsize
+    loads, steps = plan._resume_suffixes[0]
+    spans = {}  # what -> [birth, death, start, stop]
+    holds = {}  # node -> what its live array sits in
+    tick = 0
+
+    def write(what, region):
+        spans[what] = [tick, tick, region[0], region[0] + region[1] * itemsize]
+
+    def read(what):
+        if what is not None:
+            spans[what][1] = tick
+
+    for ls in loads:
+        if ls.region is not None:
+            write(ls.node, ls.region)
+            holds[ls.node] = ls.node
+    for step in steps:
+        lhs_copy, rhs_copy, out, staged = step.regions or (None,) * 4
+        operands = ((step.lhs, lhs_copy, "lhs"), (step.rhs, rhs_copy, "rhs"))
+        for child, region, side in operands:
+            tick += 1
+            if region is not None:
+                read(holds.get(child))
+                write((step.node, side), region)
+        tick += 1
+        for child, region, side in operands:
+            read((step.node, side) if region is not None else holds.get(child))
+        for child in step.free_cached:
+            holds.pop(child, None)
+        if out is not None:  # (an einsum output is a fresh array)
+            write((step.node, "out"), out)
+            holds[step.node] = (step.node, "out")
+        if staged is not None:
+            tick += 1
+            read(holds.get(step.node))
+            write((step.node, "stage"), staged)
+            holds[step.node] = (step.node, "stage")
+    retained = []
+    for node, what in holds.items():
+        spans[what][1] = tick + 1  # the fold node's array lives to the end
+        if node != plan.fold_node:
+            retained.append(spans[what])
+    return list(spans.values()), retained
+
+
+def _check_layout(plan):
+    """The layout checker: regions whose lifetimes meet never share a byte,
+    retained partials share none with any region, everything sits inside
+    the arena at 64-byte offsets.  Returns the liveness lower bound."""
+    regions, retained = _arena_layout(plan)
+    for a, b in itertools.combinations(regions, 2):
+        if a[0] <= b[1] and b[0] <= a[1]:
+            assert a[3] <= b[2] or b[3] <= a[2], (a, b)
+    for pinned in retained:
+        for other in regions:
+            if other is not pinned:
+                assert pinned[3] <= other[2] or other[3] <= pinned[2], (pinned, other)
+    assert all(start % 64 == 0 and stop <= plan.arena_bytes for _, _, start, stop in regions)
+    ticks = range(max((r[1] for r in regions), default=0) + 1)
+    return max(
+        (sum(r[3] - r[2] for r in regions if r in retained or r[0] <= t <= r[1]) for t in ticks),
+        default=0,
+    )
+
+
+class TestArena:
+    """Every buffer a cached subtask writes has a compile-time offset in one
+    arena laid out from the plan's lifetimes."""
+
+    def test_every_layout_keeps_meeting_lifetimes_apart(self, case):
+        """Hostile-shaped and circuit plans, sliced any which way, batched,
+        opening subtrees or not: the layout checker passes, and the plan
+        states its arena before it runs."""
+        tn, tree, _ = case
+        inner = sorted(tn.inner_indices())
+        plans = [compile_plan(tn, tree, frozenset(inner[:k])) for k in range(5)]
+        plans.append(compile_plan(tn, tree, frozenset(inner[:3]), batch_indices=inner[:1]))
+        big, big_tree, _ = _case(num_qubits=8, depth=5)
+        big_inner = sorted(big.inner_indices())
+        for picks in ((0, 4, 11), (1, 2, 7, 14), (3, 5, 9)):
+            plans.append(compile_plan(big, big_tree, frozenset(big_inner[i] for i in picks)))
+        network, sample_tree, sliced = _sampling_batch()
+        plans.append(compile_plan(network, sample_tree, sliced))
+        pinned = 0
+        for plan in plans:
+            _check_layout(plan)
+            pinned += bool(_arena_layout(plan)[1])
+            # (nothing sliced: nothing dependent, nothing to lay out)
+            assert (plan.arena_bytes > 0) == bool(plan.dependent_nodes)
+        assert pinned >= 3  # (retained partials are in the sample)
+
+    @pytest.mark.parametrize(
+        "shape,arena_bytes",
+        [((4, 5, 10, 10), 65_792), ((5, 7, 9, 18), 14_811_136)],
+        ids=["small_subtasks", "large_subtasks"],
+    )
+    def test_bench_plans_pin_their_arena_bytes(self, shape, arena_bytes, caplog):
+        """CI runs this under two fixed ``PYTHONHASHSEED``s: the layout sorts
+        lists of regions, never a set.  Both arenas are exactly their
+        liveness lower bound — no fragmentation.  (``small_subtasks`` peaks
+        where a 16 KiB output is copied with two more alive beside the
+        pinned partials: 3 x 16,384 + 16,640.)"""
+        import logging
+
+        planned = _bench_plan(*shape)
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
+            plan = compile_plan(planned.network, planned.tree, frozenset(planned.slicing.sliced))
+        assert plan.arena_bytes == arena_bytes == _check_layout(plan)
+        assert caplog.records[-1].getMessage().endswith(f"; arena of {arena_bytes} bytes")
+
+    def test_a_resumed_sweep_peaks_at_cache_arena_and_fold(self):
+        """The lifetime memory bound, true by construction: a serial sweep of
+        the ``large_subtasks`` plan — cache warm, arena and accumulator
+        allocated inside the traced window — peaks at the three numbers the
+        plan states before it runs, plus 64 KiB of Python objects."""
+        import gc
+        import tracemalloc
+
+        from repro.execution import StemSlots
+
+        planned = _bench_plan(5, 7, 9, 18)
+        network = planned.network
+        plan = compile_plan(network, planned.tree, frozenset(planned.slicing.sliced))
+        cost = plan.sweep_cost()
+        sizes = [range(network.size_of(ix)) for ix in plan.sliced]
+        cache, slots = plan.new_cache(), StemSlots()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            folded = None
+            with slots.sweep():
+                for values in itertools.product(*sizes):
+                    data = plan.execute_array(
+                        network, dict(zip(plan.sliced, values)), cache, slots=slots
+                    )
+                    if folded is None:
+                        folded = data.copy()
+                    else:
+                        folded += data
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert slots.allocated_bytes == plan.arena_bytes
+        assert peak <= cost.cache_bytes + plan.arena_bytes + cost.fold_bytes + 64 * 1024
+        value = plan.finish(network, folded, cache)
+        reference = SlicedExecutor(
+            network, planned.tree, planned.slicing.sliced, cache_invariant=False
+        ).run()
+        assert value.tobytes() == reference.transposed(plan.out_indices).require_data().tobytes()
 
 
 class TestHyperIndexKernel:

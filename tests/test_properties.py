@@ -25,10 +25,13 @@ generated circuits, trees and slicing sets rather than hand-picked cases:
 * the sweep planner returns a permutation of the sliced indices that is no
   worse than label order in steps, work or resident bytes, equal to the
   exhaustive optimum under the same ceilings wherever that is enumerable,
-* and a plan that sums its contributions below the root (its tail run once)
+* a plan that sums its contributions below the root (its tail run once)
   returns the einsum oracle's value, as one bit pattern on every backend,
   engine and recovery path, while a single subtask keeps the bits it had
-  before the fold.
+  before the fold,
+* and a walk that writes every copy and output into its compile-time arena
+  region returns the allocating walk's bits, subtask by subtask and folded,
+  on every backend and recovery path.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_plan import _arena_layout, _check_layout
 from test_tape import fake_native_engine
 
 from repro.circuits import amplitude, random_brickwork_circuit
@@ -53,7 +57,6 @@ from repro.core import (
     SlicingCostModel,
     compute_lifetimes,
     extract_stem,
-    stem_slot_schedule,
 )
 from repro.core import lifetime as lifetime_module
 from repro.core.lifetime import plan_sweep, sweep_prediction
@@ -462,11 +465,8 @@ class TestExecutorProperties:
                 rtol=1e-10,
                 atol=1e-10,
             )
-            if einsum_steps:
-                # einsum(out=slot) and einsum() may differ in the last ulp
-                assert np.allclose(cached.require_data(), uncached, rtol=1e-12)
-            else:
-                assert np.array_equal(cached.require_data(), uncached)
+            # (einsum steps allocate on every path: the same call, the same bits)
+            assert np.array_equal(cached.require_data(), uncached)
             leaves = {
                 ls.node: plan._load_leaf(network, ls, assignment)
                 for ls in plan.leaf_steps
@@ -567,21 +567,32 @@ class TestResumedWalkerProperties:
         _assert_resumed_equals_stateless(jobs, ids)
 
     def test_retained_stem_nodes_leave_their_slot(self):
-        """A partial retained on the stem must not sit in an alternating
-        slot (its grandparent would overwrite it): such plans exist in the
+        """A partial retained on the stem must keep its bytes while later
+        subtasks recontract the stem above it: it sits at an arena region
+        no other region shares — pinned — or, an einsum output nothing
+        stages, in a fresh array of its own.  Such plans exist in the
         hostile sample, with GEMM and with einsum steps, and they resume
         correctly."""
         kinds = set()
         for seed in range(40):
             network, plan = _hostile_plan(seed, 3)
-            stem = stem_slot_schedule(plan.tree)
-            off_slot = [
-                step for step in plan.contract_steps if step.node in stem and step.slot is None
+            stem = extract_stem(plan.tree).nodes
+            retained = [
+                step
+                for step in plan.contract_steps
+                if step.node in stem and step.node in plan.retained_nodes
             ]
-            assert {step.node for step in off_slot} == plan.retained_nodes & set(stem)
-            if not off_slot:
+            if not retained:
                 continue
-            kinds.update(step.kind for step in off_slot)
+            _check_layout(plan)
+            pinned = {start for _, _, start, _ in _arena_layout(plan)[1]}
+            for step in retained:
+                region = step.regions and (step.regions[3] or step.regions[2])
+                if region is None:
+                    assert step.kind == "einsum"
+                else:
+                    assert region[0] in pinned
+            kinds.update(step.kind for step in retained)
             total = math.prod(network.size_of(ix) for ix in plan.sliced)
             ids = _hostile_ids(np.random.default_rng(seed), total)
             _assert_resumed_equals_stateless([(network, plan, plan.new_cache())], ids)
@@ -609,7 +620,7 @@ class TestOpenSubtreeProperties:
         roots = set()
         jobs = []
         for seed, network, plan in _open_hostile_plans():
-            stem = stem_slot_schedule(plan.tree)
+            stem = extract_stem(plan.tree).nodes
             kinds = {step.node: step.kind for step in plan.contract_steps}
             roots.update((kinds[f.node], f.node in stem) for f in plan.fetches)
             for f in plan.fetches:
@@ -639,9 +650,8 @@ class TestProducerStagingProperties:
         """Hostile generator (dims 2/3/4, hyper-indices, open legs, rank-0
         roots, two components), plain and under ``batch_indices=``: a cached
         sweep on one arena equals, call by call, a stateless
-        ``execute(cache=None)`` on a fresh one — bit for bit where every
-        step is a GEMM, to 1e-12 where an ``einsum(out=slot)`` may differ
-        from ``einsum()`` in the last ulp — and the einsum oracle.  The
+        ``execute(cache=None)`` on a fresh one bit for bit — einsum steps
+        allocate on every path — and the einsum oracle.  The
         sample covers every way an operand arrives staged: an open root on
         the stem, an einsum-produced entry, a ``bmm`` consumer, a leaf; an
         einsum consumer never reads a staged operand (it keeps its
@@ -651,7 +661,7 @@ class TestProducerStagingProperties:
         for seed in range(40):
             for num_sliced, batched in ((1, False), (2, False), (3, False), (3, True)):
                 network, plan = _hostile_plan(seed, num_sliced, batched)
-                stem = stem_slot_schedule(plan.tree)
+                stem = extract_stem(plan.tree).nodes
                 producers = {ls.node: ls for ls in plan.leaf_steps}
                 producers.update((s.node, s) for s in plan.contract_steps)
                 fetched = {f.node for f in plan.fetches}
@@ -673,7 +683,6 @@ class TestProducerStagingProperties:
                                 else f"{producer.kind} producer"
                             )
                             seen.add(f"{step.kind} consumer")
-                exact = all(step.kind != "einsum" for step in plan.contract_steps)
                 cache, arena = plan.new_cache(), StemSlots()
                 sizes = [range(network.size_of(ix)) for ix in plan.sliced]
                 for values in itertools.product(*sizes):
@@ -681,10 +690,7 @@ class TestProducerStagingProperties:
                     swept = plan.execute(network, assignment, cache=cache, slots=arena)
                     swept = swept.require_data().copy()  # the next call reuses the arena
                     stateless = plan.execute(network, assignment, slots=StemSlots())
-                    if exact:
-                        assert np.array_equal(swept, stateless.require_data())
-                    else:
-                        assert np.allclose(swept, stateless.require_data(), rtol=1e-12)
+                    assert np.array_equal(swept, stateless.require_data())
                     # (batch axes lead the plan's output; the oracle has none)
                     group = plan.batch_indices
                     for batch_values in itertools.product(
@@ -970,3 +976,130 @@ class TestFoldProperties:
             network, plan = _hostile_plan(seed, num_sliced, batched=True)
             if plan.batch_indices:
                 assert plan.fold_node == plan.tree.root
+
+
+# ---------------------------------------------------------------------------
+# The arena
+# ---------------------------------------------------------------------------
+
+#: Hostile ``(seed, sliced indices, batched)`` whose plans, between them, put
+#: every kind of buffer in the arena — operand copies, staged retained
+#: partials, staged leaf loads — beside einsum steps (which allocate) and
+#: open roots (whose fetches are views), batched or folding below the root.
+_ARENA = ((2, 3, False), (3, 1, False), (8, 3, True), (19, 2, False), (22, 2, False), (279, 3, False))
+
+
+def _arena_case(seed: int, num_sliced: int, batched: bool, mixed: bool):
+    """``(network, plan)`` of a hostile plan, every other leaf made complex
+    when ``mixed`` (real intermediates then sit in complex-sized regions)."""
+    network, plan = _hostile_plan(seed, num_sliced, batched)
+    if mixed:
+        for position, tid in enumerate(network.tensor_ids):
+            if position % 2:
+                tensor = network.tensor(tid)
+                network.replace_tensor(tid, tensor.with_data(tensor.require_data() * (0.6 - 0.8j)))
+    sliced = frozenset((*plan.sliced, *plan.batch_indices))
+    return network, compile_plan(network, plan.tree, sliced, batch_indices=plan.batch_indices)
+
+
+def _allocating_run(network, plan) -> np.ndarray:
+    """What a serial run folds, from the walk without an arena: each
+    contribution a fresh array, summed in assignment order (batch axes
+    first), the tail run once."""
+    cache, folded = plan.new_cache(), None
+    axes = tuple(range(plan.num_batch_axes))
+    for subtask_id in range(math.prod(network.size_of(ix) for ix in plan.sliced)):
+        data = plan.execute_array(network, _decode(network, plan, subtask_id), cache)
+        data = data.sum(axis=axes) if axes else np.array(data, copy=True)
+        if folded is None:
+            folded = data
+        else:
+            folded += data
+    return plan.finish(network, folded, cache)
+
+
+class TestArenaProperties:
+    def test_the_arena_walk_is_the_allocating_walk_everywhere(self, tmp_path):
+        """Writing every copy and output into its compile-time region moves no
+        bit: subtask by subtask through hostile id sequences, a resumed walk
+        on one arena returns the allocating walk's array; a run folds to the
+        allocating walk's sum on serial, threads, process pool, distributed,
+        checkpointed and killed-and-resumed runs; and that is the einsum
+        oracle's value to 1e-12.  The sample covers mixed real/complex
+        leaves, einsum steps, open roots, a retained leaf load and a batched
+        plan."""
+        seen = set()
+        pool = SharedMemoryProcessPoolBackend(max_workers=2)
+        distributed = DistributedBackend(num_workers=2)
+        try:
+            for position, (seed, num_sliced, batched) in enumerate(_ARENA):
+                network, plan = _arena_case(seed, num_sliced, batched, mixed=position % 2 == 0)
+                tree = plan.tree
+                _check_layout(plan)
+                dtypes = {tensor.require_data().dtype for tensor in network.tensors().values()}
+                for label, present in (
+                    ("mixed real/complex leaves", len(dtypes) > 1),
+                    ("einsum steps", any(s.kind == "einsum" and s.level for s in plan.contract_steps)),
+                    ("open roots", bool(plan.fetches)),
+                    ("a retained leaf load", any(ls.region for ls in plan.leaf_steps)),
+                    ("a batched plan", bool(plan.batch_indices)),
+                    ("a fold below the root", plan.fold_node != tree.root),
+                ):
+                    if present:
+                        seen.add(label)
+                for step in plan.contract_steps:  # einsum outputs are never placed
+                    assert step.kind != "einsum" or not (step.regions and step.regions[2])
+
+                cache, arena = plan.new_cache(), StemSlots()
+                total = math.prod(network.size_of(ix) for ix in plan.sliced)
+                with arena.sweep():
+                    for subtask_id in _hostile_ids(np.random.default_rng(seed), total):
+                        assignment = _decode(network, plan, subtask_id)
+                        ours = plan.execute_array(network, assignment, cache, slots=arena)
+                        theirs = plan.execute_array(network, assignment, cache)
+                        assert ours.dtype == theirs.dtype, (seed, subtask_id)
+                        assert ours.tobytes() == theirs.tobytes(), (seed, subtask_id)
+
+                bits = _allocating_run(network, plan).tobytes()
+                sliced = [*plan.sliced, *plan.batch_indices]
+                kwargs = {"batch_indices": plan.batch_indices} if plan.batch_indices else {}
+
+                def executor(**extra):
+                    return SlicedExecutor(network, tree, sliced, **kwargs, **extra)
+
+                serial = executor().run()
+                out, expected = _dense_value(network)
+                assert np.allclose(
+                    serial.transposed(out).require_data(), expected, rtol=1e-12, atol=1e-12
+                )
+                assert serial.require_data().tobytes() == bits, seed
+                for label, backend in (
+                    ("threads", ThreadPoolBackend(max_workers=2, chunk_size=1)),
+                    ("pool", pool),
+                    ("distributed", distributed),
+                ):
+                    value = executor(backend=backend).run()
+                    assert value.require_data().tobytes() == bits, (seed, label)
+
+                policy = FaultPolicy.retrying()
+                store = CheckpointStore(tmp_path / f"{seed}-{num_sliced}")
+                value = executor(fault_policy=policy).run(resume=store)
+                assert value.require_data().tobytes() == bits, (seed, "checkpointed")
+                killed_at = (total - 1) // 2
+                killer = FaultInjector([FaultSpec("kill-coordinator", chunk=killed_at)])
+                with pytest.raises(InjectedCoordinatorDeath):
+                    executor(fault_policy=policy, fault_injector=killer).run(resume=store)
+                resumed = executor(fault_policy=policy)
+                assert resumed.run(resume=store).require_data().tobytes() == bits, (seed, "resumed")
+                assert resumed.stats.resumed_slots == killed_at + 1
+        finally:
+            pool.close()
+            distributed.close()
+        assert seen >= {
+            "mixed real/complex leaves",
+            "einsum steps",
+            "open roots",
+            "a retained leaf load",
+            "a batched plan",
+            "a fold below the root",
+        }

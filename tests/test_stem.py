@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core import SlicingCostModel, extract_stem, stem_profile, stem_slot_schedule
+from repro.core import SlicingCostModel, extract_stem, stem_profile
 from repro.paths import GreedyOptimizer
 
 
@@ -108,22 +108,3 @@ class TestStemOnSmallTree(object):
         stem = extract_stem(tree)
         assert stem.length >= 1
         assert stem.nodes[-1] == tree.root
-
-
-class TestStemSlotSchedule:
-    def test_schedule_covers_exactly_the_stem(self, grid_tree, grid_stem):
-        schedule = stem_slot_schedule(grid_tree)
-        assert set(schedule) == set(grid_stem.nodes)
-
-    def test_slots_alternate_in_stem_order(self, grid_tree, grid_stem):
-        schedule = stem_slot_schedule(grid_tree)
-        slots = [schedule[node] for node in grid_stem.nodes]
-        assert slots == [k % 2 for k in range(len(slots))]
-
-    def test_consecutive_steps_consume_the_other_slot(self, grid_tree, grid_stem):
-        # the safety argument: step k's stem operand sits in the slot that
-        # step k+1 will NOT write, so two buffers suffice
-        schedule = stem_slot_schedule(grid_tree)
-        for prev, step in zip(grid_stem.steps, grid_stem.steps[1:]):
-            assert step.stem_child == prev.node
-            assert schedule[step.node] != schedule[prev.node]

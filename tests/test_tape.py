@@ -112,7 +112,6 @@ def _fake_run_native(program, live, slots, stats):
         counts = stats.node_counts
         for node in program.nodes:
             counts[node] = counts.get(node, 0) + 1
-        stats.slot_writes += program.slot_steps
         stats.fused_steps += program.fused_steps
         stats.record_stage("fused_kernel", 0.0)
     return True
