@@ -20,14 +20,41 @@ of raw flop counts, so a model calibrated from measured backend timings
 steers the search toward trees that are fast *on the measured machine*,
 not merely cheap on paper.  Without a model the scoring is bit-identical
 to the historical flop-count behaviour.
+
+Where the trials run
+--------------------
+A search first draws every trial's ``(method, seed, hyper-parameters)``
+from the master RNG — seed, then that method's parameters, trial by trial —
+so each trial is a pure function of ``(network, trial)``.  Trial 0 runs
+inline and is timed.  The others run on a ``fork``-started process pool
+when all of these hold, and inline one after another otherwise:
+
+* at least two trials remain;
+* the platform can ``fork`` and the process may run on at least two CPUs;
+* the process runs no other thread (forking beside a live thread can
+  deadlock the child; an open shared-memory pool session has one);
+* trial 0's seconds times the remaining trials exceed the work below
+  which a pool does not pay for itself (:data:`_FORK_SECONDS`).
+
+Workers inherit the network through the fork and send back each trial's
+record, SSA path and timings.  The parent logs the trials in order, keeps
+the first best one and rebuilds only the winner's tree, so trees, records
+and winner are bit-identical wherever the trials ran.  A pool that breaks (a
+worker killed, a failed fork) logs one ``WARNING`` and the unfinished trials
+run inline; a trial's own exception is raised as it would be inline.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +71,22 @@ from .partition import CommunityOptimizer, PartitionOptimizer
 __all__ = ["HyperOptimizer", "TrialRecord", "find_tree"]
 
 _LOG = logging.getLogger("repro.paths")
+
+#: Inline seconds the remaining trials must be expected to take (trial 0's
+#: seconds times their count) before the pool pays on a 2-vCPU VM.  The
+#: pool's own life (fork, submit, collect, shut down) costs 19.5 ms median
+#: and 28 ms worst with a 240 MB parent, but two busy workers there deliver
+#: well under twice one core's trial rate: a 4x5-grid plan (7 x 0.021 s
+#: expected) lost all 5 bench pairs on the pool (``setup_s`` +29 %), a
+#: 5x7-grid plan (7 x 0.058 s) won all 4 (-27 %).
+_FORK_SECONDS = 0.25
+
+#: The methods whose optimizer takes a seed and the drawn parameters.
+_SEEDED = {
+    "greedy": GreedyOptimizer,
+    "partition": PartitionOptimizer,
+    "community": CommunityOptimizer,
+}
 
 
 @dataclass
@@ -78,6 +121,26 @@ class TrialRecord:
         return (over, self._time_key(), self.max_rank)
 
 
+@dataclass(frozen=True)
+class _Trial:
+    """One trial's drawn inputs: with the network, all it depends on."""
+
+    method: str
+    seed: int
+    params: Mapping[str, float]
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What a trial produced: its record (``None``: no tree), path and timings."""
+
+    record: Optional[TrialRecord]
+    ssa_path: Tuple[Tuple[int, int], ...]
+    build_s: float
+    anneal_s: float
+    worker: str = "inline"
+
+
 class HyperOptimizer:
     """Multi-trial, multi-method contraction-tree search.
 
@@ -86,7 +149,7 @@ class HyperOptimizer:
     methods:
         Subset of ``{"greedy", "partition", "community", "dp"}``.
     max_trials:
-        Total number of trials across all methods.
+        Total number of trials across all methods; at least 1.
     minimize:
         ``"flops"``, ``"size"`` or ``"combo"`` (flops subject to the memory
         target).
@@ -119,6 +182,8 @@ class HyperOptimizer:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if minimize not in ("flops", "size", "combo"):
             raise ValueError("minimize must be 'flops', 'size' or 'combo'")
+        if int(max_trials) < 1:
+            raise ValueError(f"max_trials must be at least 1, got {max_trials}")
         self.methods = tuple(methods)
         self.max_trials = int(max_trials)
         self.minimize = minimize
@@ -131,86 +196,99 @@ class HyperOptimizer:
     # ------------------------------------------------------------------
     def search(self, network: TensorNetwork) -> ContractionTree:
         """Run all trials and return the best tree found."""
-        best_tree: Optional[ContractionTree] = None
-        best: Optional[TrialRecord] = None
         self.trials = []
-
-        for trial in range(self.max_trials):
-            method = self.methods[trial % len(self.methods)]
-            seed = int(self._rng.integers(0, 2**31 - 1))
-            started = time.perf_counter()
-            tree = self._run_trial(network, method, seed)
-            built = time.perf_counter()
-            if tree is None:
+        best: Optional[_Outcome] = None
+        for index, outcome in enumerate(self._run_trials(network, self._draw_trials())):
+            record = outcome.record
+            if record is None:
                 continue
-            if self.refine:
-                annealer = TreeAnnealer(seed=seed)
-                tree = annealer.refine(tree).tree
-            annealed = time.perf_counter()
-            record = TrialRecord(
-                method=method,
-                log10_flops=tree.log10_total_cost(),
-                max_rank=tree.max_rank(),
-                seed=seed,
-                cost=(
-                    float(self.cost_model.tree_cost(tree))
-                    if self.cost_model is not None
-                    else None
-                ),
-            )
             self.trials.append(record)
             _LOG.debug(
                 "trial %d: method=%s seed=%d log10_flops=%.4f max_rank=%d "
-                "build_s=%.4f anneal_s=%.4f",
-                trial,
-                method,
-                seed,
+                "build_s=%.4f anneal_s=%.4f worker=%s",
+                index,
+                record.method,
+                record.seed,
                 record.log10_flops,
                 record.max_rank,
-                built - started,
-                annealed - built,
+                outcome.build_s,
+                outcome.anneal_s,
+                outcome.worker,
             )
-            if best is None or self._key(record) < self._key(best):
-                best, best_tree = record, tree
+            if best is None or self._key(record) < self._key(best.record):
+                best = outcome
 
-        if best is not None:
-            _LOG.info(
-                "best of %d trials: method=%s seed=%d log10_flops=%.4f max_rank=%d",
-                len(self.trials),
-                best.method,
-                best.seed,
-                best.log10_flops,
-                best.max_rank,
-            )
-        if best_tree is None:
+        if best is None:
             # all trials failed (e.g. single-tensor network): fall back to greedy
-            best_tree = GreedyOptimizer(seed=0).tree(network)
-        return best_tree
+            return GreedyOptimizer(seed=0).tree(network)
+        _LOG.info(
+            "best of %d trials: method=%s seed=%d log10_flops=%.4f max_rank=%d",
+            len(self.trials),
+            best.record.method,
+            best.record.seed,
+            best.record.log10_flops,
+            best.record.max_rank,
+        )
+        return ContractionTree.from_network(network, best.ssa_path)
 
     # ------------------------------------------------------------------
-    def _run_trial(
-        self, network: TensorNetwork, method: str, seed: int
-    ) -> Optional[ContractionTree]:
-        try:
+    def _draw_trials(self) -> List[_Trial]:
+        """Every trial's inputs, drawn from the master RNG in trial order."""
+        rng, trials = self._rng, []
+        for index in range(self.max_trials):
+            method = self.methods[index % len(self.methods)]
+            seed = int(rng.integers(0, 2**31 - 1))
+            params: Dict[str, float] = {}
             if method == "greedy":
-                temperature = float(self._rng.uniform(0.0, 1.0))
-                costmod = float(self._rng.uniform(0.5, 2.0))
-                return GreedyOptimizer(
-                    costmod=costmod, temperature=temperature, seed=seed
-                ).tree(network)
-            if method == "partition":
-                cutoff = int(self._rng.integers(4, 12))
-                return PartitionOptimizer(cutoff=cutoff, seed=seed).tree(network)
-            if method == "community":
-                resolution = float(self._rng.uniform(0.6, 1.6))
-                return CommunityOptimizer(seed=seed, resolution=resolution).tree(network)
-            if method == "dp":
-                if network.num_tensors > 16:
-                    return None
-                return DynamicProgrammingOptimizer().tree(network)
-        except (ValueError, RuntimeError):
-            return None
-        return None
+                params["temperature"] = float(rng.uniform(0.0, 1.0))
+                params["costmod"] = float(rng.uniform(0.5, 2.0))
+            elif method == "partition":
+                params["cutoff"] = int(rng.integers(4, 12))
+            elif method == "community":
+                params["resolution"] = float(rng.uniform(0.6, 1.6))
+            trials.append(_Trial(method, seed, params))
+        return trials
+
+    def _run_trials(self, network: TensorNetwork, trials: List[_Trial]) -> List[_Outcome]:
+        """Every trial's outcome in trial order: the first inline, the rest where they pay."""
+        started = time.perf_counter()
+        outcomes = [_run_trial(network, trials[0], self.refine, self.cost_model)]
+        if _pool_pays(time.perf_counter() - started, len(trials) - 1):
+            outcomes += self._run_pooled(network, trials[1:])
+        for trial in trials[len(outcomes):]:
+            outcomes.append(_run_trial(network, trial, self.refine, self.cost_model))
+        return outcomes
+
+    def _run_pooled(self, network: TensorNetwork, trials: List[_Trial]) -> List[_Outcome]:
+        """Run ``trials`` on a fork pool; the outcomes of the finished prefix, in order.
+
+        A pool that breaks logs one warning and returns what it finished,
+        for the caller to run the rest inline.
+        """
+        finished: List[_Outcome] = []
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(_usable_cpus(), len(trials)),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt,
+                initargs=(network, self.refine, self.cost_model),
+            ) as pool:
+                futures = [pool.submit(_pooled_trial, trial) for trial in trials]
+                try:
+                    for future in futures:
+                        finished.append(future.result())
+                finally:
+                    for future in futures:
+                        future.cancel()
+        except (BrokenProcessPool, OSError) as exc:
+            _LOG.warning(
+                "trial pool failed after %d of %d trials (%s: %s); running the rest inline",
+                len(finished),
+                len(trials),
+                type(exc).__name__,
+                exc,
+            )
+        return finished
 
     # ------------------------------------------------------------------
     def _key(self, record: TrialRecord) -> Tuple[float, ...]:
@@ -221,10 +299,12 @@ class HyperOptimizer:
         return min(self.trials, key=self._key, default=None)
 
     def trial_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-method aggregate statistics of the last search."""
+        """Per-method aggregate statistics of the last search, in ``methods`` order."""
         summary: Dict[str, Dict[str, float]] = {}
-        for method in set(r.method for r in self.trials):
+        for method in self.methods:
             records = [r for r in self.trials if r.method == method]
+            if not records:
+                continue
             costs = [r.log10_flops for r in records]
             summary[method] = {
                 "trials": float(len(costs)),
@@ -235,6 +315,81 @@ class HyperOptimizer:
             if predicted:
                 summary[method]["best_predicted_seconds"] = min(predicted)
         return summary
+
+
+# ----------------------------------------------------------------------
+# One trial, wherever it runs
+# ----------------------------------------------------------------------
+def _build(network: TensorNetwork, trial: _Trial) -> Optional[ContractionTree]:
+    """The trial's unrefined tree; ``None`` when its method cannot handle the network."""
+    try:
+        if trial.method == "dp":
+            if network.num_tensors > 16:
+                return None
+            return DynamicProgrammingOptimizer().tree(network)
+        return _SEEDED[trial.method](seed=trial.seed, **trial.params).tree(network)
+    except (ValueError, RuntimeError):
+        return None
+
+
+def _run_trial(
+    network: TensorNetwork,
+    trial: _Trial,
+    refine: bool,
+    cost_model: Optional["CostModel"],
+) -> _Outcome:
+    """Build, anneal and score one trial."""
+    started = time.perf_counter()
+    tree = _build(network, trial)
+    built = time.perf_counter()
+    if tree is None:
+        return _Outcome(None, (), built - started, 0.0)
+    if refine:
+        tree = TreeAnnealer(seed=trial.seed).refine(tree).tree
+    annealed = time.perf_counter()
+    record = TrialRecord(
+        method=trial.method,
+        log10_flops=tree.log10_total_cost(),
+        max_rank=tree.max_rank(),
+        seed=trial.seed,
+        cost=float(cost_model.tree_cost(tree)) if cost_model is not None else None,
+    )
+    return _Outcome(record, tree.ssa_path, built - started, annealed - built)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (1 where the platform cannot say)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _pool_pays(first_s: float, remaining: int) -> bool:
+    """Whether the ``remaining`` trials after one of ``first_s`` seconds go to a fork pool."""
+    return (
+        remaining >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+        and _usable_cpus() >= 2
+        and threading.active_count() == 1
+        and first_s * remaining > _FORK_SECONDS
+    )
+
+
+#: A pool worker's copy of the search inputs, inherited through the fork;
+#: set by :func:`_adopt` in worker processes only.
+_ADOPTED: Optional[Tuple[TensorNetwork, bool, Optional["CostModel"]]] = None
+
+
+def _adopt(network: TensorNetwork, refine: bool, cost_model: Optional["CostModel"]) -> None:
+    """Pool initializer: keep the inherited search inputs; workers log nothing."""
+    global _ADOPTED
+    _ADOPTED = (network, refine, cost_model)
+    logging.disable(logging.CRITICAL)
+
+
+def _pooled_trial(trial: _Trial) -> _Outcome:
+    """Run one trial in a pool worker."""
+    network, refine, cost_model = _ADOPTED
+    return replace(_run_trial(network, trial, refine, cost_model), worker=str(os.getpid()))
 
 
 def find_tree(

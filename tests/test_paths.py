@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.circuits import amplitude, random_brickwork_circuit
+from repro.circuits import amplitude, random_brickwork_circuit, sycamore_circuit
+from repro.costs import AnalyticCostModel
 from repro.execution import TreeExecutor
+from repro.paths import optimizer as hyper
 from repro.paths import (
     CommunityOptimizer,
     DynamicProgrammingOptimizer,
@@ -204,14 +209,20 @@ class TestHyperOptimizer:
             HyperOptimizer(methods=("bogus",))
         with pytest.raises(ValueError):
             HyperOptimizer(minimize="bogus")
+        with pytest.raises(ValueError, match="max_trials must be at least 1, got 0"):
+            HyperOptimizer(max_trials=0)
 
     def test_trial_summary(self, grid_network):
         opt = HyperOptimizer(max_trials=4, seed=0)
         opt.search(grid_network)
         summary = opt.trial_summary()
-        assert summary
+        # keys follow ``methods``, never a set's hash order
+        assert list(summary) == ["greedy", "partition", "community"]
         for stats in summary.values():
             assert stats["best_log10_flops"] <= stats["mean_log10_flops"] + 1e-9
+        reordered = HyperOptimizer(methods=("community", "greedy"), max_trials=3, seed=0)
+        reordered.search(grid_network)
+        assert list(reordered.trial_summary()) == ["community", "greedy"]
 
     def test_fixed_seed_is_deterministic(self, grid_network):
         first = HyperOptimizer(max_trials=8, seed=42)
@@ -247,3 +258,201 @@ class TestHyperOptimizer:
             assert stats["trials"] == float(len(method_costs))
             assert stats["best_log10_flops"] == min(method_costs)
         assert summary[best.method]["best_log10_flops"] <= best.log10_flops + 1e-12
+
+
+@pytest.fixture(scope="module")
+def sycamore_network():
+    """The abstract Sycamore-53, m=12 amplitude network the planning bench searches."""
+    circuit = sycamore_circuit(cycles=12, seed=0)
+    network = amplitude_network(circuit, [0] * circuit.num_qubits, concrete=False)
+    simplify_network(network)
+    return network
+
+
+ROUND_TRIP_TREES = {
+    "greedy": lambda tn: GreedyOptimizer(temperature=0.5, seed=1).tree(tn),
+    "partition": lambda tn: PartitionOptimizer(seed=2).tree(tn),
+    "community": lambda tn: CommunityOptimizer(seed=0).tree(tn),
+    "annealed": lambda tn: TreeAnnealer(seed=3).refine(GreedyOptimizer(seed=0).tree(tn)).tree,
+}
+
+
+class TestSsaRoundTrip:
+    """A tree rebuilt from its SSA path is the same tree, so a path is all a trial sends back."""
+
+    @staticmethod
+    def _assert_round_trip(network, tree):
+        rebuilt = ContractionTree.from_network(network, tree.ssa_path)
+        assert rebuilt.root == tree.root
+        assert rebuilt.leaf_tids == tree.leaf_tids
+        assert rebuilt.nodes() == tree.nodes()
+        for node in tree.nodes():
+            assert rebuilt.children(node) == tree.children(node)
+            assert rebuilt.node_indices(node) == tree.node_indices(node)
+        assert rebuilt.total_cost() == tree.total_cost()
+        assert rebuilt.max_rank() == tree.max_rank()
+
+    @pytest.mark.parametrize("network_name", ["grid_network", "sycamore_network"])
+    @pytest.mark.parametrize("method", sorted(ROUND_TRIP_TREES))
+    def test_optimiser_trees_rebuild_from_their_ssa_path(self, request, network_name, method):
+        network = request.getfixturevalue(network_name)
+        self._assert_round_trip(network, ROUND_TRIP_TREES[method](network))
+
+    def test_a_dp_tree_rebuilds_from_its_ssa_path(self, small_network):
+        assert small_network.num_tensors <= 16
+        self._assert_round_trip(small_network, DynamicProgrammingOptimizer().tree(small_network))
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """The ``max_workers`` of every trial pool a search builds (the real pool still runs)."""
+    built = []
+    real = hyper.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hyper, "ProcessPoolExecutor", spy)
+    return built
+
+
+@pytest.fixture
+def pooled(monkeypatch, pool_spy):
+    """Searches fork whenever they may: any first trial pays, two CPUs usable."""
+    monkeypatch.setattr(hyper, "_FORK_SECONDS", 0.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pool_spy
+
+
+def _inline(monkeypatch, search):
+    """``search()`` with the pool priced out, so every trial runs inline."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hyper, "_FORK_SECONDS", float("inf"))
+        return search()
+
+
+def _searched(network, **kwargs):
+    optimizer = HyperOptimizer(**kwargs)
+    return optimizer, optimizer.search(network)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the trial pool forks"
+)
+class TestParallelTrials:
+    """Trials on the fork pool give what the same trials give inline, and leave nothing behind."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_outlives_a_search(self):
+        threads = threading.active_count()
+        yield
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("modelled", [False, True], ids=["flops", "cost_model"])
+    @pytest.mark.parametrize(
+        "network_name, trials", [("grid_network", 6), ("sycamore_network", 4)]
+    )
+    def test_pooled_trials_equal_inline_trials(
+        self, request, monkeypatch, pooled, network_name, trials, modelled
+    ):
+        network = request.getfixturevalue(network_name)
+        kwargs = dict(max_trials=trials, minimize="combo", memory_target_rank=30, seed=5)
+        if modelled:
+            kwargs["cost_model"] = AnalyticCostModel()
+        inline, inline_tree = _inline(monkeypatch, lambda: _searched(network, **kwargs))
+        assert pooled == []
+        parallel, parallel_tree = _searched(network, **kwargs)
+        assert pooled == [2]
+        assert parallel_tree.ssa_path == inline_tree.ssa_path
+        assert parallel.trials == inline.trials
+        assert all((r.cost is not None) == modelled for r in parallel.trials)
+
+    @pytest.mark.parametrize(
+        "rule", ["one_cpu", "live_thread", "cheap_first_trial", "one_trial_left"]
+    )
+    def test_each_inline_rule_keeps_the_pool_unused(self, grid_network, monkeypatch, rule):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the trial pool was constructed")
+
+        monkeypatch.setattr(hyper, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(
+            hyper, "_FORK_SECONDS", float("inf") if rule == "cheap_first_trial" else 0.0
+        )
+        cpus = {0} if rule == "one_cpu" else {0, 1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        trials = 2 if rule == "one_trial_left" else 5
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if rule == "live_thread":
+            other.start()
+        try:
+            optimizer, _ = _searched(grid_network, max_trials=trials, seed=0)
+        finally:
+            release.set()
+            if rule == "live_thread":
+                other.join(timeout=10)
+                assert not other.is_alive()
+        assert len(optimizer.trials) == trials
+
+    def test_a_killed_worker_costs_one_warning_and_not_the_tree(
+        self, grid_network, monkeypatch, caplog, pooled
+    ):
+        _, expected = _inline(monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0))
+        parent, build = os.getpid(), hyper._build
+
+        def build_then_die(network, trial):
+            tree = build(network, trial)
+            if os.getpid() != parent:  # a pool worker dies mid-trial; the parent never does
+                os._exit(1)
+            return tree
+
+        monkeypatch.setattr(hyper, "_build", build_then_die)
+        with caplog.at_level(logging.DEBUG, logger="repro.paths"):
+            optimizer, tree = _searched(grid_network, max_trials=5, seed=0)
+        assert pooled == [2]
+        assert tree.ssa_path == expected.ssa_path
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "running the rest inline" in warnings[0].getMessage()
+        trials = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(trials) == len(optimizer.trials) == 5
+        assert all(message.endswith("worker=inline") for message in trials)
+
+    def test_a_trial_error_means_no_tree_on_the_pool_too(self, grid_network, monkeypatch, pooled):
+        def refuse(**params):
+            raise ValueError("no partition here")
+
+        monkeypatch.setitem(hyper._SEEDED, "partition", refuse)
+        inline, inline_tree = _inline(
+            monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0)
+        )
+        parallel, parallel_tree = _searched(grid_network, max_trials=5, seed=0)
+        assert pooled == [2]
+        assert [r.method for r in parallel.trials] == ["greedy", "community", "greedy"]
+        assert parallel.trials == inline.trials
+        assert parallel_tree.ssa_path == inline_tree.ssa_path
+
+    def test_any_other_trial_exception_is_raised_as_inline(
+        self, grid_network, monkeypatch, pooled
+    ):
+        def explode(**params):
+            raise LookupError("partition exploded")
+
+        monkeypatch.setitem(hyper._SEEDED, "partition", explode)
+        with pytest.raises(LookupError, match="partition exploded"):
+            _inline(monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0))
+        with pytest.raises(LookupError, match="partition exploded"):
+            _searched(grid_network, max_trials=5, seed=0)
+        assert pooled == [2]
+
+    def test_the_logging_contract_holds_on_a_pooled_search(self, grid_network, caplog, pooled):
+        TestHyperOptimizer().test_search_logs_every_trial_and_the_winner(grid_network, caplog)
+        assert pooled == [2]
+        workers = [
+            r.getMessage().rsplit("worker=", 1)[1]
+            for r in caplog.records
+            if r.levelno == logging.DEBUG
+        ]
+        assert workers[0] == "inline"
+        assert all(w.isdigit() and int(w) != os.getpid() for w in workers[1:])
