@@ -35,6 +35,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -50,6 +51,8 @@ __all__ = [
     "lifetimes_on_nodes",
     "lifetime_contains",
     "lifetime_is_contiguous_on_path",
+    "SweepPlan",
+    "plan_folded_sweep",
     "plan_sweep",
     "slice_dependency_levels",
     "slice_dependent_nodes",
@@ -327,6 +330,8 @@ def _sweep_tables(
     tables: Tuple[List[int], ...],
     num_labels: int,
     open_nodes: AbstractSet[int],
+    chain: AbstractSet[int] = frozenset(),
+    chain_mask: int = 0,
 ) -> Tuple[int, int, int, List[List[List[int]]]]:
     """What a sweep costs with ``open_nodes`` carried, split by order-dependence.
 
@@ -340,6 +345,10 @@ def _sweep_tables(
     to the one that completes ``m``, and *if that one is ``i``* they keep
     ``held`` elements of children ``i`` does not reach between subtasks
     (internal children only — leaf loads and fetches are views).
+
+    The nodes of ``chain`` — an inner fold's flush — run once per block,
+    a value combination of the indices in ``chain_mask``: that is their
+    mask, and what they read is held apart (:meth:`_Search.inner_fold`).
     """
     reach, _, full, fixed, _, work_full, work_fixed = tables
     parents = tree.parent_map()
@@ -347,7 +356,7 @@ def _sweep_tables(
     entries: List[List[List[int]]] = [[] for _ in range(num_labels)]
     where: Dict[int, List[int]] = {}
     for node in tree.internal_nodes():
-        mask = reach[node]
+        mask = chain_mask if node in chain else reach[node]
         if not mask or node in open_nodes:
             steps += 1
             work += work_full[node]
@@ -364,6 +373,8 @@ def _sweep_tables(
                 entries[i].append(entry)
             entry[1] += 1
             entry[2] += work_fixed[node]
+            if node in chain:
+                continue
             for child in tree.children(node):  # type: ignore[union-attr]
                 if (
                     child >= tree.num_leaves
@@ -528,41 +539,183 @@ def plan_sweep(
     slowest positions keep label order and the search places the rest.
     """
     labels = tuple(sorted(frozenset(sliced)))
-    count = len(labels)
-    if not count:
+    if not labels:
         return (), frozenset()
-    widths = [_index_width(tree, ix) for ix in labels]
-    tables = _node_tables(tree, labels)
-    reach, carried, _, fixed, deepest = tables[:5]
-    # the ceilings: what sorted-label order costs with nothing open
-    steps, work, cache, entries = _sweep_tables(tree, tables, count, frozenset())
-    today = _fold(entries, widths, range(count))
-    steps_cap, work_cap, held_cap = steps + today[2], work + today[3], cache + today[4]
-    candidates = [
-        node for node in tree.internal_nodes() if reach[node] and carried[node]
-    ]
-    thresholds = [0]
-    if open_subtrees:
-        peak = max(fixed)
-        thresholds = sorted(
-            {deepest[node] for node in candidates if deepest[node] <= peak},
-            reverse=True,
-        ) + [0]
-    free = range(max(0, count - MAX_SEARCH_INDICES), count)
-    for threshold in thresholds:
-        open_nodes = frozenset(n for n in candidates if deepest[n] <= threshold)
+    search = _Search(tree, labels)
+    positions, open_nodes = search.choose(open_subtrees)
+    return tuple(labels[i] for i in positions), open_nodes
+
+
+#: The inner fold's admission bound: a fold is taken only when (its work /
+#: the fold-free plan's) x (its resident elements / the fold-free plan's)
+#: is at most this.  Measured products of the best candidate: a
+#: ``correlated_sampling`` batch 0.452 (work 3.48e8 -> 8.05e7, elements
+#: 8,064 -> 15,744); the three ``GOLDEN`` plans 1.09 (256 -> 112
+#: multiply-adds, 8 -> 20 elements); ``small_subtasks`` 1.93;
+#: ``large_subtasks`` has no qualifying node.
+INNER_FOLD_PRODUCT = 0.5
+
+
+class SweepPlan(NamedTuple):
+    """How a sweep runs, inner fold included (:func:`plan_folded_sweep`).
+
+    ``inner_fold`` is ``(node, level)`` — a sweep sums ``node``'s array
+    over the positions after ``level`` and runs the chain above it once per
+    block, a value combination of the first ``level`` positions — or
+    ``None``.  ``product`` is the admission product of the best candidate
+    (admitted or not), ``None`` when no node qualified.
+    """
+
+    order: Tuple[str, ...]
+    open_nodes: FrozenSet[int]
+    inner_fold: Optional[Tuple[int, int]]
+    product: Optional[float]
+
+
+def plan_folded_sweep(tree: ContractionTree, sliced: Iterable[str]) -> SweepPlan:
+    """:func:`plan_sweep`, then the enumeration order and an inner fold chosen together.
+
+    Summation is linear, so a node ``X`` below the root can sum its arrays
+    over the positions after ``M`` — the highest level among the *chain
+    siblings*, the other children of ``X``'s ancestors — and the chain
+    from ``X`` up runs once per block of the first ``M`` positions instead
+    of once per subtask.  A node qualifies when it carries sliced indices
+    no chain sibling reaches (a test on the tree, whatever the order).
+    Each is priced by the same subset search as :func:`plan_sweep`, its
+    chain at the siblings' union mask (:func:`_sweep_tables`), under the
+    label-order plan's steps and work; its resident elements add the
+    accumulator and the chain siblings a sliced index reaches, which the
+    flush reads.  The least-work candidate is taken when its
+    :data:`INNER_FOLD_PRODUCT` holds; otherwise the result is
+    :func:`plan_sweep`'s choice unchanged.  One inner point per plan.
+    """
+    labels = tuple(sorted(frozenset(sliced)))
+    if not labels:
+        return SweepPlan((), frozenset(), None, None)
+    search = _Search(tree, labels)
+    positions, open_nodes = search.choose(True)
+    found = search.inner_fold(positions, open_nodes)
+    if found is None:
+        return SweepPlan(tuple(labels[i] for i in positions), open_nodes, None, None)
+    fold_positions, node, level, product = found
+    if product > INNER_FOLD_PRODUCT:
+        return SweepPlan(tuple(labels[i] for i in positions), open_nodes, None, product)
+    return SweepPlan(tuple(labels[i] for i in fold_positions), open_nodes, (node, level), product)
+
+
+class _Search:
+    """The tables :func:`plan_sweep` and :func:`plan_folded_sweep` search over."""
+
+    def __init__(self, tree: ContractionTree, labels: Tuple[str, ...]) -> None:
+        self.tree = tree
+        self.count = count = len(labels)
+        self.widths = widths = [_index_width(tree, ix) for ix in labels]
+        self.tables = tables = _node_tables(tree, labels)
+        # the ceilings: what sorted-label order costs with nothing open
+        steps, work, cache, entries = _sweep_tables(tree, tables, count, frozenset())
+        today = _fold(entries, widths, range(count))
+        self.caps = (steps + today[2], work + today[3], cache + today[4])
+        self.free = range(max(0, count - MAX_SEARCH_INDICES), count)
+
+    def _order(
+        self, entries: List[List[List[int]]], caps: Tuple[int, int, int]
+    ) -> Optional[List[int]]:
+        """:func:`_search_order` over the free positions: the whole order."""
+        free = self.free
+        start = _fold(entries, self.widths, range(free[0]))
+        best = _search_order(entries, self.widths, free, start, caps)
+        return None if best is None else [*range(free[0]), *best]
+
+    def choose(self, open_subtrees: bool) -> Tuple[List[int], FrozenSet[int]]:
+        """:func:`plan_sweep`'s ``(positions, open_nodes)``."""
+        tree, tables, count = self.tree, self.tables, self.count
+        reach, carried, _, fixed, deepest = tables[:5]
+        steps_cap, work_cap, held_cap = self.caps
+        candidates = [
+            node for node in tree.internal_nodes() if reach[node] and carried[node]
+        ]
+        thresholds = [0]
+        if open_subtrees:
+            peak = max(fixed)
+            thresholds = sorted(
+                {deepest[node] for node in candidates if deepest[node] <= peak},
+                reverse=True,
+            ) + [0]
+        for threshold in thresholds:
+            open_nodes = frozenset(n for n in candidates if deepest[n] <= threshold)
+            steps, work, cache, entries = _sweep_tables(tree, tables, count, open_nodes)
+            best = self._order(
+                entries, (steps_cap - steps, work_cap - work, held_cap - cache)
+            )
+            if best is not None:
+                # (threshold 0 opens nothing and admits label order itself)
+                return best, open_nodes
+        raise AssertionError("label order always fits its own ceilings")
+
+    def inner_fold(
+        self, positions: Sequence[int], open_nodes: FrozenSet[int]
+    ) -> Optional[Tuple[List[int], int, int, float]]:
+        """The least-work inner fold: ``(positions, node, level, product)``.
+
+        ``None`` when no node qualifies or no order of a qualifying one
+        fits the label-order plan's steps and work.  Of the qualifying
+        nodes with one chain mask on one root path only the deepest is
+        priced: moving the chain down past a sibling the mask already
+        covers turns a per-subtask node into a per-block one.  The search
+        per candidate bounds steps and work and ignores resident elements,
+        which the product then weighs.
+        """
+        tree, tables, count, widths = self.tree, self.tables, self.count, self.widths
+        reach, fixed = tables[0], tables[3]
+        num_leaves = tree.num_leaves
         steps, work, cache, entries = _sweep_tables(tree, tables, count, open_nodes)
-        best = _search_order(
-            entries,
-            widths,
-            free,
-            _fold(entries, widths, range(free[0])),
-            (steps_cap - steps, work_cap - work, held_cap - cache),
-        )
-        if best is not None:
-            break
-    # (threshold 0 opens nothing and admits label order itself)
-    return (*labels[: free[0]], *(labels[i] for i in best)), open_nodes
+        swept = _fold(entries, widths, positions)
+        work_today, held_today = work + swept[3], cache + swept[4]
+        # top-down: the chain siblings' mask and the elements the flush
+        # reads besides the accumulator, for every node outside the open
+        # subtrees (whose warm pass carries the sliced indices)
+        masks, reads = {tree.root: 0}, {tree.root: 0}
+        candidates = []
+        for node in reversed(tree.internal_nodes()):
+            if node not in masks or node in open_nodes:
+                continue
+            for child, sibling in zip(tree.children(node), reversed(tree.children(node))):
+                masks[child] = masks[node] | reach[sibling]
+                reads[child] = reads[node]
+                if reach[sibling] and sibling not in open_nodes:
+                    reads[child] += fixed[sibling]
+            if masks[node] and reach[node] & ~masks[node] and not any(
+                child >= num_leaves
+                and child not in open_nodes
+                and masks[child] == masks[node]
+                and reach[child] & ~masks[node]
+                for child in tree.children(node)  # type: ignore[union-attr]
+            ):
+                candidates.append(node)
+        steps_cap, work_cap = self.caps[:2]
+        best: Optional[Tuple[int, List[int], int, int, float]] = None
+        for node in sorted(candidates):
+            mask = masks[node]
+            steps, work, cache, entries = _sweep_tables(
+                tree, tables, count, open_nodes, frozenset(tree.path_to_root(node)[1:]), mask
+            )
+            order = self._order(
+                [[entry[:3] + [0] for entry in row] for row in entries],
+                (steps_cap - steps, work_cap - work, 0),
+            )
+            if order is None:
+                continue
+            level = max(k + 1 for k, i in enumerate(order) if mask >> i & 1)
+            if level == count:
+                continue  # nothing left to sum inside a block
+            swept = _fold(entries, widths, order)
+            if best is None or work + swept[3] < best[0]:
+                held = cache + swept[4] + fixed[node] + reads[node]
+                today = work_today * held_today
+                # (a plan that holds nothing has nothing to trade)
+                product = (work + swept[3]) * held / today if today else math.inf
+                best = (work + swept[3], order, node, level, product)
+        return None if best is None else best[1:]
 
 
 def sweep_prediction(

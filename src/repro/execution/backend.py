@@ -11,15 +11,17 @@ describes them, so this module separates the two behind a small protocol
 one :class:`~repro.execution.plan.CompiledPlan` for every assignment in the
 given order and returns the accumulated result tensor.
 
-Every backend honours the same **ordered-accumulation contract**: subtask
-contributions are summed strictly in assignment order, so all backends —
-any worker count, any chunk size — produce **bit-identical** results.  The
-parallel backends exploit this by shipping per-subtask contributions back
-to the caller (cheap: a contribution is the plan's fold-node array, no
-larger than the resident budget left it; the expensive part is the
-contraction) and folding them in order.  The caller then runs the plan's
-slice-invariant tail once over the sum
-(:meth:`~repro.execution.plan.CompiledPlan.finish`).
+Every backend honours the same **ordered-accumulation contract**: the
+contributions of the plan's blocks
+(:meth:`~repro.execution.plan.CompiledPlan.blocks` — one subtask each
+unless the plan folds inside) are summed strictly in assignment order, and
+no chunk splits a block, so all backends — any worker count, any chunk
+size — produce **bit-identical** results.  The parallel backends exploit
+this by shipping per-block contributions back to the caller (cheap: a
+contribution is the plan's fold-node array, no larger than the resident
+budget left it; the expensive part is the contraction) and folding them in
+order.  The caller then runs the plan's slice-invariant tail once over the
+sum (:meth:`~repro.execution.plan.CompiledPlan.finish`).
 
 Backends:
 
@@ -216,21 +218,22 @@ def execute_chunk(
     """Execute one chunk: ``(contributions, crc32s, stats)``.
 
     The one chunk body every worker kind runs — pool threads, pool
-    processes, socket/MPI workers and the degradation chain.  The CRC-32s
-    are computed here, where the chunk was executed, so the coordinator
-    can verify the payload survived the trip back intact
-    (:func:`~repro.execution.checkpoint.verify_payload`).  The chunk is
-    one resumed sweep on the worker's arena: consecutive items recontract
-    only what their changed indices reach, and no state outlives the chunk.
+    processes, socket/MPI workers and the degradation chain.  An item is
+    one block (:meth:`~repro.execution.plan.CompiledPlan.blocks`) and
+    contributes one array.  The CRC-32s are computed here, where the chunk
+    was executed, so the coordinator can verify the payload survived the
+    trip back intact (:func:`~repro.execution.checkpoint.verify_payload`).
+    The chunk is one resumed sweep on the worker's arena: consecutive
+    subtasks recontract only what their changed indices reach, and no
+    state outlives the chunk.
     """
     stats = PlanStats()
     with slots.sweep():
         contributions = [
             _owned_contribution(
-                plan.execute_array(network, assignment, cache, stats, slots),
-                sum_batch_axes,
+                plan.execute_block(network, block, cache, stats, slots), sum_batch_axes
             )
-            for _, assignment in items
+            for _, block in items
         ]
     return contributions, payload_checksums(contributions), stats
 
@@ -262,8 +265,8 @@ def _serial_accumulate(
     """
     accumulated: Optional[np.ndarray] = None
     with slots.sweep():
-        for assignment in assignments:
-            data = plan.execute_array(network, assignment, cache, stats, slots)
+        for block in plan.blocks(assignments):
+            data = plan.execute_block(network, block, cache, stats, slots)
             if accumulated is None:
                 # the first contribution may alias the invariant cache or the
                 # arena, both overwritten by later subtasks, so take an owned
@@ -288,9 +291,10 @@ def _serial_accumulate_checkpointed(
 ) -> np.ndarray:
     """Ledger-armed variant of :func:`_serial_accumulate`.
 
-    Slots persisted by a previous (interrupted) run are folded from the
-    ledger instead of re-executed; freshly computed slots are recorded
-    *before* being folded (the fold mutates the running buffer in place).
+    A slot is one block.  Slots persisted by a previous (interrupted) run
+    are folded from the ledger instead of re-executed; freshly computed
+    slots are recorded *before* being folded (the fold mutates the running
+    buffer in place).
     Position order is unchanged, so the result stays bit-identical to the
     plain serial loop — skipped slots are just gaps in the resumed sweep,
     which compares assignments by value.  Each computed slot is one harvest
@@ -298,12 +302,11 @@ def _serial_accumulate_checkpointed(
     """
     accumulated: Optional[np.ndarray] = None
     with slots.sweep():
-        for position, assignment in enumerate(assignments):
+        for position, block in enumerate(plan.blocks(assignments)):
             contribution = checkpoint.loaded.get(position)
             if contribution is None:
                 contribution = _owned_contribution(
-                    plan.execute_array(network, assignment, cache, stats, slots),
-                    sum_batch_axes,
+                    plan.execute_block(network, block, cache, stats, slots), sum_batch_axes
                 )
                 checkpoint.record(position, contribution)
                 if injector is not None:
@@ -320,9 +323,19 @@ def _serial_accumulate_checkpointed(
     return accumulated
 
 
-def _chunked(items: List, chunk_size: int) -> List[List]:
-    """Split ``items`` into contiguous chunks of at most ``chunk_size``."""
-    return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
+def _chunked(blocks: List[List], chunk_size: int) -> List[List]:
+    """Positioned chunks of whole ``blocks``: each takes blocks in order
+    until it holds ``chunk_size`` subtasks or more (``chunk_size`` blocks
+    where a block is one subtask)."""
+    chunks: List[List] = []
+    held = chunk_size
+    for position, block in enumerate(blocks):
+        if held >= chunk_size:
+            chunks.append([])
+            held = 0
+        chunks[-1].append((position, block))
+        held += len(block)
+    return chunks
 
 
 class NullExecutionSession:
@@ -631,14 +644,17 @@ class _PooledBackend(ExecutionBackend):
         self._serial = SerialBackend()
         self._session: Optional["_ResidentSession"] = None
 
-    def _chunks(self, assignments: Sequence[Mapping[str, int]]) -> List[List]:
-        """Positioned chunks; ~4 per worker by default to stream evenly."""
-        items = list(enumerate(assignments))
+    def _chunks(self, blocks: List[List[Mapping[str, int]]]) -> List[List]:
+        """Positioned chunks of whole blocks; ~4 per worker by default to
+        stream evenly, and an explicit ``chunk_size`` rounds up to whole
+        blocks — a block never splits, so every backend folds the
+        contributions serial folds."""
         if self.chunk_size is not None:
             chunk_size = self.chunk_size
         else:
-            chunk_size = max(1, math.ceil(len(items) / (4 * self.max_workers)))
-        return _chunked(items, chunk_size)
+            subtasks = sum(map(len, blocks))
+            chunk_size = max(1, math.ceil(subtasks / (4 * self.max_workers)))
+        return _chunked(blocks, chunk_size)
 
     # ------------------------------------------------------------------
     def session(
@@ -697,7 +713,8 @@ class _PooledBackend(ExecutionBackend):
     ) -> Optional[Tensor]:
         if not assignments:
             return None
-        if self.inline_small_runs and (len(assignments) == 1 or self.max_workers == 1):
+        blocks = list(plan.blocks(assignments))
+        if self.inline_small_runs and (len(blocks) == 1 or self.max_workers == 1):
             return self._serial.run_subtasks(
                 plan, network, assignments, cache, sum_batch_axes, stats,
                 policy, injector, checkpoint,
@@ -714,7 +731,7 @@ class _PooledBackend(ExecutionBackend):
 
         def drive(transport: ChunkTransport) -> List[Optional[np.ndarray]]:
             return run_chunks(
-                transport, self._chunks(assignments), policy or FAIL_FAST,
+                transport, self._chunks(blocks), policy or FAIL_FAST,
                 injector, checkpoint, stats, fallback,
             )
 

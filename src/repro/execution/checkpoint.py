@@ -14,10 +14,12 @@ This module closes that gap with a write-ahead chunk ledger:
   chunking the run was configured with).
 * :class:`CheckpointJob` — one run's ledger: a ``manifest.json``, a
   ``stats.json`` with the resilience counters accumulated across
-  restarts, and one checksummed record per completed ordered slot under
-  ``slots/``.  Records are written atomically (tmp file → ``fsync`` →
-  ``os.replace`` → directory ``fsync``), so a crash can lose at most the
-  unflushed tail — never corrupt a persisted slot.
+  restarts, and one checksummed record per completed ordered slot — one
+  block of the plan (:meth:`~repro.execution.plan.CompiledPlan.blocks`),
+  a subtask unless it folds inside — under ``slots/``.  Records are
+  written atomically (tmp file → ``fsync`` → ``os.replace`` → directory
+  ``fsync``), so a crash can lose at most the unflushed tail — never
+  corrupt a persisted slot.
 
 The backends persist each ordered contribution as it is harvested
 (``ExecutionBackend.run_subtasks(checkpoint=...)``), batched every
@@ -165,7 +167,7 @@ def job_fingerprint(
     dtype: Optional[object] = None,
     policy: Optional["FaultPolicy"] = None,
     chunk_size: Optional[int] = None,
-    fold: Optional[Tuple[int, Tuple[int, ...]]] = None,
+    fold: Optional[Tuple] = None,
 ) -> str:
     """Content hash identifying a resumable run.
 
@@ -173,9 +175,12 @@ def job_fingerprint(
     (which die with the process), this one is computed from *content*:
     the raw bytes of every leaf tensor, the contraction tree's SSA path,
     the sliced index set, the ordered assignment schedule, the batch-axis
-    count, what a slot holds when it is not the root's array — ``fold``,
-    the ``(fold node, contribution shape)`` of a plan that sums below its
-    root (:attr:`~repro.execution.plan.CompiledPlan.fold_node`) — and, per
+    count, what a slot holds when it is not one subtask's root array —
+    ``fold``, the ``(fold node, contribution shape)`` of a plan that sums
+    below its root (:attr:`~repro.execution.plan.CompiledPlan.fold_node`),
+    optionally followed by its ``(node, level)`` inner fold, which makes a
+    slot one block
+    (:attr:`~repro.execution.plan.CompiledPlan.inner_fold`) — and, per
     the ledger contract, the fault policy's recovery
     shape and the backend's chunking.  Anything that could change the
     accumulated value (or the meaning of a slot position) changes the
@@ -202,6 +207,8 @@ def job_fingerprint(
     if fold is not None:
         # (a root fold hashes as every ledger written before folds existed)
         feed(f"fold:{fold[0]}:{tuple(fold[1])!r}")
+        if len(fold) > 2 and fold[2] is not None:
+            feed(f"inner-fold:{fold[2][0]}:{fold[2][1]}")
     feed(f"dtype:{np.dtype(dtype).str if dtype is not None else None}")
     for assignment in assignments:
         feed(repr(tuple(sorted(assignment.items()))))

@@ -41,6 +41,14 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   (:meth:`CompiledPlan.execute_array`), the sweep loops fold those in
   assignment order, and its ancestors — the *tail* — run once per run over
   the sum (:meth:`CompiledPlan.finish`).
+* The sweep planner may also fold *inside*
+  (:func:`repro.core.lifetime.plan_folded_sweep`,
+  :attr:`CompiledPlan.inner_fold`): below the fold node, a node whose
+  chain up to it has no sibling that changes after position ``M`` sums
+  its arrays over the subtasks of a *block* — consecutive assignments
+  that agree on the first ``M`` positions — and the chain, the *flush*,
+  runs once per block (:meth:`CompiledPlan.execute_block`).  The unit
+  every sweep loop folds is then the block.
 * An optional *batched* mode keeps a group of sliced indices alive as
   leading batch axes instead of enumerating them: steps where every live
   batch axis appears on both operands compile to a batched GEMM whose
@@ -106,6 +114,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -117,7 +126,13 @@ from typing import (
 
 import numpy as np
 
-from ..core.lifetime import plan_sweep, slice_dependency_levels, sweep_prediction
+from ..core.lifetime import (
+    SweepPlan,
+    plan_folded_sweep,
+    plan_sweep,
+    slice_dependency_levels,
+    sweep_prediction,
+)
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
@@ -760,6 +775,8 @@ class CompiledPlan:
         derived_dtype: Optional[np.dtype] = None,
         fold_node: Optional[int] = None,
         arena_bytes: int = 0,
+        inner_fold: Optional[Tuple[int, int]] = None,
+        accumulator: Optional[Region] = None,
     ) -> None:
         self._tree = tree
         self._arena_bytes = arena_bytes
@@ -794,6 +811,16 @@ class CompiledPlan:
         self._fold_node = tree.root if fold_node is None else fold_node
         tail = frozenset(tree.path_to_root(self._fold_node)[1:])
         self._tail = tuple(s for s in steps if s.node in tail)
+        # an inner fold ``(node, level, accumulator region)``: a subtask's
+        # walk ends at its node, a block sums that node's arrays in the
+        # accumulator, and the chain above it up to the fold node — the
+        # flush — runs once per block.  (Two attributes, not four: a plan's
+        # instance dict is 296 bytes with 28 attributes and 1,584 with 30,
+        # where it stops sharing its keys.)
+        self._inner = None if inner_fold is None else (*inner_fold, accumulator)
+        path = tree.path_to_root(inner_fold[0] if inner_fold else self._fold_node)
+        chain = frozenset(path[1 : path.index(self._fold_node) + 1])
+        self._flush = tuple(s for s in steps if s.node in chain)
         # the cache entries a subtask reads: the frontier less the tail's
         # operands (finish reads those, once)
         self._subtask_frontier = tuple(
@@ -807,12 +834,13 @@ class CompiledPlan:
         self._cacheless_parts: Optional[Tuple] = None
         # what a cached execute re-runs when position ``p`` of the
         # enumeration order is the first whose value changed: the leaf
-        # loads, fetches and steps of level > p below the tail.  Entry 0 is
-        # the whole dependent part, entry len(enumerated) is empty; a
-        # position no load or step sits at shares its predecessor's tuples
-        # (the plan sits in every sweep's footprint).
+        # loads, fetches and steps of level > p below the tail and the
+        # flush.  Entry 0 is the whole dependent part, entry
+        # len(enumerated) is empty; a position no load or step sits at
+        # shares its predecessor's tuples (the plan sits in every sweep's
+        # footprint).
         loads = (*leaf_steps, *fetches)
-        work = tuple(s for s in steps if s.node not in tail)
+        work = tuple(s for s in steps if s.node not in tail and s.node not in chain)
         suffixes: List[Tuple[Tuple[LeafStep, ...], Tuple[ContractStep, ...]]] = []
         for p in range(len(enumerated) + 1):
             loads, work = _above(loads, p), _above(work, p)
@@ -846,6 +874,10 @@ class CompiledPlan:
 
     def _lower(self) -> None:
         """Lower both step lists for the native kernel, or record why not."""
+        if self._inner is not None:
+            # (the tape has no op for the block accumulator)
+            self._walker_because("inner-fold")
+            return
         einsum_steps = sum(1 for s in self._steps if s.shapes is None)
         if einsum_steps:
             self._walker_because("einsum", einsum_steps)
@@ -1022,10 +1054,52 @@ class CompiledPlan:
         return self._fold_node
 
     @property
+    def inner_fold(self) -> Optional[Tuple[int, int]]:
+        """``(node, level)`` where a block sums below the fold node, or ``None``.
+
+        Chosen with the enumeration order
+        (:func:`~repro.core.lifetime.plan_folded_sweep`): no sibling on the
+        chain from ``node`` up to the :attr:`fold_node` changes after
+        position ``level``, so the subtasks of a *block* — consecutive
+        assignments that agree on the first ``level`` positions
+        (:meth:`blocks`) — walk to ``node`` only and add its arrays into one
+        accumulator, and the chain runs once per block over the sum
+        (:meth:`execute_block`).  ``None`` on plans the rule does not fold,
+        and always on batched ones: a block is then one subtask.
+        """
+        return None if self._inner is None else self._inner[:2]
+
+    def blocks(
+        self, assignments: Iterable[Mapping[str, int]]
+    ) -> Iterator[List[Mapping[str, int]]]:
+        """``assignments`` cut into blocks, in order and lazily: the maximal
+        runs of consecutive ones that agree on the first ``level`` positions
+        of the :attr:`inner_fold` — one assignment each without one.  Any
+        sequence is valid; a sweep in enumeration order has ``runs[level]``
+        blocks.
+        """
+        if self._inner is None:
+            for assignment in assignments:
+                yield [assignment]
+            return
+        head = self._enumerated[: self._inner[1]]
+        block: List[Mapping[str, int]] = []
+        previous: Optional[Tuple] = None
+        for assignment in assignments:
+            key = tuple(assignment.get(ix) for ix in head)
+            if block and key != previous:
+                yield block
+                block = []
+            block.append(assignment)
+            previous = key
+        if block:
+            yield block
+
+    @property
     def contribution_shape(self) -> Tuple[int, ...]:
         """Shape of the array :meth:`execute_array` returns (batch axes included)."""
         if self._tail:
-            return self._steps[self._fold_node - self._tree.num_leaves].out_shape
+            return self._node_shape(self._fold_node)
         return tuple(self._out_sizes[ix] for ix in self._out_indices)
 
     @property
@@ -1034,9 +1108,12 @@ class CompiledPlan:
 
         Every buffer the dependent part writes — GEMM outputs, operand
         copies, staged copies, the retained partials and the fold node's
-        array — sits at a compile-time offset inside it, at the plan
-        dtype's itemsize.  A cached sweep's resident bytes are therefore
-        ``cache_bytes + arena_bytes + fold_bytes`` of :meth:`sweep_cost`.
+        array, and with an :attr:`inner_fold` the block accumulator and the
+        flush's buffers — sits at a compile-time offset inside it, at the
+        plan dtype's itemsize.  A cached sweep's resident bytes are
+        therefore at most ``cache_bytes + arena_bytes + fold_bytes`` of
+        :meth:`sweep_cost` (whose ``fold_bytes`` also counts the block
+        accumulator the arena holds).
         """
         return self._arena_bytes
 
@@ -1045,10 +1122,11 @@ class CompiledPlan:
 
         A step's entry is ``(lhs copy, rhs copy, output, staged copy)`` and
         a staged leaf load's its staged copy, each ``None`` without a
-        region.  Every view is shaped as its reader takes it — a copy as
-        the GEMM operand or the staged operand, the output as the GEMM
-        writes it — in the plan dtype; the walker recasts one whose step
-        runs in another (:func:`_recast`).
+        region; one more, last entry is the block accumulator of an
+        :attr:`inner_fold` (``None`` without one).  Every view is shaped as
+        its reader takes it — a copy as the GEMM operand or the staged
+        operand, the output as the GEMM writes it — in the plan dtype; the
+        walker recasts one whose step runs in another (:func:`_recast`).
         """
         dtype = _arena_dtype(self.dtype)
 
@@ -1058,7 +1136,7 @@ class CompiledPlan:
             offset, elements = region
             return buffer[offset : offset + elements * dtype.itemsize].view(dtype).reshape(shape)
 
-        views: List[Optional[Tuple]] = [None] * (self._tree.root + 1)
+        views: List[Optional[Tuple]] = [None] * (self._tree.root + 2)
         for ls in self._leaf_steps:
             if ls.region is not None:
                 views[ls.node] = view(ls.region, ls.stage[1])
@@ -1066,7 +1144,14 @@ class CompiledPlan:
             if s.regions is not None:
                 shapes = (*(s.shapes or (None,) * 3), s.stage and s.stage[1])
                 views[s.node] = tuple(map(view, s.regions, shapes))
+        if self._inner is not None:
+            node, _, accumulator = self._inner
+            views[-1] = view(accumulator, self._node_shape(node))
         return views
+
+    def _node_shape(self, node: int) -> Tuple[int, ...]:
+        """The shape of an internal node's array (its step's output)."""
+        return self._steps[node - self._tree.num_leaves].out_shape
 
     def invariant_log2_flops(self) -> float:
         """log2 of the per-subtask flops saved by the invariant cache."""
@@ -1084,18 +1169,25 @@ class CompiledPlan:
         """How often each step runs in one full sweep, in step order."""
         runs = self._level_runs()
         tail = {step.node for step in self._tail}
-        return [1 if s.node in tail else runs[s.level] for s in self._steps]
+        flush = {step.node for step in self._flush}
+        blocks = runs[self._inner[1]] if self._inner else 0
+        return [
+            1 if s.node in tail else blocks if s.node in flush else runs[s.level]
+            for s in self._steps
+        ]
 
     def sweep_cost(self) -> SweepCost:
         """Predicted cost of one full sweep in enumeration order.
 
         Computed from the levels alone: a level-``j`` step, leaf load or
         fetch runs ``prod_{i <= j} w(e_i)`` times (once for level 0, in the
-        cache warm, and once for a step of the tail, in :meth:`finish`),
-        which is exactly what ``stats.steps_executed`` counts after one
-        serial ``run()`` with an invariant cache — and each run stages the
+        cache warm, once for a step of the tail, in :meth:`finish`, and
+        once per block for a step of an inner fold's flush), which is
+        exactly what ``stats.steps_executed`` counts after one serial
+        ``run()`` with an invariant cache — and each run stages the
         operands its step still permutes itself, plus its own output when a
-        less frequent consumer reads it staged.
+        less frequent consumer reads it staged.  ``fold_bytes`` counts the
+        run's accumulator at the fold node and the block accumulator.
         """
         runs = self._level_runs()
         itemsize = np.dtype(self.dtype or np.complex128).itemsize
@@ -1110,7 +1202,8 @@ class CompiledPlan:
             leaf_loads=sum(runs[ls.level] for ls in loads),
             cache_bytes=sum(held.get(node, 0) for node in self._frontier),
             producer_stagings=sum(runs[ls.level] for ls in loads if ls.stage is not None),
-            fold_bytes=held[self._fold_node] if self._tail else 0,
+            fold_bytes=(held[self._fold_node] if self._tail else 0)
+            + (held[self._inner[0]] if self._inner else 0),
         )
         for step, count in zip(self._steps, self._step_runs()):
             cost += SweepCost(
@@ -1209,7 +1302,8 @@ class CompiledPlan:
                         for child in (step.lhs, step.rhs)
                         if child not in tail and child != self._fold_node
                     )
-            finished = tail | aside
+            # (the flush runs apart, once per block)
+            finished = tail | aside | {step.node for step in self._flush}
             leaves = [ls for ls in self._leaf_steps if ls.node not in self._dependent]
             self._cacheless_parts = (
                 (
@@ -1292,13 +1386,83 @@ class CompiledPlan:
         """One subtask's contribution: the :attr:`fold_node`'s array.
 
         :meth:`execute` without the tail and the :class:`Tensor` wrapper —
-        what the sweep loops fold, in assignment order, before handing the
-        sum to :meth:`finish`.  Its shape is :attr:`contribution_shape`; on
-        a plan that folds at its root it is the result, axes in
-        :attr:`out_indices` order.
+        a one-subtask block (:meth:`execute_block`).  Its shape is
+        :attr:`contribution_shape`; on a plan that folds at its root it is
+        the result, axes in :attr:`out_indices` order.
         """
-        if assignment is None:
-            assignment = {}
+        return self.execute_block(
+            network, ({} if assignment is None else assignment,), cache, stats, slots
+        )
+
+    def execute_block(
+        self,
+        network: TensorNetwork,
+        assignments: Sequence[Mapping[str, int]],
+        cache: Optional[Dict[int, np.ndarray]] = None,
+        stats: Optional[PlanStats] = None,
+        slots: Optional[StemSlots] = None,
+    ) -> np.ndarray:
+        """One block's contribution: the :attr:`fold_node`'s array, summed over it.
+
+        ``assignments`` is one block of :meth:`blocks` — what the sweep
+        loops fold, in order, before handing the sum to :meth:`finish`.
+        Without an :attr:`inner_fold` a block is one subtask and this is
+        its array.  With one, each subtask walks up to the inner node only
+        (resuming as :meth:`execute` describes), its array is added to the
+        block accumulator in order, and at the block's end the chain above
+        runs once — the *flush* — over the accumulator and the chain
+        siblings, which no subtask of the block changed and which the
+        walk of the next block's first subtask would overwrite.  A
+        one-subtask block is bitwise the subtask the fold-free plan runs.
+        """
+        if self._inner is None:
+            if len(assignments) != 1:
+                raise PlanError(f"a block of this plan is one subtask, not {len(assignments)}")
+            live, _, cached = self._walk(network, assignments[0], cache, stats, slots)
+            return self._contribution(live, cached)
+        if not assignments:
+            raise PlanError("an empty block contributes nothing")
+        node, level, _ = self._inner
+        head = self._enumerated[:level]
+        accumulator = None
+        for assignment in assignments:
+            if any(assignment.get(ix) != assignments[0].get(ix) for ix in head):
+                raise PlanError(
+                    f"the subtasks of one block must agree on the first {level} "
+                    f"sliced indices {list(head)}"
+                )
+            live, views, cached = self._walk(network, assignment, cache, stats, slots)
+            if accumulator is None:
+                region = None if views is None else views[-1]
+                if region is None:
+                    accumulator = live[node].copy()
+                else:
+                    accumulator = _copy_into(region, live[node])
+            else:
+                accumulator += live[node]
+        start = time.perf_counter()
+        flush = {
+            child: live[child]
+            for step in self._flush
+            for child in (step.lhs, step.rhs)
+            if child in live
+        }
+        flush[node] = accumulator
+        _walk_steps(self._flush, flush, views, stats, False)
+        if stats is not None:
+            stats.record_stage("execute", time.perf_counter() - start)
+        return self._contribution(flush, cached)
+
+    def _walk(
+        self,
+        network: TensorNetwork,
+        assignment: Mapping[str, int],
+        cache: Optional[Dict[int, np.ndarray]],
+        stats: Optional[PlanStats],
+        slots: Optional[StemSlots],
+    ) -> Tuple[Dict[int, np.ndarray], Optional[List[Optional[Tuple]]], bool]:
+        """One subtask's walk up to the fold node — or to the inner fold's
+        node: ``(live, arena views, cached)``."""
         enumerated = self._enumerated
         sizes = self._enumerated_sizes
         if assignment.keys() != sizes.keys():
@@ -1376,7 +1540,10 @@ class CompiledPlan:
             elapsed = time.perf_counter() - start
             stats.record_subtask_time(elapsed)
             stats.record_stage("execute", elapsed)
+        return live, views, cached
 
+    def _contribution(self, live: Mapping[int, np.ndarray], cached: bool) -> np.ndarray:
+        """The fold node's array out of a finished walk, as the fold takes it."""
         data = live[self._fold_node]
         if cached and self._fold_node in self._frontier:
             # the root itself is cached (nothing is slice-dependent): hand
@@ -1566,10 +1733,14 @@ def compile_plan(
                 derived_dtype = np.result_type(derived_dtype, data.dtype)
 
     # the sweep plan: the enumeration order (slowest-varying first — the
-    # executors decode subtask ids in it) and the open subtrees, which the
+    # executors decode subtask ids in it), the open subtrees, which the
     # warm pass contracts once with the sliced indices reaching them left
-    # on as axes.  Batched plans take the order and open nothing.
-    ordered, open_nodes = plan_sweep(tree, enumerated, open_subtrees=not batch)
+    # on as axes, and an inner fold.  Batched plans take the order only.
+    if batch:
+        sweep = SweepPlan(*plan_sweep(tree, enumerated, open_subtrees=False), None, None)
+    else:
+        sweep = plan_folded_sweep(tree, enumerated)
+    ordered, open_nodes = sweep.order, sweep.open_nodes
     levels = slice_dependency_levels(tree, ordered)
     carried: Set[int] = set()
     for node in reversed(tree.internal_nodes()):
@@ -1725,6 +1896,7 @@ def compile_plan(
     # consumer: the tape has no op for a producer-side one
     lowers = (
         fused
+        and sweep.inner_fold is None
         and _tape.unavailable_reason() is None
         and all(spec["kind"] != "einsum" for spec in specs)
     )
@@ -1751,8 +1923,13 @@ def compile_plan(
 
     # (batched plans sum their batch axes at the root: they fold there)
     fold = root if batch else _fold_node(tree, dependent, levels, steps, ordered, open_nodes)
+    # (the inner node lies below the fold node: the walk down to the fold
+    # node stops above the first chain sibling a sliced index reaches)
+    inner_fold = sweep.inner_fold
     itemsize = _arena_dtype(derived_dtype if dtype is None else dtype).itemsize
-    arena_bytes = _lay_out(tree, steps, leaf_steps, fetches, fold, itemsize)
+    arena_bytes, accumulator = _lay_out(
+        tree, steps, leaf_steps, fetches, fold, inner_fold and inner_fold[0], itemsize
+    )
     plan = CompiledPlan(
         tree=tree,
         enumerated=ordered,
@@ -1770,9 +1947,11 @@ def compile_plan(
         derived_dtype=derived_dtype,
         fold_node=fold,
         arena_bytes=arena_bytes,
+        inner_fold=inner_fold,
+        accumulator=accumulator,
     )
     if logger.isEnabledFor(logging.DEBUG):
-        _log_sweep_plan(plan, open_nodes, carried)
+        _log_sweep_plan(plan, open_nodes, carried, sweep.product)
     return plan
 
 
@@ -1894,9 +2073,11 @@ def _lay_out(
     leaf_steps: List[LeafStep],
     fetches: Sequence[LeafStep],
     fold: int,
+    inner: Optional[int],
     itemsize: int,
-) -> int:
-    """Give every buffer a cached subtask writes an arena offset; the arena's bytes.
+) -> Tuple[int, Optional[Region]]:
+    """Give every buffer a cached subtask writes an arena offset: the arena's
+    bytes and the block accumulator's region.
 
     Walks the dependent part below the tail as the executor does — the
     loads of level ``>= 1``, then the steps — on a clock that ticks per
@@ -1910,7 +2091,10 @@ def _lay_out(
     What the walk leaves alive is the fold node's array, which lives to the
     end of the subtask, and the retained partials, pinned for the whole
     sweep: a resumed subtask re-runs a suffix of the walk, whose steps must
-    not overwrite them.
+    not overwrite them.  With an ``inner`` fold node the walk ends there —
+    its array dies once added — and the flush follows on the same clock:
+    the chain up to the fold node over the block accumulator, pinned like
+    a retained partial, and the chain siblings, which it reads as they are.
 
     Offsets come from greedy first-fit at :data:`_ALIGN` bytes over three
     orders — by size (equal sizes earliest- or latest-born first) and by
@@ -1919,10 +2103,11 @@ def _lay_out(
     in place (their ``regions`` / ``region``).
     """
     tail = frozenset(tree.path_to_root(fold)[1:])
+    chain = frozenset(tree.path_to_root(inner)[1:]) - tail if inner is not None else frozenset()
     loads = {ls.node: ls for ls in (*leaf_steps, *fetches) if ls.level}
     #: per region ``[(list, position, index), birth, death, elements]``:
     #: list 0 is ``leaf_steps`` (index 0), list 1 ``steps`` (the index into
-    #: :attr:`ContractStep.regions`)
+    #: :attr:`ContractStep.regions`), list 2 the block accumulator
     regions: List[List] = []
     holder: Dict[int, int] = {}  # node -> the region its live array sits in
 
@@ -1935,15 +2120,8 @@ def _lay_out(
         if index is not None:
             regions[index][2] = tick
 
-    for position, ls in enumerate(leaf_steps):
-        if ls.level and ls.stage is not None:
-            if ls.stage[0] != tuple(range(len(ls.stage[0]))) or _strided(ls):
-                holder[ls.node] = born((0, position, 0), 0, math.prod(ls.stage[1]))
-    tick = 0
-    for position, step in enumerate(steps):
-        if not step.level or step.node in tail:
-            continue
-        frees = step.free_cached
+    def run(position: int, step: ContractStep, frees: Tuple[int, ...]) -> None:
+        nonlocal tick
         gemm = tick + 3
         if step.shapes is not None:
             sides = (
@@ -1966,6 +2144,23 @@ def _lay_out(
             tick += 1
             dies(step.node, tick)
             holder[step.node] = born((1, position, 3), tick, math.prod(step.stage[1]))
+
+    for position, ls in enumerate(leaf_steps):
+        if ls.level and ls.stage is not None:
+            if ls.stage[0] != tuple(range(len(ls.stage[0]))) or _strided(ls):
+                holder[ls.node] = born((0, position, 0), 0, math.prod(ls.stage[1]))
+    tick = 0
+    for position, step in enumerate(steps):
+        if step.level and step.node not in tail and step.node not in chain:
+            run(position, step, step.free_cached)
+    if inner is not None:
+        tick += 1
+        dies(inner, tick)  # (added into the accumulator)
+        shape = steps[inner - len(leaf_steps)].out_shape
+        holder[inner] = born((2, 0, 0), 0, math.prod(shape))
+        for position, step in enumerate(steps):
+            if step.node in chain:
+                run(position, step, tuple(c for c in (step.lhs, step.rhs) if c in chain))
     for node, index in holder.items():
         regions[index][2] = tick + 1
         if node != fold:
@@ -1986,12 +2181,13 @@ def _lay_out(
     placed: Dict[Tuple[int, int], List[Optional[Region]]] = {}
     for ((which, position, index), _, _, elements), offset in zip(regions, offsets):
         placed.setdefault((which, position), [None] * 4)[index] = (offset, elements)
+    accumulator = placed.pop((2, 0), [None])[0]
     for (which, position), found in placed.items():
         if which:
             steps[position] = replace(steps[position], regions=tuple(found))
         else:
             leaf_steps[position] = replace(leaf_steps[position], region=found[0])
-    return top
+    return top, accumulator
 
 
 def _first_fit(
@@ -2044,9 +2240,13 @@ def _load_step(
 
 
 def _log_sweep_plan(
-    plan: CompiledPlan, open_nodes: AbstractSet[int], carried: AbstractSet[int]
+    plan: CompiledPlan,
+    open_nodes: AbstractSet[int],
+    carried: AbstractSet[int],
+    product: Optional[float],
 ) -> None:
-    """The per-compile ``DEBUG`` line: the chosen sweep beside label order."""
+    """The per-compile ``DEBUG`` line: the chosen sweep beside label order,
+    and the inner fold taken — or the product of the candidate refused."""
     tree = plan.tree
     cost = plan.sweep_cost()
     per_level: Dict[int, int] = {}
@@ -2065,7 +2265,7 @@ def _log_sweep_plan(
         "%d resident bytes (label order, nothing open: %d / %.4g / %d), "
         "retains %d partials / %d bytes, steps per level %s, "
         "stagings per sweep: %d (per-use layout: %d); folds at node %d "
-        "(%d bytes); tail of %d steps runs once per run; arena of %d bytes",
+        "(%d bytes); tail of %d steps runs once per run; %s; arena of %d bytes",
         len(plan.contract_steps),
         sum(per_level.values()),
         list(plan.sliced),
@@ -2090,5 +2290,12 @@ def _log_sweep_plan(
         plan.fold_node,
         cost.fold_bytes,
         len(plan._tail),
+        (
+            f"inner fold at node {plan.inner_fold[0]} over positions > "
+            f"{plan.inner_fold[1]} ({plan._inner[2][1] * itemsize} "
+            f"bytes, product {product:.3g})"
+            if plan.inner_fold
+            else "no inner fold" + ("" if product is None else f" (product {product:.3g})")
+        ),
         plan.arena_bytes,
     )

@@ -363,8 +363,10 @@ class RecoveryClock:
 # ----------------------------------------------------------------------
 # The transport protocol
 # ----------------------------------------------------------------------
-#: A positioned chunk: ``[(ordered slot, slicing assignment), ...]``.
-Chunk = Sequence[Tuple[int, Mapping[str, int]]]
+#: A positioned chunk: ``[(ordered slot, block of slicing assignments), ...]``
+#: — a slot holds one block's contribution
+#: (:meth:`~repro.execution.plan.CompiledPlan.blocks`).
+Chunk = Sequence[Tuple[int, Sequence[Mapping[str, int]]]]
 
 #: What a harvested chunk carries: ``(contributions, crc32s, worker stats)``.
 ChunkResult = Tuple[List[np.ndarray], Optional[List[int]], PlanStats]
@@ -649,7 +651,7 @@ def _drive(
             if handle in deadlines:
                 pauses.append(deadlines[handle] - now)
             elif transport.started(handle):
-                budget = policy.chunk_timeout(len(chunks[index]))
+                budget = policy.chunk_timeout(sum(len(block) for _, block in chunks[index]))
                 deadlines[handle] = now + budget
                 pauses.append(budget)
             else:

@@ -39,7 +39,8 @@ plan's sweep order, :attr:`SlicedExecutor.sliced`), and a serial sweep over
 it *resumes* — consecutive subtasks differ in a suffix of that order only,
 so each recontracts just the nodes those indices reach
 (:meth:`CompiledPlan.execute`).  The order is the compiled plan's choice
-(:func:`repro.core.lifetime.plan_sweep`): the cheapest reach varies fastest.
+(:func:`repro.core.lifetime.plan_folded_sweep`): the cheapest reach varies
+fastest, or — when the plan folds inside — the indices a block sums over.
 """
 
 from __future__ import annotations
@@ -684,9 +685,9 @@ class SlicedExecutor:
 
         The job is keyed by :func:`~repro.execution.checkpoint.job_fingerprint`
         over the leaf data, tree, assignment schedule, batch-axis count,
-        fold, policy shape and chunking — so a resumed ledger is only
-        trusted for byte-for-byte the same run, on any backend/engine
-        combination.
+        fold (inner fold included), policy shape and chunking — so a resumed
+        ledger is only trusted for byte-for-byte the same run, on any
+        backend/engine combination.  It holds one slot per block.
         """
         if store is None:
             return None
@@ -701,14 +702,14 @@ class SlicedExecutor:
             policy=self._fault_policy,
             chunk_size=chunk_size,
             fold=(
-                (plan.fold_node, plan.contribution_shape[sum_batch_axes:])
-                if plan.fold_node != plan.tree.root
+                (plan.fold_node, plan.contribution_shape[sum_batch_axes:], plan.inner_fold)
+                if plan.fold_node != plan.tree.root or plan.inner_fold is not None
                 else None
             ),
         )
         job = store.job(
             fingerprint,
-            len(assignments),
+            sum(1 for _ in plan.blocks(assignments)),
             every=(
                 self._fault_policy.checkpoint_every
                 if self._fault_policy is not None

@@ -1077,3 +1077,72 @@ class TestFoldLedgers:
         with pytest.raises(CheckpointError, match=r"shape \(\)"):
             executor.run(resume=store)
         assert store.jobs() == [fingerprint]  # kept, unlocked, for inspection
+
+    @pytest.mark.parametrize("kind,killed_at", [("serial", 15), ("pool", 3)])
+    def test_a_killed_and_resumed_sampling_batch_is_bitwise_a_clean_one(
+        self, tmp_path, kind, killed_at
+    ):
+        """A slot is one block of the batch's inner fold: 16 of its 32 blocks
+        are durable when the coordinator dies (16 slots serially, 4 chunks
+        of 4 blocks on the pool), and the resumed batch is a clean one."""
+        from test_plan import _sampling_batch
+
+        network, tree, sliced = _sampling_batch()
+        clean = SlicedExecutor(network, tree, sliced).run().require_data().tobytes()
+        store = CheckpointStore(tmp_path / "store")
+        policy = FaultPolicy.retrying()
+        killer = FaultInjector([FaultSpec("kill-coordinator", chunk=killed_at)])
+        with _backend(kind) as backend:
+            killed = SlicedExecutor(
+                network, tree, sliced, backend=backend, fault_policy=policy, fault_injector=killer
+            )
+            assert killed.plan.inner_fold == (87, 5)
+            with pytest.raises(InjectedCoordinatorDeath):
+                killed.run(resume=store)
+            resumed = SlicedExecutor(network, tree, sliced, backend=backend, fault_policy=policy)
+            assert resumed.run(resume=store).require_data().tobytes() == clean
+        assert resumed.stats.resumed_slots == 16
+        assert store.jobs() == []
+
+    def test_a_fold_free_ledger_starts_an_inner_folding_run_clean(self, tmp_path, monkeypatch):
+        """The fingerprint covers the inner fold, so a ledger of a fold-free
+        build of the same batch — subtask slots — is another job."""
+        from test_plan import _sampling_batch
+
+        from repro.core import lifetime
+
+        network, tree, sliced = _sampling_batch()
+        clean = SlicedExecutor(network, tree, sliced)
+        bits = clean.run().require_data().tobytes()
+        plan = clean.plan
+        keyed = {
+            inner: job_fingerprint(
+                network,
+                tree,
+                sliced,
+                [clean.assignment(i) for i in range(clean.num_subtasks)],
+                fold=(plan.fold_node, plan.contribution_shape, inner),
+            )
+            for inner in (None, plan.inner_fold)
+        }
+        assert keyed[None] != keyed[plan.inner_fold]
+        store = CheckpointStore(tmp_path / "store")
+        policy = FaultPolicy.retrying()
+        with monkeypatch.context() as patch:
+            patch.setattr(lifetime, "INNER_FOLD_PRODUCT", 0.0)
+            fold_free = SlicedExecutor(
+                network,
+                tree,
+                sliced,
+                fault_policy=policy,
+                fault_injector=FaultInjector([FaultSpec("kill-coordinator", chunk=100)]),
+            )
+        assert fold_free.plan.inner_fold is None
+        with pytest.raises(InjectedCoordinatorDeath):
+            fold_free.run(resume=store)
+        stale = store.jobs()
+        assert len(stale) == 1
+        resumed = SlicedExecutor(network, tree, sliced, fault_policy=policy)
+        assert resumed.run(resume=store).require_data().tobytes() == bits
+        assert resumed.stats.resumed_slots == 0
+        assert store.jobs() == stale

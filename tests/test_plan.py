@@ -395,15 +395,21 @@ def _bench_plan(rows, cols, cycles, target_rank):
 
 def _assert_counts_match_levels(executor, plan):
     """After one full serial run: node ``n`` ran ``prod_{i <= level(n)} w(e_i)``
-    times — once if it is on the tail above the fold node — and the total
-    is the plan's own prediction."""
+    times — once if it is on the tail above the fold node, once per block
+    if it is on an inner fold's flush — and the total is the plan's own
+    prediction."""
     runs = [1]
     for ix in plan.sliced:
         runs.append(runs[-1] * executor.network.size_of(ix))
     counts = executor.stats.node_counts
     tail = plan.tree.path_to_root(plan.fold_node)[1:]
+    flush, blocks = [], None
+    if plan.inner_fold is not None:
+        path = plan.tree.path_to_root(plan.inner_fold[0])
+        flush, blocks = path[1 : path.index(plan.fold_node) + 1], runs[plan.inner_fold[1]]
     for step in plan.contract_steps:
-        assert counts[step.node] == (1 if step.node in tail else runs[step.level]), step.node
+        expected = 1 if step.node in tail else blocks if step.node in flush else runs[step.level]
+        assert counts[step.node] == expected, step.node
     assert plan.invariant_nodes == {s.node for s in plan.contract_steps if not s.level}
     assert executor.stats.steps_executed == plan.sweep_cost().steps
 
@@ -634,7 +640,7 @@ class TestSweepPlanner:
         order that runs as few steps as label order does; such a threshold
         is not admitted.  Here all of them fail and nothing helps, so the
         plan compiles to exactly label order with nothing open."""
-        from repro.core.lifetime import plan_sweep, sweep_prediction
+        from repro.core.lifetime import plan_folded_sweep, plan_sweep, sweep_prediction
 
         tn, tree, _ = _case(num_qubits=10, depth=8)
         inner = sorted(tn.inner_indices())
@@ -642,14 +648,17 @@ class TestSweepPlanner:
         assert plan_sweep(tree, labels) == (labels, frozenset())
         assert sweep_prediction(tree, labels) == (4_030, 580_096, 464)
         plan = compile_plan(tn, tree, frozenset(labels))
-        assert plan.sliced == labels and not plan.fetches
+        # (the compiled plan opens nothing either; it reorders only for
+        # the inner fold it takes, TestInnerFold)
+        assert plan.sliced == plan_folded_sweep(tree, labels).order and not plan.fetches
 
     def test_sampling_batch_runs_the_predicted_steps(self):
         network, tree, sliced = _sampling_batch()
         executor = SlicedExecutor(network, tree, sliced)
         executor.run()
         _assert_counts_match_levels(executor, executor.plan)
-        assert executor.stats.steps_executed == 4_306  # label order: 5,701
+        # (4,306 without the inner fold; label order: 5,701)
+        assert executor.stats.steps_executed == 2_690
         assert executor.plan.fetches
 
     @pytest.mark.parametrize(
@@ -838,12 +847,141 @@ class TestFold:
         )
 
     def test_sampling_batch_folds_at_its_root(self):
-        """Its root's other operand is a level-7 partial: nothing to fold past."""
+        """Its root's other operand is a level-5 partial: nothing to fold past
+        at the root, so the batch folds inside (TestInnerFold) and its only
+        accumulator is the block's."""
         network, tree, sliced = _sampling_batch()
         plan = compile_plan(network, tree, sliced)
         assert plan.fold_node == tree.root
-        assert not plan.sweep_cost().fold_bytes
+        assert plan.sweep_cost().fold_bytes == 131_072
         assert plan.contribution_shape == tuple(plan.out_sizes[ix] for ix in plan.out_indices)
+
+
+class TestInnerFold:
+    """A block — consecutive subtasks that agree on the first ``M`` positions —
+    sums the inner node's arrays, and the chain above runs once per block."""
+
+    def test_sampling_batch_sums_node_87_over_its_three_fastest_positions(self, caplog):
+        """CI runs this under two fixed ``PYTHONHASHSEED``s."""
+        import logging
+
+        network, tree, sliced = _sampling_batch()
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
+            executor = SlicedExecutor(network, tree, sliced)
+        plan = executor.plan
+        assert plan.inner_fold == (87, 5)
+        assert tree.path_to_root(87)[1:] == [88, 89, 90, 91, 92, 102]
+        blocks = list(plan.blocks(executor.assignment(i) for i in range(executor.num_subtasks)))
+        assert [len(block) for block in blocks] == [8] * 32
+        cost = plan.sweep_cost()
+        assert cost.fold_bytes == 131_072 == 16 * 8_192
+        assert cost.flops <= 1.0e8  # 3.48e8 without the fold
+        executor.run()
+        _assert_counts_match_levels(executor, plan)
+        assert executor.stats.steps_executed == cost.steps == 2_690
+        message = caplog.records[-1].getMessage()
+        assert "; inner fold at node 87 over positions > 5 (131072 bytes, product 0.452); " in (
+            message
+        )
+        assert message.endswith(f"; arena of {plan.arena_bytes} bytes")
+
+    @pytest.mark.parametrize(
+        "shape,order,open_count,fold,arena_bytes,steps",
+        [
+            (
+                (4, 5, 10, 10),
+                TestSweepPlanner.PINNED[(4, 5, 10, 10)][0],
+                24,
+                118,
+                65_792,
+                5_227,
+            ),
+            (
+                (5, 7, 9, 18),
+                TestSweepPlanner.PINNED[(5, 7, 9, 18)][0],
+                9,
+                201,
+                14_811_136,
+                463,
+            ),
+        ],
+        ids=["small_subtasks", "large_subtasks"],
+    )
+    def test_bench_plans_do_not_fold_inside(
+        self, shape, order, open_count, fold, arena_bytes, steps, caplog
+    ):
+        """The same plan as without the rule: order, open set, fold node,
+        arena and steps; small's candidate is refused on its product."""
+        import logging
+
+        from repro.core.lifetime import plan_folded_sweep, plan_sweep
+
+        planned = _bench_plan(*shape)
+        tree, sliced = planned.tree, planned.slicing.sliced
+        sweep = plan_folded_sweep(tree, sliced)
+        assert sweep.inner_fold is None
+        assert (sweep.order, sweep.open_nodes) == plan_sweep(tree, sliced)
+        assert (sweep.order, len(sweep.open_nodes)) == (order, open_count)
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
+            executor = SlicedExecutor(planned.network, tree, sliced)
+        plan = executor.plan
+        assert (plan.sliced, plan.fold_node, plan.arena_bytes) == (order, fold, arena_bytes)
+        assert plan.inner_fold is None
+        executor.run()
+        assert executor.stats.steps_executed == plan.sweep_cost().steps == steps
+        refused = "no inner fold" if sweep.product is None else "no inner fold (product"
+        assert refused in caplog.records[-1].getMessage()
+
+    @pytest.mark.parametrize("seed", [13, 29, 47])
+    def test_golden_plans_do_not_fold_inside(self, seed):
+        from test_array_module import GOLDEN
+        from test_array_module import _case as golden_case
+
+        from repro.core.lifetime import plan_folded_sweep
+
+        tn, tree, sliced = golden_case(seed)
+        sweep = plan_folded_sweep(tree, sliced)
+        assert sweep.inner_fold is None and sweep.product > 0.5
+        executor = SlicedExecutor(tn, tree, sliced)
+        plan = executor.plan
+        assert plan.sliced == ("q1_3", "q1_4", "q2_5") and not plan.fetches
+        assert (plan.fold_node, plan.arena_bytes) == (8, 352)
+        assert executor.amplitude() == GOLDEN[seed]
+        assert executor.stats.steps_executed == plan.sweep_cost().steps == 25
+
+    def test_the_tape_declines_an_inner_fold(self):
+        """The kernel has no op for the block accumulator: ``fused=True``
+        runs the walker — the default run's bits — and says why."""
+        from test_tape import fake_native_engine
+
+        network, tree, sliced = _sampling_batch()
+        default = SlicedExecutor(network, tree, sliced).run()
+        with fake_native_engine():
+            fused = SlicedExecutor(network, tree, sliced, fused=True)
+            result = fused.run()
+        assert fused.plan.fusion_breaks == {"inner-fold": 1}
+        assert fused.plan.native_programs == (None, None)
+        assert fused.stats.tape_engine == "python"
+        assert result.require_data().tobytes() == default.require_data().tobytes()
+
+    def test_a_block_is_one_subtask_to_execute_and_run_subtask(self):
+        """``execute()`` and ``run_subtask`` are one-subtask blocks: bitwise
+        the subtask of the fold-free plan, which the compiler builds from the
+        same order when the rule is switched off."""
+        from unittest import mock
+
+        from repro.core import lifetime
+
+        network, tree, sliced = _sampling_batch()
+        folded = SlicedExecutor(network, tree, sliced)
+        with mock.patch.object(lifetime, "INNER_FOLD_PRODUCT", 0.0):
+            plain = compile_plan(network, tree, sliced)
+        assert plain.inner_fold is None and plain.sliced != folded.sliced
+        for subtask in (0, 77, 255):
+            assignment = folded.assignment(subtask)
+            ours = folded.run_subtask(subtask).tensor.require_data()
+            theirs = plain.execute(network, assignment).require_data()
+            assert ours.tobytes() == theirs.tobytes()
 
 
 def _arena_layout(plan):
@@ -867,11 +1005,8 @@ def _arena_layout(plan):
         if what is not None:
             spans[what][1] = tick
 
-    for ls in loads:
-        if ls.region is not None:
-            write(ls.node, ls.region)
-            holds[ls.node] = ls.node
-    for step in steps:
+    def walk(step, frees):
+        nonlocal tick
         lhs_copy, rhs_copy, out, staged = step.regions or (None,) * 4
         operands = ((step.lhs, lhs_copy, "lhs"), (step.rhs, rhs_copy, "rhs"))
         for child, region, side in operands:
@@ -882,7 +1017,7 @@ def _arena_layout(plan):
         tick += 1
         for child, region, side in operands:
             read((step.node, side) if region is not None else holds.get(child))
-        for child in step.free_cached:
+        for child in frees:
             holds.pop(child, None)
         if out is not None:  # (an einsum output is a fresh array)
             write((step.node, "out"), out)
@@ -892,6 +1027,24 @@ def _arena_layout(plan):
             read(holds.get(step.node))
             write((step.node, "stage"), staged)
             holds[step.node] = (step.node, "stage")
+
+    for ls in loads:
+        if ls.region is not None:
+            write(ls.node, ls.region)
+            holds[ls.node] = ls.node
+    for step in steps:
+        walk(step, step.free_cached)
+    if plan.inner_fold is not None:
+        # the subtask's array is added into the accumulator, which the
+        # flush reads in its place; the flush frees only its own chain
+        node = plan.inner_fold[0]
+        tick += 1
+        read(holds.pop(node, None))
+        write("accumulator", plan._inner[2])
+        holds[node] = "accumulator"
+        chain = {step.node for step in plan._flush}
+        for step in plan._flush:
+            walk(step, [c for c in (step.lhs, step.rhs) if c in chain])
     retained = []
     for node, what in holds.items():
         spans[what][1] = tick + 1  # the fold node's array lives to the end

@@ -768,8 +768,11 @@ class TestSweepPlannerProperties:
         )
 
         # the compiled plan is that plan, and accounts for itself exactly —
-        # but for the tail above its fold node, which runs once per sweep
-        plan = compile_plan(network, tree, frozenset(labels))
+        # but for the tail above its fold node, which runs once per sweep.
+        # (With its inner fold off: folding inside reorders and runs the
+        # chain once per block, TestInnerFoldProperties.)
+        with mock.patch.object(lifetime_module, "INNER_FOLD_PRODUCT", 0.0):
+            plan = compile_plan(network, tree, frozenset(labels))
         assert plan.sliced == order
         assert {s.node for s in plan.contract_steps if not s.level} >= open_nodes
         cost = plan.sweep_cost()
@@ -803,7 +806,9 @@ class TestSweepPlannerProperties:
 #: generator's networks rarely leave room for a fold buffer under the
 #: sweep's resident ceiling; these came out of a scan of seeds 0-2499 and
 #: between them cover every shape ``test_folded_sweeps...`` asserts it saw.
-_FOLDING = ((3, 1), (93, 1), (265, 1), (279, 3), (817, 3), (954, 2), (1630, 3))
+#: (817, 3) also folds inside, so the native kernel declines it; (2253, 4),
+#: from a scan with four indices, is the folding plan that lowers.
+_FOLDING = ((3, 1), (93, 1), (265, 1), (279, 3), (817, 3), (954, 2), (1630, 3), (2253, 4))
 
 
 def _folding_case(seed: int, num_sliced: int):
@@ -886,13 +891,16 @@ class TestFoldProperties:
                     seen.add("native programs")
 
                 total = serial.num_subtasks
+                # (a ledger slot is one block: a subtask unless the plan
+                # also folds inside, as (817, 3) does)
+                slots = len(list(plan.blocks(serial.assignment(i) for i in range(total))))
                 policy = FaultPolicy.retrying()
                 store = CheckpointStore(tmp_path / f"{seed}-{num_sliced}")
                 same(
                     SlicedExecutor(network, tree, sliced, fault_policy=policy).run(resume=store),
                     "checkpointed",
                 )
-                killed_at = (total - 1) // 2
+                killed_at = (slots - 1) // 2
                 killer = FaultInjector([FaultSpec("kill-coordinator", chunk=killed_at)])
                 with pytest.raises(InjectedCoordinatorDeath):
                     SlicedExecutor(
@@ -976,6 +984,186 @@ class TestFoldProperties:
             network, plan = _hostile_plan(seed, num_sliced, batched=True)
             if plan.batch_indices:
                 assert plan.fold_node == plan.tree.root
+
+
+# ---------------------------------------------------------------------------
+# Folding inside: blocks
+# ---------------------------------------------------------------------------
+
+#: Hostile ``(seed, sliced indices)`` whose plans fold inside (``inner_fold``);
+#: between them (a scan of seeds 0-1499): leaf, sliced-leaf, cached, partial
+#: and fetched chain siblings, GEMM and einsum flush steps, an einsum inner
+#: node, a fold node below the root and open output legs.
+_INNER = ((368, 2), (817, 3), (8, 4), (44, 2), (73, 3))
+
+
+class TestInnerFoldProperties:
+    def test_inner_folded_sweeps_are_the_oracle_and_one_bit_pattern_everywhere(
+        self, tmp_path, monkeypatch
+    ):
+        """A block sums the inner node's arrays and runs the chain above once:
+        the einsum oracle's value to 1e-12, one bit pattern on serial,
+        threads, process pool, distributed, cache-less, checkpointed and
+        killed-and-resumed runs; ``run(ids)`` over hostile id sequences is
+        the reference walker's sum; ``run_subtask(i)`` is bitwise the
+        fold-free plan's subtask."""
+        seen = set()
+        pool = SharedMemoryProcessPoolBackend(max_workers=2)
+        distributed = DistributedBackend(num_workers=2)
+        try:
+            for seed, num_sliced in _INNER:
+                network, tree, sliced = _folding_case(seed, num_sliced)
+                serial = SlicedExecutor(network, tree, sliced)
+                plan = serial.plan
+                node, level = plan.inner_fold
+                path = tree.path_to_root(node)
+                chain = path[1 : path.index(plan.fold_node) + 1]
+                steps = {step.node: step for step in plan.contract_steps}
+                fetched = {fetch.node for fetch in plan.fetches}
+                for parent in chain:
+                    seen.add(f"{steps[parent].kind} flush step")
+                    (sibling,) = set(tree.children(parent)) - set(path)
+                    if sibling in fetched:
+                        seen.add("fetched sibling")
+                    elif sibling < tree.num_leaves:
+                        seen.add("leaf sibling")
+                    elif sibling in plan.dependent_nodes:
+                        seen.add("partial sibling")
+                    else:
+                        seen.add("cached sibling")
+                if steps[node].kind == "einsum":
+                    seen.add("einsum inner node")
+                if plan.fold_node != tree.root:
+                    seen.add("fold below the root")
+                if plan.out_indices:
+                    seen.add("open output legs")
+
+                total = serial.num_subtasks
+                blocks = list(plan.blocks(serial.assignment(i) for i in range(total)))
+                assert 1 < len(blocks) < total
+                value = serial.run()
+                assert serial.stats.steps_executed == plan.sweep_cost().steps
+                out, expected = _dense_value(network)
+                assert np.allclose(
+                    value.transposed(out).require_data(), expected, rtol=1e-12, atol=1e-12
+                )
+                bits = value.require_data().tobytes()
+
+                def same(result, label):
+                    assert result.indices == value.indices, (seed, label)
+                    assert result.require_data().tobytes() == bits, (seed, label)
+
+                for label, backend in (
+                    ("threads", ThreadPoolBackend(max_workers=2, chunk_size=1)),
+                    ("pool", pool),
+                    ("distributed", distributed),
+                ):
+                    same(SlicedExecutor(network, tree, sliced, backend=backend).run(), label)
+                same(SlicedExecutor(network, tree, sliced, cache_invariant=False).run(), "no cache")
+
+                policy = FaultPolicy.retrying()
+                store = CheckpointStore(tmp_path / f"{seed}-{num_sliced}")
+                same(
+                    SlicedExecutor(network, tree, sliced, fault_policy=policy).run(resume=store),
+                    "checkpointed",
+                )
+                killed_at = (len(blocks) - 1) // 2
+                killer = FaultInjector([FaultSpec("kill-coordinator", chunk=killed_at)])
+                with pytest.raises(InjectedCoordinatorDeath):
+                    SlicedExecutor(
+                        network, tree, sliced, fault_policy=policy, fault_injector=killer
+                    ).run(resume=store)
+                resumed = SlicedExecutor(network, tree, sliced, fault_policy=policy)
+                same(resumed.run(resume=store), "resumed")
+                assert resumed.stats.resumed_slots == killed_at + 1
+
+                ids = _hostile_ids(np.random.default_rng(seed), total)
+                ours = SlicedExecutor(network, tree, sliced).run(ids)
+                oracle = TreeExecutor(compiled=False)
+                reference = sum(
+                    oracle.execute(network, tree, serial.assignment(i))
+                    .transposed(ours.indices)
+                    .require_data()
+                    for i in ids
+                )
+                assert np.allclose(ours.require_data(), reference, rtol=1e-12, atol=1e-12)
+                threaded = SlicedExecutor(
+                    network, tree, sliced, backend=ThreadPoolBackend(max_workers=2, chunk_size=3)
+                ).run(ids)
+                assert threaded.require_data().tobytes() == ours.require_data().tobytes()
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(lifetime_module, "INNER_FOLD_PRODUCT", 0.0)
+                    fold_free = compile_plan(network, tree, frozenset(sliced))
+                assert fold_free.inner_fold is None
+                for subtask_id in range(total):
+                    subtask = serial.run_subtask(subtask_id)
+                    theirs = fold_free.execute(network, subtask.assignment)
+                    assert subtask.tensor.indices == theirs.indices
+                    ours = subtask.tensor.require_data()
+                    assert ours.tobytes() == theirs.require_data().tobytes()
+        finally:
+            pool.close()
+            distributed.close()
+        assert seen >= {
+            "tensordot flush step",
+            "einsum flush step",
+            "leaf sibling",
+            "cached sibling",
+            "partial sibling",
+            "fetched sibling",
+            "einsum inner node",
+            "fold below the root",
+            "open output legs",
+        }
+
+    def test_chunked_runs_never_split_a_block(self):
+        """Every chunk holds whole blocks (an explicit ``chunk_size`` rounds
+        up to them), so every backend folds the contributions a serial run
+        folds: bit for bit, any worker count 1-3 and chunk size 1-5.  One
+        resident pool / distributed session per worker count serves every
+        example."""
+        opened = {}
+
+        def resident(kind, workers):
+            if (kind, workers) not in opened:
+                if kind == "pool":
+                    made = SharedMemoryProcessPoolBackend(max_workers=workers)
+                else:
+                    made = DistributedBackend(num_workers=workers)
+                made.session()
+                opened[kind, workers] = made
+            return opened[kind, workers]
+
+        @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(
+            case=st.sampled_from(_INNER),
+            kind=st.sampled_from(["threads", "pool", "distributed"]),
+            workers=st.integers(min_value=1, max_value=3),
+            chunk_size=st.integers(min_value=1, max_value=5),
+        )
+        def check(case, kind, workers, chunk_size):
+            network, tree, sliced = _folding_case(*case)
+            serial = SlicedExecutor(network, tree, sliced)
+            bits = serial.run().require_data().tobytes()
+            if kind == "threads":
+                backend = ThreadPoolBackend(max_workers=workers)
+            else:
+                backend = resident(kind, workers)
+            backend.chunk_size = chunk_size
+            plan = serial.plan
+            blocks = list(plan.blocks(serial.assignment(i) for i in range(serial.num_subtasks)))
+            chunks = backend._chunks(blocks)
+            assert [block for chunk in chunks for _, block in chunk] == blocks
+            assert all(sum(len(block) for _, block in chunk[:-1]) < chunk_size for chunk in chunks)
+            result = SlicedExecutor(network, tree, sliced, backend=backend).run()
+            assert result.require_data().tobytes() == bits
+
+        try:
+            check()
+        finally:
+            for made in opened.values():
+                made.close()
 
 
 # ---------------------------------------------------------------------------
