@@ -2091,10 +2091,12 @@ def _lay_out(
     What the walk leaves alive is the fold node's array, which lives to the
     end of the subtask, and the retained partials, pinned for the whole
     sweep: a resumed subtask re-runs a suffix of the walk, whose steps must
-    not overwrite them.  With an ``inner`` fold node the walk ends there —
-    its array dies once added — and the flush follows on the same clock:
-    the chain up to the fold node over the block accumulator, pinned like
-    a retained partial, and the chain siblings, which it reads as they are.
+    not overwrite them.  With an ``inner`` fold node the walk ends there
+    and the flush follows on the same clock: the chain up to the fold node
+    over the block accumulator, pinned like a retained partial, and the
+    chain siblings, which it reads as they are.  The inner node's array
+    lives to the flush's end: a resumed subtask that changes nothing below
+    it adds it again.
 
     Offsets come from greedy first-fit at :data:`_ALIGN` bytes over three
     orders — by size (equal sizes earliest- or latest-born first) and by
@@ -2154,13 +2156,18 @@ def _lay_out(
         if step.level and step.node not in tail and step.node not in chain:
             run(position, step, step.free_cached)
     if inner is not None:
-        tick += 1
-        dies(inner, tick)  # (added into the accumulator)
+        # the inner node's array is added into the accumulator, and read
+        # again by a later subtask that changes nothing below it: it lives
+        # through the flush, whose buffers must not take its bytes
+        walked = holder.pop(inner, None)
         shape = steps[inner - len(leaf_steps)].out_shape
         holder[inner] = born((2, 0, 0), 0, math.prod(shape))
+        tick += 1
         for position, step in enumerate(steps):
             if step.node in chain:
                 run(position, step, tuple(c for c in (step.lhs, step.rhs) if c in chain))
+        if walked is not None:
+            regions[walked][2] = tick + 1
     for node, index in holder.items():
         regions[index][2] = tick + 1
         if node != fold:

@@ -1034,17 +1034,21 @@ def _arena_layout(plan):
             holds[ls.node] = ls.node
     for step in steps:
         walk(step, step.free_cached)
+    walked = None
     if plan.inner_fold is not None:
         # the subtask's array is added into the accumulator, which the
-        # flush reads in its place; the flush frees only its own chain
+        # flush reads in its place (the flush frees only its own chain);
+        # a resumed subtask that changes nothing below it adds it again
         node = plan.inner_fold[0]
+        walked = holds.pop(node, None)
         tick += 1
-        read(holds.pop(node, None))
         write("accumulator", plan._inner[2])
         holds[node] = "accumulator"
         chain = {step.node for step in plan._flush}
         for step in plan._flush:
             walk(step, [c for c in (step.lhs, step.rhs) if c in chain])
+    if walked is not None:
+        spans[walked][1] = tick + 1
     retained = []
     for node, what in holds.items():
         spans[what][1] = tick + 1  # the fold node's array lives to the end

@@ -1117,6 +1117,19 @@ class TestInnerFoldProperties:
             "open output legs",
         }
 
+    def test_any_id_sequence_on_one_arena_equals_stateless_executes(self):
+        """One-subtask blocks resumed on one arena through hostile id
+        sequences — repeats included, where nothing below the inner node
+        changes and its array from before the last flush is added again —
+        return the bits of stateless executes."""
+        for seed, num_sliced in (*_INNER, (994, 2)):
+            network, tree, sliced = _folding_case(seed, num_sliced)
+            plan = compile_plan(network, tree, frozenset(sliced))
+            assert plan.inner_fold is not None
+            total = math.prod(network.size_of(ix) for ix in plan.sliced)
+            ids = _hostile_ids(np.random.default_rng(seed), total)
+            _assert_resumed_equals_stateless([(network, plan, plan.new_cache())], ids)
+
     def test_chunked_runs_never_split_a_block(self):
         """Every chunk holds whole blocks (an explicit ``chunk_size`` rounds
         up to them), so every backend folds the contributions a serial run
