@@ -552,8 +552,20 @@ def plan_sweep(
 #: ``correlated_sampling`` batch 0.452 (work 3.48e8 -> 8.05e7, elements
 #: 8,064 -> 15,744); the three ``GOLDEN`` plans 1.09 (256 -> 112
 #: multiply-adds, 8 -> 20 elements); ``small_subtasks`` 1.93;
-#: ``large_subtasks`` has no qualifying node.
+#: ``large_subtasks`` has no qualifying node.  The order-free lower bounds
+#: (:meth:`_Search.inner_fold`) already refuse ``GOLDEN`` (1.09) and
+#: ``small_subtasks`` (0.725) without a search; the batch's is 0.285.
 INNER_FOLD_PRODUCT = 0.5
+
+#: Subsets the inner fold's pricing searches over all its candidates: each
+#: is one subset search over the ``f`` free positions, so the
+#: ``max(1, INNER_FOLD_SUBSETS >> f)`` candidates of least lower bound are
+#: priced — all of the bench plans' (at most 3, at most 9 free positions),
+#: and one on a plan of 12, about one more :func:`plan_sweep` threshold
+#: (4x5-6x6 grids sliced to 24-42 indices, 6-13 candidates: +0.01-0.2 s on
+#: a 0.3-0.5 s search, where pricing every candidate took +0.8-1.7 s;
+#: 2-vCPU VM).
+INNER_FOLD_SUBSETS = 2**MAX_SEARCH_INDICES
 
 
 class SweepPlan(NamedTuple):
@@ -563,13 +575,16 @@ class SweepPlan(NamedTuple):
     over the positions after ``level`` and runs the chain above it once per
     block, a value combination of the first ``level`` positions — or
     ``None``.  ``product`` is the admission product of the best candidate
-    (admitted or not), ``None`` when no node qualified.
+    (admitted or not), ``None`` when no node qualified; with ``bound`` it is
+    only the least lower bound over the candidates, none of which could be
+    admitted, so none was priced.
     """
 
     order: Tuple[str, ...]
     open_nodes: FrozenSet[int]
     inner_fold: Optional[Tuple[int, int]]
     product: Optional[float]
+    bound: bool = False
 
 
 def plan_folded_sweep(tree: ContractionTree, sliced: Iterable[str]) -> SweepPlan:
@@ -593,14 +608,7 @@ def plan_folded_sweep(tree: ContractionTree, sliced: Iterable[str]) -> SweepPlan
     if not labels:
         return SweepPlan((), frozenset(), None, None)
     search = _Search(tree, labels)
-    positions, open_nodes = search.choose(True)
-    found = search.inner_fold(positions, open_nodes)
-    if found is None:
-        return SweepPlan(tuple(labels[i] for i in positions), open_nodes, None, None)
-    fold_positions, node, level, product = found
-    if product > INNER_FOLD_PRODUCT:
-        return SweepPlan(tuple(labels[i] for i in positions), open_nodes, None, product)
-    return SweepPlan(tuple(labels[i] for i in fold_positions), open_nodes, (node, level), product)
+    return search.inner_fold(*search.choose(True))
 
 
 class _Search:
@@ -608,6 +616,7 @@ class _Search:
 
     def __init__(self, tree: ContractionTree, labels: Tuple[str, ...]) -> None:
         self.tree = tree
+        self.labels = labels
         self.count = count = len(labels)
         self.widths = widths = [_index_width(tree, ix) for ix in labels]
         self.tables = tables = _node_tables(tree, labels)
@@ -652,25 +661,29 @@ class _Search:
                 return best, open_nodes
         raise AssertionError("label order always fits its own ceilings")
 
-    def inner_fold(
-        self, positions: Sequence[int], open_nodes: FrozenSet[int]
-    ) -> Optional[Tuple[List[int], int, int, float]]:
-        """The least-work inner fold: ``(positions, node, level, product)``.
+    def inner_fold(self, positions: Sequence[int], open_nodes: FrozenSet[int]) -> SweepPlan:
+        """:func:`plan_folded_sweep`'s choice, after :meth:`choose`'s ``(positions, open_nodes)``.
 
-        ``None`` when no node qualifies or no order of a qualifying one
-        fits the label-order plan's steps and work.  Of the qualifying
-        nodes with one chain mask on one root path only the deepest is
-        priced: moving the chain down past a sibling the mask already
-        covers turns a per-subtask node into a per-block one.  The search
-        per candidate bounds steps and work and ignores resident elements,
-        which the product then weighs.
+        Of the qualifying nodes with one chain mask on one root path only
+        the deepest is a candidate: moving the chain down past a sibling the
+        mask already covers turns a per-subtask node into a per-block one.
+        Every candidate's product has an order-free lower bound — no order
+        runs a node less than once per value of its own mask, nor holds
+        less than the order-free cache, the accumulator and the siblings
+        the flush reads.  When no bound is admitted nothing is searched.
+        Otherwise the candidates of least bound are priced, at most
+        :data:`INNER_FOLD_SUBSETS` subsets over all; the search per
+        candidate bounds steps and work and ignores resident elements,
+        which the product then weighs.  A candidate none of whose orders
+        fits the label-order plan's steps and work is dropped.
         """
         tree, tables, count, widths = self.tree, self.tables, self.count, self.widths
         reach, fixed = tables[0], tables[3]
         num_leaves = tree.num_leaves
+        today = SweepPlan(tuple(self.labels[i] for i in positions), open_nodes, None, None)
         steps, work, cache, entries = _sweep_tables(tree, tables, count, open_nodes)
         swept = _fold(entries, widths, positions)
-        work_today, held_today = work + swept[3], cache + swept[4]
+        scale = (work + swept[3]) * (cache + swept[4])
         # top-down: the chain siblings' mask and the elements the flush
         # reads besides the accumulator, for every node outside the open
         # subtrees (whose warm pass carries the sliced indices)
@@ -692,13 +705,35 @@ class _Search:
                 for child in tree.children(node)  # type: ignore[union-attr]
             ):
                 candidates.append(node)
+        if not candidates:
+            return today
+        if not scale:
+            return today._replace(product=math.inf)  # it holds nothing to trade
+
+        def chain_tables(node: int) -> Tuple[int, int, int, List[List[List[int]]]]:
+            chain = frozenset(tree.path_to_root(node)[1:])
+            return _sweep_tables(tree, tables, count, open_nodes, chain, masks[node])
+
+        bounds = {}
+        for node in candidates:
+            steps, work, cache, entries = chain_tables(node)
+            # (an entry's nodes run once per value combination of the
+            # positions up to the one completing their mask: at least once
+            # per value of the mask's own indices)
+            least = work + sum(
+                cost * math.prod(widths[i] for i in range(count) if mask >> i & 1)
+                for mask, cost in {entry[0]: entry[2] for row in entries for entry in row}.items()
+            )
+            bounds[node] = least * (cache + fixed[node] + reads[node]) / scale
+        if min(bounds.values()) > INNER_FOLD_PRODUCT:
+            return today._replace(product=min(bounds.values()), bound=True)
+        priced = max(1, INNER_FOLD_SUBSETS >> len(self.free))
+        ranked = sorted(candidates, key=lambda node: (bounds[node], node))[:priced]
         steps_cap, work_cap = self.caps[:2]
         best: Optional[Tuple[int, List[int], int, int, float]] = None
-        for node in sorted(candidates):
+        for node in sorted(ranked):
             mask = masks[node]
-            steps, work, cache, entries = _sweep_tables(
-                tree, tables, count, open_nodes, frozenset(tree.path_to_root(node)[1:]), mask
-            )
+            steps, work, cache, entries = chain_tables(node)
             order = self._order(
                 [[entry[:3] + [0] for entry in row] for row in entries],
                 (steps_cap - steps, work_cap - work, 0),
@@ -711,11 +746,13 @@ class _Search:
             swept = _fold(entries, widths, order)
             if best is None or work + swept[3] < best[0]:
                 held = cache + swept[4] + fixed[node] + reads[node]
-                today = work_today * held_today
-                # (a plan that holds nothing has nothing to trade)
-                product = (work + swept[3]) * held / today if today else math.inf
-                best = (work + swept[3], order, node, level, product)
-        return None if best is None else best[1:]
+                best = (work + swept[3], order, node, level, (work + swept[3]) * held / scale)
+        if best is None:
+            return today
+        _, order, node, level, product = best
+        if product > INNER_FOLD_PRODUCT:
+            return today._replace(product=product)
+        return SweepPlan(tuple(self.labels[i] for i in order), open_nodes, (node, level), product)
 
 
 def sweep_prediction(

@@ -20,8 +20,10 @@ This module adds the real thing behind the same
 
 Wire protocol (socket transports): length-prefixed pickle frames — an
 8-byte big-endian length followed by the pickled message tuple.  State is
-broadcast once and then only *chunk ids* stream out and small per-subtask
-contributions stream back:
+broadcast once and then only *chunk ids* stream out and small per-block
+contributions stream back (a block is a list of assignments,
+:meth:`~repro.execution.plan.CompiledPlan.blocks` — one unless the plan
+folds inside):
 
 ========================== ============================================
 frame                      payload
@@ -30,7 +32,7 @@ frame                      payload
 ``("plan", (gen, blob))``  pickled ``(plan, sum_batch_axes)``
 ``("data", (gen, blob))``  pickled ``(leaf arrays, invariant cache)``
 ``("chunk", (...))``       ``(chunk id, plan gen, data gen,
-                           [(position, assignment), ...], directive)``
+                           [(position, block), ...], directive)``
 ``("result", (...))``      ``(chunk id, [contribution, ...],
                            [crc32, ...], stats)``
 ``("error", (...))``       ``(chunk id, repr(exc), traceback)``

@@ -1951,7 +1951,7 @@ def compile_plan(
         accumulator=accumulator,
     )
     if logger.isEnabledFor(logging.DEBUG):
-        _log_sweep_plan(plan, open_nodes, carried, sweep.product)
+        _log_sweep_plan(plan, open_nodes, carried, sweep)
     return plan
 
 
@@ -2250,10 +2250,11 @@ def _log_sweep_plan(
     plan: CompiledPlan,
     open_nodes: AbstractSet[int],
     carried: AbstractSet[int],
-    product: Optional[float],
+    sweep: SweepPlan,
 ) -> None:
     """The per-compile ``DEBUG`` line: the chosen sweep beside label order,
-    and the inner fold taken — or the product of the candidate refused."""
+    and the inner fold taken — or the product of the candidate refused, or
+    the least lower bound when none was worth searching."""
     tree = plan.tree
     cost = plan.sweep_cost()
     per_level: Dict[int, int] = {}
@@ -2300,9 +2301,14 @@ def _log_sweep_plan(
         (
             f"inner fold at node {plan.inner_fold[0]} over positions > "
             f"{plan.inner_fold[1]} ({plan._inner[2][1] * itemsize} "
-            f"bytes, product {product:.3g})"
+            f"bytes, product {sweep.product:.3g})"
             if plan.inner_fold
-            else "no inner fold" + ("" if product is None else f" (product {product:.3g})")
+            else "no inner fold"
+            + (
+                ""
+                if sweep.product is None
+                else f" (product {'>= ' if sweep.bound else ''}{sweep.product:.3g})"
+            )
         ),
         plan.arena_bytes,
     )

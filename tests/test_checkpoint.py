@@ -1106,7 +1106,8 @@ class TestFoldLedgers:
 
     def test_a_fold_free_ledger_starts_an_inner_folding_run_clean(self, tmp_path, monkeypatch):
         """The fingerprint covers the inner fold, so a ledger of a fold-free
-        build of the same batch — subtask slots — is another job."""
+        build of the same batch — subtask slots — is another job: neither
+        loaded nor discarded, it stays in the store."""
         from test_plan import _sampling_batch
 
         from repro.core import lifetime

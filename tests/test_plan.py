@@ -639,18 +639,33 @@ class TestSweepPlanner:
         """Opening subtrees spends resident bytes, which can rule out every
         order that runs as few steps as label order does; such a threshold
         is not admitted.  Here all of them fail and nothing helps, so the
-        plan compiles to exactly label order with nothing open."""
-        from repro.core.lifetime import plan_folded_sweep, plan_sweep, sweep_prediction
+        plan compiles to exactly label order with nothing open — until its
+        inner fold reorders it (``INNER_FOLD_PRODUCT`` at 0 switches that
+        off)."""
+        from unittest import mock
+
+        from repro.core import lifetime
+        from repro.core.lifetime import plan_sweep, sweep_prediction
 
         tn, tree, _ = _case(num_qubits=10, depth=8)
         inner = sorted(tn.inner_indices())
         labels = tuple(inner[::5][:9])
         assert plan_sweep(tree, labels) == (labels, frozenset())
         assert sweep_prediction(tree, labels) == (4_030, 580_096, 464)
-        plan = compile_plan(tn, tree, frozenset(labels))
-        # (the compiled plan opens nothing either; it reorders only for
-        # the inner fold it takes, TestInnerFold)
-        assert plan.sliced == plan_folded_sweep(tree, labels).order and not plan.fetches
+        with mock.patch.object(lifetime, "INNER_FOLD_PRODUCT", 0.0):
+            plan = compile_plan(tn, tree, frozenset(labels))
+        assert plan.sliced == labels and not plan.fetches and plan.inner_fold is None
+        # with the inner fold rule on, this plan folds inside (product 0.374):
+        # node 27 over the last two positions, still nothing open
+        folded = compile_plan(tn, tree, frozenset(labels))
+        assert folded.inner_fold == (27, 7) and not folded.fetches
+        assert folded.sliced == (
+            "q6_4", "q7_14", "q2_14", "q5_6", "q3_13", "q4_11", "q4_8", "q0_4", "q1_5"
+        )
+        executor = SlicedExecutor(tn, tree, labels)
+        executor.run()
+        _assert_counts_match_levels(executor, executor.plan)
+        assert executor.stats.steps_executed == folded.sweep_cost().steps == 2_196
 
     def test_sampling_batch_runs_the_predicted_steps(self):
         network, tree, sliced = _sampling_batch()
@@ -920,6 +935,9 @@ class TestInnerFold:
         tree, sliced = planned.tree, planned.slicing.sliced
         sweep = plan_folded_sweep(tree, sliced)
         assert sweep.inner_fold is None
+        # (small's one candidate is refused on its order-free bound, 0.725 —
+        # the search would price it at 1.93; large has none)
+        assert sweep.product is None or sweep.bound and 0.72 < sweep.product < 0.73
         assert (sweep.order, sweep.open_nodes) == plan_sweep(tree, sliced)
         assert (sweep.order, len(sweep.open_nodes)) == (order, open_count)
         with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
@@ -929,7 +947,7 @@ class TestInnerFold:
         assert plan.inner_fold is None
         executor.run()
         assert executor.stats.steps_executed == plan.sweep_cost().steps == steps
-        refused = "no inner fold" if sweep.product is None else "no inner fold (product"
+        refused = "no inner fold" if sweep.product is None else "no inner fold (product >= 0.725)"
         assert refused in caplog.records[-1].getMessage()
 
     @pytest.mark.parametrize("seed", [13, 29, 47])
@@ -941,13 +959,40 @@ class TestInnerFold:
 
         tn, tree, sliced = golden_case(seed)
         sweep = plan_folded_sweep(tree, sliced)
-        assert sweep.inner_fold is None and sweep.product > 0.5
+        # (refused on its order-free bound, the product itself: no search)
+        assert sweep.inner_fold is None and sweep.bound and sweep.product > 0.5
         executor = SlicedExecutor(tn, tree, sliced)
         plan = executor.plan
         assert plan.sliced == ("q1_3", "q1_4", "q2_5") and not plan.fetches
         assert (plan.fold_node, plan.arena_bytes) == (8, 352)
         assert executor.amplitude() == GOLDEN[seed]
         assert executor.stats.steps_executed == plan.sweep_cost().steps == 25
+
+    def test_pricing_searches_a_bounded_number_of_candidates(self, monkeypatch):
+        """One subset search per priced candidate, at most
+        ``INNER_FOLD_SUBSETS >> free positions`` of them (at least one): the
+        sampling batch prices its three, and under a budget of one its
+        ranking still puts node 87 first — the same plan."""
+        from repro.core import lifetime
+
+        _, tree, sliced = _sampling_batch()
+        searches = []
+        real = lifetime._Search._order
+
+        def counted(search, entries, caps):
+            searches.append(caps)
+            return real(search, entries, caps)
+
+        monkeypatch.setattr(lifetime._Search, "_order", counted)
+        lifetime.plan_sweep(tree, sliced)
+        thresholds = len(searches)
+        full = lifetime.plan_folded_sweep(tree, sliced)
+        assert len(searches) - 2 * thresholds == 3
+        monkeypatch.setattr(lifetime, "INNER_FOLD_SUBSETS", 2**len(sliced))
+        del searches[:]
+        assert lifetime.plan_folded_sweep(tree, sliced) == full
+        assert full.inner_fold == (87, 5)
+        assert len(searches) - thresholds == 1
 
     def test_the_tape_declines_an_inner_fold(self):
         """The kernel has no op for the block accumulator: ``fused=True``

@@ -42,7 +42,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_plan import _arena_layout, _check_layout
 from test_tape import fake_native_engine
@@ -743,6 +743,10 @@ class TestSweepPlannerProperties:
         seed=st.integers(min_value=0, max_value=10_000),
         num_sliced=st.integers(min_value=0, max_value=5),
     )
+    # (about one plan in twenty folds inside; these do, one with a fetch)
+    @example(seed=44, num_sliced=2)
+    @example(seed=8, num_sliced=4)
+    @example(seed=93, num_sliced=5)
     def test_chosen_plan_dominates_label_order_and_is_the_exhaustive_optimum(
         self, seed, num_sliced
     ):
@@ -796,6 +800,45 @@ class TestSweepPlannerProperties:
             if ls.stage is not None and ls.stage[0] != tuple(range(len(ls.stage[0])))
         )
         assert cost.cache_bytes + cost.retained_bytes == itemsize * (chosen[2] + leaf_copies)
+
+        # the inner fold's order-free bound never refuses a fold the search
+        # would take: pricing every candidate finds no smaller product
+        sweep = lifetime_module.plan_folded_sweep(tree, labels)
+        with mock.patch.object(lifetime_module, "INNER_FOLD_PRODUCT", math.inf):
+            priced = lifetime_module.plan_folded_sweep(tree, labels)
+        assert not priced.bound
+        if sweep.bound:
+            assert sweep.inner_fold is None and sweep.product > lifetime_module.INNER_FOLD_PRODUCT
+            assert priced.product is None or priced.product >= sweep.product
+        elif priced.product is not None and priced.product <= lifetime_module.INNER_FOLD_PRODUCT:
+            assert sweep == priced
+
+        # the production plan — inner fold rule on — accounts for itself
+        # exactly too: a node runs once per value combination of the
+        # positions up to its level, the tail once, an inner fold's flush
+        # once per block
+        executor = SlicedExecutor(network, tree, labels)
+        executor.run()
+        plan = executor.plan
+        runs = [1]
+        for ix in plan.sliced:
+            runs.append(runs[-1] * network.size_of(ix))
+        tail = tree.path_to_root(plan.fold_node)[1:]
+        flush = ()
+        if plan.inner_fold is not None:
+            path = tree.path_to_root(plan.inner_fold[0])
+            flush = path[1 : path.index(plan.fold_node) + 1]
+        expected = {
+            s.node: 1
+            if s.node in tail
+            else runs[plan.inner_fold[1]]
+            if s.node in flush
+            else runs[s.level]
+            for s in plan.contract_steps
+        }
+        counts = executor.stats.node_counts
+        assert {node: counts[node] for node in expected} == expected
+        assert executor.stats.steps_executed == sum(expected.values()) == plan.sweep_cost().steps
 
 
 # ---------------------------------------------------------------------------
