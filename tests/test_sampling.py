@@ -9,14 +9,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import StateVectorSimulator, grid_circuit, random_brickwork_circuit
+from repro.circuits import (
+    Circuit,
+    Gate,
+    StateVectorSimulator,
+    grid_circuit,
+    random_brickwork_circuit,
+)
 from repro.execution import SharedMemoryProcessPoolBackend, ThreadPoolBackend
+from repro.execution.plan import CompiledPlan
 from repro.execution.sampling import (
     CorrelatedSampleBatch,
     CorrelatedSampler,
     linear_xeb_fidelity,
 )
-from repro.tensornet import Tensor, TensorNetwork
+from repro.tensornet import CircuitToTensorNetwork, Tensor, TensorNetwork, simplify_network
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +120,17 @@ class TestSamplerValidation:
         sampler = CorrelatedSampler(circuit, open_qubits=(0,))
         with pytest.raises(ValueError):
             sampler.build_network([0, 1])
+
+    def test_closed_bits_must_be_zero_or_one(self):
+        sampler = CorrelatedSampler(grid_circuit(3, 3, cycles=6, seed=21), open_qubits=(0, 2, 4))
+        with pytest.raises(ValueError, match="closed qubit 3 has bit 2"):
+            sampler.compute_batch([0, 0, 1, 2, 0, 1, 7, 0, -1])
+        with pytest.raises(ValueError, match="closed qubit 8 has bit -1"):
+            sampler.build_network([0, 0, 1, 0, 0, 1, 1, 0, -1])
+        # open-qubit entries stay ignored
+        batch = sampler.compute_batch([5, 0, -1, 1, 9, 1, 1, 0, 0])
+        assert batch.base_bitstring == (0, 0, 0, 1, 0, 1, 1, 0, 0)
+        _assert_bitwise(batch, sampler.compute_batch([0, 0, 0, 1, 0, 1, 1, 0, 0]))
 
 
 class TestXEB:
@@ -305,8 +323,11 @@ class TestPlanMemo:
         records = [
             r
             for r in caplog.records
-            # the bound-violation warning has its own test below
-            if r.name == "repro.execution.sampling" and r.levelno < logging.WARNING
+            # the bound-violation warning and the per-batch replay line have
+            # their own tests below
+            if r.name == "repro.execution.sampling"
+            and r.levelno < logging.WARNING
+            and not r.getMessage().startswith("replayed")
         ]
         assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG, logging.INFO]
         miss, hit, replan = (r.getMessage() for r in records)
@@ -413,3 +434,244 @@ class TestSamplerStatsAccounting:
             sampler.compute_batch([int(b) for b in rng.integers(0, 2, NUM_QUBITS)])
             assert sampler.stats.executions == batches * REUSE_SUBTASKS
             assert sampler.stats.timed_subtasks == batches * REUSE_SUBTASKS
+
+
+# ----------------------------------------------------------------------
+# Convert and simplify once, replay the kets' merges per bitstring
+# ----------------------------------------------------------------------
+class _Complex64Gate(Gate):
+    def tensor(self):
+        return super().tensor().astype(np.complex64)
+
+
+def _complex64_circuit():
+    """Gates in complex64 behind complex128 input kets: every merge mixes dtypes."""
+    circuit = Circuit(4)
+    for layer in range(3):
+        for q in range(4):
+            circuit.add_gate(_Complex64Gate("h", (q,)))
+        for q in range(layer % 2, 3, 2):
+            circuit.add_gate(_Complex64Gate("fsim", (q, q + 1), (0.4, 0.3)))
+    return circuit
+
+
+def _lonely_qubit_circuit():
+    """Qubit 3 sees single-qubit gates only: its closed ket folds into the prefactor."""
+    circuit = random_brickwork_circuit(3, 3, seed=4)
+    lonely = Circuit(4, list(circuit))
+    for name in ("h", "t", "sx", "rz"):
+        lonely.add_gate(Gate(name, (3,), (0.7,) if name == "rz" else ()))
+    return lonely
+
+
+#: (circuit, open qubits): the reuse circuit and three hostile ones
+REPLAY_CASES = {
+    "reuse": (REUSE_CIRCUIT, REUSE_KWARGS["open_qubits"]),
+    "complex64": (_complex64_circuit(), (1, 2)),
+    "lonely-qubit": (_lonely_qubit_circuit(), (0,)),
+    "one-closed": (random_brickwork_circuit(5, 3, seed=8), (0, 1, 2, 4)),
+}
+
+
+def _projected(circuit, open_qubits, base):
+    """The converted circuit with its closed qubits projected, and the kets' ids."""
+    result = CircuitToTensorNetwork().convert(circuit)
+    network = result.network
+    dtype = next(iter(network.tensors().values())).data.dtype
+    outputs, kets = [], set()
+    for qubit, index in result.output_index_of_qubit.items():
+        if qubit in open_qubits:
+            outputs.append(index)
+            continue
+        ket = np.array([1.0, 0.0] if base[qubit] == 0 else [0.0, 1.0], dtype=dtype)
+        kets.add(network.add_tensor(Tensor((index,), data=ket, tags=("output", f"qubit:{qubit}"))))
+    network.set_output_indices(outputs)
+    return network, kets
+
+
+def _full_build(circuit, open_qubits, base):
+    """Convert, project the closed qubits and simplify from scratch."""
+    network, _ = _projected(circuit, open_qubits, base)
+    return network, simplify_network(network).scalar_prefactor
+
+
+def _assert_same_network(network, reference):
+    assert list(network) == list(reference)
+    assert network.output_indices() == reference.output_indices()
+    for tid in reference:
+        got, want = network.tensor(tid), reference.tensor(tid)
+        assert got.indices == want.indices
+        assert got.tags == want.tags
+        assert got.data.dtype == want.data.dtype
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def _descended_merges(circuit, open_qubits, base, monkeypatch):
+    """``(merges descending from a closed qubit's ket, all merges)`` of a full build."""
+    network, descended = _projected(circuit, open_qubits, base)
+    merges = [0, 0]
+    real = TensorNetwork.contract_pair
+
+    def spy(network, tid_a, tid_b):
+        out = real(network, tid_a, tid_b)
+        merges[1] += 1
+        if tid_a in descended or tid_b in descended:
+            descended.add(out)
+            merges[0] += 1
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TensorNetwork, "contract_pair", spy)
+        simplify_network(network)
+    return tuple(merges)
+
+
+def _replay_bases(num_qubits):
+    return st.lists(st.tuples(*[st.integers(0, 1)] * num_qubits), min_size=2, max_size=4)
+
+
+class TestBuildReplay:
+    """``build_network`` converts and simplifies once and replays the kets' merges."""
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_replayed_build_is_bitwise_a_full_one(self, case, data):
+        circuit, open_qubits = REPLAY_CASES[case]
+        bases = data.draw(_replay_bases(circuit.num_qubits))
+        sampler = CorrelatedSampler(circuit, open_qubits=open_qubits)
+        for base in bases:
+            network, open_index, prefactor = sampler.build_network(base)
+            reference, reference_prefactor = _full_build(circuit, open_qubits, base)
+            _assert_same_network(network, reference)
+            assert (
+                np.complex128(prefactor).tobytes() == np.complex128(reference_prefactor).tobytes()
+            )
+            assert sorted(open_index.values()) == sorted(reference.output_indices())
+
+    def test_a_lonely_closed_qubit_moves_the_prefactor(self):
+        circuit, open_qubits = REPLAY_CASES["lonely-qubit"]
+        sampler = CorrelatedSampler(circuit, open_qubits=open_qubits)
+        _, _, zero = sampler.build_network([0, 0, 0, 0])
+        _, _, one = sampler.build_network([0, 0, 0, 1])
+        assert zero != one
+        assert one == _full_build(circuit, open_qubits, [0, 0, 0, 1])[1]
+
+    def test_an_abstract_build_is_a_full_abstract_one(self):
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        for base in ([0] * NUM_QUBITS, [1] * NUM_QUBITS):
+            network, _, prefactor = sampler.build_network(base, concrete=False)
+            expected, _ = _full_build(REUSE_CIRCUIT, REUSE_KWARGS["open_qubits"], base)
+            assert network.structure_key() == expected.structure_key()
+            assert not network.is_concrete() and prefactor == 1
+
+    def test_the_circuit_is_converted_once(self, monkeypatch):
+        converted = []
+        real = CircuitToTensorNetwork.convert
+        monkeypatch.setattr(
+            CircuitToTensorNetwork,
+            "convert",
+            lambda self, *args, **kwargs: converted.append(1) or real(self, *args, **kwargs),
+        )
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        for base in ([0] * NUM_QUBITS, [1] * NUM_QUBITS, [1, 0] * 4 + [1]):
+            sampler.compute_batch(base)
+            sampler.build_network(base)
+        assert len(converted) == 1
+
+    def test_each_build_replays_the_ket_descended_merges_only(self, monkeypatch):
+        open_qubits = REUSE_KWARGS["open_qubits"]
+        base = [0] * NUM_QUBITS
+        descended, total = _descended_merges(REUSE_CIRCUIT, open_qubits, base, monkeypatch)
+        assert (descended, total) == (27, 82)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        sampler.build_network(base)  # the one full build
+        calls = []
+        real = np.tensordot
+        monkeypatch.setattr(
+            np, "tensordot", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+        )
+        for other in ([1] * NUM_QUBITS, [1, 0] * 4 + [1], [1] * NUM_QUBITS):
+            calls.clear()
+            sampler.build_network(other)
+            assert len(calls) == descended
+
+    def test_the_bench_batch_replays_54_of_its_222_merges(self, monkeypatch):
+        circuit = grid_circuit(4, 5, cycles=8, seed=3)
+        open_qubits = tuple(range(0, 16, 2))
+        base = [int(b) for b in np.random.default_rng(3).integers(0, 2, 20)]
+        assert _descended_merges(circuit, open_qubits, base, monkeypatch) == (54, 222)
+        sampler = CorrelatedSampler(circuit, open_qubits=open_qubits)
+        network, _, _ = sampler.build_network(base)
+        other, _, _ = sampler.build_network([1 - b for b in base])
+        changed = [
+            tid for tid in network
+            if network.tensor(tid).data.tobytes() != other.tensor(tid).data.tobytes()
+        ]
+        assert len(network) == 52 and len(changed) == 10
+
+    def _resident_spies(self, sampler, monkeypatch):
+        """Record leaves rebound into the resident network and cache warm-ups."""
+        rebound, warmed = [], []
+        replace, warm = TensorNetwork.replace_tensor, CompiledPlan.warm_cache
+
+        def spy_replace(network, tid, tensor):
+            resident = sampler._resident
+            if resident is not None and network is resident.network:
+                rebound.append(tid)
+            return replace(network, tid, tensor)
+
+        def spy_warm(plan, *args, **kwargs):
+            warmed.append(1)
+            return warm(plan, *args, **kwargs)
+
+        monkeypatch.setattr(TensorNetwork, "replace_tensor", spy_replace)
+        monkeypatch.setattr(CompiledPlan, "warm_cache", spy_warm)
+        return rebound, warmed
+
+    def test_only_leaves_whose_data_differ_are_rebound(self, monkeypatch):
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        first, second = [0] * NUM_QUBITS, [1, 0] * 4 + [1]
+        sampler.compute_batch(first)
+        before, _, _ = sampler.build_network(first)
+        after, _, _ = sampler.build_network(second)
+        differ = [
+            tid for tid in after
+            if after.tensor(tid).data.tobytes() != before.tensor(tid).data.tobytes()
+        ]
+        assert 0 < len(differ) < len(after)
+        fresh = _fresh_batch(second)
+        rebound, warmed = self._resident_spies(sampler, monkeypatch)
+        _assert_bitwise(sampler.compute_batch(second), fresh)
+        assert rebound == differ
+        assert len(warmed) == 1
+
+    def test_the_same_bitstring_twice_rebinds_nothing_and_stays_warm(self, monkeypatch):
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        base = [1, 1, 0, 0, 1, 0, 1, 0, 0]
+        first = sampler.compute_batch(base)
+        rebound, warmed = self._resident_spies(sampler, monkeypatch)
+        _assert_bitwise(sampler.compute_batch(base), first)
+        assert rebound == [] and warmed == []
+
+    def test_each_batch_logs_its_replay(self, caplog):
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        first, second = [0] * NUM_QUBITS, [1, 0] * 4 + [1]
+        before, _, _ = sampler.build_network(first)
+        after, _, _ = sampler.build_network(second)
+        differ = sum(
+            after.tensor(tid).data.tobytes() != before.tensor(tid).data.tobytes() for tid in after
+        )
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.sampling"):
+            for base in (first, second, second):
+                sampler.compute_batch(base)
+        lines = [
+            r.getMessage()
+            for r in caplog.records
+            if r.levelno == logging.DEBUG and r.getMessage().startswith("replayed")
+        ]
+        assert lines == [
+            "replayed 27 merges, rebound 14 of 14 leaves",
+            f"replayed 27 merges, rebound {differ} of 14 leaves",
+            "replayed 27 merges, rebound 0 of 14 leaves",
+        ]
