@@ -41,16 +41,8 @@ during the timed runs) are emitted under the JSON point's
 every CI run produces (and validates) a real input for the calibrated
 cost model.
 
-``test_tape_engine_matrix`` compares the two compiled engines — the
-Python walker and the numba-JIT native tape kernel (``fused=True``) — on
-one workload, pins their bit-identity (batched plan included) and, where
-numba is installed, gates the native kernel's steady-state speedup.
-Results land in ``BENCH_exec_plan.json["fused_engines"]`` plus an
-appended trajectory point in ``BENCH_fused_tape.json``.
-
 Set ``REPRO_BENCH_QUICK=1`` (the CI default) for a smaller workload and a
-single repeat; set ``REPRO_BENCH_GATED=1`` (the CI numba leg) to size the
-tape-engine matrix up to the gated workload.
+single repeat.
 """
 
 from __future__ import annotations
@@ -91,21 +83,6 @@ EXEC_RANK_DROP = int(os.environ.get("REPRO_BENCH_EXEC_RANK_DROP", "5" if QUICK e
 EXEC_REPEATS = int(os.environ.get("REPRO_BENCH_EXEC_REPEATS", "1" if QUICK else "3"))
 EXEC_WORKERS = int(os.environ.get("REPRO_BENCH_EXEC_WORKERS", str(min(4, os.cpu_count() or 1))))
 EXEC_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_EXEC_MIN_SPEEDUP", "2.0" if QUICK else "5.0"))
-#: Gated mode: a larger-than-quick workload for the tape-engine matrix,
-#: sized so the native-vs-python kernel gap is measurable above dispatch
-#: noise.  Off by default (the quick workload still runs the matrix and
-#: its structural gates); CI's numba leg sets ``REPRO_BENCH_GATED=1``.
-GATED = os.environ.get("REPRO_BENCH_GATED", "") not in ("", "0")
-TAPE_ROWS = int(os.environ.get("REPRO_BENCH_TAPE_ROWS", "4"))
-TAPE_COLS = int(os.environ.get("REPRO_BENCH_TAPE_COLS", "5" if GATED else str(EXEC_COLS)))
-TAPE_CYCLES = int(os.environ.get("REPRO_BENCH_TAPE_CYCLES", "10" if GATED else str(EXEC_CYCLES)))
-TAPE_RANK_DROP = int(
-    os.environ.get("REPRO_BENCH_TAPE_RANK_DROP", "6" if GATED else str(EXEC_RANK_DROP))
-)
-#: Interleaved best-of-N repeats of the two-engine steady-state sweep.
-TAPE_REPEATS = int(os.environ.get("REPRO_BENCH_TAPE_REPEATS", "7"))
-#: Native-engine speed gate (enforced only where numba is installed).
-NATIVE_MIN_VS_PYTHON = float(os.environ.get("REPRO_BENCH_NATIVE_MIN_VS_PYTHON", "1.3"))
 
 
 @pytest.fixture(scope="module")
@@ -645,136 +622,3 @@ def test_calibration_sweep(record_result):
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     results_path.write_text(json.dumps(point, indent=2) + "\n")
-
-
-@pytest.fixture(scope="module")
-def tape_workload(exec_workload):
-    """Workload for the tape-engine matrix: gated size or the quick one."""
-    if not GATED:
-        return exec_workload
-    circuit = grid_circuit(TAPE_ROWS, TAPE_COLS, cycles=TAPE_CYCLES, seed=EXEC_SEED)
-    network = amplitude_network(circuit, [0] * circuit.num_qubits, concrete=True)
-    simplify_network(network)
-    tree = HyperOptimizer(max_trials=8, seed=1).search(network)
-    target = max(tree.max_rank() - TAPE_RANK_DROP, 4)
-    slicing = LifetimeSliceFinder(target).find(tree)
-    inner = network.inner_indices()
-    sliced = tuple(ix for ix in slicing.sliced if ix in inner)
-    return network, tree, sliced
-
-
-def test_tape_engine_matrix(tape_workload, record_result):
-    """The Python walker vs the native tape kernel on one sliced workload.
-
-    The engines must be bit-identical, on the plain and on the batched
-    plan; where numba is installed the native kernel must additionally
-    clear the speed gate (``NATIVE_MIN_VS_PYTHON``) — enforced both here
-    and by ``benchmarks/check_fused_regression.py`` in CI.  Without numba
-    ``fused=True`` resolves to the walker, the two rows time the same
-    code, and nothing is gated.  Results land in
-    ``BENCH_exec_plan.json["fused_engines"]`` plus a trajectory point in
-    ``BENCH_fused_tape.json``.
-    """
-    from repro.execution import native_available
-
-    network, tree, sliced = tape_workload
-    native = native_available()
-
-    engines = {
-        "walker": SlicedExecutor(network, tree, sliced),
-        "native": SlicedExecutor(network, tree, sliced, fused=True),
-    }
-    # warm both engines (plan compile + JIT where applicable) and pin the
-    # bit-identity contract before any timing
-    values = {name: executor.amplitude() for name, executor in engines.items()}
-    assert values["native"] == values["walker"]
-    resolved = engines["native"].tape_engine
-    assert resolved == ("native" if native else "python")
-    assert engines["native"].stats.tape_engine == resolved
-    if not native:
-        assert engines["native"].stats.fusion_breaks, "the fallback must say why"
-    batched = {
-        name: SlicedExecutor(
-            network, tree, sliced, fused=fused, batch_indices="auto"
-        ).amplitude()
-        for name, fused in (("walker", False), ("native", True))
-    }
-    assert batched["native"] == batched["walker"]
-    # batched sweeps accumulate in a different order: approx, not bitwise
-    assert batched["walker"] == pytest.approx(values["walker"], abs=1e-8)
-
-    def measure_steady(repeats):
-        best = {name: float("inf") for name in engines}
-        for _ in range(repeats):
-            for name, executor in engines.items():
-                start = time.perf_counter()
-                executor.run()
-                best[name] = min(best[name], time.perf_counter() - start)
-        return best
-
-    steady = measure_steady(TAPE_REPEATS)
-    if native and steady["walker"] / steady["native"] <= NATIVE_MIN_VS_PYTHON:
-        # one deeper pass before the gate judges a possible noise spike
-        steady = measure_steady(2 * TAPE_REPEATS)
-    native_vs_python = steady["walker"] / steady["native"]
-
-    rows = [{"engine": name, "seconds": steady[name]} for name in engines] + [
-        {"engine": "native-vs-walker speedup", "seconds": native_vs_python},
-    ]
-    record_result(
-        "exec_plan_tape_engines",
-        format_table(
-            rows,
-            title=(
-                f"EXEC_TAPE: {TAPE_ROWS}x{TAPE_COLS} m={TAPE_CYCLES} grid RQC, "
-                f"tape_engine={resolved} (numba "
-                f"{'present' if native else 'absent: native row = walker'})"
-            ),
-            precision=4,
-        ),
-    )
-
-    section = {
-        "gated": GATED,
-        "native_available": native,
-        "tape_engine": resolved,
-        "steady_state_seconds": dict(steady),
-        "native_vs_python": native_vs_python,
-        "min_native_vs_python": NATIVE_MIN_VS_PYTHON,
-        "bit_identical": True,
-    }
-
-    results_path = RESULTS_DIR / "BENCH_exec_plan.json"
-    point = json.loads(results_path.read_text()) if results_path.exists() else {}
-    point["fused_engines"] = section
-    RESULTS_DIR.mkdir(exist_ok=True)
-    results_path.write_text(json.dumps(point, indent=2) + "\n")
-
-    # perf trajectory: one appended point per run, so the native kernel's
-    # speedup is comparable across commits
-    trajectory_path = RESULTS_DIR / "BENCH_fused_tape.json"
-    history = (
-        json.loads(trajectory_path.read_text()) if trajectory_path.exists() else []
-    )
-    history.append(
-        {
-            "timestamp": time.time(),
-            "workload": {
-                "rows": TAPE_ROWS,
-                "cols": TAPE_COLS,
-                "cycles": TAPE_CYCLES,
-                "rank_drop": TAPE_RANK_DROP,
-                "seed": EXEC_SEED,
-            },
-            **section,
-        }
-    )
-    trajectory_path.write_text(json.dumps(history, indent=2) + "\n")
-
-    # gate last, after both JSON files landed: a flake fails with the
-    # data intact for CI triage
-    if native:
-        assert native_vs_python > NATIVE_MIN_VS_PYTHON, (
-            f"native tape kernel is {native_vs_python:.3f}x the Python "
-            f"walker (gate: > {NATIVE_MIN_VS_PYTHON})"
-        )

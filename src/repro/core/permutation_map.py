@@ -17,10 +17,9 @@ position, so the map is periodic in those blocks and only ``N / 2^m``
 entries need to be stored; the remaining addresses follow from the
 recursion ``map[i + k] = map[i] + k * offset`` for ``k < stride``.
 :class:`ReducedPermutationMap` implements exactly that reduction and is
-verified against ``numpy.transpose`` in the tests.  The tape lowering
-(:mod:`repro.execution.tape`) consumes these specs at plan compile time:
-identity permutations pass the operand through and every other one becomes
-a reduced-map gather into reusable scratch.
+verified against ``numpy.transpose`` in the tests; the thread-level
+simulator (:mod:`repro.execution.fused`) models the time it saves
+(``reduced_permutation_maps``).
 """
 
 from __future__ import annotations
@@ -84,26 +83,6 @@ class PermutationSpec:
         """Whether the permutation leaves the layout unchanged."""
         return self.perm == tuple(range(self.ndim))
 
-    def with_leading_batch(self, extent: int) -> "PermutationSpec":
-        """The same permutation with one fixed batch axis prepended.
-
-        Batched (``bmm``) contraction steps permute each batch slice the
-        same way: the batch axis stays at position 0 and every other axis
-        shifts by one.  Because a leading fixed axis lands in the reduced
-        map's *prefix* block, the returned spec's
-        :class:`ReducedPermutationMap` has the **same core map** as this
-        spec's (only ``prefix_size`` grows by ``extent``) — the reduced
-        map is batch-invariant, which is what lets the fused batched-GEMM
-        tape ops share the §5.3.1 machinery of the unbatched steps
-        without storing per-batch address tables.
-        """
-        if extent < 1:
-            raise ValueError(f"batch extent must be >= 1, got {extent}")
-        return PermutationSpec(
-            perm=(0, *(axis + 1 for axis in self.perm)),
-            shape=(extent, *self.shape),
-        )
-
     # ------------------------------------------------------------------
     @property
     def fixed_prefix(self) -> int:
@@ -143,9 +122,7 @@ def _source_index_table(spec: PermutationSpec) -> np.ndarray:
     Identical values to iterating :meth:`InSituPermutation.source_index`
     over every target address, but the mixed-radix decomposition runs as
     ``O(rank)`` whole-array operations instead of ``O(N · rank)`` Python
-    steps — the map build this way is cheap enough to run inside plan
-    compilation (the fused executor builds one reduced map per non-identity
-    operand permutation).
+    steps.
     """
     source_strides = _source_strides(spec.shape)
     target_shape = spec.target_shape
@@ -258,10 +235,8 @@ class ReducedPermutationMap:
     def core_map(self) -> np.ndarray:
         """The stored middle-block map (target → source core positions).
 
-        This is the only table the recursion formula needs; the tape
-        lowering (:mod:`repro.execution.tape`) concatenates these maps into
-        its program and the kernel applies each as a single gather along
-        the core axis.
+        This is the only table the recursion formula needs: each target
+        position's source is a single gather along the core axis.
         """
         return self._core_map
 

@@ -22,9 +22,7 @@ thread-level simulator (:mod:`repro.execution.fused`) turns into a timing
 breakdown, and whose invariants (no overhead, DMA savings of ``n-1`` per
 length-``n`` group) are property-tested.  The *real* executor
 (:mod:`repro.execution.plan`) does not group steps: its intermediates sit
-at compile-time offsets in one preallocated arena instead, and with
-``fused=True`` the whole step list is lowered to one tape program
-(:mod:`repro.execution.tape`).
+at compile-time offsets in one preallocated arena instead.
 """
 
 from __future__ import annotations

@@ -79,13 +79,6 @@ class CalibrationRecord:
         Pair contractions per cache-warm subtask.
     seconds:
         Measured per-subtask wall times.
-    tape_engine:
-        Which tape interpreter produced the samples — ``"python"`` (the
-        default, also covering non-fused runs) or ``"native"`` (the
-        numba-JIT program of :mod:`repro.execution.tape`).  Engines have
-        very different per-step dispatch costs, so each fits its own
-        coefficient key (see :attr:`key`) instead of polluting one
-        global per-step overhead.
     comms_seconds_per_subtask:
         Mean per-subtask communication overhead measured by the
         distributed coordinator (chunk round-trip wall time not covered
@@ -103,7 +96,6 @@ class CalibrationRecord:
     subtask_flops: float
     num_steps: int
     seconds: Tuple[float, ...]
-    tape_engine: str = "python"
     comms_seconds_per_subtask: float = 0.0
     payload_bytes_per_subtask: float = 0.0
 
@@ -117,18 +109,6 @@ class CalibrationRecord:
     def mean_seconds(self) -> float:
         """Mean measured subtask time."""
         return float(np.mean(self.seconds))
-
-    @property
-    def key(self) -> str:
-        """The coefficient key these samples fit.
-
-        The plain backend name for the Python walker (keeping every
-        pre-tape calibration artifact valid) and ``"<backend>+native"``
-        for the native engine — e.g. ``"serial+native"``.
-        """
-        if self.tape_engine in ("python", "", None):
-            return self.backend
-        return f"{self.backend}+{self.tape_engine}"
 
     @classmethod
     def from_stats(
@@ -175,7 +155,6 @@ class CalibrationRecord:
             subtask_flops=subtask_flops,
             num_steps=num_steps,
             seconds=tuple(stats.subtask_seconds),
-            tape_engine=getattr(stats, "tape_engine", None) or "python",
             comms_seconds_per_subtask=comms_seconds / timed if timed else 0.0,
             payload_bytes_per_subtask=comms_bytes / timed if timed else 0.0,
         )
@@ -307,10 +286,6 @@ class CalibratedCostModel(CostModel):
         name = backend if backend is not None else self.default_backend
         fitted = self.coefficients.get(name)
         if fitted is None:
-            # "backend+native" without a native fit: the plain backend
-            # coefficients are the closest measured substitute
-            fitted = self.coefficients.get(name.partition("+")[0])
-        if fitted is None:
             if self.fallback is not None:
                 return self.fallback.subtask_seconds(tree, sliced, backend=backend)
             raise CostModelError(
@@ -338,16 +313,11 @@ class CalibratedCostModel(CostModel):
         fallback: Optional[CostModel] = None,
         memory_target_rank: Optional[int] = None,
     ) -> "CalibratedCostModel":
-        """Fit per-backend coefficients from calibration records.
-
-        Records are grouped by :attr:`CalibrationRecord.key`, so samples
-        from the native tape engine fit a separate
-        ``"<backend>+native"`` coefficient set instead of being averaged
-        into the Python walker's.
-        """
+        """Fit per-backend coefficients from calibration records, grouped
+        by :attr:`CalibrationRecord.backend`."""
         by_backend: Dict[str, List[CalibrationRecord]] = {}
         for record in records:
-            by_backend.setdefault(record.key, []).append(record)
+            by_backend.setdefault(record.backend, []).append(record)
         if not by_backend:
             raise CostModelError("no calibration records to fit")
         coefficients = {
@@ -373,7 +343,10 @@ class CalibratedCostModel(CostModel):
 
         ``source`` is a path to ``BENCH_exec_plan.json`` (or any mapping
         with the same shape); the section is written by
-        :func:`calibration_payload` from the quick-bench run in CI.
+        :func:`calibration_payload` from the quick-bench run in CI.  Its
+        keys are backend names; a ``+``-qualified key (``"serial+native"``)
+        names no backend an executor reports and raises
+        :class:`CostModelError`.
         """
         if isinstance(source, (str, Path)):
             payload = json.loads(Path(source).read_text())
@@ -387,20 +360,21 @@ class CalibratedCostModel(CostModel):
         num_steps = int(calibration["num_steps"])
         records = []
         for name, entry in backends.items():
+            if "+" in name:
+                raise CostModelError(
+                    f"calibration key {name!r} is not a backend name "
+                    "(engine-qualified keys are no longer fitted)"
+                )
             if not entry.get("subtask_seconds"):
                 continue
-            # keys may be engine-qualified ("serial+native"); the entry's
-            # own tape_engine field wins when both are present.  Entries
-            # written before the array-module seam was removed may carry
-            # an "array_module" field; it is ignored.
-            base, _, key_engine = name.partition("+")
+            # entries written by older versions may carry more fields (the
+            # array module, the tape engine); they are ignored
             records.append(
                 CalibrationRecord(
-                    backend=base,
+                    backend=name,
                     subtask_flops=subtask_flops,
                     num_steps=num_steps,
                     seconds=tuple(entry["subtask_seconds"]),
-                    tape_engine=entry.get("tape_engine") or key_engine or "python",
                     comms_seconds_per_subtask=float(
                         entry.get("comms_seconds_per_subtask", 0.0)
                     ),
@@ -459,7 +433,6 @@ def calibration_payload(
             "subtask_seconds_mean": float(stats.mean_subtask_seconds),
             "subtask_seconds_count": int(timed),
             "stage_seconds": dict(stats.stage_seconds),
-            "tape_engine": getattr(stats, "tape_engine", None) or "python",
             "comms_seconds_per_subtask": comms_seconds / timed if timed else 0.0,
             "payload_bytes_per_subtask": comms_bytes / timed if timed else 0.0,
         }

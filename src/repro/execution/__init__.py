@@ -28,17 +28,6 @@ other (and, for small circuits, against the dense state-vector simulator):
     kept as leading batch axes and all of their value combinations execute
     in a single batched (BLAS ``matmul``) contraction, with the
     per-subtask plan compiled lazily so pure batched workloads skip it,
-  - *native tape execution* (``fused=True``): the step list additionally
-    lowered into a flat array-of-structs
-    :class:`~repro.execution.tape.TapeProgram` — opcode/operand/axis
-    tables with the §5.3.1 reduced permutation maps — walked end-to-end
-    by one numba-JIT kernel with no per-step Python dispatch
-    (:mod:`repro.execution.tape`).  The program pickles to pool workers
-    with the plan and each process JIT-compiles lazily at spawn; when
-    numba is absent (it is an *optional* dependency), the plan has an
-    einsum step, or the kernel declines, the bit-identical Python walker
-    runs and ``PlanStats.fusion_breaks`` / the ``repro.execution.tape``
-    logger say why,
   - *pluggable scheduling* (``backend=``): the subtasks run through an
     :class:`ExecutionBackend` (see the guide below).
 
@@ -64,7 +53,7 @@ Backend                         Use when
                                 ``multiprocessing.shared_memory`` and then stream
                                 chunks with no interpreter contention.
 ``DistributedBackend``          More subtask work than one node: chunks stream
-                                over TCP sockets (or MPI) to remote worker
+                                over TCP sockets to remote worker
                                 *processes* after a one-time plan/leaf/cache
                                 broadcast — localhost workers are spawned
                                 automatically, multi-node workers are reached via
@@ -176,7 +165,6 @@ from .distributed import (
     DistributedSession,
     DistributedWorkerError,
     LocalSocketTransport,
-    MpiTransport,
     SocketTransport,
     TransportClosed,
     TransportError,
@@ -205,7 +193,6 @@ from .resilience import (
     RecoveryExhaustedError,
 )
 from .sliced import SlicedExecutor, SubtaskResult
-from .tape import TapeProgram, interpret_program, lower_steps, native_available
 from .fused import ThreadLevelSimulator, ThreadTiming
 from .sampling import CorrelatedSampleBatch, CorrelatedSampler, linear_xeb_fidelity
 from .scaling import (
@@ -233,7 +220,6 @@ __all__ = [
     "DistributedSession",
     "DistributedWorkerError",
     "LocalSocketTransport",
-    "MpiTransport",
     "SocketTransport",
     "TransportClosed",
     "TransportError",
@@ -262,10 +248,6 @@ __all__ = [
     "compile_plan",
     "SlicedExecutor",
     "SubtaskResult",
-    "TapeProgram",
-    "interpret_program",
-    "lower_steps",
-    "native_available",
     "CorrelatedSampleBatch",
     "CorrelatedSampler",
     "linear_xeb_fidelity",

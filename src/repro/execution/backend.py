@@ -36,7 +36,7 @@ Backends:
   whose per-task Python overhead would serialize a thread pool.
 * :class:`~repro.execution.distributed.DistributedBackend` (in
   :mod:`repro.execution.distributed`) — the multi-node generalization:
-  subtask chunks stream over sockets (or MPI) to remote worker processes
+  subtask chunks stream over sockets to remote worker processes
   after a one-time plan/leaf/cache broadcast; also reachable through the
   ``"distributed"`` / ``"distributed:host:port,..."`` string specs of
   :func:`resolve_backend`.
@@ -53,13 +53,7 @@ worker kinds run.
 Each worker (and each backend's serial loop) owns a private
 :class:`~repro.execution.plan.StemSlots` for as long as it lives, so a
 cached subtask writes every output and copy at its compile-time offset in
-one arena instead of hitting the allocator once per step.  *Fused* plans
-(``compile_plan(..., fused=True)``) ship through sessions and the process
-pool unchanged: the lowered :class:`~repro.execution.tape.TapeProgram`
-pickles with the plan, every worker's private arena supplies the kernel's
-staging buffers, and the ordered-accumulation contract keeps native
-execution bit-identical to :class:`SerialBackend` running the Python
-walker.
+one arena instead of hitting the allocator once per step.
 """
 
 from __future__ import annotations
@@ -218,7 +212,7 @@ def execute_chunk(
     """Execute one chunk: ``(contributions, crc32s, stats)``.
 
     The one chunk body every worker kind runs — pool threads, pool
-    processes, socket/MPI workers and the degradation chain.  An item is
+    processes, socket workers and the degradation chain.  An item is
     one block (:meth:`~repro.execution.plan.CompiledPlan.blocks`) and
     contributes one array.  The CRC-32s are computed here, where the chunk
     was executed, so the coordinator can verify the payload survived the
@@ -900,16 +894,6 @@ def _install_worker_state(payload: Tuple) -> "_WorkerState":
     old, _WORKER_STATE = _WORKER_STATE, state
     if old is not None:
         old.close()
-    if state.plan.tape_engine == "native":
-        # JIT-compile the tape kernel now so the one-time numba
-        # compilation cost lands in worker start-up, not in the first
-        # chunk's latency; failure just disarms the native engine and
-        # the worker falls back to the Python walker
-        from .tape import warm_kernel
-
-        # warm for the plan's actual dtype (explicit override or the
-        # dtype derived from the leaves), not an assumed complex128
-        warm_kernel(getattr(state.plan, "dtype", None) or np.complex128)
     return state
 
 

@@ -185,7 +185,7 @@ def job_fingerprint(
     shape and the backend's chunking.  Anything that could change the
     accumulated value (or the meaning of a slot position) changes the
     fingerprint; anything that provably cannot (backend choice, worker
-    count, walker or native tape engine) is deliberately
+    count) is deliberately
     excluded, so a ledger written by one backend seeds a resume on any
     other.
     """

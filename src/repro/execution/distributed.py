@@ -1,4 +1,4 @@
-"""Distributed multi-node execution: sliced subtasks over sockets or MPI.
+"""Distributed multi-node execution: sliced subtasks over sockets.
 
 The paper's headline numbers come from farming the ``prod w(e)`` slicing
 subtasks across *nodes*; until now the repo only modelled that
@@ -13,10 +13,7 @@ This module adds the real thing behind the same
   connections; the default, and what CI measures strong scaling against;
 * :class:`SocketTransport` — connects out to pre-started workers
   (``--listen host:port``) given as ``addresses=［(host, port), ...］``,
-  i.e. real multi-node operation with nothing but the stdlib;
-* :class:`MpiTransport` — the same coordinator loop over ``mpi4py``
-  point-to-point messages, import-guarded so the socket path never
-  depends on an MPI stack.
+  i.e. real multi-node operation with nothing but the stdlib.
 
 Wire protocol (socket transports): length-prefixed pickle frames — an
 8-byte big-endian length followed by the pickled message tuple.  State is
@@ -106,7 +103,6 @@ __all__ = [
     "DistributedSession",
     "DistributedWorkerError",
     "LocalSocketTransport",
-    "MpiTransport",
     "SocketTransport",
     "TransportClosed",
     "TransportError",
@@ -247,9 +243,8 @@ class ClusterTransport:
     objects (:meth:`launch`), optionally how to produce replacements
     after total worker loss (:meth:`respawn`, gated by
     :attr:`supports_respawn`), and how to *wait* for any of a set of
-    links to have a frame ready (:meth:`wait` — ``select`` for sockets,
-    ``iprobe`` polling for MPI).  The coordinator is otherwise identical
-    across transports.
+    links to have a frame ready (:meth:`wait` — ``select`` for sockets).
+    The coordinator is otherwise identical across transports.
     """
 
     name = "transport"
@@ -442,96 +437,6 @@ class SocketTransport(ClusterTransport):
                 link.kill()
             raise
         return links
-
-
-class MpiTransport(ClusterTransport):
-    """The same coordinator loop over ``mpi4py`` point-to-point messages.
-
-    Rank 0 is the coordinator; every other rank of ``COMM_WORLD`` runs
-    the worker loop (``python -m repro.execution.worker --mpi`` under
-    ``mpiexec``).  Frames are the same pickled message tuples, carried by
-    ``comm.send``/``comm.recv`` instead of length-prefixed socket writes;
-    :meth:`wait` polls ``iprobe``.  Import-guarded: constructing this
-    transport without ``mpi4py`` installed raises a :class:`TransportError`
-    naming the socket alternative, so the default path never needs an MPI
-    stack.
-    """
-
-    name = "mpi"
-    supports_respawn = False
-
-    _FRAME_TAG = 7
-
-    def __init__(self) -> None:
-        try:
-            from mpi4py import MPI  # noqa: PLC0415 - optional dependency
-        except ImportError as exc:
-            raise TransportError(
-                "the MPI transport requires mpi4py, which is not installed; "
-                "use the default socket transport "
-                "(DistributedBackend(transport='sockets')) or install mpi4py "
-                "and launch via mpiexec with repro.execution.worker --mpi"
-            ) from exc
-        self._mpi = MPI  # pragma: no cover - requires an MPI stack
-        self._comm = MPI.COMM_WORLD  # pragma: no cover
-        if self._comm.Get_size() < 2:  # pragma: no cover
-            raise TransportError(
-                "the MPI transport needs at least 2 ranks (coordinator + workers)"
-            )
-
-    def launch(self, count: int) -> List[WorkerLink]:  # pragma: no cover
-        size = self._comm.Get_size()
-        return [
-            _MpiWorkerLink(self._comm, rank, self._FRAME_TAG)
-            for rank in range(1, size)
-        ]
-
-    def wait(self, links, timeout):  # pragma: no cover - requires an MPI stack
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            ready = [link for link in links if link.alive and link.probe()]
-            if ready:
-                return ready
-            if deadline is not None and time.monotonic() >= deadline:
-                return []
-            time.sleep(0.001)
-
-
-class _MpiWorkerLink(WorkerLink):  # pragma: no cover - requires an MPI stack
-    """A worker rank reached through ``comm.send``/``comm.recv``."""
-
-    def __init__(self, comm, rank: int, tag: int) -> None:
-        super().__init__(sock=None, worker_id=rank)  # type: ignore[arg-type]
-        self._comm = comm
-        self._rank = rank
-        self._tag = tag
-        self.alive = True
-        self.pid = rank
-
-    def send(self, message: object) -> int:
-        try:
-            self._comm.send(message, dest=self._rank, tag=self._tag)
-        except Exception as exc:
-            self.kill()
-            raise TransportClosed(f"MPI send to rank {self._rank} failed") from exc
-        return len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def recv(self) -> Tuple[object, int]:
-        try:
-            message = self._comm.recv(source=self._rank, tag=self._tag)
-        except Exception as exc:
-            self.kill()
-            raise TransportClosed(f"MPI recv from rank {self._rank} failed") from exc
-        return message, len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def probe(self) -> bool:
-        return bool(self._comm.iprobe(source=self._rank, tag=self._tag))
-
-    def fileno(self) -> int:
-        raise TransportError("MPI links have no file descriptor")
-
-    def kill(self) -> None:
-        self.alive = False
 
 
 # ----------------------------------------------------------------------
@@ -833,7 +738,7 @@ class DistributedBackend(_PooledBackend):
         Pre-started worker endpoints — ``(host, port)`` pairs or
         ``"host:port"`` strings — reached via :class:`SocketTransport`.
     transport:
-        ``"sockets"`` (default), ``"mpi"``, a ready
+        ``"sockets"`` (default), a ready
         :class:`ClusterTransport` instance, or a zero-argument factory
         returning one (the seam tests use to shim worker behaviour).
     chunk_size:
@@ -902,10 +807,8 @@ class DistributedBackend(_PooledBackend):
                     self.addresses, connect_timeout=self._connect_timeout
                 )
             return LocalSocketTransport(spawn_timeout=self._spawn_timeout)
-        if spec == "mpi":
-            return MpiTransport()
         raise ValueError(
-            f"unknown transport {spec!r} (expected 'sockets', 'mpi', a "
+            f"unknown transport {spec!r} (expected 'sockets', a "
             "ClusterTransport instance, or a factory)"
         )
 

@@ -20,9 +20,8 @@ Fig. 13.
 
 This module *models* the Sunway hardware from the group boundaries of
 :class:`~repro.core.secondary.SecondarySlicer`.  What *executes* for real
-is the compiled-plan layer: ``SlicedExecutor(..., fused=True)`` lowers the
-whole step list to one tape program (:mod:`repro.execution.tape`, §5.3.1
-reduced permutation maps) without grouping it.
+is the compiled-plan layer (:mod:`repro.execution.plan`), whose one walker
+runs the whole step list without grouping it.
 """
 
 from __future__ import annotations

@@ -86,13 +86,7 @@ pass, an open root keeps the sliced axes it carries in front of its
 consumer's layout (the per-subtask fetch is then the contiguous operand),
 a retained partial or leaf load is staged by its own step — and the
 consumer reads the buffer as is, byte for byte the one it would have
-staged itself.  A plan compiled with
-``fused=True`` is additionally lowered (:func:`repro.execution.tape.lower_steps`)
-into a flat :class:`~repro.execution.tape.TapeProgram` that an optional
-numba kernel walks instead; it performs the same loads, permutations and
-GEMMs on the same layouts, so both engines are bit-identical.  A plan
-that lowers keeps every permutation at its consumer: the tape has no op
-for a producer-side one.
+staged itself.
 
 :class:`PlanStats` instruments execution with per-node step counters; the
 benchmark and the equivalence tests use it to assert that the cached path
@@ -108,6 +102,7 @@ import operator
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
+from types import MappingProxyType
 from typing import (
     AbstractSet,
     Any,
@@ -136,7 +131,6 @@ from ..core.lifetime import (
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from . import tape as _tape
 
 __all__ = [
     "CompiledPlan",
@@ -182,26 +176,6 @@ class PlanStats:
     slot_writes:
         Number of step outputs written into the worker's arena instead of
         a freshly allocated buffer.
-    fused_steps:
-        Number of GEMMs executed by the native tape kernel; their wall
-        time accumulates under the ``"fused_kernel"`` stage of
-        :attr:`stage_seconds` so calibration can see the kernel.  Zero
-        when the Python walker ran.
-    tape_engine:
-        Which engine executed a ``fused=True`` plan: ``"native"`` (the
-        numba-compiled :mod:`repro.execution.tape` kernel) or
-        ``"python"`` (the walker, because the plan did not lower or the
-        kernel declined — :attr:`fusion_breaks` says why); ``None`` for
-        plans compiled without ``fused``.  The calibration layer keys
-        per-engine coefficients off this field.
-    fusion_breaks:
-        Why a ``fused=True`` plan ran the Python walker, as a
-        ``reason -> count`` dict: ``"einsum"`` (that many hyper-index
-        steps have no GEMM form to lower), ``"no-numba"``,
-        ``"kernel-disarmed"`` or ``"dtype"`` (mixed or unsupported
-        operand dtypes).  A fact about the plan, not a tally — ``merge``
-        keeps the first non-empty dict, since every worker reports the
-        same plan.
     subtask_seconds:
         Wall-time samples of ``execute`` calls (cache warming excluded) —
         the measured per-subtask samples the calibrated cost model fits.
@@ -266,9 +240,6 @@ class PlanStats:
     #: rejected as per-subtask calibration input.
     batched_executions: int = 0
     slot_writes: int = 0
-    fused_steps: int = 0
-    tape_engine: Optional[str] = None
-    fusion_breaks: Dict[str, int] = field(default_factory=dict)
     subtask_seconds: List[float] = field(default_factory=list)
     subtask_seconds_sum: float = 0.0
     timed_subtasks: int = 0
@@ -282,6 +253,12 @@ class PlanStats:
     chunk_roundtrips: int = 0
     checkpointed_slots: int = 0
     resumed_slots: int = 0
+
+    # Constants, not fields: the benchmark's fused variant still reads
+    # them.  The next benchmark change retires them with execute_fused_s.
+    fused_steps = 0
+    tape_engine = None
+    fusion_breaks = MappingProxyType({})
 
     def record_stage(self, stage: str, seconds: float) -> None:
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
@@ -319,13 +296,6 @@ class PlanStats:
         self.executions += other.executions
         self.batched_executions += other.batched_executions
         self.slot_writes += other.slot_writes
-        self.fused_steps += other.fused_steps
-        if other.tape_engine is not None:
-            # workers report what actually ran; their observation wins
-            # over a compile-time stamp on the coordinator's stats
-            self.tape_engine = other.tape_engine
-        if not self.fusion_breaks and other.fusion_breaks:
-            self.fusion_breaks = dict(other.fusion_breaks)
         room = MAX_TIMING_SAMPLES - len(self.subtask_seconds)
         if room > 0:
             self.subtask_seconds.extend(other.subtask_seconds[:room])
@@ -345,20 +315,14 @@ class PlanStats:
         self.resumed_slots += other.resumed_slots
 
 
-#: The :class:`StemSlots` buffer key of the arena (the rest are scratch).
-_ARENA = "arena"
-
-
 class StemSlots:
-    """A worker's reusable buffers: the plan's arena plus the kernel's staging pair.
+    """A worker's reusable arena: the buffer a compiled plan lays its
+    cached subtask out in.
 
-    The arena is one grow-only byte buffer that a compiled plan lays its
-    cached subtask out in (:attr:`CompiledPlan.arena_bytes`): every GEMM
-    output, operand copy and staged copy of the dependent part has a
-    compile-time offset in it, and :meth:`views` hands the walker those
-    regions as arrays, built once per plan.  The native tape kernel stages
-    permuted operands in two named scratch buffers (:meth:`scratch`); the
-    Python walker never touches them.
+    The arena is one grow-only byte buffer (:attr:`CompiledPlan.arena_bytes`):
+    every GEMM output, operand copy and staged copy of the dependent part
+    has a compile-time offset in it, and :meth:`views` hands the walker
+    those regions as arrays, built once per plan.
 
     The object also carries the *resume state* of the sweep in progress:
     which plan and cache last ran here, the values that run assigned (a
@@ -370,51 +334,41 @@ class StemSlots:
     body open one around their loop, and nothing that can change tensor
     data or recompile a plan happens inside.
 
-    Buffers are grown (never shrunk) on demand, so one instance serves
+    The arena is grown (never shrunk) on demand, so one instance serves
     plans of any size, and it lives as long as its worker.  An instance is
     *not* thread-safe — every executor thread / pool worker owns its own
     (the backends arrange this).
     """
 
-    __slots__ = ("_buffers", "_views", "_resume")
+    __slots__ = ("_arena", "_views", "_resume")
 
     def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
+        self._arena: Optional[np.ndarray] = None
         #: ``(plan, views)``: the last plan's regions over the arena
         self._views: Optional[Tuple] = None
         #: ``(plan, cache, values, live)`` of the last cached execute
         self._resume: Optional[Tuple] = None
 
-    def _fit(self, key: str, size: int, dtype: np.dtype) -> np.ndarray:
-        """``size`` elements of buffer ``key``, reallocated when outgrown or
-        re-typed.  The outgrown buffer is released *before* its successor is
-        allocated: its content is dead, and two generations side by side
-        were the peak of a large plan's first subtask."""
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.size < size or buffer.dtype != dtype:
-            self._buffers[key] = buffer = None
-            self._buffers[key] = buffer = np.empty(max(size, 1), dtype)
-        return buffer[:size]
-
     def views(self, plan: "CompiledPlan") -> List[Optional[Tuple]]:
         """``plan``'s regions as arrays over the arena (:meth:`CompiledPlan.arena_views`).
 
         Built once per plan: another plan's views are dropped — they pin the
-        buffer they view — before the arena grows to this one's size.
+        buffer they view — before the arena grows to this one's size.  The
+        outgrown arena is released *before* its successor is allocated: its
+        content is dead, and two generations side by side were the peak of a
+        large plan's first subtask.
         """
         held = self._views
         if held is not None and held[0] is plan:
             return held[1]
         self._views = held = None
-        views = plan.arena_views(self._fit(_ARENA, plan.arena_bytes, np.dtype(np.uint8)))
+        nbytes, arena = plan.arena_bytes, self._arena
+        if arena is None or arena.size < nbytes:
+            self._arena = arena = None
+            self._arena = arena = np.empty(max(nbytes, 1), np.uint8)
+        views = plan.arena_views(arena[:nbytes])
         self._views = (plan, views)
         return views
-
-    def scratch(
-        self, key: str, shape: Tuple[int, ...], dtype: np.dtype
-    ) -> np.ndarray:
-        """A named grow-only staging view (the native kernel's operands)."""
-        return self._fit(key, math.prod(shape), dtype).reshape(shape)
 
     @contextmanager
     def sweep(self) -> Iterator["StemSlots"]:
@@ -432,8 +386,8 @@ class StemSlots:
 
     @property
     def allocated_bytes(self) -> int:
-        """Total bytes currently held by the arena and staging buffers."""
-        return sum(buffer.nbytes for buffer in self._buffers.values())
+        """Bytes currently held by the arena."""
+        return 0 if self._arena is None else self._arena.nbytes
 
 
 @dataclass(frozen=True)
@@ -546,9 +500,7 @@ class ContractStep:
     operand's ``*_perm`` here is ``None``: it is taken as is.  The
     producer carries the permutation as ``stage`` (an open root's also
     moves the sliced axes it carries to the front, where its fetch takes
-    them).  Every node has one consumer, so one layout.  Plans lowered for
-    the native kernel keep per-use staging throughout: the tape has no op
-    for a producer-side permutation.
+    them).  Every node has one consumer, so one layout.
 
     ``level`` is the node's :func:`~repro.core.lifetime.slice_dependency_levels`
     entry (0 = slice-invariant, or *open*: contracted once by the warm pass
@@ -582,18 +534,6 @@ class ContractStep:
         """Whether the step's output is the same in every subtask."""
         return self.level == 0
 
-    @property
-    def free_full(self) -> Tuple[int, int]:
-        """What an uncached run frees at this step: both children."""
-        return self.lhs, self.rhs
-
-    @property
-    def wmkn(self) -> Optional[Tuple[int, int, int, int]]:
-        """The GEMM extents ``(w, m, k, n)`` (``w = 1`` for ``"tensordot"``)."""
-        if self.shapes is None:
-            return None
-        *batch, m, k = self.shapes[0]
-        return (batch[0] if batch else 1, m, k, self.shapes[1][-1])
 
 
 def _staged(array: np.ndarray, stage: Staging) -> np.ndarray:
@@ -633,12 +573,11 @@ def _above(items: Tuple, level: int) -> Tuple:
 
 
 def _batched_gemm(a3: np.ndarray, b3: np.ndarray, out3: np.ndarray) -> None:
-    """Slicewise 2-D GEMM — the one ``bmm`` primitive both engines share.
+    """Slicewise 2-D GEMM — the walker's ``bmm`` primitive.
 
     ``np.matmul`` over a 3-D stack is *not* bitwise identical to a loop
-    of 2-D GEMMs (its batched path accumulates differently), and the
-    numba tape kernel can only express the loop — so the walker contracts
-    the batch axis this way too.
+    of 2-D GEMMs (its batched path accumulates differently): switching to
+    it would change the bits of every batched plan.
     """
     if a3.dtype != out3.dtype:
         a3 = a3.astype(out3.dtype)
@@ -663,11 +602,11 @@ def _walk_steps(
     einsum outputs and user-supplied leaves may — BLAS would take its
     transposed-GEMM dispatch, whose accumulation grouping differs from
     the C-contiguous one by ulps.  Forcing C order makes every step's
-    GEMM see the buffers the native kernel stages, which is what keeps
-    the engines bit-identical.  An operand whose ``*_perm`` is ``None``
-    was written in exactly that form by its producer (``stage``) and is
-    read as is: same buffer contents, staged once per lifetime instead of
-    once per use.
+    GEMM independent of how its operands happen to be laid out, which is
+    what keeps every execution path bit-identical.  An operand whose
+    ``*_perm`` is ``None`` was written in exactly that form by its producer
+    (``stage``) and is read as is: same buffer contents, staged once per
+    lifetime instead of once per use.
 
     ``views`` (:meth:`CompiledPlan.arena_views`, cached subtasks only)
     places every operand copy, GEMM output and staged copy a step has a
@@ -771,7 +710,6 @@ class CompiledPlan:
         out_indices: Tuple[str, ...],
         out_sizes: Dict[str, int],
         root_perm: Optional[Tuple[int, ...]],
-        fused: bool = False,
         derived_dtype: Optional[np.dtype] = None,
         fold_node: Optional[int] = None,
         arena_bytes: int = 0,
@@ -781,8 +719,8 @@ class CompiledPlan:
         self._tree = tree
         self._arena_bytes = arena_bytes
         # dtype inferred from the network's leaf tensors at compile time
-        # (satellite of the explicit _dtype override); drives kernel
-        # warming and pre-calibration sizing, never leaf casting
+        # (satellite of the explicit _dtype override); drives arena and
+        # pre-calibration sizing, never leaf casting
         self._derived_dtype = derived_dtype
         self._enumerated = enumerated
         #: size of every enumerated index, in sweep order: its keys are what
@@ -857,60 +795,6 @@ class CompiledPlan:
             for child in (step.lhs, step.rhs)
             if child not in step.free_cached and child not in frontier
         )
-        self._fused = bool(fused)
-        # native tape programs: the full and the cache-warm step lists
-        # lowered for the numba kernel (see execution/tape.py).  Lowered
-        # eagerly in the compiling process, JIT-compiled lazily in
-        # whichever process executes them (programs pickle to pool
-        # workers; the kernel does not).  Both ``None`` — with the reason
-        # in ``_fusion_breaks`` — when the plan runs the Python walker; a
-        # plan with open nodes has no full program (its stateless execute
-        # runs the cached one over a call-local cache).
-        self._native_full = None
-        self._native_cached = None
-        self._fusion_breaks: Dict[str, int] = {}
-        if self._fused:
-            self._lower()
-
-    def _lower(self) -> None:
-        """Lower both step lists for the native kernel, or record why not."""
-        if self._inner is not None:
-            # (the tape has no op for the block accumulator)
-            self._walker_because("inner-fold")
-            return
-        einsum_steps = sum(1 for s in self._steps if s.shapes is None)
-        if einsum_steps:
-            self._walker_because("einsum", einsum_steps)
-            return
-        reason = _tape.unavailable_reason()
-        if reason is not None:
-            self._walker_because(reason)
-            return
-        size = self._tree.index_size
-        shape_of = {s.node: s.out_shape for s in self._steps}
-        # (a consumer reads an open root through its fetch: that shape wins)
-        for ls in (*self._leaf_steps, *self._fetches):
-            shape_of[ls.node] = tuple(size(ix) for ix in ls.out_indices)
-        # both programs end at the fold node: the tail runs once, in finish
-        fold = self._fold_node
-        if not self._fetches:
-            self._native_full = _tape.lower_steps(
-                self._cacheless()[0][1], fold, False, shape_of
-            )
-        self._native_cached = _tape.lower_steps(
-            self._resume_suffixes[0][1], fold, True, shape_of
-        )
-
-    def _walker_because(self, reason: str, count: int = 1) -> None:
-        """Record (and log, once per plan) why a fused plan is not native."""
-        if reason not in self._fusion_breaks:
-            self._fusion_breaks[reason] = count
-            _tape.logger.info(
-                "fused plan (%d steps) runs the Python walker: %s",
-                len(self._steps),
-                reason,
-            )
-
     # ------------------------------------------------------------------
     @property
     def tree(self) -> ContractionTree:
@@ -934,8 +818,8 @@ class CompiledPlan:
         The explicit compile-time override when one was given, else the
         dtype derived from the network's concrete leaf tensors
         (``np.result_type`` over all of them), else ``None`` when every
-        leaf was abstract at compile time.  Kernel warming and
-        pre-calibration sizing read this instead of assuming complex128,
+        leaf was abstract at compile time.  Arena and pre-calibration
+        sizing read this instead of assuming complex128,
         so complex64 circuits run end-to-end at half the working set.
         """
         if self._dtype is not None:
@@ -943,35 +827,9 @@ class CompiledPlan:
         return self._derived_dtype
 
     @property
-    def fused(self) -> bool:
-        """Whether the plan was compiled for the native tape kernel."""
-        return self._fused
-
-    @property
     def contract_steps(self) -> Tuple[ContractStep, ...]:
         """Every compiled pair-contraction step, in execution order."""
         return self._steps
-
-    @property
-    def fusion_breaks(self) -> Dict[str, int]:
-        """Why this fused plan runs the Python walker (reason → count)."""
-        return dict(self._fusion_breaks)
-
-    @property
-    def tape_engine(self) -> str:
-        """``"native"`` when the plan carries lowered programs, else ``"python"``.
-
-        Execution still falls back to the walker (bit-identically) if the
-        numba kernel is unavailable in the executing process.
-        """
-        lowered = self._native_full is not None or self._native_cached is not None
-        return "native" if lowered else "python"
-
-    @property
-    def native_programs(self) -> Tuple[object, object]:
-        """The lowered ``(full, cached)`` tape programs (``None`` each
-        when the plan runs the Python walker)."""
-        return self._native_full, self._native_cached
 
     @property
     def batch_index(self) -> Optional[str]:
@@ -1362,8 +1220,7 @@ class CompiledPlan:
         The state is trusted for "same plan, same cache object" only: the
         caller scopes it with :meth:`StemSlots.sweep` so that no tensor
         replacement falls between two resumed calls.  Without an arena (or
-        a cache) the call is stateless, and a plan carrying a lowered
-        native program runs it whole.  A stateless call on a plan with open
+        a cache) the call is stateless.  A stateless call on a plan with open
         nodes warms a cache of its own and runs the cached path over it —
         one step list, the cached run's bits.
 
@@ -1473,8 +1330,8 @@ class CompiledPlan:
         state = None
         if slots is not None:
             # taken off the arena for the duration of the call: an execute
-            # that raises, or that does not resume (no cache, a native
-            # program), leaves the arena without state
+            # that raises, or that does not resume (no cache), leaves the
+            # arena without state
             state, slots._resume = slots._resume, None
         shared = cache is not None
         if shared and not self.cache_is_warm(cache):
@@ -1514,11 +1371,9 @@ class CompiledPlan:
         if cached:
             if stats is not None and shared:
                 stats.cache_hits += len(self._subtask_frontier)
-            program = self._native_cached
             if state is None:
                 live = {node: cache[node] for node in self._subtask_frontier}
-                if slots is not None and program is None and shared:
-                    # (a lowered program runs whole: nothing to resume from)
+                if slots is not None and shared:
                     state = (self, cache, values, live)
             leaf_steps, steps = self._resume_suffixes[first]
             # (after the state check: a stale state was dropped above, so
@@ -1526,13 +1381,12 @@ class CompiledPlan:
             views = slots.views(self) if slots is not None else None
         else:
             live, views = {}, None
-            (leaf_steps, steps), program = self._cacheless()[0], self._native_full
+            leaf_steps, steps = self._cacheless()[0]
         for ls in leaf_steps:
             live[ls.node] = self._load_leaf(
                 network, ls, assignment, cache, None if views is None else views[ls.node]
             )
-        if not (self._fused and self._run_native(program, live, slots, stats)):
-            _walk_steps(steps, live, views, stats, cached)
+        _walk_steps(steps, live, views, stats, cached)
         if state is not None:
             slots._resume = state
 
@@ -1628,37 +1482,10 @@ class CompiledPlan:
                 data = _copy_into(region, data.transpose(step.stage[0]))
         return data
 
-    def _run_native(
-        self,
-        program,
-        live: Dict[int, np.ndarray],
-        slots: Optional[StemSlots],
-        stats: Optional[PlanStats],
-    ) -> bool:
-        """Run one lowered program through the numba kernel, if it can.
-
-        Returns ``False`` (and leaves ``live`` usable) whenever the walker
-        must run instead — the plan did not lower, numba is missing in
-        this process, the kernel disarmed itself, or the operand dtypes
-        are mixed or unsupported.  The reason lands in ``fusion_breaks``
-        and is logged once.
-        """
-        if program is not None:
-            arena = slots if slots is not None else StemSlots()
-            if _tape.run_native(program, live, arena, stats):
-                return True
-            self._walker_because(_tape.unavailable_reason() or "dtype")
-        if stats is not None:
-            stats.tape_engine = "python"
-            if not stats.fusion_breaks:
-                stats.fusion_breaks = dict(self._fusion_breaks)
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledPlan(steps={len(self._steps)}, "
             f"invariant={len(self._invariant_steps)}, "
-            f"engine={self.tape_engine}, "
             f"sliced={list(self._enumerated)}, batch={list(self._batch_indices)})"
         )
 
@@ -1672,7 +1499,6 @@ def compile_plan(
     sliced: AbstractSet[str] = frozenset(),
     dtype: Optional[np.dtype] = None,
     batch_indices: Optional[Sequence[str]] = None,
-    fused: bool = False,
 ) -> CompiledPlan:
     """Compile ``tree`` over ``network`` for a fixed slicing set.
 
@@ -1696,14 +1522,6 @@ def compile_plan(
         execution sweeps all ``prod w(e)`` value combinations of the group.
         Steps where every live batch axis sits on both operands compile to
         one batched GEMM whose leading batch axis has size ``prod w(e)``.
-    fused:
-        Also lower the step list into
-        :class:`~repro.execution.tape.TapeProgram` form and execute it
-        through the numba tape kernel when one is available (in the
-        compiling process for the lowering, in the executing process for
-        the run); otherwise the plan runs the Python walker and
-        :attr:`CompiledPlan.fusion_breaks` says why.  Bit-identical
-        either way.
     """
     sliced = frozenset(sliced)
     batch: Tuple[str, ...] = tuple(batch_indices) if batch_indices else ()
@@ -1716,8 +1534,8 @@ def compile_plan(
     enumerated = sliced - batch_set
 
     # derive the execution dtype from the concrete leaves when no
-    # explicit override was given: kernel warming and pre-calibration
-    # sizing then follow the leaves (complex64 circuits run end-to-end
+    # explicit override was given: arena and pre-calibration sizing
+    # then follow the leaves (complex64 circuits run end-to-end
     # at half the working set) instead of assuming complex128
     derived_dtype: Optional[np.dtype] = None
     if dtype is None:
@@ -1892,16 +1710,7 @@ def compile_plan(
             )
             orders[node] = fetches[-1].out_indices
 
-    # a plan the native kernel will run keeps every permutation at its
-    # consumer: the tape has no op for a producer-side one
-    lowers = (
-        fused
-        and sweep.inner_fold is None
-        and _tape.unavailable_reason() is None
-        and all(spec["kind"] != "einsum" for spec in specs)
-    )
-    if not lowers:
-        _stage_at_producers(specs, leaf_steps, fetches, size)
+    _stage_at_producers(specs, leaf_steps, fetches, size)
     steps = [ContractStep(**spec) for spec in specs]
     del specs
 
@@ -1943,7 +1752,6 @@ def compile_plan(
         out_indices=out_order_final,
         out_sizes=out_sizes,
         root_perm=root_perm,
-        fused=fused,
         derived_dtype=derived_dtype,
         fold_node=fold,
         arena_bytes=arena_bytes,

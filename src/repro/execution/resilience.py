@@ -16,7 +16,7 @@ that recovery model.  :class:`FaultPolicy` says *what is allowed*;
 backend, over the small :class:`ChunkTransport` protocol that threads
 (:class:`~repro.execution.backend.LocalTransport`), the shared-memory
 process pool (:class:`~repro.execution.backend.ExecutionSession`) and
-sockets/MPI (:class:`~repro.execution.distributed.DistributedSession`)
+sockets (:class:`~repro.execution.distributed.DistributedSession`)
 each implement.  The transports own mechanics only — publication, wire
 frames, killing a process; every decision below is taken here.
 

@@ -406,7 +406,7 @@ def measure_strong_scaling(
         to the workload's actual root-contribution size.
     executor_kwargs:
         Extra :class:`~repro.execution.SlicedExecutor` arguments (e.g.
-        ``fused=True``).
+        ``batch_indices=``).
     verify_against_serial:
         Disable only when the serial reference itself is too slow to run
         (the sweep then trusts the backend's internal ordered fold).
@@ -484,7 +484,7 @@ def measure_strong_scaling(
         model,
         tree,
         frozenset(sliced),
-        backend=records[0].key,
+        backend=records[0].backend,
         result_bytes=(
             float(reference_data.nbytes) if result_bytes is None else result_bytes
         ),

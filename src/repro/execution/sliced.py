@@ -17,12 +17,10 @@ intermediates — subtrees no sliced edge's lifetime reaches — are contracted
 once and shared across every subtask, every buffer the rest writes has a
 compile-time offset in one per-worker arena, and optionally a group of sliced indices is
 kept as leading batch axes so that all of their value combinations are
-swept in a single batched contraction (``batch_indices=``).  With
-``fused=True`` the plan is additionally lowered for the numba tape kernel
-of :mod:`repro.execution.tape`, which then replaces the Python walker
-wherever it is available.  ``mode="reference"`` selects the seed einsum
-walker, which re-plans and re-contracts everything per subtask; it is the
-path everything else is cross-checked against.
+swept in a single batched contraction (``batch_indices=``).
+``mode="reference"`` selects the seed einsum walker, which re-plans and
+re-contracts everything per subtask; it is the path everything else is
+cross-checked against.
 
 *How* the subtasks run — serial, thread pool, shared-memory process pool —
 is the backend's concern (``backend=``); see
@@ -182,14 +180,8 @@ class SlicedExecutor:
         Explicit memory target for the auto batch group; overrides the
         cost model's.
     fused:
-        Lower the compiled step list into a
-        :class:`~repro.execution.tape.TapeProgram` and run it through the
-        numba tape kernel when numba is importable; otherwise (and
-        whenever the plan cannot lower, or the kernel declines) the same
-        Python walker as ``fused=False`` runs, and
-        ``stats.tape_engine`` / ``stats.fusion_breaks`` say which engine
-        ran and why.  Results are bit-identical either way and on every
-        backend.  Compiled mode only.
+        Accepted for the benchmark's fused variant and otherwise ignored:
+        ``True`` runs the same plan as ``False``.  Compiled mode only.
     fault_policy:
         Optional :class:`~repro.execution.resilience.FaultPolicy`
         governing crash recovery, retries/timeouts and degradation for
@@ -246,7 +238,6 @@ class SlicedExecutor:
         self._memory_target_rank = (
             int(memory_target_rank) if memory_target_rank is not None else None
         )
-        self._fused = fused
         self.batch_indices: Tuple[str, ...] = self._normalize_batch(batch_indices, mode)
         self._configure_faults(fault_policy, fault_injector)
 
@@ -375,18 +366,6 @@ class SlicedExecutor:
         return self._fault_injector
 
     @property
-    def fused(self) -> bool:
-        """Whether plans are compiled for the native tape kernel."""
-        return self._fused
-
-    @property
-    def tape_engine(self) -> str:
-        """``"native"`` when the primary compiled plan carries a lowered
-        program (see :mod:`repro.execution.tape`), else ``"python"``."""
-        plan = self._batched_plan if self._batched_plan is not None else self._plan
-        return plan.tape_engine if plan is not None else "python"
-
-    @property
     def plan(self) -> Optional[CompiledPlan]:
         """The compiled per-subtask plan (``None`` in reference mode).
 
@@ -452,10 +431,8 @@ class SlicedExecutor:
             self.tree,
             frozenset(self._labels),
             dtype=self._dtype,
-            fused=self._fused,
         )
         self._cache = self._plan.new_cache() if self._cache_invariant else None
-        self._stamp_plan_stats(self._plan)
         self._snapshot_leaves()
 
     def _compile_batched_plan(self) -> None:
@@ -466,18 +443,11 @@ class SlicedExecutor:
             frozenset(self._labels),
             batch_indices=self.batch_indices,
             dtype=self._dtype,
-            fused=self._fused,
         )
         self._batched_cache = (
             self._batched_plan.new_cache() if self._cache_invariant else None
         )
-        self._stamp_plan_stats(self._batched_plan)
         self._snapshot_leaves()
-
-    def _stamp_plan_stats(self, plan: CompiledPlan) -> None:
-        """Record why a fused plan runs the Python walker, if it does."""
-        if plan.fusion_breaks and not self.stats.fusion_breaks:
-            self.stats.fusion_breaks = plan.fusion_breaks
 
     def _ensure_plan(self) -> Optional[CompiledPlan]:
         """The per-subtask plan, compiling it on first use (lazy path)."""

@@ -4,7 +4,6 @@ Run one of::
 
     python -m repro.execution.worker --connect HOST:PORT   # dial a coordinator
     python -m repro.execution.worker --listen HOST:PORT    # await coordinators
-    python -m repro.execution.worker --mpi                 # MPI rank worker
 
 ``--connect`` is what :class:`~repro.execution.distributed.LocalSocketTransport`
 spawns: the worker dials the coordinator's listener, sends a ``hello``
@@ -13,9 +12,7 @@ frame, then serves chunk frames until EOF or a ``shutdown`` frame.
 per node, point the coordinator's
 :class:`~repro.execution.distributed.SocketTransport` at the addresses;
 the listener serves one coordinator at a time and re-accepts after each
-session, so a long-lived node survives many runs.  ``--mpi`` serves the
-same frames over ``mpi4py`` point-to-point messages from rank 0
-(requires launching under ``mpiexec``).
+session, so a long-lived node survives many runs.
 
 The frame protocol is defined in :mod:`repro.execution.distributed`.  A
 worker holds one plan generation and one data generation at a time; the
@@ -73,12 +70,6 @@ class WorkerRuntime:
         self.cache = None
         self.data_generation = -1
         self.slots = StemSlots()
-        if self.plan is not None and self.plan.tape_engine == "native":
-            # JIT the tape kernel now so numba compilation lands in
-            # bring-up, not in the first chunk's round-trip time
-            from .tape import warm_kernel
-
-            warm_kernel(getattr(self.plan, "dtype", None) or np.complex128)
 
     def install_data(self, generation: int, blob: bytes) -> None:
         leaves, cache = pickle.loads(blob)
@@ -196,34 +187,6 @@ def _serve_listen(address: str) -> None:
                 serve(conn)
 
 
-def _serve_mpi() -> None:  # pragma: no cover - requires an MPI stack
-    try:
-        from mpi4py import MPI
-    except ImportError:
-        raise SystemExit(
-            "--mpi requires mpi4py, which is not installed; "
-            "use --connect/--listen with the socket transport instead"
-        )
-    from .distributed import MpiTransport
-
-    comm = MPI.COMM_WORLD
-    if comm.Get_rank() == 0:
-        raise SystemExit("rank 0 is the coordinator; workers are ranks >= 1")
-    tag = MpiTransport._FRAME_TAG
-    runtime = WorkerRuntime()
-    comm.send(("hello", os.getpid()), dest=0, tag=tag)
-    while True:
-        kind, payload = comm.recv(source=0, tag=tag)
-        if kind == "shutdown":
-            return
-        if kind == "plan":
-            runtime.install_plan(*payload)
-        elif kind == "data":
-            runtime.install_data(*payload)
-        elif kind == "chunk":
-            comm.send(runtime.reply(payload), dest=0, tag=tag)
-
-
 def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m repro.execution.worker",
@@ -239,16 +202,11 @@ def main(argv: Optional[List[str]] = None) -> None:
         help="await coordinator connections (port 0 binds ephemerally; the "
         "bound endpoint is printed as 'LISTENING HOST PORT')",
     )
-    group.add_argument(
-        "--mpi", action="store_true", help="serve as an MPI rank worker (mpi4py)"
-    )
     ns = parser.parse_args(argv)
     if ns.connect:
         _serve_connect(ns.connect)
-    elif ns.listen:
-        _serve_listen(ns.listen)
     else:
-        _serve_mpi()  # pragma: no cover - requires an MPI stack
+        _serve_listen(ns.listen)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Bitwise anchors of the execution engine: goldens and the dtype matrix.
 
 * Three amplitudes recorded before the (since removed) array-module seam
-  was introduced must be reproduced **bit for bit** by the one walker,
-  with ``fused`` off and on — the anchor that lets the engine be
-  rewritten without drifting by an ulp;
-* complex64 / complex128 networks run end to end on every engine and
-  backend, with the plan's dtype derived from the leaves;
+  was introduced must be reproduced **bit for bit** by the one walker —
+  the anchor that lets the engine be rewritten without drifting by an ulp;
+* ``SlicedExecutor(fused=True)``, which the benchmark's fused variant
+  still passes, selects nothing: the same plan, the same bits;
+* complex64 / complex128 networks run end to end on every backend, with
+  the plan's dtype derived from the leaves;
 * a ``BENCH_*.json`` calibration entry written while the seam existed
   (carrying a stale ``array_module`` field) still loads.
 
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_tape import fake_native_engine
 
 from repro.circuits import random_brickwork_circuit
 from repro.costs.calibration import CalibratedCostModel
@@ -61,33 +61,62 @@ def _cast_network(tn, dtype):
 
 class TestNumpyModuleBitIdentity:
     @pytest.mark.parametrize("seed", sorted(GOLDEN))
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_matches_pre_seam_goldens_exactly(self, seed, fused):
+    def test_matches_pre_seam_goldens_exactly(self, seed):
         tn, tree, sliced = _case(seed)
-        with fake_native_engine():  # fused=True runs the lowered program
-            executor = SlicedExecutor(tn, tree, sliced, fused=fused)
-            amp = executor.amplitude()
-        assert amp == GOLDEN[seed]  # bitwise, no tolerance
-        assert executor.stats.tape_engine == ("native" if fused else None)
+        assert SlicedExecutor(tn, tree, sliced).amplitude() == GOLDEN[seed]  # bitwise
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        fused=st.booleans(),
         chunk_size=st.integers(min_value=1, max_value=5),
     )
     @SETTINGS
-    def test_seamed_execution_is_bitwise_default(self, seed, fused, chunk_size):
-        """Threads + any chunking + ``fused`` ≡ the default serial run."""
+    def test_seamed_execution_is_bitwise_default(self, seed, chunk_size):
+        """Threads + any chunking ≡ the default serial run."""
         tn, tree, sliced = _case(seed, num_qubits=5, depth=3)
         baseline = SlicedExecutor(tn, tree, sliced).amplitude()
         chunked = SlicedExecutor(
             tn,
             tree,
             sliced,
-            fused=fused,
             backend=ThreadPoolBackend(max_workers=2, chunk_size=chunk_size),
         ).amplitude()
         assert chunked == baseline
+
+
+class TestBenchSeam:
+    """``fused=`` survives only as the benchmark's switch: it selects nothing."""
+
+    @pytest.mark.parametrize("case", [*sorted(GOLDEN), "sampling-batch"])
+    def test_fused_flag_selects_nothing(self, case):
+        if case == "sampling-batch":
+            from test_plan import _sampling_batch
+
+            tn, tree, sliced = _sampling_batch()  # the inner-fold plan
+        else:
+            tn, tree, sliced = _case(case)
+        default = SlicedExecutor(tn, tree, sliced)
+        fused = SlicedExecutor(tn, tree, sliced, fused=True)
+        assert fused.plan.contract_steps == default.plan.contract_steps
+        assert fused.plan.arena_bytes == default.plan.arena_bytes
+        assert (case == "sampling-batch") == (fused.plan.inner_fold is not None)
+        expected = default.run().require_data()
+        assert fused.run().require_data().tobytes() == expected.tobytes()
+        if case in GOLDEN:
+            assert complex(expected.reshape(())) == GOLDEN[case]
+        assert fused.stats.fused_steps == 0
+        assert fused.stats.tape_engine is None
+        assert fused.stats.fusion_breaks == {}
+
+    def test_fused_requires_compiled_mode(self):
+        tn, tree, sliced = _case()
+        with pytest.raises(ValueError, match="compiled"):
+            SlicedExecutor(tn, tree, sliced, mode="reference", fused=True)
+
+    def test_bad_fused_spec_rejected(self):
+        tn, tree, sliced = _case()
+        for bad in ("yes-please", "auto"):
+            with pytest.raises(ValueError, match="fused"):
+                SlicedExecutor(tn, tree, sliced, fused=bad)
 
 
 # ----------------------------------------------------------------------
@@ -95,18 +124,16 @@ class TestNumpyModuleBitIdentity:
 # ----------------------------------------------------------------------
 class TestDtypeMatrix:
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize(
         "make_backend", [None, lambda: ThreadPoolBackend(max_workers=2)]
     )
-    def test_dtype_runs_end_to_end(self, dtype, fused, make_backend):
+    def test_dtype_runs_end_to_end(self, dtype, make_backend):
         tn, tree, sliced = _case()
         _cast_network(tn, dtype)
         executor = SlicedExecutor(
             tn,
             tree,
             sliced,
-            fused=fused,
             backend=make_backend() if make_backend is not None else None,
         )
         result = executor.run()
@@ -121,11 +148,9 @@ class TestDtypeMatrix:
         tn, tree, sliced = _case(seed=29)
         _cast_network(tn, dtype)
         stepwise = SlicedExecutor(tn, tree, sliced).amplitude()
-        fused = SlicedExecutor(tn, tree, sliced, fused=True).amplitude()
         threads = SlicedExecutor(
-            tn, tree, sliced, fused=True, backend=ThreadPoolBackend(max_workers=2)
+            tn, tree, sliced, backend=ThreadPoolBackend(max_workers=2)
         ).amplitude()
-        assert fused == stepwise
         assert threads == stepwise
 
     def test_plan_dtype_derived_from_leaves(self):
@@ -165,12 +190,8 @@ class TestModuleCalibration:
                         "tape_engine": "python",
                         "array_module": "numpy",
                     },
-                    "serial+native": {
-                        "subtask_seconds": [5e-4],
-                        "array_module": "numpy",
-                    },
                 },
             }
         }
         model = CalibratedCostModel.from_bench_json(payload)
-        assert set(model.backends) == {"serial", "serial+native"}
+        assert set(model.backends) == {"serial"}

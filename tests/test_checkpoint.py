@@ -6,8 +6,8 @@ kill the coordinator at *any* harvest ordinal — in-process via the
 ``"kill-coordinator"`` fault kind, or for real in a subprocess
 (``tests/checkpoint_harness.py``) — and the next run with the same
 content fingerprint completes only the missing ordered slots, returning
-a result **bit-identical** to an uninterrupted run on every backend ×
-stepwise/fused combination.  Resilience counters accumulate across the
+a result **bit-identical** to an uninterrupted run on every backend.
+Resilience counters accumulate across the
 restarts, a fingerprint mismatch invalidates the ledger, and the
 end-to-end payload checksums (the ``"corrupt-result"`` kind) keep a
 poisoned chunk out of both the result and the ledger.  The conftest
@@ -716,11 +716,10 @@ class TestResume:
     @given(
         ordinal=st.integers(min_value=0, max_value=5),
         kind=st.sampled_from(["serial", "threads", "pool"]),
-        fused=st.booleans(),
     )
-    def test_resume_bit_identity_property(self, case, serial_value, ordinal, kind, fused):
-        """Kill at a drawn harvest ordinal on a drawn backend × engine —
-        the resumed amplitude is bitwise the serial reference."""
+    def test_resume_bit_identity_property(self, case, serial_value, ordinal, kind):
+        """Kill at a drawn harvest ordinal on a drawn backend — the resumed
+        amplitude is bitwise the serial reference."""
         tn, tree = case
         sliced = _sliced(tn)
         root = tempfile.mkdtemp(prefix="ckpt-prop-")
@@ -732,13 +731,12 @@ class TestResume:
                 tree,
                 sliced,
                 backend=_backend(kind),
-                fused=fused,
                 fault_policy=FaultPolicy.retrying(),
                 fault_injector=injector,
             )
             with pytest.raises(InjectedCoordinatorDeath):
                 interrupted.run(resume=store)
-            # resume on a *different* backend/engine: the ledger is keyed
+            # resume on a *different* backend: the ledger is keyed
             # by content, not by how the slots were computed
             resume_kind = {"serial": "threads", "threads": "pool", "pool": "serial"}[
                 kind
@@ -748,7 +746,6 @@ class TestResume:
                 tree,
                 sliced,
                 backend=_backend(resume_kind),
-                fused=not fused,
                 fault_policy=FaultPolicy.retrying(),
             )
             assert resumed.amplitude(resume=store) == serial_value

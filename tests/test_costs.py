@@ -381,46 +381,10 @@ class TestCalibratedCostModel:
             CalibratedCostModel.from_bench_json(path)
 
 
-class TestPerEngineCalibration:
-    """Engine-qualified coefficient keys: ``"<backend>+<engine>"``."""
+class TestCalibrationKeys:
+    """One coefficient key per backend: its name, never qualified."""
 
-    def test_python_engine_keeps_plain_key(self):
-        record = CalibrationRecord("serial", 1e6, 10, (0.5,))
-        assert record.tape_engine == "python"
-        assert record.key == "serial"
-
-    def test_native_engine_qualifies_key(self):
-        record = CalibrationRecord(
-            "serial", 1e6, 10, (0.5,), tape_engine="native"
-        )
-        assert record.key == "serial+native"
-
-    def test_fit_separates_engines(self):
-        # same workload, native twice as fast: the fit must not average
-        records = [
-            CalibrationRecord("serial", 1e6, 10, (0.4,)),
-            CalibrationRecord("serial", 1e6, 10, (0.2,), tape_engine="native"),
-        ]
-        model = CalibratedCostModel.fit(records)
-        assert set(model.backends) == {"serial", "serial+native"}
-        python_fit = model.coefficients["serial"]
-        native_fit = model.coefficients["serial+native"]
-        assert native_fit.predict(1e6, 10) == pytest.approx(0.2)
-        assert python_fit.predict(1e6, 10) == pytest.approx(0.4)
-
-    def test_engine_key_falls_back_to_plain_backend(
-        self, measured_run, workload
-    ):
-        _, small_tree, small_sliced = workload
-        executor, _ = measured_run
-        model = CalibratedCostModel.fit([executor.calibration_record()])
-        plain = model.subtask_seconds(small_tree, small_sliced, backend="serial")
-        engine = model.subtask_seconds(
-            small_tree, small_sliced, backend="serial+native"
-        )
-        assert engine == plain
-
-    def test_from_bench_json_parses_engine_keys(self, workload, tmp_path):
+    def test_qualified_key_is_rejected(self, workload):
         _, small_tree, small_sliced = workload
         payload = {
             "calibration": {
@@ -428,28 +392,16 @@ class TestPerEngineCalibration:
                 "num_steps": 10,
                 "backends": {
                     "serial": {"subtask_seconds": [0.4]},
-                    "serial+native": {
-                        "subtask_seconds": [0.2],
-                        "tape_engine": "native",
-                    },
+                    "threads+foo": {"subtask_seconds": [0.2]},
                 },
             }
         }
-        path = tmp_path / "BENCH_exec_plan.json"
-        path.write_text(json.dumps(payload))
-        model = CalibratedCostModel.from_bench_json(path)
-        assert set(model.backends) == {"serial", "serial+native"}
-        assert model.coefficients["serial+native"].predict(1e6, 10) == (
-            pytest.approx(0.2)
-        )
-
-    def test_payload_records_engine(self, measured_run, workload):
-        _, small_tree, small_sliced = workload
-        executor, _ = measured_run
-        payload = calibration_payload(
-            {"serial": executor.stats}, small_tree, small_sliced
-        )
-        assert payload["backends"]["serial"]["tape_engine"] == "python"
+        with pytest.raises(CostModelError, match=r"'threads\+foo'"):
+            CalibratedCostModel.from_bench_json(payload)
+        # and a qualified backend name is not answered with the plain one's
+        model = CalibratedCostModel.fit([CalibrationRecord("serial", 1e6, 10, (0.4,))])
+        with pytest.raises(CostModelError, match=r"'serial\+native'"):
+            model.subtask_seconds(small_tree, small_sliced, backend="serial+native")
 
 
 # ----------------------------------------------------------------------

@@ -470,9 +470,10 @@ class TestSpecsAndValidation:
             DistributedBackend(addresses=[])
 
     def test_unknown_transport_rejected(self):
-        backend = DistributedBackend(num_workers=2, transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="transport"):
-            backend._make_transport()
+        for spec in ("carrier-pigeon", "mpi"):
+            backend = DistributedBackend(num_workers=2, transport=spec)
+            with pytest.raises(ValueError, match="transport"):
+                backend._make_transport()
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +537,7 @@ class TestCalibrationAndScaling:
             stats = executor.stats
         finally:
             backend.close()
-        assert record.key == "distributed"
+        assert record.backend == "distributed"
         assert record.payload_bytes_per_subtask > 0.0
         assert record.comms_seconds_per_subtask >= 0.0
         # the fitted model keeps the comms constant and prices it into

@@ -168,6 +168,33 @@ class TestCompiledPlanEquivalence:
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         assert reference == pytest.approx(amplitude(circ, bits), abs=1e-8)
 
+    def test_plan_pickles(self, case):
+        """Plans ship to pool workers unchanged (pickle round-trip)."""
+        import pickle
+
+        from repro.execution import StemSlots
+
+        tn, tree, _ = case
+        sliced = sorted(tn.inner_indices())[:4]
+        plan = compile_plan(tn, tree, frozenset(sliced))
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone.contract_steps == plan.contract_steps
+        assignment = {ix: 0 for ix in sliced}
+        expected = plan.execute(tn, assignment, slots=StemSlots()).require_data()
+        actual = clone.execute(tn, assignment, slots=StemSlots()).require_data()
+        assert np.array_equal(expected, actual)
+
+    def test_identity_flags_match_permutations(self, case):
+        tn, tree, _ = case
+        plan = compile_plan(tn, tree, frozenset(sorted(tn.inner_indices())[:4]))
+        for step in plan.contract_steps:
+            for perm, identity in (
+                (step.lhs_perm, step.lhs_identity),
+                (step.rhs_perm, step.rhs_identity),
+            ):
+                if perm is not None:
+                    assert identity == (perm == tuple(range(len(perm))))
+
 
 class TestInvariantCaching:
     def test_invariant_steps_run_exactly_once(self, case):
@@ -268,8 +295,7 @@ class TestStemSlots:
     def test_growing_a_slot_never_holds_two_generations(self):
         """The outgrown arena is released before its successor is
         allocated — side by side they were the peak of ``large_subtasks``'
-        first subtask (2.1 MB old + 4.2 MB new at node 187) — and so is an
-        outgrown staging buffer."""
+        first subtask (2.1 MB old + 4.2 MB new at node 187)."""
         import tracemalloc
         from types import SimpleNamespace
 
@@ -281,25 +307,19 @@ class TestStemSlots:
 
         slots = StemSlots()
         small, large = 1 << 21, 1 << 22
-        dtype = np.dtype(np.complex128)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             slots.views(plan_of(small))
-            slots.scratch("staging", (small // 16,), dtype)
-            for grow in (
-                lambda: slots.views(plan_of(large))[0],
-                lambda: slots.scratch("staging", (large // 16,), dtype),
-            ):
-                tracemalloc.reset_peak()
-                assert grow().nbytes == large
-                # everything the object holds now, and never the outgrown
-                # generation (2 MiB) on top of it
-                peak = tracemalloc.get_traced_memory()[1] - base
-                assert peak <= slots.allocated_bytes + 4096
+            tracemalloc.reset_peak()
+            assert slots.views(plan_of(large))[0].nbytes == large
+            # everything the object holds now, and never the outgrown
+            # generation (2 MiB) on top of it
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= slots.allocated_bytes + 4096
         finally:
             tracemalloc.stop()
-        assert slots.allocated_bytes == 2 * large
+        assert slots.allocated_bytes == large
 
     def test_serial_backend_run_uses_slots(self, case):
         tn, tree, reference = case
@@ -360,7 +380,6 @@ class TestStemSlots:
             closed = alive()
         finally:
             tracemalloc.stop()
-        assert list(slots._buffers) == ["arena"]  # one buffer, no scratch
         assert slots.allocated_bytes == plan.arena_bytes
         assert fourth == third
         cache_bytes = sum(buffer.nbytes for buffer in cache.values())
@@ -445,23 +464,6 @@ class TestLevelResume:
             batched.run()
             _assert_counts_match_levels(batched, batched.batched_plan)
             assert batched.stats.steps_executed == batched_steps
-
-    def test_fused_run_is_bitwise_the_resumed_walker(self):
-        """Where numba is live the lowered program runs whole, subtask by
-        subtask, while the walker resumes; elsewhere ``fused=True`` runs the
-        (resuming) walker.  Same bits either way."""
-        tn, tree, _ = _case(num_qubits=8, depth=5)
-        sliced = sorted(tn.inner_indices())[-4:]
-        walker = SlicedExecutor(tn, tree, sliced)
-        fused = SlicedExecutor(tn, tree, sliced, fused=True)
-        assert fused.amplitude() == walker.amplitude()
-        assert walker.stats.steps_executed == walker.plan.sweep_cost().steps
-        if fused.stats.tape_engine == "native":
-            for step in fused.plan.contract_steps:
-                if step.level:
-                    assert fused.stats.node_counts[step.node] == fused.num_subtasks
-        else:
-            assert fused.stats.node_counts == walker.stats.node_counts
 
     def test_sweep_cost_is_additive_and_counts_the_warm_pass(self, case):
         from repro.execution import SweepCost
@@ -699,7 +701,7 @@ class TestSweepPlanner:
             for values in itertools.product(*sizes):
                 plan.execute(network, dict(zip(plan.sliced, values)), cache=cache, slots=slots)
                 live = slots._resume[3]
-                arena = {id(b) for b in slots._buffers.values()}
+                arena = {id(slots._arena)}
                 owners = {
                     id(_owner(array)): _owner(array)
                     for node, array in (*cache.items(), *live.items())
@@ -993,21 +995,6 @@ class TestInnerFold:
         assert lifetime.plan_folded_sweep(tree, sliced) == full
         assert full.inner_fold == (87, 5)
         assert len(searches) - thresholds == 1
-
-    def test_the_tape_declines_an_inner_fold(self):
-        """The kernel has no op for the block accumulator: ``fused=True``
-        runs the walker — the default run's bits — and says why."""
-        from test_tape import fake_native_engine
-
-        network, tree, sliced = _sampling_batch()
-        default = SlicedExecutor(network, tree, sliced).run()
-        with fake_native_engine():
-            fused = SlicedExecutor(network, tree, sliced, fused=True)
-            result = fused.run()
-        assert fused.plan.fusion_breaks == {"inner-fold": 1}
-        assert fused.plan.native_programs == (None, None)
-        assert fused.stats.tape_engine == "python"
-        assert result.require_data().tobytes() == default.require_data().tobytes()
 
     def test_a_block_is_one_subtask_to_execute_and_run_subtask(self):
         """``execute()`` and ``run_subtask`` are one-subtask blocks: bitwise

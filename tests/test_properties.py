@@ -16,8 +16,8 @@ generated circuits, trees and slicing sets rather than hand-picked cases:
   agrees with :class:`ContractionTree`'s string sets, and their trees
   contract to the dense ``einsum`` value,
 * on the same adversarial networks, sliced any which way, the one plan
-  walker agrees with the einsum oracle and — bitwise — with the tape
-  program lowered from its own step list,
+  walker agrees with the einsum oracle, and its fold node's array carries
+  the result's bits through the tail,
 * and a walker that *resumes* on one arena through any sequence of subtask
   ids (repeats, reversals, gaps, another plan interleaved) returns, call by
   call, the bits of a stateless execute of the same assignment — plans that
@@ -26,8 +26,8 @@ generated circuits, trees and slicing sets rather than hand-picked cases:
   worse than label order in steps, work or resident bytes, equal to the
   exhaustive optimum under the same ceilings wherever that is enumerable,
 * a plan that sums its contributions below the root (its tail run once)
-  returns the einsum oracle's value, as one bit pattern on every backend,
-  engine and recovery path, while a single subtask keeps the bits it had
+  returns the einsum oracle's value, as one bit pattern on every backend
+  and recovery path, while a single subtask keeps the bits it had
   before the fold,
 * and a walk that writes every copy and output into its compile-time arena
   region returns the allocating walk's bits, subtask by subtask and folded,
@@ -45,7 +45,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_plan import _arena_layout, _check_layout
-from test_tape import fake_native_engine
 
 from repro.circuits import amplitude, random_brickwork_circuit
 from repro.core import (
@@ -74,10 +73,8 @@ from repro.execution import (
     TreeExecutor,
     compile_plan,
     contract_tree,
-    interpret_program,
 )
 from repro.execution import plan as plan_module
-from repro.execution import tape as tape_module
 from repro.paths import (
     CommunityOptimizer,
     GreedyOptimizer,
@@ -420,13 +417,12 @@ class TestExecutorProperties:
         seed=st.integers(min_value=0, max_value=10_000),
         num_sliced=st.integers(min_value=0, max_value=2),
     )
-    def test_walker_matches_the_oracle_and_its_own_lowering(self, seed, num_sliced):
+    def test_walker_matches_the_oracle(self, seed, num_sliced):
         """Non-binary dimensions, hyper-indices, open legs, rank-0 roots,
         disconnected components: for every slice assignment the walker
         (cached and uncached) equals ``TreeExecutor(compiled=False)`` to
-        1e-10 and, whenever the plan lowers, equals the interpreted tape
-        program bit for bit — the fold node's array, and through the tail
-        the result; a plan that cannot lower says why."""
+        1e-10, and the fold node's array carries the uncached result's bits
+        through the tail."""
         network = _adversarial_network(seed)
         tree = GreedyOptimizer(seed=seed).tree(network)
         rng = np.random.default_rng(seed)
@@ -434,24 +430,10 @@ class TestExecutorProperties:
         picks = rng.choice(len(inner), size=min(num_sliced, len(inner)), replace=False)
         sliced = [inner[i] for i in picks]
 
-        with mock.patch.object(tape_module, "unavailable_reason", lambda: None):
-            plan = compile_plan(network, tree, frozenset(sliced), fused=True)
-        full, warm = plan.native_programs
-        einsum_steps = sum(1 for step in plan.contract_steps if step.kind == "einsum")
-        if einsum_steps:
-            assert (full, warm) == (None, None)
-            assert plan.fusion_breaks == {"einsum": einsum_steps}
-        else:
-            # (open nodes: the stateless execute runs the warm program too)
-            assert (full is None) == bool(plan.fetches)
-            assert plan.fusion_breaks == {}
-
         walker = compile_plan(network, tree, frozenset(sliced))
         oracle = TreeExecutor(compiled=False)
         cache, slots = walker.new_cache(), StemSlots()
         walker.warm_cache(network, cache)
-        lowered_cache = plan.new_cache()
-        plan.warm_cache(network, lowered_cache)
         sizes = [range(network.size_of(ix)) for ix in sliced]
         for values in itertools.product(*sizes):
             assignment = dict(zip(sliced, values))
@@ -467,27 +449,8 @@ class TestExecutorProperties:
             )
             # (einsum steps allocate on every path: the same call, the same bits)
             assert np.array_equal(cached.require_data(), uncached)
-            leaves = {
-                ls.node: plan._load_leaf(network, ls, assignment)
-                for ls in plan.leaf_steps
-            }
-            # (both programs end at the fold node; finish runs the tail)
             contribution = walker.execute_array(network, assignment)
-            if full is not None:
-                ours = interpret_program(full, leaves)
-                assert np.array_equal(ours, contribution)
-                assert np.array_equal(plan.finish(network, ours, lowered_cache), uncached)
-            if warm is not None:
-                # (a lowered plan keeps per-use layouts, the walker's cache
-                # holds staged entries: the program reads its own plan's)
-                fetched = {
-                    f.node: plan._load_leaf(network, f, assignment, lowered_cache)
-                    for f in plan.fetches
-                }
-                assert np.array_equal(
-                    interpret_program(warm, {**leaves, **lowered_cache, **fetched}),
-                    contribution,
-                )
+            assert np.array_equal(walker.finish(network, contribution, cache), uncached)
 
 
 def _hostile_plan(seed: int, num_sliced: int, batched: bool = False):
@@ -849,8 +812,7 @@ class TestSweepPlannerProperties:
 #: generator's networks rarely leave room for a fold buffer under the
 #: sweep's resident ceiling; these came out of a scan of seeds 0-2499 and
 #: between them cover every shape ``test_folded_sweeps...`` asserts it saw.
-#: (817, 3) also folds inside, so the native kernel declines it; (2253, 4),
-#: from a scan with four indices, is the folding plan that lowers.
+#: (817, 3) also folds inside; (2253, 4) came from a scan with four indices.
 _FOLDING = ((3, 1), (93, 1), (265, 1), (279, 3), (817, 3), (954, 2), (1630, 3), (2253, 4))
 
 
@@ -876,8 +838,8 @@ class TestFoldProperties:
     def test_folded_sweeps_are_the_oracle_and_one_bit_pattern_everywhere(self, tmp_path):
         """Summation commutes with the tail, so a run folds where the last
         lifetime closes: the einsum oracle's value to 1e-12, and the same
-        bits on serial, threads, process pool, distributed, the (fake)
-        native engine, checkpointed and killed-and-resumed runs, explicit
+        bits on serial, threads, process pool, distributed, checkpointed
+        and killed-and-resumed runs, explicit
         and subset ``run(ids)``.  Runs without a cache contract the tail's
         slice-invariant subtrees once, not per subtask."""
         seen = set()
@@ -925,13 +887,6 @@ class TestFoldProperties:
                     ("distributed", distributed),
                 ):
                     same(SlicedExecutor(network, tree, sliced, backend=backend).run(), label)
-                with fake_native_engine():
-                    fused = SlicedExecutor(network, tree, sliced, fused=True)
-                    same(fused.run(), "fused")
-                if fused.plan.tape_engine == "native":
-                    # (both programs end at the fold node; the tail is finish's)
-                    assert all(p is None or p.root == fold for p in fused.plan.native_programs)
-                    seen.add("native programs")
 
                 total = serial.num_subtasks
                 # (a ledger slot is one block: a subtask unless the plan
@@ -976,7 +931,6 @@ class TestFoldProperties:
             "open output legs",
             "fetches below the fold",
             "mixed real/complex leaves",
-            "native programs",
         }
 
     def test_a_single_subtask_keeps_the_bits_it_had_before_the_fold(self, monkeypatch):

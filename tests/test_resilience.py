@@ -339,24 +339,6 @@ class TestPoolCrashRecovery:
             assert executor.amplitude() == clean
         assert executor.stats.retries >= 1
 
-    def test_recovery_with_fused_plan(self, case):
-        tn, tree = case
-        sliced = _sliced(tn)
-        clean = SlicedExecutor(tn, tree, sliced, fused=True).amplitude()
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
-        executor = SlicedExecutor(
-            tn,
-            tree,
-            sliced,
-            fused=True,
-            backend=backend,
-            fault_policy=FaultPolicy.retrying(max_retries=2),
-            fault_injector=FaultInjector([FaultSpec("kill-worker", chunk=2)]),
-        )
-        with executor.session():
-            assert executor.amplitude() == clean
-        assert executor.stats.retries >= 1
-
 
 class TestFailFastAndSessionHealing:
     def test_fail_fast_raises_and_next_run_heals(self, case, serial_value):
