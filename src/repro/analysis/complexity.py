@@ -115,17 +115,10 @@ def predicted_vs_measured(
     """Predicted subtask seconds against a run's measured wall times.
 
     ``ratio`` is measured over predicted — 1.0 means the model nailed it.
-    Raises ``ValueError`` when the stats carry no timing samples, or when
-    they include batched sweeps (one of those samples covers a whole
-    sweep of subtasks, so comparing it to a per-subtask prediction would
-    inflate the ratio by the batch width).
+    Raises ``ValueError`` when the stats carry no timing samples.
     """
     if not stats.subtask_seconds:
         raise ValueError("stats carry no subtask timings; run the workload first")
-    if getattr(stats, "batched_executions", 0):
-        raise ValueError(
-            "stats include batched sweeps; compare against non-batched runs"
-        )
     predicted = cost_model.subtask_seconds(tree, frozenset(sliced), backend=backend)
     measured = stats.mean_subtask_seconds
     return {

@@ -510,7 +510,7 @@ def _keep_undominated(
 
 
 def plan_sweep(
-    tree: ContractionTree, sliced: Iterable[str], open_subtrees: bool = True
+    tree: ContractionTree, sliced: Iterable[str]
 ) -> Tuple[Tuple[str, ...], FrozenSet[int]]:
     """Choose how a sweep over ``sliced`` runs: ``(order, open_nodes)``.
 
@@ -531,8 +531,7 @@ def plan_sweep(
     (cache entries plus retained partials) do not exceed those of
     sorted-label order with nothing open.  The first threshold with such
     an order wins, so the result is no worse than label order on any of
-    the three, or is label order.  ``open_subtrees=False`` chooses the
-    order only.
+    the three, or is label order.
 
     Deterministic in ``(tree, sliced)``: labels are only ever sorted, never
     iterated as a set.  Beyond :data:`MAX_SEARCH_INDICES` indices the
@@ -542,7 +541,7 @@ def plan_sweep(
     if not labels:
         return (), frozenset()
     search = _Search(tree, labels)
-    positions, open_nodes = search.choose(open_subtrees)
+    positions, open_nodes = search.choose()
     return tuple(labels[i] for i in positions), open_nodes
 
 
@@ -608,7 +607,7 @@ def plan_folded_sweep(tree: ContractionTree, sliced: Iterable[str]) -> SweepPlan
     if not labels:
         return SweepPlan((), frozenset(), None, None)
     search = _Search(tree, labels)
-    return search.inner_fold(*search.choose(True))
+    return search.inner_fold(*search.choose())
 
 
 class _Search:
@@ -635,7 +634,7 @@ class _Search:
         best = _search_order(entries, self.widths, free, start, caps)
         return None if best is None else [*range(free[0]), *best]
 
-    def choose(self, open_subtrees: bool) -> Tuple[List[int], FrozenSet[int]]:
+    def choose(self) -> Tuple[List[int], FrozenSet[int]]:
         """:func:`plan_sweep`'s ``(positions, open_nodes)``."""
         tree, tables, count = self.tree, self.tables, self.count
         reach, carried, _, fixed, deepest = tables[:5]
@@ -643,13 +642,11 @@ class _Search:
         candidates = [
             node for node in tree.internal_nodes() if reach[node] and carried[node]
         ]
-        thresholds = [0]
-        if open_subtrees:
-            peak = max(fixed)
-            thresholds = sorted(
-                {deepest[node] for node in candidates if deepest[node] <= peak},
-                reverse=True,
-            ) + [0]
+        peak = max(fixed)
+        thresholds = sorted(
+            {deepest[node] for node in candidates if deepest[node] <= peak},
+            reverse=True,
+        ) + [0]
         for threshold in thresholds:
             open_nodes = frozenset(n for n in candidates if deepest[n] <= threshold)
             steps, work, cache, entries = _sweep_tables(tree, tables, count, open_nodes)

@@ -5,9 +5,6 @@ carry independent estimators:
 
 * the path search (:class:`~repro.paths.optimizer.HyperOptimizer`) scores
   candidate trees with :meth:`CostModel.tree_cost`;
-* the sliced executor's ``batch_indices="auto"`` becomes lifetime-aware
-  group selection (:func:`select_batch_group`) against the model's memory
-  target;
 * the §6.2 scaling projections
   (:class:`~repro.execution.scaling.ProcessScheduler`,
   :func:`~repro.execution.scaling.strong_scaling` /
@@ -25,7 +22,6 @@ through the bench JSON).  Supplying no model anywhere keeps every default
 bit-identical to the uncalibrated behaviour.
 """
 
-from .batching import batched_peak_rank, select_batch_group
 from .calibration import (
     BackendCoefficients,
     CalibratedCostModel,
@@ -41,7 +37,5 @@ __all__ = [
     "CalibrationRecord",
     "CostModel",
     "CostModelError",
-    "batched_peak_rank",
     "calibration_payload",
-    "select_batch_group",
 ]

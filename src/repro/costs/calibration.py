@@ -122,9 +122,7 @@ class CalibrationRecord:
 
         ``tree``/``sliced`` must describe the workload the stats were
         collected on (they supply the flops and step count the samples are
-        regressed against).  Batched-sweep stats are rejected: one of
-        their samples covers many subtasks, so they are not per-subtask
-        measurements.
+        regressed against).
 
         The flops/steps pairing follows what the samples measured: a
         cache-warm run (``stats.cache_hits > 0`` — every subtask was
@@ -136,10 +134,6 @@ class CalibrationRecord:
         if not stats.subtask_seconds:
             raise CostModelError(
                 "stats carry no subtask timings; run the workload first"
-            )
-        if getattr(stats, "batched_executions", 0):
-            raise CostModelError(
-                "stats include batched sweeps; calibrate from non-batched runs"
             )
         if stats.cache_hits > 0:
             subtask_flops = CostModel.dependent_subtask_flops(tree, sliced)
@@ -239,8 +233,6 @@ class CalibratedCostModel(CostModel):
         :class:`~repro.costs.model.AnalyticCostModel`, typically).
         Without one, predicting for an unmeasured backend raises
         :class:`~repro.costs.model.CostModelError`.
-    memory_target_rank:
-        Optional memory target for the lifetime-aware auto batch group.
     """
 
     def __init__(
@@ -248,9 +240,7 @@ class CalibratedCostModel(CostModel):
         coefficients: Mapping[str, BackendCoefficients],
         default_backend: Optional[str] = None,
         fallback: Optional[CostModel] = None,
-        memory_target_rank: Optional[int] = None,
     ) -> None:
-        super().__init__(memory_target_rank)
         if not coefficients:
             raise CostModelError("a calibrated model needs at least one backend")
         self.coefficients: Dict[str, BackendCoefficients] = dict(coefficients)
@@ -311,7 +301,6 @@ class CalibratedCostModel(CostModel):
         records: Iterable[CalibrationRecord],
         default_backend: Optional[str] = None,
         fallback: Optional[CostModel] = None,
-        memory_target_rank: Optional[int] = None,
     ) -> "CalibratedCostModel":
         """Fit per-backend coefficients from calibration records, grouped
         by :attr:`CalibrationRecord.backend`."""
@@ -324,12 +313,7 @@ class CalibratedCostModel(CostModel):
             name: _fit_backend(backend_records)
             for name, backend_records in by_backend.items()
         }
-        return cls(
-            coefficients,
-            default_backend=default_backend,
-            fallback=fallback,
-            memory_target_rank=memory_target_rank,
-        )
+        return cls(coefficients, default_backend=default_backend, fallback=fallback)
 
     @classmethod
     def from_bench_json(
@@ -337,7 +321,6 @@ class CalibratedCostModel(CostModel):
         source: Union[str, Path, Mapping],
         default_backend: Optional[str] = None,
         fallback: Optional[CostModel] = None,
-        memory_target_rank: Optional[int] = None,
     ) -> "CalibratedCostModel":
         """Fit from the ``calibration`` section of the bench JSON.
 
@@ -383,12 +366,7 @@ class CalibratedCostModel(CostModel):
                     ),
                 )
             )
-        return cls.fit(
-            records,
-            default_backend=default_backend,
-            fallback=fallback,
-            memory_target_rank=memory_target_rank,
-        )
+        return cls.fit(records, default_backend=default_backend, fallback=fallback)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -408,9 +386,7 @@ def calibration_payload(
     per-stage wall times, alongside the workload's *dependent* (cache-warm)
     flops and step count — the work the samples actually cover, and
     exactly what :meth:`CalibratedCostModel.from_bench_json` consumes.
-    Batched-sweep stats are skipped for the same reason
-    :meth:`CalibrationRecord.from_stats` rejects them, and so are
-    uncached runs (their samples time the full Eq. 1 work, which the
+    Uncached runs are skipped (their samples time the full Eq. 1 work, which the
     section's single dependent-flops label cannot represent).
     """
     dependent_flops = CostModel.dependent_subtask_flops(tree, sliced)
@@ -418,7 +394,7 @@ def calibration_payload(
     backends: Dict[str, Dict] = {}
     for name, stats in stats_by_backend.items():
         samples = list(stats.subtask_seconds)
-        if not samples or getattr(stats, "batched_executions", 0):
+        if not samples:
             continue
         if stats.cache_hits == 0 and dependent_flops != full_flops:
             # uncached run on a workload with an invariant fraction:

@@ -1,13 +1,11 @@
 """The unified cost model the planning layers share.
 
 Every planning stage of the paper reasons about cost — path search ranks
-candidate trees, the slice finder trades memory against recomputation, the
-batch-group selector trades rank against BLAS batching, and the §6.2
-projections turn per-subtask time into machine-scale wall time.  Before
+candidate trees, the slice finder trades memory against recomputation, and
+the §6.2 projections turn per-subtask time into machine-scale wall time.  Before
 this module each of those layers carried its own estimator (raw flop
 counts in :mod:`repro.paths.optimizer`, lifetime heuristics in
-:mod:`repro.core.slice_finder`, a size tie-break in
-:mod:`repro.execution.sliced`, homogeneous subtask times in
+:mod:`repro.core.slice_finder`, homogeneous subtask times in
 :mod:`repro.execution.scaling`).  :class:`CostModel` is the one interface
 they now consume:
 
@@ -15,10 +13,7 @@ they now consume:
   subtask (one full execution of the compiled plan) on a given execution
   backend;
 * :meth:`CostModel.tree_cost` — the scalar the tree search minimizes
-  (predicted seconds of the unsliced contraction);
-* :meth:`CostModel.select_batch_group` — the lifetime-aware auto
-  batch-group choice: the largest group of sliced indices whose live batch
-  axes keep every intermediate under the memory target.
+  (predicted seconds of the unsliced contraction).
 
 :class:`AnalyticCostModel` implements the protocol from first principles:
 per contraction step it takes the flops and the memory traffic implied by
@@ -33,11 +28,10 @@ interface to per-backend timings measured by the execution backends.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Optional, Tuple
+from typing import AbstractSet, Optional
 
 from ..hardware.spec import COMPLEX64_BYTES, SW26010PRO, SunwaySpec
 from ..tensornet.contraction_tree import ContractionTree
-from .batching import select_batch_group
 
 __all__ = ["AnalyticCostModel", "CostModel", "CostModelError"]
 
@@ -53,21 +47,8 @@ class CostModel:
     derives from it.  Predictions are in seconds so they compose directly
     with :class:`~repro.execution.scaling.ProcessScheduler` and the
     measured timings of :class:`~repro.execution.plan.PlanStats`.
-
-    Parameters
-    ----------
-    memory_target_rank:
-        Optional memory target used by :meth:`select_batch_group`; when
-        set, ``batch_indices="auto"`` on the sliced executor becomes
-        lifetime-aware group selection against this bound.
     """
 
-    def __init__(self, memory_target_rank: Optional[int] = None) -> None:
-        self.memory_target_rank = (
-            int(memory_target_rank) if memory_target_rank is not None else None
-        )
-
-    # ------------------------------------------------------------------
     def subtask_seconds(
         self,
         tree: ContractionTree,
@@ -128,29 +109,6 @@ class CostModel:
             )
         return max(float(floor), safety * subtasks * seconds)
 
-    def select_batch_group(
-        self,
-        tree: ContractionTree,
-        sliced: AbstractSet[str],
-        memory_target_rank: Optional[int] = None,
-    ) -> Tuple[str, ...]:
-        """Lifetime-aware auto batch group under this model's memory target.
-
-        See :func:`repro.costs.batching.select_batch_group`; the target
-        defaults to the model's own ``memory_target_rank``.
-        """
-        target = (
-            memory_target_rank
-            if memory_target_rank is not None
-            else self.memory_target_rank
-        )
-        if target is None:
-            raise CostModelError(
-                "select_batch_group needs a memory target; pass "
-                "memory_target_rank= here or on the model"
-            )
-        return select_batch_group(tree, sliced, target)
-
     @staticmethod
     def subtask_flops(
         tree: ContractionTree, sliced: AbstractSet[str] = frozenset()
@@ -209,7 +167,7 @@ class CostModel:
         return self.subtask_flops(tree, sliced)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(memory_target_rank={self.memory_target_rank})"
+        return f"{type(self).__name__}()"
 
 
 class AnalyticCostModel(CostModel):
@@ -229,17 +187,13 @@ class AnalyticCostModel(CostModel):
         Machine description supplying the peak rate and bandwidth.
     element_bytes:
         Bytes per tensor element (single-precision complex by default).
-    memory_target_rank:
-        Optional memory target for :meth:`CostModel.select_batch_group`.
     """
 
     def __init__(
         self,
         spec: SunwaySpec = SW26010PRO,
         element_bytes: int = COMPLEX64_BYTES,
-        memory_target_rank: Optional[int] = None,
     ) -> None:
-        super().__init__(memory_target_rank)
         self.spec = spec
         self.element_bytes = int(element_bytes)
 
@@ -296,6 +250,5 @@ class AnalyticCostModel(CostModel):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AnalyticCostModel(peak={self.peak_flops:.3g} flop/s, "
-            f"bw={self.memory_bandwidth:.3g} B/s, "
-            f"memory_target_rank={self.memory_target_rank})"
+            f"bw={self.memory_bandwidth:.3g} B/s)"
         )

@@ -24,10 +24,6 @@ other (and, for small circuits, against the dense state-vector simulator):
   - *slice-invariant caching*: intermediates whose subtree no sliced
     edge's lifetime reaches are contracted once and shared across all
     ``prod w(e)`` subtasks,
-  - *batched sweeps* (``batch_indices=``): a group of sliced indices is
-    kept as leading batch axes and all of their value combinations execute
-    in a single batched (BLAS ``matmul``) contraction, with the
-    per-subtask plan compiled lazily so pure batched workloads skip it,
   - *pluggable scheduling* (``backend=``): the subtasks run through an
     :class:`ExecutionBackend` (see the guide below).
 

@@ -182,22 +182,12 @@ def resolve_backend(
 # ----------------------------------------------------------------------
 # Helpers shared by the backends and the pool workers
 # ----------------------------------------------------------------------
-def _contribution(data: np.ndarray, sum_batch_axes: int) -> np.ndarray:
-    """One subtask's contribution (batched sweeps collapse the batch axes)."""
-    if sum_batch_axes:
-        return data.sum(axis=tuple(range(sum_batch_axes)))
-    return data
-
-
-def _owned_contribution(data: np.ndarray, sum_batch_axes: int) -> np.ndarray:
+def _owned_contribution(data: np.ndarray) -> np.ndarray:
     """A contribution buffer the caller may keep and mutate.
 
-    The batch-axis sum already allocates a fresh array; otherwise the
-    plan's output may alias the invariant cache or the worker's arena and
-    must be copied out.
+    The plan's output may alias the invariant cache or the worker's arena,
+    so it is copied out.
     """
-    if sum_batch_axes:
-        return _contribution(data, sum_batch_axes)
     return np.array(data, copy=True)
 
 
@@ -206,7 +196,6 @@ def execute_chunk(
     network: Union[TensorNetwork, "_LeafStore"],
     cache: Optional[Dict[int, np.ndarray]],
     slots: StemSlots,
-    sum_batch_axes: int,
     items: Chunk,
 ) -> ChunkResult:
     """Execute one chunk: ``(contributions, crc32s, stats)``.
@@ -224,23 +213,15 @@ def execute_chunk(
     stats = PlanStats()
     with slots.sweep():
         contributions = [
-            _owned_contribution(
-                plan.execute_block(network, block, cache, stats, slots), sum_batch_axes
-            )
+            _owned_contribution(plan.execute_block(network, block, cache, stats, slots))
             for _, block in items
         ]
     return contributions, payload_checksums(contributions), stats
 
 
-def _result_tensor(
-    plan: CompiledPlan, accumulated: np.ndarray, sum_batch_axes: int
-) -> Tensor:
-    """Wrap the finished array with the plan's (batch-stripped) indices."""
-    out_indices = plan.out_indices[sum_batch_axes:]
-    sizes = plan.out_sizes
-    return Tensor(
-        out_indices, data=accumulated, sizes={ix: sizes[ix] for ix in out_indices}
-    )
+def _result_tensor(plan: CompiledPlan, accumulated: np.ndarray) -> Tensor:
+    """Wrap the finished array with the plan's indices."""
+    return Tensor(plan.out_indices, data=accumulated, sizes=plan.out_sizes)
 
 
 def _serial_accumulate(
@@ -248,7 +229,6 @@ def _serial_accumulate(
     network: TensorNetwork,
     assignments: Sequence[Mapping[str, int]],
     cache: Optional[Dict[int, np.ndarray]],
-    sum_batch_axes: int,
     stats: Optional[PlanStats],
     slots: StemSlots,
 ) -> np.ndarray:
@@ -265,9 +245,9 @@ def _serial_accumulate(
                 # the first contribution may alias the invariant cache or the
                 # arena, both overwritten by later subtasks, so take an owned
                 # buffer once
-                accumulated = _owned_contribution(data, sum_batch_axes)
+                accumulated = _owned_contribution(data)
             else:
-                accumulated += _contribution(data, sum_batch_axes)
+                accumulated += data
     assert accumulated is not None
     return accumulated
 
@@ -277,7 +257,6 @@ def _serial_accumulate_checkpointed(
     network: TensorNetwork,
     assignments: Sequence[Mapping[str, int]],
     cache: Optional[Dict[int, np.ndarray]],
-    sum_batch_axes: int,
     stats: Optional[PlanStats],
     slots: StemSlots,
     checkpoint: CheckpointJob,
@@ -300,7 +279,7 @@ def _serial_accumulate_checkpointed(
             contribution = checkpoint.loaded.get(position)
             if contribution is None:
                 contribution = _owned_contribution(
-                    plan.execute_block(network, block, cache, stats, slots), sum_batch_axes
+                    plan.execute_block(network, block, cache, stats, slots)
                 )
                 checkpoint.record(position, contribution)
                 if injector is not None:
@@ -404,7 +383,6 @@ class ExecutionBackend:
         plan: Optional[CompiledPlan] = None,
         network: Optional[TensorNetwork] = None,
         cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
         stats: Optional[PlanStats] = None,
     ):
         """Open (or reuse) this backend's persistent execution session.
@@ -439,7 +417,6 @@ class ExecutionBackend:
         network: TensorNetwork,
         assignments: Sequence[Mapping[str, int]],
         cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
         stats: Optional[PlanStats] = None,
         policy: Optional[FaultPolicy] = None,
         injector: Optional[FaultInjector] = None,
@@ -459,9 +436,6 @@ class ExecutionBackend:
             Optional slice-invariant cache.  Warmed here (in the caller's
             process) if cold, so pool workers always receive it warm and
             every invariant contraction still runs exactly once.
-        sum_batch_axes:
-            Number of leading batch axes each execution collapses (batched
-            sweeps); the returned tensor has them stripped.
         stats:
             Optional counters; worker-local stats are merged in.
         policy / injector:
@@ -511,7 +485,6 @@ class SerialBackend(ExecutionBackend):
         network: TensorNetwork,
         assignments: Sequence[Mapping[str, int]],
         cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
         stats: Optional[PlanStats] = None,
         policy: Optional[FaultPolicy] = None,
         injector: Optional[FaultInjector] = None,
@@ -524,18 +497,15 @@ class SerialBackend(ExecutionBackend):
             return None
         self.warm(plan, network, cache, stats)
         if checkpoint is not None:
-            checkpoint.require_slot_shape(plan.contribution_shape[sum_batch_axes:])
+            checkpoint.require_slot_shape(plan.contribution_shape)
             accumulated = _serial_accumulate_checkpointed(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                self._slots, checkpoint, injector,
+                plan, network, assignments, cache, stats, self._slots, checkpoint, injector
             )
         else:
             accumulated = _serial_accumulate(
-                plan, network, assignments, cache, sum_batch_axes, stats, self._slots
+                plan, network, assignments, cache, stats, self._slots
             )
-        return _result_tensor(
-            plan, plan.finish(network, accumulated, cache, stats), sum_batch_axes
-        )
+        return _result_tensor(plan, plan.finish(network, accumulated, cache, stats))
 
 
 class LocalTransport(ChunkTransport):
@@ -556,12 +526,10 @@ class LocalTransport(ChunkTransport):
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
         workers: int,
     ) -> None:
         self.name = "threads" if workers else "serial"
         self._job = (plan, network, cache)
-        self._sum_batch_axes = sum_batch_axes
         self._pool = ThreadPoolExecutor(max_workers=workers) if workers else None
         self._arenas = threading.local()
 
@@ -573,7 +541,7 @@ class LocalTransport(ChunkTransport):
         arena = getattr(self._arenas, "slots", None)
         if arena is None:
             arena = self._arenas.slots = StemSlots()
-        result = execute_chunk(*self._job, arena, self._sum_batch_axes, chunk)
+        result = execute_chunk(*self._job, arena, chunk)
         # corruption (if injected) after the checksums were taken over the
         # honest results — the driver's verification must catch it
         corrupt_payload(directive, result[0])
@@ -656,7 +624,6 @@ class _PooledBackend(ExecutionBackend):
         plan: Optional[CompiledPlan] = None,
         network: Optional[TensorNetwork] = None,
         cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
         stats: Optional[PlanStats] = None,
     ):
         """Open (or reuse) the backend's persistent session.
@@ -669,7 +636,7 @@ class _PooledBackend(ExecutionBackend):
         (e.g. a sampling run) use.
         """
         if self.session_type is None:
-            return super().session(plan, network, cache, sum_batch_axes, stats)
+            return super().session(plan, network, cache, stats)
         session = self._session
         if session is None or session.closed:
             session = self._session = self.session_type(self)
@@ -677,7 +644,7 @@ class _PooledBackend(ExecutionBackend):
             if network is None:
                 raise ValueError("session(plan=...) also requires network=")
             self.warm(plan, network, cache, stats)
-            session.ensure(plan, network, cache, sum_batch_axes)
+            session.ensure(plan, network, cache)
         return session
 
     def close(self) -> None:
@@ -699,7 +666,6 @@ class _PooledBackend(ExecutionBackend):
         network: TensorNetwork,
         assignments: Sequence[Mapping[str, int]],
         cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
         stats: Optional[PlanStats] = None,
         policy: Optional[FaultPolicy] = None,
         injector: Optional[FaultInjector] = None,
@@ -710,13 +676,12 @@ class _PooledBackend(ExecutionBackend):
         blocks = list(plan.blocks(assignments))
         if self.inline_small_runs and (len(blocks) == 1 or self.max_workers == 1):
             return self._serial.run_subtasks(
-                plan, network, assignments, cache, sum_batch_axes, stats,
-                policy, injector, checkpoint,
+                plan, network, assignments, cache, stats, policy, injector, checkpoint
             )
         self.warm(plan, network, cache, stats)
         if checkpoint is not None:
-            checkpoint.require_slot_shape(plan.contribution_shape[sum_batch_axes:])
-        job = (plan, network, cache, sum_batch_axes)
+            checkpoint.require_slot_shape(plan.contribution_shape)
+        job = (plan, network, cache)
 
         def fallback(substrate: str) -> LocalTransport:
             # what a degrading policy falls back to once this backend's
@@ -743,9 +708,7 @@ class _PooledBackend(ExecutionBackend):
         accumulated = contributions[0]
         for contribution in contributions[1:]:
             accumulated += contribution
-        return _result_tensor(
-            plan, plan.finish(network, accumulated, cache, stats), sum_batch_axes
-        )
+        return _result_tensor(plan, plan.finish(network, accumulated, cache, stats))
 
 
 class ThreadPoolBackend(_PooledBackend):
@@ -803,14 +766,12 @@ class _WorkerState:
         plan: CompiledPlan,
         network: _LeafStore,
         cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
         segments: List[shared_memory.SharedMemory],
     ) -> None:
         self.generation = generation
         self.plan = plan
         self.network: Optional[_LeafStore] = network
         self.cache = cache
-        self.sum_batch_axes = sum_batch_axes
         # keep the SharedMemory handles alive: the ndarray views above
         # borrow their buffers
         self.segments = segments
@@ -862,7 +823,7 @@ def _attach_state(payload: Tuple) -> "_WorkerState":
     before the error propagates, so a half-initialized worker never leaks
     attachments.
     """
-    generation, plan, leaf_meta, cache_meta, sum_batch_axes = payload
+    generation, plan, leaf_meta, cache_meta = payload
     segments: List[shared_memory.SharedMemory] = []
     try:
         tensors: Dict[int, Tensor] = {}
@@ -882,9 +843,7 @@ def _attach_state(payload: Tuple) -> "_WorkerState":
             except OSError:  # pragma: no cover - defensive
                 pass
         raise
-    return _WorkerState(
-        generation, plan, _LeafStore(tensors), cache, sum_batch_axes, segments
-    )
+    return _WorkerState(generation, plan, _LeafStore(tensors), cache, segments)
 
 
 def _install_worker_state(payload: Tuple) -> "_WorkerState":
@@ -951,8 +910,7 @@ def _run_chunk(
             )
         state = _install_worker_state(pickle.loads(blob))
     results, checksums, local_stats = execute_chunk(
-        state.plan, state.network, state.cache, state.slots,
-        state.sum_batch_axes, chunk,
+        state.plan, state.network, state.cache, state.slots, chunk
     )
     corrupt_payload(directive, results)
     return results, checksums, local_stats, os.getpid()
@@ -1062,8 +1020,7 @@ class _ResidentSession(ChunkTransport):
       :meth:`close`, at garbage collection or at interpreter exit — without
       keeping the session alive;
     * the leaf-data snapshot fingerprint (identity of the plan, of every
-      leaf tensor and of the cache buffers, plus the batch-axis count)
-      that decides what must be republished;
+      leaf tensor and of the cache buffers) that decides what must be republished;
     * healing: a run or publication that raises marks the session
       *broken*, and the next :meth:`ensure` resets it transparently
       instead of crashing on stale state.
@@ -1074,7 +1031,7 @@ class _ResidentSession(ChunkTransport):
         self._resources = resources
         self._release = release
         self._finalizer = weakref.finalize(self, release, resources)
-        #: ``(plan, network, cache, sum_batch_axes)`` of the run in progress.
+        #: ``(plan, network, cache)`` of the run in progress.
         self._job: Optional[Tuple] = None
         self._drop_fingerprint()
 
@@ -1116,14 +1073,12 @@ class _ResidentSession(ChunkTransport):
         self._cache_token: Optional[Tuple] = None
         # pinned so ``id``-based tokens cannot collide with recycled buffers
         self._cache_buffers: Tuple[np.ndarray, ...] = ()
-        self._sum_batch_axes: Optional[int] = None
 
     def _refingerprint(
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
     ) -> Tuple[bool, bool]:
         """Take the new snapshot: ``(plan changed, plan or data changed)``."""
         leaf_tensors = tuple(network.tensor(ls.tid) for ls in plan.leaf_steps)
@@ -1133,7 +1088,7 @@ class _ResidentSession(ChunkTransport):
             if cache is None
             else (id(cache), tuple((node, id(buffer)) for node, buffer in items))
         )
-        plan_changed = plan is not self._plan or sum_batch_axes != self._sum_batch_axes
+        plan_changed = plan is not self._plan
         changed = (
             plan_changed
             or leaf_tensors != self._leaf_tensors
@@ -1143,7 +1098,6 @@ class _ResidentSession(ChunkTransport):
         self._leaf_tensors = leaf_tensors
         self._cache_token = cache_token
         self._cache_buffers = tuple(buffer for _, buffer in items)
-        self._sum_batch_axes = sum_batch_axes
         return plan_changed, changed
 
     def __enter__(self):
@@ -1158,7 +1112,6 @@ class _ResidentSession(ChunkTransport):
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
     ) -> None:
         """Bring the resident state up to date for ``plan``/``network``.
 
@@ -1173,7 +1126,7 @@ class _ResidentSession(ChunkTransport):
         if self._broken:
             self.reset()
         try:
-            self._ensure(plan, network, cache, sum_batch_axes)
+            self._ensure(plan, network, cache)
         except BaseException:
             # a partially-republished session must not be reused as-is
             self._broken = True
@@ -1184,7 +1137,6 @@ class _ResidentSession(ChunkTransport):
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
     ) -> None:
         raise NotImplementedError
 
@@ -1193,7 +1145,6 @@ class _ResidentSession(ChunkTransport):
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
         drive: Callable[[ChunkTransport], List[Optional[np.ndarray]]],
     ) -> List[Optional[np.ndarray]]:
         """One run over the resident workers: ``drive(self)``'s ordered slots.
@@ -1204,8 +1155,8 @@ class _ResidentSession(ChunkTransport):
         strictly in assignment order, so session reuse and recovery
         cannot perturb the ordered-accumulation contract.
         """
-        self.ensure(plan, network, cache, sum_batch_axes)
-        self._job = (plan, network, cache, sum_batch_axes)
+        self.ensure(plan, network, cache)
+        self._job = (plan, network, cache)
         try:
             return drive(self)
         except BaseException:
@@ -1282,9 +1233,8 @@ class ExecutionSession(_ResidentSession):
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]] = None,
-        sum_batch_axes: int = 0,
     ) -> None:
-        _, changed = self._refingerprint(plan, network, cache, sum_batch_axes)
+        _, changed = self._refingerprint(plan, network, cache)
         if self._resources.pool is not None and not changed:
             return
 
@@ -1299,7 +1249,7 @@ class ExecutionSession(_ResidentSession):
             self._generation = 0
             self._blob = None
             blob = pickle.dumps(
-                (0, plan, leaf_meta, cache_meta, sum_batch_axes),
+                (0, plan, leaf_meta, cache_meta),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             self._payload_blob = blob
@@ -1312,7 +1262,7 @@ class ExecutionSession(_ResidentSession):
         else:
             self._generation += 1
             self._blob = self._payload_blob = pickle.dumps(
-                (self._generation, plan, leaf_meta, cache_meta, sum_batch_axes),
+                (self._generation, plan, leaf_meta, cache_meta),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
 

@@ -9,9 +9,9 @@ This module closes that gap with a write-ahead chunk ledger:
 
 * :class:`CheckpointStore` — a directory of *jobs*, each keyed by a
   content fingerprint of the run (:func:`job_fingerprint`: leaf data,
-  contraction tree, slicing assignments, batch-axis count, what a slot
-  holds when the plan sums below its root, plus the fault policy and
-  chunking the run was configured with).
+  contraction tree, slicing assignments, what a slot holds when the plan
+  sums below its root, plus the fault policy and chunking the run was
+  configured with).
 * :class:`CheckpointJob` — one run's ledger: a ``manifest.json``, a
   ``stats.json`` with the resilience counters accumulated across
   restarts, and one checksummed record per completed ordered slot — one
@@ -22,7 +22,7 @@ This module closes that gap with a write-ahead chunk ledger:
   corrupt a persisted slot.
 
 The backends persist each ordered contribution as it is harvested
-(``ExecutionBackend.run_subtasks(checkpoint=...)``), batched every
+(``ExecutionBackend.run_subtasks(checkpoint=...)``), flushed every
 ``FaultPolicy.checkpoint_every`` completions to bound the overhead.  On
 restart, :meth:`~repro.execution.SlicedExecutor.run` with ``resume=``
 (or a policy carrying ``checkpoint_dir``) re-opens the job: a matching
@@ -163,7 +163,6 @@ def job_fingerprint(
     tree: "ContractionTree",
     sliced: Sequence[str],
     assignments: Sequence[Mapping[str, int]],
-    sum_batch_axes: int = 0,
     dtype: Optional[object] = None,
     policy: Optional["FaultPolicy"] = None,
     chunk_size: Optional[int] = None,
@@ -174,13 +173,12 @@ def job_fingerprint(
     Unlike the identity-based fingerprints of the in-memory sessions
     (which die with the process), this one is computed from *content*:
     the raw bytes of every leaf tensor, the contraction tree's SSA path,
-    the sliced index set, the ordered assignment schedule, the batch-axis
-    count, what a slot holds when it is not one subtask's root array —
-    ``fold``, the ``(fold node, contribution shape)`` of a plan that sums
-    below its root (:attr:`~repro.execution.plan.CompiledPlan.fold_node`),
-    optionally followed by its ``(node, level)`` inner fold, which makes a
-    slot one block
-    (:attr:`~repro.execution.plan.CompiledPlan.inner_fold`) — and, per
+    the sliced index set, the ordered assignment schedule, what a slot
+    holds when it is not one subtask's root array — ``fold``, the
+    ``(fold node, contribution shape)`` of a plan that sums below its root
+    (:attr:`~repro.execution.plan.CompiledPlan.fold_node`), optionally
+    followed by its ``(node, level)`` inner fold, which makes a slot one
+    block (:attr:`~repro.execution.plan.CompiledPlan.inner_fold`) — and, per
     the ledger contract, the fault policy's recovery
     shape and the backend's chunking.  Anything that could change the
     accumulated value (or the meaning of a slot position) changes the
@@ -203,7 +201,9 @@ def job_fingerprint(
         feed(f"leaf:{tid}:{tensor.indices!r}:{data.dtype.str}:{data.shape!r}")
         digest.update(data.tobytes())
         digest.update(b"\x00")
-    feed(f"batch-axes:{int(sum_batch_axes)}")
+    # a constant since runs stopped carrying batch axes: kept so that
+    # every ledger written before then still resumes
+    feed("batch-axes:0")
     if fold is not None:
         # (a root fold hashes as every ledger written before folds existed)
         feed(f"fold:{fold[0]}:{tuple(fold[1])!r}")

@@ -26,7 +26,7 @@ folds inside):
 frame                      payload
 ========================== ============================================
 ``("hello", pid)``         worker handshake (worker → coordinator)
-``("plan", (gen, blob))``  pickled ``(plan, sum_batch_axes)``
+``("plan", (gen, blob))``  pickled plan
 ``("data", (gen, blob))``  pickled ``(leaf arrays, invariant cache)``
 ``("chunk", (...))``       ``(chunk id, plan gen, data gen,
                            [(position, block), ...], directive)``
@@ -46,7 +46,7 @@ every worker count, chunk size and arrival order (a slow worker changes
 **Sessions.**  :class:`DistributedSession` generalizes the shared-memory
 :class:`~repro.execution.backend.ExecutionSession` to remote publication:
 the same leaf-data fingerprint (plan identity, leaf tensor identities,
-cache token, batch-axis count) splits invalidation into two generations —
+cache token) splits invalidation into two generations —
 a *plan* generation (rebroadcast the pickled plan) and a *data*
 generation (republish only leaf/cache arrays).  A data-only tensor
 replacement therefore re-ships the arrays without re-broadcasting the
@@ -477,8 +477,8 @@ class DistributedSession(_ResidentSession):
     leaf-data snapshot fingerprint drives invalidation, split into two
     generation counters:
 
-    * **plan generation** — bumped when the compiled plan (or batch-axis
-      count) changes; the pickled plan is re-broadcast;
+    * **plan generation** — bumped when the compiled plan changes; the
+      pickled plan is re-broadcast;
     * **data generation** — bumped when only leaf tensors or the
       invariant cache changed; just the arrays are republished, the plan
       broadcast is *not* repeated.
@@ -545,19 +545,16 @@ class DistributedSession(_ResidentSession):
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Optional[Dict[int, np.ndarray]],
-        sum_batch_axes: int,
     ) -> None:
         if self._resources.transport is None:
             self._resources.transport = self._backend._make_transport()
         if not any(link.alive for link in self._links):
             self._links[:] = []
             self._launch()
-        plan_changed, changed = self._refingerprint(plan, network, cache, sum_batch_axes)
+        plan_changed, changed = self._refingerprint(plan, network, cache)
         if plan_changed:
             self._plan_generation += 1
-            self._plan_blob = pickle.dumps(
-                (plan, sum_batch_axes), protocol=pickle.HIGHEST_PROTOCOL
-            )
+            self._plan_blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
             self.plan_broadcasts += 1
         if changed:
             self._data_generation += 1

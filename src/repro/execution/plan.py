@@ -49,11 +49,6 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   that agree on the first ``M`` positions — and the chain, the *flush*,
   runs once per block (:meth:`CompiledPlan.execute_block`).  The unit
   every sweep loop folds is then the block.
-* An optional *batched* mode keeps a group of sliced indices alive as
-  leading batch axes instead of enumerating them: steps where every live
-  batch axis appears on both operands compile to a batched GEMM whose
-  single leading batch axis has size ``prod w(e)`` over the group, so all
-  of the group's value combinations are swept in one batched contraction.
 * The compiler *lays out* the cached subtask (:func:`_lay_out`): it walks
   the dependent part once, freeing exactly as the walker frees, and gives
   every buffer that walk writes — GEMM outputs, operand copies,
@@ -124,7 +119,6 @@ import numpy as np
 from ..core.lifetime import (
     SweepPlan,
     plan_folded_sweep,
-    plan_sweep,
     slice_dependency_levels,
     sweep_prediction,
 )
@@ -172,7 +166,7 @@ class PlanStats:
     cache_hits:
         Number of operand fetches served from the invariant cache.
     executions:
-        Number of ``execute`` calls (subtasks, or batched sweeps).
+        Number of ``execute`` calls (subtasks).
     slot_writes:
         Number of step outputs written into the worker's arena instead of
         a freshly allocated buffer.
@@ -235,10 +229,6 @@ class PlanStats:
     node_counts: Dict[int, int] = field(default_factory=dict)
     cache_hits: int = 0
     executions: int = 0
-    #: ``execute`` calls of a *batched* plan — each such timing sample
-    #: covers a whole sweep of subtasks, so stats containing any are
-    #: rejected as per-subtask calibration input.
-    batched_executions: int = 0
     slot_writes: int = 0
     subtask_seconds: List[float] = field(default_factory=list)
     subtask_seconds_sum: float = 0.0
@@ -294,7 +284,6 @@ class PlanStats:
             self.node_counts[node] = self.node_counts.get(node, 0) + count
         self.cache_hits += other.cache_hits
         self.executions += other.executions
-        self.batched_executions += other.batched_executions
         self.slot_writes += other.slot_writes
         room = MAX_TIMING_SAMPLES - len(self.subtask_seconds)
         if room > 0:
@@ -477,13 +466,11 @@ class ContractStep:
 
     * ``"tensordot"`` — a plain GEMM: the operands are permuted to
       ``(m, k)`` / ``(k, n)`` and contracted with ``np.dot``;
-    * ``"bmm"`` — a batched GEMM over ``w`` slices, ``(w, m, k)`` /
-      ``(w, k, n)``; used when the live batch axes sit on both operands;
     * ``"einsum"`` — precompiled integer-sublist einsum (no symbol-table
       size limit, unlike spec strings); fallback for hyper indices kept on
       the output and for axes summed out of a single operand.
 
-    Both GEMM kinds share one layout: ``lhs_perm`` / ``rhs_perm`` bring
+    A GEMM step carries one layout: ``lhs_perm`` / ``rhs_perm`` bring
     the operands into GEMM order, ``shapes`` holds the three GEMM shapes
     (lhs, rhs, output; ``None`` on einsum steps), and the identity flags
     mark permutations the walker skips.  ``regions`` places the buffers a
@@ -572,21 +559,6 @@ def _above(items: Tuple, level: int) -> Tuple:
     return items
 
 
-def _batched_gemm(a3: np.ndarray, b3: np.ndarray, out3: np.ndarray) -> None:
-    """Slicewise 2-D GEMM — the walker's ``bmm`` primitive.
-
-    ``np.matmul`` over a 3-D stack is *not* bitwise identical to a loop
-    of 2-D GEMMs (its batched path accumulates differently): switching to
-    it would change the bits of every batched plan.
-    """
-    if a3.dtype != out3.dtype:
-        a3 = a3.astype(out3.dtype)
-    if b3.dtype != out3.dtype:
-        b3 = b3.astype(out3.dtype)
-    for i in range(out3.shape[0]):
-        np.dot(a3[i], b3[i], out=out3[i])
-
-
 def _walk_steps(
     steps: Sequence[ContractStep],
     live: Dict[int, np.ndarray],
@@ -670,10 +642,7 @@ def _walk_steps(
                     out = _recast(out, dtype)
                 if counts is not None:
                     stats.slot_writes += 1
-            if len(gemm_shape) == 3:
-                _batched_gemm(a, b, out)
-            else:
-                np.dot(a, b, out=out)
+            np.dot(a, b, out=out)
             # drop the staged operands now: staging this step's own output,
             # or the next step's allocations, would otherwise sit on top
             del a, b
@@ -700,7 +669,6 @@ class CompiledPlan:
         self,
         tree: ContractionTree,
         enumerated: Tuple[str, ...],
-        batch_indices: Tuple[str, ...],
         dtype: Optional[np.dtype],
         leaf_steps: Tuple[LeafStep, ...],
         fetches: Tuple[LeafStep, ...],
@@ -709,7 +677,6 @@ class CompiledPlan:
         dependent: FrozenSet[int],
         out_indices: Tuple[str, ...],
         out_sizes: Dict[str, int],
-        root_perm: Optional[Tuple[int, ...]],
         derived_dtype: Optional[np.dtype] = None,
         fold_node: Optional[int] = None,
         arena_bytes: int = 0,
@@ -733,7 +700,6 @@ class CompiledPlan:
                 # index unknown to the tree: fixing it is a no-op (matches
                 # the reference walker), so no range to enforce
                 self._enumerated_sizes[ix] = None
-        self._batch_indices = batch_indices
         self._dtype = dtype
         self._leaf_steps = leaf_steps
         self._fetches = fetches
@@ -742,7 +708,6 @@ class CompiledPlan:
         self._dependent = dependent
         self._out_indices = out_indices
         self._out_sizes = dict(out_sizes)
-        self._root_perm = root_perm
         self._invariant_steps = tuple(s for s in steps if s.level == 0)
         # where a run sums its contributions: per subtask the steps end at
         # the fold node, and its ancestors — the tail — run once, in finish
@@ -803,13 +768,8 @@ class CompiledPlan:
 
     @property
     def sliced(self) -> Tuple[str, ...]:
-        """The enumerated sliced indices (excludes the batch index)."""
+        """The sliced indices in sweep order, slowest-varying first."""
         return self._enumerated
-
-    @property
-    def batch_indices(self) -> Tuple[str, ...]:
-        """The sliced indices kept as live batch axes, in canonical order."""
-        return self._batch_indices
 
     @property
     def dtype(self) -> Optional[np.dtype]:
@@ -832,26 +792,8 @@ class CompiledPlan:
         return self._steps
 
     @property
-    def batch_index(self) -> Optional[str]:
-        """The single batch index when exactly one is live, else ``None``."""
-        if len(self._batch_indices) == 1:
-            return self._batch_indices[0]
-        return None
-
-    @property
-    def num_batch_axes(self) -> int:
-        """Number of leading batch axes on the result tensor."""
-        count = 0
-        for ix in self._out_indices:
-            if ix in self._batch_indices:
-                count += 1
-            else:
-                break
-        return count
-
-    @property
     def out_indices(self) -> Tuple[str, ...]:
-        """Index order of the result (batch indices leading when batched)."""
+        """Index order of the result."""
         return self._out_indices
 
     @property
@@ -906,8 +848,8 @@ class CompiledPlan:
         wherever nothing above depends on a sliced index: the compiler walks
         down from the root while the node left behind is slice-invariant
         (:func:`_fold_node`), and the ancestors of the fold node — the
-        *tail* — run once per run, in :meth:`finish`.  The root for batched
-        plans and wherever no such walk fits the resident-byte ceiling.
+        *tail* — run once per run, in :meth:`finish`.  The root wherever no
+        such walk fits the resident-byte ceiling.
         """
         return self._fold_node
 
@@ -922,8 +864,8 @@ class CompiledPlan:
         assignments that agree on the first ``level`` positions
         (:meth:`blocks`) — walk to ``node`` only and add its arrays into one
         accumulator, and the chain runs once per block over the sum
-        (:meth:`execute_block`).  ``None`` on plans the rule does not fold,
-        and always on batched ones: a block is then one subtask.
+        (:meth:`execute_block`).  ``None`` on plans the rule does not fold:
+        a block is then one subtask.
         """
         return None if self._inner is None else self._inner[:2]
 
@@ -955,7 +897,7 @@ class CompiledPlan:
 
     @property
     def contribution_shape(self) -> Tuple[int, ...]:
-        """Shape of the array :meth:`execute_array` returns (batch axes included)."""
+        """Shape of the array :meth:`execute_array` returns."""
         if self._tail:
             return self._node_shape(self._fold_node)
         return tuple(self._out_sizes[ix] for ix in self._out_indices)
@@ -1010,11 +952,6 @@ class CompiledPlan:
     def _node_shape(self, node: int) -> Tuple[int, ...]:
         """The shape of an internal node's array (its step's output)."""
         return self._steps[node - self._tree.num_leaves].out_shape
-
-    def invariant_log2_flops(self) -> float:
-        """log2 of the per-subtask flops saved by the invariant cache."""
-        total = sum(2.0**s.log2_flops for s in self._invariant_steps)
-        return math.log2(total) if total else float("-inf")
 
     def _level_runs(self) -> List[int]:
         """How often a level-``j`` step or load runs in one full sweep."""
@@ -1364,8 +1301,6 @@ class CompiledPlan:
                 raise PlanError(f"slice value {value} out of range for index {ix!r}")
         if stats is not None:
             stats.executions += 1
-            if self._batch_indices:
-                stats.batched_executions += 1
 
         start = time.perf_counter()
         if cached:
@@ -1403,9 +1338,6 @@ class CompiledPlan:
             # the root itself is cached (nothing is slice-dependent): hand
             # out a copy so callers cannot corrupt the shared cache buffer
             data = data.copy()
-        if self._root_perm is not None:
-            # (batched plans only, and those fold at their root)
-            data = np.transpose(data, self._root_perm)
         return data
 
     def finish(
@@ -1417,14 +1349,14 @@ class CompiledPlan:
     ) -> np.ndarray:
         """Run the tail once over ``folded``: the root's array.
 
-        ``folded`` is a sum of :meth:`execute_array` contributions (batch
-        axes summed).  Nothing above the :attr:`fold_node` depends on a
-        sliced index, so ``sum_a tail(S(a)) == tail(sum_a S(a))`` and the
-        tail's steps run once per run instead of once per subtask, with
-        their slice-invariant operands taken from ``cache`` when it is
-        warm — or contracted here, once, when it is not.  Their counts go
-        to ``stats``.  Returns ``folded`` itself on a plan that folds at
-        its root.
+        ``folded`` is a sum of :meth:`execute_array` contributions.
+        Nothing above the :attr:`fold_node` depends on a sliced index, so
+        ``sum_a tail(S(a)) == tail(sum_a S(a))`` and the tail's steps run
+        once per run instead of once per subtask, with their
+        slice-invariant operands taken from ``cache`` when it is warm — or
+        contracted here, once, when it is not.  Their counts go to
+        ``stats``.  Returns ``folded`` itself on a plan that folds at its
+        root.
         """
         if not self._tail:
             return folded
@@ -1486,7 +1418,7 @@ class CompiledPlan:
         return (
             f"CompiledPlan(steps={len(self._steps)}, "
             f"invariant={len(self._invariant_steps)}, "
-            f"sliced={list(self._enumerated)}, batch={list(self._batch_indices)})"
+            f"sliced={list(self._enumerated)})"
         )
 
 
@@ -1498,7 +1430,6 @@ def compile_plan(
     tree: ContractionTree,
     sliced: AbstractSet[str] = frozenset(),
     dtype: Optional[np.dtype] = None,
-    batch_indices: Optional[Sequence[str]] = None,
 ) -> CompiledPlan:
     """Compile ``tree`` over ``network`` for a fixed slicing set.
 
@@ -1515,23 +1446,8 @@ def compile_plan(
         execution time an assignment supplies the value of each one.
     dtype:
         Optional dtype override applied to every leaf at load time.
-    batch_indices:
-        Optional group of members of ``sliced`` kept as live batch axes
-        instead of being enumerated: the compiled steps carry them through
-        to the root (leading axes, in the order given), so a single
-        execution sweeps all ``prod w(e)`` value combinations of the group.
-        Steps where every live batch axis sits on both operands compile to
-        one batched GEMM whose leading batch axis has size ``prod w(e)``.
     """
-    sliced = frozenset(sliced)
-    batch: Tuple[str, ...] = tuple(batch_indices) if batch_indices else ()
-    if len(set(batch)) != len(batch):
-        raise PlanError(f"repeated batch indices in {batch}")
-    for ix in batch:
-        if ix not in sliced:
-            raise PlanError(f"batch index {ix!r} is not in the sliced set")
-    batch_set = frozenset(batch)
-    enumerated = sliced - batch_set
+    enumerated = frozenset(sliced)
 
     # derive the execution dtype from the concrete leaves when no
     # explicit override was given: arena and pre-calibration sizing
@@ -1553,11 +1469,8 @@ def compile_plan(
     # the sweep plan: the enumeration order (slowest-varying first — the
     # executors decode subtask ids in it), the open subtrees, which the
     # warm pass contracts once with the sliced indices reaching them left
-    # on as axes, and an inner fold.  Batched plans take the order only.
-    if batch:
-        sweep = SweepPlan(*plan_sweep(tree, enumerated, open_subtrees=False), None, None)
-    else:
-        sweep = plan_folded_sweep(tree, enumerated)
+    # on as axes, and an inner fold
+    sweep = plan_folded_sweep(tree, enumerated)
     ordered, open_nodes = sweep.order, sweep.open_nodes
     levels = slice_dependency_levels(tree, ordered)
     carried: Set[int] = set()
@@ -1570,7 +1483,6 @@ def compile_plan(
     )
 
     orders: Dict[int, Tuple[str, ...]] = {}
-    has_batch: Dict[int, FrozenSet[str]] = {}
     leaf_steps: List[LeafStep] = []
     for leaf, tid in enumerate(tree.leaf_tids):
         tensor = network.tensor(tid)
@@ -1591,7 +1503,6 @@ def compile_plan(
             )
         )
         orders[leaf] = leaf_steps[-1].out_indices
-        has_batch[leaf] = batch_set & frozenset(orders[leaf])
 
     # frontier: roots of the maximal subtrees the warm pass contracts
     # (invariant or open) — the nodes whose tensors the cache retains
@@ -1624,9 +1535,6 @@ def compile_plan(
         a_set, b_set = set(a_ixs), set(b_ixs)
         fixed = frozenset() if node in carried else enumerated
         out_set = {ix for ix in tree.node_indices(node) if ix not in fixed}
-        node_batch = has_batch[lhs] | has_batch[rhs]
-        has_batch[node] = node_batch
-        out_set.update(node_batch)  # never sum the batch axes
 
         shared = a_set & b_set
         contracted = [ix for ix in a_ixs if ix in shared and ix not in out_set]
@@ -1641,17 +1549,20 @@ def compile_plan(
         spec: Dict[str, Any] = {}
         if not kept_shared and not solo_summed:
             kind = "tensordot"
-            b_order: List[str] = []
-        elif (
-            node_batch
-            and not solo_summed
-            and set(kept_shared) == node_batch
-            and has_batch[lhs] == node_batch
-            and has_batch[rhs] == node_batch
-        ):
-            kind = "bmm"
-            # canonical batch-axis order: as given in the batch group
-            b_order = [ix for ix in batch if ix in node_batch]
+            # the explicit transpose → reshape → dot layout: the kept axes
+            # of each operand around the contracted block — np.tensordot's
+            # own order, so the GEMM output needs no transpose
+            m_ixs = [ix for ix in a_ixs if ix in out_set]
+            n_ixs = [ix for ix in b_ixs if ix in out_set]
+            lhs_perm = share(tuple(a_ixs.index(ix) for ix in (*m_ixs, *contracted)))
+            rhs_perm = share(tuple(b_ixs.index(ix) for ix in (*contracted, *n_ixs)))
+            spec["lhs_perm"] = lhs_perm
+            spec["rhs_perm"] = rhs_perm
+            m, k, n = (math.prod(size(ix) for ix in group) for group in (m_ixs, contracted, n_ixs))
+            spec["shapes"] = share((share((m, k)), share((k, n)), share((m, n))))
+            spec["lhs_identity"] = lhs_perm == tuple(range(len(a_ixs)))
+            spec["rhs_identity"] = rhs_perm == tuple(range(len(b_ixs)))
+            out_order = [*m_ixs, *n_ixs]
         else:
             kind = "einsum"
             # integer axis labels (einsum's interleaved form): unlike spec
@@ -1664,28 +1575,6 @@ def compile_plan(
             spec["sub_lhs"] = tuple(label(ix) for ix in a_ixs)
             spec["sub_rhs"] = tuple(label(ix) for ix in b_ixs)
             spec["sub_out"] = tuple(label(ix) for ix in out_order)
-        if kind != "einsum":
-            # the explicit transpose → reshape → dot layout: shared batch
-            # axes lead, then the kept axes of each operand around the
-            # contracted block — np.tensordot's own order, so the GEMM
-            # output needs no transpose
-            m_ixs = [ix for ix in a_ixs if ix in out_set and ix not in b_order]
-            n_ixs = [ix for ix in b_ixs if ix in out_set and ix not in b_order]
-            lhs_perm = share(tuple(a_ixs.index(ix) for ix in (*b_order, *m_ixs, *contracted)))
-            rhs_perm = share(tuple(b_ixs.index(ix) for ix in (*b_order, *contracted, *n_ixs)))
-            spec["lhs_perm"] = lhs_perm
-            spec["rhs_perm"] = rhs_perm
-            w, m, k, n = (
-                math.prod(size(ix) for ix in group)
-                for group in (b_order, m_ixs, contracted, n_ixs)
-            )
-            lead = (w,) if kind == "bmm" else ()
-            spec["shapes"] = share(
-                (share((*lead, m, k)), share((*lead, k, n)), share((*lead, m, n)))
-            )
-            spec["lhs_identity"] = lhs_perm == tuple(range(len(a_ixs)))
-            spec["rhs_identity"] = rhs_perm == tuple(range(len(b_ixs)))
-            out_order = [*b_order, *m_ixs, *n_ixs]
 
         orders[node] = tuple(out_order)
         spec.update(
@@ -1714,24 +1603,8 @@ def compile_plan(
     steps = [ContractStep(**spec) for spec in specs]
     del specs
 
-    root = tree.root
-    root_order = orders[root]
-    root_perm: Optional[Tuple[int, ...]] = None
-    out_order_final = root_order
-    root_batch = has_batch.get(root, frozenset())
-    if root_batch:
-        # batch axes lead on the result, in the canonical group order
-        prefix = [ix for ix in batch if ix in root_batch]
-        if list(root_order[: len(prefix)]) != prefix:
-            positions = [root_order.index(ix) for ix in prefix]
-            rest = [i for i in range(len(root_order)) if i not in positions]
-            perm = (*positions, *rest)
-            root_perm = perm
-            out_order_final = tuple(root_order[i] for i in perm)
-    out_sizes = {ix: tree.index_size(ix) for ix in out_order_final}
-
-    # (batched plans sum their batch axes at the root: they fold there)
-    fold = root if batch else _fold_node(tree, dependent, levels, steps, ordered, open_nodes)
+    out_order = orders[tree.root]
+    fold = _fold_node(tree, dependent, levels, steps, ordered, open_nodes)
     # (the inner node lies below the fold node: the walk down to the fold
     # node stops above the first chain sibling a sliced index reaches)
     inner_fold = sweep.inner_fold
@@ -1742,16 +1615,14 @@ def compile_plan(
     plan = CompiledPlan(
         tree=tree,
         enumerated=ordered,
-        batch_indices=batch,
         dtype=np.dtype(dtype) if dtype is not None else None,
         leaf_steps=tuple(leaf_steps),
         fetches=tuple(fetches),
         steps=tuple(steps),
         frontier=frozenset(frontier),
         dependent=dependent,
-        out_indices=out_order_final,
-        out_sizes=out_sizes,
-        root_perm=root_perm,
+        out_indices=out_order,
+        out_sizes={ix: tree.index_size(ix) for ix in out_order},
         derived_dtype=derived_dtype,
         fold_node=fold,
         arena_bytes=arena_bytes,

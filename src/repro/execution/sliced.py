@@ -14,10 +14,8 @@ exhaustively and with hypothesis.
 :class:`~repro.execution.plan.CompiledPlan` by default (``mode="compiled"``):
 the tree is compiled once into ``tensordot`` axis pairs, slice-invariant
 intermediates — subtrees no sliced edge's lifetime reaches — are contracted
-once and shared across every subtask, every buffer the rest writes has a
-compile-time offset in one per-worker arena, and optionally a group of sliced indices is
-kept as leading batch axes so that all of their value combinations are
-swept in a single batched contraction (``batch_indices=``).
+once and shared across every subtask, and every buffer the rest writes has a
+compile-time offset in one per-worker arena.
 ``mode="reference"`` selects the seed einsum walker, which re-plans and
 re-contracts everything per subtask; it is the path everything else is
 cross-checked against.
@@ -150,18 +148,10 @@ class SlicedExecutor:
         tensor data as immutable (as the rest of the codebase does) or
         construct a fresh executor after such a mutation.
     batch_indices:
-        Keep a *group* of sliced indices as live batch axes so :meth:`run`
-        sweeps all ``prod w(e)`` of their value combinations in a single
-        batched contraction per remaining assignment (rank permitting: each
-        live batch axis raises the intermediate rank by one).  ``"auto"``
-        picks the single largest sliced index — unless a memory target is
-        known (via ``memory_target_rank=`` or the cost model), in which
-        case the lifetime-aware selector keeps the largest *group* whose
-        live axes keep every intermediate under the target (an empty
-        selection falls back to plain enumeration).  When batching is
-        enabled the per-subtask (non-batched) plan and its invariant cache
-        are compiled lazily, on first :meth:`run_subtask` or subset
-        :meth:`run` — pure batched workloads never pay for them.
+        Accepted for the benchmark's batched variant and otherwise ignored:
+        ``"auto"`` or a group of sliced indices runs the same plan as
+        ``None``.  A repeated index, an index outside the sliced set or
+        reference mode still raises ``ValueError``.
     backend:
         The :class:`~repro.execution.backend.ExecutionBackend` that
         schedules the subtasks (default :class:`SerialBackend`).  Compiled
@@ -170,15 +160,11 @@ class SlicedExecutor:
         state (the process pool and its shared-memory segments) alive
         between them.
     cost_model:
-        Optional :class:`~repro.costs.CostModel`.  Supplies the memory
-        target for lifetime-aware ``batch_indices="auto"`` group selection
-        and lets :meth:`calibration_record` package this executor's
-        measured timings for :class:`~repro.costs.CalibratedCostModel`.
-        ``None`` keeps every decision bit-identical to the uncalibrated
-        behaviour.
-    memory_target_rank:
-        Explicit memory target for the auto batch group; overrides the
-        cost model's.
+        Optional :class:`~repro.costs.CostModel`.  Derives the per-chunk
+        timeouts of a ``fault_policy`` and lets :meth:`calibration_record`
+        package this executor's measured timings for
+        :class:`~repro.costs.CalibratedCostModel`.  ``None`` keeps every
+        decision bit-identical to the uncalibrated behaviour.
     fused:
         Accepted for the benchmark's fused variant and otherwise ignored:
         ``True`` runs the same plan as ``False``.  Compiled mode only.
@@ -212,7 +198,6 @@ class SlicedExecutor:
         batch_indices: Union[str, Sequence[str], None] = None,
         backend: Optional[ExecutionBackend] = None,
         cost_model: Optional["CostModel"] = None,
-        memory_target_rank: Optional[int] = None,
         fused: bool = False,
         fault_policy: Optional["FaultPolicy"] = None,
         fault_injector: Optional["FaultInjector"] = None,
@@ -235,10 +220,7 @@ class SlicedExecutor:
         self._cache_invariant = bool(cache_invariant)
         self._backend = resolve_backend(backend) if mode == "compiled" else None
         self.cost_model = cost_model
-        self._memory_target_rank = (
-            int(memory_target_rank) if memory_target_rank is not None else None
-        )
-        self.batch_indices: Tuple[str, ...] = self._normalize_batch(batch_indices, mode)
+        self._check_batch_spec(batch_indices, mode)
         self._configure_faults(fault_policy, fault_injector)
 
         #: Per-node execution counters (compiled mode); the cached path must
@@ -248,55 +230,25 @@ class SlicedExecutor:
             TreeExecutor(dtype=dtype, compiled=False) if mode == "reference" else None
         )
         self._plan: Optional[CompiledPlan] = None
-        self._batched_plan: Optional[CompiledPlan] = None
         self._cache: Optional[Dict[int, np.ndarray]] = None
-        self._batched_cache: Optional[Dict[int, np.ndarray]] = None
         self._leaf_tensors: Tuple = ()
         if mode == "compiled":
-            # with batching, only the batched plan is compiled eagerly;
-            # the per-subtask plan (and its invariant cache) waits for the
-            # first run_subtask / subset run, halving the cached footprint
-            # of pure batched workloads
-            if self.batch_indices:
-                self._compile_batched_plan()
-            else:
-                self._compile_plain_plan()
+            self._compile_plan()
 
-    def _normalize_batch(
-        self, spec: Union[str, Sequence[str], None], mode: str
-    ) -> Tuple[str, ...]:
+    def _check_batch_spec(self, spec: Union[str, Sequence[str], None], mode: str) -> None:
+        """Refuse what ``batch_indices=`` has always refused; select nothing."""
         if spec is None:
-            return ()
+            return
         if mode == "reference":
             raise ValueError("batched execution requires the compiled mode")
         if spec == "auto":
-            if not self._labels:
-                return ()
-            target = self._memory_target_rank
-            if target is None and self.cost_model is not None:
-                target = self.cost_model.memory_target_rank
-            if target is not None:
-                # lifetime-aware: the largest group whose live batch axes
-                # keep every intermediate under the memory target; an
-                # empty group means even one live axis busts the target,
-                # so fall back to plain enumeration.  Dispatch through the
-                # model when one is present so subclasses can override the
-                # admission policy.
-                if self.cost_model is not None:
-                    return self.cost_model.select_batch_group(
-                        self.tree, frozenset(self._labels), target
-                    )
-                from ..costs.batching import select_batch_group
-
-                return select_batch_group(self.tree, frozenset(self._labels), target)
-            return (max(self._labels, key=lambda ix: (self._sizes[ix], ix)),)
+            return
         group: Tuple[str, ...] = (spec,) if isinstance(spec, str) else tuple(spec)
         if len(set(group)) != len(group):
             raise ValueError(f"repeated batch indices in {group}")
         for ix in group:
             if ix not in self._labels:
                 raise ValueError(f"batch index {ix!r} is not in the sliced set")
-        return group
 
     def _configure_faults(
         self,
@@ -336,19 +288,10 @@ class SlicedExecutor:
         """The sliced indices in sweep order, slowest-varying first.
 
         Subtask ids are the mixed-radix encoding of an assignment over this
-        order, so ascending ids walk the sweep the per-subtask plan was
-        compiled for (:attr:`CompiledPlan.sliced`; with batching enabled,
-        asking compiles that plan).  Reference mode sweeps sorted labels.
+        order, so ascending ids walk the sweep the plan was compiled for
+        (:attr:`CompiledPlan.sliced`).  Reference mode sweeps sorted labels.
         """
-        plan = self._ensure_plan()
-        return plan.sliced if plan is not None else self._labels
-
-    @property
-    def batch_index(self) -> Optional[str]:
-        """The single batch index when exactly one is live, else ``None``."""
-        if len(self.batch_indices) == 1:
-            return self.batch_indices[0]
-        return None
+        return self._plan.sliced if self._plan is not None else self._labels
 
     @property
     def backend(self) -> Optional[ExecutionBackend]:
@@ -367,31 +310,13 @@ class SlicedExecutor:
 
     @property
     def plan(self) -> Optional[CompiledPlan]:
-        """The compiled per-subtask plan (``None`` in reference mode).
-
-        With batching enabled this plan is compiled lazily; accessing the
-        property forces compilation.
-        """
-        return self._ensure_plan()
-
-    @property
-    def batched_plan(self) -> Optional[CompiledPlan]:
-        """The compiled batched-sweep plan, when batching is enabled."""
-        return self._batched_plan
+        """The compiled plan (``None`` in reference mode)."""
+        return self._plan
 
     @property
     def num_subtasks(self) -> int:
         """Total number of independent subtasks ``prod w(e)``."""
         return math.prod(self._sizes.values())
-
-    @property
-    def num_batched_sweeps(self) -> int:
-        """Number of batched executions covering all subtasks."""
-        if not self.batch_indices:
-            return self.num_subtasks
-        return self.num_subtasks // math.prod(
-            self._sizes[ix] for ix in self.batch_indices
-        )
 
     def assignments(self) -> Iterator[Dict[str, int]]:
         """Iterate over every slicing assignment in sweep (subtask id) order."""
@@ -413,19 +338,9 @@ class SlicedExecutor:
         order = self.sliced
         return _Assignments(order, [self._sizes[ix] for ix in order], ids)
 
-    def batched_assignments(self) -> _Assignments:
-        """Assignments of the enumerated (non-batch) indices, in sweep order."""
-        assert self._batched_plan is not None
-        enumerated = self._batched_plan.sliced
-        return _Assignments(
-            enumerated,
-            [self._sizes[ix] for ix in enumerated],
-            range(self.num_batched_sweeps),
-        )
-
     # ------------------------------------------------------------------
-    def _compile_plain_plan(self) -> None:
-        """Compile the per-subtask plan and reset its cache."""
+    def _compile_plan(self) -> None:
+        """Compile the plan and reset its cache."""
         self._plan = compile_plan(
             self.network,
             self.tree,
@@ -435,26 +350,6 @@ class SlicedExecutor:
         self._cache = self._plan.new_cache() if self._cache_invariant else None
         self._snapshot_leaves()
 
-    def _compile_batched_plan(self) -> None:
-        """Compile the batched-sweep plan and reset its cache."""
-        self._batched_plan = compile_plan(
-            self.network,
-            self.tree,
-            frozenset(self._labels),
-            batch_indices=self.batch_indices,
-            dtype=self._dtype,
-        )
-        self._batched_cache = (
-            self._batched_plan.new_cache() if self._cache_invariant else None
-        )
-        self._snapshot_leaves()
-
-    def _ensure_plan(self) -> Optional[CompiledPlan]:
-        """The per-subtask plan, compiling it on first use (lazy path)."""
-        if self._plan is None and self.mode == "compiled":
-            self._compile_plain_plan()
-        return self._plan
-
     def _snapshot_leaves(self) -> None:
         # Tensor objects are immutable, so identity comparison of the
         # snapshot detects any replace_tensor on a leaf
@@ -462,25 +357,20 @@ class SlicedExecutor:
             self.network.tensor(tid) for tid in self.tree.leaf_tids
         )
 
-    def _refresh_stale_plans(self) -> None:
-        """React to network mutations since the plans were compiled.
+    def _refresh_stale_plan(self) -> None:
+        """React to network mutations since the plan was compiled.
 
         An axis-order change invalidates the baked take/tensordot axes and
         forces a recompile; a data-only change (same index structure)
-        keeps the plans but must drop the warmed invariant caches, which
-        hold intermediates contracted from the old data.
+        keeps the plan but must drop the warmed invariant cache, which
+        holds intermediates contracted from the old data.
         """
-        primary = self._batched_plan if self._batched_plan is not None else self._plan
-        if primary is None:
+        if self._plan is None:
             return
-        if not primary.matches_network(self.network):
-            # recompile whatever was compiled; a still-lazy plan stays lazy.
-            # An axis-order mutation invalidates every buffer a backend
-            # session published, so the session is rebuilt from scratch.
-            if self._batched_plan is not None:
-                self._compile_batched_plan()
-            if self._plan is not None:
-                self._compile_plain_plan()
+        if not self._plan.matches_network(self.network):
+            # an axis-order mutation invalidates every buffer a backend
+            # session published, so the session is rebuilt from scratch
+            self._compile_plan()
             if self._backend is not None:
                 self._backend.reset_session()
             return
@@ -488,8 +378,6 @@ class SlicedExecutor:
         if current != self._leaf_tensors:
             if self._cache is not None:
                 self._cache.clear()
-            if self._batched_cache is not None:
-                self._batched_cache.clear()
             self._leaf_tensors = current
 
     def session(self):
@@ -502,47 +390,29 @@ class SlicedExecutor:
                 first = executor.run()     # spawns the pool, publishes
                 second = executor.run()    # reuses both — warm
 
-        The session is primed with whichever plan :meth:`run` will execute
-        (the batched-sweep plan when batching is enabled, the per-subtask
-        plan otherwise).  In-process backends return a no-op session, so
-        the pattern is uniform across backends; results are bit-identical
-        with and without a session.  Compiled mode only.
+        The session is primed with the plan :meth:`run` executes.
+        In-process backends return a no-op session, so the pattern is
+        uniform across backends; results are bit-identical with and
+        without a session.  Compiled mode only.
         """
         if self._backend is None:
             raise ValueError("session requires the compiled mode")
-        self._refresh_stale_plans()
-        if self._batched_plan is not None:
-            plan: Optional[CompiledPlan] = self._batched_plan
-            cache = self._batched_cache
-            sum_batch_axes = self._batched_plan.num_batch_axes
-            num_assignments = self.num_batched_sweeps
-        else:
-            plan = self._ensure_plan()
-            cache = self._cache
-            sum_batch_axes = 0
-            num_assignments = self.num_subtasks
-        assert plan is not None
-        if num_assignments <= 1:
+        self._refresh_stale_plan()
+        if self.num_subtasks <= 1:
             # a one-assignment run always takes the backend's in-process
             # serial path, so don't eagerly spawn a pool it will never use
             return self._backend.session()
-        return self._backend.session(
-            plan,
-            self.network,
-            cache,
-            sum_batch_axes=sum_batch_axes,
-            stats=self.stats,
-        )
+        return self._backend.session(self._plan, self.network, self._cache, stats=self.stats)
 
     def run_subtask(self, subtask_id: int) -> SubtaskResult:
         """Execute a single subtask."""
-        self._refresh_stale_plans()
+        self._refresh_stale_plan()
         return self._subtask_result(subtask_id)
 
     def _subtask_result(self, subtask_id: int) -> SubtaskResult:
         """One subtask without the staleness check (hot-loop internal)."""
         assignment = self.assignment(subtask_id)
-        plan = self._ensure_plan()
+        plan = self._plan
         if plan is not None:
             tensor = plan.execute(
                 self.network, assignment, cache=self._cache, stats=self.stats
@@ -564,8 +434,7 @@ class SlicedExecutor:
         subtask_ids:
             Which subtasks to run; ``None`` runs them all (yielding the
             exact contraction value).  Running a subset gives a partial sum,
-            which is only meaningful for diagnostics.  Batched sweeps only
-            apply to full runs; a subset always executes subtask-by-subtask.
+            which is only meaningful for diagnostics.
         resume:
             Arm durable checkpointing through a
             :class:`~repro.execution.checkpoint.CheckpointStore` (or a
@@ -580,10 +449,8 @@ class SlicedExecutor:
             ``checkpoint_dir`` arms the same machinery without the
             explicit argument.  Compiled mode only.
         """
-        self._refresh_stale_plans()
+        self._refresh_stale_plan()
         store = self._checkpoint_store(resume)
-        if subtask_ids is None and self._batched_plan is not None:
-            return self._run_batched(store)
         ids: Sequence[int] = (
             range(self.num_subtasks)
             if subtask_ids is None
@@ -591,11 +458,11 @@ class SlicedExecutor:
         )
         if not ids:
             raise ValueError("no subtasks were executed")
-        plan = self._ensure_plan()
+        plan = self._plan
         if plan is not None:
             assert self._backend is not None
             assignments = self._assignments_of(ids)
-            checkpoint = self._open_checkpoint_job(store, plan, assignments, 0)
+            checkpoint = self._open_checkpoint_job(store, plan, assignments)
             try:
                 result = self._backend.run_subtasks(
                     plan,
@@ -649,13 +516,12 @@ class SlicedExecutor:
         store: Optional[CheckpointStore],
         plan: CompiledPlan,
         assignments: Sequence[Mapping[str, int]],
-        sum_batch_axes: int,
     ) -> Optional[CheckpointJob]:
         """Open (or resume) this run's ledger and bind the live stats.
 
         The job is keyed by :func:`~repro.execution.checkpoint.job_fingerprint`
-        over the leaf data, tree, assignment schedule, batch-axis count,
-        fold (inner fold included), policy shape and chunking — so a resumed
+        over the leaf data, tree, assignment schedule, fold (inner fold
+        included), policy shape and chunking — so a resumed
         ledger is only trusted for byte-for-byte the same run, on any
         backend/engine combination.  It holds one slot per block.
         """
@@ -667,12 +533,11 @@ class SlicedExecutor:
             self.tree,
             self._labels,
             assignments,
-            sum_batch_axes=sum_batch_axes,
             dtype=getattr(plan, "dtype", None) or self._dtype,
             policy=self._fault_policy,
             chunk_size=chunk_size,
             fold=(
-                (plan.fold_node, plan.contribution_shape[sum_batch_axes:], plan.inner_fold)
+                (plan.fold_node, plan.contribution_shape, plan.inner_fold)
                 if plan.fold_node != plan.tree.root or plan.inner_fold is not None
                 else None
             ),
@@ -709,35 +574,6 @@ class SlicedExecutor:
         assert result_indices is not None and result_sizes is not None
         return Tensor(result_indices, data=accumulated, sizes=result_sizes)
 
-    def _run_batched(self, store: Optional[CheckpointStore] = None) -> Tensor:
-        """Sweep the batch group in bulk, enumerating the remaining indices."""
-        plan = self._batched_plan
-        assert plan is not None and self._backend is not None
-        assignments = self.batched_assignments()
-        checkpoint = self._open_checkpoint_job(
-            store, plan, assignments, plan.num_batch_axes
-        )
-        try:
-            result = self._backend.run_subtasks(
-                plan,
-                self.network,
-                assignments,
-                cache=self._batched_cache,
-                sum_batch_axes=plan.num_batch_axes,
-                stats=self.stats,
-                policy=self._fault_policy,
-                injector=self._fault_injector,
-                checkpoint=checkpoint,
-            )
-        except BaseException:
-            if checkpoint is not None:
-                checkpoint.close()
-            raise
-        if checkpoint is not None:
-            checkpoint.complete()
-        assert result is not None
-        return result
-
     def amplitude(
         self,
         subtask_ids: Optional[Sequence[int]] = None,
@@ -756,27 +592,12 @@ class SlicedExecutor:
 
         Returns a :class:`~repro.costs.CalibrationRecord` built from the
         per-subtask wall times accumulated in :attr:`stats`; feed a list
-        of them to :meth:`~repro.costs.CalibratedCostModel.fit`.  Only
-        meaningful for non-batched runs (a batched sweep's ``execute``
-        covers many subtasks at once, so its samples are not per-subtask).
+        of them to :meth:`~repro.costs.CalibratedCostModel.fit`.
         """
         from ..costs.calibration import CalibrationRecord
 
-        if self.batch_indices:
-            raise ValueError(
-                "calibration records require non-batched execution; "
-                "re-run without batch_indices"
-            )
         if backend_name is None:
             backend_name = self._backend.name if self._backend is not None else "serial"
         return CalibrationRecord.from_stats(
             self.stats, self.tree, frozenset(self._labels), backend_name
         )
-
-    def subtask_cost_estimate(self) -> float:
-        """Planned flops of one subtask (scalar multiply-adds, Eq. 1 with S removed)."""
-        return self.tree.contraction_cost(frozenset(self._labels))
-
-    def total_cost_estimate(self) -> float:
-        """Planned flops over all subtasks (Eq. 4)."""
-        return self.tree.total_cost(frozenset(self._labels))

@@ -54,7 +54,6 @@ class WorkerRuntime:
 
     def __init__(self) -> None:
         self.plan: Optional[CompiledPlan] = None
-        self.sum_batch_axes = 0
         self.network: Optional[_LeafStore] = None
         self.cache: Optional[Dict[int, np.ndarray]] = None
         self.plan_generation = -1
@@ -62,7 +61,7 @@ class WorkerRuntime:
         self.slots = StemSlots()
 
     def install_plan(self, generation: int, blob: bytes) -> None:
-        self.plan, self.sum_batch_axes = pickle.loads(blob)
+        self.plan = pickle.loads(blob)
         self.plan_generation = generation
         # payload layouts belong to a plan generation: a new plan
         # invalidates any installed data until the next data frame
@@ -102,9 +101,7 @@ class WorkerRuntime:
                 f"worker holds data generation {self.data_generation}, "
                 f"chunk {chunk_id} needs {data_generation}"
             )
-        result = execute_chunk(
-            self.plan, self.network, self.cache, self.slots, self.sum_batch_axes, items
-        )
+        result = execute_chunk(self.plan, self.network, self.cache, self.slots, items)
         # injected payload corruption happens after checksumming, so the
         # coordinator's verification must catch it
         corrupt_payload(directive, result[0])

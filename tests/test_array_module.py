@@ -3,8 +3,9 @@
 * Three amplitudes recorded before the (since removed) array-module seam
   was introduced must be reproduced **bit for bit** by the one walker —
   the anchor that lets the engine be rewritten without drifting by an ulp;
-* ``SlicedExecutor(fused=True)``, which the benchmark's fused variant
-  still passes, selects nothing: the same plan, the same bits;
+* ``SlicedExecutor(fused=True)`` and ``batch_indices=``, which the
+  benchmark's fused and batched variants still pass, select nothing: the
+  same plan, the same bits, serial or pooled;
 * complex64 / complex128 networks run end to end on every backend, with
   the plan's dtype derived from the leaves;
 * a ``BENCH_*.json`` calibration entry written while the seam existed
@@ -22,7 +23,12 @@ from hypothesis import strategies as st
 
 from repro.circuits import random_brickwork_circuit
 from repro.costs.calibration import CalibratedCostModel
-from repro.execution import SlicedExecutor, ThreadPoolBackend, compile_plan
+from repro.execution import (
+    SharedMemoryProcessPoolBackend,
+    SlicedExecutor,
+    ThreadPoolBackend,
+    compile_plan,
+)
 from repro.paths import GreedyOptimizer
 from repro.tensornet import amplitude_network, simplify_network
 
@@ -84,7 +90,8 @@ class TestNumpyModuleBitIdentity:
 
 
 class TestBenchSeam:
-    """``fused=`` survives only as the benchmark's switch: it selects nothing."""
+    """``fused=`` and ``batch_indices=`` survive only as the benchmark's
+    switches: they select nothing."""
 
     @pytest.mark.parametrize("case", [*sorted(GOLDEN), "sampling-batch"])
     def test_fused_flag_selects_nothing(self, case):
@@ -94,18 +101,39 @@ class TestBenchSeam:
             tn, tree, sliced = _sampling_batch()  # the inner-fold plan
         else:
             tn, tree, sliced = _case(case)
+        sliced = sorted(sliced)
         default = SlicedExecutor(tn, tree, sliced)
-        fused = SlicedExecutor(tn, tree, sliced, fused=True)
-        assert fused.plan.contract_steps == default.plan.contract_steps
-        assert fused.plan.arena_bytes == default.plan.arena_bytes
-        assert (case == "sampling-batch") == (fused.plan.inner_fold is not None)
         expected = default.run().require_data()
-        assert fused.run().require_data().tobytes() == expected.tobytes()
         if case in GOLDEN:
             assert complex(expected.reshape(())) == GOLDEN[case]
-        assert fused.stats.fused_steps == 0
-        assert fused.stats.tape_engine is None
-        assert fused.stats.fusion_breaks == {}
+        pool = SharedMemoryProcessPoolBackend(max_workers=2)
+        with pool.session() as session:
+            for backend in (None, pool) if case in GOLDEN else (None,):
+                for kwargs in (
+                    dict(fused=True),
+                    dict(batch_indices="auto"),
+                    dict(batch_indices=sliced[1:3]),
+                ):
+                    seam = SlicedExecutor(tn, tree, sliced, backend=backend, **kwargs)
+                    assert seam.plan.contract_steps == default.plan.contract_steps
+                    assert seam.plan.arena_bytes == default.plan.arena_bytes
+                    assert (case == "sampling-batch") == (seam.plan.inner_fold is not None)
+                    assert seam.run().require_data().tobytes() == expected.tobytes(), kwargs
+                    assert seam.stats.fused_steps == 0
+                    assert seam.stats.tape_engine is None
+                    assert seam.stats.fusion_breaks == {}
+        assert session.pool_launches == (case in GOLDEN)
+
+    def test_bad_batch_spec_rejected(self):
+        tn, tree, sliced = _case()
+        outside = sorted(tn.inner_indices() - set(sliced))[0]
+        for kwargs in (
+            dict(batch_indices=[sliced[0], sliced[0]]),
+            dict(batch_indices=[outside]),
+            dict(batch_indices="auto", mode="reference"),
+        ):
+            with pytest.raises(ValueError, match="batch"):
+                SlicedExecutor(tn, tree, sliced, **kwargs)
 
     def test_fused_requires_compiled_mode(self):
         tn, tree, sliced = _case()

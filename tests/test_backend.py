@@ -4,8 +4,9 @@ Every backend must agree with the reference einsum oracle on the seed
 networks, and — because all backends honour the ordered-accumulation
 contract — the thread-pool and shared-memory process-pool backends must be
 *bit-identical* to the serial backend for every worker count and chunk
-size.  The batched-sweep generalization (``batch_indices`` groups) is
-checked against enumerated subtask sums with hypothesis.
+size.  ``batch_indices=``, which the benchmark's batched variant still
+passes, selects nothing: a run with a group is bitwise the plain run, and
+hypothesis checks it against enumerated subtask sums.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class TestBackendEquivalence:
     def test_process_pool_batched_sweep(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:4]
-        serial = SlicedExecutor(tn, tree, sliced, batch_indices=sliced[:2]).amplitude()
+        serial = SlicedExecutor(tn, tree, sliced).amplitude()
         pooled = SlicedExecutor(
             tn,
             tree,
@@ -332,18 +333,11 @@ class TestMultiIndexBatching:
     def test_batch_group_matches_reference(self, case):
         tn, tree, reference = case
         sliced = sorted(tn.inner_indices())[:4]
+        plain = SlicedExecutor(tn, tree, sliced).amplitude()
+        assert plain == pytest.approx(reference, abs=1e-9)
         for width in (1, 2, 3, 4):
             executor = SlicedExecutor(tn, tree, sliced, batch_indices=sliced[:width])
-            assert executor.amplitude() == pytest.approx(reference, abs=1e-9), width
-
-    def test_batch_group_sweep_count(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:4]
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices=sliced[:2])
-        group_size = int(np.prod([tn.size_of(ix) for ix in sliced[:2]]))
-        assert executor.num_batched_sweeps * group_size == executor.num_subtasks
-        executor.run()
-        assert executor.stats.executions == executor.num_batched_sweeps
+            assert executor.amplitude() == plain, width  # bitwise
 
     def test_batch_group_validation(self, case):
         tn, tree, _ = case
@@ -382,60 +376,13 @@ class TestMultiIndexBatching:
         group = sliced[: min(group_width, len(sliced))]
         enumerated = SlicedExecutor(tn, tree, sliced)
         batched = SlicedExecutor(tn, tree, sliced, batch_indices=group)
-        # the batched sweep must equal the sum over the enumerated subtasks
+        # a run with a batch group is the plain sweep: the enumerated sum
         total = sum(
             complex(enumerated.run([sid]).require_data())
             for sid in range(enumerated.num_subtasks)
         )
         assert batched.amplitude() == pytest.approx(total, abs=1e-9)
         assert batched.amplitude() == pytest.approx(amplitude(circ, bits), abs=1e-8)
-
-
-class TestLazyPlanCompilation:
-    def test_pure_batched_run_skips_per_subtask_plan(self, case):
-        tn, tree, reference = case
-        sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
-        assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
-        # a full batched run never needs the enumerated plan or its cache
-        assert executor._plan is None
-        assert executor._cache is None
-
-    def test_subset_run_compiles_lazily(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
-        executor.run([0, 1])
-        assert executor._plan is not None
-
-    def test_run_subtask_compiles_lazily(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
-        assert executor._plan is None
-        executor.run_subtask(0)
-        assert executor._plan is not None
-
-    def test_plan_property_forces_compilation(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
-        assert executor.plan is not None
-
-    def test_lazy_plan_sees_mutations_before_first_compile(self, case):
-        tn, tree, reference = case
-        mutated = tn.copy()
-        sliced = sorted(mutated.inner_indices())[:2]
-        executor = SlicedExecutor(mutated, tree, sliced, batch_indices="auto")
-        # permute a leaf before the enumerated plan ever compiles
-        tid = mutated.tensor_ids[0]
-        tensor = mutated.tensor(tid)
-        mutated.replace_tensor(tid, tensor.transposed(tuple(reversed(tensor.indices))))
-        total = sum(
-            complex(executor.run([sid]).require_data())
-            for sid in range(executor.num_subtasks)
-        )
-        assert total == pytest.approx(reference, abs=1e-9)
 
 
 class TestValidationSymmetry:
@@ -484,45 +431,6 @@ class TestValidationSymmetry:
             ThreadPoolBackend(max_workers=0)
         with pytest.raises(ValueError):
             SharedMemoryProcessPoolBackend(max_workers=2, chunk_size=0)
-
-
-class TestAutoBatchPick:
-    """``batch_indices="auto"`` must pick deterministically, ties included."""
-
-    def test_auto_tie_break_is_lexicographically_largest(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:4]
-        # every index in these circuits has size 2, so the pick is decided
-        # entirely by the documented tie-break
-        sizes = {ix: tn.size_of(ix) for ix in sliced}
-        assert len(set(sizes.values())) == 1
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
-        assert executor.batch_indices == (max(sliced),)
-
-    def test_auto_pick_stable_across_constructions_and_orders(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:4]
-        picks = set()
-        for ordering in (sliced, list(reversed(sliced)), sliced[2:] + sliced[:2]):
-            executor = SlicedExecutor(tn, tree, ordering, batch_indices="auto")
-            picks.add(executor.batch_indices)
-        assert len(picks) == 1
-
-    def test_auto_prefers_strictly_larger_index(self):
-        # a hand-built triangle network with genuinely distinct index
-        # sizes: the size key must dominate the lexicographic tie-break
-        # (index "a" sorts last, but "j" is the largest)
-        from repro.tensornet import Tensor, TensorNetwork
-
-        rng = np.random.default_rng(5)
-        sizes = {"j": 4, "k": 3, "a": 2}
-        tn = TensorNetwork()
-        tn.add_tensor(Tensor(("j", "k"), data=rng.normal(size=(4, 3)), sizes=sizes))
-        tn.add_tensor(Tensor(("k", "a"), data=rng.normal(size=(3, 2)), sizes=sizes))
-        tn.add_tensor(Tensor(("a", "j"), data=rng.normal(size=(2, 4)), sizes=sizes))
-        tree = GreedyOptimizer(seed=1).tree(tn)
-        executor = SlicedExecutor(tn, tree, {"j", "k", "a"}, batch_indices="auto")
-        assert executor.batch_indices == ("j",)
 
 
 class TestSampler:

@@ -453,9 +453,6 @@ class TestJobFingerprint:
             tn, tree, sliced, assignments, policy=FaultPolicy.retrying()
         )
         assert base != job_fingerprint(tn, tree, sliced, assignments, chunk_size=2)
-        assert base != job_fingerprint(
-            tn, tree, sliced, assignments, sum_batch_axes=1
-        )
 
     def test_lazy_assignments_hash_like_the_materialised_list(self, case):
         """``run()`` hands the fingerprint a sequence that decodes ids on
@@ -463,13 +460,10 @@ class TestJobFingerprint:
         release so far) must still be found."""
         tn, tree = case
         sliced = _sliced(tn)
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices=sliced[:1])
+        executor = SlicedExecutor(tn, tree, sliced)
         for lazy, listed in (
             (executor._assignments_of(range(16)), list(executor.assignments())),
             (executor._assignments_of([5, 2, 2, 11]), [executor.assignment(i) for i in (5, 2, 2, 11)]),
-            (executor.batched_assignments(), [
-                {ix: a[ix] for ix in sliced[1:]} for a in executor.assignments() if a[sliced[0]] == 0
-            ]),
         ):
             assert len(lazy) == len(listed)
             assert list(lazy) == listed == [lazy[k] for k in range(len(lazy))]
@@ -477,6 +471,41 @@ class TestJobFingerprint:
             assert job_fingerprint(tn, tree, sliced, lazy) == job_fingerprint(
                 tn, tree, sliced, listed
             )
+
+    #: The keys ``run(resume=...)`` computed for these jobs before runs
+    #: stopped carrying batch axes (recorded at the parent commit): every
+    #: ledger written then must still resume.
+    PINNED = {
+        "golden-13": "3c50bbe3f7d1d30f2077ffd23df5df6aed9fb8622151d77e010f226e5f08aba9",
+        "sigma-fold": "acfa46c5dc71c34955e7f26e41fab6ae470848c94fac85f2c71139bbe0cb4375",
+        "sampling-batch": "13115fa08006327d00c49586f8d5e6bb496b02f35366753345aa087dbdc0a1f6",
+    }
+
+    @pytest.mark.parametrize("job", sorted(PINNED))
+    def test_run_keys_are_pinned(self, job, tmp_path, monkeypatch):
+        from repro.execution import sliced as sliced_module
+        from test_array_module import _case as golden_case
+        from test_plan import _sampling_batch
+
+        class Keyed(Exception):
+            pass
+
+        def key_and_stop(*args, **kwargs):
+            raise Keyed(job_fingerprint(*args, **kwargs))
+
+        if job == "golden-13":
+            network, tree, sliced = golden_case(13)  # folds at its root
+        elif job == "sigma-fold":
+            network, tree, sliced = _folding_case()
+        else:
+            network, tree, sliced = _sampling_batch()  # folds inside
+        executor = SlicedExecutor(network, tree, sliced)
+        assert (executor.plan.fold_node != tree.root) == (job == "sigma-fold")
+        assert (executor.plan.inner_fold is not None) == (job == "sampling-batch")
+        monkeypatch.setattr(sliced_module, "job_fingerprint", key_and_stop)
+        with pytest.raises(Keyed) as keyed:
+            executor.run(resume=CheckpointStore(tmp_path / "store"))
+        assert keyed.value.args[0] == self.PINNED[job]
 
     def test_leaf_data_is_part_of_the_key(self, case):
         tn, tree = case
@@ -754,14 +783,13 @@ class TestResume:
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
-    def test_batched_sweep_resumes_bit_identically(self, case, tmp_path):
+    def test_batched_sweep_resumes_bit_identically(self, case, serial_value, tmp_path):
+        """``batch_indices=`` selects nothing, so a ledger written under it
+        is the plain run's: a run without it resumes from there."""
         tn, tree = case
         sliced = _sliced(tn)
         batch = sliced[:2]
         store = CheckpointStore(tmp_path / "store")
-        clean = SlicedExecutor(
-            tn, tree, sliced, backend=SerialBackend(), batch_indices=batch
-        ).amplitude()
         injector = FaultInjector([FaultSpec("kill-coordinator", chunk=1)])
         interrupted = SlicedExecutor(
             tn,
@@ -775,15 +803,10 @@ class TestResume:
         with pytest.raises(InjectedCoordinatorDeath):
             interrupted.run(resume=store)
         resumed = SlicedExecutor(
-            tn,
-            tree,
-            sliced,
-            backend=SerialBackend(),
-            batch_indices=batch,
-            fault_policy=FaultPolicy.retrying(),
+            tn, tree, sliced, backend=SerialBackend(), fault_policy=FaultPolicy.retrying()
         )
         result = resumed.run(resume=store)
-        assert complex(result.require_data().reshape(())) == clean
+        assert complex(result.require_data().reshape(())) == serial_value
         assert resumed.stats.resumed_slots == 2
         assert store.jobs() == []
 

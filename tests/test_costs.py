@@ -1,4 +1,4 @@
-"""Unified cost model: analytic + calibrated predictions, batching, scaling.
+"""Unified cost model: analytic + calibrated predictions, scaling.
 
 Covers the two contract modes of the acceptance criteria:
 
@@ -6,8 +6,7 @@ Covers the two contract modes of the acceptance criteria:
   optimizer / executor / scaling output is bit-identical to the
   uncalibrated behaviour;
 * with a model (analytic, or calibrated from measured timings), the §6.2
-  projections use per-backend subtask seconds and ``batch_indices="auto"``
-  selects a lifetime-aware multi-index group under the memory target.
+  projections use per-backend subtask seconds.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from repro.costs import (
     CalibrationRecord,
     CostModel,
     CostModelError,
-    batched_peak_rank,
     calibration_payload,
-    select_batch_group,
 )
 from repro.execution import (
     HeadlineProjection,
@@ -91,101 +88,6 @@ class TestAnalyticCostModel:
         assert CostModel.subtask_flops(grid_tree) == pytest.approx(
             8.0 * grid_tree.contraction_cost()
         )
-
-    def test_select_batch_group_needs_target(self, grid_tree):
-        with pytest.raises(CostModelError):
-            AnalyticCostModel().select_batch_group(grid_tree, {"x"})
-
-
-# ----------------------------------------------------------------------
-# Lifetime-aware batch-group selection
-# ----------------------------------------------------------------------
-class TestBatchGroupSelection:
-    def test_generous_target_admits_every_index(self, workload):
-        _, small_tree, small_sliced = workload
-        target = small_tree.max_rank() + len(small_sliced)
-        group = select_batch_group(small_tree, small_sliced, target)
-        assert set(group) == set(small_sliced)
-
-    def test_hopeless_target_admits_nothing(self, workload):
-        _, small_tree, small_sliced = workload
-        assert select_batch_group(small_tree, small_sliced, 0) == ()
-
-    def test_group_respects_peak_rank(self, grid_tree, grid_target_rank):
-        slicing = LifetimeSliceFinder(grid_target_rank).find(grid_tree)
-        sliced = slicing.sliced
-        target = grid_target_rank + 2
-        group = select_batch_group(grid_tree, sliced, target)
-        if group:
-            assert batched_peak_rank(grid_tree, sliced, frozenset(group)) <= target
-        # admitting the whole set may violate the target; the greedy
-        # selector must never admit more than fits
-        assert len(group) <= len(sliced)
-
-    def test_deterministic_and_size_ordered(self, workload):
-        _, small_tree, small_sliced = workload
-        target = small_tree.max_rank() + len(small_sliced)
-        first = select_batch_group(small_tree, small_sliced, target)
-        second = select_batch_group(small_tree, small_sliced, target)
-        assert first == second
-        sizes = [small_tree.index_size(ix) for ix in first]
-        assert sizes == sorted(sizes, reverse=True)
-
-
-class TestAutoBatchOnExecutor:
-    def test_legacy_auto_is_single_largest(self, workload):
-        small_network, small_tree, small_sliced = workload
-        executor = SlicedExecutor(
-            small_network, small_tree, small_sliced, batch_indices="auto"
-        )
-        sizes = {ix: small_network.size_of(ix) for ix in small_sliced}
-        expected = max(small_sliced, key=lambda ix: (sizes[ix], ix))
-        assert executor.batch_indices == (expected,)
-
-    def test_target_aware_auto_selects_group(
-        self, workload):
-        small_network, small_tree, small_sliced = workload
-        target = small_tree.max_rank() + len(small_sliced)
-        executor = SlicedExecutor(
-            small_network,
-            small_tree,
-            small_sliced,
-            batch_indices="auto",
-            memory_target_rank=target,
-        )
-        assert set(executor.batch_indices) == set(small_sliced)
-        assert len(executor.batch_indices) > 1
-        # bit-identical to the plain serial enumeration
-        plain = SlicedExecutor(small_network, small_tree, small_sliced)
-        assert executor.amplitude() == pytest.approx(plain.amplitude(), abs=1e-10)
-
-    def test_cost_model_supplies_the_target(
-        self, workload):
-        small_network, small_tree, small_sliced = workload
-        target = small_tree.max_rank() + len(small_sliced)
-        model = AnalyticCostModel(memory_target_rank=target)
-        executor = SlicedExecutor(
-            small_network,
-            small_tree,
-            small_sliced,
-            batch_indices="auto",
-            cost_model=model,
-        )
-        assert set(executor.batch_indices) == set(small_sliced)
-
-    def test_impossible_target_falls_back_to_enumeration(
-        self, workload):
-        small_network, small_tree, small_sliced = workload
-        executor = SlicedExecutor(
-            small_network,
-            small_tree,
-            small_sliced,
-            batch_indices="auto",
-            memory_target_rank=1,
-        )
-        assert executor.batch_indices == ()
-        plain = SlicedExecutor(small_network, small_tree, small_sliced)
-        assert executor.amplitude() == pytest.approx(plain.amplitude(), abs=1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -288,32 +190,6 @@ class TestMeasuredTimings:
         # and the payload (single dependent-flops label) skips such stats
         payload = calibration_payload({"serial": executor.stats}, tree, sliced)
         assert payload["backends"] == {}
-
-    def test_calibration_record_rejects_batched_runs(
-        self, workload):
-        small_network, small_tree, small_sliced = workload
-        executor = SlicedExecutor(
-            small_network, small_tree, small_sliced, batch_indices="auto"
-        )
-        executor.amplitude()
-        with pytest.raises(ValueError, match="non-batched"):
-            executor.calibration_record()
-        # batched samples are whole-sweep times: every per-subtask consumer
-        # refuses them
-        assert executor.stats.batched_executions > 0
-        with pytest.raises(CostModelError, match="batched"):
-            CalibrationRecord.from_stats(
-                executor.stats, small_tree, small_sliced, "serial"
-            )
-        with pytest.raises(ValueError, match="batched"):
-            predicted_vs_measured(
-                AnalyticCostModel(), executor.stats, small_tree, small_sliced
-            )
-        payload = calibration_payload(
-            {"serial": executor.stats}, small_tree, small_sliced
-        )
-        assert payload["backends"] == {}
-
 
 class TestCalibratedCostModel:
     def test_single_workload_fit_reproduces_the_mean(self, measured_run, workload):

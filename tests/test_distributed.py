@@ -4,8 +4,8 @@ Every test here spawns actual ``repro.execution.worker`` processes (no
 in-process shims), so the suite carries the ``distributed`` marker and CI
 gives it its own job.  Coverage, per the acceptance criteria:
 
-* bit-identity with :class:`SerialBackend` across worker counts, chunk
-  sizes and batched sweeps — including adversarial arrival orders forced
+* bit-identity with :class:`SerialBackend` across worker counts and chunk
+  sizes, with and without ``batch_indices=`` — including adversarial arrival orders forced
   by a slow-worker delay injection (the late chunk still folds first);
 * fault recovery: dropped connections and killed workers rebalance onto
   survivors under ``FaultPolicy.retrying``, persistent death degrades to
@@ -125,17 +125,16 @@ class TestBitIdentity:
             backend.close()
         assert value == serial_value
 
-    def test_batched_sweep_matches_serial(self, case):
+    def test_batched_sweep_matches_serial(self, case, serial_value):
         tn, tree, sliced = case
         batched = sliced[:2]
-        serial = _serial_value(tn, tree, sliced, batch_indices=batched)
         backend = DistributedBackend(num_workers=2)
         try:
             executor = SlicedExecutor(
                 tn, tree, sliced, backend=backend, batch_indices=batched
             )
             with executor.session():
-                assert executor.amplitude() == serial
+                assert executor.amplitude() == serial_value
         finally:
             backend.close()
 

@@ -123,14 +123,6 @@ class TestSlicedExecutor:
         with pytest.raises(ValueError):
             SlicedExecutor(open_tn, open_tree, [open_index])
 
-    def test_cost_estimates_match_tree(self, concrete_case):
-        tn, tree, _ = concrete_case
-        sliced = frozenset(sorted(tn.inner_indices())[:2])
-        executor = SlicedExecutor(tn, tree, sliced)
-        assert executor.subtask_cost_estimate() == pytest.approx(tree.contraction_cost(sliced))
-        assert executor.total_cost_estimate() == pytest.approx(tree.total_cost(sliced))
-
-
 class TestThreadLevelSimulator:
     @pytest.fixture(scope="class")
     def timings(self, grid_tree, grid_stem):

@@ -1,6 +1,6 @@
 """Equivalence tests of the compiled contraction plans.
 
-The compiled, cached, batched and pooled executors must all agree — bit for
+The compiled, cached and pooled executors must all agree — bit for
 close — with the reference einsum walker (and, transitively, with the dense
 state-vector simulator) for any network, tree and slicing set.  These tests
 check that exhaustively on small circuits and with hypothesis over random
@@ -84,12 +84,7 @@ class TestCompiledPlanEquivalence:
         for kwargs in (
             dict(),
             dict(cache_invariant=False),
-            dict(batch_indices="auto"),
-            dict(batch_indices=(sliced[0],)),
-            dict(batch_indices=sliced[:2]),
-            dict(batch_indices=tuple(sliced)),
             dict(backend=ThreadPoolBackend(max_workers=2)),
-            dict(batch_indices="auto", backend=ThreadPoolBackend(max_workers=2)),
         ):
             executor = SlicedExecutor(tn, tree, sliced, **kwargs)
             assert executor.amplitude() == pytest.approx(reference, abs=1e-9), kwargs
@@ -147,9 +142,8 @@ class TestCompiledPlanEquivalence:
             st.integers(min_value=0, max_value=1000),
         ),
         num_sliced=st.integers(min_value=0, max_value=3),
-        batched=st.booleans(),
     )
-    def test_random_networks_and_slicings(self, params, num_sliced, batched):
+    def test_random_networks_and_slicings(self, params, num_sliced):
         qubits, depth, seed = params
         circ = random_brickwork_circuit(qubits, depth, seed=seed)
         rng = np.random.default_rng(seed)
@@ -163,8 +157,7 @@ class TestCompiledPlanEquivalence:
         picks = rng.choice(len(inner), size=min(num_sliced, len(inner)), replace=False)
         sliced = [inner[i] for i in picks]
         reference = SlicedExecutor(tn, tree, sliced, mode="reference").amplitude()
-        kwargs = dict(batch_indices="auto") if batched else {}
-        executor = SlicedExecutor(tn, tree, sliced, **kwargs)
+        executor = SlicedExecutor(tn, tree, sliced)
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         assert reference == pytest.approx(amplitude(circ, bits), abs=1e-8)
 
@@ -234,18 +227,6 @@ class TestInvariantCaching:
                 for leaf in tree.leaves_under(node)
             )
             assert (node in dependent) == touched
-
-    def test_batched_plan_uses_batched_matmul(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices="auto")
-        kinds = {step.kind for step in executor.batched_plan._steps}
-        assert "bmm" in kinds or "einsum" in kinds
-        # one sweep covers all w(b) values of the batch index
-        batch_size = tn.size_of(executor.batch_index)
-        assert executor.num_batched_sweeps * batch_size == executor.num_subtasks
-        executor.run()
-        assert executor.stats.executions == executor.num_batched_sweeps
 
     def test_stats_merge(self):
         a = PlanStats(node_counts={1: 2}, cache_hits=3, executions=1, slot_writes=2)
@@ -438,32 +419,25 @@ class TestLevelResume:
 
     @pytest.mark.parametrize("batch", [None, "auto", 2])
     def test_full_sweep_runs_exactly_the_predicted_steps(self, batch):
+        """``batch_indices=`` selects nothing: every variant sweeps the plan."""
         tn, tree, reference = _case(num_qubits=8, depth=5)
         sliced = sorted(tn.inner_indices())[:4]
         batch_indices = tuple(sliced[1:3]) if batch == 2 else batch
         executor = SlicedExecutor(tn, tree, sliced, batch_indices=batch_indices)
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
-        plan = executor.batched_plan if batch else executor.plan
-        _assert_counts_match_levels(executor, plan)
+        _assert_counts_match_levels(executor, executor.plan)
 
     @pytest.mark.parametrize(
-        "shape,steps,batched_steps",
-        [((4, 5, 10, 10), 5_227, 5_183), ((5, 7, 9, 18), 463, None)],
+        "shape,steps",
+        [((4, 5, 10, 10), 5_227), ((5, 7, 9, 18), 463)],
         ids=["small_subtasks", "large_subtasks"],
     )
-    def test_bench_plans_run_the_published_step_counts(self, shape, steps, batched_steps):
+    def test_bench_plans_run_the_published_step_counts(self, shape, steps):
         planned = _bench_plan(*shape)
         executor = SlicedExecutor(planned.network, planned.tree, planned.slicing.sliced)
         executor.run()
         _assert_counts_match_levels(executor, executor.plan)
         assert executor.stats.steps_executed == steps
-        if batched_steps is not None:
-            batched = SlicedExecutor(
-                planned.network, planned.tree, planned.slicing.sliced, batch_indices="auto"
-            )
-            batched.run()
-            _assert_counts_match_levels(batched, batched.batched_plan)
-            assert batched.stats.steps_executed == batched_steps
 
     def test_sweep_cost_is_additive_and_counts_the_warm_pass(self, case):
         from repro.execution import SweepCost
@@ -1114,13 +1088,12 @@ class TestArena:
     arena laid out from the plan's lifetimes."""
 
     def test_every_layout_keeps_meeting_lifetimes_apart(self, case):
-        """Hostile-shaped and circuit plans, sliced any which way, batched,
-        opening subtrees or not: the layout checker passes, and the plan
+        """Hostile-shaped and circuit plans, sliced any which way, opening
+        subtrees or not: the layout checker passes, and the plan
         states its arena before it runs."""
         tn, tree, _ = case
         inner = sorted(tn.inner_indices())
         plans = [compile_plan(tn, tree, frozenset(inner[:k])) for k in range(5)]
-        plans.append(compile_plan(tn, tree, frozenset(inner[:3]), batch_indices=inner[:1]))
         big, big_tree, _ = _case(num_qubits=8, depth=5)
         big_inner = sorted(big.inner_indices())
         for picks in ((0, 4, 11), (1, 2, 7, 14), (3, 5, 9)):
@@ -1234,8 +1207,6 @@ class TestPlanValidation:
 
     def test_batch_index_must_be_sliced(self, case):
         tn, tree, _ = case
-        with pytest.raises(PlanError):
-            compile_plan(tn, tree, frozenset(), batch_indices=("nope",))
         with pytest.raises(ValueError):
             SlicedExecutor(tn, tree, sorted(tn.inner_indices())[:1], batch_indices=("nope",))
 

@@ -453,17 +453,14 @@ class TestExecutorProperties:
             assert np.array_equal(walker.finish(network, contribution, cache), uncached)
 
 
-def _hostile_plan(seed: int, num_sliced: int, batched: bool = False):
-    """``(network, plan)``: an adversarial network sliced ``num_sliced`` ways,
-    the first sliced index kept as a batch axis when ``batched``."""
+def _hostile_plan(seed: int, num_sliced: int):
+    """``(network, plan)``: an adversarial network sliced ``num_sliced`` ways."""
     network = _adversarial_network(seed)
     tree = GreedyOptimizer(seed=seed).tree(network)
     rng = np.random.default_rng(seed)
     inner = sorted(network.inner_indices())
     picks = rng.choice(len(inner), size=min(num_sliced, len(inner)), replace=False)
-    sliced = sorted(inner[i] for i in picks)
-    group = sliced[:1] if batched and len(sliced) > 1 else None
-    return network, compile_plan(network, tree, frozenset(sliced), batch_indices=group)
+    return network, compile_plan(network, tree, frozenset(inner[i] for i in picks))
 
 
 def _hostile_ids(rng, total: int) -> list:
@@ -499,12 +496,9 @@ class TestResumedWalkerProperties:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         num_sliced=st.integers(min_value=0, max_value=3),
-        batched=st.booleans(),
     )
-    def test_any_id_sequence_on_one_arena_equals_stateless_executes(
-        self, seed, num_sliced, batched
-    ):
-        network, plan = _hostile_plan(seed, num_sliced, batched)
+    def test_any_id_sequence_on_one_arena_equals_stateless_executes(self, seed, num_sliced):
+        network, plan = _hostile_plan(seed, num_sliced)
         total = math.prod(network.size_of(ix) for ix in plan.sliced)
         ids = _hostile_ids(np.random.default_rng(seed + 1), total)
         _assert_resumed_equals_stateless([(network, plan, plan.new_cache())], ids)
@@ -611,19 +605,18 @@ class TestOpenSubtreeProperties:
 class TestProducerStagingProperties:
     def test_staged_plans_sweep_like_stateless_executes_and_the_oracle(self):
         """Hostile generator (dims 2/3/4, hyper-indices, open legs, rank-0
-        roots, two components), plain and under ``batch_indices=``: a cached
-        sweep on one arena equals, call by call, a stateless
-        ``execute(cache=None)`` on a fresh one bit for bit — einsum steps
-        allocate on every path — and the einsum oracle.  The
+        roots, two components): a cached sweep on one arena equals, call by
+        call, a stateless ``execute(cache=None)`` on a fresh one bit for bit
+        — einsum steps allocate on every path — and the einsum oracle.  The
         sample covers every way an operand arrives staged: an open root on
-        the stem, an einsum-produced entry, a ``bmm`` consumer, a leaf; an
-        einsum consumer never reads a staged operand (it keeps its
-        sublists, and its producers their layouts)."""
+        the stem, an einsum-produced entry, a leaf; an einsum consumer never
+        reads a staged operand (it keeps its sublists, and its producers
+        their layouts)."""
         oracle = TreeExecutor(compiled=False)
         seen = set()
         for seed in range(40):
-            for num_sliced, batched in ((1, False), (2, False), (3, False), (3, True)):
-                network, plan = _hostile_plan(seed, num_sliced, batched)
+            for num_sliced in (1, 2, 3):
+                network, plan = _hostile_plan(seed, num_sliced)
                 stem = extract_stem(plan.tree).nodes
                 producers = {ls.node: ls for ls in plan.leaf_steps}
                 producers.update((s.node, s) for s in plan.contract_steps)
@@ -654,29 +647,19 @@ class TestProducerStagingProperties:
                     swept = swept.require_data().copy()  # the next call reuses the arena
                     stateless = plan.execute(network, assignment, slots=StemSlots())
                     assert np.array_equal(swept, stateless.require_data())
-                    # (batch axes lead the plan's output; the oracle has none)
-                    group = plan.batch_indices
-                    for batch_values in itertools.product(
-                        *(range(network.size_of(ix)) for ix in group)
-                    ):
-                        expected = oracle.execute(
-                            network, plan.tree, {**assignment, **dict(zip(group, batch_values))}
-                        )
-                        ours = stateless.require_data()[batch_values]
-                        rest = stateless.indices[len(group) :]
-                        order = [expected.indices.index(ix) for ix in rest]
-                        assert np.allclose(
-                            ours,
-                            expected.require_data().transpose(order),
-                            rtol=1e-10,
-                            atol=1e-10,
-                        )
+                    expected = oracle.execute(network, plan.tree, assignment)
+                    order = [expected.indices.index(ix) for ix in stateless.indices]
+                    assert np.allclose(
+                        stateless.require_data(),
+                        expected.require_data().transpose(order),
+                        rtol=1e-10,
+                        atol=1e-10,
+                    )
         assert seen >= {
             "open root on the stem",
             "einsum producer",
             "tensordot producer",
             "leaf",
-            "bmm consumer",
             "tensordot consumer",
         }
 
@@ -727,12 +710,6 @@ class TestSweepPlannerProperties:
         today = sweep_prediction(tree, labels)
         assert all(ours <= theirs for ours, theirs in zip(chosen, today))
         assert (order, open_nodes) == _exhaustive_sweep_plan(tree, labels)
-        # order only (what batched plans take): same guarantee, nothing open
-        only, nothing = plan_sweep(tree, labels, open_subtrees=False)
-        assert not nothing and sorted(only) == list(labels)
-        assert all(
-            ours <= theirs for ours, theirs in zip(sweep_prediction(tree, only), today)
-        )
 
         # the compiled plan is that plan, and accounts for itself exactly —
         # but for the tail above its fold node, which runs once per sweep.
@@ -953,8 +930,7 @@ class TestFoldProperties:
         """Folding past a sibling that changes between subtasks — an open
         root's fetch, a level > 0 partial — would sum away what the tail
         still needs per subtask.  These plans fold at their root although
-        the dependent child's output would fit the fold buffer; batched
-        plans fold at their root too."""
+        the dependent child's output would fit the fold buffer."""
         for seed, num_sliced, sibling in ((61, 1, "fetch"), (7, 2, "partial")):
             network, plan = _hostile_plan(seed, num_sliced)
             tree = plan.tree
@@ -977,10 +953,6 @@ class TestFoldProperties:
                 for node in candidates
             )
             assert plan.fold_node == tree.root and not plan.sweep_cost().fold_bytes
-        for seed, num_sliced in _FOLDING:
-            network, plan = _hostile_plan(seed, num_sliced, batched=True)
-            if plan.batch_indices:
-                assert plan.fold_node == plan.tree.root
 
 
 # ---------------------------------------------------------------------------
@@ -1180,35 +1152,33 @@ class TestInnerFoldProperties:
 # The arena
 # ---------------------------------------------------------------------------
 
-#: Hostile ``(seed, sliced indices, batched)`` whose plans, between them, put
-#: every kind of buffer in the arena — operand copies, staged retained
-#: partials, staged leaf loads — beside einsum steps (which allocate) and
-#: open roots (whose fetches are views), batched or folding below the root.
-_ARENA = ((2, 3, False), (3, 1, False), (8, 3, True), (19, 2, False), (22, 2, False), (279, 3, False))
+#: Hostile ``(seed, sliced indices)`` whose plans, between them, put every
+#: kind of buffer in the arena — operand copies, staged retained partials,
+#: staged leaf loads — beside einsum steps (which allocate) and open roots
+#: (whose fetches are views), some folding below the root.
+_ARENA = ((2, 3), (3, 1), (19, 2), (22, 2), (279, 3))
 
 
-def _arena_case(seed: int, num_sliced: int, batched: bool, mixed: bool):
+def _arena_case(seed: int, num_sliced: int, mixed: bool):
     """``(network, plan)`` of a hostile plan, every other leaf made complex
     when ``mixed`` (real intermediates then sit in complex-sized regions)."""
-    network, plan = _hostile_plan(seed, num_sliced, batched)
+    network, plan = _hostile_plan(seed, num_sliced)
     if mixed:
         for position, tid in enumerate(network.tensor_ids):
             if position % 2:
                 tensor = network.tensor(tid)
                 network.replace_tensor(tid, tensor.with_data(tensor.require_data() * (0.6 - 0.8j)))
-    sliced = frozenset((*plan.sliced, *plan.batch_indices))
-    return network, compile_plan(network, plan.tree, sliced, batch_indices=plan.batch_indices)
+    return network, compile_plan(network, plan.tree, frozenset(plan.sliced))
 
 
 def _allocating_run(network, plan) -> np.ndarray:
     """What a serial run folds, from the walk without an arena: each
-    contribution a fresh array, summed in assignment order (batch axes
-    first), the tail run once."""
+    contribution a fresh array, summed in assignment order, the tail run
+    once."""
     cache, folded = plan.new_cache(), None
-    axes = tuple(range(plan.num_batch_axes))
     for subtask_id in range(math.prod(network.size_of(ix) for ix in plan.sliced)):
         data = plan.execute_array(network, _decode(network, plan, subtask_id), cache)
-        data = data.sum(axis=axes) if axes else np.array(data, copy=True)
+        data = np.array(data, copy=True)
         if folded is None:
             folded = data
         else:
@@ -1224,14 +1194,14 @@ class TestArenaProperties:
         allocating walk's sum on serial, threads, process pool, distributed,
         checkpointed and killed-and-resumed runs; and that is the einsum
         oracle's value to 1e-12.  The sample covers mixed real/complex
-        leaves, einsum steps, open roots, a retained leaf load and a batched
-        plan."""
+        leaves, einsum steps, open roots, a retained leaf load and a fold
+        below the root."""
         seen = set()
         pool = SharedMemoryProcessPoolBackend(max_workers=2)
         distributed = DistributedBackend(num_workers=2)
         try:
-            for position, (seed, num_sliced, batched) in enumerate(_ARENA):
-                network, plan = _arena_case(seed, num_sliced, batched, mixed=position % 2 == 0)
+            for position, (seed, num_sliced) in enumerate(_ARENA):
+                network, plan = _arena_case(seed, num_sliced, mixed=position % 2 == 0)
                 tree = plan.tree
                 _check_layout(plan)
                 dtypes = {tensor.require_data().dtype for tensor in network.tensors().values()}
@@ -1240,7 +1210,6 @@ class TestArenaProperties:
                     ("einsum steps", any(s.kind == "einsum" and s.level for s in plan.contract_steps)),
                     ("open roots", bool(plan.fetches)),
                     ("a retained leaf load", any(ls.region for ls in plan.leaf_steps)),
-                    ("a batched plan", bool(plan.batch_indices)),
                     ("a fold below the root", plan.fold_node != tree.root),
                 ):
                     if present:
@@ -1259,11 +1228,9 @@ class TestArenaProperties:
                         assert ours.tobytes() == theirs.tobytes(), (seed, subtask_id)
 
                 bits = _allocating_run(network, plan).tobytes()
-                sliced = [*plan.sliced, *plan.batch_indices]
-                kwargs = {"batch_indices": plan.batch_indices} if plan.batch_indices else {}
 
                 def executor(**extra):
-                    return SlicedExecutor(network, tree, sliced, **kwargs, **extra)
+                    return SlicedExecutor(network, tree, plan.sliced, **extra)
 
                 serial = executor().run()
                 out, expected = _dense_value(network)
@@ -1298,6 +1265,5 @@ class TestArenaProperties:
             "einsum steps",
             "open roots",
             "a retained leaf load",
-            "a batched plan",
             "a fold below the root",
         }

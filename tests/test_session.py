@@ -116,7 +116,7 @@ class TestSessionReuse:
     def test_batched_sweep_session(self, case):
         tn, tree = case
         sliced = sorted(tn.inner_indices())[:4]
-        serial = SlicedExecutor(tn, tree, sliced, batch_indices=sliced[:2]).amplitude()
+        serial = SlicedExecutor(tn, tree, sliced).amplitude()
         backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
         executor = SlicedExecutor(
             tn, tree, sliced, batch_indices=sliced[:2], backend=backend
