@@ -85,11 +85,6 @@ class Lifetime:
         """Number of tensors in the lifetime (the paper's "length")."""
         return len(self.nodes)
 
-    @property
-    def internal_length(self) -> int:
-        """Number of intermediate tensors in the lifetime."""
-        return len(self.internal_nodes)
-
     def contains(self, other: "Lifetime") -> bool:
         """Whether this lifetime contains the other (the partial order of §4.2)."""
         return other.nodes <= self.nodes
@@ -348,7 +343,7 @@ def _sweep_tables(
 
     The nodes of ``chain`` — an inner fold's flush — run once per block,
     a value combination of the indices in ``chain_mask``: that is their
-    mask, and what they read is held apart (:meth:`_Search.inner_fold`).
+    mask, and what they read is held apart (:meth:`_Search.folds`).
     """
     reach, _, full, fixed, _, work_full, work_fixed = tables
     parents = tree.parent_map()
@@ -552,7 +547,7 @@ def plan_sweep(
 #: 8,064 -> 15,744); the three ``GOLDEN`` plans 1.09 (256 -> 112
 #: multiply-adds, 8 -> 20 elements); ``small_subtasks`` 1.93;
 #: ``large_subtasks`` has no qualifying node.  The order-free lower bounds
-#: (:meth:`_Search.inner_fold`) already refuse ``GOLDEN`` (1.09) and
+#: (:meth:`_Search.folds`) already refuse ``GOLDEN`` (1.09) and
 #: ``small_subtasks`` (0.725) without a search; the batch's is 0.285.
 INNER_FOLD_PRODUCT = 0.5
 
@@ -568,46 +563,79 @@ INNER_FOLD_SUBSETS = 2**MAX_SEARCH_INDICES
 
 
 class SweepPlan(NamedTuple):
-    """How a sweep runs, inner fold included (:func:`plan_folded_sweep`).
+    """How a sweep runs, its folds included (:func:`plan_folded_sweep`).
 
-    ``inner_fold`` is ``(node, level)`` — a sweep sums ``node``'s array
-    over the positions after ``level`` and runs the chain above it once per
-    block, a value combination of the first ``level`` positions — or
-    ``None``.  ``product`` is the admission product of the best candidate
-    (admitted or not), ``None`` when no node qualified; with ``bound`` it is
-    only the least lower bound over the candidates, none of which could be
-    admitted, so none was priced.
+    ``folds`` is the fold stack ``((node, level), ..., (sigma, 0))``,
+    innermost first: a sweep sums ``node``'s arrays over the positions after
+    ``level`` and runs the chain above it, up to the next fold's node (the
+    root above ``sigma``), once per value combination of the first
+    ``level``.  ``product`` is the inner fold's admission product of the
+    best candidate (admitted or not), ``None`` when no node qualified; with
+    ``bound`` it is only the least lower bound over the candidates, none of
+    which could be admitted, so none was priced.  ``ceiling`` is label
+    order's ``(steps, work, resident elements)`` with nothing open.
     """
 
     order: Tuple[str, ...]
     open_nodes: FrozenSet[int]
-    inner_fold: Optional[Tuple[int, int]]
+    folds: Tuple[Tuple[int, int], ...]
     product: Optional[float]
-    bound: bool = False
+    bound: bool
+    ceiling: Tuple[int, int, int]
 
 
 def plan_folded_sweep(tree: ContractionTree, sliced: Iterable[str]) -> SweepPlan:
-    """:func:`plan_sweep`, then the enumeration order and an inner fold chosen together.
+    """:func:`plan_sweep`, then the enumeration order and the fold stack chosen together.
 
-    Summation is linear, so a node ``X`` below the root can sum its arrays
-    over the positions after ``M`` — the highest level among the *chain
-    siblings*, the other children of ``X``'s ancestors — and the chain
-    from ``X`` up runs once per block of the first ``M`` positions instead
-    of once per subtask.  A node qualifies when it carries sliced indices
-    no chain sibling reaches (a test on the tree, whatever the order).
-    Each is priced by the same subset search as :func:`plan_sweep`, its
-    chain at the siblings' union mask (:func:`_sweep_tables`), under the
-    label-order plan's steps and work; its resident elements add the
-    accumulator and the chain siblings a sliced index reaches, which the
-    flush reads.  The least-work candidate is taken when its
-    :data:`INNER_FOLD_PRODUCT` holds; otherwise the result is
-    :func:`plan_sweep`'s choice unchanged.  One inner point per plan.
+    Summation is linear, so a node ``X`` can sum its arrays over the
+    positions after ``M`` — the highest level among the *chain siblings*,
+    the other children of ``X``'s ancestors — and the chain from ``X`` up
+    runs once per block of the first ``M`` positions instead of once per
+    subtask.  One top-down pass over the siblings' masks serves both folds.
+    An inner fold (``M > 0``) qualifies when it carries sliced indices no
+    chain sibling reaches (a test on the tree, whatever the order).  Each
+    is priced by the same subset search as :func:`plan_sweep`, its chain at
+    the siblings' union mask (:func:`_sweep_tables`), under the label-order
+    plan's steps and work; its resident elements add the accumulator and
+    the chain siblings a sliced index reaches, which the flush reads.  The
+    least-work candidate is taken when its :data:`INNER_FOLD_PRODUCT`
+    holds; otherwise the order is :func:`plan_sweep`'s.  The outermost fold
+    (``M = 0``) is :func:`_outer_fold`'s, in the final order.
     """
     labels = tuple(sorted(frozenset(sliced)))
-    if not labels:
-        return SweepPlan((), frozenset(), None, None)
     search = _Search(tree, labels)
-    return search.inner_fold(*search.choose())
+    if not labels:
+        return SweepPlan((), frozenset(), ((tree.root, 0),), None, False, search.caps)
+    return search.folds(*search.choose())
+
+
+def _outer_fold(
+    tree: ContractionTree,
+    masks: Mapping[int, int],
+    reach: Sequence[int],
+    fixed: Sequence[int],
+    open_nodes: AbstractSet[int],
+    room: int,
+) -> int:
+    """Where a sweep sums all its subtasks: the deepest node on the walk
+    down from the root into the one child a sliced index reaches, while no
+    sliced index reaches its sibling (``masks`` still 0), so that summation
+    commutes with every step left above.  It never steps into a leaf or an
+    open node, nor into one whose array, the run's accumulator, exceeds the
+    ``room`` of resident elements the chosen order leaves under label
+    order's (counted as the planner counts them).
+    """
+    node = tree.root
+    while node >= tree.num_leaves and node not in open_nodes:
+        for child in tree.children(node):  # type: ignore[union-attr]
+            if reach[child] and not masks[child]:
+                break
+        else:
+            break
+        if child < tree.num_leaves or child in open_nodes or fixed[child] > room:
+            break
+        node = child
+    return node
 
 
 class _Search:
@@ -658,7 +686,7 @@ class _Search:
                 return best, open_nodes
         raise AssertionError("label order always fits its own ceilings")
 
-    def inner_fold(self, positions: Sequence[int], open_nodes: FrozenSet[int]) -> SweepPlan:
+    def folds(self, positions: Sequence[int], open_nodes: FrozenSet[int]) -> SweepPlan:
         """:func:`plan_folded_sweep`'s choice, after :meth:`choose`'s ``(positions, open_nodes)``.
 
         Of the qualifying nodes with one chain mask on one root path only
@@ -677,10 +705,11 @@ class _Search:
         tree, tables, count, widths = self.tree, self.tables, self.count, self.widths
         reach, fixed = tables[0], tables[3]
         num_leaves = tree.num_leaves
-        today = SweepPlan(tuple(self.labels[i] for i in positions), open_nodes, None, None)
         steps, work, cache, entries = _sweep_tables(tree, tables, count, open_nodes)
         swept = _fold(entries, widths, positions)
         scale = (work + swept[3]) * (cache + swept[4])
+        # (the room the outermost fold's accumulator has in this order)
+        room = self.caps[2] - cache - swept[4]
         # top-down: the chain siblings' mask and the elements the flush
         # reads besides the accumulator, for every node outside the open
         # subtrees (whose warm pass carries the sliced indices)
@@ -702,10 +731,16 @@ class _Search:
                 for child in tree.children(node)  # type: ignore[union-attr]
             ):
                 candidates.append(node)
+
+        def stack(order: Sequence[int], inner: Tuple = (), product=None, bound=False) -> SweepPlan:
+            outer = _outer_fold(tree, masks, reach, fixed, open_nodes, room)
+            labels = tuple(self.labels[i] for i in order)
+            return SweepPlan(labels, open_nodes, (*inner, (outer, 0)), product, bound, self.caps)
+
         if not candidates:
-            return today
+            return stack(positions)
         if not scale:
-            return today._replace(product=math.inf)  # it holds nothing to trade
+            return stack(positions, product=math.inf)  # it holds nothing to trade
 
         def chain_tables(node: int) -> Tuple[int, int, int, List[List[List[int]]]]:
             chain = frozenset(tree.path_to_root(node)[1:])
@@ -723,7 +758,7 @@ class _Search:
             )
             bounds[node] = least * (cache + fixed[node] + reads[node]) / scale
         if min(bounds.values()) > INNER_FOLD_PRODUCT:
-            return today._replace(product=min(bounds.values()), bound=True)
+            return stack(positions, product=min(bounds.values()), bound=True)
         priced = max(1, INNER_FOLD_SUBSETS >> len(self.free))
         ranked = sorted(candidates, key=lambda node: (bounds[node], node))[:priced]
         steps_cap, work_cap = self.caps[:2]
@@ -745,11 +780,13 @@ class _Search:
                 held = cache + swept[4] + fixed[node] + reads[node]
                 best = (work + swept[3], order, node, level, (work + swept[3]) * held / scale)
         if best is None:
-            return today
+            return stack(positions)
         _, order, node, level, product = best
         if product > INNER_FOLD_PRODUCT:
-            return today._replace(product=product)
-        return SweepPlan(tuple(self.labels[i] for i in order), open_nodes, (node, level), product)
+            return stack(positions, product=product)
+        _, _, cache, entries = _sweep_tables(tree, tables, count, open_nodes)
+        room = self.caps[2] - cache - _fold(entries, widths, order)[4]
+        return stack(order, ((node, level),), product)
 
 
 def sweep_prediction(

@@ -96,11 +96,6 @@ class Stem:
         """Index sets of the successive stem tensors (the list ``M`` of Alg. 1)."""
         return tuple(step.result_indices for step in self.steps)
 
-    @property
-    def branch_nodes(self) -> Tuple[int, ...]:
-        """Node ids of the pre-contracted branches, in absorption order."""
-        return tuple(step.branch_child for step in self.steps)
-
     def edges(self) -> FrozenSet[str]:
         """Every edge appearing on some stem tensor (the slicing candidates)."""
         out: set = set(self.tree.node_indices(self.start_node))

@@ -34,21 +34,19 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   the retained partials of levels ``>= 1`` let a sweep over consecutive
   assignments *resume* from the first changed level instead of
   recontracting the whole dependent part (see :meth:`CompiledPlan.execute`).
-* The compiler picks where a run sums its subtasks, the *fold node*
-  (:func:`_fold_node`).  Summation is linear, so wherever nothing above a
-  node depends on a sliced index, ``sum_a tail(S(a)) == tail(sum_a S(a))``:
-  a subtask contributes that node's array
-  (:meth:`CompiledPlan.execute_array`), the sweep loops fold those in
-  assignment order, and its ancestors — the *tail* — run once per run over
-  the sum (:meth:`CompiledPlan.finish`).
-* The sweep planner may also fold *inside*
-  (:func:`repro.core.lifetime.plan_folded_sweep`,
-  :attr:`CompiledPlan.inner_fold`): below the fold node, a node whose
-  chain up to it has no sibling that changes after position ``M`` sums
-  its arrays over the subtasks of a *block* — consecutive assignments
-  that agree on the first ``M`` positions — and the chain, the *flush*,
-  runs once per block (:meth:`CompiledPlan.execute_block`).  The unit
-  every sweep loop folds is then the block.
+* The sweep planner picks where the sums over sliced values are taken,
+  the *fold stack* ``((X, M), ..., (sigma, 0))``, innermost first
+  (:func:`repro.core.lifetime.plan_folded_sweep`).  Summation is linear,
+  so wherever no sibling on the chain above a node changes after position
+  ``M``, ``sum_a chain(S(a)) == chain(sum_a S(a))`` over the assignments
+  that agree on the first ``M`` positions.  An inner fold
+  (:attr:`CompiledPlan.inner_fold`) sums ``X``'s arrays over such a
+  *block* and runs its chain once per block
+  (:meth:`CompiledPlan.execute_block`); the outermost,
+  :attr:`CompiledPlan.fold_node`, is the array a block contributes, the
+  sweep loops fold those in assignment order, and its chain — the *tail*
+  — runs once per run over the sum (:meth:`CompiledPlan.finish`).  Every
+  chain runs through one flush.
 * The compiler *lays out* the cached subtask (:func:`_lay_out`): it walks
   the dependent part once, freeing exactly as the walker frees, and gives
   every buffer that walk writes — GEMM outputs, operand copies,
@@ -116,12 +114,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.lifetime import (
-    SweepPlan,
-    plan_folded_sweep,
-    slice_dependency_levels,
-    sweep_prediction,
-)
+from ..core.lifetime import SweepPlan, plan_folded_sweep, slice_dependency_levels
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
@@ -397,9 +390,9 @@ class SweepCost:
     between subtasks, the staged copies of leaves included; other leaf
     loads and fetches are views and hold nothing (a ``dtype`` override, or
     a leaf that is not C-contiguous, copies more than is counted).
-    ``fold_bytes`` is the accumulator of a plan that folds below its root
-    (:attr:`CompiledPlan.fold_node`): the sum of the fold node's arrays;
-    the tail above it counts once, like the warm pass.
+    ``fold_bytes`` is the accumulators of the folds with a chain above
+    them: the sum of the :attr:`CompiledPlan.fold_node`'s arrays below the
+    root, and an inner fold's block accumulator.
     """
 
     steps: int = 0
@@ -678,10 +671,8 @@ class CompiledPlan:
         out_indices: Tuple[str, ...],
         out_sizes: Dict[str, int],
         derived_dtype: Optional[np.dtype] = None,
-        fold_node: Optional[int] = None,
         arena_bytes: int = 0,
-        inner_fold: Optional[Tuple[int, int]] = None,
-        accumulator: Optional[Region] = None,
+        folds: Sequence[Tuple[int, int, Optional[Region]]] = (),
     ) -> None:
         self._tree = tree
         self._arena_bytes = arena_bytes
@@ -709,27 +700,22 @@ class CompiledPlan:
         self._out_indices = out_indices
         self._out_sizes = dict(out_sizes)
         self._invariant_steps = tuple(s for s in steps if s.level == 0)
-        # where a run sums its contributions: per subtask the steps end at
-        # the fold node, and its ancestors — the tail — run once, in finish
-        self._fold_node = tree.root if fold_node is None else fold_node
-        tail = frozenset(tree.path_to_root(self._fold_node)[1:])
-        self._tail = tuple(s for s in steps if s.node in tail)
-        # an inner fold ``(node, level, accumulator region)``: a subtask's
-        # walk ends at its node, a block sums that node's arrays in the
-        # accumulator, and the chain above it up to the fold node — the
-        # flush — runs once per block.  (Two attributes, not four: a plan's
-        # instance dict is 296 bytes with 28 attributes and 1,584 with 30,
-        # where it stops sharing its keys.)
-        self._inner = None if inner_fold is None else (*inner_fold, accumulator)
-        path = tree.path_to_root(inner_fold[0] if inner_fold else self._fold_node)
-        chain = frozenset(path[1 : path.index(self._fold_node) + 1])
-        self._flush = tuple(s for s in steps if s.node in chain)
+        # the fold stack, innermost first, ``(node, level, chain steps,
+        # accumulator region)`` per fold: a subtask's walk ends at the
+        # innermost node, and a fold's chain — up to the next fold's node,
+        # or the root — runs once per block of it (:meth:`_flush`)
+        folds = tuple(folds) or ((tree.root, 0, None),)
+        chains = _fold_chains(tree, [node for node, _, _ in folds])
+        self._folds = tuple(
+            (node, level, tuple(s for s in steps if s.node in chain), region)
+            for (node, level, region), chain in zip(folds, chains)
+        )
         # the cache entries a subtask reads: the frontier less the tail's
         # operands (finish reads those, once)
         self._subtask_frontier = tuple(
             node
             for node in sorted(frontier)
-            if not any(node in (s.lhs, s.rhs) for s in self._tail)
+            if not any(node in (s.lhs, s.rhs) for s in self._folds[-1][2])
         )
         #: the cache-less paths' step lists, split at the fold (built on
         #: first use, see _cacheless: a cached sweep never needs them; two
@@ -737,13 +723,13 @@ class CompiledPlan:
         self._cacheless_parts: Optional[Tuple] = None
         # what a cached execute re-runs when position ``p`` of the
         # enumeration order is the first whose value changed: the leaf
-        # loads, fetches and steps of level > p below the tail and the
-        # flush.  Entry 0 is the whole dependent part, entry
-        # len(enumerated) is empty; a position no load or step sits at
-        # shares its predecessor's tuples (the plan sits in every sweep's
-        # footprint).
+        # loads, fetches and steps of level > p on no fold's chain.  Entry 0
+        # is the whole dependent part, entry len(enumerated) is empty; a
+        # position no load or step sits at shares its predecessor's tuples
+        # (the plan sits in every sweep's footprint).
         loads = (*leaf_steps, *fetches)
-        work = tuple(s for s in steps if s.node not in tail and s.node not in chain)
+        folded = frozenset().union(*chains)
+        work = tuple(s for s in steps if s.node not in folded)
         suffixes: List[Tuple[Tuple[LeafStep, ...], Tuple[ContractStep, ...]]] = []
         for p in range(len(enumerated) + 1):
             loads, work = _above(loads, p), _above(work, p)
@@ -842,32 +828,29 @@ class CompiledPlan:
 
     @property
     def fold_node(self) -> int:
-        """The node whose array a subtask contributes (:meth:`execute_array`).
+        """The outermost fold: the node whose array a block contributes
+        (:meth:`execute_array`).
 
         Summation is linear, so contributions can be summed below the root
-        wherever nothing above depends on a sliced index: the compiler walks
-        down from the root while the node left behind is slice-invariant
-        (:func:`_fold_node`), and the ancestors of the fold node — the
-        *tail* — run once per run, in :meth:`finish`.  The root wherever no
-        such walk fits the resident-byte ceiling.
+        wherever nothing above depends on a sliced index
+        (:func:`~repro.core.lifetime.plan_folded_sweep`), and the ancestors
+        of the fold node — the *tail* — run once per run, in :meth:`finish`.
         """
-        return self._fold_node
+        return self._folds[-1][0]
 
     @property
     def inner_fold(self) -> Optional[Tuple[int, int]]:
-        """``(node, level)`` where a block sums below the fold node, or ``None``.
+        """The inner fold ``(node, level)`` below the fold node, or ``None``.
 
-        Chosen with the enumeration order
-        (:func:`~repro.core.lifetime.plan_folded_sweep`): no sibling on the
-        chain from ``node`` up to the :attr:`fold_node` changes after
-        position ``level``, so the subtasks of a *block* — consecutive
-        assignments that agree on the first ``level`` positions
+        No sibling on the chain from ``node`` up to the :attr:`fold_node`
+        changes after position ``level``, so the subtasks of a *block* —
+        consecutive assignments that agree on the first ``level`` positions
         (:meth:`blocks`) — walk to ``node`` only and add its arrays into one
         accumulator, and the chain runs once per block over the sum
-        (:meth:`execute_block`).  ``None`` on plans the rule does not fold:
-        a block is then one subtask.
+        (:meth:`execute_block`).  ``None`` on plans with no inner fold: a
+        block is then one subtask.
         """
-        return None if self._inner is None else self._inner[:2]
+        return self._folds[0][:2] if len(self._folds) > 1 else None
 
     def blocks(
         self, assignments: Iterable[Mapping[str, int]]
@@ -878,11 +861,11 @@ class CompiledPlan:
         sequence is valid; a sweep in enumeration order has ``runs[level]``
         blocks.
         """
-        if self._inner is None:
+        if self.inner_fold is None:
             for assignment in assignments:
                 yield [assignment]
             return
-        head = self._enumerated[: self._inner[1]]
+        head = self._enumerated[: self._folds[0][1]]
         block: List[Mapping[str, int]] = []
         previous: Optional[Tuple] = None
         for assignment in assignments:
@@ -898,8 +881,9 @@ class CompiledPlan:
     @property
     def contribution_shape(self) -> Tuple[int, ...]:
         """Shape of the array :meth:`execute_array` returns."""
-        if self._tail:
-            return self._node_shape(self._fold_node)
+        node, _, tail, _ = self._folds[-1]
+        if tail:
+            return self._node_shape(node)
         return tuple(self._out_sizes[ix] for ix in self._out_indices)
 
     @property
@@ -944,9 +928,9 @@ class CompiledPlan:
             if s.regions is not None:
                 shapes = (*(s.shapes or (None,) * 3), s.stage and s.stage[1])
                 views[s.node] = tuple(map(view, s.regions, shapes))
-        if self._inner is not None:
-            node, _, accumulator = self._inner
-            views[-1] = view(accumulator, self._node_shape(node))
+        for node, _, _, accumulator in self._folds:
+            if accumulator is not None:
+                views[-1] = view(accumulator, self._node_shape(node))
         return views
 
     def _node_shape(self, node: int) -> Tuple[int, ...]:
@@ -963,26 +947,22 @@ class CompiledPlan:
     def _step_runs(self) -> List[int]:
         """How often each step runs in one full sweep, in step order."""
         runs = self._level_runs()
-        tail = {step.node for step in self._tail}
-        flush = {step.node for step in self._flush}
-        blocks = runs[self._inner[1]] if self._inner else 0
-        return [
-            1 if s.node in tail else blocks if s.node in flush else runs[s.level]
-            for s in self._steps
-        ]
+        # (a step on the chain of fold ``(node, M)`` runs once per block)
+        level = {s.node: m for _, m, chain, _ in self._folds for s in chain}
+        return [runs[level.get(s.node, s.level)] for s in self._steps]
 
     def sweep_cost(self) -> SweepCost:
         """Predicted cost of one full sweep in enumeration order.
 
         Computed from the levels alone: a level-``j`` step, leaf load or
         fetch runs ``prod_{i <= j} w(e_i)`` times (once for level 0, in the
-        cache warm, once for a step of the tail, in :meth:`finish`, and
-        once per block for a step of an inner fold's flush), which is
-        exactly what ``stats.steps_executed`` counts after one serial
-        ``run()`` with an invariant cache — and each run stages the
-        operands its step still permutes itself, plus its own output when a
-        less frequent consumer reads it staged.  ``fold_bytes`` counts the
-        run's accumulator at the fold node and the block accumulator.
+        cache warm, and once per block for a step on the chain of a fold at
+        level ``M``: ``prod_{i <= M} w(e_i)`` times, once for the tail, in
+        :meth:`finish`), which is exactly what ``stats.steps_executed``
+        counts after one serial ``run()`` with an invariant cache — and each
+        run stages the operands its step still permutes itself, plus its own
+        output when a less frequent consumer reads it staged.
+        ``fold_bytes`` counts the accumulator of every fold with a chain.
         """
         runs = self._level_runs()
         itemsize = np.dtype(self.dtype or np.complex128).itemsize
@@ -997,8 +977,7 @@ class CompiledPlan:
             leaf_loads=sum(runs[ls.level] for ls in loads),
             cache_bytes=sum(held.get(node, 0) for node in self._frontier),
             producer_stagings=sum(runs[ls.level] for ls in loads if ls.stage is not None),
-            fold_bytes=(held[self._fold_node] if self._tail else 0)
-            + (held[self._inner[0]] if self._inner else 0),
+            fold_bytes=sum(held[node] for node, _, chain, _ in self._folds if chain),
         )
         for step, count in zip(self._steps, self._step_runs()):
             cost += SweepCost(
@@ -1088,17 +1067,18 @@ class CompiledPlan:
         Built on first use — a cached sweep never needs them.
         """
         if self._cacheless_parts is None:
-            tail = {step.node for step in self._tail}
+            fold, _, chain, _ = self._folds[-1]
+            tail = {step.node for step in chain}
             aside: Set[int] = set()
             for step in reversed(self._steps):
                 if step.node in tail or step.node in aside:
                     aside.update(
                         child
                         for child in (step.lhs, step.rhs)
-                        if child not in tail and child != self._fold_node
+                        if child not in tail and child != fold
                     )
-            # (the flush runs apart, once per block)
-            finished = tail | aside | {step.node for step in self._flush}
+            # (every chain runs apart, in its fold's flush)
+            finished = aside.union(*({s.node for s in chain} for _, _, chain, _ in self._folds))
             leaves = [ls for ls in self._leaf_steps if ls.node not in self._dependent]
             self._cacheless_parts = (
                 (
@@ -1209,14 +1189,18 @@ class CompiledPlan:
         walk of the next block's first subtask would overwrite.  A
         one-subtask block is bitwise the subtask the fold-free plan runs.
         """
-        if self._inner is None:
+        if self.inner_fold is None:
             if len(assignments) != 1:
                 raise PlanError(f"a block of this plan is one subtask, not {len(assignments)}")
             live, _, cached = self._walk(network, assignments[0], cache, stats, slots)
-            return self._contribution(live, cached)
+            data = live[self.fold_node]
+            # (the root itself is cached when nothing is slice-dependent: a
+            # copy keeps callers off the shared cache buffer)
+            return data.copy() if cached and self.fold_node in self._frontier else data
         if not assignments:
             raise PlanError("an empty block contributes nothing")
-        node, level, _ = self._inner
+        fold = self._folds[0]
+        node, level = fold[:2]
         head = self._enumerated[:level]
         accumulator = None
         for assignment in assignments:
@@ -1235,17 +1219,10 @@ class CompiledPlan:
             else:
                 accumulator += live[node]
         start = time.perf_counter()
-        flush = {
-            child: live[child]
-            for step in self._flush
-            for child in (step.lhs, step.rhs)
-            if child in live
-        }
-        flush[node] = accumulator
-        _walk_steps(self._flush, flush, views, stats, False)
+        data = self._flush(fold, accumulator, live, views, stats)
         if stats is not None:
             stats.record_stage("execute", time.perf_counter() - start)
-        return self._contribution(flush, cached)
+        return data
 
     def _walk(
         self,
@@ -1331,15 +1308,6 @@ class CompiledPlan:
             stats.record_stage("execute", elapsed)
         return live, views, cached
 
-    def _contribution(self, live: Mapping[int, np.ndarray], cached: bool) -> np.ndarray:
-        """The fold node's array out of a finished walk, as the fold takes it."""
-        data = live[self._fold_node]
-        if cached and self._fold_node in self._frontier:
-            # the root itself is cached (nothing is slice-dependent): hand
-            # out a copy so callers cannot corrupt the shared cache buffer
-            data = data.copy()
-        return data
-
     def finish(
         self,
         network: TensorNetwork,
@@ -1358,22 +1326,38 @@ class CompiledPlan:
         ``stats``.  Returns ``folded`` itself on a plan that folds at its
         root.
         """
-        if not self._tail:
+        fold = self._folds[-1]
+        if not fold[2]:
             return folded
         if cache is not None and self.cache_is_warm(cache):
-            live = {
-                child: cache[child]
-                for step in self._tail
-                for child in (step.lhs, step.rhs)
-                if child in self._frontier
-            }
-            if stats is not None:
-                stats.cache_hits += len(live)
+            siblings = cache
+            if stats is not None:  # (the tail's operands among the entries)
+                stats.cache_hits += len(self._frontier) - len(self._subtask_frontier)
         else:
-            live = self._contract_invariant(network, *self._cacheless()[2], stats)
-        live[self._fold_node] = folded
-        _walk_steps(self._tail, live, None, stats, False)
-        return live[self._tree.root]
+            siblings = self._contract_invariant(network, *self._cacheless()[2], stats)
+        return self._flush(fold, folded, siblings, None, stats)
+
+    def _flush(
+        self,
+        fold: Tuple,
+        accumulator: np.ndarray,
+        siblings: Mapping[int, np.ndarray],
+        views: Optional[Sequence[Optional[Tuple]]],
+        stats: Optional[PlanStats],
+    ) -> np.ndarray:
+        """Run ``fold``'s chain once over its ``accumulator``, its other
+        operands taken from ``siblings`` as they are: the array at the
+        chain's top (the next fold's node, or the root)."""
+        node, _, chain, _ = fold
+        live = {
+            child: siblings[child]
+            for step in chain
+            for child in (step.lhs, step.rhs)
+            if child in siblings
+        }
+        live[node] = accumulator
+        _walk_steps(chain, live, views, stats, False)
+        return live[chain[-1].node]
 
     # ------------------------------------------------------------------
     def _load_leaf(
@@ -1469,7 +1453,7 @@ def compile_plan(
     # the sweep plan: the enumeration order (slowest-varying first — the
     # executors decode subtask ids in it), the open subtrees, which the
     # warm pass contracts once with the sliced indices reaching them left
-    # on as axes, and an inner fold
+    # on as axes, and the fold stack
     sweep = plan_folded_sweep(tree, enumerated)
     ordered, open_nodes = sweep.order, sweep.open_nodes
     levels = slice_dependency_levels(tree, ordered)
@@ -1604,14 +1588,8 @@ def compile_plan(
     del specs
 
     out_order = orders[tree.root]
-    fold = _fold_node(tree, dependent, levels, steps, ordered, open_nodes)
-    # (the inner node lies below the fold node: the walk down to the fold
-    # node stops above the first chain sibling a sliced index reaches)
-    inner_fold = sweep.inner_fold
     itemsize = _arena_dtype(derived_dtype if dtype is None else dtype).itemsize
-    arena_bytes, accumulator = _lay_out(
-        tree, steps, leaf_steps, fetches, fold, inner_fold and inner_fold[0], itemsize
-    )
+    arena_bytes, accumulator = _lay_out(tree, steps, leaf_steps, fetches, sweep.folds, itemsize)
     plan = CompiledPlan(
         tree=tree,
         enumerated=ordered,
@@ -1624,55 +1602,13 @@ def compile_plan(
         out_indices=out_order,
         out_sizes={ix: tree.index_size(ix) for ix in out_order},
         derived_dtype=derived_dtype,
-        fold_node=fold,
         arena_bytes=arena_bytes,
-        inner_fold=inner_fold,
-        accumulator=accumulator,
+        # (the outermost fold's accumulator is the sweep loops')
+        folds=[(node, level, accumulator if level else None) for node, level in sweep.folds],
     )
     if logger.isEnabledFor(logging.DEBUG):
         _log_sweep_plan(plan, open_nodes, carried, sweep)
     return plan
-
-
-def _fold_node(
-    tree: ContractionTree,
-    dependent: AbstractSet[int],
-    levels: Mapping[int, int],
-    steps: Sequence[ContractStep],
-    order: Sequence[str],
-    open_nodes: AbstractSet[int],
-) -> int:
-    """Where a sweep sums its contributions: the deepest node on the walk
-    down from the root that keeps every sliced index below it.
-
-    The walk steps from a dependent node into its one dependent child
-    while the other child is slice-invariant — a level-0 leaf or cached
-    subtree root, never an open root (its fetch changes with the sliced
-    indices) — so that summation commutes with every step left above.
-    It never steps into a leaf, nor into the first node whose output, as the
-    run's accumulator, would not fit beside the sweep's cache and retained
-    partials under the resident ceiling :func:`~repro.core.lifetime.plan_sweep`
-    chose them under (label order, nothing open; counted in elements, as
-    the planner counts them, so every engine folds at the same node).
-    """
-    num_leaves = tree.num_leaves
-    node, room = tree.root, None
-    while node in dependent and node >= num_leaves:
-        lhs, rhs = tree.children(node)  # type: ignore[misc]
-        if (lhs in dependent) == (rhs in dependent):
-            break
-        child, sibling = (lhs, rhs) if lhs in dependent else (rhs, lhs)
-        if levels[sibling] or child < num_leaves:
-            break
-        if room is None:
-            room = (
-                sweep_prediction(tree, sorted(order))[2]
-                - sweep_prediction(tree, order, open_nodes)[2]
-            )
-        if math.prod(steps[child - num_leaves].out_shape) > room:
-            break
-        node = child
-    return node
 
 
 def _stage_at_producers(
@@ -1746,19 +1682,28 @@ def _strided(load: Optional[LeafStep]) -> bool:
     return load is not None and any(axis != i for i, (_, axis) in enumerate(load.takes))
 
 
+def _fold_chains(tree: ContractionTree, nodes: Sequence[int]) -> List[FrozenSet[int]]:
+    """The chain of every fold of a stack, innermost first: the nodes above
+    its node up to the next fold's node, or to the root."""
+    chains = []
+    for node, top in zip(nodes, (*nodes[1:], tree.root)):
+        path = tree.path_to_root(node)
+        chains.append(frozenset(path[1 : path.index(top) + 1]))
+    return chains
+
+
 def _lay_out(
     tree: ContractionTree,
     steps: List[ContractStep],
     leaf_steps: List[LeafStep],
     fetches: Sequence[LeafStep],
-    fold: int,
-    inner: Optional[int],
+    folds: Sequence[Tuple[int, int]],
     itemsize: int,
 ) -> Tuple[int, Optional[Region]]:
     """Give every buffer a cached subtask writes an arena offset: the arena's
     bytes and the block accumulator's region.
 
-    Walks the dependent part below the tail as the executor does — the
+    Walks the dependent part below the fold stack as the executor does — the
     loads of level ``>= 1``, then the steps — on a clock that ticks per
     operand copy, GEMM and staging, freeing exactly as :func:`_walk_steps`
     frees.  A region is born at the tick that writes it and dies at its
@@ -1770,8 +1715,8 @@ def _lay_out(
     What the walk leaves alive is the fold node's array, which lives to the
     end of the subtask, and the retained partials, pinned for the whole
     sweep: a resumed subtask re-runs a suffix of the walk, whose steps must
-    not overwrite them.  With an ``inner`` fold node the walk ends there
-    and the flush follows on the same clock: the chain up to the fold node
+    not overwrite them.  With an inner fold the walk ends at its node and
+    the flush follows on the same clock: the chain up to the fold node
     over the block accumulator, pinned like a retained partial, and the
     chain siblings, which it reads as they are.  The inner node's array
     lives to the flush's end: a resumed subtask that changes nothing below
@@ -1783,8 +1728,9 @@ def _lay_out(
     layout never depends on hash order.  Edits ``steps`` and ``leaf_steps``
     in place (their ``regions`` / ``region``).
     """
-    tail = frozenset(tree.path_to_root(fold)[1:])
-    chain = frozenset(tree.path_to_root(inner)[1:]) - tail if inner is not None else frozenset()
+    fold = folds[-1][0]
+    chains = _fold_chains(tree, [node for node, _ in folds])
+    folded = frozenset().union(*chains)
     loads = {ls.node: ls for ls in (*leaf_steps, *fetches) if ls.level}
     #: per region ``[(list, position, index), birth, death, elements]``:
     #: list 0 is ``leaf_steps`` (index 0), list 1 ``steps`` (the index into
@@ -1832,9 +1778,10 @@ def _lay_out(
                 holder[ls.node] = born((0, position, 0), 0, math.prod(ls.stage[1]))
     tick = 0
     for position, step in enumerate(steps):
-        if step.level and step.node not in tail and step.node not in chain:
+        if step.level and step.node not in folded:
             run(position, step, step.free_cached)
-    if inner is not None:
+    if len(folds) > 1:
+        inner, chain = folds[0][0], chains[0]
         # the inner node's array is added into the accumulator, and read
         # again by a later subtask that changes nothing below it: it lives
         # through the flush, whose buffers must not take its bytes
@@ -1932,16 +1879,18 @@ def _log_sweep_plan(
     sweep: SweepPlan,
 ) -> None:
     """The per-compile ``DEBUG`` line: the chosen sweep beside label order,
-    and the inner fold taken — or the product of the candidate refused, or
-    the least lower bound when none was worth searching."""
+    and the fold stack — the inner fold taken, or the product of the
+    candidate refused, or the least lower bound when none was worth
+    searching."""
     tree = plan.tree
+    *inner, (fold, _, tail, _) = plan._folds
     cost = plan.sweep_cost()
     per_level: Dict[int, int] = {}
     for step in plan.contract_steps:
         if step.level:
             per_level[step.level] = per_level.get(step.level, 0) + 1
     itemsize = np.dtype(plan.dtype or np.complex128).itemsize
-    label_steps, label_work, label_held = sweep_prediction(tree, sorted(plan.sliced))
+    label_steps, label_work, label_held = sweep.ceiling
     threshold = max(
         (math.prod(map(tree.index_size, tree.node_indices(n))) for n in carried),
         default=0,
@@ -1974,14 +1923,14 @@ def _log_sweep_plan(
             for step, count in zip(plan.contract_steps, plan._step_runs())
             if step.shapes is not None
         ),
-        plan.fold_node,
+        fold,
         cost.fold_bytes,
-        len(plan._tail),
+        len(tail),
         (
-            f"inner fold at node {plan.inner_fold[0]} over positions > "
-            f"{plan.inner_fold[1]} ({plan._inner[2][1] * itemsize} "
+            f"inner fold at node {inner[0][0]} over positions > "
+            f"{inner[0][1]} ({inner[0][3][1] * itemsize} "
             f"bytes, product {sweep.product:.3g})"
-            if plan.inner_fold
+            if inner
             else "no inner fold"
             + (
                 ""

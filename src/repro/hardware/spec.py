@@ -79,11 +79,6 @@ class SunwaySpec:
         return self.cgs_per_node * (self.cpes_per_cg + self.mpes_per_cg)
 
     @property
-    def cpes_per_node(self) -> int:
-        """Computing cores per node."""
-        return self.cgs_per_node * self.cpes_per_cg
-
-    @property
     def main_memory_per_node_bytes(self) -> int:
         """Main memory of a node when the 6 CGs are united (96 GB)."""
         return self.cgs_per_node * self.main_memory_per_cg_bytes

@@ -46,11 +46,6 @@ class AnnealResult:
     accepted_moves: int
     attempted_moves: int
 
-    @property
-    def improvement_factor(self) -> float:
-        """Ratio of initial to final total cost (>1 means improvement)."""
-        return 10.0 ** (self.initial_log10_cost - self.final_log10_cost)
-
 
 #: what a rotation changes: the inner node's boundary mask, counts and cost, the outer node's cost
 _Move = Tuple[int, Dict[int, int], float, float]

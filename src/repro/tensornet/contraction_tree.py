@@ -458,10 +458,6 @@ class ContractionTree:
             path.append(current)
         return path
 
-    def linear_order(self) -> List[int]:
-        """Internal nodes in a valid execution order (creation order)."""
-        return list(self.internal_nodes())
-
     def subtree_cost(self, node: int, sliced: AbstractSet[str] = frozenset()) -> float:
         """Total single-subtask cost of the subtree rooted at ``node``."""
         if self.is_leaf(node):

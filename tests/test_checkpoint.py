@@ -1030,7 +1030,7 @@ class TestFoldLedgers:
     fingerprint covers the fold, and a slot of the wrong shape never folds."""
 
     def test_a_ledger_written_under_another_fold_starts_clean(self, tmp_path, monkeypatch):
-        from repro.execution import plan as plan_module
+        from repro.core import lifetime as lifetime_module
 
         network, tree, sliced = _folding_case()
         uninterrupted = SlicedExecutor(network, tree, sliced)
@@ -1041,7 +1041,7 @@ class TestFoldLedgers:
         half = uninterrupted.num_subtasks // 2
         with monkeypatch.context() as patch:
             # a build that folds at the root: its slots hold root scalars
-            patch.setattr(plan_module, "_fold_node", lambda tree, *_: tree.root)
+            patch.setattr(lifetime_module, "_outer_fold", lambda tree, *_: tree.root)
             root_fold = SlicedExecutor(
                 network,
                 tree,

@@ -814,13 +814,14 @@ class TestFold:
         the tree, never a set of labels."""
         import logging
 
-        from repro.core.lifetime import sweep_prediction
+        from repro.core.lifetime import plan_folded_sweep, sweep_prediction
 
         planned = _bench_plan(*shape)
         tree = planned.tree
         with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
             plan = compile_plan(planned.network, tree, frozenset(planned.slicing.sliced))
         assert plan.fold_node == fold and tree.path_to_root(fold)[1:] == tail
+        assert plan_folded_sweep(tree, planned.slicing.sliced).folds == ((fold, 0),)
         cost = plan.sweep_cost()
         assert cost.fold_bytes == fold_bytes == 16 * math.prod(plan.contribution_shape)
         # every tail step's other operand is a cache entry no sliced index reaches
@@ -841,9 +842,12 @@ class TestFold:
         """Its root's other operand is a level-5 partial: nothing to fold past
         at the root, so the batch folds inside (TestInnerFold) and its only
         accumulator is the block's."""
+        from repro.core.lifetime import plan_folded_sweep
+
         network, tree, sliced = _sampling_batch()
         plan = compile_plan(network, tree, sliced)
         assert plan.fold_node == tree.root
+        assert tree.root == 102 and plan_folded_sweep(tree, sliced).folds == ((87, 5), (102, 0))
         assert plan.sweep_cost().fold_bytes == 131_072
         assert plan.contribution_shape == tuple(plan.out_sizes[ix] for ix in plan.out_indices)
 
@@ -910,7 +914,7 @@ class TestInnerFold:
         planned = _bench_plan(*shape)
         tree, sliced = planned.tree, planned.slicing.sliced
         sweep = plan_folded_sweep(tree, sliced)
-        assert sweep.inner_fold is None
+        assert sweep.folds[:-1] == ()
         # (small's one candidate is refused on its order-free bound, 0.725 —
         # the search would price it at 1.93; large has none)
         assert sweep.product is None or sweep.bound and 0.72 < sweep.product < 0.73
@@ -936,7 +940,8 @@ class TestInnerFold:
         tn, tree, sliced = golden_case(seed)
         sweep = plan_folded_sweep(tree, sliced)
         # (refused on its order-free bound, the product itself: no search)
-        assert sweep.inner_fold is None and sweep.bound and sweep.product > 0.5
+        assert sweep.folds[:-1] == () and sweep.bound and sweep.product > 0.5
+        assert sweep.folds == ((8, 0),)
         executor = SlicedExecutor(tn, tree, sliced)
         plan = executor.plan
         assert plan.sliced == ("q1_3", "q1_4", "q2_5") and not plan.fetches
@@ -967,7 +972,7 @@ class TestInnerFold:
         monkeypatch.setattr(lifetime, "INNER_FOLD_SUBSETS", 2**len(sliced))
         del searches[:]
         assert lifetime.plan_folded_sweep(tree, sliced) == full
-        assert full.inner_fold == (87, 5)
+        assert full.folds[0] == (87, 5)
         assert len(searches) - thresholds == 1
 
     def test_a_block_is_one_subtask_to_execute_and_run_subtask(self):
@@ -1048,10 +1053,11 @@ def _arena_layout(plan):
         node = plan.inner_fold[0]
         walked = holds.pop(node, None)
         tick += 1
-        write("accumulator", plan._inner[2])
+        _, _, flush, accumulator = plan._folds[0]
+        write("accumulator", accumulator)
         holds[node] = "accumulator"
-        chain = {step.node for step in plan._flush}
-        for step in plan._flush:
+        chain = {step.node for step in flush}
+        for step in flush:
             walk(step, [c for c in (step.lhs, step.rhs) if c in chain])
     if walked is not None:
         spans[walked][1] = tick + 1

@@ -74,7 +74,6 @@ from repro.execution import (
     compile_plan,
     contract_tree,
 )
-from repro.execution import plan as plan_module
 from repro.paths import (
     CommunityOptimizer,
     GreedyOptimizer,
@@ -748,7 +747,7 @@ class TestSweepPlannerProperties:
             priced = lifetime_module.plan_folded_sweep(tree, labels)
         assert not priced.bound
         if sweep.bound:
-            assert sweep.inner_fold is None and sweep.product > lifetime_module.INNER_FOLD_PRODUCT
+            assert sweep.folds[:-1] == () and sweep.product > lifetime_module.INNER_FOLD_PRODUCT
             assert priced.product is None or priced.product >= sweep.product
         elif priced.product is not None and priced.product <= lifetime_module.INNER_FOLD_PRODUCT:
             assert sweep == priced
@@ -828,6 +827,8 @@ class TestFoldProperties:
                 serial = SlicedExecutor(network, tree, sliced)
                 plan = serial.plan
                 fold = plan.fold_node
+                stack = ((plan.inner_fold,) if plan.inner_fold else ()) + ((fold, 0),)
+                assert lifetime_module.plan_folded_sweep(tree, sliced).folds == stack
                 tail = tree.path_to_root(fold)[1:]
                 assert tail and plan.sweep_cost().fold_bytes
                 aside = []
@@ -917,7 +918,7 @@ class TestFoldProperties:
             network, tree, sliced = _folding_case(seed, num_sliced)
             folded = SlicedExecutor(network, tree, sliced)
             with monkeypatch.context() as patch:
-                patch.setattr(plan_module, "_fold_node", lambda tree, *_: tree.root)
+                patch.setattr(lifetime_module, "_outer_fold", lambda tree, *_: tree.root)
                 at_root = SlicedExecutor(network, tree, sliced)
             assert folded.plan.fold_node != tree.root == at_root.plan.fold_node
             for subtask_id in range(folded.num_subtasks):
@@ -985,6 +986,8 @@ class TestInnerFoldProperties:
                 serial = SlicedExecutor(network, tree, sliced)
                 plan = serial.plan
                 node, level = plan.inner_fold
+                stack = ((node, level), (plan.fold_node, 0))
+                assert lifetime_module.plan_folded_sweep(tree, sliced).folds == stack
                 path = tree.path_to_root(node)
                 chain = path[1 : path.index(plan.fold_node) + 1]
                 steps = {step.node: step for step in plan.contract_steps}
