@@ -3,11 +3,10 @@
 Measures the wall-clock effect of the plan compiler and of the backend
 choice on a numerically contractable Sycamore-style grid RQC (the 53-qubit
 benchmark workload of ``conftest.py`` is planning-only; this one is sized
-so every variant runs in seconds).  Six executors contract the *same*
+so every variant runs in seconds).  Five executors contract the *same*
 sliced workload:
 
 * ``reference`` — the seed path: einsum walker, re-planned per subtask;
-* ``compiled``  — compiled tensordot plan, no intermediate reuse;
 * ``cached``    — compiled plan + slice-invariant intermediate caching
                   (serial backend: the baseline scheduling substrate);
 * ``batched``   — cached plan sweeping one sliced index as a batch axis;
@@ -123,7 +122,6 @@ def test_exec_plan_speedup(exec_workload, record_result):
 
     variants = {
         "reference": lambda: SlicedExecutor(network, tree, sliced, mode="reference"),
-        "compiled": lambda: SlicedExecutor(network, tree, sliced, cache_invariant=False),
         "cached": lambda: SlicedExecutor(network, tree, sliced),
         "batched": lambda: SlicedExecutor(network, tree, sliced, batch_indices="auto"),
         "threads": lambda: SlicedExecutor(
@@ -350,10 +348,11 @@ def test_fault_overhead(exec_workload, record_result):
     # sides share one plan, one session and one set of published segments
     plan = executor.plan
     assignments = [executor.assignment(i) for i in range(executor.num_subtasks)]
+    cache = plan.new_cache()
 
     def run(policy):
         result = backend.run_subtasks(
-            plan, network, assignments, stats=executor.stats, policy=policy
+            plan, network, assignments, cache, stats=executor.stats, policy=policy
         )
         return complex(result.require_data().reshape(()))
 

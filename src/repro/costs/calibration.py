@@ -124,30 +124,21 @@ class CalibrationRecord:
         collected on (they supply the flops and step count the samples are
         regressed against).
 
-        The flops/steps pairing follows what the samples measured: a
-        cache-warm run (``stats.cache_hits > 0`` — every subtask was
-        served frontier intermediates) timed only the slice-dependent
-        work, while an uncached run (``cache_invariant=False``) timed the
-        full Eq. 1 work; mislabelling either would bias the fitted
-        throughput by the workload's invariant fraction.
+        Every compiled run serves its subtasks the frontier intermediates
+        from a warm invariant cache, so the samples time the
+        slice-dependent work only, and that is what they are paired with.
         """
         if not stats.subtask_seconds:
             raise CostModelError(
                 "stats carry no subtask timings; run the workload first"
             )
-        if stats.cache_hits > 0:
-            subtask_flops = CostModel.dependent_subtask_flops(tree, sliced)
-            num_steps = CostModel.dependent_step_count(tree, sliced)
-        else:
-            subtask_flops = CostModel.subtask_flops(tree, sliced)
-            num_steps = len(tree.internal_nodes())
         timed = getattr(stats, "timed_subtasks", 0) or len(stats.subtask_seconds)
         comms_seconds = float(getattr(stats, "comms_seconds", 0.0))
         comms_bytes = float(getattr(stats, "comms_bytes", 0))
         return cls(
             backend=backend,
-            subtask_flops=subtask_flops,
-            num_steps=num_steps,
+            subtask_flops=CostModel.dependent_subtask_flops(tree, sliced),
+            num_steps=CostModel.dependent_step_count(tree, sliced),
             seconds=tuple(stats.subtask_seconds),
             comms_seconds_per_subtask=comms_seconds / timed if timed else 0.0,
             payload_bytes_per_subtask=comms_bytes / timed if timed else 0.0,
@@ -386,19 +377,11 @@ def calibration_payload(
     per-stage wall times, alongside the workload's *dependent* (cache-warm)
     flops and step count — the work the samples actually cover, and
     exactly what :meth:`CalibratedCostModel.from_bench_json` consumes.
-    Uncached runs are skipped (their samples time the full Eq. 1 work, which the
-    section's single dependent-flops label cannot represent).
     """
-    dependent_flops = CostModel.dependent_subtask_flops(tree, sliced)
-    full_flops = CostModel.subtask_flops(tree, sliced)
     backends: Dict[str, Dict] = {}
     for name, stats in stats_by_backend.items():
         samples = list(stats.subtask_seconds)
         if not samples:
-            continue
-        if stats.cache_hits == 0 and dependent_flops != full_flops:
-            # uncached run on a workload with an invariant fraction:
-            # mislabelled samples would bias the fit
             continue
         timed = getattr(stats, "timed_subtasks", 0) or len(samples)
         comms_seconds = float(getattr(stats, "comms_seconds", 0.0))
@@ -413,7 +396,7 @@ def calibration_payload(
             "payload_bytes_per_subtask": comms_bytes / timed if timed else 0.0,
         }
     return {
-        "subtask_flops": dependent_flops,
+        "subtask_flops": CostModel.dependent_subtask_flops(tree, sliced),
         "num_steps": CostModel.dependent_step_count(tree, sliced),
         "backends": backends,
     }

@@ -5,7 +5,7 @@ Executor architecture
 Numerical contraction has two paths that are cross-checked against each
 other (and, for small circuits, against the dense state-vector simulator):
 
-* **Reference path** — ``TreeExecutor(compiled=False)`` /
+* **Reference path** — ``TreeExecutor`` /
   ``SlicedExecutor(mode="reference")``: a deliberately simple einsum walker
   that re-builds spec strings, re-slices every leaf and re-contracts the
   whole tree for every call.  Slow, obviously correct, never optimized —
@@ -14,18 +14,17 @@ other (and, for small circuits, against the dense state-vector simulator):
   contraction tree once into a :class:`CompiledPlan`: one step list of
   explicit GEMM layouts (with a precompiled einsum fallback for hyper
   indices), per-leaf slicing instructions, a lifetime-derived free/reuse
-  schedule and an arena layout (every buffer a cached subtask writes has a
+  schedule and an arena layout (every buffer a subtask writes has a
   compile-time offset in the one per-worker arena a :class:`StemSlots`
   holds, sized :attr:`CompiledPlan.arena_bytes`).
-  One Python walker executes that list everywhere — cache warming, cached
-  and uncached subtasks, with or without an arena.  On top of the plan,
-  :class:`SlicedExecutor` adds
-
-  - *slice-invariant caching*: intermediates whose subtree no sliced
-    edge's lifetime reaches are contracted once and shared across all
-    ``prod w(e)`` subtasks,
-  - *pluggable scheduling* (``backend=``): the subtasks run through an
-    :class:`ExecutionBackend` (see the guide below).
+  One Python walker executes that list everywhere, on one path: warm the
+  invariant cache once (intermediates whose subtree no sliced edge's
+  lifetime reaches), resume the dependent part per subtask, flush the
+  fold stack.  ``contract_tree`` runs a plan once over a cache of its
+  own; on top of the plan, :class:`SlicedExecutor` shares one cache
+  across all ``prod w(e)`` subtasks and adds *pluggable scheduling*
+  (``backend=``): the subtasks run through an :class:`ExecutionBackend`
+  (see the guide below).
 
 Backend selection guide
 -----------------------
@@ -128,13 +127,12 @@ integrity is end-to-end: per-contribution CRC-32s travel with every
 chunk, and a corrupted payload (:exc:`ChunkIntegrityError`) is retried
 like any other chunk fault, never persisted.
 
-``PlanStats`` instruments both cached and uncached execution with per-node
-step counters (plus a slot-write counter) so tests and
-benchmarks can assert how often each contraction actually ran — and with
-per-subtask / per-stage wall times, which are the measured input of the
-calibrated cost model (:mod:`repro.costs`): fit one with
-``SlicedExecutor.calibration_record()`` →
-``CalibratedCostModel.fit(...)``, or from the bench JSON via
+``PlanStats`` instruments execution with per-node step counters (plus a
+slot-write counter) so tests and benchmarks can assert how often each
+contraction actually ran — and with per-subtask / per-stage wall times,
+which are the measured input of the calibrated cost model
+(:mod:`repro.costs`): fit one with ``SlicedExecutor.calibration_record()``
+→ ``CalibratedCostModel.fit(...)``, or from the bench JSON via
 ``CalibratedCostModel.from_bench_json``.
 """
 

@@ -114,7 +114,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Shared validation (SlicedExecutor, CorrelatedSampler, TreeExecutor)
+# Shared validation (SlicedExecutor, CorrelatedSampler)
 # ----------------------------------------------------------------------
 def _backend_from_spec(spec: str) -> "ExecutionBackend":
     """Build a backend from a string spec.
@@ -194,7 +194,7 @@ def _owned_contribution(data: np.ndarray) -> np.ndarray:
 def execute_chunk(
     plan: CompiledPlan,
     network: Union[TensorNetwork, "_LeafStore"],
-    cache: Optional[Dict[int, np.ndarray]],
+    cache: Dict[int, np.ndarray],
     slots: StemSlots,
     items: Chunk,
 ) -> ChunkResult:
@@ -228,19 +228,37 @@ def _serial_accumulate(
     plan: CompiledPlan,
     network: TensorNetwork,
     assignments: Sequence[Mapping[str, int]],
-    cache: Optional[Dict[int, np.ndarray]],
+    cache: Dict[int, np.ndarray],
     stats: Optional[PlanStats],
     slots: StemSlots,
+    checkpoint: Optional[CheckpointJob] = None,
+    injector: Optional[FaultInjector] = None,
 ) -> np.ndarray:
     """In-order, in-process accumulation — the reduction all backends match.
 
     The loop is one resumed sweep on ``slots`` (see
-    :meth:`~repro.execution.plan.CompiledPlan.execute`).
+    :meth:`~repro.execution.plan.CompiledPlan.execute`).  With a
+    ``checkpoint`` ledger a slot is one block: slots persisted by a
+    previous (interrupted) run are folded from the ledger instead of
+    re-executed — skipped slots are just gaps in the resumed sweep, which
+    compares assignments by value — and freshly computed slots are
+    recorded *before* being folded.  Position order is the same either
+    way, so the result is bit-identical to the ledger-free loop.  Each
+    computed slot is one harvest ordinal for an armed injector's
+    coordinator-side faults.
     """
     accumulated: Optional[np.ndarray] = None
     with slots.sweep():
-        for block in plan.blocks(assignments):
-            data = plan.execute_block(network, block, cache, stats, slots)
+        for position, block in enumerate(plan.blocks(assignments)):
+            data = None if checkpoint is None else checkpoint.loaded.get(position)
+            if data is None:
+                data = plan.execute_block(network, block, cache, stats, slots)
+                if checkpoint is not None:
+                    checkpoint.record(position, data)
+                    if injector is not None:
+                        apply_coordinator_directive(
+                            injector.coordinator_directive_for_next_harvest()
+                        )
             if accumulated is None:
                 # the first contribution may alias the invariant cache or the
                 # arena, both overwritten by later subtasks, so take an owned
@@ -248,50 +266,6 @@ def _serial_accumulate(
                 accumulated = _owned_contribution(data)
             else:
                 accumulated += data
-    assert accumulated is not None
-    return accumulated
-
-
-def _serial_accumulate_checkpointed(
-    plan: CompiledPlan,
-    network: TensorNetwork,
-    assignments: Sequence[Mapping[str, int]],
-    cache: Optional[Dict[int, np.ndarray]],
-    stats: Optional[PlanStats],
-    slots: StemSlots,
-    checkpoint: CheckpointJob,
-    injector: Optional[FaultInjector] = None,
-) -> np.ndarray:
-    """Ledger-armed variant of :func:`_serial_accumulate`.
-
-    A slot is one block.  Slots persisted by a previous (interrupted) run
-    are folded from the ledger instead of re-executed; freshly computed
-    slots are recorded *before* being folded (the fold mutates the running
-    buffer in place).
-    Position order is unchanged, so the result stays bit-identical to the
-    plain serial loop — skipped slots are just gaps in the resumed sweep,
-    which compares assignments by value.  Each computed slot is one harvest
-    ordinal for an armed injector's coordinator-side faults.
-    """
-    accumulated: Optional[np.ndarray] = None
-    with slots.sweep():
-        for position, block in enumerate(plan.blocks(assignments)):
-            contribution = checkpoint.loaded.get(position)
-            if contribution is None:
-                contribution = _owned_contribution(
-                    plan.execute_block(network, block, cache, stats, slots)
-                )
-                checkpoint.record(position, contribution)
-                if injector is not None:
-                    apply_coordinator_directive(
-                        injector.coordinator_directive_for_next_harvest()
-                    )
-            if accumulated is None:
-                # both branches yield an owned buffer (loaded slots are
-                # fresh copies off disk), safe to mutate in the fold
-                accumulated = contribution
-            else:
-                accumulated += contribution
     assert accumulated is not None
     return accumulated
 
@@ -388,14 +362,15 @@ class ExecutionBackend:
         """Open (or reuse) this backend's persistent execution session.
 
         The in-process backends hold no resident scheduling state, so the
-        base implementation pre-warms the invariant cache (when a plan and
-        network are supplied) and returns a :class:`NullExecutionSession`.
+        base implementation pre-warms the invariant cache (when a plan,
+        its network and its cache are supplied) and returns a
+        :class:`NullExecutionSession`.
         :class:`SharedMemoryProcessPoolBackend` overrides this with a real
         :class:`ExecutionSession` that keeps the process pool and the
         published shared-memory segments alive across ``run_subtasks``
         calls.
         """
-        if plan is not None and network is not None:
+        if plan is not None:
             self.warm(plan, network, cache, stats)
         return NullExecutionSession(self)
 
@@ -416,7 +391,7 @@ class ExecutionBackend:
         plan: CompiledPlan,
         network: TensorNetwork,
         assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
+        cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats] = None,
         policy: Optional[FaultPolicy] = None,
         injector: Optional[FaultInjector] = None,
@@ -433,7 +408,7 @@ class ExecutionBackend:
         assignments:
             Slicing assignments, one per subtask, in accumulation order.
         cache:
-            Optional slice-invariant cache.  Warmed here (in the caller's
+            The slice-invariant cache.  Warmed here (in the caller's
             process) if cold, so pool workers always receive it warm and
             every invariant contraction still runs exactly once.
         stats:
@@ -460,11 +435,11 @@ class ExecutionBackend:
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats],
     ) -> None:
         """Warm the invariant cache once, in the calling process."""
-        if cache is not None and not plan.cache_is_warm(cache):
+        if not plan.cache_is_warm(cache):
             plan.warm_cache(network, cache, stats)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -484,7 +459,7 @@ class SerialBackend(ExecutionBackend):
         plan: CompiledPlan,
         network: TensorNetwork,
         assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
+        cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats] = None,
         policy: Optional[FaultPolicy] = None,
         injector: Optional[FaultInjector] = None,
@@ -498,13 +473,9 @@ class SerialBackend(ExecutionBackend):
         self.warm(plan, network, cache, stats)
         if checkpoint is not None:
             checkpoint.require_slot_shape(plan.contribution_shape)
-            accumulated = _serial_accumulate_checkpointed(
-                plan, network, assignments, cache, stats, self._slots, checkpoint, injector
-            )
-        else:
-            accumulated = _serial_accumulate(
-                plan, network, assignments, cache, stats, self._slots
-            )
+        accumulated = _serial_accumulate(
+            plan, network, assignments, cache, stats, self._slots, checkpoint, injector
+        )
         return _result_tensor(plan, plan.finish(network, accumulated, cache, stats))
 
 
@@ -525,7 +496,7 @@ class LocalTransport(ChunkTransport):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
         workers: int,
     ) -> None:
         self.name = "threads" if workers else "serial"
@@ -628,9 +599,10 @@ class _PooledBackend(ExecutionBackend):
     ):
         """Open (or reuse) the backend's persistent session.
 
-        With ``plan`` and ``network`` supplied the session is eagerly
-        warmed: the invariant cache is computed, the state published and
-        the workers brought up before the first ``run_subtasks`` call.
+        With ``plan``, ``network`` and ``cache`` supplied the session is
+        eagerly warmed: the invariant cache is computed, the state
+        published and the workers brought up before the first
+        ``run_subtasks`` call.
         Without them the session starts idle and materializes on first
         use — the form long-lived callers that build their plan later
         (e.g. a sampling run) use.
@@ -641,8 +613,8 @@ class _PooledBackend(ExecutionBackend):
         if session is None or session.closed:
             session = self._session = self.session_type(self)
         if plan is not None:
-            if network is None:
-                raise ValueError("session(plan=...) also requires network=")
+            if network is None or cache is None:
+                raise ValueError("session(plan=...) also requires network= and cache=")
             self.warm(plan, network, cache, stats)
             session.ensure(plan, network, cache)
         return session
@@ -665,7 +637,7 @@ class _PooledBackend(ExecutionBackend):
         plan: CompiledPlan,
         network: TensorNetwork,
         assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
+        cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats] = None,
         policy: Optional[FaultPolicy] = None,
         injector: Optional[FaultInjector] = None,
@@ -765,7 +737,7 @@ class _WorkerState:
         generation: int,
         plan: CompiledPlan,
         network: _LeafStore,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
         segments: List[shared_memory.SharedMemory],
     ) -> None:
         self.generation = generation
@@ -786,7 +758,7 @@ class _WorkerState:
         better leaked than crashed over during teardown).
         """
         self.network = None
-        self.cache = None
+        self.cache = {}
         segments, self.segments = self.segments, []
         for segment in segments:
             try:
@@ -831,11 +803,7 @@ def _attach_state(payload: Tuple) -> "_WorkerState":
             tensors[tid] = Tensor(
                 indices, data=_shm_view((name, shape, dtype), segments)
             )
-        cache: Optional[Dict[int, np.ndarray]] = None
-        if cache_meta is not None:
-            cache = {
-                node: _shm_view(meta, segments) for node, meta in cache_meta.items()
-            }
+        cache = {node: _shm_view(meta, segments) for node, meta in cache_meta.items()}
     except BaseException:
         for segment in segments:
             try:
@@ -1078,16 +1046,12 @@ class _ResidentSession(ChunkTransport):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
     ) -> Tuple[bool, bool]:
         """Take the new snapshot: ``(plan changed, plan or data changed)``."""
         leaf_tensors = tuple(network.tensor(ls.tid) for ls in plan.leaf_steps)
-        items = sorted(cache.items()) if cache is not None else []
-        cache_token = (
-            None
-            if cache is None
-            else (id(cache), tuple((node, id(buffer)) for node, buffer in items))
-        )
+        items = sorted(cache.items())
+        cache_token = (id(cache), tuple((node, id(buffer)) for node, buffer in items))
         plan_changed = plan is not self._plan
         changed = (
             plan_changed
@@ -1111,7 +1075,7 @@ class _ResidentSession(ChunkTransport):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]] = None,
+        cache: Dict[int, np.ndarray],
     ) -> None:
         """Bring the resident state up to date for ``plan``/``network``.
 
@@ -1136,7 +1100,7 @@ class _ResidentSession(ChunkTransport):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
     ) -> None:
         raise NotImplementedError
 
@@ -1144,7 +1108,7 @@ class _ResidentSession(ChunkTransport):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
         drive: Callable[[ChunkTransport], List[Optional[np.ndarray]]],
     ) -> List[Optional[np.ndarray]]:
         """One run over the resident workers: ``drive(self)``'s ordered slots.
@@ -1232,7 +1196,7 @@ class ExecutionSession(_ResidentSession):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]] = None,
+        cache: Dict[int, np.ndarray],
     ) -> None:
         _, changed = self._refingerprint(plan, network, cache)
         if self._resources.pool is not None and not changed:
@@ -1270,8 +1234,8 @@ class ExecutionSession(_ResidentSession):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
-    ) -> Tuple[Dict, Optional[Dict]]:
+        cache: Dict[int, np.ndarray],
+    ) -> Tuple[Dict, Dict]:
         """Copy the needed buffers into fresh shared-memory segments."""
         segments = self._resources.segments
 
@@ -1282,18 +1246,13 @@ class ExecutionSession(_ResidentSession):
             np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)[...] = array
             return segment.name, array.shape, array.dtype.str
 
-        # ship only what the workers will read: the slice-dependent leaves
-        # when the invariant cache covers the rest, every leaf otherwise
-        if cache is not None:
-            needed = [ls for ls in plan.leaf_steps if ls.node in plan.dependent_nodes]
-            cache_meta: Optional[Dict[int, Tuple[str, Tuple[int, ...], str]]] = {
-                node: publish(buffer) for node, buffer in cache.items()
-            }
-        else:
-            needed = list(plan.leaf_steps)
-            cache_meta = None
+        # ship only what the workers will read: the warm invariant cache
+        # and the slice-dependent leaves it does not cover
+        cache_meta = {node: publish(buffer) for node, buffer in cache.items()}
         leaf_meta = {}
-        for ls in needed:
+        for ls in plan.leaf_steps:
+            if ls.node not in plan.dependent_nodes:
+                continue
             tensor = network.tensor(ls.tid)
             name, shape, dtype = publish(tensor.require_data())
             leaf_meta[ls.tid] = (name, shape, dtype, tensor.indices)

@@ -1,21 +1,20 @@
 """Numerical execution of a contraction tree on a concrete tensor network.
 
-Two execution paths live here:
+Two front doors live here:
 
-* the **reference** einsum walker (``compiled=False``) — walks the tree in
+* :func:`contract_tree` compiles the tree into a
+  :class:`~repro.execution.plan.CompiledPlan` (:mod:`repro.execution.plan`:
+  ``tensordot`` axis pairs and leaf slicing instructions) and runs it once,
+  stateless — the invariant cache it warms is the call's own.
+* :class:`TreeExecutor` is the reference einsum walker: it walks the tree in
   creation order, building an einsum spec string for every pair
   contraction.  It is deliberately simple; correctness of every planning
   component in this package is ultimately checked against it (and it, in
   turn, against the dense state-vector simulator).
-* the **compiled** path (the default) — delegates to
-  :mod:`repro.execution.plan`, which compiles the tree once into
-  ``tensordot`` axis pairs and leaf slicing instructions and reuses the
-  plan across calls with the same tree and fixed-index set.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -23,60 +22,24 @@ import numpy as np
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
-from .backend import ExecutionBackend, validate_execution_args
-from .plan import CompiledPlan, compile_plan
+from .plan import compile_plan
 
 __all__ = ["TreeExecutor", "contract_tree"]
 
 
 class TreeExecutor:
-    """Executes a :class:`ContractionTree` over a concrete network.
+    """The reference einsum walker over a :class:`ContractionTree`.
 
     Parameters
     ----------
     dtype:
         Optional dtype override for the intermediate tensors (the paper's
         production runs use single-precision complex; tests use double).
-    compiled:
-        Use the compiled ``tensordot`` plan (default).  ``False`` selects
-        the reference einsum walker that everything is cross-checked
-        against.
-    backend:
-        Optional :class:`~repro.execution.backend.ExecutionBackend` the
-        single contraction is routed through (a one-assignment subtask
-        run); ``None`` executes the plan inline.  Note that one-assignment
-        runs always take every backend's in-process serial path, so a
-        resident pool session brings no benefit here — the parameter
-        exists for API uniformity (one backend object threaded through a
-        mixed pipeline); :meth:`close` releases whatever resident state
-        that backend holds.  Compiled mode only.
     """
 
-    #: Maximum number of compiled plans memoized per executor instance.
-    _PLAN_MEMO_SIZE = 8
-
-    def __init__(
-        self,
-        dtype: Optional[np.dtype] = None,
-        compiled: bool = True,
-        backend: Optional[ExecutionBackend] = None,
-    ) -> None:
+    def __init__(self, dtype: Optional[np.dtype] = None) -> None:
         self._dtype = np.dtype(dtype) if dtype is not None else None
-        self._compiled = bool(compiled)
-        validate_execution_args(
-            "compiled" if self._compiled else "reference", backend=backend
-        )
-        self._backend = backend
-        # memo keyed on object ids; the network is held through a weakref
-        # with an eviction callback, so a dropped network's (potentially
-        # huge) tensor data is not pinned and a recycled id cannot collide
-        # with a stale entry.  The tree is pinned by the plan itself.
-        self._plans: Dict[
-            Tuple[int, int, frozenset],
-            Tuple["weakref.ref[TensorNetwork]", CompiledPlan],
-        ] = {}
 
-    # ------------------------------------------------------------------
     def execute(
         self,
         network: TensorNetwork,
@@ -98,54 +61,6 @@ class TreeExecutor:
             that carries them before contraction.
         """
         fixed_indices = fixed_indices or {}
-        if self._compiled:
-            plan = self._plan_for(network, tree, frozenset(fixed_indices))
-            if self._backend is not None:
-                result = self._backend.run_subtasks(plan, network, [fixed_indices])
-                assert result is not None
-                return result
-            return plan.execute(network, fixed_indices)
-        return self._execute_reference(network, tree, fixed_indices)
-
-    def _plan_for(
-        self, network: TensorNetwork, tree: ContractionTree, sliced: frozenset
-    ) -> CompiledPlan:
-        key = (id(network), id(tree), sliced)
-        hit = self._plans.get(key)
-        if hit is not None:
-            network_ref, plan = hit
-            # the network is mutable: drop the memoized plan if a leaf
-            # tensor's axis order changed since compilation
-            if network_ref() is network and plan.matches_network(network):
-                return plan
-            del self._plans[key]
-        plan = compile_plan(network, tree, sliced, dtype=self._dtype)
-        if len(self._plans) >= self._PLAN_MEMO_SIZE:
-            self._plans.pop(next(iter(self._plans)))
-        evict = lambda _, plans=self._plans, key=key: plans.pop(key, None)  # noqa: E731
-        self._plans[key] = (weakref.ref(network, evict), plan)
-        return plan
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the backend's resident session state, if any (idempotent)."""
-        if self._backend is not None:
-            self._backend.close()
-
-    def __enter__(self) -> "TreeExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _execute_reference(
-        self,
-        network: TensorNetwork,
-        tree: ContractionTree,
-        fixed_indices: Dict[str, int],
-    ) -> Tensor:
-        """The seed einsum walker, kept verbatim as the reference path."""
         live: Dict[int, Tensor] = {}
         for leaf, tid in enumerate(tree.leaf_tids):
             tensor = network.tensor(tid)
@@ -217,14 +132,14 @@ def contract_tree(
     network: TensorNetwork,
     tree: ContractionTree,
     fixed_indices: Optional[Dict[str, int]] = None,
-    backend: Optional[ExecutionBackend] = None,
 ) -> Tensor:
-    """One-shot helper around :class:`TreeExecutor` (compiled path).
+    """Contract ``network`` following ``tree``: compile a plan, execute it once.
 
-    The single contraction is a one-assignment run, which every backend
-    executes on its in-process serial path — pass a backend for API
-    uniformity, not for parallelism (that lives in
-    :class:`~repro.execution.sliced.SlicedExecutor`).
+    ``fixed_indices`` is one subtask's slicing assignment, as for
+    :meth:`TreeExecutor.execute`; the network is not mutated.  Many
+    subtasks of one tree are :class:`~repro.execution.sliced.SlicedExecutor`'s
+    job, which compiles once and shares the invariant cache between them.
     """
-    executor = TreeExecutor(backend=backend)
-    return executor.execute(network, tree, fixed_indices)
+    fixed_indices = fixed_indices or {}
+    plan = compile_plan(network, tree, frozenset(fixed_indices))
+    return plan.execute(network, fixed_indices)

@@ -544,7 +544,7 @@ class DistributedSession(_ResidentSession):
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
     ) -> None:
         if self._resources.transport is None:
             self._resources.transport = self._backend._make_transport()
@@ -565,27 +565,21 @@ class DistributedSession(_ResidentSession):
     def _data_payload(
         plan: CompiledPlan,
         network: TensorNetwork,
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
     ) -> bytes:
-        """Pickle the arrays workers need: leaves (+ warm invariant cache).
+        """Pickle the arrays workers need: the warm invariant cache and leaves.
 
-        Mirrors the shared-memory publication: with a warm cache only the
-        slice-dependent leaves ship (the cache covers the rest); without
-        one every leaf does.  Arrays are made C-contiguous with
-        ``np.asarray(order="C")``, which — unlike ``np.ascontiguousarray``
-        — keeps a rank-0 array rank-0 (the root of an unsliced closed
-        network sits in the invariant cache as a scalar).
+        Mirrors the shared-memory publication: only the slice-dependent
+        leaves ship (the cache covers the rest).  Arrays are made
+        C-contiguous with ``np.asarray(order="C")``, which — unlike
+        ``np.ascontiguousarray`` — keeps a rank-0 array rank-0 (the root of
+        an unsliced closed network sits in the invariant cache as a scalar).
         """
-        if cache is not None:
-            needed = [ls for ls in plan.leaf_steps if ls.node in plan.dependent_nodes]
-            cache_payload: Optional[Dict[int, np.ndarray]] = {
-                node: np.asarray(buffer, order="C") for node, buffer in cache.items()
-            }
-        else:
-            needed = list(plan.leaf_steps)
-            cache_payload = None
+        cache_payload = {node: np.asarray(buffer, order="C") for node, buffer in cache.items()}
         leaves: Dict[int, Tuple[Tuple[str, ...], np.ndarray]] = {}
-        for ls in needed:
+        for ls in plan.leaf_steps:
+            if ls.node not in plan.dependent_nodes:
+                continue
             tensor = network.tensor(ls.tid)
             leaves[ls.tid] = (
                 tensor.indices,

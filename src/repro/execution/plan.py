@@ -60,7 +60,7 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   lifetime memory bound, true by construction.
 
 One function, :func:`_walk_steps`, executes the compiled step list — for
-cache warming, cached and uncached subtasks, with or without an arena.
+cache warming, subtasks and flushes, with or without an arena.
 The state a resumed sweep carries from one subtask to the next (the
 previous assignment's values and the retained partials) lives on the
 :class:`StemSlots` arena and its lifetime is one run of consecutive
@@ -573,17 +573,18 @@ def _walk_steps(
     (``stage``) and is read as is: same buffer contents, staged once per
     lifetime instead of once per use.
 
-    ``views`` (:meth:`CompiledPlan.arena_views`, cached subtasks only)
+    ``views`` (:meth:`CompiledPlan.arena_views`, subtasks only)
     places every operand copy, GEMM output and staged copy a step has a
     region for in the arena: ``np.copyto`` into the region and
     ``np.dot(out=)`` onto it — the same copies and GEMMs on the same
     C-contiguous layouts, so the same bits.  Without ``views`` every
     buffer is a fresh array, and einsum outputs always are.  ``cached``
-    selects the free schedule (cached runs keep frontier operands and
-    lower-level partials).  A GEMM operand's lifetime ends the moment its
-    staged copy exists — before the other operand is staged and before
-    the output is allocated — so an operand never coexists with its own
-    copy *and* the output (a staged *view* keeps the buffer alive by
+    selects the free schedule (the warm pass and the walks keep frontier
+    operands and lower-level partials; a flush frees every operand).  A
+    GEMM operand's lifetime ends the moment its staged copy exists —
+    before the other operand is staged and before the output is
+    allocated — so an operand never coexists with its own copy *and* the
+    output (a staged *view* keeps the buffer alive by
     itself); likewise a step that stages its own output releases its
     staged operands first.
     """
@@ -717,10 +718,6 @@ class CompiledPlan:
             for node in sorted(frontier)
             if not any(node in (s.lhs, s.rhs) for s in self._folds[-1][2])
         )
-        #: the cache-less paths' step lists, split at the fold (built on
-        #: first use, see _cacheless: a cached sweep never needs them; two
-        #: threads racing to build them build equal tuples)
-        self._cacheless_parts: Optional[Tuple] = None
         # what a cached execute re-runs when position ``p`` of the
         # enumeration order is the first whose value changed: the leaf
         # loads, fetches and steps of level > p on no fold's chain.  Entry 0
@@ -799,7 +796,7 @@ class CompiledPlan:
 
     @property
     def num_steps(self) -> int:
-        """Number of pair contractions in one full (uncached) execution."""
+        """Number of pair contractions in the tree, warm pass included."""
         return len(self._steps)
 
     @property
@@ -1033,68 +1030,16 @@ class CompiledPlan:
         subtask, so they must not sit in reused bytes.
         """
         start = time.perf_counter()
-        live = self._contract_invariant(
-            network,
-            [ls for ls in self._leaf_steps if ls.node not in self._dependent],
-            self._invariant_steps,
-            stats,
-        )
+        live = {
+            ls.node: self._load_leaf(network, ls, None)
+            for ls in self._leaf_steps
+            if ls.node not in self._dependent
+        }
+        _walk_steps(self._invariant_steps, live, None, stats, True)
         for node in self._frontier:
             cache[node] = live[node]
         if stats is not None:
             stats.record_stage("warm_cache", time.perf_counter() - start)
-
-    def _contract_invariant(
-        self,
-        network: TensorNetwork,
-        leaf_steps: Sequence[LeafStep],
-        steps: Sequence[ContractStep],
-        stats: Optional[PlanStats],
-    ) -> Dict[int, np.ndarray]:
-        """Load the level-0 ``leaf_steps`` and contract the level-0 ``steps``
-        over them: what survives is the roots of their subtrees."""
-        live = {ls.node: self._load_leaf(network, ls, None) for ls in leaf_steps}
-        _walk_steps(steps, live, None, stats, True)
-        return live
-
-    def _cacheless(self) -> Tuple[Tuple[Tuple, Tuple], ...]:
-        """What the cache-less paths run, split at the fold.
-
-        ``(subtask, warm, aside)``, each ``(leaf loads, steps)``: a subtask
-        without a cache; what one on a plan with open nodes warms into a
-        cache of its own; and the slice-invariant subtrees hanging off the
-        tail, which :meth:`finish` contracts once when it has no cache.
-        Built on first use — a cached sweep never needs them.
-        """
-        if self._cacheless_parts is None:
-            fold, _, chain, _ = self._folds[-1]
-            tail = {step.node for step in chain}
-            aside: Set[int] = set()
-            for step in reversed(self._steps):
-                if step.node in tail or step.node in aside:
-                    aside.update(
-                        child
-                        for child in (step.lhs, step.rhs)
-                        if child not in tail and child != fold
-                    )
-            # (every chain runs apart, in its fold's flush)
-            finished = aside.union(*({s.node for s in chain} for _, _, chain, _ in self._folds))
-            leaves = [ls for ls in self._leaf_steps if ls.node not in self._dependent]
-            self._cacheless_parts = (
-                (
-                    tuple(ls for ls in self._leaf_steps if ls.node not in finished),
-                    tuple(s for s in self._steps if s.node not in finished),
-                ),
-                (
-                    tuple(ls for ls in leaves if ls.node not in finished),
-                    tuple(s for s in self._invariant_steps if s.node not in finished),
-                ),
-                (
-                    tuple(ls for ls in leaves if ls.node in aside),
-                    tuple(s for s in self._invariant_steps if s.node in aside),
-                ),
-            )
-        return self._cacheless_parts
 
     # ------------------------------------------------------------------
     def execute(
@@ -1114,37 +1059,35 @@ class CompiledPlan:
         assignment:
             Value of every enumerated sliced index.
         cache:
-            Optional invariant cache (from :meth:`new_cache`).  When given,
-            only the slice-dependent part of the tree is recontracted; the
-            cache is warmed on first use.
+            The invariant cache (from :meth:`new_cache`), warmed on first
+            use; only the slice-dependent part of the tree is recontracted
+            over it.  ``None`` warms a private one for this call.
         stats:
             Optional instrumentation counters.
         slots:
-            Optional :class:`StemSlots` arena.  A cached subtask then
-            writes every buffer its layout places (:attr:`arena_bytes`)
-            into the arena instead of allocating — the returned tensor may
-            alias the arena, so it is only valid until the next ``execute``
-            with the same arena (the execution backends accumulate it
-            immediately).
+            Optional :class:`StemSlots` arena.  The subtask then writes
+            every buffer its layout places (:attr:`arena_bytes`) into the
+            arena instead of allocating — the returned tensor may alias the
+            arena, so it is only valid until the next ``execute`` with the
+            same arena (the execution backends accumulate it immediately).
 
-        With both a cache and an arena the call *resumes*: the assignment
-        is compared, by value and in enumeration order, with the one the
-        arena last ran for this plan and cache, and only the leaf loads and
-        steps at or above the first differing position's level run — the
-        whole dependent part when the arena holds no state for this plan
-        and cache, nothing but the root fetch when no value differs.  Any
+        With an arena the call *resumes*: the assignment is compared, by
+        value and in enumeration order, with the one the arena last ran
+        for this plan and cache, and only the leaf loads and steps at or
+        above the first differing position's level run — the whole
+        dependent part when the arena holds no state for this plan and
+        cache, nothing but the root fetch when no value differs.  Any
         sequence of assignments is therefore correct, not only ``id + 1``.
         The state is trusted for "same plan, same cache object" only: the
         caller scopes it with :meth:`StemSlots.sweep` so that no tensor
-        replacement falls between two resumed calls.  Without an arena (or
-        a cache) the call is stateless.  A stateless call on a plan with open
-        nodes warms a cache of its own and runs the cached path over it —
-        one step list, the cached run's bits.
+        replacement falls between two resumed calls.  Without an arena the
+        call is stateless.
 
         The call runs the plan's tail (:meth:`finish`) on its own
         contribution, so the tensor is the one subtask's, computed in the
         same order as any single-subtask contraction.
         """
+        cache = {} if cache is None else cache
         data = self.execute_array(network, assignment, cache, stats, slots)
         data = self.finish(network, data, cache, stats)
         return Tensor(self._out_indices, data=data, sizes=self._out_sizes)
@@ -1165,14 +1108,18 @@ class CompiledPlan:
         the result, axes in :attr:`out_indices` order.
         """
         return self.execute_block(
-            network, ({} if assignment is None else assignment,), cache, stats, slots
+            network,
+            ({} if assignment is None else assignment,),
+            {} if cache is None else cache,
+            stats,
+            slots,
         )
 
     def execute_block(
         self,
         network: TensorNetwork,
         assignments: Sequence[Mapping[str, int]],
-        cache: Optional[Dict[int, np.ndarray]] = None,
+        cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats] = None,
         slots: Optional[StemSlots] = None,
     ) -> np.ndarray:
@@ -1192,11 +1139,11 @@ class CompiledPlan:
         if self.inner_fold is None:
             if len(assignments) != 1:
                 raise PlanError(f"a block of this plan is one subtask, not {len(assignments)}")
-            live, _, cached = self._walk(network, assignments[0], cache, stats, slots)
+            live, _ = self._walk(network, assignments[0], cache, stats, slots)
             data = live[self.fold_node]
             # (the root itself is cached when nothing is slice-dependent: a
-            # copy keeps callers off the shared cache buffer)
-            return data.copy() if cached and self.fold_node in self._frontier else data
+            # copy keeps callers off the cache buffer)
+            return data.copy() if self.fold_node in self._frontier else data
         if not assignments:
             raise PlanError("an empty block contributes nothing")
         fold = self._folds[0]
@@ -1209,7 +1156,7 @@ class CompiledPlan:
                     f"the subtasks of one block must agree on the first {level} "
                     f"sliced indices {list(head)}"
                 )
-            live, views, cached = self._walk(network, assignment, cache, stats, slots)
+            live, views = self._walk(network, assignment, cache, stats, slots)
             if accumulator is None:
                 region = None if views is None else views[-1]
                 if region is None:
@@ -1228,12 +1175,12 @@ class CompiledPlan:
         self,
         network: TensorNetwork,
         assignment: Mapping[str, int],
-        cache: Optional[Dict[int, np.ndarray]],
+        cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats],
         slots: Optional[StemSlots],
-    ) -> Tuple[Dict[int, np.ndarray], Optional[List[Optional[Tuple]]], bool]:
+    ) -> Tuple[Dict[int, np.ndarray], Optional[List[Optional[Tuple]]]]:
         """One subtask's walk up to the fold node — or to the inner fold's
-        node: ``(live, arena views, cached)``."""
+        node: ``(live, arena views)``."""
         enumerated = self._enumerated
         sizes = self._enumerated_sizes
         if assignment.keys() != sizes.keys():
@@ -1244,18 +1191,11 @@ class CompiledPlan:
         state = None
         if slots is not None:
             # taken off the arena for the duration of the call: an execute
-            # that raises, or that does not resume (no cache), leaves the
-            # arena without state
+            # that raises leaves the arena without state
             state, slots._resume = slots._resume, None
-        shared = cache is not None
-        if shared and not self.cache_is_warm(cache):
+        if not self.cache_is_warm(cache):
             self.warm_cache(network, cache, stats)
             state = None  # its partials came from the previous cache contents
-        elif not shared and self._fetches:
-            # what this subtask reads, into a cache of its own (the tail's
-            # subtrees are finish's)
-            cache = self._contract_invariant(network, *self._cacheless()[1], stats)
-        cached = cache is not None
         # one pass over the order validates the values and finds the first
         # position that differs from the assignment the arena last ran (a
         # value equal to a validated one needs no range check)
@@ -1278,27 +1218,22 @@ class CompiledPlan:
                 raise PlanError(f"slice value {value} out of range for index {ix!r}")
         if stats is not None:
             stats.executions += 1
+            stats.cache_hits += len(self._subtask_frontier)
 
         start = time.perf_counter()
-        if cached:
-            if stats is not None and shared:
-                stats.cache_hits += len(self._subtask_frontier)
-            if state is None:
-                live = {node: cache[node] for node in self._subtask_frontier}
-                if slots is not None and shared:
-                    state = (self, cache, values, live)
-            leaf_steps, steps = self._resume_suffixes[first]
-            # (after the state check: a stale state was dropped above, so
-            # the arena may grow to this plan's size)
-            views = slots.views(self) if slots is not None else None
-        else:
-            live, views = {}, None
-            leaf_steps, steps = self._cacheless()[0]
+        if state is None:
+            live = {node: cache[node] for node in self._subtask_frontier}
+            if slots is not None:
+                state = (self, cache, values, live)
+        leaf_steps, steps = self._resume_suffixes[first]
+        # (after the state check: a stale state was dropped above, so the
+        # arena may grow to this plan's size)
+        views = slots.views(self) if slots is not None else None
         for ls in leaf_steps:
             live[ls.node] = self._load_leaf(
                 network, ls, assignment, cache, None if views is None else views[ls.node]
             )
-        _walk_steps(steps, live, views, stats, cached)
+        _walk_steps(steps, live, views, stats, True)
         if state is not None:
             slots._resume = state
 
@@ -1306,13 +1241,13 @@ class CompiledPlan:
             elapsed = time.perf_counter() - start
             stats.record_subtask_time(elapsed)
             stats.record_stage("execute", elapsed)
-        return live, views, cached
+        return live, views
 
     def finish(
         self,
         network: TensorNetwork,
         folded: np.ndarray,
-        cache: Optional[Mapping[int, np.ndarray]] = None,
+        cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats] = None,
     ) -> np.ndarray:
         """Run the tail once over ``folded``: the root's array.
@@ -1321,21 +1256,18 @@ class CompiledPlan:
         Nothing above the :attr:`fold_node` depends on a sliced index, so
         ``sum_a tail(S(a)) == tail(sum_a S(a))`` and the tail's steps run
         once per run instead of once per subtask, with their
-        slice-invariant operands taken from ``cache`` when it is warm — or
-        contracted here, once, when it is not.  Their counts go to
-        ``stats``.  Returns ``folded`` itself on a plan that folds at its
-        root.
+        slice-invariant operands taken from ``cache`` (warmed here if it
+        is cold).  Their counts go to ``stats``.  Returns ``folded``
+        itself on a plan that folds at its root.
         """
         fold = self._folds[-1]
         if not fold[2]:
             return folded
-        if cache is not None and self.cache_is_warm(cache):
-            siblings = cache
-            if stats is not None:  # (the tail's operands among the entries)
-                stats.cache_hits += len(self._frontier) - len(self._subtask_frontier)
-        else:
-            siblings = self._contract_invariant(network, *self._cacheless()[2], stats)
-        return self._flush(fold, folded, siblings, None, stats)
+        if not self.cache_is_warm(cache):
+            self.warm_cache(network, cache, stats)
+        if stats is not None:  # (the tail's operands among the entries)
+            stats.cache_hits += len(self._frontier) - len(self._subtask_frontier)
+        return self._flush(fold, folded, cache, None, stats)
 
     def _flush(
         self,

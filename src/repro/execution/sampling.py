@@ -54,7 +54,6 @@ from .backend import (
     NullExecutionSession,
     validate_execution_args,
 )
-from .contract import TreeExecutor
 from .plan import PlanStats
 from .sliced import SlicedExecutor
 
@@ -330,8 +329,9 @@ class CorrelatedSampler:
         walker (useful for cross-checking).
     backend:
         Optional :class:`~repro.execution.backend.ExecutionBackend` for
-        batch execution (sliced runs and the single contraction of an
-        unsliced batch).  Compiled mode only (the same rule
+        batch execution (every batch runs on a resident
+        :class:`SlicedExecutor`, an unsliced one with an empty slicing
+        set, i.e. one subtask).  Compiled mode only (the same rule
         :class:`SlicedExecutor` enforces).  A sampling run that computes
         many batches against one circuit is the prime beneficiary of the
         backend's persistent session — wrap the loop in
@@ -613,23 +613,16 @@ class CorrelatedSampler:
         network, open_index_of_qubit, prefactor = self.build_network(
             base_bitstring, concrete=True
         )
-        tree = self.plan_tree(network)
+        self.plan_tree(network)
         slicing = (
             frozenset(sliced) if sliced is not None else self._derived_slicing(network)
         )
-        # an unsliced batch contracts its own network: every leaf is bound anew
-        leaves = rebound = len(network)
-        if slicing:
-            executor, rebound = self._rebound_executor(network, slicing)
-            # its leaves now live in the resident network: do not hold the
-            # per-batch network (and its tensors' bookkeeping) through the run
-            del network
-            tensor = executor.run()
-        else:
-            tensor = TreeExecutor(
-                compiled=self.executor_mode == "compiled",
-                backend=self.backend,
-            ).execute(network, tree)
+        leaves = len(network)
+        executor, rebound = self._rebound_executor(network, slicing)
+        # its leaves now live in the resident network: do not hold the
+        # per-batch network (and its tensors' bookkeeping) through the run
+        del network
+        tensor = executor.run()
         _LOG.debug(
             "replayed %d merges, rebound %d of %d leaves",
             len(self._builds[True].merges),

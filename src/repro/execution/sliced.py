@@ -138,15 +138,14 @@ class SlicedExecutor:
     dtype:
         Optional dtype override for intermediates.
     mode:
-        ``"compiled"`` (default) executes through a compiled plan;
-        ``"reference"`` uses the seed einsum walker.
-    cache_invariant:
-        Compute slice-invariant intermediates once and reuse them across
-        all subtasks (compiled mode only).  Replacing a network tensor via
-        ``replace_tensor`` between runs is detected and invalidates the
-        cache; mutating a tensor's numpy buffer *in place* is not — treat
-        tensor data as immutable (as the rest of the codebase does) or
-        construct a fresh executor after such a mutation.
+        ``"compiled"`` (default) executes through a compiled plan, which
+        computes the slice-invariant intermediates once and reuses them
+        across all subtasks; ``"reference"`` uses the seed einsum walker.
+        Replacing a network tensor via ``replace_tensor`` between runs is
+        detected and invalidates that cache; mutating a tensor's numpy
+        buffer *in place* is not — treat tensor data as immutable (as the
+        rest of the codebase does) or construct a fresh executor after
+        such a mutation.
     batch_indices:
         Accepted for the benchmark's batched variant and otherwise ignored:
         ``"auto"`` or a group of sliced indices runs the same plan as
@@ -194,7 +193,6 @@ class SlicedExecutor:
         sliced: AbstractSet[str],
         dtype: Optional[np.dtype] = None,
         mode: str = "compiled",
-        cache_invariant: bool = True,
         batch_indices: Union[str, Sequence[str], None] = None,
         backend: Optional[ExecutionBackend] = None,
         cost_model: Optional["CostModel"] = None,
@@ -217,20 +215,17 @@ class SlicedExecutor:
         self.mode = mode
         self._sizes = {ix: network.size_of(ix) for ix in self._labels}
         self._dtype = np.dtype(dtype) if dtype is not None else None
-        self._cache_invariant = bool(cache_invariant)
         self._backend = resolve_backend(backend) if mode == "compiled" else None
         self.cost_model = cost_model
         self._check_batch_spec(batch_indices, mode)
         self._configure_faults(fault_policy, fault_injector)
 
-        #: Per-node execution counters (compiled mode); the cached path must
-        #: keep every slice-invariant node at exactly one execution.
+        #: Per-node execution counters (compiled mode); a run contracts each
+        #: slice-invariant node exactly once.
         self.stats = PlanStats()
-        self._executor = (
-            TreeExecutor(dtype=dtype, compiled=False) if mode == "reference" else None
-        )
+        self._executor = TreeExecutor(dtype=dtype) if mode == "reference" else None
         self._plan: Optional[CompiledPlan] = None
-        self._cache: Optional[Dict[int, np.ndarray]] = None
+        self._cache: Dict[int, np.ndarray] = {}
         self._leaf_tensors: Tuple = ()
         if mode == "compiled":
             self._compile_plan()
@@ -347,7 +342,7 @@ class SlicedExecutor:
             frozenset(self._labels),
             dtype=self._dtype,
         )
-        self._cache = self._plan.new_cache() if self._cache_invariant else None
+        self._cache = self._plan.new_cache()
         self._snapshot_leaves()
 
     def _snapshot_leaves(self) -> None:
@@ -376,8 +371,7 @@ class SlicedExecutor:
             return
         current = tuple(self.network.tensor(tid) for tid in self.tree.leaf_tids)
         if current != self._leaf_tensors:
-            if self._cache is not None:
-                self._cache.clear()
+            self._cache.clear()
             self._leaf_tensors = current
 
     def session(self):

@@ -55,7 +55,7 @@ class WorkerRuntime:
     def __init__(self) -> None:
         self.plan: Optional[CompiledPlan] = None
         self.network: Optional[_LeafStore] = None
-        self.cache: Optional[Dict[int, np.ndarray]] = None
+        self.cache: Dict[int, np.ndarray] = {}
         self.plan_generation = -1
         self.data_generation = -1
         self.slots = StemSlots()
@@ -66,7 +66,7 @@ class WorkerRuntime:
         # payload layouts belong to a plan generation: a new plan
         # invalidates any installed data until the next data frame
         self.network = None
-        self.cache = None
+        self.cache = {}
         self.data_generation = -1
         self.slots = StemSlots()
 

@@ -23,8 +23,6 @@ from repro.execution import (
     SharedMemoryProcessPoolBackend,
     SlicedExecutor,
     ThreadPoolBackend,
-    TreeExecutor,
-    contract_tree,
     resolve_backend,
     validate_execution_args,
 )
@@ -148,19 +146,6 @@ class TestBackendEquivalence:
         assert after == fresh.amplitude(tail)  # bitwise
         assert after != before
 
-    def test_process_pool_without_invariant_cache(self, case, serial_value):
-        # cache=None ships every leaf buffer instead of the dependent ones
-        tn, tree, reference = case
-        sliced = sorted(tn.inner_indices())[:4]
-        executor = SlicedExecutor(
-            tn,
-            tree,
-            sliced,
-            cache_invariant=False,
-            backend=SharedMemoryProcessPoolBackend(max_workers=2),
-        )
-        assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
-
     def test_process_pool_batched_sweep(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:4]
@@ -199,14 +184,6 @@ class TestBackendEquivalence:
         total += complex(executor.run(range(half, executor.num_subtasks)).require_data())
         assert total == pytest.approx(reference, abs=1e-9)
 
-    def test_tree_executor_accepts_backend(self, case):
-        tn, tree, reference = case
-        inline = TreeExecutor().amplitude(tn, tree)
-        routed = TreeExecutor(backend=SerialBackend()).amplitude(tn, tree)
-        assert routed == inline == pytest.approx(reference, abs=1e-9)
-        helper = contract_tree(tn, tree, backend=SerialBackend())
-        assert complex(helper.require_data()) == inline
-
     def test_planner_execute_plan_with_backend(self):
         from repro.pipeline import SimulationPlanner
 
@@ -237,15 +214,6 @@ class TestSweepPlannedPlans:
                 backend = SharedMemoryProcessPoolBackend(max_workers=2, chunk_size=chunk_size)
             pooled = SlicedExecutor(tn, tree, sliced, backend=backend)
             assert pooled.amplitude() == value, chunk_size  # bitwise
-
-    def test_uncached_run_is_bitwise_the_cached_one(self, open_case):
-        # no cache: each execute warms one of its own and runs the same steps
-        tn, tree, sliced, _ = open_case
-        cached = SlicedExecutor(tn, tree, sliced)
-        uncached = SlicedExecutor(tn, tree, sliced, cache_invariant=False)
-        assert uncached.amplitude() == cached.amplitude()
-        assert uncached.stats.steps_executed == uncached.num_subtasks * uncached.plan.num_steps
-        assert uncached.stats.cache_hits == 0
 
     @pytest.mark.parametrize("where", ["dependent", "inside-open-subtree"])
     @pytest.mark.parametrize(
@@ -408,8 +376,6 @@ class TestValidationSymmetry:
             )
         )
         assert executor_msg == sampler_msg
-        tree_msg = self._message(lambda: TreeExecutor(compiled=False, backend=backend))
-        assert tree_msg == executor_msg
 
     def test_unknown_mode_rejected_identically(self, case):
         tn, tree, _ = case

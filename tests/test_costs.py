@@ -30,7 +30,11 @@ from repro.execution import (
     HeadlineProjection,
     PlanStats,
     ProcessScheduler,
+    SerialBackend,
+    SharedMemoryProcessPoolBackend,
     SlicedExecutor,
+    ThreadPoolBackend,
+    compile_plan,
     strong_scaling,
     weak_scaling,
 )
@@ -176,20 +180,36 @@ class TestMeasuredTimings:
         )
         assert CostModel.dependent_step_count(tree) == len(tree.internal_nodes())
 
-    def test_uncached_runs_pair_with_full_flops(self, workload):
+    def test_every_run_with_invariant_work_is_timed_cache_warm(self, workload):
+        """Every compiled run warms the invariant cache before it times a
+        subtask, so ``from_stats`` and ``calibration_payload`` pair every
+        executor's samples with the dependent work: each ``PlanStats`` a
+        run produces on a workload with invariant work has cache hits."""
         network, tree, sliced = workload
-        executor = SlicedExecutor(network, tree, sliced, cache_invariant=False)
-        executor.run()
-        assert executor.stats.cache_hits == 0
-        record = executor.calibration_record()
-        # no cache: every subtask recontracted the full tree
-        assert record.subtask_flops == pytest.approx(
-            CostModel.subtask_flops(tree, sliced)
+        assert CostModel.dependent_subtask_flops(tree, sliced) < CostModel.subtask_flops(
+            tree, sliced
         )
-        assert record.num_steps == len(tree.internal_nodes())
-        # and the payload (single dependent-flops label) skips such stats
-        payload = calibration_payload({"serial": executor.stats}, tree, sliced)
-        assert payload["backends"] == {}
+        produced = []
+        for backend in (
+            SerialBackend(),
+            ThreadPoolBackend(max_workers=2),
+            SharedMemoryProcessPoolBackend(max_workers=2),
+        ):
+            executor = SlicedExecutor(network, tree, sliced, backend=backend)
+            assert executor.plan.invariant_nodes
+            executor.run()
+            produced.append(executor.stats)
+            single = SlicedExecutor(network, tree, sliced, backend=backend)
+            single.run_subtask(0)
+            produced.append(single.stats)
+        stateless = PlanStats()
+        plan = compile_plan(network, tree, sliced)
+        plan.execute(network, dict.fromkeys(plan.sliced, 0), stats=stateless)
+        produced.append(stateless)
+        for stats in produced:
+            assert stats.subtask_seconds and stats.cache_hits > 0
+            payload = calibration_payload({"serial": stats}, tree, sliced)
+            assert list(payload["backends"]) == ["serial"]
 
 class TestCalibratedCostModel:
     def test_single_workload_fit_reproduces_the_mean(self, measured_run, workload):

@@ -40,6 +40,7 @@ class TestTreeExecutor:
     def test_matches_statevector(self, concrete_case):
         tn, tree, reference = concrete_case
         assert TreeExecutor().amplitude(tn, tree) == pytest.approx(reference, abs=1e-9)
+        assert SlicedExecutor(tn, tree, ()).amplitude() == pytest.approx(reference, abs=1e-9)
 
     def test_contract_tree_helper(self, concrete_case):
         tn, tree, reference = concrete_case
@@ -48,8 +49,11 @@ class TestTreeExecutor:
 
     def test_single_precision_execution(self, concrete_case):
         tn, tree, reference = concrete_case
-        value = TreeExecutor(dtype=np.complex64).amplitude(tn, tree)
-        assert value == pytest.approx(reference, abs=1e-4)
+        for value in (
+            TreeExecutor(dtype=np.complex64).amplitude(tn, tree),
+            SlicedExecutor(tn, tree, (), dtype=np.complex64).amplitude(),
+        ):
+            assert value == pytest.approx(reference, abs=1e-4)
 
     def test_fixed_indices_consistency(self, concrete_case):
         tn, tree, reference = concrete_case
@@ -57,7 +61,8 @@ class TestTreeExecutor:
         total = 0.0 + 0.0j
         for v0 in range(2):
             for v1 in range(2):
-                total += TreeExecutor().amplitude(tn, tree, {inner[0]: v0, inner[1]: v1})
+                tensor = contract_tree(tn, tree, {inner[0]: v0, inner[1]: v1})
+                total += complex(tensor.require_data())
         assert total == pytest.approx(reference, abs=1e-9)
 
     def test_abstract_network_rejected(self, concrete_case):
@@ -65,8 +70,11 @@ class TestTreeExecutor:
         circ = random_brickwork_circuit(6, 4, seed=13)
         abstract = amplitude_network(circ, (1, 0, 1, 1, 0, 0), concrete=False)
         simplify_network(abstract)
+        tree = GreedyOptimizer(seed=1).tree(abstract)
         with pytest.raises(ValueError):
-            TreeExecutor().execute(abstract, GreedyOptimizer(seed=1).tree(abstract))
+            TreeExecutor().execute(abstract, tree)
+        with pytest.raises(ValueError):
+            contract_tree(abstract, tree)
 
 
 class TestSlicedExecutor:

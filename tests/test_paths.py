@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import amplitude, random_brickwork_circuit, sycamore_circuit
 from repro.costs import AnalyticCostModel
-from repro.execution import TreeExecutor
+from repro.execution import contract_tree
 from repro.paths import optimizer as hyper
 from repro.paths import partition
 from repro.paths.draws import DrawStream
@@ -180,7 +180,7 @@ class TestNumericalEquivalence:
         tn = amplitude_network(circ, bits)
         simplify_network(tn)
         tree = optimizer.tree(tn)
-        value = TreeExecutor().amplitude(tn, tree)
+        value = complex(contract_tree(tn, tree).require_data())
         assert value == pytest.approx(amplitude(circ, bits), abs=1e-9)
 
     def test_annealed_tree_still_correct(self):
@@ -189,7 +189,7 @@ class TestNumericalEquivalence:
         tn = amplitude_network(circ, bits)
         simplify_network(tn)
         tree = anneal_tree(GreedyOptimizer(seed=0).tree(tn), seed=4)
-        value = TreeExecutor().amplitude(tn, tree)
+        value = complex(contract_tree(tn, tree).require_data())
         assert value == pytest.approx(amplitude(circ, bits), abs=1e-9)
 
 

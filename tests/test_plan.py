@@ -28,6 +28,7 @@ from repro.execution import (
     ThreadPoolBackend,
     TreeExecutor,
     compile_plan,
+    contract_tree,
 )
 from repro.paths import GreedyOptimizer
 from repro.tensornet import amplitude_network, simplify_network
@@ -83,7 +84,6 @@ class TestCompiledPlanEquivalence:
         assert ref == pytest.approx(reference, abs=1e-9)
         for kwargs in (
             dict(),
-            dict(cache_invariant=False),
             dict(backend=ThreadPoolBackend(max_workers=2)),
         ):
             executor = SlicedExecutor(tn, tree, sliced, **kwargs)
@@ -118,16 +118,16 @@ class TestCompiledPlanEquivalence:
 
     def test_tree_executor_compiled_matches_reference(self, case):
         tn, tree, reference = case
-        compiled = TreeExecutor().amplitude(tn, tree)
-        walker = TreeExecutor(compiled=False).amplitude(tn, tree)
+        compiled = complex(contract_tree(tn, tree).require_data())
+        walker = TreeExecutor().amplitude(tn, tree)
         assert compiled == pytest.approx(walker, abs=1e-12)
         assert compiled == pytest.approx(reference, abs=1e-9)
 
     def test_fixed_indices_match_reference(self, case):
         tn, tree, _ = case
         fixed = {ix: 1 for ix in sorted(tn.inner_indices())[:2]}
-        compiled = TreeExecutor().execute(tn, tree, fixed)
-        walker = TreeExecutor(compiled=False).execute(tn, tree, fixed)
+        compiled = contract_tree(tn, tree, fixed)
+        walker = TreeExecutor().execute(tn, tree, fixed)
         np.testing.assert_allclose(
             compiled.require_data(),
             walker.transposed(compiled.indices).require_data(),
@@ -208,13 +208,39 @@ class TestInvariantCaching:
         for node in tree.path_to_root(fold)[1:]:
             assert counts[node] == 1
 
-    def test_uncached_runs_everything_every_subtask(self, case):
-        tn, tree, _ = case
-        sliced = sorted(tn.inner_indices())[:2]
-        executor = SlicedExecutor(tn, tree, sliced, cache_invariant=False)
-        executor.run()
-        for count in executor.stats.node_counts.values():
-            assert count == executor.num_subtasks
+    def test_stateless_calls_are_bitwise_a_cached_subtask(self, case, open_case):
+        """No cache is no mode: a stateless ``plan.execute`` and
+        ``contract_tree`` warm a private cache and run the one cached path,
+        so they are bitwise the subtask an executor runs over its shared
+        cache — on a plan with open nodes, one that folds below its root
+        and an unsliced one."""
+        small = _bench_plan(4, 5, 10, 10)
+        workloads = (
+            open_case[:3],
+            (small.network, small.tree, small.slicing.sliced),
+            (case[0], case[1], ()),
+        )
+        seen = set()
+        for network, tree, sliced in workloads:
+            executor = SlicedExecutor(network, tree, sliced)
+            plan = executor.plan
+            if plan.fetches:
+                seen.add("open nodes")
+            if plan.fold_node != tree.root:
+                seen.add("fold below the root")
+            if not plan.sliced:
+                seen.add("unsliced")
+            total = executor.num_subtasks
+            for subtask_id in sorted({0, total // 2, total - 1}):
+                ours = executor.run_subtask(subtask_id)
+                for theirs in (
+                    plan.execute(network, ours.assignment),
+                    contract_tree(network, tree, ours.assignment),
+                ):
+                    assert theirs.indices == ours.tensor.indices
+                    assert theirs.require_data().tobytes() == ours.tensor.require_data().tobytes()
+            assert executor.stats.cache_hits > 0
+        assert seen == {"open nodes", "fold below the root", "unsliced"}
 
     def test_dependent_set_matches_lifetimes(self, case):
         tn, tree, _ = case
@@ -1169,9 +1195,7 @@ class TestArena:
         assert slots.allocated_bytes == plan.arena_bytes
         assert peak <= cost.cache_bytes + plan.arena_bytes + cost.fold_bytes + 64 * 1024
         value = plan.finish(network, folded, cache)
-        reference = SlicedExecutor(
-            network, planned.tree, planned.slicing.sliced, cache_invariant=False
-        ).run()
+        reference = SlicedExecutor(network, planned.tree, planned.slicing.sliced).run()
         assert value.tobytes() == reference.transposed(plan.out_indices).require_data().tobytes()
 
 
@@ -1199,18 +1223,6 @@ class TestHyperIndexKernel:
 
 
 class TestPlanValidation:
-    def test_stale_memoized_plan_recompiles_after_mutation(self, case):
-        tn, tree, reference = case
-        mutated = tn.copy()
-        executor = TreeExecutor()
-        first = executor.amplitude(mutated, tree)
-        assert first == pytest.approx(reference, abs=1e-9)
-        # permute a leaf tensor's axes in place: same index set, new order
-        tid = mutated.tensor_ids[0]
-        tensor = mutated.tensor(tid)
-        mutated.replace_tensor(tid, tensor.transposed(tuple(reversed(tensor.indices))))
-        assert executor.amplitude(mutated, tree) == pytest.approx(reference, abs=1e-9)
-
     def test_batch_index_must_be_sliced(self, case):
         tn, tree, _ = case
         with pytest.raises(ValueError):
@@ -1230,9 +1242,9 @@ class TestPlanValidation:
         ix = sorted(tn.inner_indices())[0]
         for bad in (-1, tn.size_of(ix)):
             with pytest.raises(ValueError):
-                TreeExecutor(compiled=False).execute(tn, tree, {ix: bad})
-            with pytest.raises(PlanError):
                 TreeExecutor().execute(tn, tree, {ix: bad})
+            with pytest.raises(PlanError):
+                contract_tree(tn, tree, {ix: bad})
 
     def test_reference_mode_rejects_batching(self, case):
         tn, tree, _ = case

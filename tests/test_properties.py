@@ -419,8 +419,8 @@ class TestExecutorProperties:
     def test_walker_matches_the_oracle(self, seed, num_sliced):
         """Non-binary dimensions, hyper-indices, open legs, rank-0 roots,
         disconnected components: for every slice assignment the walker
-        (cached and uncached) equals ``TreeExecutor(compiled=False)`` to
-        1e-10, and the fold node's array carries the uncached result's bits
+        (stateless and over a shared cache) equals ``TreeExecutor()`` to
+        1e-10, and the fold node's array carries the stateless result's bits
         through the tail."""
         network = _adversarial_network(seed)
         tree = GreedyOptimizer(seed=seed).tree(network)
@@ -430,14 +430,14 @@ class TestExecutorProperties:
         sliced = [inner[i] for i in picks]
 
         walker = compile_plan(network, tree, frozenset(sliced))
-        oracle = TreeExecutor(compiled=False)
+        oracle = TreeExecutor()
         cache, slots = walker.new_cache(), StemSlots()
         walker.warm_cache(network, cache)
         sizes = [range(network.size_of(ix)) for ix in sliced]
         for values in itertools.product(*sizes):
             assignment = dict(zip(sliced, values))
             expected = oracle.execute(network, tree, assignment)
-            uncached = walker.execute(network, assignment).require_data()
+            stateless = walker.execute(network, assignment).require_data()
             cached = walker.execute(network, assignment, cache=cache, slots=slots)
             order = [expected.indices.index(ix) for ix in cached.indices]
             assert np.allclose(
@@ -447,9 +447,9 @@ class TestExecutorProperties:
                 atol=1e-10,
             )
             # (einsum steps allocate on every path: the same call, the same bits)
-            assert np.array_equal(cached.require_data(), uncached)
+            assert np.array_equal(cached.require_data(), stateless)
             contribution = walker.execute_array(network, assignment)
-            assert np.array_equal(walker.finish(network, contribution, cache), uncached)
+            assert np.array_equal(walker.finish(network, contribution, cache), stateless)
 
 
 def _hostile_plan(seed: int, num_sliced: int):
@@ -572,7 +572,7 @@ class TestOpenSubtreeProperties:
         id sequences, alone or interleaved with another plan on one arena,
         with the bits of a stateless execute; every amplitude is the
         einsum oracle's."""
-        oracle = TreeExecutor(compiled=False)
+        oracle = TreeExecutor()
         roots = set()
         jobs = []
         for seed, network, plan in _open_hostile_plans():
@@ -611,7 +611,7 @@ class TestProducerStagingProperties:
         the stem, an einsum-produced entry, a leaf; an einsum consumer never
         reads a staged operand (it keeps its sublists, and its producers
         their layouts)."""
-        oracle = TreeExecutor(compiled=False)
+        oracle = TreeExecutor()
         seen = set()
         for seed in range(40):
             for num_sliced in (1, 2, 3):
@@ -803,21 +803,12 @@ def _folding_case(seed: int, num_sliced: int):
     return network, plan.tree, list(plan.sliced)
 
 
-def _subtree(tree: ContractionTree, node: int) -> list:
-    children = tree.children(node)
-    if children is None:
-        return [node]
-    return [node, *_subtree(tree, children[0]), *_subtree(tree, children[1])]
-
-
 class TestFoldProperties:
     def test_folded_sweeps_are_the_oracle_and_one_bit_pattern_everywhere(self, tmp_path):
         """Summation commutes with the tail, so a run folds where the last
         lifetime closes: the einsum oracle's value to 1e-12, and the same
         bits on serial, threads, process pool, distributed, checkpointed
-        and killed-and-resumed runs, explicit
-        and subset ``run(ids)``.  Runs without a cache contract the tail's
-        slice-invariant subtrees once, not per subtask."""
+        and killed-and-resumed runs, explicit and subset ``run(ids)``."""
         seen = set()
         pool = SharedMemoryProcessPoolBackend(max_workers=2)
         distributed = DistributedBackend(num_workers=2)
@@ -831,7 +822,6 @@ class TestFoldProperties:
                 assert lifetime_module.plan_folded_sweep(tree, sliced).folds == stack
                 tail = tree.path_to_root(fold)[1:]
                 assert tail and plan.sweep_cost().fold_bytes
-                aside = []
                 for step in plan.contract_steps:
                     if step.node in tail:
                         seen.add(f"{step.kind} tail step")
@@ -839,7 +829,6 @@ class TestFoldProperties:
                             if child != fold and child not in tail:
                                 assert child in plan.frontier and child not in plan.dependent_nodes
                                 seen.add("leaf" if child < tree.num_leaves else "cached subtree root")
-                                aside += _subtree(tree, child)
                 if plan.out_indices:
                     seen.add("open output legs")
                 if plan.fetches:
@@ -893,11 +882,6 @@ class TestFoldProperties:
                     network, tree, sliced, backend=ThreadPoolBackend(max_workers=2, chunk_size=1)
                 ).run(ids)
                 assert threaded.require_data().tobytes() == subset.tobytes()
-
-                uncached = SlicedExecutor(network, tree, sliced, cache_invariant=False)
-                assert np.allclose(uncached.run().require_data(), value.require_data(), rtol=1e-12)
-                counts = uncached.stats.node_counts
-                assert all(counts[node] == 1 for node in (*tail, *aside) if node >= tree.num_leaves)
         finally:
             pool.close()
             distributed.close()
@@ -973,7 +957,7 @@ class TestInnerFoldProperties:
     ):
         """A block sums the inner node's arrays and runs the chain above once:
         the einsum oracle's value to 1e-12, one bit pattern on serial,
-        threads, process pool, distributed, cache-less, checkpointed and
+        threads, process pool, distributed, checkpointed and
         killed-and-resumed runs; ``run(ids)`` over hostile id sequences is
         the reference walker's sum; ``run_subtask(i)`` is bitwise the
         fold-free plan's subtask."""
@@ -1031,7 +1015,6 @@ class TestInnerFoldProperties:
                     ("distributed", distributed),
                 ):
                     same(SlicedExecutor(network, tree, sliced, backend=backend).run(), label)
-                same(SlicedExecutor(network, tree, sliced, cache_invariant=False).run(), "no cache")
 
                 policy = FaultPolicy.retrying()
                 store = CheckpointStore(tmp_path / f"{seed}-{num_sliced}")
@@ -1051,7 +1034,7 @@ class TestInnerFoldProperties:
 
                 ids = _hostile_ids(np.random.default_rng(seed), total)
                 ours = SlicedExecutor(network, tree, sliced).run(ids)
-                oracle = TreeExecutor(compiled=False)
+                oracle = TreeExecutor()
                 reference = sum(
                     oracle.execute(network, tree, serial.assignment(i))
                     .transposed(ours.indices)

@@ -302,13 +302,29 @@ class TestPlanMemo:
         assert sampler.stats.executions == REUSE_SUBTASKS + 2 + 8 + 2
 
     def test_unsliced_batches_reuse_the_tree(self):
+        """An unsliced batch runs on the one resident executor, with an empty
+        slicing set: one compiled plan across batches, a repeated bitstring
+        keeps the warm cache, and every batch is bitwise a fresh sampler's,
+        serial and pool."""
         kwargs = {**REUSE_KWARGS, "target_rank": None}
-        sampler = CorrelatedSampler(REUSE_CIRCUIT, **kwargs)
-        bases = ([0] * NUM_QUBITS, [1] * NUM_QUBITS)
-        for base in bases:
-            _assert_bitwise(sampler.compute_batch(base), _fresh_batch(base, target_rank=None))
-        network, _, _ = sampler.build_network(bases[0])
-        assert sampler.plan_tree(network) is sampler.plan_tree(network)
+        bases = ([0] * NUM_QUBITS, [1] * NUM_QUBITS, [1] * NUM_QUBITS)
+        for backend in (None, SharedMemoryProcessPoolBackend(max_workers=2)):
+            with CorrelatedSampler(REUSE_CIRCUIT, backend=backend, **kwargs) as sampler:
+                plans, caches = [], []
+                for base in bases:
+                    batch = sampler.compute_batch(base)
+                    _assert_bitwise(batch, _fresh_batch(base, target_rank=None))
+                    (executor,) = sampler._resident.executors.values()
+                    assert executor.sliced == ()
+                    plans.append(executor.plan)
+                    caches.append(dict(executor._cache))
+                assert plans[0] is plans[1] is plans[2]
+                # a new bitstring re-warms the cache; the same one again keeps it
+                assert caches[0] and caches[0].keys() == caches[1].keys() == caches[2].keys()
+                assert all(caches[1][node] is not caches[0][node] for node in caches[0])
+                assert all(caches[2][node] is caches[1][node] for node in caches[1])
+                network, _, _ = sampler.build_network(bases[0])
+                assert sampler.plan_tree(network) is sampler.plan_tree(network)
 
     def test_memo_hits_misses_and_replans_are_logged(self, caplog):
         sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
