@@ -59,8 +59,13 @@ can be hoisted out of the subtask loop.  This module performs that hoisting:
   accumulator — a number the plan states before it runs: the paper's
   lifetime memory bound, true by construction.
 
-One function, :func:`_walk_steps`, executes the compiled step list — for
-cache warming, subtasks and flushes, with or without an arena.
+Two loops execute the compiled step list, one per kind of run.  A cached
+subtask on a worker's arena runs the walk :class:`StemSlots` bound to it
+once per plan (:meth:`CompiledPlan.arena_views`): per resume position a
+flat list of ``np.copyto`` and ``np.dot(out=)`` calls on views made at
+binding (:func:`_run_bound`), so a step costs its copies and its GEMM.
+Everything else — cache warming, the tail, stateless calls — runs
+:func:`_walk_steps` in fresh arrays, the bound walk's bitwise oracle.
 The state a resumed sweep carries from one subtask to the next (the
 previous assignment's values and the retained partials) lives on the
 :class:`StemSlots` arena and its lifetime is one run of consecutive
@@ -71,7 +76,7 @@ Every GEMM-shaped step carries one explicit layout (operand permutations,
 the three GEMM shapes, identity flags) and runs as ``transpose →
 reshape → dot(out=)`` on C-contiguous operands; on a cached subtask with
 an arena every copy and output lands at its region, elsewhere in fresh
-arrays (and einsum steps always allocate).  Lifetimes govern the
+arrays (and einsum outputs always are).  Lifetimes govern the
 permutations as they govern the contractions: *when an operand's producer
 runs less often than its consumer, the permutation moves to the producer*
 (:func:`_stage_at_producers`).  A frontier entry is staged by the warm
@@ -93,8 +98,10 @@ import logging
 import math
 import operator
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
+from functools import partial
 from types import MappingProxyType
 from typing import (
     AbstractSet,
@@ -106,6 +113,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -166,6 +174,7 @@ class PlanStats:
     subtask_seconds:
         Wall-time samples of ``execute`` calls (cache warming excluded) —
         the measured per-subtask samples the calibrated cost model fits.
+        An ``array('d')``: a sequence of floats, unboxed (8 bytes a sample).
         Bounded at :data:`MAX_TIMING_SAMPLES`; ``subtask_seconds_sum`` /
         ``timed_subtasks`` keep the exact aggregates beyond the cap.
         Sample order across pool workers is completion order, which is
@@ -223,7 +232,7 @@ class PlanStats:
     cache_hits: int = 0
     executions: int = 0
     slot_writes: int = 0
-    subtask_seconds: List[float] = field(default_factory=list)
+    subtask_seconds: array[float] = field(default_factory=lambda: array("d"))
     subtask_seconds_sum: float = 0.0
     timed_subtasks: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
@@ -299,22 +308,26 @@ class PlanStats:
 
 class StemSlots:
     """A worker's reusable arena: the buffer a compiled plan lays its
-    cached subtask out in.
+    cached subtask out in, and the plan's walk bound to it.
 
     The arena is one grow-only byte buffer (:attr:`CompiledPlan.arena_bytes`):
     every GEMM output, operand copy and staged copy of the dependent part
-    has a compile-time offset in it, and :meth:`views` hands the walker
-    those regions as arrays, built once per plan.
+    has a compile-time offset in it.  :meth:`views` binds the plan's cached
+    walk to those regions once (:meth:`CompiledPlan.arena_views`): every
+    step becomes copies and GEMMs over views made at binding, so a subtask
+    runs a prebound op list and never builds a view, a transpose or a
+    reshape of an arena region.
 
     The object also carries the *resume state* of the sweep in progress:
     which plan and cache last ran here, the values that run assigned (a
-    list updated in place) and its persistent ``live`` table holding the
-    retained partials — arrays in the arena, at regions no other step
-    writes.  :meth:`CompiledPlan.execute` trusts it for exactly "same plan,
-    same cache object", so its lifetime is one run of consecutive
-    assignments, scoped by :meth:`sweep`: the serial loops and the chunk
-    body open one around their loop, and nothing that can change tensor
-    data or recompile a plan happens inside.
+    list updated in place), its ``live`` table of the arrays the binding
+    does not hold — cache entries, leaf loads, fetches — and the binding
+    itself, whose pinned regions hold the retained partials.
+    :meth:`CompiledPlan.execute` trusts it for exactly "same plan, same
+    cache object", so its lifetime is one run of consecutive assignments,
+    scoped by :meth:`sweep`: the serial loops and the chunk body open one
+    around their loop, and nothing that can change tensor data or recompile
+    a plan happens inside.
 
     The arena is grown (never shrunk) on demand, so one instance serves
     plans of any size, and it lives as long as its worker.  An instance is
@@ -326,31 +339,33 @@ class StemSlots:
 
     def __init__(self) -> None:
         self._arena: Optional[np.ndarray] = None
-        #: ``(plan, views)``: the last plan's regions over the arena
+        #: ``(plan, dtypes, binding)``: the last plan's walk over the arena
         self._views: Optional[Tuple] = None
-        #: ``(plan, cache, values, live)`` of the last cached execute
+        #: ``(plan, cache, values, live, binding)`` of the last cached execute
         self._resume: Optional[Tuple] = None
 
-    def views(self, plan: "CompiledPlan") -> List[Optional[Tuple]]:
-        """``plan``'s regions as arrays over the arena (:meth:`CompiledPlan.arena_views`).
+    def views(self, plan: "CompiledPlan", dtypes: Tuple[np.dtype, ...]) -> "_Binding":
+        """``plan``'s cached walk bound to the arena (:meth:`CompiledPlan.arena_views`)
+        for operands of ``dtypes``.
 
-        Built once per plan: another plan's views are dropped — they pin the
-        buffer they view — before the arena grows to this one's size.  The
-        outgrown arena is released *before* its successor is allocated: its
-        content is dead, and two generations side by side were the peak of a
-        large plan's first subtask.
+        Built once per plan and operand dtypes: leaf data rebound in place
+        and a re-warmed cache reuse it.  Another plan's binding is dropped —
+        its views pin the buffer they view — before the arena grows to this
+        one's size.  The outgrown arena is released *before* its successor
+        is allocated: its content is dead, and two generations side by side
+        were the peak of a large plan's first subtask.
         """
         held = self._views
-        if held is not None and held[0] is plan:
-            return held[1]
+        if held is not None and held[0] is plan and held[1] == dtypes:
+            return held[2]
         self._views = held = None
         nbytes, arena = plan.arena_bytes, self._arena
         if arena is None or arena.size < nbytes:
             self._arena = arena = None
             self._arena = arena = np.empty(max(nbytes, 1), np.uint8)
-        views = plan.arena_views(arena[:nbytes])
-        self._views = (plan, views)
-        return views
+        binding = plan.arena_views(arena[:nbytes], dtypes)
+        self._views = (plan, dtypes, binding)
+        return binding
 
     @contextmanager
     def sweep(self) -> Iterator["StemSlots"]:
@@ -516,33 +531,9 @@ class ContractStep:
 
 
 
-def _staged(array: np.ndarray, stage: Staging) -> np.ndarray:
-    """``array`` written once in its consumer's GEMM layout (C-contiguous)."""
-    return np.ascontiguousarray(array.transpose(stage[0]).reshape(stage[1]))
-
-
-def _recast(view: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """A region's bytes as a ``dtype`` array of ``view``'s shape.
-
-    Regions are sized at the plan dtype's itemsize, which type promotion
-    bounds every intermediate by (mixed real/complex leaves give real
-    intermediates a complex-sized region).  A wider dtype — leaf data
-    replaced after compiling — does not fit and gets a fresh array.
-    """
-    raw = view.reshape(-1).view(np.uint8)
-    nbytes = view.size * dtype.itemsize
-    if nbytes > raw.size:
-        return np.empty(view.shape, dtype)
-    return raw[:nbytes].view(dtype).reshape(view.shape)
-
-
-def _copy_into(region: np.ndarray, array: np.ndarray) -> np.ndarray:
-    """``array`` copied into its arena ``region`` (a view shaped as the copy's
-    reader takes it): the bytes ``np.ascontiguousarray`` would write."""
-    if region.dtype != array.dtype:
-        region = _recast(region, array.dtype)
-    np.copyto(region.reshape(array.shape), array)
-    return region
+def _staged(data: np.ndarray, stage: Staging) -> np.ndarray:
+    """``data`` written once in its consumer's GEMM layout (C-contiguous)."""
+    return np.ascontiguousarray(data.transpose(stage[0]).reshape(stage[1]))
 
 
 def _above(items: Tuple, level: int) -> Tuple:
@@ -555,11 +546,12 @@ def _above(items: Tuple, level: int) -> Tuple:
 def _walk_steps(
     steps: Sequence[ContractStep],
     live: Dict[int, np.ndarray],
-    views: Optional[Sequence[Optional[Tuple]]],
     stats: Optional["PlanStats"],
     cached: bool,
 ) -> None:
-    """Execute ``steps`` over ``live`` — the one Python contraction loop.
+    """Execute ``steps`` over ``live``, every buffer a fresh array: the warm
+    pass, :meth:`CompiledPlan.finish`'s tail and stateless calls, and the
+    bitwise oracle of the bound walk (:func:`_run_bound`).
 
     GEMM operands are always staged C-contiguously: when a transposed
     reshape happens to be expressible as a *view* (e.g. an F-contiguous
@@ -573,27 +565,18 @@ def _walk_steps(
     (``stage``) and is read as is: same buffer contents, staged once per
     lifetime instead of once per use.
 
-    ``views`` (:meth:`CompiledPlan.arena_views`, subtasks only)
-    places every operand copy, GEMM output and staged copy a step has a
-    region for in the arena: ``np.copyto`` into the region and
-    ``np.dot(out=)`` onto it — the same copies and GEMMs on the same
-    C-contiguous layouts, so the same bits.  Without ``views`` every
-    buffer is a fresh array, and einsum outputs always are.  ``cached``
-    selects the free schedule (the warm pass and the walks keep frontier
-    operands and lower-level partials; a flush frees every operand).  A
-    GEMM operand's lifetime ends the moment its staged copy exists —
-    before the other operand is staged and before the output is
+    ``cached`` selects the free schedule (the warm pass and the walks keep
+    frontier operands and lower-level partials; a flush frees every
+    operand).  A GEMM operand's lifetime ends the moment its staged copy
+    exists — before the other operand is staged and before the output is
     allocated — so an operand never coexists with its own copy *and* the
-    output (a staged *view* keeps the buffer alive by
-    itself); likewise a step that stages its own output releases its
-    staged operands first.
+    output (a staged *view* keeps the buffer alive by itself); likewise a
+    step that stages its own output releases its staged operands first.
     """
     counts = stats.node_counts if stats is not None else None
     for step in steps:
         lhs, rhs, node = step.lhs, step.rhs, step.node
         frees = step.free_cached if cached else (lhs, rhs)
-        # (lhs copy, rhs copy, output, staged copy) regions, or None
-        at = views[node] if views is not None else None
         shapes = step.shapes
         if shapes is None:
             a, b = live[lhs], live[rhs]
@@ -607,49 +590,131 @@ def _walk_steps(
             if lhs in frees:
                 del live[lhs]
             dtype = a.dtype
-            perm = step.lhs_perm
-            if perm is not None:
+            if step.lhs_perm is not None:
                 if not step.lhs_identity:
-                    a = a.transpose(perm)
-                if at is None or at[0] is None:
-                    a = np.ascontiguousarray(a.reshape(lhs_shape))
-                else:
-                    a = _copy_into(at[0], a)
+                    a = a.transpose(step.lhs_perm)
+                a = np.ascontiguousarray(a.reshape(lhs_shape))
             b = live[rhs]
             if rhs in frees:
                 del live[rhs]
             if b.dtype != dtype:
                 dtype = np.result_type(dtype, b.dtype)
-            perm = step.rhs_perm
-            if perm is not None:
+            if step.rhs_perm is not None:
                 if not step.rhs_identity:
-                    b = b.transpose(perm)
-                if at is None or at[1] is None:
-                    b = np.ascontiguousarray(b.reshape(rhs_shape))
-                else:
-                    b = _copy_into(at[1], b)
-            if at is None:
-                out = np.empty(gemm_shape, dtype)
-            else:
-                out = at[2]
-                if out.dtype != dtype:
-                    out = _recast(out, dtype)
-                if counts is not None:
-                    stats.slot_writes += 1
+                    b = b.transpose(step.rhs_perm)
+                b = np.ascontiguousarray(b.reshape(rhs_shape))
+            out = np.empty(gemm_shape, dtype)
             np.dot(a, b, out=out)
             # drop the staged operands now: staging this step's own output,
             # or the next step's allocations, would otherwise sit on top
             del a, b
             out = out.reshape(step.out_shape)
         if step.stage is not None:
-            if at is None or at[3] is None:
-                out = _staged(out, step.stage)
-            else:
-                out = _copy_into(at[3], out.transpose(step.stage[0]))
+            out = _staged(out, step.stage)
         live[node] = out
         del out
         if counts is not None:
             counts[node] = counts.get(node, 0) + 1
+
+
+#: What a bound walk runs for ``steps`` (:meth:`CompiledPlan.arena_views`):
+#: ``(ops, number of GEMMs)``.  An op is a GEMM ``(lhs, rhs, out)``, a copy
+#: ``(destination, source)`` or a 1-tuple ``(call,)``, run as ``call(live)``;
+#: a GEMM operand that is not an array is read per walk — an ``int`` is the
+#: node ``live`` holds, a tuple an identity layout read in place.
+BoundSuffix = Tuple[Tuple[Tuple, ...], int]
+
+
+def _run_bound(
+    bound: BoundSuffix,
+    steps: Sequence[ContractStep],
+    live: Dict[int, np.ndarray],
+    stats: Optional["PlanStats"],
+) -> None:
+    """Run ``steps`` as bound: the cached walk's one loop — per step its
+    ``np.copyto`` and ``np.dot`` calls on views made at binding, and a
+    ``live`` lookup per operand from the cache, a load or a fetch — then
+    count them at once."""
+    ops, writes = bound
+    dot, copyto, ndarray = np.dot, np.copyto, np.ndarray
+    for op in ops:
+        if len(op) == 3:
+            a, b, out = op
+            if a.__class__ is not ndarray:
+                a = live[a] if a.__class__ is int else _read_in_place(a, live)
+            if b.__class__ is not ndarray:
+                b = live[b] if b.__class__ is int else _read_in_place(b, live)
+            dot(a, b, out)
+        elif len(op) == 2:
+            into, source = op
+            copyto(into.reshape(source.shape), source)
+        else:
+            op[0](live)
+    if stats is not None:
+        counts = stats.node_counts
+        for step in steps:
+            counts[step.node] = counts.get(step.node, 0) + 1
+        stats.slot_writes += writes
+
+
+def _read_in_place(operand: Tuple, live: Dict[int, np.ndarray]) -> np.ndarray:
+    """An identity layout's operand, staged C-contiguously as the fresh walk
+    stages it (one of ``sweep_cost().stagings``): ``(array,)`` an arena
+    array, already contiguous, so the array itself; ``(node, shape)``
+    ``live[node]`` reshaped, a copy only when it is not contiguous."""
+    if len(operand) == 1:
+        return np.ascontiguousarray(operand[0])
+    return np.ascontiguousarray(live[operand[0]].reshape(operand[1]))
+
+
+def _copy_live(into: np.ndarray, node: int, perm: Optional[Tuple[int, ...]], live) -> None:
+    """Copy ``live[node]``, transposed by ``perm``, into its region."""
+    data = live[node] if perm is None else live[node].transpose(perm)
+    np.copyto(into.reshape(data.shape), data)
+
+
+def _einsum(node: int, a, sub_a, b, sub_b, sub_out, live) -> None:
+    """An einsum step, its output a fresh array in ``live``."""
+    a, b = (live[x] if x.__class__ is int else x for x in (a, b))
+    live[node] = np.einsum(a, sub_a, b, sub_b, sub_out)
+
+
+def _merged(shape: Tuple[int, ...], perm: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
+    """``(source shape, permutation)`` of the same transpose with every run of
+    source axes that stays adjacent and in order merged: the same copy with
+    a shallower iterator and smaller views."""
+    runs: List[List[int]] = []
+    for axis in perm:
+        if runs and runs[-1][-1] + 1 == axis:
+            runs[-1].append(axis)
+        else:
+            runs.append([axis])
+    order = sorted(range(len(runs)), key=lambda run: runs[run][0])
+    merged = [math.prod(shape[axis] for axis in runs[run]) for run in order]
+    return merged, [order.index(run) for run in range(len(runs))]
+
+
+def _leaf_data(network: TensorNetwork, tid: int) -> np.ndarray:
+    """Tensor ``tid``'s data, which a walk needs concrete."""
+    data = network.tensor(tid).data
+    if data is None:
+        raise ValueError(f"tensor {tid} is abstract; the executor needs concrete data")
+    return data
+
+
+class _Binding(NamedTuple):
+    """A plan's cached walk bound to one arena (:meth:`CompiledPlan.arena_views`):
+    per resume position the flat ops of ``_resume_suffixes[p]``'s steps
+    (equal suffixes share an entry, every suffix the ops), the inner fold's
+    flush over its block sum ``accumulator``, the staged copy of each leaf
+    load with a region, and the arena arrays of the walk's and the flush's
+    last nodes, which the caller reads from ``live``."""
+
+    suffixes: Tuple[BoundSuffix, ...]
+    flush: Optional[BoundSuffix]
+    accumulator: Optional[np.ndarray]
+    stagings: Dict[int, np.ndarray]
+    tops: Tuple[Tuple[int, np.ndarray], ...]
 
 
 class CompiledPlan:
@@ -743,6 +808,12 @@ class CompiledPlan:
             for child in (step.lhs, step.rhs)
             if child not in step.free_cached and child not in frontier
         )
+        # what a bound walk reads from ``live``, whose dtypes key its
+        # binding: the cache entries (fetches view theirs), the leaf loads
+        self._cache_operands = tuple(
+            sorted({*self._subtask_frontier, *(fetch.node for fetch in fetches)})
+        )
+        self._leaf_operands = tuple(ls for ls in leaf_steps if ls.level)
     # ------------------------------------------------------------------
     @property
     def tree(self) -> ContractionTree:
@@ -866,7 +937,7 @@ class CompiledPlan:
         block: List[Mapping[str, int]] = []
         previous: Optional[Tuple] = None
         for assignment in assignments:
-            key = tuple(assignment.get(ix) for ix in head)
+            key = tuple(map(assignment.get, head))
             if block and key != previous:
                 yield block
                 block = []
@@ -898,37 +969,111 @@ class CompiledPlan:
         """
         return self._arena_bytes
 
-    def arena_views(self, buffer: np.ndarray) -> List[Optional[Tuple]]:
-        """The layout's regions as arrays over the byte ``buffer``, by node.
+    def arena_views(self, buffer: np.ndarray, dtypes: Sequence[np.dtype]) -> _Binding:
+        """The cached walk bound to the byte ``buffer`` (:class:`_Binding`).
 
-        A step's entry is ``(lhs copy, rhs copy, output, staged copy)`` and
-        a staged leaf load's its staged copy, each ``None`` without a
-        region; one more, last entry is the block accumulator of an
-        :attr:`inner_fold` (``None`` without one).  Every view is shaped as
-        its reader takes it — a copy as the GEMM operand or the staged
-        operand, the output as the GEMM writes it — in the plan dtype; the
-        walker recasts one whose step runs in another (:func:`_recast`).
+        Each step of the dependent part and of the inner fold's chain
+        becomes, once: a copy ``(destination, source)`` per operand it
+        permutes out of the arena (:func:`_merged`), its GEMM ``(lhs, rhs,
+        out)`` and a copy for a staged output, whose destination is then the
+        node's array — a retained partial's region is pinned, so its views
+        hold across subtasks.  Einsum steps and copies of ``live`` arrays are
+        ``(call,)`` ops.  A step's output is its operands' ``np.result_type``
+        (``dtypes``: :meth:`_operand_dtypes`) in a region sized at the plan
+        dtype's itemsize; a wider one — leaf data replaced after compiling —
+        gets a buffer of its own.  The copies and GEMMs are
+        :func:`_walk_steps`' on the same C-contiguous layouts: the same bits.
         """
-        dtype = _arena_dtype(self.dtype)
+        nodes = (*self._cache_operands, *(ls.node for ls in self._leaf_operands))
+        typed_of = dict(zip(nodes, dtypes))
+        itemsize = _arena_dtype(self.dtype).itemsize
+        resident: Dict[int, np.ndarray] = {}  # node -> its array in the arena
+        written: Set[int] = set()  # einsum outputs an op puts in live
+        ops_of: Dict[int, List[Tuple]] = {}
 
-        def view(region: Optional[Region], shape) -> Optional[np.ndarray]:
-            if region is None:
-                return None
+        def flat(region: Region, dtype: np.dtype, shape) -> np.ndarray:
             offset, elements = region
+            if dtype.itemsize > itemsize:
+                return np.empty(shape, dtype)
             return buffer[offset : offset + elements * dtype.itemsize].view(dtype).reshape(shape)
 
-        views: List[Optional[Tuple]] = [None] * (self._tree.root + 2)
-        for ls in self._leaf_steps:
-            if ls.region is not None:
-                views[ls.node] = view(ls.region, ls.stage[1])
-        for s in self._steps:
-            if s.regions is not None:
-                shapes = (*(s.shapes or (None,) * 3), s.stage and s.stage[1])
-                views[s.node] = tuple(map(view, s.regions, shapes))
-        for node, _, _, accumulator in self._folds:
-            if accumulator is not None:
-                views[-1] = view(accumulator, self._node_shape(node))
-        return views
+        def copy(source: np.ndarray, perm: Tuple[int, ...], into: np.ndarray) -> Tuple:
+            shape, order = _merged(source.shape, perm)
+            return (into, source.reshape(shape).transpose(order))
+
+        def operand(child, perm, identity, shape, region, ops) -> Any:
+            source = resident.get(child)
+            if perm is None:  # staged by its producer
+                return int(child) if source is None else source
+            if region is None:  # an identity layout, read in place
+                return (int(child), shape) if source is None else (source.reshape(shape),)
+            into = flat(region, typed_of[child], shape)
+            if source is None:
+                ops.append((partial(_copy_live, into, child, None if identity else perm),))
+            else:
+                ops.append(copy(source, perm, into))
+            return into
+
+        def bind(step: ContractStep, frees: Iterable[int]) -> None:
+            ops = ops_of[step.node] = []
+            node, regions = step.node, step.regions or (None,) * 4
+            typed_of[node] = dtype = np.result_type(typed_of[step.lhs], typed_of[step.rhs])
+            if step.shapes is None:
+                a, b = (resident.get(c, int(c)) for c in (step.lhs, step.rhs))
+                einsum = partial(_einsum, node, a, step.sub_lhs, b, step.sub_rhs, step.sub_out)
+                ops.append((einsum,))
+                out = None
+                written.add(node)
+            else:
+                lhs_shape, rhs_shape, gemm_shape = step.shapes
+                a = operand(step.lhs, step.lhs_perm, step.lhs_identity, lhs_shape, regions[0], ops)
+                b = operand(step.rhs, step.rhs_perm, step.rhs_identity, rhs_shape, regions[1], ops)
+                out = flat(regions[2], dtype, gemm_shape)
+                ops.append((a, b, out))
+                out = resident[node] = out.reshape(step.out_shape)
+            if step.stage is not None:
+                staged = flat(regions[3], dtype, step.stage[1])
+                if out is None:
+                    ops.append((partial(_copy_live, staged, node, step.stage[0]),))
+                    frees = (*frees, node)
+                else:
+                    ops.append(copy(out, step.stage[0], staged))
+                resident[node] = staged
+            for child in frees:
+                if child in written:
+                    written.discard(child)
+                    ops.append((operator.methodcaller("pop", child),))  # its lifetime ends
+
+        def suffix(steps: Sequence[ContractStep]) -> BoundSuffix:
+            ops = tuple(op for step in steps for op in ops_of[step.node])
+            return ops, sum(step.shapes is not None for step in steps)
+
+        stagings = {
+            ls.node: flat(ls.region, typed_of[ls.node], ls.stage[1])
+            for ls in self._leaf_operands
+            if ls.region is not None
+        }
+        for step in self._resume_suffixes[0][1]:
+            bind(step, step.free_cached)
+        suffixes: List[BoundSuffix] = []
+        for p, (_, steps) in enumerate(self._resume_suffixes):
+            shared = p and steps is self._resume_suffixes[p - 1][1]
+            suffixes.append(suffixes[-1] if shared else suffix(steps))
+        node, _, chain, region = self._folds[0]
+        tops = [(node, resident[node])] if node in resident else []
+        flush = accumulator = None
+        if self.inner_fold is not None:
+            # the chain reads the block sum where the walk left the node
+            walked = resident.get(node)
+            shape = self._node_shape(node) if walked is None else walked.shape
+            resident[node] = accumulator = flat(region, typed_of[node], shape)
+            inside = {step.node for step in chain}
+            for step in chain:  # (what the walk left, siblings included, stays)
+                bind(step, [c for c in (step.lhs, step.rhs) if c in inside])
+            flush = suffix(chain)
+            if chain[-1].node in resident:
+                tops.append((chain[-1].node, resident[chain[-1].node]))
+        return _Binding(tuple(suffixes), flush, accumulator, stagings, tuple(tops))
 
     def _node_shape(self, node: int) -> Tuple[int, ...]:
         """The shape of an internal node's array (its step's output)."""
@@ -1035,7 +1180,7 @@ class CompiledPlan:
             for ls in self._leaf_steps
             if ls.node not in self._dependent
         }
-        _walk_steps(self._invariant_steps, live, None, stats, True)
+        _walk_steps(self._invariant_steps, live, stats, True)
         for node in self._frontier:
             cache[node] = live[node]
         if stats is not None:
@@ -1136,37 +1281,42 @@ class CompiledPlan:
         walk of the next block's first subtask would overwrite.  A
         one-subtask block is bitwise the subtask the fold-free plan runs.
         """
-        if self.inner_fold is None:
+        if len(self._folds) == 1:
             if len(assignments) != 1:
                 raise PlanError(f"a block of this plan is one subtask, not {len(assignments)}")
             live, _ = self._walk(network, assignments[0], cache, stats, slots)
-            data = live[self.fold_node]
+            node = self._folds[0][0]
             # (the root itself is cached when nothing is slice-dependent: a
             # copy keeps callers off the cache buffer)
-            return data.copy() if self.fold_node in self._frontier else data
+            return live[node].copy() if node in self._frontier else live[node]
         if not assignments:
             raise PlanError("an empty block contributes nothing")
         fold = self._folds[0]
         node, level = fold[:2]
         head = self._enumerated[:level]
+        key = tuple(map(assignments[0].get, head))
         accumulator = None
         for assignment in assignments:
-            if any(assignment.get(ix) != assignments[0].get(ix) for ix in head):
+            if tuple(map(assignment.get, head)) != key:
                 raise PlanError(
                     f"the subtasks of one block must agree on the first {level} "
                     f"sliced indices {list(head)}"
                 )
-            live, views = self._walk(network, assignment, cache, stats, slots)
+            live, binding = self._walk(network, assignment, cache, stats, slots)
             if accumulator is None:
-                region = None if views is None else views[-1]
-                if region is None:
+                if binding is None:
                     accumulator = live[node].copy()
                 else:
-                    accumulator = _copy_into(region, live[node])
+                    accumulator = binding.accumulator
+                    np.copyto(accumulator, live[node])
             else:
                 accumulator += live[node]
         start = time.perf_counter()
-        data = self._flush(fold, accumulator, live, views, stats)
+        if binding is None:
+            data = self._flush(fold, accumulator, live, stats)
+        else:
+            _run_bound(binding.flush, fold[2], live, stats)
+            data = live[fold[2][-1].node]
         if stats is not None:
             stats.record_stage("execute", time.perf_counter() - start)
         return data
@@ -1178,9 +1328,9 @@ class CompiledPlan:
         cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats],
         slots: Optional[StemSlots],
-    ) -> Tuple[Dict[int, np.ndarray], Optional[List[Optional[Tuple]]]]:
+    ) -> Tuple[Dict[int, np.ndarray], Optional[_Binding]]:
         """One subtask's walk up to the fold node — or to the inner fold's
-        node: ``(live, arena views)``."""
+        node: ``(live, binding)``, the binding ``None`` without ``slots``."""
         enumerated = self._enumerated
         sizes = self._enumerated_sizes
         if assignment.keys() != sizes.keys():
@@ -1224,24 +1374,37 @@ class CompiledPlan:
         if state is None:
             live = {node: cache[node] for node in self._subtask_frontier}
             if slots is not None:
-                state = (self, cache, values, live)
-        leaf_steps, steps = self._resume_suffixes[first]
-        # (after the state check: a stale state was dropped above, so the
-        # arena may grow to this plan's size)
-        views = slots.views(self) if slots is not None else None
-        for ls in leaf_steps:
-            live[ls.node] = self._load_leaf(
-                network, ls, assignment, cache, None if views is None else views[ls.node]
-            )
-        _walk_steps(steps, live, views, stats, True)
-        if state is not None:
+                # (after the state check: a stale state was dropped above, so
+                # the arena may grow to this plan's size)
+                binding = slots.views(self, self._operand_dtypes(network, cache))
+                live.update(binding.tops)
+                state = (self, cache, values, live, binding)
+        loads, steps = self._resume_suffixes[first]
+        binding = None if state is None else state[4]
+        stagings = {} if binding is None else binding.stagings
+        for ls in loads:
+            live[ls.node] = self._load_leaf(network, ls, assignment, cache, stagings.get(ls.node))
+        if binding is None:
+            _walk_steps(steps, live, stats, True)
+        else:
+            _run_bound(binding.suffixes[first], steps, live, stats)
             slots._resume = state
 
         if stats is not None:
             elapsed = time.perf_counter() - start
             stats.record_subtask_time(elapsed)
             stats.record_stage("execute", elapsed)
-        return live, views
+        return live, binding
+
+    def _operand_dtypes(self, network: TensorNetwork, cache: Mapping[int, np.ndarray]) -> Tuple:
+        """What keys a binding: the dtypes of what the walk reads from
+        ``live`` — the cache entries, then the leaves as loaded."""
+        cast = self._dtype
+        loaded = (
+            _leaf_data(network, ls.tid).dtype if cast is None else cast
+            for ls in self._leaf_operands
+        )
+        return (*(cache[node].dtype for node in self._cache_operands), *loaded)
 
     def finish(
         self,
@@ -1267,19 +1430,18 @@ class CompiledPlan:
             self.warm_cache(network, cache, stats)
         if stats is not None:  # (the tail's operands among the entries)
             stats.cache_hits += len(self._frontier) - len(self._subtask_frontier)
-        return self._flush(fold, folded, cache, None, stats)
+        return self._flush(fold, folded, cache, stats)
 
     def _flush(
         self,
         fold: Tuple,
         accumulator: np.ndarray,
         siblings: Mapping[int, np.ndarray],
-        views: Optional[Sequence[Optional[Tuple]]],
         stats: Optional[PlanStats],
     ) -> np.ndarray:
-        """Run ``fold``'s chain once over its ``accumulator``, its other
-        operands taken from ``siblings`` as they are: the array at the
-        chain's top (the next fold's node, or the root)."""
+        """Run ``fold``'s chain once over its ``accumulator`` in fresh arrays,
+        its other operands taken from ``siblings`` as they are: the array at
+        the chain's top (the next fold's node, or the root)."""
         node, _, chain, _ = fold
         live = {
             child: siblings[child]
@@ -1288,7 +1450,7 @@ class CompiledPlan:
             if child in siblings
         }
         live[node] = accumulator
-        _walk_steps(chain, live, views, stats, False)
+        _walk_steps(chain, live, stats, False)
         return live[chain[-1].node]
 
     # ------------------------------------------------------------------
@@ -1298,19 +1460,14 @@ class CompiledPlan:
         step: LeafStep,
         assignment: Optional[Mapping[str, int]],
         cache: Optional[Mapping[int, np.ndarray]] = None,
-        region: Optional[np.ndarray] = None,
+        staged: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """The array a load or fetch yields: a view of its source when it can
-        be, a staged copy at its arena ``region`` when it has one."""
+        be, a copy into its arena region ``staged`` when it has one."""
         if step.tid is None:
             data = cache[step.node]  # type: ignore[index]
         else:
-            data = network.tensor(step.tid).data
-            if data is None:
-                raise ValueError(
-                    f"tensor {step.tid} is abstract; the executor needs "
-                    "concrete data"
-                )
+            data = _leaf_data(network, step.tid)
         takes = step.takes
         if takes:
             # one basic-index expression up to the last taken axis (the
@@ -1324,10 +1481,12 @@ class CompiledPlan:
             # convert after slicing so the cast copies only the slice
             data = np.asarray(data, dtype=self._dtype)
         if step.stage is not None:
-            if region is None:
+            if staged is None:
                 data = _staged(data, step.stage)
             else:
-                data = _copy_into(region, data.transpose(step.stage[0]))
+                data = data.transpose(step.stage[0])
+                np.copyto(staged.reshape(data.shape), data)
+                data = staged
         return data
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -103,7 +104,11 @@ class _Assignments:
         return dict(zip(self._labels, values))
 
     def __iter__(self) -> Iterator[Dict[str, int]]:
-        return map(self.__getitem__, range(len(self._ids)))
+        labels, sizes, ids = self._labels, self._sizes, self._ids
+        if isinstance(ids, range) and ids == range(math.prod(sizes)):
+            # every id in ascending order: the decodings are the product
+            return (dict(zip(labels, values)) for values in product(*map(range, sizes)))
+        return map(self.__getitem__, range(len(ids)))
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ class TestMeasuredTimings:
         second.record_stage("execute", 4.0)
         second.record_stage("warm_cache", 0.5)
         first.merge(second)
-        assert first.subtask_seconds == [1.0, 2.0, 4.0]
+        assert list(first.subtask_seconds) == [1.0, 2.0, 4.0]
         assert first.subtask_seconds_sum == 7.0
         assert first.timed_subtasks == 3
         assert first.mean_subtask_seconds == pytest.approx(7.0 / 3)
@@ -149,6 +149,36 @@ class TestMeasuredTimings:
         stats.merge(other)  # capped list does not grow, aggregates do
         assert len(stats.subtask_seconds) == MAX_TIMING_SAMPLES
         assert stats.timed_subtasks == total + 1
+
+    def test_timing_samples_at_the_cap_are_unboxed_doubles(self):
+        """At the cap the samples cost 8 bytes each (an ``array('d')``), not a
+        float object each: they sit in every worker's stats and in a fresh
+        pass's memory peak."""
+        import pickle
+        import tracemalloc
+
+        from repro.execution.plan import MAX_TIMING_SAMPLES
+
+        stats = PlanStats()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(MAX_TIMING_SAMPLES + 50):
+                stats.record_subtask_time(i / 1024)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(stats.subtask_seconds) == MAX_TIMING_SAMPLES
+        # (256 boxed floats and their list held 8,288 bytes)
+        assert held <= 8 * MAX_TIMING_SAMPLES + 1024
+        # what merge, calibration, the complexity report and pool workers use
+        assert stats.subtask_seconds[:3].tolist() == [0.0, 1 / 1024, 2 / 1024]
+        assert tuple(stats.subtask_seconds)[-1] == (MAX_TIMING_SAMPLES - 1) / 1024
+        copy = pickle.loads(pickle.dumps(stats))
+        assert copy.subtask_seconds == stats.subtask_seconds
+        merged = PlanStats()
+        merged.merge(stats)
+        assert merged.subtask_seconds == stats.subtask_seconds
 
     def test_calibration_record_from_stats(self, measured_run, workload):
         _, small_tree, small_sliced = workload

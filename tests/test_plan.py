@@ -310,16 +310,18 @@ class TestStemSlots:
 
         def plan_of(nbytes):
             # (what StemSlots.views asks of a plan)
-            return SimpleNamespace(arena_bytes=nbytes, arena_views=lambda buffer: [buffer])
+            return SimpleNamespace(
+                arena_bytes=nbytes, arena_views=lambda buffer, dtypes: [buffer]
+            )
 
         slots = StemSlots()
         small, large = 1 << 21, 1 << 22
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            slots.views(plan_of(small))
+            slots.views(plan_of(small), ())
             tracemalloc.reset_peak()
-            assert slots.views(plan_of(large))[0].nbytes == large
+            assert slots.views(plan_of(large), ())[0].nbytes == large
             # everything the object holds now, and never the outgrown
             # generation (2 MiB) on top of it
             peak = tracemalloc.get_traced_memory()[1] - base
@@ -397,6 +399,37 @@ class TestStemSlots:
         # nothing of the resume state survives the sweep's scope
         assert slots._resume is None
         assert slots.allocated_bytes + cache_bytes < closed < third
+
+    def test_the_bound_walk_takes_the_bytes_the_arena_views_did(self):
+        """The ``small_subtasks`` bench plan's walk bound to its arena —
+        every view, op and suffix list — holds at most the per-node view
+        tuples it replaced (7,184 bytes) plus 4 KiB, and the arena serves it
+        as it is: a second request binds nothing."""
+        import gc
+        import tracemalloc
+
+        from repro.execution import StemSlots
+
+        planned = _bench_plan(4, 5, 10, 10)
+        network = planned.network
+        plan = compile_plan(network, planned.tree, frozenset(planned.slicing.sliced))
+        cache, slots = plan.new_cache(), StemSlots()
+        plan.warm_cache(network, cache)
+        dtypes = plan._operand_dtypes(network, cache)
+        slots.views(plan, dtypes)
+        slots._views = None  # (the arena stays: only the binding is measured)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            binding = slots.views(plan, dtypes)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 < held <= 7_184 + 4_096
+        assert slots.views(plan, dtypes) is binding
+        assert slots.allocated_bytes == plan.arena_bytes
 
     def test_nothing_of_the_resume_state_survives_run_subtasks(self, case):
         tn, tree, _ = _case(num_qubits=8, depth=5)
@@ -813,7 +846,7 @@ class TestProducerStaging:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _walk_steps([step], live, None, None, True)
+            _walk_steps([step], live, None, True)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -66,6 +67,7 @@ from repro.execution import (
     FaultPolicy,
     FaultSpec,
     InjectedCoordinatorDeath,
+    SerialBackend,
     SharedMemoryProcessPoolBackend,
     SlicedExecutor,
     StemSlots,
@@ -1157,14 +1159,31 @@ def _arena_case(seed: int, num_sliced: int, mixed: bool):
     return network, compile_plan(network, plan.tree, frozenset(plan.sliced))
 
 
+@contextmanager
+def _every_backend():
+    """``(label, backend)`` of serial, threads, process pool and distributed,
+    each one object whose arenas outlive a run."""
+    backends = (
+        ("serial", SerialBackend()),
+        ("threads", ThreadPoolBackend(max_workers=2, chunk_size=1)),
+        ("pool", SharedMemoryProcessPoolBackend(max_workers=2)),
+        ("distributed", DistributedBackend(num_workers=2)),
+    )
+    try:
+        yield backends
+    finally:
+        for _, backend in backends:
+            backend.close()
+
+
 def _allocating_run(network, plan) -> np.ndarray:
-    """What a serial run folds, from the walk without an arena: each
-    contribution a fresh array, summed in assignment order, the tail run
-    once."""
+    """What a serial run folds, from the stateless walk (no arena): each
+    block's contribution a fresh array, summed in assignment order, the
+    tail run once."""
     cache, folded = plan.new_cache(), None
-    for subtask_id in range(math.prod(network.size_of(ix) for ix in plan.sliced)):
-        data = plan.execute_array(network, _decode(network, plan, subtask_id), cache)
-        data = np.array(data, copy=True)
+    total = math.prod(network.size_of(ix) for ix in plan.sliced)
+    for block in plan.blocks(_decode(network, plan, i) for i in range(total)):
+        data = np.array(plan.execute_block(network, block, cache), copy=True)
         if folded is None:
             folded = data
         else:
@@ -1253,3 +1272,122 @@ class TestArenaProperties:
             "a retained leaf load",
             "a fold below the root",
         }
+
+    def test_a_leaf_rebound_to_another_dtype_binds_the_walk_again(self):
+        """Leaf data replaced in place by another dtype — the data-only
+        mutation a sampler's rebinding makes — keys a new binding: on every
+        backend each run is bitwise the stateless walk's, for a complex64
+        plan whose staged leaf turns complex128 (wider than the regions the
+        layout sized: its steps get buffers of their own) and then real."""
+        with _every_backend() as backends:
+            for label, backend in backends:
+                network, plan = _hostile_plan(22, 3)
+                for tid in network.tensor_ids:
+                    tensor = network.tensor(tid)
+                    network.replace_tensor(
+                        tid, tensor.with_data(tensor.require_data().astype(np.complex64))
+                    )
+                executor = SlicedExecutor(network, plan.tree, plan.sliced, backend=backend)
+                assert executor.plan.dtype == np.complex64
+                (leaf, *_) = (ls for ls in executor.plan.leaf_steps if ls.region)
+                tensor = network.tensor(leaf.tid)
+                bindings = []
+                for data in (
+                    None,
+                    tensor.require_data().astype(np.complex128) * (1 + 0.5j),
+                    tensor.require_data().real.astype(np.float64),
+                ):
+                    if data is not None:
+                        network.replace_tensor(leaf.tid, tensor.with_data(data))
+                    value = executor.run().require_data()
+                    bits = _allocating_run(network, executor.plan).tobytes()
+                    assert value.tobytes() == bits, (label, None if data is None else data.dtype)
+                    if label == "serial":
+                        bindings.append(backend._slots._views)
+                if label == "serial":  # one binding per operand dtypes, none reused
+                    assert len({id(held[2]) for held in bindings}) == 3
+                    assert len({held[1] for held in bindings}) == 3
+
+    def test_one_arena_serves_a_plan_an_outgrowing_plan_and_the_first_again(self):
+        """One ``StemSlots`` runs plan A, then B, whose arena outgrows A's,
+        then A again: every subtask of each sweep — through hostile id
+        sequences — is bitwise the stateless execute, so nothing bound over
+        the outgrown arena survives; and a backend reused for A, B, A folds
+        the stateless walk's bits each time."""
+        small, large = _hostile_plan(34, 3), _hostile_plan(41, 3)
+        assert large[1].arena_bytes > small[1].arena_bytes
+        slots, first = StemSlots(), None
+        for network, plan in (small, large, small):
+            cache = plan.new_cache()
+            total = math.prod(network.size_of(ix) for ix in plan.sliced)
+            with slots.sweep():
+                for subtask_id in _hostile_ids(np.random.default_rng(total), total):
+                    assignment = _decode(network, plan, subtask_id)
+                    ours = plan.execute_array(network, assignment, cache, slots=slots)
+                    theirs = plan.execute_array(network, assignment, cache)
+                    assert ours.tobytes() == theirs.tobytes(), (plan.arena_bytes, subtask_id)
+            assert slots._views[0] is plan
+            if first is None:
+                first = slots._views[2]
+        assert slots.allocated_bytes == large[1].arena_bytes  # grown, never shrunk
+        assert slots._views[2] is not first
+        references = [_allocating_run(*case).tobytes() for case in (small, large, small)]
+        with _every_backend() as backends:
+            for label, backend in backends:
+                for (network, plan), bits in zip((small, large, small), references):
+                    executor = SlicedExecutor(network, plan.tree, plan.sliced, backend=backend)
+                    assert executor.run().require_data().tobytes() == bits, label
+
+    def test_an_inner_fold_flush_is_the_stateless_block(self):
+        """A block's bound walk and flush — the chain over the accumulator
+        and the siblings, bound once — return the bits of the same block
+        without an arena, block by block on one arena; every backend folds
+        the stateless walk's bits."""
+        with _every_backend() as backends:
+            for seed, num_sliced in _INNER[:3]:
+                network, tree, sliced = _folding_case(seed, num_sliced)
+                plan = SlicedExecutor(network, tree, sliced).plan
+                assert plan.inner_fold is not None
+                total = math.prod(network.size_of(ix) for ix in plan.sliced)
+                blocks = list(plan.blocks(_decode(network, plan, i) for i in range(total)))
+                cache, slots = plan.new_cache(), StemSlots()
+                with slots.sweep():
+                    for block in (*blocks, *blocks[::-1]):
+                        ours = plan.execute_block(network, block, cache, slots=slots)
+                        theirs = plan.execute_block(network, block, cache)
+                        assert ours.tobytes() == theirs.tobytes(), seed
+                bits = _allocating_run(network, plan).tobytes()
+                for label, backend in backends:
+                    value = SlicedExecutor(network, tree, sliced, backend=backend).run()
+                    assert value.require_data().tobytes() == bits, (seed, label)
+
+    def test_einsum_steps_run_bitwise_in_the_bound_walk(self):
+        """Hyper-index steps keep their einsum in the bound walk: its output
+        goes to ``live`` (or is staged into its region), a GEMM copies or
+        reads it in place, and its lifetime ends at its consumer — subtask
+        by subtask through hostile ids on one arena, and folded on every
+        backend, the stateless walk's bits."""
+        seen = set()
+        with _every_backend() as backends:
+            for seed, num_sliced in ((31, 3), (39, 3)):
+                network, plan = _hostile_plan(seed, num_sliced)
+                cache, slots = plan.new_cache(), StemSlots()
+                total = math.prod(network.size_of(ix) for ix in plan.sliced)
+                with slots.sweep():
+                    for subtask_id in _hostile_ids(np.random.default_rng(seed), total):
+                        assignment = _decode(network, plan, subtask_id)
+                        ours = plan.execute_array(network, assignment, cache, slots=slots)
+                        theirs = plan.execute_array(network, assignment, cache)
+                        assert ours.tobytes() == theirs.tobytes(), (seed, subtask_id)
+                for ops, _ in slots._views[2].suffixes:
+                    for op in ops:
+                        if len(op) == 1:  # (a partial, or the pop that ends a lifetime)
+                            seen.add(getattr(op[0], "func", dict.pop).__name__)
+                        elif len(op) == 3:
+                            reads = (x for x in op[:2] if type(x) is tuple)
+                            seen.update(f"read in place {len(x)}" for x in reads)
+                bits = _allocating_run(network, plan).tobytes()
+                for label, backend in backends:
+                    value = SlicedExecutor(network, plan.tree, plan.sliced, backend=backend).run()
+                    assert value.require_data().tobytes() == bits, (seed, label)
+        assert seen >= {"_einsum", "_copy_live", "pop", "read in place 1", "read in place 2"}

@@ -670,6 +670,20 @@ class TestBuildReplay:
         _assert_bitwise(sampler.compute_batch(base), first)
         assert rebound == [] and warmed == []
 
+    def test_a_new_bitstring_keeps_the_bound_walk(self):
+        """Rebinding leaves and re-warming the cache bind nothing: the
+        resident executor's arena runs the op list it bound on the first
+        batch, and the batch is bitwise a fresh sampler's."""
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        first, second = [0] * NUM_QUBITS, [1, 0] * 4 + [1]
+        sampler.compute_batch(first)
+        (executor,) = sampler._resident.executors.values()
+        slots = executor.backend._slots
+        binding = slots._views[2]
+        assert binding.suffixes[0][0]  # (a real op list)
+        _assert_bitwise(sampler.compute_batch(second), _fresh_batch(second))
+        assert slots._views[2] is binding
+
     def test_each_batch_logs_its_replay(self, caplog):
         sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
         first, second = [0] * NUM_QUBITS, [1, 0] * 4 + [1]
