@@ -59,10 +59,11 @@ one arena instead of hitting the allocator once per step.
 from __future__ import annotations
 
 import atexit
-import math
+import logging
 import os
 import pickle
 import threading
+import time
 import warnings
 import weakref
 from concurrent.futures import (
@@ -78,6 +79,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
+from .. import forking
 from ..tensornet.network import TensorNetwork
 from ..tensornet.tensor import Tensor
 from .checkpoint import CheckpointJob, payload_checksums
@@ -111,6 +113,8 @@ __all__ = [
     "resolve_backend",
     "validate_execution_args",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +237,7 @@ def _serial_accumulate(
     slots: StemSlots,
     checkpoint: Optional[CheckpointJob] = None,
     injector: Optional[FaultInjector] = None,
+    hand_off: Optional[Callable[..., bool]] = None,
 ) -> np.ndarray:
     """In-order, in-process accumulation — the reduction all backends match.
 
@@ -246,10 +251,18 @@ def _serial_accumulate(
     way, so the result is bit-identical to the ledger-free loop.  Each
     computed slot is one harvest ordinal for an armed injector's
     coordinator-side faults.
+
+    A ``hand_off`` is offered the blocks after block 1 (block 0 binds the
+    arena), with block 1's seconds and the running sum; the loop stops
+    where it folded them in itself (:class:`_HandOffBackend`).
     """
     accumulated: Optional[np.ndarray] = None
+    blocks = plan.blocks(assignments)
+    if hand_off is not None:
+        blocks = list(blocks)
     with slots.sweep():
-        for position, block in enumerate(plan.blocks(assignments)):
+        for position, block in enumerate(blocks):
+            started = time.perf_counter()
             data = None if checkpoint is None else checkpoint.loaded.get(position)
             if data is None:
                 data = plan.execute_block(network, block, cache, stats, slots)
@@ -266,8 +279,26 @@ def _serial_accumulate(
                 accumulated = _owned_contribution(data)
             else:
                 accumulated += data
+            if position == 1 and hand_off is not None:
+                data = None  # (a view of the arena the hand-off may drop)
+                block_s = time.perf_counter() - started
+                if hand_off(plan, network, cache, stats, block_s, blocks[2:], accumulated):
+                    break
     assert accumulated is not None
     return accumulated
+
+
+def _even_chunks(blocks: List[List], count: int) -> List[List]:
+    """Positioned chunks of whole ``blocks``, at most ``count``: block ``p``
+    goes to chunk ``count * s // total``, ``s`` the subtasks before it, so
+    chunks of equal blocks differ by at most one block."""
+    total = sum(map(len, blocks))
+    chunks: List[List] = [[] for _ in range(count)]
+    done = 0
+    for position, block in enumerate(blocks):
+        chunks[done * count // total].append((position, block))
+        done += len(block)
+    return [chunk for chunk in chunks if chunk]
 
 
 def _chunked(blocks: List[List], chunk_size: int) -> List[List]:
@@ -451,6 +482,9 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
+    #: Where the sweep may send its blocks after the first warm one.
+    _hand_off: Optional[Callable[..., bool]] = None
+
     def __init__(self) -> None:
         self._slots = StemSlots()
 
@@ -474,9 +508,62 @@ class SerialBackend(ExecutionBackend):
         if checkpoint is not None:
             checkpoint.require_slot_shape(plan.contribution_shape)
         accumulated = _serial_accumulate(
-            plan, network, assignments, cache, stats, self._slots, checkpoint, injector
+            plan, network, assignments, cache, stats, self._slots, checkpoint, injector,
+            self._hand_off,
         )
         return _result_tensor(plan, plan.finish(network, accumulated, cache, stats))
+
+
+class _HandOffBackend(SerialBackend):
+    """:meth:`repro.SimulationPlanner.execute_plan`'s default: serial until
+    block 1, the first warm one, shows that a process pool pays for the rest.
+
+    The rule is :func:`repro.forking.pool_pays` plus no native thread (a
+    multi-threaded BLAS already has the cores).  The parent then drops its
+    arena, runs the rest on an ephemeral shared-memory pool session and
+    adds their contributions to its running sum in position order — the
+    additions the serial loop performs, so the bits are serial's.  A pool
+    that breaks logs one ``WARNING`` and the rest run inline; a chunk's own
+    exception is raised as it would be inline.
+    """
+
+    def _hand_off(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Dict[int, np.ndarray],
+        stats: Optional[PlanStats],
+        block_s: float,
+        rest: List[List[Mapping[str, int]]],
+        accumulated: np.ndarray,
+    ) -> bool:
+        # a multi-threaded BLAS already spreads every GEMM over the cores
+        # the pool would take, and pooled workers would fight it for them
+        if forking.native_threads() > 1 or not forking.pool_pays(block_s, len(rest)):
+            return False
+        self._slots.release()
+        pooled = PlanStats()
+        pool = SharedMemoryProcessPoolBackend(min(forking.usable_cpus(), len(rest)))
+
+        def drive(transport: ChunkTransport) -> List[Optional[np.ndarray]]:
+            return run_chunks(transport, pool._chunks(rest), FAIL_FAST, stats=pooled)
+
+        try:
+            with ExecutionSession(pool) as session:
+                contributions = session.run(plan, network, cache, drive)
+        except (BrokenExecutor, OSError) as exc:
+            _LOG.warning(
+                "sweep pool failed (%s: %s); running the %d remaining blocks inline",
+                type(exc).__name__, exc, len(rest),
+            )
+            if stats is not None:
+                stats.faults += 1
+            return False
+        for contribution in contributions:
+            accumulated += contribution
+        if stats is not None:
+            stats.merge(pooled)
+        return True
 
 
 class LocalTransport(ChunkTransport):
@@ -578,16 +665,18 @@ class _PooledBackend(ExecutionBackend):
         self._session: Optional["_ResidentSession"] = None
 
     def _chunks(self, blocks: List[List[Mapping[str, int]]]) -> List[List]:
-        """Positioned chunks of whole blocks; ~4 per worker by default to
-        stream evenly, and an explicit ``chunk_size`` rounds up to whole
-        blocks — a block never splits, so every backend folds the
-        contributions serial folds."""
+        """Positioned chunks of whole blocks.  By default ~4 per worker,
+        their count a multiple of the worker count and their subtask
+        counts at most one block apart, so the workers' shares stay even;
+        an explicit ``chunk_size`` rounds up to whole blocks.  A block
+        never splits, so every backend folds the contributions serial
+        folds."""
         if self.chunk_size is not None:
-            chunk_size = self.chunk_size
-        else:
-            subtasks = sum(map(len, blocks))
-            chunk_size = max(1, math.ceil(subtasks / (4 * self.max_workers)))
-        return _chunked(blocks, chunk_size)
+            return _chunked(blocks, self.chunk_size)
+        count = min(4 * self.max_workers, len(blocks))
+        if count > self.max_workers:
+            count -= count % self.max_workers
+        return _even_chunks(blocks, count)
 
     # ------------------------------------------------------------------
     def session(
@@ -957,8 +1046,9 @@ def _abort_pool(pool: Optional[ProcessPoolExecutor]) -> None:
             "shared-memory attachments alive",
             RuntimeWarning,
         )
-    # snapshot before shutdown(): a draining shutdown clears the attribute
+    # snapshot before shutdown(): a draining shutdown clears the attributes
     processes = dict(getattr(pool, "_processes", None) or {})
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - defensive
@@ -973,6 +1063,10 @@ def _abort_pool(pool: Optional[ProcessPoolExecutor]) -> None:
             process.join(timeout=5.0)
         except Exception:  # pragma: no cover - defensive
             pass
+    if manager is not None:
+        # with its workers gone the pool's manager thread winds down; a
+        # run that gave up leaves no thread behind either
+        manager.join(timeout=5.0)
 
 
 class _ResidentSession(ChunkTransport):

@@ -101,7 +101,7 @@ import time
 from array import array
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import (
     AbstractSet,
@@ -381,6 +381,11 @@ class StemSlots:
         finally:
             self._resume = None
 
+    def release(self) -> None:
+        """Drop the arena, its binding and the resume state; the next
+        :meth:`views` allocates afresh."""
+        self._arena = self._views = self._resume = None
+
     @property
     def allocated_bytes(self) -> int:
         """Bytes currently held by the arena."""
@@ -454,6 +459,10 @@ class LeafStep:
     consumer layout, so the view *is* the contiguous operand.  ``region``
     is where a cached subtask writes that staged copy in the arena, when
     it is one (:func:`_lay_out`).
+
+    ``index`` is the load's basic-index expression with a whole axis
+    where each taken value goes, derived from ``takes``: a load fills in
+    the values only.
     """
 
     node: int
@@ -464,6 +473,19 @@ class LeafStep:
     level: int = 0
     stage: Optional[Staging] = None
     region: Optional[Region] = None
+    index: Tuple[object, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        width = self.takes[-1][1] + 1 if self.takes else 0
+        whole = len(self.takes) == len(self.source_indices)
+        object.__setattr__(self, "index", _index_template(width, whole))
+
+
+@lru_cache(maxsize=None)
+def _index_template(width: int, whole: bool) -> Tuple[object, ...]:
+    """Whole axes up to the last taken one, shared by every load of that
+    shape; an Ellipsis keeps a load that takes every axis an array."""
+    return (*[_WHOLE_AXIS] * width, *[Ellipsis] * whole)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1468,14 +1490,10 @@ class CompiledPlan:
             data = cache[step.node]  # type: ignore[index]
         else:
             data = _leaf_data(network, step.tid)
-        takes = step.takes
-        if takes:
-            # one basic-index expression up to the last taken axis (the
-            # Ellipsis covers the rest and keeps a rank-0 result an array)
-            index: List[object] = [_WHOLE_AXIS] * (takes[-1][1] + 1)
-            for ix, axis in takes:
+        if step.takes:
+            index = list(step.index)
+            for ix, axis in step.takes:
                 index[axis] = assignment[ix]  # type: ignore[index]
-            index.append(Ellipsis)
             data = data[tuple(index)]
         if self._dtype is not None and step.tid is not None:
             # convert after slicing so the cast copies only the slice

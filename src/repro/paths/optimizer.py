@@ -27,14 +27,17 @@ A search first draws every trial's ``(method, seed, hyper-parameters)``
 from the master RNG — seed, then that method's parameters, trial by trial —
 so each trial is a pure function of ``(network, trial)``.  Trial 0 runs
 inline and is timed.  The others run on a ``fork``-started process pool
-when all of these hold, and inline one after another otherwise:
+when :func:`repro.forking.pool_pays` says so, and inline one after another
+otherwise.  That rule is shared with the front door's sliced sweep
+(:meth:`repro.SimulationPlanner.execute_plan`):
 
 * at least two trials remain;
-* the platform can ``fork`` and the process may run on at least two CPUs;
+* the platform can ``fork``, the process may have children (a daemonic
+  pool worker may not) and may run on at least two CPUs;
 * the process runs no other thread (forking beside a live thread can
   deadlock the child; an open shared-memory pool session has one);
 * trial 0's seconds times the remaining trials exceed the work below
-  which a pool does not pay for itself (:data:`_FORK_SECONDS`).
+  which a pool does not pay for itself (:data:`repro.forking._FORK_SECONDS`).
 
 Workers inherit the network through the fork and send back each trial's
 record, SSA path and timings.  The parent logs the trials in order, keeps
@@ -49,7 +52,6 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -61,6 +63,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..costs.model import CostModel
 
+from ..forking import pool_pays, usable_cpus
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from .anneal import TreeAnnealer
@@ -71,19 +74,6 @@ from .partition import CommunityOptimizer, PartitionOptimizer
 __all__ = ["HyperOptimizer", "TrialRecord", "find_tree"]
 
 _LOG = logging.getLogger("repro.paths")
-
-#: Inline seconds the remaining trials must be expected to take (trial 0's
-#: seconds times their count) before they go to a fork pool; 0.2 s sits
-#: between the bench plans that pool and those that stay inline.  Forced
-#: inline/pool pairs on a 2-vCPU VM (bench runs, seed 3, medians), with the
-#: spread of 7 x trial 0's seconds: Sycamore-53 m=12 (0.28-0.51 s) plans in
-#: 0.645 s inline, 0.440 s pooled (6/6 pairs); the 5x7 grid m=9
-#: (0.24-0.37 s) sets up in 0.295 s / 0.229 s (6/6); the 4x5 grid m=10
-#: (0.13-0.18 s) in 0.158 s / 0.139 s (6/6) -- but an earlier series there
-#: lost 5/5 on the pool (+29 %), when two busy workers delivered well under
-#: twice one core's trial rate, so that plan and the cheaper sampling plan
-#: (0.10-0.15 s) stay inline.  The pool's own life costs about 20 ms.
-_FORK_SECONDS = 0.2
 
 #: The methods whose optimizer takes a seed and the drawn parameters.
 _SEEDED = {
@@ -259,7 +249,7 @@ class HyperOptimizer:
         """Every trial's outcome in trial order: the first inline, the rest where they pay."""
         started = time.perf_counter()
         outcomes = [_run_trial(network, trials[0], self.refine, self.cost_model)]
-        if _pool_pays(time.perf_counter() - started, len(trials) - 1):
+        if pool_pays(time.perf_counter() - started, len(trials) - 1):
             outcomes += self._run_pooled(network, trials[1:])
         for trial in trials[len(outcomes):]:
             outcomes.append(_run_trial(network, trial, self.refine, self.cost_model))
@@ -277,7 +267,7 @@ class HyperOptimizer:
             import networkx  # noqa: F401
         try:
             with ProcessPoolExecutor(
-                max_workers=min(_usable_cpus(), len(trials)),
+                max_workers=min(usable_cpus(), len(trials)),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_adopt,
                 initargs=(network, self.refine, self.cost_model),
@@ -364,23 +354,6 @@ def _run_trial(
         cost=float(cost_model.tree_cost(tree)) if cost_model is not None else None,
     )
     return _Outcome(record, tree.ssa_path, built - started, annealed - built)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (1 where the platform cannot say)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else 1
-
-
-def _pool_pays(first_s: float, remaining: int) -> bool:
-    """Whether the ``remaining`` trials after one of ``first_s`` seconds go to a fork pool."""
-    return (
-        remaining >= 2
-        and "fork" in multiprocessing.get_all_start_methods()
-        and _usable_cpus() >= 2
-        and threading.active_count() == 1
-        and first_s * remaining > _FORK_SECONDS
-    )
 
 
 #: A pool worker's copy of the search inputs, inherited through the fork;

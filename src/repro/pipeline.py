@@ -11,8 +11,9 @@ paper's production runs do:
 5.  plan the thread-level fused execution (secondary slicing),
 6.  estimate the performance on the Sunway model (per-subtask time, node
     counts, sustained rate), and
-7.  — for small circuits — numerically execute the sliced contraction and
-    check it against the unsliced value.
+7.  — for small circuits — numerically execute the sliced contraction
+    (:meth:`SimulationPlanner.execute_plan`): inline, or, once a timed
+    subtask block shows the rest pays for a pool, on every usable core.
 
 Every stage's artefacts are kept on the returned :class:`SimulationPlan` so
 examples, tests and benchmarks can inspect any intermediate.
@@ -33,7 +34,7 @@ from .core.slice_refiner import SimulatedAnnealingSliceRefiner
 from .core.slicing import SlicingCostModel, SlicingResult
 from .core.stem import Stem, extract_stem
 from .costs.model import CostModel
-from .execution.backend import ExecutionBackend
+from .execution.backend import ExecutionBackend, _HandOffBackend
 from .execution.fused import ThreadLevelSimulator, ThreadTiming
 from .execution.plan import PlanStats
 from .execution.resilience import FaultPolicy
@@ -246,8 +247,8 @@ class SimulationPlanner:
         Master PRNG seed for all stochastic components.
     backend:
         Optional :class:`~repro.execution.backend.ExecutionBackend` used by
-        :meth:`execute_plan` to schedule the slicing subtasks (default
-        serial).  Wrap repeated :meth:`execute_plan` calls in
+        :meth:`execute_plan` to schedule the slicing subtasks (default:
+        see :meth:`execute_plan`).  Wrap repeated :meth:`execute_plan` calls in
         ``with planner.session(): ...`` (or use the planner itself as a
         context manager) to keep the backend's resident state — the
         process pool of a
@@ -400,17 +401,22 @@ class SimulationPlanner:
         """Numerically execute a plan on a concrete network (small circuits).
 
         Runs every slicing subtask through ``backend`` (defaulting to the
-        planner's backend, then serial) and accumulates the results;
-        returns the amplitude including the simplifier's scalar prefactor.
+        planner's backend) and accumulates the results; returns the
+        amplitude including the simplifier's scalar prefactor.  Without
+        either, the sweep runs inline until a timed block shows that a
+        process pool pays for the rest (:func:`repro.forking.pool_pays`);
+        the amplitude is the serial one, bit for bit.
         The run's counters and wall timings land on
         ``plan.measured_stats``, feeding the predicted-vs-measured stage
         report and :class:`~repro.costs.CalibratedCostModel` calibration.
         """
+        if backend is None:
+            backend = self.backend if self.backend is not None else _HandOffBackend()
         executor = SlicedExecutor(
             plan.network,
             plan.tree,
             plan.slicing.sliced,
-            backend=backend if backend is not None else self.backend,
+            backend=backend,
             cost_model=self.cost_model,
             fault_policy=self.fault_policy,
         )

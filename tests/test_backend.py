@@ -353,6 +353,37 @@ class TestMultiIndexBatching:
         assert batched.amplitude() == pytest.approx(amplitude(circ, bits), abs=1e-8)
 
 
+class TestDefaultChunks:
+    """Default chunks: ~4 per worker, a multiple of the worker count, at
+    most one block apart, positions in order; explicit sizes keep their cut."""
+
+    @staticmethod
+    def _sizes(backend, blocks):
+        chunks = backend._chunks(blocks)
+        assert [p for chunk in chunks for p, _ in chunk] == list(range(len(blocks)))
+        return [sum(len(block) for _, block in chunk) for chunk in chunks]
+
+    @pytest.mark.parametrize(
+        "blocks, workers, sizes",
+        [
+            (14, 2, [2, 2, 2, 1, 2, 2, 2, 1]),  # each worker's 4 chunks hold 7
+            (512, 2, [64] * 8),  # the small bench's pool cut, unchanged
+            (16, 2, [2] * 8),  # the large bench's distributed cut, unchanged
+            (5, 2, [2, 1, 1, 1]),
+            (3, 4, [1, 1, 1]),
+        ],
+    )
+    def test_even_cuts(self, blocks, workers, sizes):
+        backend = ThreadPoolBackend(max_workers=workers)
+        assert self._sizes(backend, [[{}] for _ in range(blocks)]) == sizes
+
+    def test_whole_blocks_and_explicit_sizes(self):
+        blocks = [[{}] * 8 for _ in range(7)]  # an inner fold's blocks of 8
+        assert self._sizes(ThreadPoolBackend(max_workers=2), blocks) == [16] + [8] * 5
+        single = [[{}] for _ in range(16)]
+        assert self._sizes(ThreadPoolBackend(2, chunk_size=3), single) == [3] * 5 + [1]
+
+
 class TestValidationSymmetry:
     """SlicedExecutor and CorrelatedSampler reject parallel reference mode
     with the identical error."""

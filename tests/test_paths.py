@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import forking
 from repro.circuits import amplitude, random_brickwork_circuit, sycamore_circuit
 from repro.costs import AnalyticCostModel
 from repro.execution import contract_tree
@@ -349,7 +350,7 @@ def pool_spy(monkeypatch):
 @pytest.fixture
 def pooled(monkeypatch, pool_spy):
     """Searches fork whenever they may: any first trial pays, two CPUs usable."""
-    monkeypatch.setattr(hyper, "_FORK_SECONDS", 0.0)
+    monkeypatch.setattr(forking, "_FORK_SECONDS", 0.0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return pool_spy
 
@@ -357,7 +358,7 @@ def pooled(monkeypatch, pool_spy):
 def _inline(monkeypatch, search):
     """``search()`` with the pool priced out, so every trial runs inline."""
     with monkeypatch.context() as patch:
-        patch.setattr(hyper, "_FORK_SECONDS", float("inf"))
+        patch.setattr(forking, "_FORK_SECONDS", float("inf"))
         return search()
 
 
@@ -407,7 +408,7 @@ class TestParallelTrials:
 
         monkeypatch.setattr(hyper, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(
-            hyper, "_FORK_SECONDS", float("inf") if rule == "cheap_first_trial" else 0.0
+            forking, "_FORK_SECONDS", float("inf") if rule == "cheap_first_trial" else 0.0
         )
         cpus = {0} if rule == "one_cpu" else {0, 1}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
