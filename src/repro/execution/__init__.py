@@ -85,7 +85,10 @@ Staleness is tracked with a leaf-data snapshot fingerprint:
   The data-only case is the steady state of a sampling run:
   :class:`CorrelatedSampler` rebinds each bitstring's leaf data into one
   resident plan, so :meth:`CorrelatedSampler.session` amortizes worker
-  start-up (and, on the distributed backend, the plan broadcast);
+  start-up (and, on the distributed backend, the plan broadcast).  A
+  sampler without a backend gets a sampling session instead, which splits
+  each batch with one forked twin once the inline sweeps would have paid
+  for the fork;
 * **axis-order mutation** — every published buffer layout is invalid, so
   the session is rebuilt from scratch (``reset_session``).
 

@@ -74,8 +74,20 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import wait as futures_wait
+from itertools import islice
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -228,6 +240,79 @@ def _result_tensor(plan: CompiledPlan, accumulated: np.ndarray) -> Tensor:
     return Tensor(plan.out_indices, data=accumulated, sizes=plan.out_sizes)
 
 
+def _swept_blocks(
+    plan: CompiledPlan,
+    network: TensorNetwork,
+    assignments: Iterable[Mapping[str, int]],
+    cache: Dict[int, np.ndarray],
+    stats: Optional[PlanStats],
+    slots: StemSlots,
+    start: int = 0,
+    stop: Optional[int] = None,
+    checkpoint: Optional[CheckpointJob] = None,
+    injector: Optional[FaultInjector] = None,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Blocks ``[start, stop)`` of ``assignments`` as one resumed sweep on
+    ``slots``: ``(position, contribution)`` in position order, the blocks cut
+    lazily, never listed.  A contribution may alias the invariant cache or
+    the arena, so it holds only until the next one is drawn (:func:`_folded`
+    takes an owned copy).  The one ordered loop of the serial backend and of
+    both halves of a split sampling batch.  ``assignments`` are read from
+    their first (cutting a block reads one assignment past it, so an
+    iterator shared between calls would lose that one).
+
+    With a ``checkpoint`` ledger a slot is one block: slots persisted by a
+    previous (interrupted) run come from the ledger instead of being
+    executed — skipped slots are just gaps in the resumed sweep, which
+    compares assignments by value — and freshly computed slots are recorded
+    *before* they are yielded.  Each computed slot is one harvest ordinal
+    for an armed injector's coordinator-side faults.
+    """
+    blocks = islice(plan.blocks(assignments), start, stop)
+    with slots.sweep():
+        for position, block in enumerate(blocks, start):
+            # (the loop keeps no reference to the contribution it yields)
+            yield position, (
+                plan.execute_block(network, block, cache, stats, slots)
+                if checkpoint is None
+                else _checkpointed_block(
+                    plan, network, position, block, cache, stats, slots, checkpoint, injector
+                )
+            )
+
+
+def _checkpointed_block(
+    plan: CompiledPlan,
+    network: TensorNetwork,
+    position: int,
+    block: List[Mapping[str, int]],
+    cache: Dict[int, np.ndarray],
+    stats: Optional[PlanStats],
+    slots: StemSlots,
+    checkpoint: CheckpointJob,
+    injector: Optional[FaultInjector],
+) -> np.ndarray:
+    """Block ``position``'s contribution from the ledger, or computed and
+    recorded."""
+    data = checkpoint.loaded.get(position)
+    if data is None:
+        data = plan.execute_block(network, block, cache, stats, slots)
+        checkpoint.record(position, data)
+        if injector is not None:
+            apply_coordinator_directive(injector.coordinator_directive_for_next_harvest())
+    return data
+
+
+def _folded(accumulated: Optional[np.ndarray], data: np.ndarray) -> np.ndarray:
+    """The serial loop's addition: an owned copy of the first contribution,
+    which may alias the invariant cache or the arena (both overwritten by
+    later subtasks), then ``+=`` each next one."""
+    if accumulated is None:
+        return _owned_contribution(data)
+    accumulated += data
+    return accumulated
+
+
 def _serial_accumulate(
     plan: CompiledPlan,
     network: TensorNetwork,
@@ -241,49 +326,27 @@ def _serial_accumulate(
 ) -> np.ndarray:
     """In-order, in-process accumulation — the reduction all backends match.
 
-    The loop is one resumed sweep on ``slots`` (see
-    :meth:`~repro.execution.plan.CompiledPlan.execute`).  With a
-    ``checkpoint`` ledger a slot is one block: slots persisted by a
-    previous (interrupted) run are folded from the ledger instead of
-    re-executed — skipped slots are just gaps in the resumed sweep, which
-    compares assignments by value — and freshly computed slots are
-    recorded *before* being folded.  Position order is the same either
-    way, so the result is bit-identical to the ledger-free loop.  Each
-    computed slot is one harvest ordinal for an armed injector's
-    coordinator-side faults.
+    The loop is :func:`_swept_blocks` folded by :func:`_folded`; position
+    order is the same with a ledger or without, so the result is
+    bit-identical to the ledger-free loop.
 
     A ``hand_off`` is offered the blocks after block 1 (block 0 binds the
     arena), with block 1's seconds and the running sum; the loop stops
     where it folded them in itself (:class:`_HandOffBackend`).
     """
     accumulated: Optional[np.ndarray] = None
-    blocks = plan.blocks(assignments)
-    if hand_off is not None:
-        blocks = list(blocks)
-    with slots.sweep():
-        for position, block in enumerate(blocks):
-            started = time.perf_counter()
-            data = None if checkpoint is None else checkpoint.loaded.get(position)
-            if data is None:
-                data = plan.execute_block(network, block, cache, stats, slots)
-                if checkpoint is not None:
-                    checkpoint.record(position, data)
-                    if injector is not None:
-                        apply_coordinator_directive(
-                            injector.coordinator_directive_for_next_harvest()
-                        )
-            if accumulated is None:
-                # the first contribution may alias the invariant cache or the
-                # arena, both overwritten by later subtasks, so take an owned
-                # buffer once
-                accumulated = _owned_contribution(data)
-            else:
-                accumulated += data
-            if position == 1 and hand_off is not None:
-                data = None  # (a view of the arena the hand-off may drop)
-                block_s = time.perf_counter() - started
-                if hand_off(plan, network, cache, stats, block_s, blocks[2:], accumulated):
-                    break
+    started = time.perf_counter()
+    for position, data in _swept_blocks(
+        plan, network, assignments, cache, stats, slots, 0, None, checkpoint, injector
+    ):
+        accumulated = _folded(accumulated, data)
+        if position == 1 and hand_off is not None:
+            data = None  # (a view of the arena the hand-off may drop)
+            block_s = time.perf_counter() - started
+            rest = list(islice(plan.blocks(assignments), 2, None))
+            if hand_off(plan, network, cache, stats, block_s, rest, accumulated):
+                break
+        started = time.perf_counter()
     assert accumulated is not None
     return accumulated
 
@@ -779,6 +842,12 @@ class ThreadPoolBackend(_PooledBackend):
     amortize well when each subtask is large; per-subtask Python overhead
     is still serialized, which is where the process pool takes over.
     A degrading policy falls back to inline serial execution.
+
+    Under a multi-threaded BLAS (numpy's default OpenBLAS starts a thread
+    per core) the threads oversubscribe the cores: each thread's GEMMs run
+    on the BLAS library's threads too.  Pin BLAS to one thread per worker
+    (``OPENBLAS_NUM_THREADS=1``, or ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS``,
+    set before numpy is imported), as ``bench/run.py`` does.
 
     Parameters
     ----------
@@ -1468,6 +1537,16 @@ class SharedMemoryProcessPoolBackend(_PooledBackend):
     Wins over threads for many-small-subtask workloads, where per-subtask
     interpreter overhead (plan bookkeeping, leaf slicing) dominates the
     GIL-free GEMM time.
+
+    Under a multi-threaded BLAS the pool oversubscribes the cores: each
+    worker keeps the parent's BLAS thread count (numpy's default OpenBLAS
+    starts one per core).  On a 2-vCPU VM the 5x7-grid, m = 9 bench plan
+    (16 subtasks of ~45 ms) took 2.5 s on two workers against 0.55 s
+    serial; with one BLAS thread, 0.45 s against 0.75 s.  Pin BLAS to one
+    thread per worker (``OPENBLAS_NUM_THREADS=1``, or ``OMP_NUM_THREADS`` /
+    ``MKL_NUM_THREADS``, set before numpy is imported), as ``bench/run.py``
+    does; the default front door and a sampling session stay inline beside
+    a native thread for this reason.
 
     Parameters
     ----------

@@ -402,14 +402,16 @@ class SweepCost:
     weighs each step by its scalar multiply-adds (an open step's are its
     *unsliced* ones, once).  ``stagings`` counts the GEMM operands a
     consumer brings into GEMM layout itself, once per use (``transpose →
-    reshape → ascontiguousarray``), and ``producer_stagings`` the ones a
-    producer that runs less often wrote in that layout instead — at the
-    warm pass or when a retained partial is produced.  ``cache_bytes`` is
-    what the frontier cache holds for the whole sweep and
-    ``retained_bytes`` what the retained partials (levels ``>= 1``) hold
-    between subtasks, the staged copies of leaves included; other leaf
-    loads and fetches are views and hold nothing (a ``dtype`` override, or
-    a leaf that is not C-contiguous, copies more than is counted).
+    reshape → ascontiguousarray``) — not an identity layout of another
+    step's output in the arena, which the cached walk reads as it is — and
+    ``producer_stagings`` the ones a producer that runs less often wrote in
+    that layout instead — at the warm pass or when a retained partial is
+    produced.  ``cache_bytes`` is what the frontier cache holds for the
+    whole sweep and ``retained_bytes`` what the retained partials (levels
+    ``>= 1``) hold between subtasks, the staged copies of leaves included;
+    other leaf loads and fetches are views and hold nothing (a ``dtype``
+    override, or a leaf that is not C-contiguous, copies more than is
+    counted).
     ``fold_bytes`` is the accumulators of the folds with a chain above
     them: the sum of the :attr:`CompiledPlan.fold_node`'s arrays below the
     root, and an inner fold's block accumulator.
@@ -643,7 +645,7 @@ def _walk_steps(
 #: ``(ops, number of GEMMs)``.  An op is a GEMM ``(lhs, rhs, out)``, a copy
 #: ``(destination, source)`` or a 1-tuple ``(call,)``, run as ``call(live)``;
 #: a GEMM operand that is not an array is read per walk — an ``int`` is the
-#: node ``live`` holds, a tuple an identity layout read in place.
+#: node ``live`` holds, a ``(node, shape)`` pair an identity layout of it.
 BoundSuffix = Tuple[Tuple[Tuple, ...], int]
 
 
@@ -680,13 +682,12 @@ def _run_bound(
 
 
 def _read_in_place(operand: Tuple, live: Dict[int, np.ndarray]) -> np.ndarray:
-    """An identity layout's operand, staged C-contiguously as the fresh walk
-    stages it (one of ``sweep_cost().stagings``): ``(array,)`` an arena
-    array, already contiguous, so the array itself; ``(node, shape)``
-    ``live[node]`` reshaped, a copy only when it is not contiguous."""
-    if len(operand) == 1:
-        return np.ascontiguousarray(operand[0])
-    return np.ascontiguousarray(live[operand[0]].reshape(operand[1]))
+    """An identity layout of ``live[node]`` for ``(node, shape)``, staged
+    C-contiguously as the fresh walk stages it (one of
+    ``sweep_cost().stagings``): a copy only when it is not contiguous.  (An
+    arena array is bound as its reshaped view: it is contiguous already.)"""
+    node, shape = operand
+    return np.ascontiguousarray(live[node].reshape(shape))
 
 
 def _copy_live(into: np.ndarray, node: int, perm: Optional[Tuple[int, ...]], live) -> None:
@@ -1028,7 +1029,7 @@ class CompiledPlan:
             if perm is None:  # staged by its producer
                 return int(child) if source is None else source
             if region is None:  # an identity layout, read in place
-                return (int(child), shape) if source is None else (source.reshape(shape),)
+                return (int(child), shape) if source is None else source.reshape(shape)
             into = flat(region, typed_of[child], shape)
             if source is None:
                 ops.append((partial(_copy_live, into, child, None if identity else perm),))
@@ -1143,6 +1144,17 @@ class CompiledPlan:
             producer_stagings=sum(runs[ls.level] for ls in loads if ls.stage is not None),
             fold_bytes=sum(held[node] for node, _, chain, _ in self._folds if chain),
         )
+        leaves = self._tree.num_leaves
+
+        def staged(step: ContractStep, child: int, perm, identity: bool) -> bool:
+            if perm is None:
+                return False
+            if not identity or step.regions is None or child < leaves:
+                return True
+            # an arena array is contiguous: the bound walk reads it in place
+            regions = self._steps[child - leaves].regions
+            return regions is None or regions[2] is None
+
         for step, count in zip(self._steps, self._step_runs()):
             cost += SweepCost(
                 steps=count,
@@ -1152,8 +1164,9 @@ class CompiledPlan:
                     for child in (step.lhs, step.rhs)
                     if child in self._retained
                 ),
-                stagings=count * sum(
-                    perm is not None for perm in (step.lhs_perm, step.rhs_perm)
+                stagings=count * (
+                    staged(step, step.lhs, step.lhs_perm, step.lhs_identity)
+                    + staged(step, step.rhs, step.rhs_perm, step.rhs_identity)
                 ),
                 producer_stagings=count * (step.stage is not None),
             )

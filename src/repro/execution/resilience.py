@@ -565,12 +565,13 @@ def _drive(
         indices = [inflight.pop(handle) for handle in lost.handles if handle in inflight]
         for handle in lost.handles:
             deadlines.pop(handle, None)
+        if policy.mode == "fail-fast":  # nothing is requeued
+            logger.warning("%s worker lost (%r)", transport.name, lost.error)
+            give_up("worker lost", lost.error)
         logger.warning(
             "%s worker lost (%r); chunks %s go back to the front of the queue",
             transport.name, lost.error, indices,
         )
-        if policy.mode == "fail-fast":
-            give_up("worker lost", lost.error)
         stats.retries += len(indices)
         queue.extendleft(reversed(indices))
 

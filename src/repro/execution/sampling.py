@@ -26,6 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
+import mmap
+import pickle
+import time
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -42,6 +46,7 @@ from typing import (
 
 import numpy as np
 
+from .. import forking
 from ..circuits.circuit import Circuit
 from ..paths.optimizer import HyperOptimizer
 from ..tensornet.circuit_to_tn import CircuitToTensorNetwork
@@ -52,6 +57,8 @@ from ..tensornet.tensor import Tensor
 from .backend import (
     ExecutionBackend,
     NullExecutionSession,
+    _folded,
+    _swept_blocks,
     validate_execution_args,
 )
 from .plan import PlanStats
@@ -305,8 +312,22 @@ class CorrelatedSampler:
     ``build_network``      14.0–14.7 ms,        0.8–1.1 ms,
                            222 merges           54 merges
     rebinding              0.2 ms, 52 leaves    0.05 ms, a median 5 leaves
-    ``run()``              the same ≈ 55–70 ms  the same
+    the sweep, inline      the same ≈ 55–70 ms  the same
+    the sweep, twinned     —                    its 32 blocks split 16/16
+                                                with a forked twin
     =====================  ===================  =========================
+
+    Inside :meth:`session` a sampler without a backend splits its batches
+    with one forked twin once their summed sweep seconds would have paid
+    for a fork: the twin rebuilds and rebinds the same batch itself from
+    the closed qubits' bits, runs the trailing half of its blocks while
+    the parent runs the leading half, and writes each block's contribution
+    into a row of shared memory; the parent adds the rows in position
+    order, so the bits are the inline batch's.  The twin stays only if one
+    of its first two warm split batches swept faster than the fastest
+    inline one.  On the bench's
+    sampler a batch went from ≈ 80 ms inline to ≈ 45 ms split on a 2-vCPU
+    VM; batches of a few milliseconds stay inline.
 
     Parameters
     ----------
@@ -337,7 +358,10 @@ class CorrelatedSampler:
         backend's persistent session — wrap the loop in
         ``with sampler.session(): ...`` so the workers are spawned once
         and each batch only republishes leaf data and the invariant cache
-        for the resident plan.
+        for the resident plan.  Without a backend, the same loop is where
+        batches may split with a forked twin (see :meth:`session`); an
+        explicit backend never does, and a batch outside a session runs
+        inline.
     fault_policy:
         Optional :class:`~repro.execution.resilience.FaultPolicy` for
         batch execution: a long sampling run survives worker crashes and
@@ -408,6 +432,8 @@ class CorrelatedSampler:
         self._resident: Optional[_ResidentPlan] = None
         # the one full build per ``concrete`` flag, replayed for every bitstring
         self._builds: Dict[bool, _LoggedBuild] = {}
+        # the open sampling session of a sampler without a backend
+        self._session: Optional[_SamplingSession] = None
 
     # ------------------------------------------------------------------
     def build_network(
@@ -426,6 +452,10 @@ class CorrelatedSampler:
         bitwise what a full build returns.  A closed qubit's bit must be 0
         or 1 (``ValueError`` naming the qubit otherwise).
         """
+        return self._build(self._closed_bits(base_bitstring), concrete)
+
+    def _closed_bits(self, base_bitstring: Sequence[int]) -> Dict[int, int]:
+        """The closed qubits' bits, each 0 or 1 (``ValueError`` otherwise)."""
         if len(base_bitstring) != self.circuit.num_qubits:
             raise ValueError("base bitstring length mismatch")
         bits: Dict[int, int] = {}
@@ -436,6 +466,11 @@ class CorrelatedSampler:
             if bit not in (0, 1):
                 raise ValueError(f"closed qubit {qubit} has bit {bit!r}; expected 0 or 1")
             bits[qubit] = int(bit)
+        return bits
+
+    def _build(
+        self, bits: Dict[int, int], concrete: bool
+    ) -> Tuple[TensorNetwork, Dict[int, str], complex]:
         build = self._builds.get(concrete)
         if build is None:
             build = self._builds[concrete] = self._log_build(bits, concrete)
@@ -525,9 +560,9 @@ class CorrelatedSampler:
         """The resident executor for ``slicing``, holding ``network``'s leaves.
 
         Only the leaves whose dtype or bytes differ from the resident ones
-        are rebound into the resident network, which the executor sees as a
-        data-only mutation: it keeps the compiled plan and drops the
-        invariant cache, and a backend session takes its data-only
+        are rebound into the resident network, which the executor sees at
+        once as a data-only mutation: it keeps the compiled plan and drops
+        the invariant cache, and a backend session takes its data-only
         republish path.  When no leaf differs (the same bitstring again)
         the warm cache is kept.  Returns the executor and the number of
         leaves rebound.
@@ -560,30 +595,60 @@ class CorrelatedSampler:
             # the sampler-lifetime stats counts every subtask exactly once
             executor.stats = self.stats
             resident.executors[slicing] = executor
+        executor._refresh_stale_plan()
         return executor, rebound
 
     # ------------------------------------------------------------------
     def session(self):
-        """Open (or reuse) the backend's persistent execution session.
-
-        Every :meth:`compute_batch` call runs the same resident compiled
-        plan with new leaf data, so inside a session the workers are
-        spawned once and each batch takes the session's data-only path:
-        the slice-dependent leaves and the re-warmed invariant cache are
-        republished for the same plan object (the distributed session
-        broadcasts the plan once and never again)::
+        """Open (or reuse) a session for a run of batches::
 
             with sampler.session():
                 batches = [sampler.compute_batch(b) for b in bases]
 
-        Backends without resident state return a no-op session.
+        With a ``backend``, its persistent execution session: every
+        :meth:`compute_batch` call runs the same resident compiled plan
+        with new leaf data, so the workers are spawned once and each batch
+        takes the session's data-only path — the slice-dependent leaves
+        and the re-warmed invariant cache are republished for the same
+        plan object (the distributed session broadcasts the plan once and
+        never again).  Backends without resident state return a no-op
+        session.
+
+        Without one, a sampling session (:class:`_SamplingSession`): its
+        batches run inline, as outside a session, and add up the seconds
+        their sweeps take; once that sum would already have paid for a
+        fork (:func:`repro.forking.pool_pays` with the batches run so far,
+        in a process with one native thread), the session forks one *twin*
+        and splits every later batch with it: the parent sends the closed
+        qubits' bits, both processes prepare the batch with the same code,
+        the twin runs the trailing half of its blocks into shared memory
+        while the parent runs the leading half, and the parent adds the
+        twin's contributions in position order — bitwise the inline batch,
+        each subtask counted once in :attr:`stats`.  Split batches are
+        timed: unless one of the first two warm ones (after the twin's
+        first) sweeps faster than the fastest inline batch, the twin retires
+        and the session stays inline (one ``INFO`` line).  A run too short
+        to pay for a fork — one batch, say — stays a no-op, and so does a
+        plan of fewer than 2 blocks.  A batch the twin cannot mirror (an
+        explicit ``sliced=``, a new network structure) retires it and runs
+        inline; a twin that dies costs one ``WARNING`` on
+        ``repro.execution.sampling``, its blocks run inline with the same
+        bits and the session stays inline.  Closing the session or the
+        sampler, garbage collection and interpreter exit retire the twin:
+        killed, reaped, pipes closed.
         """
-        if self.backend is None:
-            return NullExecutionSession(None)
-        return self.backend.session()
+        if self.backend is not None:
+            return self.backend.session()
+        if self._session is None or self._session.closed:
+            self._session = _SamplingSession()
+        return self._session
 
     def close(self) -> None:
-        """Release the backend's resident session state (idempotent)."""
+        """Retire the sampling session's twin and release the backend's
+        resident session state (idempotent)."""
+        if self._session is not None:
+            self._session.close()
+            self._session = None
         if self.backend is not None:
             self.backend.close()
 
@@ -610,25 +675,25 @@ class CorrelatedSampler:
             Optional explicit slicing set (inner indices).  ``None`` derives
             one from the planner when the tree exceeds ``target_rank``.
         """
-        network, open_index_of_qubit, prefactor = self.build_network(
-            base_bitstring, concrete=True
-        )
-        self.plan_tree(network)
-        slicing = (
-            frozenset(sliced) if sliced is not None else self._derived_slicing(network)
-        )
-        leaves = len(network)
-        executor, rebound = self._rebound_executor(network, slicing)
-        # its leaves now live in the resident network: do not hold the
-        # per-batch network (and its tensors' bookkeeping) through the run
-        del network
-        tensor = executor.run()
-        _LOG.debug(
-            "replayed %d merges, rebound %d of %d leaves",
-            len(self._builds[True].merges),
-            rebound,
-            leaves,
-        )
+        bits = self._closed_bits(base_bitstring)
+        session = self._session
+        split = None if session is None else session.split_for(self, bits, sliced)
+        try:
+            executor, open_index_of_qubit, prefactor = self._prepare(bits, sliced)
+            del bits  # (not held through the sweep)
+            started = time.perf_counter()
+            if split is not None:
+                tensor = self._split_run(executor, split, session)
+                session.ran_split(split, time.perf_counter() - started)
+            else:
+                tensor = executor.run()
+                if session is not None and sliced is None:
+                    seconds = time.perf_counter() - started
+                    session.ran_inline(self, executor, seconds, tensor.require_data().itemsize)
+        except BaseException:
+            if split is not None:
+                session.retire()  # (the twin may be in the middle of the batch)
+            raise
 
         order = tuple(open_index_of_qubit[q] for q in self.open_qubits)
         tensor = tensor.transposed(order)
@@ -642,6 +707,234 @@ class CorrelatedSampler:
             open_qubits=self.open_qubits,
             amplitudes=amplitudes,
         )
+
+    def _prepare(
+        self, bits: Dict[int, int], sliced: Optional[Iterable[str]]
+    ) -> Tuple[SlicedExecutor, Dict[int, str], complex]:
+        """A batch up to its sweep, the same in the parent and in a twin:
+        replay the build on ``bits``, look the tree up, derive the slicing
+        and rebind the changed leaves into the resident executor."""
+        network, open_index_of_qubit, prefactor = self._build(bits, True)
+        self.plan_tree(network)
+        slicing = (
+            frozenset(sliced) if sliced is not None else self._derived_slicing(network)
+        )
+        leaves = len(network)
+        # (its leaves now live in the resident network: the per-batch
+        # network, and its tensors' bookkeeping, die with this frame)
+        executor, rebound = self._rebound_executor(network, slicing)
+        _LOG.debug(
+            "replayed %d merges, rebound %d of %d leaves",
+            len(self._builds[True].merges),
+            rebound,
+            leaves,
+        )
+        return executor, open_index_of_qubit, prefactor
+
+    def _split_run(
+        self, executor: SlicedExecutor, split: "_Split", session: "_SamplingSession"
+    ) -> Tensor:
+        """The parent's side of a split batch: warm the cache, run the leading
+        blocks while the twin runs the trailing ones, then add the twin's
+        rows to the running sum in position order — the serial loop's
+        additions — merge the twin's stats and run the tail."""
+        plan, network, cache = executor.plan, executor.network, executor._cache
+        slots = executor.backend._slots
+        executor.backend.warm(plan, network, cache, self.stats)
+        accumulated = None
+        for _, data in _swept_blocks(
+            plan, network, executor.assignments(), cache, self.stats, slots, 0, split.start
+        ):
+            accumulated = _folded(accumulated, data)
+        try:
+            reply = split.twin.wait()
+        except (EOFError, OSError) as exc:
+            session.lose(exc, f"blocks {split.start}-{split.stop - 1} of this batch run")
+            rows = (
+                data
+                for _, data in _swept_blocks(
+                    plan, network, executor.assignments(), cache, self.stats, slots, split.start
+                )
+            )
+        else:
+            self.stats.merge(pickle.loads(reply))
+            rows = split.rows(accumulated.dtype)
+        for data in rows:
+            accumulated = _folded(accumulated, data)
+        data = plan.finish(network, accumulated, cache, self.stats)
+        return Tensor(plan.out_indices, data=data, sizes=plan.out_sizes)
+
+    def _serve_twin(self, split: "_Split") -> bytes:
+        """The twin's side of a split batch: the parent's preparation on the
+        bits it sent, the warm pass (counted by the parent), and the trailing
+        blocks, each into its row; the reply is those blocks' stats."""
+        executor, _, _ = self._prepare(dict(zip(split.closed, split.request)), None)
+        if executor is not split.executor:
+            raise RuntimeError("the twin's resident executor is not its parent's")
+        plan, network, cache = executor.plan, executor.network, executor._cache
+        executor.backend.warm(plan, network, cache, None)
+        stats = PlanStats()
+        for position, data in _swept_blocks(
+            plan, network, executor.assignments(), cache, stats, executor.backend._slots,
+            split.start, split.stop,
+        ):
+            np.copyto(split.rows(data.dtype)[position - split.start], data)
+        return pickle.dumps(stats)
+
+
+class _Split:
+    """A forked twin (:class:`repro.forking.Twin`) and what it shares with
+    the parent: the trailing half of every batch's blocks, each block's
+    contribution a row of an anonymous mapping made before the fork.  A
+    request is the closed qubits' bits, one byte each; a reply the pickled
+    :class:`~repro.execution.plan.PlanStats` of the twin's blocks."""
+
+    def __init__(
+        self,
+        sampler: CorrelatedSampler,
+        executor: SlicedExecutor,
+        blocks: int,
+        itemsize: int,
+        inline_s: float,
+    ) -> None:
+        self.executor, self.resident = executor, sampler._resident
+        self.start, self.stop = blocks // 2, blocks
+        #: the fastest inline sweep, which a warm split batch must beat
+        #: (``None`` once one has)
+        self.inline_s: Optional[float] = inline_s
+        self.batches = 0
+        self.closed = tuple(
+            q for q in range(sampler.circuit.num_qubits) if q not in sampler.open_qubits
+        )
+        self.request = bytearray(len(self.closed))
+        self._shape = (blocks - self.start, *executor.plan.contribution_shape)
+        # rows sized at the result's itemsize, which no contribution exceeds
+        self._mapping = mmap.mmap(-1, itemsize * math.prod(self._shape))
+        # (the parent keeps no reference to what the twin serves)
+        self.twin = forking.Twin(lambda: sampler._serve_twin(self), self.request)
+
+    def send(self, bits: Dict[int, int]) -> None:
+        """Start the twin on the batch of ``bits``."""
+        request = self.request
+        for index, qubit in enumerate(self.closed):
+            request[index] = bits[qubit]
+        self.twin.send()
+
+    def rows(self, dtype: np.dtype) -> np.ndarray:
+        """The twin's contributions, one block a row, in position order."""
+        return np.frombuffer(self._mapping, dtype, math.prod(self._shape)).reshape(self._shape)
+
+    def close(self) -> None:
+        self.twin.close()
+
+
+class _SamplingSession(NullExecutionSession):
+    """:meth:`CorrelatedSampler.session` without a backend: batches run
+    inline and add up their sweep seconds until one forked twin would have
+    paid for itself, then split with it (:class:`_Split`) — unless neither
+    of the first two warm split batches beats the fastest inline sweep.
+
+    A batch the twin cannot mirror — an explicit ``sliced=``, a new network
+    structure — retires it and runs inline; the count starts again.  A twin
+    that dies costs one ``WARNING``: the parent runs its blocks inline (the
+    same bits) and the session stays inline.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(None)
+        self.inline_seconds = 0.0
+        self.inline_batches = 0
+        self.fastest_inline = math.inf
+        self.split: Optional[_Split] = None
+        self.stay_inline = False
+
+    def split_for(
+        self, sampler: CorrelatedSampler, bits: Dict[int, int], sliced: Optional[Iterable[str]]
+    ) -> Optional[_Split]:
+        """The twin, started on ``bits`` — ``None`` for an inline batch."""
+        split = self.split
+        if split is None:
+            return None
+        if sliced is not None or sampler._resident is not split.resident:
+            self.retire()
+            return None
+        try:
+            split.send(bits)
+        except (EOFError, OSError) as exc:
+            self.lose(exc, "the batch runs")
+            return None
+        return split
+
+    def ran_inline(
+        self, sampler: CorrelatedSampler, executor: SlicedExecutor, seconds: float, itemsize: int
+    ) -> None:
+        """Count an inline batch's sweep; fork the twin once the sum pays."""
+        if self.closed or self.stay_inline or executor.plan is None:
+            return
+        self.inline_seconds += seconds
+        self.inline_batches += 1
+        self.fastest_inline = min(self.fastest_inline, seconds)
+        inline_s = self.inline_seconds / self.inline_batches
+        # (a multi-threaded BLAS already spreads every GEMM over the cores)
+        if not (
+            forking.pool_pays(inline_s, self.inline_batches) and forking.native_threads() == 1
+        ):
+            return
+        blocks = sum(1 for _ in executor.plan.blocks(executor.assignments()))
+        if blocks < 2:
+            return
+        try:
+            self.split = _Split(sampler, executor, blocks, itemsize, self.fastest_inline)
+        except OSError as exc:
+            self.lose(exc, "the next batch runs")
+
+    def ran_split(self, split: _Split, seconds: float) -> None:
+        """Judge the first two warm split batches (the twin's first batch
+        copies the pages it writes): unless one of them swept faster than
+        the fastest inline batch, the twin retires for the rest of the
+        session — a batch too small to share pays the pipe and the twin's
+        own preparation for nothing.  Fastest against either of two, since
+        noise only ever slows a sweep down."""
+        if split is not self.split or split.inline_s is None:
+            return  # (lost during the batch, or judged already)
+        split.batches += 1
+        if split.batches == 1:
+            return
+        if seconds < split.inline_s:
+            split.inline_s = None
+        elif split.batches == 3:
+            _LOG.info(
+                "sampling twin retired: neither of two warm split sweeps beat the "
+                "fastest inline one, %.2f ms (the last took %.2f ms); every later "
+                "batch of this session runs inline",
+                split.inline_s * 1e3,
+                seconds * 1e3,
+            )
+            self.retire()
+            self.stay_inline = True
+
+    def lose(self, exc: BaseException, what: str) -> None:
+        """The twin died or could not start: one warning; inline from now on."""
+        # (the text, not the exception: a kept record must not pin its frames)
+        _LOG.warning(
+            "sampling twin lost (%s: %s); %s inline, and so does every later batch of this session",
+            type(exc).__name__,
+            str(exc),
+            what,
+        )
+        self.retire()
+        self.stay_inline = True
+
+    def retire(self) -> None:
+        """Kill and reap the twin, if any; inline batches count again from zero."""
+        if self.split is not None:
+            self.split.close()
+            self.split = None
+        self.inline_seconds, self.inline_batches, self.fastest_inline = 0.0, 0, math.inf
+
+    def close(self) -> None:
+        self.retire()
+        super().close()
 
 
 def _same_bits(old: Tensor, new: Tensor) -> bool:

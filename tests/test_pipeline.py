@@ -331,11 +331,16 @@ class TestFrontDoorPool:
         front = [r for r in caplog.records if r.name == "repro.execution.backend"]
         assert len(front) == 1 and front[0].levelno == logging.WARNING
         assert "running the 510 remaining blocks inline" in front[0].getMessage()
-        # the scheduler's own account of the loss is the only other warning
+        # the scheduler's own account of the loss is the only other warning:
+        # fail-fast gives up at once, so it requeues nothing and says so
         assert {r.name for r in caplog.records} <= {
             "repro.execution.backend",
             "repro.execution.resilience",
         }
+        scheduler = [r.getMessage() for r in caplog.records if r.name == "repro.execution.resilience"]
+        assert any(" worker lost (" in m for m in scheduler)
+        assert any(m.startswith("giving up on ") for m in scheduler)
+        assert not any("front of the queue" in m for m in scheduler)
         stats = plan.measured_stats
         assert stats.faults == 1
         assert stats.executions == serial.num_subtasks

@@ -1364,7 +1364,8 @@ class TestArenaProperties:
     def test_einsum_steps_run_bitwise_in_the_bound_walk(self):
         """Hyper-index steps keep their einsum in the bound walk: its output
         goes to ``live`` (or is staged into its region), a GEMM copies or
-        reads it in place, and its lifetime ends at its consumer — subtask
+        reads it in place (a ``(node, shape)`` pair: an arena array is bound
+        as itself), and its lifetime ends at its consumer — subtask
         by subtask through hostile ids on one arena, and folded on every
         backend, the stateless walk's bits."""
         seen = set()
@@ -1384,10 +1385,11 @@ class TestArenaProperties:
                         if len(op) == 1:  # (a partial, or the pop that ends a lifetime)
                             seen.add(getattr(op[0], "func", dict.pop).__name__)
                         elif len(op) == 3:
-                            reads = (x for x in op[:2] if type(x) is tuple)
-                            seen.update(f"read in place {len(x)}" for x in reads)
+                            reads = [x for x in op[:2] if type(x) is tuple]
+                            assert all(len(x) == 2 for x in reads), reads
+                            seen.update("read in place" for x in reads)
                 bits = _allocating_run(network, plan).tobytes()
                 for label, backend in backends:
                     value = SlicedExecutor(network, plan.tree, plan.sliced, backend=backend).run()
                     assert value.require_data().tobytes() == bits, (seed, label)
-        assert seen >= {"_einsum", "_copy_live", "pop", "read in place 1", "read in place 2"}
+        assert seen >= {"_einsum", "_copy_live", "pop", "read in place"}

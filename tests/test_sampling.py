@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import logging
+import math
+import multiprocessing
+import os
+import signal
+import threading
+import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import forking
 from repro.circuits import (
     Circuit,
     Gate,
@@ -16,7 +26,9 @@ from repro.circuits import (
     grid_circuit,
     random_brickwork_circuit,
 )
+from repro.core import lifetime as lifetime_module
 from repro.execution import SharedMemoryProcessPoolBackend, ThreadPoolBackend
+from repro.execution import sampling as sampling_module
 from repro.execution.plan import CompiledPlan
 from repro.execution.sampling import (
     CorrelatedSampleBatch,
@@ -451,6 +463,28 @@ class TestSamplerStatsAccounting:
             assert sampler.stats.executions == batches * REUSE_SUBTASKS
             assert sampler.stats.timed_subtasks == batches * REUSE_SUBTASKS
 
+    def test_each_subtask_is_counted_once_with_a_twin(self, may_fork, twin_spy):
+        """The twin's stats come back pickled and are merged: the counts of
+        a twinned run are an inline run's."""
+        inline = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        rng = np.random.default_rng(9)
+        with sampler.session():
+            for batches in range(1, 7):
+                base = [int(b) for b in rng.integers(0, 2, NUM_QUBITS)]
+                inline.compute_batch(base)
+                sampler.compute_batch(base)
+                assert sampler.stats.executions == batches * REUSE_SUBTASKS
+                assert sampler.stats.timed_subtasks == batches * REUSE_SUBTASKS
+        assert len(twin_spy) == 1
+        ours, theirs = sampler.stats, inline.stats
+        assert ours.cache_hits == theirs.cache_hits
+        assert ours.slot_writes == theirs.slot_writes
+        # the split falls where the slowest sliced index changes: the inline
+        # sweep walks from the top there too, so even the steps agree
+        assert ours.node_counts == theirs.node_counts
+        assert len(ours.subtask_seconds) == len(theirs.subtask_seconds)
+
 
 # ----------------------------------------------------------------------
 # Convert and simplify once, replay the kets' merges per bitstring
@@ -705,3 +739,323 @@ class TestBuildReplay:
             f"replayed 27 merges, rebound {differ} of 14 leaves",
             "replayed 27 merges, rebound 0 of 14 leaves",
         ]
+
+
+# ----------------------------------------------------------------------
+# A sampling session splits its batches with one forked twin
+# ----------------------------------------------------------------------
+def _shared_mappings():
+    """This process's anonymous shared mappings (what ``mmap.mmap(-1, n)`` makes)."""
+    with open("/proc/self/maps") as maps:
+        return sum(" rw-s " in line and "/dev/zero" in line for line in maps)
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def _reaped(pid):
+    """Whether ``pid`` is no child of this process any more, not even a zombie."""
+    children = set()
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as listed:
+            children.update(map(int, listed.read().split()))
+    return pid not in children
+
+
+def _await_zombie(pid):
+    for _ in range(1000):
+        with open(f"/proc/{pid}/stat") as stat:
+            if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} did not die")
+
+
+_TWIN, _WAIT = forking.Twin, forking.Twin.wait
+_RAN_SPLIT = sampling_module._SamplingSession.ran_split
+
+
+@pytest.fixture
+def may_fork(monkeypatch):
+    """Two usable CPUs, a single-threaded BLAS, any sweep paying for a fork
+    and every twin kept, however long its split batches take: the small
+    test circuits share too little to beat the inline sweep."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(forking, "native_threads", lambda: 1)
+    monkeypatch.setattr(forking, "_FORK_SECONDS", 0.0)
+    monkeypatch.setattr(sampling_module._SamplingSession, "ran_split", lambda *args: None)
+
+
+@pytest.fixture
+def twin_spy(monkeypatch):
+    """The pid of every twin a session forks (the real twin still runs)."""
+    forked = []
+    real = forking.Twin
+
+    def spy(*args):
+        twin = real(*args)
+        forked.append(twin.pid)
+        return twin
+
+    monkeypatch.setattr(forking, "Twin", spy)
+    return forked
+
+
+def _twin_bases(count, seed=4):
+    rng = np.random.default_rng(seed)
+    bases = [[int(b) for b in rng.integers(0, 2, NUM_QUBITS)] for _ in range(count)]
+    bases[4] = bases[3]  # a repeated bitstring rebinds 0 leaves
+    return bases
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/proc/self/fd"),
+    reason="the twin forks; the checks read /proc",
+)
+class TestSamplingTwin:
+    """``sampler.session()`` without a backend: inline batches until a fork
+    pays, then every batch split with one forked twin — bit for bit the
+    inline batch, and nothing outlives the session."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_outlives_a_test(self):
+        fds, mappings = _open_fds(), _shared_mappings()
+        yield
+        gc.collect()
+        assert multiprocessing.active_children() == []
+        assert _open_fds() <= fds
+        assert _shared_mappings() <= mappings
+
+    @pytest.mark.parametrize("case", ["plain", "inner_fold"])
+    def test_a_twinned_batch_is_bitwise_an_inline_one(
+        self, monkeypatch, may_fork, twin_spy, case, caplog
+    ):
+        """CI runs this under two fixed ``PYTHONHASHSEED``s too."""
+        if case == "inner_fold":
+            monkeypatch.setattr(lifetime_module, "INNER_FOLD_PRODUCT", math.inf)
+        inline = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        split = []
+        with caplog.at_level(logging.WARNING, logger="repro.execution.sampling"):
+            with sampler.session() as session:
+                for base in _twin_bases(8):
+                    split.append(session.split is not None)
+                    _assert_bitwise(sampler.compute_batch(base), inline.compute_batch(base))
+                (executor,) = sampler._resident.executors.values()
+                assert (executor.plan.inner_fold is not None) == (case == "inner_fold")
+        # inline until two batches have run, then split: the repeated
+        # bitstring (batch 4) keeps the warm cache on both sides of the fork
+        assert split == [False, False] + [True] * 6
+        assert len(twin_spy) == 1 and _reaped(twin_spy[0])
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING and "twin" in r.getMessage()]
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "no_session",
+            "below_price",
+            "one_cpu",
+            "live_thread",
+            "native_thread",
+            "daemon",
+            "explicit_sliced",
+            "one_block",
+        ],
+    )
+    def test_each_inline_rule_keeps_the_twin_unforked(self, monkeypatch, may_fork, rule):
+        def refuse(*args):
+            raise AssertionError("a sampling twin was forked")
+
+        monkeypatch.setattr(forking, "Twin", refuse)
+        if rule == "below_price":
+            monkeypatch.setattr(forking, "_FORK_SECONDS", math.inf)
+        if rule == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        if rule == "native_thread":  # a multi-threaded BLAS has the cores already
+            monkeypatch.setattr(forking, "native_threads", lambda: 2)
+        if rule == "daemon":  # a daemonic pool worker may not have children
+            daemon = SimpleNamespace(daemon=True)
+            monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        kwargs = dict(REUSE_KWARGS, target_rank=64) if rule == "one_block" else REUSE_KWARGS
+        inline = CorrelatedSampler(REUSE_CIRCUIT, **kwargs)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **kwargs)
+        sliced = None
+        if rule == "explicit_sliced":
+            inline.compute_batch([0] * NUM_QUBITS)
+            sliced = sorted(inline._resident.derived_slicing)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if rule == "live_thread":
+            other.start()
+        try:
+            session = None if rule == "no_session" else sampler.session()
+            for base in _twin_bases(5):
+                batch = sampler.compute_batch(base, sliced=sliced)
+                _assert_bitwise(batch, inline.compute_batch(base, sliced=sliced))
+            if session is not None:
+                assert session.split is None
+                session.close()
+        finally:
+            release.set()
+            if rule == "live_thread":
+                other.join(timeout=10)
+                assert not other.is_alive()
+
+    def test_a_batch_the_twin_cannot_mirror_retires_it(self, may_fork, twin_spy):
+        """An explicit ``sliced=`` and a new network structure run inline and
+        retire the twin; the session forks a new one once a fork pays again."""
+        inline = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        bases = _twin_bases(9)
+        with sampler.session() as session:
+            for base in bases[:3]:
+                sampler.compute_batch(base)
+            assert session.split is not None and len(twin_spy) == 1
+            inline.compute_batch(bases[3])
+            sliced = sorted(inline._resident.derived_slicing)
+            _assert_bitwise(
+                sampler.compute_batch(bases[3], sliced=sliced),
+                inline.compute_batch(bases[3], sliced=sliced),
+            )
+            assert session.split is None and _reaped(twin_spy[0])
+            for base in bases[4:7]:
+                _assert_bitwise(sampler.compute_batch(base), inline.compute_batch(base))
+            assert session.split is not None and len(twin_spy) == 2
+            # another structure planned in between: the batch replans
+            other = CorrelatedSampler(REUSE_CIRCUIT, **{**REUSE_KWARGS, "open_qubits": (1, 3)})
+            sampler.plan_tree(other.build_network(bases[7])[0])
+            _assert_bitwise(sampler.compute_batch(bases[7]), inline.compute_batch(bases[7]))
+            assert session.split is None and _reaped(twin_spy[1])
+
+    @pytest.mark.parametrize("split_wins", [False, True])
+    def test_the_first_warm_split_batches_decide_whether_the_twin_stays(
+        self, monkeypatch, may_fork, twin_spy, caplog, split_wins
+    ):
+        """A split batch pays a pipe round trip and the twin's own preparation
+        for its half of the sweep: the twin stays only if one of the two
+        split batches after its first swept faster than the fastest inline
+        batch."""
+        monkeypatch.setattr(sampling_module._SamplingSession, "ran_split", _RAN_SPLIT)
+        if not split_wins:  # (the 3x3 grid's inline sweeps take about a millisecond)
+            monkeypatch.setattr(_TWIN, "wait", lambda twin: time.sleep(0.2) or _WAIT(twin))
+        inline = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        split = []
+        with caplog.at_level(logging.INFO, logger="repro.execution.sampling"):
+            with sampler.session() as session:
+                for base in _twin_bases(6):
+                    split.append(session.split is not None)
+                    if split_wins and split[-1] and session.split.inline_s is not None:
+                        session.split.inline_s = math.inf
+                    _assert_bitwise(sampler.compute_batch(base), inline.compute_batch(base))
+                assert session.stay_inline != split_wins
+        assert split == [False, False, True, True, True, split_wins]
+        assert len(twin_spy) == 1 and _reaped(twin_spy[0])
+        records = [r for r in caplog.records if "twin" in r.getMessage()]
+        if split_wins:
+            assert records == []
+        else:
+            (record,) = records
+            assert record.levelno == logging.INFO
+            assert record.getMessage().startswith(
+                "sampling twin retired: neither of two warm split sweeps beat the "
+                "fastest inline one, "
+            )
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize("when", ["mid_batch", "between_batches"])
+    def test_a_killed_twin_costs_one_warning_and_not_the_bits(
+        self, monkeypatch, may_fork, twin_spy, caplog, when
+    ):
+        parent, real = os.getpid(), sampling_module._swept_blocks
+
+        def run_then_die(*args):
+            blocks = real(*args)
+            if os.getpid() == parent:
+                return blocks
+
+            def dying():  # the twin dies once its first block is in its row
+                yield next(blocks)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            return dying()
+
+        if when == "mid_batch":
+            monkeypatch.setattr(sampling_module, "_swept_blocks", run_then_die)
+        monkeypatch.setattr(lifetime_module, "INNER_FOLD_PRODUCT", math.inf)
+        inline = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        with caplog.at_level(logging.WARNING), sampler.session() as session:
+            for base in _twin_bases(6):
+                _assert_bitwise(sampler.compute_batch(base), inline.compute_batch(base))
+                if twin_spy:
+                    assert _reaped(twin_spy[0]) == (session.split is None)
+                if session.split is not None and when == "between_batches":
+                    os.kill(twin_spy[0], signal.SIGKILL)
+                    _await_zombie(twin_spy[0])
+            assert session.split is None and session.stay_inline
+        assert len(twin_spy) == 1 and _reaped(twin_spy[0])
+        assert sampler.stats.executions == inline.stats.executions
+        (record,) = [r for r in caplog.records if "twin" in r.getMessage()]
+        assert record.name == "repro.execution.sampling" and record.levelno == logging.WARNING
+        message = record.getMessage()
+        if when == "mid_batch":
+            assert message.startswith("sampling twin lost (EOFError: ")
+            assert "; blocks 1-1 of this batch run inline, and so does every later" in message
+        else:  # the request finds no reader
+            assert message.startswith("sampling twin lost (BrokenPipeError: ")
+            assert "; the batch runs inline, and so does every later" in message
+
+    @pytest.mark.parametrize("end", ["session_close", "sampler_close", "garbage_collection"])
+    def test_nothing_outlives_the_session(self, may_fork, twin_spy, end):
+        fds, mappings = _open_fds(), _shared_mappings()
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        session = sampler.session()
+        for base in _twin_bases(5):
+            sampler.compute_batch(base)
+        assert session.split is not None
+        assert _shared_mappings() == mappings + 1 and len(_open_fds() - fds) == 2
+        if end == "session_close":
+            session.close()
+        elif end == "sampler_close":
+            sampler.close()
+            assert session.closed
+        else:
+            del sampler, session
+            gc.collect()
+        assert len(twin_spy) == 1 and _reaped(twin_spy[0])
+        assert multiprocessing.active_children() == []
+        assert _open_fds() <= fds and _shared_mappings() == mappings
+
+    def test_a_warm_twinned_batch_peaks_no_higher_than_an_inline_one(self, may_fork):
+        """The parent of a split batch allocates no more than an inline batch:
+        no pickle, no list of blocks.  Traced after 20 batches, as the bench
+        traces a warm one (the first batches of a sampler peak higher); the
+        4x4 grid's batches are 128 blocks of one subtask."""
+        circuit = grid_circuit(4, 4, cycles=8, seed=3)
+        kwargs = dict(open_qubits=tuple(range(0, 12, 2)), target_rank=9, max_trials=2, seed=1)
+        rng = np.random.default_rng(3)
+        bases = [[int(b) for b in rng.integers(0, 2, 16)] for _ in range(23)]
+        inline = CorrelatedSampler(circuit, **kwargs)
+        sampler = CorrelatedSampler(circuit, **kwargs)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                batch()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        with sampler.session() as session:
+            for base in bases[:20]:
+                inline.compute_batch(base)
+                sampler.compute_batch(base)
+            assert session.split is not None and session.split.stop == 128
+            for base in bases[20:]:
+                ours = peak(lambda: sampler.compute_batch(base))
+                theirs = peak(lambda: inline.compute_batch(base))
+                assert ours <= 1.02 * theirs, (ours, theirs)

@@ -326,14 +326,25 @@ class TestSamplerSession:
         assert backend._session is None
 
     def test_serial_sampler_session_is_noop(self):
+        """Without a backend the session is a sampling session, which forks a
+        twin only once the inline sweeps would have paid for it: a batch too
+        small to pay runs inline, as outside a session, and forks nothing."""
         circ = random_brickwork_circuit(6, 4, seed=21)
-        sampler = CorrelatedSampler(
-            circ, open_qubits=(1, 4), target_rank=4, max_trials=4, seed=2
-        )
+        kwargs = dict(open_qubits=(1, 4), target_rank=4, max_trials=4, seed=2)
+        base = (1, 0, 0, 1, 0, 1)
+        expected = CorrelatedSampler(circ, **kwargs).compute_batch(base)
+        sampler = CorrelatedSampler(circ, **kwargs)
         with sampler.session() as session:
             assert isinstance(session, NullExecutionSession)
-            sampler.compute_batch((1, 0, 0, 1, 0, 1))
-        sampler.close()  # no backend: no-op
+            assert sampler.session() is session  # reused while open
+            batch = sampler.compute_batch(base)
+            assert session.split is None
+        assert batch.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        reopened = sampler.session()
+        assert session.closed and reopened is not session
+        sampler.close()  # closes the open one; idempotent
+        sampler.close()
+        assert reopened.closed
 
 
 #: 3x3 grid, 6 cycles: the planner slices three indices at target rank 3,
