@@ -11,7 +11,7 @@ sliced workload:
                   (serial backend: the baseline scheduling substrate);
 * ``batched``   — cached plan sweeping one sliced index as a batch axis;
 * ``threads``   — cached plan over a thread-pool backend;
-* ``pooled``    — cached plan over the shared-memory process-pool backend
+* ``pooled``    — cached plan over the forked process-pool backend
                   (the serial-vs-process-pool comparison row: expected to
                   win for many-small-subtask workloads, where per-subtask
                   interpreter overhead dominates GEMM time).
@@ -26,10 +26,9 @@ values.  Emits a ``BENCH_exec_plan.json`` trajectory point next to the
 text table in ``benchmarks/results/``.
 
 A second test times session reuse on the process-pool backend: the same
-``run_subtasks`` workload cold (session spawn: pool start-up + segment
-publication) and warm (pool and segments resident), asserting the warm
-call is strictly faster and that the pool/segments were built exactly
-once.  The cold/warm rows are appended to the table file and merged into
+``run_subtasks`` workload cold (the session's fork of its children plus
+the first run) and warm (the same children), asserting the warm call is
+strictly faster and that the children were forked exactly once.  The cold/warm rows are appended to the table file and merged into
 the JSON point.
 
 The serial/threads/process-pool runs double as the calibration source:
@@ -257,8 +256,8 @@ def test_exec_session_reuse(exec_workload, record_result):
     session_workers = max(2, EXEC_WORKERS)
     backend = SharedMemoryProcessPoolBackend(max_workers=session_workers)
     executor = SlicedExecutor(network, tree, sliced, backend=backend)
-    with executor.session() as session:
-        start = time.perf_counter()
+    start = time.perf_counter()
+    with executor.session() as session:  # (forks the children)
         cold_value = executor.amplitude()
         cold_seconds = time.perf_counter() - start
 
@@ -269,21 +268,20 @@ def test_exec_session_reuse(exec_workload, record_result):
             warm_values.append(executor.amplitude())
             warm_seconds = min(warm_seconds, time.perf_counter() - start)
 
-        # one pool, one publication, across >= 3 runs — and every run
+        # one fork and no re-fork across >= 3 runs — and every run
         # bit-identical to the serial backend
-        assert session.pool_launches == 1
-        assert session.publications == 1
+        assert session.forks == 1
         assert cold_value == serial_value
         assert all(value == serial_value for value in warm_values)
     assert session.closed
 
     assert warm_seconds < cold_seconds, (
         f"warm run ({warm_seconds:.4f}s) should beat the cold run "
-        f"({cold_seconds:.4f}s) that pays pool spawn + segment publication"
+        f"({cold_seconds:.4f}s) that pays the fork"
     )
 
     rows = [
-        {"run_subtasks": "cold (spawn+publish)", "seconds": cold_seconds},
+        {"run_subtasks": "cold (fork + first run)", "seconds": cold_seconds},
         {"run_subtasks": "warm (session reuse)", "seconds": warm_seconds},
         {"run_subtasks": "cold/warm ratio", "seconds": cold_seconds / warm_seconds},
     ]
@@ -304,8 +302,8 @@ def test_exec_session_reuse(exec_workload, record_result):
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "cold_over_warm": cold_seconds / warm_seconds,
-        "pool_launches": 1,
-        "publications": 1,
+        "forks": 1,
+        "reforks": 0,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     results_path.write_text(json.dumps(point, indent=2) + "\n")
@@ -345,7 +343,7 @@ def test_fault_overhead(exec_workload, record_result):
     armed = FaultPolicy.retrying(max_retries=2, chunk_timeout_seconds=120.0)
 
     # the policy is a run-scoped ``run_subtasks`` argument, so the two
-    # sides share one plan, one session and one set of published segments
+    # sides share one plan, one session and one crew of forked children
     plan = executor.plan
     assignments = [executor.assignment(i) for i in range(executor.num_subtasks)]
     cache = plan.new_cache()
@@ -357,7 +355,7 @@ def test_fault_overhead(exec_workload, record_result):
         return complex(result.require_data().reshape(()))
 
     with executor.session():
-        assert run(None) == pytest.approx(serial_value, abs=1e-9)  # warm the pool
+        assert run(None) == pytest.approx(serial_value, abs=1e-9)  # fork for this cache
         clean_value = run(None)
 
         def measure(repeats):
@@ -467,7 +465,7 @@ def test_checkpoint_overhead(record_result):
     store = CheckpointStore(store_root)
     try:
         with executor.session():
-            executor.amplitude()  # warm: pool spawned, segments published
+            executor.amplitude()  # warm: the children forked, their arenas bound
 
             def measure(repeats):
                 best = {"baseline": float("inf"), "armed": float("inf")}

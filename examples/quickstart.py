@@ -38,9 +38,9 @@ def main() -> None:
     )
 
     # execute every slicing subtask and accumulate — this is exactly what the
-    # machine does across nodes; here the sweep runs inline, or on a process
-    # pool over every usable core once a timed subtask shows the rest pays
-    # for one (these subtasks are far too small), with the same bits either way
+    # machine does across nodes; here the sweep runs inline, or on children
+    # forked over every usable core once a timed subtask shows the rest pays
+    # for them (these subtasks are far too small), with the same bits either way
     value = planner.execute_plan(plan)
     reference = amplitude(circuit, bitstring)
     print(f"\nsliced TNC amplitude : {value:.12f}")

@@ -43,10 +43,10 @@ Backend                         Use when
                                 invariant cache for free and scale with GEMM time.
 ``SharedMemoryProcessPool-``    Many *small* subtasks: the per-subtask Python
 ``Backend``                     overhead (leaf slicing, step dispatch) serializes a
-                                thread pool; workers receive the warm invariant
-                                cache and the leaf buffers once via
-                                ``multiprocessing.shared_memory`` and then stream
-                                chunks with no interpreter contention.
+                                thread pool; children forked from the warm parent
+                                inherit the plan, the leaves and the invariant
+                                cache, and each process — the parent too — sweeps
+                                its own range with no interpreter contention.
 ``DistributedBackend``          More subtask work than one node: chunks stream
                                 over TCP sockets to remote worker
                                 *processes* after a one-time plan/leaf/cache
@@ -64,39 +64,35 @@ Backend                         Use when
 
 Session lifecycle
 -----------------
-The process-pool backend's start-up cost — spawning workers, pickling the
-plan into them, copying leaf buffers and the warm invariant cache into
-shared-memory segments — is paid per ``run_subtasks`` call *unless* a
-persistent :class:`ExecutionSession` is open.  A session keeps the pool,
-the shipped plan and the published segments resident between runs::
+The process-pool backend forks its crew — ``max_workers - 1`` children
+that inherit the plan, the leaves and the warm invariant cache
+copy-on-write — per ``run_subtasks`` call *unless* a persistent
+:class:`ExecutionSession` is open.  A session keeps the children alive
+between runs::
 
     backend = SharedMemoryProcessPoolBackend(max_workers=8)
     executor = SlicedExecutor(network, tree, sliced, backend=backend)
     with executor.session():          # or: with backend.session(plan, network, cache):
-        first = executor.run()        # cold: spawn + publish
-        second = executor.run()       # warm: pool and segments reused
+        first = executor.run()        # the crew forked when the session opened
+        second = executor.run()       # warm: the same children
 
 Staleness is tracked with a leaf-data snapshot fingerprint:
 
-* **match** — the steady state: nothing is respawned or recopied;
-* **data-only tensor replacement or plan recompilation** — the segments
-  are *republished* and the workers re-initialize in place (the payload
-  travels generation-tagged with the next chunks); the pool survives.
-  The data-only case is the steady state of a sampling run:
-  :class:`CorrelatedSampler` rebinds each bitstring's leaf data into one
-  resident plan, so :meth:`CorrelatedSampler.session` amortizes worker
-  start-up (and, on the distributed backend, the plan broadcast).  A
-  sampler without a backend gets a sampling session instead, which splits
-  each batch with one forked twin once the inline sweeps would have paid
-  for the fork;
-* **axis-order mutation** — every published buffer layout is invalid, so
-  the session is rebuilt from scratch (``reset_session``).
+* **match** — the steady state: nothing is forked again;
+* **data-only tensor replacement or plan recompilation** — the crew is
+  *re-forked* from the parent's current state.  The data-only case is the
+  steady state of a sampling run: :class:`CorrelatedSampler` rebinds each
+  bitstring's leaf data into one resident plan (on the distributed
+  backend :meth:`CorrelatedSampler.session` amortizes the plan
+  broadcast).  A sampler without a backend gets a sampling session
+  instead, which splits each batch with one forked twin once the inline
+  sweeps would have paid for the fork;
+* **axis-order mutation** — the session is rebuilt from scratch
+  (``reset_session``).
 
 ``close()`` is idempotent and also runs via a finalizer at garbage
-collection, so segments are always unlinked and worker attachments closed
-(workers additionally close their attachments in an exit hook) — the test
-suite escalates ``multiprocessing.resource_tracker`` warnings to errors
-to keep it that way.  Serial and thread backends return a no-op
+collection, so the children are always killed and reaped.  Serial and
+thread backends return a no-op
 :class:`NullExecutionSession`, so session-scoped code is uniform across
 backends, and every path stays bit-identical to :class:`SerialBackend`.
 

@@ -29,11 +29,13 @@ Backends:
 * :class:`ThreadPoolBackend` — ``concurrent.futures`` threads over subtask
   chunks; numpy releases the GIL inside the contraction kernels, so this
   wins for few large subtasks.
-* :class:`SharedMemoryProcessPoolBackend` — a process pool that ships the
-  slice-invariant cached intermediates and the leaf buffers to workers via
-  ``multiprocessing.shared_memory`` *once*, then streams subtask chunks;
-  this sidesteps the interpreter entirely and wins for many small subtasks
-  whose per-task Python overhead would serialize a thread pool.
+* :class:`SharedMemoryProcessPoolBackend` — children forked once the
+  slice-invariant cache is warm (:class:`ExecutionSession`), so each
+  inherits the plan, the leaves and the cache copy-on-write and nothing is
+  shipped but the chunks; the parent sweeps its own range beside them and
+  the children's contributions come back through memory the processes
+  share.  This sidesteps the interpreter entirely and wins for many small
+  subtasks whose per-task Python overhead would serialize a thread pool.
 * :class:`~repro.execution.distributed.DistributedBackend` (in
   :mod:`repro.execution.distributed`) — the multi-node generalization:
   subtask chunks stream over sockets to remote worker processes
@@ -58,24 +60,17 @@ one arena instead of hitting the allocator once per step.
 
 from __future__ import annotations
 
-import atexit
 import logging
-import os
+import math
+import mmap
 import pickle
+import select
 import threading
 import time
-import warnings
 import weakref
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from itertools import islice
-from multiprocessing import shared_memory
 from typing import (
     Callable,
     Dict,
@@ -209,7 +204,7 @@ def _owned_contribution(data: np.ndarray) -> np.ndarray:
 
 def execute_chunk(
     plan: CompiledPlan,
-    network: Union[TensorNetwork, "_LeafStore"],
+    network: TensorNetwork,
     cache: Dict[int, np.ndarray],
     slots: StemSlots,
     items: Chunk,
@@ -217,22 +212,33 @@ def execute_chunk(
     """Execute one chunk: ``(contributions, crc32s, stats)``.
 
     The one chunk body every worker kind runs — pool threads, pool
-    processes, socket workers and the degradation chain.  An item is
+    children, socket workers and the degradation chain.  An item is
     one block (:meth:`~repro.execution.plan.CompiledPlan.blocks`) and
     contributes one array.  The CRC-32s are computed here, where the chunk
     was executed, so the coordinator can verify the payload survived the
     trip back intact (:func:`~repro.execution.checkpoint.verify_payload`).
-    The chunk is one resumed sweep on the worker's arena: consecutive
-    subtasks recontract only what their changed indices reach, and no
-    state outlives the chunk.
     """
+    contributions, stats = _chunk_contributions(plan, network, cache, slots, items)
+    return contributions, payload_checksums(contributions), stats
+
+
+def _chunk_contributions(
+    plan: CompiledPlan,
+    network: TensorNetwork,
+    cache: Dict[int, np.ndarray],
+    slots: StemSlots,
+    items: Chunk,
+) -> Tuple[List[np.ndarray], PlanStats]:
+    """One chunk's owned contributions and stats.  The chunk is one resumed
+    sweep on the worker's arena: consecutive subtasks recontract only what
+    their changed indices reach, and no state outlives the chunk."""
     stats = PlanStats()
     with slots.sweep():
         contributions = [
             _owned_contribution(plan.execute_block(network, block, cache, stats, slots))
             for _, block in items
         ]
-    return contributions, payload_checksums(contributions), stats
+    return contributions, stats
 
 
 def _result_tensor(plan: CompiledPlan, accumulated: np.ndarray) -> Tensor:
@@ -382,8 +388,7 @@ def _chunked(blocks: List[List], chunk_size: int) -> List[List]:
 class NullExecutionSession:
     """No-op stand-in for :class:`ExecutionSession` on poolless backends.
 
-    In-process backends have no pool or shared-memory segments to keep
-    alive, so their :meth:`ExecutionBackend.session` returns this object:
+    In-process backends have no pool to keep alive, so their :meth:`ExecutionBackend.session` returns this object:
     a context manager with the same idempotent :meth:`close` surface,
     letting callers write one session-scoped loop for every backend.
     """
@@ -425,7 +430,7 @@ class ExecutionBackend:
 
     Backends are reusable across runs and executors but are not safe for
     *concurrent* ``run_subtasks`` calls on the same instance.  Backends
-    with resident state (today: the shared-memory process pool) expose it
+    with resident state (the process pool, the distributed cluster) expose it
     through :meth:`session`; the base implementations below make session
     scoping a no-op everywhere else, so callers can uniformly write::
 
@@ -460,9 +465,8 @@ class ExecutionBackend:
         its network and its cache are supplied) and returns a
         :class:`NullExecutionSession`.
         :class:`SharedMemoryProcessPoolBackend` overrides this with a real
-        :class:`ExecutionSession` that keeps the process pool and the
-        published shared-memory segments alive across ``run_subtasks``
-        calls.
+        :class:`ExecutionSession` that keeps the pool's forked children
+        alive across ``run_subtasks`` calls.
         """
         if plan is not None:
             self.warm(plan, network, cache, stats)
@@ -582,12 +586,12 @@ class _HandOffBackend(SerialBackend):
     block 1, the first warm one, shows that a process pool pays for the rest.
 
     The rule is :func:`repro.forking.pool_pays` plus no native thread (a
-    multi-threaded BLAS already has the cores).  The parent then drops its
-    arena, runs the rest on an ephemeral shared-memory pool session and
-    adds their contributions to its running sum in position order — the
-    additions the serial loop performs, so the bits are serial's.  A pool
-    that breaks logs one ``WARNING`` and the rest run inline; a chunk's own
-    exception is raised as it would be inline.
+    multi-threaded BLAS already has the cores).  The parent then forks a
+    crew (:class:`ExecutionSession`) for the rest, sweeps its own share on
+    the arena it keeps, and adds every contribution to its running sum in
+    position order — the additions the serial loop performs, so the bits
+    are serial's.  A child that dies logs one ``WARNING`` and the rest run
+    inline; a chunk's own exception is raised as it would be inline.
     """
 
     def _hand_off(
@@ -604,7 +608,6 @@ class _HandOffBackend(SerialBackend):
         # the pool would take, and pooled workers would fight it for them
         if forking.native_threads() > 1 or not forking.pool_pays(block_s, len(rest)):
             return False
-        self._slots.release()
         pooled = PlanStats()
         pool = SharedMemoryProcessPoolBackend(min(forking.usable_cpus(), len(rest)))
 
@@ -612,9 +615,9 @@ class _HandOffBackend(SerialBackend):
             return run_chunks(transport, pool._chunks(rest), FAIL_FAST, stats=pooled)
 
         try:
-            with ExecutionSession(pool) as session:
+            with ExecutionSession(pool, self._slots) as session:
                 contributions = session.run(plan, network, cache, drive)
-        except (BrokenExecutor, OSError) as exc:
+        except (EOFError, OSError) as exc:
             _LOG.warning(
                 "sweep pool failed (%s: %s); running the %d remaining blocks inline",
                 type(exc).__name__, exc, len(rest),
@@ -716,6 +719,8 @@ class _PooledBackend(ExecutionBackend):
     #: Whether one-assignment / one-worker runs skip the transport and run
     #: inline on the serial path.
     inline_small_runs = True
+    #: Default chunks per worker (:meth:`_chunks`).
+    chunks_per_worker = 4
 
     def __init__(self, max_workers: int, chunk_size: Optional[int] = None) -> None:
         self.max_workers = int(max_workers)
@@ -728,15 +733,15 @@ class _PooledBackend(ExecutionBackend):
         self._session: Optional["_ResidentSession"] = None
 
     def _chunks(self, blocks: List[List[Mapping[str, int]]]) -> List[List]:
-        """Positioned chunks of whole blocks.  By default ~4 per worker,
-        their count a multiple of the worker count and their subtask
-        counts at most one block apart, so the workers' shares stay even;
-        an explicit ``chunk_size`` rounds up to whole blocks.  A block
-        never splits, so every backend folds the contributions serial
-        folds."""
+        """Positioned chunks of whole blocks.  By default
+        :attr:`chunks_per_worker` per worker, their count a multiple of the
+        worker count and their subtask counts at most one block apart, so
+        the workers' shares stay even; an explicit ``chunk_size`` rounds up
+        to whole blocks.  A block never splits, so every backend folds the
+        contributions serial folds."""
         if self.chunk_size is not None:
             return _chunked(blocks, self.chunk_size)
-        count = min(4 * self.max_workers, len(blocks))
+        count = min(self.chunks_per_worker * self.max_workers, len(blocks))
         if count > self.max_workers:
             count -= count % self.max_workers
         return _even_chunks(blocks, count)
@@ -752,9 +757,9 @@ class _PooledBackend(ExecutionBackend):
         """Open (or reuse) the backend's persistent session.
 
         With ``plan``, ``network`` and ``cache`` supplied the session is
-        eagerly warmed: the invariant cache is computed, the state
-        published and the workers brought up before the first
-        ``run_subtasks`` call.
+        eagerly warmed: the invariant cache is computed and the workers
+        brought up to date (forked from the warm parent, or sent the
+        state) before the first ``run_subtasks`` call.
         Without them the session starts idle and materializes on first
         use — the form long-lived callers that build their plan later
         (e.g. a sampling run) use.
@@ -863,296 +868,22 @@ class ThreadPoolBackend(_PooledBackend):
         return f"ThreadPoolBackend(max_workers={self.max_workers})"
 
 
-# ----------------------------------------------------------------------
-# Shared-memory process pool — worker side
-# ----------------------------------------------------------------------
-#: Per-worker state installed by the pool initializer (or a chunk payload).
-_WORKER_STATE: Optional["_WorkerState"] = None
-#: Whether this worker registered its exit-time segment teardown yet.
-_WORKER_TEARDOWN_REGISTERED = False
-
-
-class _LeafStore:
-    """Minimal stand-in for :class:`TensorNetwork` inside pool workers.
-
-    The compiled plan only ever calls ``network.tensor(tid)`` while
-    executing, so workers rebuild just that mapping from the shared-memory
-    leaf buffers.
-    """
-
-    def __init__(self, tensors: Dict[int, Tensor]) -> None:
-        self._tensors = tensors
-
-    def tensor(self, tid: int) -> Tensor:
-        return self._tensors[tid]
-
-
-class _WorkerState:
-    """Plan + shared-memory views held by a pool worker for one generation."""
-
-    def __init__(
-        self,
-        generation: int,
-        plan: CompiledPlan,
-        network: _LeafStore,
-        cache: Dict[int, np.ndarray],
-        segments: List[shared_memory.SharedMemory],
-    ) -> None:
-        self.generation = generation
-        self.plan = plan
-        self.network: Optional[_LeafStore] = network
-        self.cache = cache
-        # keep the SharedMemory handles alive: the ndarray views above
-        # borrow their buffers
-        self.segments = segments
-        self.slots = StemSlots()
-
-    def close(self) -> None:
-        """Drop the shared-memory views and close the attachments.
-
-        The ndarray views borrow the segments' buffers, so they must be
-        released first — closing a segment with a live export raises
-        ``BufferError`` (tolerated below: a still-borrowed segment is
-        better leaked than crashed over during teardown).
-        """
-        self.network = None
-        self.cache = {}
-        segments, self.segments = self.segments, []
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - defensive
-                pass
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a segment the parent owns (and will unlink).
-
-    On Python >= 3.13 the attachment opts out of resource tracking; before
-    that the worker's re-registration lands in the tracker process the
-    pool shares with the parent, where it is an idempotent set-add that
-    the parent's single ``unlink`` cleans up.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python < 3.13: no track= keyword
-        return shared_memory.SharedMemory(name=name)
-
-
-def _shm_view(meta: Tuple[str, Tuple[int, ...], str], segments: List) -> np.ndarray:
-    name, shape, dtype = meta
-    segment = _attach_segment(name)
-    segments.append(segment)
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-
-
-def _attach_state(payload: Tuple) -> "_WorkerState":
-    """Build a :class:`_WorkerState` from a session payload, atomically.
-
-    If any attachment fails the already-attached segments are closed
-    before the error propagates, so a half-initialized worker never leaks
-    attachments.
-    """
-    generation, plan, leaf_meta, cache_meta = payload
-    segments: List[shared_memory.SharedMemory] = []
-    try:
-        tensors: Dict[int, Tensor] = {}
-        for tid, (name, shape, dtype, indices) in leaf_meta.items():
-            tensors[tid] = Tensor(
-                indices, data=_shm_view((name, shape, dtype), segments)
-            )
-        cache = {node: _shm_view(meta, segments) for node, meta in cache_meta.items()}
-    except BaseException:
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        raise
-    return _WorkerState(generation, plan, _LeafStore(tensors), cache, segments)
-
-
-def _install_worker_state(payload: Tuple) -> "_WorkerState":
-    """Replace this worker's state, closing the previous attachments."""
-    global _WORKER_STATE
-    state = _attach_state(payload)
-    old, _WORKER_STATE = _WORKER_STATE, state
-    if old is not None:
-        old.close()
-    return state
-
-
-def _teardown_worker() -> None:
-    """Worker exit hook: close every shared-memory attachment."""
-    global _WORKER_STATE
-    state, _WORKER_STATE = _WORKER_STATE, None
-    if state is not None:
-        state.close()
-
-
-def _init_worker(blob: bytes) -> None:
-    """Pool initializer: install the session's spawn-time state.
-
-    The pickled plan and segment metadata arrive through the initializer
-    once per worker.  A worker spawned lazily *after* the session
-    republished its segments may find the spawn-time segment names already
-    unlinked; that is tolerated here — every post-republish chunk carries
-    the current payload, so the first chunk installs the state instead.
-    """
-    global _WORKER_STATE, _WORKER_TEARDOWN_REGISTERED
-    if not _WORKER_TEARDOWN_REGISTERED:
-        atexit.register(_teardown_worker)
-        _WORKER_TEARDOWN_REGISTERED = True
-    try:
-        _install_worker_state(pickle.loads(blob))
-    except FileNotFoundError:
-        _WORKER_STATE = None
-
-
-def _run_chunk(
-    task: Tuple[int, Optional[bytes], Chunk, Optional[Directive]]
-) -> Tuple[List[np.ndarray], List[int], PlanStats, int]:
-    """Execute one chunk in a worker.
-
-    Returns ``(results, checksums, stats, pid)``.  ``task`` carries
-    the session generation the chunk belongs to and — for post-republish
-    generations — the pickled payload a stale (or freshly spawned) worker
-    needs to re-initialize itself.  The pid lets the parent track which
-    workers hold the current generation, so it can stop attaching the
-    payload once all of them do.  The optional fourth element is a
-    fault-injection directive (:mod:`repro.execution.faultinject`),
-    applied before the chunk runs; ``None`` on every production chunk.
-    Injected payload corruption happens after :func:`execute_chunk` took
-    the checksums, so the parent's verification must catch it.
-    """
-    generation, blob, chunk, directive = task
-    apply_directive(directive)
-    state = _WORKER_STATE
-    if state is None or state.generation != generation:
-        if blob is None:
-            raise RuntimeError(
-                f"worker has no shared-memory state for session generation "
-                f"{generation}"
-            )
-        state = _install_worker_state(pickle.loads(blob))
-    results, checksums, local_stats = execute_chunk(
-        state.plan, state.network, state.cache, state.slots, chunk
-    )
-    corrupt_payload(directive, results)
-    return results, checksums, local_stats, os.getpid()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory process pool — parent side
-# ----------------------------------------------------------------------
-class _SessionResources:
-    """The pool and published segments of one session, released together.
-
-    Kept on a separate object so a ``weakref.finalize`` on the session can
-    release them at garbage collection / interpreter exit without keeping
-    the session itself alive.
-    """
-
-    __slots__ = ("pool", "segments")
-
-    def __init__(self) -> None:
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.segments: List[shared_memory.SharedMemory] = []
-
-
-def _release_session_resources(resources: _SessionResources) -> None:
-    """Shut the pool down, then close and unlink every published segment.
-
-    The pool is drained first so workers run their exit hooks (closing
-    their attachments) before the parent unlinks the names.  Segment
-    unlinking runs even if the pool shutdown raises (it is the parent's
-    unlink — not the workers' exit hooks — that prevents ``/dev/shm``
-    leaks: a SIGKILLed worker never runs teardown, and this release also
-    runs at interpreter shutdown via the session finalizer, including
-    after a ``KeyboardInterrupt``), and a name that is already gone is
-    tolerated so release is idempotent under crash recovery.
-    """
-    pool, resources.pool = resources.pool, None
-    segments, resources.segments = resources.segments, []
-    try:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    finally:
-        _unlink_segments(segments)
-
-
-def _unlink_segments(segments: Sequence[shared_memory.SharedMemory]) -> None:
-    """Close and unlink segments, tolerating already-gone names."""
-    for segment in segments:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-
-def _abort_pool(pool: Optional[ProcessPoolExecutor]) -> None:
-    """Hard-stop a broken or stuck pool without waiting on its workers.
-
-    ``shutdown(wait=False)`` alone would leave a hung worker running (and
-    holding its shared-memory attachments); terminating the worker
-    processes guarantees the rebuild path starts from zero live
-    attachments, so the parent's subsequent unlink really removes the
-    segments.
-    """
-    if pool is None:
-        return
-    # _processes is a CPython implementation detail; if it ever disappears
-    # say so loudly instead of silently degrading to shutdown(wait=False),
-    # which would leave hung workers (and their attachments) alive
-    if not hasattr(pool, "_processes"):  # pragma: no cover - cpython guard
-        warnings.warn(
-            "ProcessPoolExecutor no longer exposes _processes; cannot "
-            "terminate pool workers — a hung worker may keep its "
-            "shared-memory attachments alive",
-            RuntimeWarning,
-        )
-    # snapshot before shutdown(): a draining shutdown clears the attributes
-    processes = dict(getattr(pool, "_processes", None) or {})
-    manager = getattr(pool, "_executor_manager_thread", None)
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - defensive
-        pass
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - defensive
-            pass
-    for process in list(processes.values()):
-        try:
-            process.join(timeout=5.0)
-        except Exception:  # pragma: no cover - defensive
-            pass
-    if manager is not None:
-        # with its workers gone the pool's manager thread winds down; a
-        # run that gave up leaves no thread behind either
-        manager.join(timeout=5.0)
-
-
 class _ResidentSession(ChunkTransport):
     """What the resident sessions share: lifetime, healing, staleness.
 
-    A session keeps a backend's workers and published state alive across
+    A session keeps a backend's workers and their state alive across
     ``run_subtasks`` calls, and *is* the backend's
     :class:`~repro.execution.resilience.ChunkTransport` while a run is in
-    progress.  Subclasses supply ``_ensure`` (publication) and the
-    transport mechanics; this base owns
+    progress.  Subclasses supply ``_ensure`` (bringing the workers' state
+    up to date) and the transport mechanics; this base owns
 
     * the resources object and the ``weakref.finalize`` releasing it — at
       :meth:`close`, at garbage collection or at interpreter exit — without
       keeping the session alive;
     * the leaf-data snapshot fingerprint (identity of the plan, of every
-      leaf tensor and of the cache buffers) that decides what must be republished;
-    * healing: a run or publication that raises marks the session
+      leaf tensor and of the cache buffers) that decides what the workers
+      must be sent again (or forked from again);
+    * healing: a run or an update that raises marks the session
       *broken*, and the next :meth:`ensure` resets it transparently
       instead of crashing on stale state.
     """
@@ -1177,7 +908,7 @@ class _ResidentSession(ChunkTransport):
         return self._broken
 
     def close(self) -> None:
-        """Release workers and published state; safe to call twice."""
+        """Release the workers and their state; safe to call twice."""
         self._finalizer()  # runs the release at most once
         self._drop_fingerprint()
         if self._backend._session is self:
@@ -1245,8 +976,8 @@ class _ResidentSession(ChunkTransport):
         No-op when the fingerprint matches (the steady state).  A session
         whose previous run failed (worker crash, timeout,
         ``KeyboardInterrupt``, a raised chunk) is **broken**: its workers
-        may be dead and its published names stale, so it is reset first
-        and rebuilt from scratch.
+        may be dead and their state stale, so it is reset first and
+        rebuilt from scratch.
         """
         if self.closed:
             raise RuntimeError(f"{type(self).__name__} is closed")
@@ -1255,7 +986,7 @@ class _ResidentSession(ChunkTransport):
         try:
             self._ensure(plan, network, cache)
         except BaseException:
-            # a partially-republished session must not be reused as-is
+            # a partially updated session must not be reused as-is
             self._broken = True
             raise
 
@@ -1293,66 +1024,139 @@ class _ResidentSession(ChunkTransport):
             self._job = None
 
 
+# ----------------------------------------------------------------------
+# The process pool: a crew of children forked from the warm parent
+# ----------------------------------------------------------------------
+#: Largest row mapping a crew makes before its fork; a chunk whose rows lie
+#: past its end sends its contributions through the pipe instead.
+_MAPPING_BYTES = 1 << 28
+
+
+class _Crew:
+    """The forked children of one session and the mapping they write their
+    rows to, released together.
+
+    Kept on a separate object so a ``weakref.finalize`` on the session can
+    release them at garbage collection / interpreter exit without keeping
+    the session itself alive.
+    """
+
+    __slots__ = ("members", "mapping")
+
+    def __init__(self) -> None:
+        self.members: List[forking.Twin] = []
+        self.mapping: Optional[mmap.mmap] = None
+
+
+def _release_crew(crew: _Crew) -> None:
+    """Kill and reap every child; drop the mapping."""
+    members, crew.members = crew.members, []
+    for member in members:
+        member.close()
+    crew.mapping = None
+
+
+class _Order:
+    """One chunk in flight on the crew, and the child running it (``None``
+    while the parent holds it)."""
+
+    __slots__ = ("chunk", "directive", "member")
+
+    def __init__(self, chunk: Chunk, directive: Optional[Directive]) -> None:
+        self.chunk, self.directive = chunk, directive
+        self.member: Optional[forking.Twin] = None
+
+
+def _rows(
+    mapping: mmap.mmap, dtype: np.dtype, shape: Tuple[int, ...], count: int
+) -> Optional[np.ndarray]:
+    """The first ``count`` rows of ``shape`` and ``dtype`` in ``mapping``
+    (``None`` past its end): row ``p`` holds position ``p``'s contribution."""
+    size = math.prod(shape) * count
+    if size * dtype.itemsize > len(mapping):
+        return None
+    return np.frombuffer(mapping, dtype, size).reshape(count, *shape)
+
+
+def _serve_chunk(job: Tuple, mapping: mmap.mmap, request: bytes) -> bytes:
+    """A child's side of one chunk: run it, write each contribution to its
+    position's row and answer ``(crc32s, stats, dtype, shape, None)`` — or
+    the contributions in place of ``None`` when their rows lie past the
+    mapping's end; a chunk that raised answers its exception."""
+    chunk, directive = pickle.loads(request)
+    try:
+        apply_directive(directive)
+        contributions, checksums, stats = execute_chunk(*job, chunk)
+        # corruption (if injected) after the checksums were taken over the
+        # honest results — the parent's verification must catch it
+        corrupt_payload(directive, contributions)
+    except Exception as exc:
+        try:
+            return pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return pickle.dumps(RuntimeError(repr(exc)), protocol=pickle.HIGHEST_PROTOCOL)
+    first = contributions[0]
+    rows = _rows(mapping, first.dtype, first.shape, max(position for position, _ in chunk) + 1)
+    if rows is not None:
+        for (position, _), data in zip(chunk, contributions):
+            rows[position] = data
+        contributions = None
+    reply = (checksums, stats, first.dtype.str, first.shape, contributions)
+    return pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class ExecutionSession(_ResidentSession):
-    """Resident process-pool state of a :class:`SharedMemoryProcessPoolBackend`.
+    """The resident crew of a :class:`SharedMemoryProcessPoolBackend`:
+    ``max_workers - 1`` forked children, and the parent beside them.
 
-    A session keeps three things alive across ``run_subtasks`` calls that
-    the per-call lifecycle used to rebuild every time: the
-    ``ProcessPoolExecutor`` itself, the compiled plan shipped (pickled) to
-    each worker through the pool initializer, and the shared-memory
-    segments holding the leaf buffers and the warm invariant cache.
+    The children are forked (:class:`repro.forking.Twin`) once the
+    invariant cache is warm, so each inherits the plan, the leaves and the
+    warm cache copy-on-write: nothing is pickled or published.  A
+    fingerprint change — another plan, a rebound leaf, new cache buffers —
+    re-forks the crew from the parent's current state; an axis-order
+    mutation is recompiled upstream and arrives as
+    :meth:`~ExecutionBackend.reset_session`, after which the next run
+    forks afresh.
 
-    Staleness: a data-only tensor replacement or a plan recompilation
-    *republishes* the segments and re-initializes the workers in place —
-    the pool survives — while an axis-order mutation is recompiled
-    upstream and surfaces here as
-    :meth:`~ExecutionBackend.reset_session`, which rebuilds the session
-    from scratch.  Republished state travels to workers via
-    generation-tagged chunk payloads, so even a worker spawned lazily
-    after a republish initializes correctly.
-
-    As a transport the pool is all-or-nothing: a dead worker or a severed
-    (timed-out) chunk poisons the whole ``ProcessPoolExecutor``, so every
-    unfinished chunk is reported lost, and :meth:`rebuild` republishes and
-    respawns through the same :meth:`ensure` path a cold session uses.
-    What happens next is :mod:`repro.execution.resilience`'s decision.
+    As a transport, a chunk goes to an idle child, else to the parent,
+    which runs it inside :meth:`wait` on its own arena while the children
+    sweep theirs.  A request carries only the chunk (its positions and
+    assignments) and a fault directive; the child writes each contribution
+    to the row of its position in an anonymous mapping made before the
+    fork and answers with their CRC-32s and its stats.  A chunk carrying an
+    injected fault always runs in a child.  A dead child (the end of its
+    pipe) or a severed one (SIGKILLed at a missed deadline) is lost with
+    its chunk while the others carry on; with no child left
+    :meth:`rebuild` re-forks the crew.  What happens next is
+    :mod:`repro.execution.resilience`'s decision.
     """
 
     name = "process-pool"
     preemptible = True
     rebuildable = True
 
-    def __init__(self, backend: "SharedMemoryProcessPoolBackend") -> None:
-        super().__init__(backend, _SessionResources(), _release_session_resources)
-        #: How many times this session launched a process pool.
-        self.pool_launches = 0
-        #: How many times segments were (re)published.
-        self.publications = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def pool_is_live(self) -> bool:
-        """Whether a process pool is currently spawned."""
-        return self._resources.pool is not None
+    def __init__(
+        self, backend: "SharedMemoryProcessPoolBackend", slots: Optional[StemSlots] = None
+    ) -> None:
+        super().__init__(backend, _Crew(), _release_crew)
+        #: The parent's arena, which sweeps its own share of every run.
+        self._slots = backend._serial._slots if slots is None else slots
+        #: How many times this session forked its crew.
+        self.forks = 0
 
     @property
-    def generation(self) -> int:
-        """The current publish generation (0 = spawn-time state)."""
-        return self._generation
+    def pids(self) -> List[int]:
+        """The live children's pids."""
+        return [member.pid for member in self._resources.members]
 
     def _drop_fingerprint(self) -> None:
         super()._drop_fingerprint()
-        self._generation = 0
-        # the republish payload fresh chunks carry until every worker
-        # confirmed holding the current generation (None: spawn-time state)
-        self._blob: Optional[bytes] = None
-        # the current generation's full payload, always retained: retried
-        # chunks carry it so a worker whose state died (or was never
-        # installed) can self-initialize during recovery
-        self._payload_blob: Optional[bytes] = None
-        self._confirmed_pids: set = set()
-        # submitted futures not yet reported by wait(), in submission order
-        self._outstanding: Dict[Future, None] = {}
+        #: the chunk each busy child runs
+        self._busy: Dict[forking.Twin, _Order] = {}
+        #: the parent's own chunk, run inside the next wait
+        self._own: Optional[_Order] = None
+        #: an injected chunk waiting for a child to come free
+        self._held: Optional[_Order] = None
 
     # ------------------------------------------------------------------
     def _ensure(
@@ -1361,178 +1165,170 @@ class ExecutionSession(_ResidentSession):
         network: TensorNetwork,
         cache: Dict[int, np.ndarray],
     ) -> None:
+        if self._backend.max_workers == 1:
+            return  # (its runs stay inline)
         _, changed = self._refingerprint(plan, network, cache)
-        if self._resources.pool is not None and not changed:
+        members = self._resources.members
+        dead = [member for member in members if not member.alive]
+        for member in dead:
+            _LOG.warning("process pool child %d died between runs; re-forking", member.pid)
+        if members and not changed and not dead:
             return
+        self._fork(plan, network, cache)
 
-        # republish: retire the previous generation's segments first
-        old_segments, self._resources.segments = self._resources.segments, []
-        _unlink_segments(old_segments)
-        leaf_meta, cache_meta = self._publish(plan, network, cache)
-        self.publications += 1
-
-        self._confirmed_pids = set()
-        if self._resources.pool is None:
-            self._generation = 0
-            self._blob = None
-            blob = pickle.dumps(
-                (0, plan, leaf_meta, cache_meta),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self._payload_blob = blob
-            self._resources.pool = ProcessPoolExecutor(
-                max_workers=self._backend.max_workers,
-                initializer=_init_worker,
-                initargs=(blob,),
-            )
-            self.pool_launches += 1
-        else:
-            self._generation += 1
-            self._blob = self._payload_blob = pickle.dumps(
-                (self._generation, plan, leaf_meta, cache_meta),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-
-    def _publish(
+    def _fork(
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Dict[int, np.ndarray],
-    ) -> Tuple[Dict, Dict]:
-        """Copy the needed buffers into fresh shared-memory segments."""
-        segments = self._resources.segments
-
-        def publish(array: np.ndarray) -> Tuple[str, Tuple[int, ...], str]:
-            array = np.ascontiguousarray(array)
-            segment = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
-            segments.append(segment)
-            np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)[...] = array
-            return segment.name, array.shape, array.dtype.str
-
-        # ship only what the workers will read: the warm invariant cache
-        # and the slice-dependent leaves it does not cover
-        cache_meta = {node: publish(buffer) for node, buffer in cache.items()}
-        leaf_meta = {}
-        for ls in plan.leaf_steps:
-            if ls.node not in plan.dependent_nodes:
-                continue
-            tensor = network.tensor(ls.tid)
-            name, shape, dtype = publish(tensor.require_data())
-            leaf_meta[ls.tid] = (name, shape, dtype, tensor.indices)
-        return leaf_meta, cache_meta
+    ) -> None:
+        """Replace the crew with ``max_workers - 1`` children forked now."""
+        started = time.perf_counter()
+        crew = self._resources
+        _release_crew(crew)
+        # rows for every subtask of a full sweep, at complex128's width
+        # (anything longer or wider goes through the pipe)
+        rows = math.prod(plan.tree.index_size(ix) for ix in plan.sliced)
+        width = math.prod(plan.contribution_shape) * np.dtype(np.complex128).itemsize
+        crew.mapping = mapping = mmap.mmap(-1, max(1, min(rows * width, _MAPPING_BYTES)))
+        job = (plan, network, cache, self._slots)
+        for _ in range(self._backend.max_workers - 1):
+            crew.members.append(
+                forking.Twin(lambda request: _serve_chunk(job, mapping, request))
+            )
+        self.forks += 1
+        _LOG.debug(
+            "forked %d process pool children in %.2f ms",
+            len(crew.members), 1e3 * (time.perf_counter() - started),
+        )
 
     # ------------------------------------------------------------------
     # ChunkTransport
     # ------------------------------------------------------------------
-    def slots(self) -> Optional[int]:
-        return None if self._resources.pool is not None else 0
+    def slots(self) -> int:
+        members = len(self._resources.members)
+        return members + 1 if members else 0
 
     def submit(
         self, index: int, chunk: Chunk, directive: Optional[Directive], retry: bool
-    ) -> Future:
-        if self._blob is not None and len(self._confirmed_pids) >= self._backend.max_workers:
-            # every worker the pool will ever have (it never respawns dead
-            # ones — it breaks instead) holds this generation: chunks no
-            # longer need to carry the republish payload
-            self._blob = None
-        # a retried chunk may land on a worker whose state died with the
-        # fault (or on a freshly respawned pool): always carry the payload
-        # so the worker can self-initialize
-        blob = self._payload_blob if retry else self._blob
-        try:
-            future = self._resources.pool.submit(
-                _run_chunk, (self._generation, blob, chunk, directive)
-            )
-        except BrokenExecutor as exc:
-            raise WorkerLost(exc, self._lose()) from exc
-        self._outstanding[future] = None
-        return future
+    ) -> _Order:
+        order = _Order(chunk, directive)
+        idle = self._idle()
+        if idle is not None:
+            self._dispatch(idle, order)
+        elif directive is None and self._own is None:
+            self._own = order
+        else:
+            self._held = order
+        return order
 
-    def started(self, future: Future) -> bool:
-        return future.running() or future.done()
+    def started(self, order: _Order) -> bool:
+        return order.member is not None
 
     def wait(
-        self, handles: Sequence[Future], timeout: Optional[float]
-    ) -> List[Tuple[Optional[Future], object]]:
-        done, _ = futures_wait(handles, timeout=timeout, return_when=FIRST_COMPLETED)
-        events: List[Tuple[Optional[Future], object]] = []
-        broken: Optional[BrokenExecutor] = None
-        for future in done:
+        self, handles: Sequence[_Order], timeout: Optional[float]
+    ) -> List[Tuple[Optional[_Order], object]]:
+        events: List[Tuple[Optional[_Order], object]] = []
+        self._release_held(events)
+        if self._own is not None:
+            order, self._own = self._own, None
+            plan, network, cache = self._job
             try:
-                results, checksums, worker_stats, pid = future.result()
-            except BrokenExecutor as exc:
-                broken = exc
-                continue
+                contributions, stats = _chunk_contributions(
+                    plan, network, cache, self._slots, order.chunk
+                )
             except Exception as exc:
-                # the chunk raised; the worker and the pool survive
-                events.append((future, exc))
+                events.append((order, exc))
             else:
-                self._confirmed_pids.add(pid)
-                events.append((future, (results, checksums, worker_stats)))
-            del self._outstanding[future]
-        if broken is not None:
-            events.append((None, WorkerLost(broken, self._lose())))
+                # (computed here: no trip to verify)
+                events.append((order, (contributions, None, stats)))
+            timeout = 0.0
+        if self._busy:
+            ready, _, _ = select.select(list(self._busy), [], [], timeout)
+            events.extend(map(self._reply, ready))
+            self._release_held(events)
         return events
 
-    def sever(self, future: Future) -> List[Future]:
-        # ProcessPoolExecutor cannot cancel a running task, so a wedged
-        # chunk takes the whole pool with it
-        return self._lose()
-
-    def _lose(self) -> List[Future]:
-        """Hard-stop the poisoned pool; the outstanding chunks it took along.
-
-        Chunks that already completed cleanly are kept (the next
-        :meth:`wait` reports them): only still-empty slots re-run.
-        """
-        _abort_pool(self._resources.pool)
-        self._resources.pool = None
-        lost = [
-            future
-            for future in self._outstanding
-            if not future.done() or future.cancelled() or future.exception() is not None
-        ]
-        for future in lost:
-            del self._outstanding[future]
-        return lost
+    def sever(self, order: _Order) -> List[_Order]:
+        return self._lose(order.member)
 
     def rebuild(self) -> None:
-        # the pool is gone, so ensure republishes the segments under a new
-        # generation and spawns a fresh pool — recovery cannot diverge
+        # a re-fork from the parent's warm state: recovery cannot diverge
         # from a clean start
-        self._ensure(*self._job)
+        self._fork(*self._job)
 
-    def abort(self) -> None:
-        # reset() drains the pool (shutdown(wait=True)), which a wedged
-        # worker would block forever — hard-stop the workers first
-        self._lose()
-        self.reset()
+    # ------------------------------------------------------------------
+    def _idle(self) -> Optional[forking.Twin]:
+        return next((m for m in self._resources.members if m not in self._busy), None)
+
+    def _dispatch(self, member: forking.Twin, order: _Order) -> None:
+        """Send ``order`` to the idle ``member``; :exc:`WorkerLost` if it died."""
+        order.member = member
+        self._busy[member] = order
+        try:
+            member.send(pickle.dumps((order.chunk, order.directive), pickle.HIGHEST_PROTOCOL))
+        except OSError as exc:
+            raise WorkerLost(exc, self._lose(member)) from exc
+
+    def _release_held(self, events: List) -> None:
+        """Hand the held injected chunk to a child that came free."""
+        idle = self._idle() if self._held is not None else None
+        if idle is not None:
+            order, self._held = self._held, None
+            try:
+                self._dispatch(idle, order)
+            except WorkerLost as lost:
+                events.append((None, lost))
+
+    def _reply(self, member: forking.Twin) -> Tuple[Optional[_Order], object]:
+        """``member``'s answer as an outcome for the scheduler."""
+        order = self._busy[member]
+        try:
+            reply = pickle.loads(member.wait())
+        except (EOFError, OSError) as exc:
+            return None, WorkerLost(exc, self._lose(member))
+        del self._busy[member]
+        if isinstance(reply, Exception):
+            return order, reply
+        checksums, stats, dtype, shape, contributions = reply
+        if contributions is None:
+            positions = [position for position, _ in order.chunk]
+            rows = _rows(self._resources.mapping, np.dtype(dtype), shape, max(positions) + 1)
+            contributions = [np.array(rows[position]) for position in positions]
+        return order, (contributions, checksums, stats)
+
+    def _lose(self, member: forking.Twin) -> List[_Order]:
+        """Kill and reap ``member``; the chunks lost with it: its own, and
+        one held for the next free child."""
+        self._resources.members.remove(member)
+        member.close()
+        lost = [order for order in (self._busy.pop(member, None), self._held) if order]
+        self._held = None
+        return lost
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self.closed else ("live" if self.pool_is_live else "idle")
-        return (
-            f"ExecutionSession({state}, generation={self._generation}, "
-            f"pool_launches={self.pool_launches})"
-        )
+        state = "closed" if self.closed else f"{len(self._resources.members)} children"
+        return f"ExecutionSession({state}, forks={self.forks})"
 
 
 class SharedMemoryProcessPoolBackend(_PooledBackend):
-    """Distribute subtask chunks over a shared-memory process pool.
+    """Distribute subtask chunks over processes forked from the warm parent.
 
-    The invariant cache is warmed once in the parent, then the warm cache
-    and the needed leaf buffers are published to workers through
-    ``multiprocessing.shared_memory`` — copied into the segments once, not
-    per subtask — and subtask chunks are streamed to the pool.  Workers
-    return per-subtask contributions which the parent folds strictly in
-    assignment order, so the result is bit-identical to
-    :class:`SerialBackend` for every worker count and chunk size.
+    The invariant cache is warmed once in the parent, then ``max_workers -
+    1`` children are forked (:class:`ExecutionSession`): each inherits the
+    plan, the leaves and the warm cache copy-on-write, and the parent
+    sweeps beside them.  By default a run is one contiguous range of blocks
+    per process, their subtask counts at most one block apart.  The
+    children write their contributions to memory shared with the parent,
+    which folds every contribution strictly in assignment order, so the
+    result is bit-identical to :class:`SerialBackend` for every worker
+    count and chunk size.
 
-    Pool and segment lifetime is governed by an :class:`ExecutionSession`:
-    inside ``with backend.session(plan, network, cache): ...`` (or any
-    session opened through :meth:`session`) consecutive ``run_subtasks``
-    calls reuse the spawned pool and the published segments, republishing
-    only when the leaf-data fingerprint changes.  Without an open session
-    each call runs in an ephemeral session (spawn, run, drain, unlink).
+    The crew's lifetime is an :class:`ExecutionSession`'s: inside ``with
+    backend.session(plan, network, cache): ...`` (or any session opened
+    through :meth:`session`) consecutive ``run_subtasks`` calls reuse the
+    children, forking them again only when the leaf-data fingerprint
+    changes.  Without an open session each call forks and reaps its own.
 
     Wins over threads for many-small-subtask workloads, where per-subtask
     interpreter overhead (plan bookkeeping, leaf slicing) dominates the
@@ -1551,13 +1347,14 @@ class SharedMemoryProcessPoolBackend(_PooledBackend):
     Parameters
     ----------
     max_workers:
-        Process count.
+        Process count, the parent included.
     chunk_size:
-        Subtasks per work item; default streams ~4 chunks per worker.
+        Subtasks per work item; default one contiguous range per process.
     """
 
     name = "process-pool"
     session_type = ExecutionSession
+    chunks_per_worker = 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SharedMemoryProcessPoolBackend(max_workers={self.max_workers})"

@@ -43,10 +43,11 @@ bit-identical to :class:`~repro.execution.backend.SerialBackend` for
 every worker count, chunk size and arrival order (a slow worker changes
 *when* a contribution arrives, never *where* it folds).
 
-**Sessions.**  :class:`DistributedSession` generalizes the shared-memory
-:class:`~repro.execution.backend.ExecutionSession` to remote publication:
-the same leaf-data fingerprint (plan identity, leaf tensor identities,
-cache token) splits invalidation into two generations —
+**Sessions.**  :class:`DistributedSession` shares the process pool's
+:class:`~repro.execution.backend.ExecutionSession` lifetime and healing,
+but must publish what forked children inherit: the same leaf-data
+fingerprint (plan identity, leaf tensor identities, cache token) splits
+invalidation into two generations —
 a *plan* generation (rebroadcast the pickled plan) and a *data*
 generation (republish only leaf/cache arrays).  A data-only tensor
 replacement therefore re-ships the arrays without re-broadcasting the
@@ -470,10 +471,11 @@ def _release_session_resources(resources: _SessionResources) -> None:
 class DistributedSession(_ResidentSession):
     """Resident cluster state of a :class:`DistributedBackend`.
 
-    The remote generalization of the shared-memory
-    :class:`~repro.execution.backend.ExecutionSession`: instead of a pool
-    and shared-memory segments it keeps the worker connections and the
-    two broadcast payloads alive across ``run_subtasks`` calls.  The same
+    The remote counterpart of the process pool's
+    :class:`~repro.execution.backend.ExecutionSession`: instead of forked
+    children, which inherit the parent's state, it keeps the worker
+    connections and the two broadcast payloads alive across
+    ``run_subtasks`` calls.  The same
     leaf-data snapshot fingerprint drives invalidation, split into two
     generation counters:
 
@@ -569,8 +571,7 @@ class DistributedSession(_ResidentSession):
     ) -> bytes:
         """Pickle the arrays workers need: the warm invariant cache and leaves.
 
-        Mirrors the shared-memory publication: only the slice-dependent
-        leaves ship (the cache covers the rest).  Arrays are made
+        Only the slice-dependent leaves ship (the cache covers the rest).  Arrays are made
         C-contiguous with ``np.asarray(order="C")``, which — unlike
         ``np.ascontiguousarray`` — keeps a rank-0 array rank-0 (the root of
         an unsliced closed network sits in the invariant cache as a scalar).

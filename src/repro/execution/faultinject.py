@@ -17,14 +17,14 @@ worker applies it via :func:`apply_directive` before executing the chunk:
 ========================= ============================================== =
 kind                      worker-side effect                 recovery path
 ========================= ============================================== =
-``"kill-worker"``         ``os._exit(1)`` — hard death, no    pool rebuild
-                          teardown hooks run (the SIGKILL
+``"kill-worker"``         ``os._exit(1)`` — hard death, no    crew rebuild
+                          teardown hooks run (the SIGKILL     (re-fork)
                           analogue)
 ``"delay-chunk"``         sleeps ``seconds`` before           chunk timeout
                           executing
-``"fail-segment-attach"`` drops the worker's shared-memory    chunk retry +
-                          state, then raises as a failed      payload
-                          segment attach                      re-install
+``"fail-segment-attach"`` raises as a failed attach of the  chunk retry
+                          worker's state would; the worker
+                          lives on
 ``"poison-pickle"``       raises ``pickle.UnpicklingError``   chunk retry
                           as a corrupt chunk payload would
 ``"drop-connection"``     severs the worker's coordinator     rebalance onto
@@ -116,7 +116,7 @@ class InjectedCoordinatorDeath(BaseException):
     the failure none of them can intercept.  Raising this mid-harvest
     unwinds through the session (marking it broken), kills the process
     with a nonzero exit, and still lets interpreter-shutdown finalizers
-    unlink shared-memory segments — which an ``os._exit`` would leak.
+    kill and reap the pool's children.
     The durable write-ahead ledger (:mod:`repro.execution.checkpoint`)
     fsyncs each record before it is acknowledged, so the resume path this
     exercises is byte-for-byte the one a SIGKILL would leave behind.
@@ -287,8 +287,8 @@ class FaultInjector:
 def apply_directive(directive: Optional[Directive], in_process: bool = False) -> None:
     """Apply a fault directive at the start of a chunk (worker side).
 
-    Called by the pool worker's chunk runner and by the thread backend's
-    in-thread chunk loop.  ``None`` (the hot path) returns immediately.
+    Called by the pool children's and socket workers' chunk runners and by
+    the thread backend's in-thread chunk loop.  ``None`` (the hot path) returns immediately.
     With ``in_process=True`` (thread backend) a ``"kill-worker"``
     directive raises instead of exiting — a thread cannot be killed, and
     taking down the calling process would fault the wrong unit.
@@ -306,14 +306,7 @@ def apply_directive(directive: Optional[Directive], in_process: bool = False) ->
         time.sleep(seconds)
         return
     if kind == "fail-segment-attach":
-        if not in_process:
-            # drop this worker's shared-memory state first so the retry
-            # must re-install it from the chunk payload, exercising the
-            # republish path end to end
-            from . import backend as _backend
-
-            _backend._teardown_worker()
-        raise InjectedFault("injected shared-memory segment attach failure")
+        raise InjectedFault("injected segment attach failure")
     if kind == "poison-pickle":
         raise pickle.UnpicklingError("injected poisoned chunk payload")
     if kind == "drop-connection":

@@ -14,11 +14,12 @@ This module is the single description, and the single implementation, of
 that recovery model.  :class:`FaultPolicy` says *what is allowed*;
 :func:`run_chunks` is the one driver that *does* it, for every pooled
 backend, over the small :class:`ChunkTransport` protocol that threads
-(:class:`~repro.execution.backend.LocalTransport`), the shared-memory
-process pool (:class:`~repro.execution.backend.ExecutionSession`) and
-sockets (:class:`~repro.execution.distributed.DistributedSession`)
-each implement.  The transports own mechanics only — publication, wire
-frames, killing a process; every decision below is taken here.
+(:class:`~repro.execution.backend.LocalTransport`), the forked process
+pool (:class:`~repro.execution.backend.ExecutionSession`, whose parent
+runs its own chunks inside ``wait``) and sockets
+(:class:`~repro.execution.distributed.DistributedSession`) each
+implement.  The transports own mechanics only — forking, publication,
+wire frames, killing a process; every decision below is taken here.
 
 The recovery model
 ------------------
@@ -191,8 +192,9 @@ class FaultPolicy:
     max_retries:
         Re-submissions allowed per chunk before recovery gives up.
     max_pool_rebuilds:
-        Pool respawn + segment republish cycles allowed per run; ``None``
-        defaults to ``max_retries``.
+        Worker rebuilds (a re-fork of the process pool, a respawn of the
+        distributed workers) allowed per run; ``None`` defaults to
+        ``max_retries``.
     backoff_seconds / backoff_multiplier:
         Deterministic exponential backoff: re-submission attempt ``k``
         (0-based) sleeps ``backoff_seconds * backoff_multiplier**k``.

@@ -356,9 +356,9 @@ class CorrelatedSampler:
         :class:`SlicedExecutor` enforces).  A sampling run that computes
         many batches against one circuit is the prime beneficiary of the
         backend's persistent session — wrap the loop in
-        ``with sampler.session(): ...`` so the workers are spawned once
-        and each batch only republishes leaf data and the invariant cache
-        for the resident plan.  Without a backend, the same loop is where
+        ``with sampler.session(): ...`` so each batch only brings the
+        workers the new leaf data and invariant cache of the resident plan
+        (the process pool forks its children again from them).  Without a backend, the same loop is where
         batches may split with a forked twin (see :meth:`session`); an
         explicit backend never does, and a batch outside a session runs
         inline.
@@ -563,7 +563,7 @@ class CorrelatedSampler:
         are rebound into the resident network, which the executor sees at
         once as a data-only mutation: it keeps the compiled plan and drops
         the invariant cache, and a backend session takes its data-only
-        republish path.  When no leaf differs (the same bitstring again)
+        path.  When no leaf differs (the same bitstring again)
         the warm cache is kept.  Returns the executor and the number of
         leaves rebound.
         """
@@ -607,11 +607,11 @@ class CorrelatedSampler:
 
         With a ``backend``, its persistent execution session: every
         :meth:`compute_batch` call runs the same resident compiled plan
-        with new leaf data, so the workers are spawned once and each batch
-        takes the session's data-only path — the slice-dependent leaves
-        and the re-warmed invariant cache are republished for the same
-        plan object (the distributed session broadcasts the plan once and
-        never again).  Backends without resident state return a no-op
+        with new leaf data, so each batch takes the session's data-only
+        path for the same plan object: the process pool forks its children
+        again from the rebound leaves and the re-warmed cache, and the
+        distributed session broadcasts the plan once and then only the
+        slice-dependent leaves and the cache.  Backends without resident state return a no-op
         session.
 
         Without one, a sampling session (:class:`_SamplingSession`): its
@@ -764,11 +764,11 @@ class CorrelatedSampler:
         data = plan.finish(network, accumulated, cache, self.stats)
         return Tensor(plan.out_indices, data=data, sizes=plan.out_sizes)
 
-    def _serve_twin(self, split: "_Split") -> bytes:
+    def _serve_twin(self, split: "_Split", request: bytes) -> bytes:
         """The twin's side of a split batch: the parent's preparation on the
         bits it sent, the warm pass (counted by the parent), and the trailing
         blocks, each into its row; the reply is those blocks' stats."""
-        executor, _, _ = self._prepare(dict(zip(split.closed, split.request)), None)
+        executor, _, _ = self._prepare(dict(zip(split.closed, request)), None)
         if executor is not split.executor:
             raise RuntimeError("the twin's resident executor is not its parent's")
         plan, network, cache = executor.plan, executor.network, executor._cache
@@ -806,19 +806,15 @@ class _Split:
         self.closed = tuple(
             q for q in range(sampler.circuit.num_qubits) if q not in sampler.open_qubits
         )
-        self.request = bytearray(len(self.closed))
         self._shape = (blocks - self.start, *executor.plan.contribution_shape)
         # rows sized at the result's itemsize, which no contribution exceeds
         self._mapping = mmap.mmap(-1, itemsize * math.prod(self._shape))
         # (the parent keeps no reference to what the twin serves)
-        self.twin = forking.Twin(lambda: sampler._serve_twin(self), self.request)
+        self.twin = forking.Twin(lambda request: sampler._serve_twin(self, request))
 
     def send(self, bits: Dict[int, int]) -> None:
         """Start the twin on the batch of ``bits``."""
-        request = self.request
-        for index, qubit in enumerate(self.closed):
-            request[index] = bits[qubit]
-        self.twin.send()
+        self.twin.send(bytes(bits[qubit] for qubit in self.closed))
 
     def rows(self, dtype: np.dtype) -> np.ndarray:
         """The twin's contributions, one block a row, in position order."""

@@ -20,7 +20,7 @@ compile-time offset in one per-worker arena.
 re-contracts everything per subtask; it is the path everything else is
 cross-checked against.
 
-*How* the subtasks run — serial, thread pool, shared-memory process pool —
+*How* the subtasks run — serial, thread pool, forked process pool —
 is the backend's concern (``backend=``); see
 :mod:`repro.execution.backend` for the selection guide.  All backends sum
 contributions in the same order and are bit-identical to each other.
@@ -161,8 +161,7 @@ class SlicedExecutor:
         schedules the subtasks (default :class:`SerialBackend`).  Compiled
         mode only.  Wrap consecutive :meth:`run` calls in
         ``with executor.session(): ...`` to keep the backend's resident
-        state (the process pool and its shared-memory segments) alive
-        between them.
+        state (the process pool's forked children) alive between them.
     cost_model:
         Optional :class:`~repro.costs.CostModel`.  Derives the per-chunk
         timeouts of a ``fault_policy`` and lets :meth:`calibration_record`
@@ -368,8 +367,8 @@ class SlicedExecutor:
         if self._plan is None:
             return
         if not self._plan.matches_network(self.network):
-            # an axis-order mutation invalidates every buffer a backend
-            # session published, so the session is rebuilt from scratch
+            # an axis-order mutation invalidates every buffer layout a
+            # backend session holds, so the session is rebuilt from scratch
             self._compile_plan()
             if self._backend is not None:
                 self._backend.reset_session()
@@ -382,12 +381,12 @@ class SlicedExecutor:
     def session(self):
         """Open (or reuse) the backend's persistent execution session.
 
-        Scopes pool/segment reuse across consecutive :meth:`run` calls on
-        this executor::
+        Scopes pool reuse across consecutive :meth:`run` calls on this
+        executor::
 
-            with executor.session():
-                first = executor.run()     # spawns the pool, publishes
-                second = executor.run()    # reuses both — warm
+            with executor.session():       # forks the pool's children
+                first = executor.run()
+                second = executor.run()    # the same children — warm
 
         The session is primed with the plan :meth:`run` executes.
         In-process backends return a no-op session, so the pattern is

@@ -40,13 +40,26 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..tensornet.tensor import Tensor
-from .backend import _LeafStore, execute_chunk
+from .backend import execute_chunk
 from .distributed import TransportClosed, TransportError, recv_frame, send_frame
 from .faultinject import Directive, apply_directive, corrupt_payload
 from .plan import CompiledPlan, StemSlots
 from .resilience import Chunk, ChunkResult
 
 __all__ = ["WorkerRuntime", "main", "serve"]
+
+
+class _LeafStore:
+    """Minimal stand-in for :class:`~repro.tensornet.network.TensorNetwork`
+    on a worker: the compiled plan only ever calls ``network.tensor(tid)``
+    while executing, so the worker rebuilds just that mapping from the
+    broadcast leaf arrays."""
+
+    def __init__(self, tensors: Dict[int, Tensor]) -> None:
+        self._tensors = tensors
+
+    def tensor(self, tid: int) -> Tensor:
+        return self._tensors[tid]
 
 
 class WorkerRuntime:

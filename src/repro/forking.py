@@ -1,9 +1,11 @@
-"""When a fork pool pays: the rule the path search's trials
-(:meth:`repro.paths.HyperOptimizer.search`), the front door's sweep
-(:meth:`repro.SimulationPlanner.execute_plan`) and a sampling session
-(:meth:`repro.execution.CorrelatedSampler.session`) share.  Each runs one
-unit inline, times it, and forks only for remaining work worth a pool's
-life.  :class:`Twin` is the sampling session's one forked process.
+"""When a fork pays, and the forked copies that run the work: the rule the
+path search's trials (:meth:`repro.paths.HyperOptimizer.search`), the
+front door's sweep (:meth:`repro.SimulationPlanner.execute_plan`) and a
+sampling session (:meth:`repro.execution.CorrelatedSampler.session`)
+share.  Each runs one unit inline, times it, and forks only for remaining
+work worth a pool's life.  :class:`Twin` is one forked process serving
+requests over a pipe: a sampling session's twin, and each child of the
+process pool's crew (:class:`repro.execution.ExecutionSession`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import signal
 import threading
 import weakref
-from typing import Callable, NoReturn, Tuple
+from typing import Callable, NoReturn, Optional, Set, Tuple
 
 __all__ = ["Twin", "native_threads", "pool_pays", "usable_cpus"]
 
@@ -56,7 +58,7 @@ def pool_pays(unit_s: float, remaining: int) -> bool:
     Also requires at least two units left, ``fork`` support, a process
     that may have children (a daemonic pool worker may not), two usable
     CPUs and no other live thread (forking beside one can deadlock the
-    child; an open shared-memory pool session has one).
+    child).
     """
     return (
         remaining >= 2
@@ -71,23 +73,25 @@ def pool_pays(unit_s: float, remaining: int) -> bool:
 class Twin:
     """A forked copy of this process that serves one request at a time.
 
-    ``request`` is a preallocated buffer: :meth:`send` writes its bytes to a
-    pipe, the twin reads them into its own copy of the same buffer, calls
-    ``serve()`` — which may answer in memory the two processes share, an
-    anonymous ``mmap.mmap(-1, n)`` made before the fork — and writes back
-    the bytes it returns, which :meth:`wait` returns.  A twin that died
-    shows as ``OSError`` from :meth:`send` or :meth:`wait` (``EOFError`` at
-    the end of the pipe).  The parent keeps no reference to ``serve``.
+    :meth:`send` writes a request's bytes to a pipe, length-prefixed; the
+    twin calls ``serve(request)`` — which may answer in memory the two
+    processes share, an anonymous ``mmap.mmap(-1, n)`` made before the
+    fork — and writes back the bytes it returns, which :meth:`wait`
+    returns.  A twin that died shows as ``OSError`` from :meth:`send` or
+    :meth:`wait` (``EOFError`` at the end of the pipe).  The parent keeps
+    no reference to ``serve``.
 
     The twin freezes the objects it inherits (their finalizers are the
-    parent's to run), disables logging, and leaves only through
+    parent's to run), disables logging, closes the parent's ends of every
+    other live twin's pipes (so each twin sees the end of its own request
+    pipe when its parent alone closes it), and leaves only through
     ``os._exit``: at the end of the request pipe with status 0, on any
     exception with 1.  :meth:`close` — also run when the object is
     collected or the interpreter exits — closes the pipes, kills the twin
     and reaps it.
     """
 
-    def __init__(self, serve: Callable[[], bytes], request: bytearray) -> None:
+    def __init__(self, serve: Callable[[bytes], bytes]) -> None:
         requests, replies = os.pipe(), os.pipe()
         try:
             pid = os.fork()
@@ -96,72 +100,98 @@ class Twin:
                 os.close(fd)
             raise
         if pid == 0:  # pragma: no cover - runs in the twin
-            _serve(serve, memoryview(request), requests[0], replies[1], (requests[1], replies[0]))
+            _serve(serve, requests[0], replies[1], (requests[1], replies[0], *_PARENT_ENDS))
         os.close(requests[0])
         os.close(replies[1])
         self.pid = pid
-        self._request = request
         self._send, self._receive = requests[1], replies[0]
+        _PARENT_ENDS.update((self._send, self._receive))
         self._finalizer = weakref.finalize(self, _reap, pid, (self._send, self._receive))
 
-    def send(self) -> None:
-        """Hand the twin the request buffer's bytes."""
-        if os.write(self._send, self._request) != len(self._request):
-            raise EOFError("short write to the twin")
+    def send(self, request: bytes) -> None:
+        """Hand the twin ``request``."""
+        _write(self._send, request)
 
-    def wait(self) -> bytes:
+    def wait(self) -> bytearray:
         """Block until the twin has answered the request sent last; its reply."""
-        size = int.from_bytes(_exactly(self._receive, 8), "little")
-        return _exactly(self._receive, size)
+        reply = _frame(self._receive)
+        if reply is None:
+            raise EOFError(f"twin {self.pid} closed its pipe")
+        return reply
+
+    def fileno(self) -> int:
+        """The reply pipe's descriptor, for ``select``: readable once a reply
+        (or the end of the pipe) is waiting."""
+        return self._receive
+
+    @property
+    def alive(self) -> bool:
+        """Whether the twin has not exited (it stays unreaped until :meth:`close`)."""
+        try:
+            return os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+        except ChildProcessError:  # (reaped by someone else's wait)
+            return False
 
     def close(self) -> None:
         """Close the pipes, kill the twin and reap it (idempotent)."""
         self._finalizer()
 
 
+#: The parent's ends of the pipes of every live twin: a new twin closes
+#: them, so no child holds another child's request pipe open.
+_PARENT_ENDS: Set[int] = set()
+
+
 def _serve(
-    serve: Callable[[], bytes], request: memoryview, source: int, answer: int, parent: Tuple
+    serve: Callable[[bytes], bytes], source: int, answer: int, inherited: Tuple[int, ...]
 ) -> NoReturn:  # pragma: no cover - runs in the twin
     status = 1
     try:
         gc.freeze()
         logging.disable(logging.CRITICAL)
-        for fd in parent:
+        for fd in inherited:
             os.close(fd)
-        while _fill(source, request):
-            reply = serve()
-            written = memoryview(len(reply).to_bytes(8, "little") + reply)
-            while written:
-                written = written[os.write(answer, written) :]
+        request = _frame(source)
+        while request is not None:
+            _write(answer, serve(request))
+            request = _frame(source)
         status = 0
     finally:
         os._exit(status)
 
 
-def _fill(fd: int, view: memoryview) -> bool:  # pragma: no cover - runs in the twin
-    """Read ``len(view)`` bytes from ``fd`` into ``view``; False at the end of the pipe."""
-    got = 0
-    while got < len(view):
-        read = os.readv(fd, [view[got:]])
-        if not read:
-            return False
-        got += read
-    return True
+def _write(fd: int, payload: bytes) -> None:
+    """Write ``payload`` to ``fd`` behind its 8-byte length."""
+    written = memoryview(len(payload).to_bytes(8, "little") + payload)
+    while written:
+        written = written[os.write(fd, written) :]
 
 
-def _exactly(fd: int, size: int) -> bytes:
+def _frame(fd: int) -> Optional[bytearray]:
+    """One length-prefixed payload from ``fd``; ``None`` at the end of the
+    pipe between payloads, ``EOFError`` inside one."""
+    header = os.read(fd, 8)
+    if not header:
+        return None
+    header += _exactly(fd, 8 - len(header))
+    return _exactly(fd, int.from_bytes(header, "little"))
+
+
+def _exactly(fd: int, size: int) -> bytearray:
     """``size`` bytes from ``fd``; ``EOFError`` at the end of the pipe."""
-    got = b""
-    while len(got) < size:
-        read = os.read(fd, size - len(got))
+    got = bytearray(size)
+    view, done = memoryview(got), 0
+    while done < size:
+        read = os.readv(fd, [view[done:]])
         if not read:
             raise EOFError("the twin closed its pipe")
-        got += read
+        done += read
     return got
 
 
 def _reap(pid: int, fds: Tuple[int, ...]) -> None:
     for fd in fds:
+        _PARENT_ENDS.discard(fd)
         os.close(fd)
     try:
         os.kill(pid, signal.SIGKILL)

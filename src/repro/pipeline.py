@@ -404,8 +404,10 @@ class SimulationPlanner:
         planner's backend) and accumulates the results; returns the
         amplitude including the simplifier's scalar prefactor.  Without
         either, the sweep runs inline until a timed block shows that a
-        process pool pays for the rest (:func:`repro.forking.pool_pays`);
-        the amplitude is the serial one, bit for bit.
+        process pool pays for the rest (:func:`repro.forking.pool_pays`):
+        the parent then forks children from its warm state and sweeps its
+        own share of the rest beside them on the arena it keeps.  The
+        amplitude is the serial one, bit for bit.
         The run's counters and wall timings land on
         ``plan.measured_stats``, feeding the predicted-vs-measured stage
         report and :class:`~repro.costs.CalibratedCostModel` calibration.

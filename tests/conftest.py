@@ -25,11 +25,12 @@ from repro.tensornet import amplitude_network, circuit_to_tensor_network, simpli
 # ----------------------------------------------------------------------
 # /dev/shm + checkpoint-store leak audit
 #
-# Every test that opens a shared-memory process pool must leave /dev/shm
-# exactly as it found it — even when the test injected worker crashes or
-# aborted a session mid-run.  Implemented as runtest hooks rather than an
-# autouse fixture so hypothesis @given tests (which forbid
-# function-scoped fixtures) are audited too.  Anonymous segments created
+# Every test must leave /dev/shm exactly as it found it — even when it
+# injected worker crashes or aborted a session mid-run (the process pool
+# forks its children and publishes nothing; this keeps it that way).
+# Implemented as runtest hooks rather than an autouse fixture so
+# hypothesis @given tests (which forbid function-scoped fixtures) are
+# audited too.  Anonymous segments created
 # by multiprocessing.shared_memory carry the "psm_" prefix, which keeps
 # the audit blind to unrelated tenants of /dev/shm.
 #

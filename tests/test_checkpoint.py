@@ -75,16 +75,24 @@ def _sliced(tn):
     return sorted(tn.inner_indices())[:4]
 
 
+class _FourChunksAProcess(SharedMemoryProcessPoolBackend):
+    """The pool cut into four chunks per process, as the thread pool's
+    default cuts its runs: the harvest and submission ordinals the
+    injectors below fire on count chunks of that size."""
+
+    chunks_per_worker = 4
+
+
 def _backend(kind):
     if kind == "serial":
         return SerialBackend()
     if kind == "threads":
         return ThreadPoolBackend(WORKERS)
     if kind == "pool":
-        # default chunking: the configured chunk_size is part of the job
+        # no chunk_size: the configured chunk_size is part of the job
         # fingerprint, so keeping it None lets one ledger resume across
         # all three backends
-        return SharedMemoryProcessPoolBackend(WORKERS)
+        return _FourChunksAProcess(WORKERS)
     if kind == "distributed":
         return DistributedBackend(num_workers=WORKERS)
     raise AssertionError(kind)

@@ -183,17 +183,18 @@ def may_fork(monkeypatch):
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/dev/shm"),
-    reason="the sweep pool forks and publishes to /dev/shm",
+    reason="the sweep forks its crew; the audit reads /dev/shm",
 )
 class TestFrontDoorPool:
-    """``execute_plan`` without a backend: the serial bits, inline or on a pool
-    that nothing outlives."""
+    """``execute_plan`` without a backend: the serial bits, inline or on a
+    forked crew that nothing outlives."""
 
     @pytest.fixture(autouse=True)
     def nothing_outlives_a_run(self):
         threads, segments = threading.active_count(), _shm_segments()
         yield
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
         assert threading.active_count() == threads
         assert _shm_segments() <= segments
 
@@ -236,14 +237,14 @@ class TestFrontDoorPool:
         assert serial.stats.steps_executed == 5_227
         planner.execute_plan(plan)
         assert pool_spy == [2]
-        # the 510 blocks left run as 8 chunks of 63 or 64, and each chunk's
-        # first subtask walks from the top (18 steps) where the serial sweep
-        # resumed: 9 steps more on each
+        # the 510 blocks left run as one range of 255 per process, and each
+        # range's first subtask walks from the top (18 steps) where the
+        # serial sweep resumed: 9 steps more on each
         top_level = len(serial.plan._resume_suffixes[0][1])
         assert top_level == 18
-        assert plan.measured_stats.steps_executed == 5_227 + 8 * 9 <= 5_227 + 8 * top_level
+        assert plan.measured_stats.steps_executed == 5_227 + 2 * 9 <= 5_227 + 2 * top_level
 
-    def test_the_parent_holds_no_arena_while_the_pool_runs(
+    def test_the_parent_sweeps_its_share_on_the_arena_it_keeps(
         self, monkeypatch, small_bench_plan, may_fork
     ):
         arenas, seen = [], []
@@ -253,17 +254,22 @@ class TestFrontDoorPool:
                 super().__init__()
                 arenas.append(self)
 
-        real = backend_module.run_chunks
+        real = backend_module._chunk_contributions
 
-        def spy(*args, **kwargs):
-            seen.append(sum(slots.allocated_bytes for slots in arenas))
-            return real(*args, **kwargs)
+        def spy(plan, network, cache, slots, items):
+            seen.append((slots, slots.allocated_bytes))
+            return real(plan, network, cache, slots, items)
 
-        monkeypatch.setattr(backend_module, "StemSlots", Tracked)
-        monkeypatch.setattr(backend_module, "run_chunks", spy)
         planner, plan = small_bench_plan
+        arena_bytes = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced).plan.arena_bytes
+        monkeypatch.setattr(backend_module, "StemSlots", Tracked)
+        monkeypatch.setattr(backend_module, "_chunk_contributions", spy)
         planner.execute_plan(plan)
-        assert arenas and seen == [0]
+        # the door's own arena, bound by blocks 0 and 1, sweeps the
+        # parent's range; nothing else in the parent allocates one
+        (door, *unused) = arenas
+        assert seen == [(door, arena_bytes)] and arena_bytes == 65_792
+        assert all(slots.allocated_bytes == 0 for slots in unused)
 
     @pytest.mark.parametrize(
         "rule",

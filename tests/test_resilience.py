@@ -1,15 +1,14 @@
 """Fault-tolerant execution: crash recovery, retries, degradation.
 
 The resilience contract under test: whatever faults strike a run — a
-SIGKILLed pool worker, a stuck chunk hitting its timeout, a failed
+SIGKILLed pool child, a stuck chunk hitting its timeout, a failed
 segment attach, a poisoned chunk payload — a recovered (or degraded)
 sliced contraction returns a result **bit-identical** to a clean
 :class:`SerialBackend` run, because recovery only ever re-runs the
 assignments whose ordered accumulation slots are still empty and the
 final fold is unchanged.  Faults are injected deterministically
 (:mod:`repro.execution.faultinject`), so every recovery path here is
-reproducible; the /dev/shm audit in ``conftest.py`` asserts that no test
-— crashes included — leaks a shared-memory segment.
+reproducible.
 """
 
 from __future__ import annotations
@@ -69,6 +68,12 @@ def serial_value(case):
 
 def _sliced(tn):
     return sorted(tn.inner_indices())[:4]
+
+
+def _pool():
+    """Two processes over eight chunks of two subtasks: the injectors'
+    ordinals below count submissions of those chunks."""
+    return SharedMemoryProcessPoolBackend(max_workers=WORKERS, chunk_size=2)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +242,7 @@ class TestPoolCrashRecovery:
     def test_killed_worker_recovers_bit_identical(self, case, serial_value):
         tn, tree = case
         injector = FaultInjector([FaultSpec("kill-worker", chunk=2)])
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -249,9 +254,8 @@ class TestPoolCrashRecovery:
         with executor.session() as session:
             value = executor.amplitude()
             assert value == serial_value
-            # the pool died and was respawned, segments republished
-            assert session.pool_launches == 2
-            assert session.publications == 2
+            # the only child died: the crew was forked again
+            assert session.forks == 2
         assert executor.stats.faults >= 1
         assert executor.stats.retries >= 1
         assert executor.stats.recovery_seconds > 0.0
@@ -263,7 +267,7 @@ class TestPoolCrashRecovery:
         injector = FaultInjector(
             [FaultSpec("delay-chunk", chunk=1, seconds=5.0)]
         )
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -285,7 +289,7 @@ class TestPoolCrashRecovery:
     def test_poisoned_chunk_retries_without_pool_rebuild(self, case, serial_value):
         tn, tree = case
         injector = FaultInjector([FaultSpec("poison-pickle", chunk=3)])
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -296,15 +300,15 @@ class TestPoolCrashRecovery:
         )
         with executor.session() as session:
             assert executor.amplitude() == serial_value
-            # an in-worker exception does not poison the pool
-            assert session.pool_launches == 1
+            # an exception in a child does not cost the child
+            assert session.forks == 1
         assert executor.stats.faults == 1
         assert executor.stats.retries == 1
 
-    def test_failed_segment_attach_reinstalls_from_payload(self, case, serial_value):
+    def test_failed_segment_attach_is_a_chunk_retry(self, case, serial_value):
         tn, tree = case
         injector = FaultInjector([FaultSpec("fail-segment-attach", chunk=1)])
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -315,14 +319,14 @@ class TestPoolCrashRecovery:
         )
         with executor.session() as session:
             assert executor.amplitude() == serial_value
-            assert session.pool_launches == 1
-        assert executor.stats.faults >= 1
-        assert executor.stats.retries >= 1
+            assert session.forks == 1
+        assert executor.stats.faults == 1
+        assert executor.stats.retries == 1
 
     def test_recovery_inside_batched_sweep(self, case, serial_value):
         tn, tree = case
         sliced = _sliced(tn)
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -341,7 +345,7 @@ class TestFailFastAndSessionHealing:
     def test_fail_fast_raises_and_next_run_heals(self, case, serial_value):
         tn, tree = case
         injector = FaultInjector([FaultSpec("kill-worker", chunk=1)])
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -361,7 +365,7 @@ class TestFailFastAndSessionHealing:
 
     def test_fail_fast_timeout_raises_chunk_timeout_error(self, case, serial_value):
         tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -387,7 +391,7 @@ class TestFailFastAndSessionHealing:
         self, case, serial_value
     ):
         tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -418,7 +422,7 @@ class TestFailFastAndSessionHealing:
         self, case, serial_value
     ):
         tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         # ordinal 0 (first chunk of round one) kills a worker -> one pool
         # rebuild; ordinal 8 (the first re-submitted chunk) then raises a
         # genuine chunk failure.  With max_retries=1 that chunk still has
@@ -444,7 +448,7 @@ class TestFailFastAndSessionHealing:
 
     def test_default_policy_is_fail_fast(self, case):
         tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -459,7 +463,7 @@ class TestFailFastAndSessionHealing:
 
     def test_retry_mode_exhaustion_raises_recovery_exhausted(self, case):
         tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -480,7 +484,7 @@ class TestDegradation:
         self, case, serial_value
     ):
         tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -500,7 +504,7 @@ class TestDegradation:
 
     def test_serial_only_degradation_chain(self, case, serial_value):
         tn, tree = case
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -604,7 +608,7 @@ class TestWiring:
             def subtask_seconds(self, tree, sliced=frozenset(), backend=None):
                 return 0.01
 
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         executor = SlicedExecutor(
             tn,
             tree,
@@ -623,7 +627,7 @@ class TestWiring:
     def test_sampler_does_not_mutate_shared_backend(self):
         from repro.execution.sampling import CorrelatedSampler
 
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         circ = random_brickwork_circuit(4, 2, seed=3)
         sampler = CorrelatedSampler(
             circ,
@@ -668,7 +672,7 @@ class TestWiring:
         from repro.execution import CorrelatedSampler
 
         circ = random_brickwork_circuit(5, 4, seed=11)
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = _pool()
         sampler = CorrelatedSampler(
             circ,
             open_qubits=(0, 1),

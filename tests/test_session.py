@@ -1,37 +1,50 @@
 """Tests of the persistent process-pool :class:`ExecutionSession`.
 
-The session must amortize pool spawn + segment publication across
-consecutive ``run_subtasks`` calls without perturbing the
-ordered-accumulation contract: every result inside a session is
-bit-identical to :class:`SerialBackend`.  Lifecycle edges — data-only
-republish, axis-order rebuild, idempotent close, workers spawned lazily
-after a republish — are exercised explicitly.
+The session forks its crew of children once the invariant cache is warm
+and keeps it across consecutive ``run_subtasks`` calls without perturbing
+the ordered-accumulation contract: every result inside a session is
+bit-identical to :class:`SerialBackend`.  Lifecycle edges — a data-only
+re-fork, axis-order rebuild, idempotent close, a killed child, the pipes
+of other forked children — are exercised explicitly, and nothing (child,
+descriptor, segment) outlives a session.
 """
 
 from __future__ import annotations
 
 import gc
+import logging
+import math
+import multiprocessing
 import os
+import re
+import signal
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import forking
 from repro.circuits import grid_circuit, random_brickwork_circuit
+from repro.core import lifetime as lifetime_module
 from repro.execution import (
     CorrelatedSampler,
     ExecutionSession,
+    FaultInjector,
     FaultPolicy,
+    FaultSpec,
     NullExecutionSession,
     SerialBackend,
     SharedMemoryProcessPoolBackend,
     SlicedExecutor,
     ThreadPoolBackend,
 )
+from repro.execution import backend as backend_module
 from repro.execution import sliced as sliced_module
 from repro.paths import GreedyOptimizer
+from repro.pipeline import SimulationPlanner
 from repro.tensornet import amplitude_network, simplify_network
 
 WORKERS = 2
@@ -65,10 +78,8 @@ class TestSessionReuse:
         with executor.session() as session:
             values = [executor.amplitude() for _ in range(3)]
             assert all(value == serial for value in values)
-            assert session.pool_launches == 1
-            assert session.publications == 1
-            assert session.generation == 0
-            assert session.pool_is_live
+            assert session.forks == 1
+            assert len(session.pids) == WORKERS - 1
         assert session.closed
 
     def test_backend_session_context_manager_form(self, case):
@@ -79,11 +90,10 @@ class TestSessionReuse:
         executor = SlicedExecutor(tn, tree, sliced, backend=backend)
         plan, cache = executor.plan, executor._cache
         with backend.session(plan, tn, cache) as session:
-            # the session was eagerly primed: pool spawned, segments live
-            assert session.pool_is_live
-            assert session.publications == 1
+            # the session was eagerly primed: the crew is forked
+            assert session.forks == 1 and session.pids
             assert executor.amplitude() == serial
-            assert session.publications == 1  # reused, not republished
+            assert session.forks == 1  # reused, not forked again
         assert session.closed
 
     def test_bit_identical_across_chunk_sizes_inside_session(self, case):
@@ -109,8 +119,7 @@ class TestSessionReuse:
             half = executor.num_subtasks // 2
             total = complex(executor.run(range(half)).require_data())
             total += complex(executor.run(range(half, executor.num_subtasks)).require_data())
-            assert session.pool_launches == 1
-            assert session.publications == 1
+            assert session.forks == 1
         assert total == pytest.approx(complex(serial), abs=1e-12)
 
     def test_batched_sweep_session(self, case):
@@ -124,8 +133,7 @@ class TestSessionReuse:
         with executor.session() as session:
             assert executor.amplitude() == serial
             assert executor.amplitude() == serial
-            assert session.pool_launches == 1
-            assert session.publications == 1
+            assert session.forks == 1
 
     def test_run_after_close_falls_back_to_ephemeral(self, case):
         tn, tree = case
@@ -153,7 +161,7 @@ class TestSessionReuse:
 
 
 class TestSessionInvalidation:
-    def test_data_only_replacement_republishes_without_respawning(self, case):
+    def test_data_only_replacement_reforks_the_crew(self, case):
         tn, tree = case
         tn = tn.copy()
         sliced = sorted(tn.inner_indices())[:4]
@@ -164,14 +172,14 @@ class TestSessionInvalidation:
             assert first == _serial_value(tn, tree, sliced)
             tid = tn.tensor_ids[0]
             tensor = tn.tensor(tid)
+            children = session.pids
             tn.replace_tensor(tid, tensor.with_data(tensor.require_data() * 2.0))
             second = executor.amplitude()
             assert second == _serial_value(tn, tree, sliced)
             assert second != first
-            # segments were republished in place; the pool survived
-            assert session.pool_launches == 1
-            assert session.publications == 2
-            assert session.generation == 1
+            # the children were forked again from the rebound state
+            assert session.forks == 2
+            assert session.pids != children and len(session.pids) == WORKERS - 1
 
     def test_axis_order_mutation_rebuilds_the_session(self, case):
         tn, tree = case
@@ -187,17 +195,15 @@ class TestSessionInvalidation:
             tn.replace_tensor(tid, tensor.transposed(tuple(reversed(tensor.indices))))
             second = executor.amplitude()
             assert second == _serial_value(tn, tree, sliced)
-            # the layout every published buffer assumed is gone: full rebuild
-            assert session.pool_launches == 2
-            assert session.generation == 0
+            # the layout the children inherited is gone: a fresh crew
+            assert session.forks == 2
 
-    def test_worker_spawned_after_republish_initializes_from_chunk_payload(self, case):
+    def test_finer_chunks_after_a_refork_keep_the_bits(self, case):
         tn, tree = case
         tn = tn.copy()
         sliced = sorted(tn.inner_indices())[:4]
-        # large chunks: the first run submits fewer tasks than max_workers,
-        # so some workers only spawn later — after the republish has
-        # unlinked the segment names their initializer payload references
+        # large chunks: the first run leaves some children idle; after a
+        # rebound leaf re-forks the crew, every child takes chunks of one
         backend = SharedMemoryProcessPoolBackend(max_workers=4, chunk_size=8)
         executor = SlicedExecutor(tn, tree, sliced, backend=backend)
         with executor.session() as session:
@@ -205,55 +211,247 @@ class TestSessionInvalidation:
             tid = tn.tensor_ids[0]
             tensor = tn.tensor(tid)
             tn.replace_tensor(tid, tensor.with_data(tensor.require_data().copy()))
-            backend.chunk_size = 1  # now submit many tasks: spawn the rest
+            backend.chunk_size = 1
             value = executor.amplitude()
             assert value == _serial_value(tn, tree, sliced)
-            assert session.pool_launches == 1
-            assert session.generation == 1
+            assert session.forks == 2 and len(session.pids) == 3
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="POSIX shm dir required")
-class TestSegmentAccounting:
-    """No shared-memory segment may outlive its session."""
+def _no_child_left():
+    """Whether this process has no child at all, not even a zombie."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-    @staticmethod
-    def _segment_count():
-        return len(os.listdir("/dev/shm"))
 
-    def test_close_unlinks_every_segment(self, case):
+def _fd_count():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _psm_segments():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _await_exit(pid, seconds=5.0):
+    """``pid``'s exit record once it exited (left unreaped), or ``None``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        if info is not None:
+            return info
+        time.sleep(0.01)
+    return None
+
+
+_FORKS = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/proc/self/fd"),
+    reason="the crew forks; the checks read /proc",
+)
+
+
+@_FORKS
+class TestCrewAccounting:
+    """No child (not even a zombie), descriptor or ``psm_`` segment outlives
+    a session: closed, garbage-collected, ephemeral, or with a child
+    SIGKILLed."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_outlives_a_test(self):
+        assert _no_child_left()
+        fds, segments = _fd_count(), _psm_segments()
+        yield
+        assert _no_child_left()
+        assert _fd_count() <= fds
+        assert _psm_segments() <= segments
+
+    def test_close_reaps_every_child(self, case):
         tn, tree = case
         sliced = sorted(tn.inner_indices())[:4]
-        before = self._segment_count()
-        backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
+        backend = SharedMemoryProcessPoolBackend(max_workers=3)
         executor = SlicedExecutor(tn, tree, sliced, backend=backend)
-        with executor.session():
+        with executor.session() as session:
             executor.amplitude()
-            assert self._segment_count() > before  # segments live mid-session
-        assert self._segment_count() == before
+            assert len(session.pids) == 2 and not _no_child_left()
 
     def test_ephemeral_runs_leave_nothing_behind(self, case):
         tn, tree = case
         sliced = sorted(tn.inner_indices())[:4]
-        before = self._segment_count()
         backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
-        SlicedExecutor(tn, tree, sliced, backend=backend).amplitude()
-        assert self._segment_count() == before
+        assert SlicedExecutor(tn, tree, sliced, backend=backend).amplitude() == _serial_value(
+            tn, tree, sliced
+        )
 
-    def test_finalizer_unlinks_segments_without_explicit_close(self, case):
+    def test_finalizer_reaps_without_explicit_close(self, case):
         tn, tree = case
         sliced = sorted(tn.inner_indices())[:4]
-        before = self._segment_count()
         backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
         executor = SlicedExecutor(tn, tree, sliced, backend=backend)
         executor.session()
         executor.amplitude()
-        assert self._segment_count() > before
+        assert not _no_child_left()
         # drop every reference to the session without closing it: the
-        # weakref finalizer must drain the pool and unlink the segments
+        # weakref finalizer must kill and reap the children
         backend._session = None
         del executor, backend
         gc.collect()
-        assert self._segment_count() == before
+
+    @pytest.mark.faults
+    def test_a_child_killed_between_runs_is_reforked(self, case, caplog):
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        backend = SharedMemoryProcessPoolBackend(max_workers=3)
+        executor = SlicedExecutor(tn, tree, sliced, backend=backend)
+        with caplog.at_level(logging.WARNING), executor.session() as session:
+            executor.amplitude()
+            killed = session.pids[0]
+            os.kill(killed, signal.SIGKILL)
+            assert _await_exit(killed) is not None
+            assert executor.amplitude() == _serial_value(tn, tree, sliced)
+            assert session.forks == 2 and killed not in session.pids
+        (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert record.getMessage() == f"process pool child {killed} died between runs; re-forking"
+
+    @pytest.mark.faults
+    def test_a_child_killed_mid_run_costs_one_warning(self, case, caplog):
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        backend = SharedMemoryProcessPoolBackend(max_workers=3, chunk_size=2)
+        executor = SlicedExecutor(
+            tn, tree, sliced, backend=backend,
+            fault_policy=FaultPolicy.retrying(backoff_seconds=0.0),
+            fault_injector=FaultInjector([FaultSpec("kill-worker", chunk=1)]),
+        )
+        with caplog.at_level(logging.WARNING), executor.session() as session:
+            assert executor.amplitude() == _serial_value(tn, tree, sliced)
+            # one child died, the survivor and the parent took its chunk
+            assert session.forks == 1 and len(session.pids) == 1
+        (record,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert " worker lost (" in record.getMessage()
+        assert executor.stats.faults == 1
+
+    def test_each_fork_logs_one_debug_line(self, case, caplog):
+        tn, tree = case
+        tn = tn.copy()
+        sliced = sorted(tn.inner_indices())[:4]
+        backend = SharedMemoryProcessPoolBackend(max_workers=3)
+        executor = SlicedExecutor(tn, tree, sliced, backend=backend)
+        with caplog.at_level(logging.DEBUG, logger="repro.execution.backend"):
+            with executor.session():
+                executor.amplitude()
+                tid = tn.tensor_ids[0]
+                tensor = tn.tensor(tid)
+                tn.replace_tensor(tid, tensor.with_data(tensor.require_data() * 2.0))
+                executor.amplitude()
+                executor.amplitude()
+        lines = [r.getMessage() for r in caplog.records if r.name == "repro.execution.backend"]
+        assert len(lines) == 2, lines
+        assert all(re.fullmatch(r"forked 2 process pool children in \d+\.\d\d ms", m) for m in lines)
+
+
+@pytest.fixture(scope="module")
+def grid_plan():
+    """A 3x4 grid plan sliced 6 ways: it folds below its root, and compiled
+    with ``INNER_FOLD_PRODUCT`` lifted it folds inside too."""
+    planner = SimulationPlanner(target_rank=6, max_trials=4, seed=0)
+    return planner.plan_circuit(grid_circuit(3, 4, cycles=8, seed=0), concrete=True)
+
+
+#: A conformance run's leaf rebinds, in order: none, new data (a re-fork),
+#: another dtype (a re-fork that binds the walk again).
+_REBINDS = (None, lambda data: data * (0.5 - 0.25j), lambda data: data.astype(np.complex64))
+
+
+def _conformance_runs(network, tree, sliced, executor):
+    """Run ``executor`` full and over a subset after each of :data:`_REBINDS`
+    of one leaf of ``network``; the result bits of every run, in order."""
+    tid = network.tensor_ids[5]
+    subset = range(3, executor.num_subtasks - 5)
+    bits = []
+    for rebind in _REBINDS:
+        if rebind is not None:
+            tensor = network.tensor(tid)
+            network.replace_tensor(tid, tensor.with_data(rebind(tensor.require_data())))
+        bits += [executor.run(ids).require_data().tobytes() for ids in (None, subset)]
+    return bits
+
+
+@pytest.fixture(scope="module")
+def serial_bits():
+    """The serial bits of the conformance runs, per fold kind (filled once)."""
+    return {}
+
+
+@_FORKS
+class TestCrewConformance:
+    @pytest.mark.parametrize("chunk_size", [None, 1, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("inner_fold", [False, True], ids=["folded", "inner_fold"])
+    def test_every_run_is_the_serial_one_bit_for_bit(
+        self, monkeypatch, grid_plan, serial_bits, inner_fold, workers, chunk_size
+    ):
+        """Full and subset runs, then again after a rebound leaf and after a
+        leaf of another dtype."""
+        if inner_fold:
+            monkeypatch.setattr(lifetime_module, "INNER_FOLD_PRODUCT", math.inf)
+        tree, sliced = grid_plan.tree, grid_plan.slicing.sliced
+        if inner_fold not in serial_bits:
+            network = grid_plan.network.copy()
+            serial = SlicedExecutor(network, tree, sliced)
+            serial_bits[inner_fold] = _conformance_runs(network, tree, sliced, serial)
+        network = grid_plan.network.copy()
+        backend = SharedMemoryProcessPoolBackend(max_workers=workers, chunk_size=chunk_size)
+        executor = SlicedExecutor(network, tree, sliced, backend=backend)
+        assert (executor.plan.inner_fold is not None) == inner_fold
+        with executor.session() as session:
+            assert _conformance_runs(network, tree, sliced, executor) == serial_bits[inner_fold]
+            assert session.forks == (3 if workers > 1 else 0)
+
+    def test_rows_past_the_mapping_travel_through_the_pipe(self, monkeypatch, case):
+        """A mapping too short for a chunk's rows (two rows of 16 B here)
+        sends those contributions back pickled, with the same bits."""
+        monkeypatch.setattr(backend_module, "_MAPPING_BYTES", 32)
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        backend = SharedMemoryProcessPoolBackend(max_workers=3, chunk_size=1)
+        executor = SlicedExecutor(tn, tree, sliced, backend=backend)
+        with executor.session() as session:
+            assert len(session._resources.mapping) == 32
+            assert executor.amplitude() == _serial_value(tn, tree, sliced)
+
+
+@_FORKS
+@pytest.mark.parametrize("first", ["twin", "crew"])
+def test_a_twin_exits_at_the_end_of_its_pipe_whatever_was_forked_beside_it(case, first):
+    """A child holds no other child's pipe: closing a twin's request pipe in
+    the parent alone (no SIGKILL) lets it exit cleanly, crew forked after it
+    or before."""
+    tn, tree = case
+    sliced = sorted(tn.inner_indices())[:4]
+    executor = SlicedExecutor(
+        tn, tree, sliced, backend=SharedMemoryProcessPoolBackend(max_workers=3)
+    )
+    session = executor.session() if first == "crew" else None
+    twin = forking.Twin(bytes)
+    if session is None:
+        session = executor.session()
+    try:
+        assert len(session.pids) == 2
+        # hang up: the parent's request end becomes /dev/null, so the pipe
+        # loses its last writer in this process (the descriptor is still
+        # the twin's to close)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, twin._send)
+        os.close(devnull)
+        info = _await_exit(twin.pid)
+        assert info is not None, "the twin did not see the end of its pipe"
+        assert (info.si_code, info.si_status) == (os.CLD_EXITED, 0)
+    finally:
+        twin.close()
+        session.close()
 
 
 class TestNullSessions:
@@ -307,8 +505,8 @@ class TestSamplerSession:
             pooled_batches = [sampler.compute_batch(base) for base in bases]
             if isinstance(session, ExecutionSession):
                 # this target rank leaves the batches unsliced: one
-                # assignment each, so no pool is ever needed
-                assert session.pool_launches <= 1
+                # assignment each, so no crew is ever needed
+                assert session.forks <= 1
         for serial_batch, pooled_batch in zip(serial_batches, pooled_batches):
             np.testing.assert_array_equal(
                 serial_batch.amplitudes, pooled_batch.amplitudes
@@ -419,11 +617,9 @@ class TestSamplerPlanReuseInSession:
                         [int(b) for b in rng.integers(0, 2, _SAMPLER_CIRCUIT.num_qubits)]
                     )
                     published_plans.add(id(session._plan))
-                    # the pool is spawned once; each batch republishes
-                    # segments (new leaf data, re-warmed cache) ...
-                    assert session.pool_launches == 1
-                    assert session.publications == batches
-                    assert session.generation == batches - 1
+                    # each batch rebinds leaves and re-warms the cache, so
+                    # the crew is forked again from it ...
+                    assert session.forks == batches
                     # ... and the counters see every subtask exactly once
                     assert sampler.stats.executions == batches * _SAMPLER_SUBTASKS
                     assert sampler.stats.timed_subtasks == batches * _SAMPLER_SUBTASKS
@@ -433,8 +629,6 @@ class TestSamplerPlanReuseInSession:
 
 class TestPlannerSession:
     def test_planner_reuses_the_pool_across_executions(self):
-        from repro.pipeline import SimulationPlanner
-
         circ = random_brickwork_circuit(6, 4, seed=3)
         with SimulationPlanner(
             target_rank=5,
@@ -451,4 +645,4 @@ class TestPlannerSession:
                 second = planner.execute_plan(plan)
             assert first == second == serial
             if isinstance(session, ExecutionSession):
-                assert session.pool_launches <= 1
+                assert session.forks <= 1
