@@ -20,6 +20,12 @@ from pathlib import Path
 
 import pytest
 
+# One BLAS thread per process, as bench/run.py sets, unless the caller chose:
+# a process pool's workers would otherwise each start one BLAS thread per
+# core and fight over them.  Must happen before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from repro.circuits import sycamore_circuit
 from repro.core import (
     LifetimeSliceFinder,

@@ -168,14 +168,16 @@ def extract_stem(tree: ContractionTree) -> Stem:
 
     The path is chosen by dynamic programming: the weight of a node is the
     cost of its own contraction (Eq. 1) and the stem is the root-to-leaf
-    path of maximum total weight.  The result is memoized on the tree
+    path of maximum total weight.  The steps are memoized on the tree
     (trees are immutable, like their lazily built ``parent_map``): plan
     compilation, the slot schedule, the fusion pass and the cost-model cap
-    ranking all ask for the same stem, often within one compile.
+    ranking all ask for the same stem, often within one compile.  The tree
+    keeps the steps, not the :class:`Stem` that points back at it, so no
+    reference cycle leaves a dropped tree to the garbage collector.
     """
     cached = getattr(tree, "_cached_stem", None)
     if cached is not None:
-        return cached
+        return Stem(tree, *cached)
     best_cost: Dict[int, float] = {}
     best_child: Dict[int, Optional[int]] = {}
 
@@ -217,9 +219,8 @@ def extract_stem(tree: ContractionTree) -> Stem:
                 log2_flops=tree.node_log2_flops(node),
             )
         )
-    stem = Stem(tree=tree, steps=tuple(steps), start_node=int(start_node))
-    tree._cached_stem = stem  # type: ignore[attr-defined]
-    return stem
+    tree._cached_stem = (tuple(steps), int(start_node))  # type: ignore[attr-defined]
+    return Stem(tree, *tree._cached_stem)  # type: ignore[attr-defined]
 
 
 def stem_profile(

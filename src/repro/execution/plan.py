@@ -192,7 +192,8 @@ class PlanStats:
         queued again — on the rebuilt pool or the same one — this counts
         one.  Zero on a fault-free run.
     faults:
-        Failure events observed: worker deaths (``BrokenProcessPool``),
+        Failure events observed: worker deaths (a process-pool child or a
+        distributed worker gone, :exc:`~repro.execution.resilience.WorkerLost`),
         chunk timeouts, and chunk exceptions, one count each.
     degraded_to:
         Name of the substrate a degrading run fell back to (``"threads"``

@@ -2,10 +2,9 @@
 path search's trials (:meth:`repro.paths.HyperOptimizer.search`), the
 front door's sweep (:meth:`repro.SimulationPlanner.execute_plan`) and a
 sampling session (:meth:`repro.execution.CorrelatedSampler.session`)
-share.  Each runs one unit inline, times it, and forks only for remaining
-work worth a pool's life.  :class:`Twin` is one forked process serving
-requests over a pipe: a sampling session's twin, and each child of the
-process pool's crew (:class:`repro.execution.ExecutionSession`).
+share.  Each runs one unit inline, times it, and splits the rest with
+forked twins (:class:`Twin`, a process serving requests over a pipe) only
+when that is worth a twin's cost; the parent works beside them.
 """
 
 from __future__ import annotations
@@ -22,19 +21,15 @@ from typing import Callable, NoReturn, Optional, Set, Tuple
 __all__ = ["Twin", "native_threads", "pool_pays", "usable_cpus"]
 
 #: Inline seconds the remaining work must be expected to take (one timed
-#: unit's seconds times the units left) before it goes to a fork pool;
-#: 0.2 s sits between the bench plans whose trials pool and those that
-#: stay inline.  Forced inline/pool pairs on a 2-vCPU VM (bench runs, seed
-#: 3, medians), with the spread of 7 x trial 0's seconds: Sycamore-53 m=12
-#: (0.28-0.51 s) plans in 0.645 s inline, 0.440 s pooled (6/6 pairs); the
-#: 5x7 grid m=9 (0.24-0.37 s) sets up in 0.295 s / 0.229 s (6/6); the 4x5
-#: grid m=10 (0.13-0.18 s) in 0.158 s / 0.139 s (6/6) -- but an earlier
-#: series there lost 5/5 on the pool (+29 %), when two busy workers
-#: delivered well under twice one core's trial rate, so that plan and the
-#: cheaper sampling plan (0.10-0.15 s) stay inline.  The trial pool's own
-#: life costs about 20 ms.  The same price keeps the 4x5 grid's sweep
-#: (510 x ~80 us left) inline and pools the 5x7 grid's (14 x 35-55 ms).
-_FORK_SECONDS = 0.2
+#: unit's seconds times the units left) before it is split with twins: a
+#: twin's fork (2-4 ms) and two busy processes' slowdown.  Forced inline/twin
+#: pairs on a 2-vCPU VM (bench plans, seed 3, medians; 7 x trial 0 in
+#: brackets): the 4x5 grid m=10 (95-180 ms) plans in 160 / 133 ms, the
+#: sampler (79-160 ms) sets up in 275 / 216 ms, the 5x7 grid (215-430 ms)
+#: plans in 304 / 231 ms, Sycamore-53 m=12 (242-456 ms) in 537 / 385 ms;
+#: the 4x5 grid's sweep (510 blocks, 42-68 ms left) took 54.5 / 54.8 ms on
+#: a crew (11/21 pairs), which does not pay, so it stays inline.
+_FORK_SECONDS = 0.07
 
 
 def usable_cpus() -> int:
@@ -53,7 +48,7 @@ def native_threads() -> int:
 
 
 def pool_pays(unit_s: float, remaining: int) -> bool:
-    """Whether ``remaining`` units after one of ``unit_s`` seconds go to a fork pool.
+    """Whether ``remaining`` units after one of ``unit_s`` seconds are split with twins.
 
     Also requires at least two units left, ``fork`` support, a process
     that may have children (a daemonic pool worker may not), two usable

@@ -23,47 +23,34 @@ to the historical flop-count behaviour.
 
 Where the trials run
 --------------------
-A search first draws every trial's ``(method, seed, hyper-parameters)``
-from the master RNG — seed, then that method's parameters, trial by trial —
-so each trial is a pure function of ``(network, trial)``.  Trial 0 runs
-inline and is timed.  The others run on a ``fork``-started process pool
-when :func:`repro.forking.pool_pays` says so, and inline one after another
-otherwise.  That rule is shared with the front door's sliced sweep
-(:meth:`repro.SimulationPlanner.execute_plan`):
-
-* at least two trials remain;
-* the platform can ``fork``, the process may have children (a daemonic
-  pool worker may not) and may run on at least two CPUs;
-* the process runs no other thread (forking beside a live thread can
-  deadlock the child; an open shared-memory pool session has one);
-* trial 0's seconds times the remaining trials exceed the work below
-  which a pool does not pay for itself (:data:`repro.forking._FORK_SECONDS`).
-
-Workers inherit the network through the fork and send back each trial's
-record, SSA path and timings.  The parent logs the trials in order, keeps
-the first best one and rebuilds only the winner's tree, so trees, records
-and winner are bit-identical wherever the trials ran.  A pool that breaks (a
-worker killed, a failed fork) logs one ``WARNING`` and the unfinished trials
-run inline; a trial's own exception is raised as it would be inline.
+A search draws every trial's ``(method, seed, hyper-parameters)`` from the
+master RNG up front, so each trial is a pure function of ``(network,
+trial)``.  Trial 0 runs inline and is timed; where
+:func:`repro.forking.pool_pays` says the rest pay for a fork, forked twins
+(:class:`repro.forking.Twin`) split them with this process, which keeps the
+first best trial in trial order, so trees, records and winner are
+bit-identical wherever the trials ran.  A twin that fails to fork or dies
+logs one ``WARNING`` and its trials run inline; a trial's own exception is
+raised, the first in trial order, as inline.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
-import multiprocessing
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..costs.model import CostModel
 
-from ..forking import pool_pays, usable_cpus
+from ..forking import Twin, pool_pays, usable_cpus
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
 from .anneal import TreeAnnealer
@@ -133,6 +120,10 @@ class _Outcome:
     build_s: float
     anneal_s: float
     worker: str = "inline"
+
+
+#: One trial of a search, its network and settings bound.
+_RunTrial = Callable[[_Trial], _Outcome]
 
 
 class HyperOptimizer:
@@ -247,47 +238,12 @@ class HyperOptimizer:
 
     def _run_trials(self, network: TensorNetwork, trials: List[_Trial]) -> List[_Outcome]:
         """Every trial's outcome in trial order: the first inline, the rest where they pay."""
+        run_trial = partial(_run_trial, network, refine=self.refine, cost_model=self.cost_model)
         started = time.perf_counter()
-        outcomes = [_run_trial(network, trials[0], self.refine, self.cost_model)]
+        outcomes = [run_trial(trials[0])]
         if pool_pays(time.perf_counter() - started, len(trials) - 1):
-            outcomes += self._run_pooled(network, trials[1:])
-        for trial in trials[len(outcomes):]:
-            outcomes.append(_run_trial(network, trial, self.refine, self.cost_model))
-        return outcomes
-
-    def _run_pooled(self, network: TensorNetwork, trials: List[_Trial]) -> List[_Outcome]:
-        """Run ``trials`` on a fork pool; the outcomes of the finished prefix, in order.
-
-        A pool that breaks logs one warning and returns what it finished,
-        for the caller to run the rest inline.
-        """
-        finished: List[_Outcome] = []
-        if any(trial.method == "community" for trial in trials):
-            # a community trial imports networkx: once here, not once per forked worker
-            import networkx  # noqa: F401
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(usable_cpus(), len(trials)),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt,
-                initargs=(network, self.refine, self.cost_model),
-            ) as pool:
-                futures = [pool.submit(_pooled_trial, trial) for trial in trials]
-                try:
-                    for future in futures:
-                        finished.append(future.result())
-                finally:
-                    for future in futures:
-                        future.cancel()
-        except (BrokenProcessPool, OSError) as exc:
-            _LOG.warning(
-                "trial pool failed after %d of %d trials (%s: %s); running the rest inline",
-                len(finished),
-                len(trials),
-                type(exc).__name__,
-                exc,
-            )
-        return finished
+            return outcomes + _run_twinned(run_trial, trials[1:])
+        return outcomes + [run_trial(trial) for trial in trials[1:]]
 
     # ------------------------------------------------------------------
     def _key(self, record: TrialRecord) -> Tuple[float, ...]:
@@ -356,22 +312,71 @@ def _run_trial(
     return _Outcome(record, tree.ssa_path, built - started, annealed - built)
 
 
-#: A pool worker's copy of the search inputs, inherited through the fork;
-#: set by :func:`_adopt` in worker processes only.
-_ADOPTED: Optional[Tuple[TensorNetwork, bool, Optional["CostModel"]]] = None
+def _run_share(run: _RunTrial, trials: List[_Trial], worker: str = "inline") -> List[object]:
+    """``trials``' outcomes in order, ending at the first exception a trial
+    raises (no later trial can matter)."""
+    outcomes: List[object] = []
+    for trial in trials:
+        try:
+            outcomes.append(replace(run(trial), worker=worker))
+        except Exception as exc:
+            return outcomes + [exc]
+    return outcomes
 
 
-def _adopt(network: TensorNetwork, refine: bool, cost_model: Optional["CostModel"]) -> None:
-    """Pool initializer: keep the inherited search inputs; workers log nothing."""
-    global _ADOPTED
-    _ADOPTED = (network, refine, cost_model)
-    logging.disable(logging.CRITICAL)
+def _run_twinned(run: _RunTrial, trials: List[_Trial]) -> List[_Outcome]:
+    """``trials``' outcomes in order: of ``P = min(usable CPUs, len(trials))``
+    processes, process ``k`` runs trials ``k, k + P, ...``; this one is
+    process 0, which takes the longest share (a twin pays for its fork and
+    its first touch of each page), and ``P - 1`` forked twins the others."""
+    if any(trial.method == "community" for trial in trials):
+        # a community trial imports networkx: once here, not once per twin
+        import networkx  # noqa: F401
+    processes = min(usable_cpus(), len(trials))
+    shares = [trials[k::processes] for k in range(processes)]
+    # trial scratch is acyclic, freed as it goes: collections during the
+    # parent's share would only promote it and, now and then, sweep the heap
+    collecting = gc.isenabled()
+    gc.disable()
+    twins: List[Twin] = []
+    try:
+        started = time.perf_counter()
+        try:
+            for share in shares[1:]:
+                twins.append(Twin(partial(_serve_share, run, share)))
+                twins[-1].send(b"")
+        except OSError as exc:  # (a failed fork: its share and the rest run inline)
+            _lost(exc, sum(map(len, shares[1 + len(twins) :])))
+        forked_ms = 1e3 * (time.perf_counter() - started)
+        _LOG.debug("forked %d trial children in %.2f ms", len(twins), forked_ms)
+        done = [_run_share(run, shares[0])]
+        for twin, share in zip(twins, shares[1:]):
+            try:
+                done.append(pickle.loads(twin.wait()))
+            except (EOFError, OSError) as exc:
+                _lost(exc, len(share))
+                done.append(_run_share(run, share))
+        done += [_run_share(run, share) for share in shares[len(done) :]]
+    finally:
+        if collecting:
+            gc.enable()
+        for twin in twins:
+            twin.close()
+    outcomes = []
+    for index in range(len(trials)):  # (a share's first error is raised before its end)
+        outcomes.append(done[index % processes][index // processes])
+        if isinstance(outcomes[-1], Exception):
+            raise outcomes[-1]
+    return outcomes
 
 
-def _pooled_trial(trial: _Trial) -> _Outcome:
-    """Run one trial in a pool worker."""
-    network, refine, cost_model = _ADOPTED
-    return replace(_run_trial(network, trial, refine, cost_model), worker=str(os.getpid()))
+def _serve_share(run: _RunTrial, share: List[_Trial], request: bytes) -> bytes:
+    """A twin's reply: its share's outcomes, pickled."""
+    return pickle.dumps(_run_share(run, share, str(os.getpid())))
+
+
+def _lost(exc: BaseException, trials: int) -> None:
+    _LOG.warning("trial twin lost (%r); running its %d trials inline", exc, trials)
 
 
 def find_tree(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import logging
 import math
 import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
@@ -217,7 +220,7 @@ class TestHyperOptimizer:
         opt = HyperOptimizer(max_trials=5, seed=0)
         with caplog.at_level(logging.DEBUG, logger="repro.paths"):
             opt.search(grid_network)
-        trials = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        trials = [r for r in caplog.records if re.match(r"trial \d+: ", r.getMessage())]
         winners = [r for r in caplog.records if r.levelno == logging.INFO]
         assert {r.name for r in caplog.records} == {"repro.paths"}
         assert len(trials) == len(opt.trials) == 5 and len(winners) == 1
@@ -334,29 +337,30 @@ class TestSsaRoundTrip:
 
 
 @pytest.fixture
-def pool_spy(monkeypatch):
-    """The ``max_workers`` of every trial pool a search builds (the real pool still runs)."""
-    built = []
-    real = hyper.ProcessPoolExecutor
+def twin_spy(monkeypatch):
+    """The pid of every trial twin a search forks (the real twin still runs)."""
+    forked = []
+    real = hyper.Twin
 
-    def spy(*args, **kwargs):
-        built.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
+    def spy(serve):
+        twin = real(serve)
+        forked.append(twin.pid)
+        return twin
 
-    monkeypatch.setattr(hyper, "ProcessPoolExecutor", spy)
-    return built
+    monkeypatch.setattr(hyper, "Twin", spy)
+    return forked
 
 
 @pytest.fixture
-def pooled(monkeypatch, pool_spy):
+def twinned(monkeypatch, twin_spy):
     """Searches fork whenever they may: any first trial pays, two CPUs usable."""
     monkeypatch.setattr(forking, "_FORK_SECONDS", 0.0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return pool_spy
+    return twin_spy
 
 
 def _inline(monkeypatch, search):
-    """``search()`` with the pool priced out, so every trial runs inline."""
+    """``search()`` with a fork priced out, so every trial runs inline."""
     with monkeypatch.context() as patch:
         patch.setattr(forking, "_FORK_SECONDS", float("inf"))
         return search()
@@ -367,34 +371,58 @@ def _searched(network, **kwargs):
     return optimizer, optimizer.search(network)
 
 
+def _die_in_the_twin(monkeypatch, die):
+    """Make a trial twin ``die()`` once it has built its first tree."""
+    parent, build = os.getpid(), hyper._build
+
+    def build_then_die(network, trial):
+        tree = build(network, trial)
+        if os.getpid() != parent:
+            die()
+        return tree
+
+    monkeypatch.setattr(hyper, "_build", build_then_die)
+
+
+def _trial_lines(caplog):
+    return [r.getMessage() for r in caplog.records if re.match(r"trial \d+: ", r.getMessage())]
+
+
 @pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="the trial pool forks"
+    "fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/proc/self/fd"),
+    reason="the trials fork; the audit reads /proc",
 )
 class TestParallelTrials:
-    """Trials on the fork pool give what the same trials give inline, and leave nothing behind."""
+    """Trials split with a forked twin give what the same trials give inline,
+    and leave nothing behind."""
 
     @pytest.fixture(autouse=True)
     def nothing_outlives_a_search(self):
-        threads = threading.active_count()
+        threads, fds = threading.active_count(), set(os.listdir("/proc/self/fd"))
+        ends = set(forking._PARENT_ENDS)
         yield
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) <= fds
         assert threading.active_count() == threads
+        assert forking._PARENT_ENDS <= ends
+        assert gc.isenabled()  # (the parent's share pauses the collector)
 
     @pytest.mark.parametrize("modelled", [False, True], ids=["flops", "cost_model"])
     @pytest.mark.parametrize(
         "network_name, trials", [("grid_network", 6), ("sycamore_network", 4)]
     )
     def test_pooled_trials_equal_inline_trials(
-        self, request, monkeypatch, pooled, network_name, trials, modelled
+        self, request, monkeypatch, twinned, network_name, trials, modelled
     ):
         network = request.getfixturevalue(network_name)
         kwargs = dict(max_trials=trials, minimize="combo", memory_target_rank=30, seed=5)
         if modelled:
             kwargs["cost_model"] = AnalyticCostModel()
         inline, inline_tree = _inline(monkeypatch, lambda: _searched(network, **kwargs))
-        assert pooled == []
+        assert twinned == []
         parallel, parallel_tree = _searched(network, **kwargs)
-        assert pooled == [2]
+        assert len(twinned) == 1
         assert parallel_tree.ssa_path == inline_tree.ssa_path
         assert parallel.trials == inline.trials
         assert all((r.cost is not None) == modelled for r in parallel.trials)
@@ -404,9 +432,9 @@ class TestParallelTrials:
     )
     def test_each_inline_rule_keeps_the_pool_unused(self, grid_network, monkeypatch, rule):
         def refuse(*args, **kwargs):
-            raise AssertionError("the trial pool was constructed")
+            raise AssertionError("a trial twin was forked")
 
-        monkeypatch.setattr(hyper, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(hyper, "Twin", refuse)
         monkeypatch.setattr(
             forking, "_FORK_SECONDS", float("inf") if rule == "cheap_first_trial" else 0.0
         )
@@ -426,30 +454,74 @@ class TestParallelTrials:
                 assert not other.is_alive()
         assert len(optimizer.trials) == trials
 
+    @pytest.mark.faults
     def test_a_killed_worker_costs_one_warning_and_not_the_tree(
-        self, grid_network, monkeypatch, caplog, pooled
+        self, grid_network, monkeypatch, caplog, twinned
     ):
         _, expected = _inline(monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0))
-        parent, build = os.getpid(), hyper._build
-
-        def build_then_die(network, trial):
-            tree = build(network, trial)
-            if os.getpid() != parent:  # a pool worker dies mid-trial; the parent never does
-                os._exit(1)
-            return tree
-
-        monkeypatch.setattr(hyper, "_build", build_then_die)
+        _die_in_the_twin(monkeypatch, lambda: os._exit(1))
         with caplog.at_level(logging.DEBUG, logger="repro.paths"):
             optimizer, tree = _searched(grid_network, max_trials=5, seed=0)
-        assert pooled == [2]
+        assert len(twinned) == 1
         assert tree.ssa_path == expected.ssa_path
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1 and "running the rest inline" in warnings[0].getMessage()
-        trials = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(warnings) == 1
+        assert warnings[0].getMessage().startswith("trial twin lost (EOFError(")
+        assert warnings[0].getMessage().endswith("; running its 2 trials inline")
+        trials = _trial_lines(caplog)
         assert len(trials) == len(optimizer.trials) == 5
         assert all(message.endswith("worker=inline") for message in trials)
 
-    def test_a_trial_error_means_no_tree_on_the_pool_too(self, grid_network, monkeypatch, pooled):
+    @pytest.mark.faults
+    def test_a_sigkilled_twin_leaves_no_child_and_no_descriptor(
+        self, grid_network, monkeypatch, twinned
+    ):
+        _, expected = _inline(monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0))
+        _die_in_the_twin(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        fds = set(os.listdir("/proc/self/fd"))
+        _, tree = _searched(grid_network, max_trials=5, seed=0)
+        assert len(twinned) == 1 and tree.ssa_path == expected.ssa_path
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+    def test_a_failed_fork_costs_one_warning_and_not_the_tree(
+        self, grid_network, monkeypatch, caplog, twinned
+    ):
+        _, expected = _inline(monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0))
+
+        def refuse(serve):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(hyper, "Twin", refuse)
+        with caplog.at_level(logging.WARNING, logger="repro.paths"):
+            _, tree = _searched(grid_network, max_trials=5, seed=0)
+        assert tree.ssa_path == expected.ssa_path
+        (warning,) = [r.getMessage() for r in caplog.records]
+        assert warning.startswith("trial twin lost (BlockingIOError(")
+        assert warning.endswith("; running its 2 trials inline")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_paused_for_the_parents_share_only(
+        self, grid_network, monkeypatch, twinned, enabled
+    ):
+        states, run_share = [], hyper._run_share
+
+        def spy(*args, **kwargs):
+            states.append(gc.isenabled())
+            return run_share(*args, **kwargs)
+
+        monkeypatch.setattr(hyper, "_run_share", spy)
+        if not enabled:
+            gc.disable()
+        try:
+            _searched(grid_network, max_trials=5, seed=0)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert states == [False]  # (the twin's share runs in the twin)
+
+    def test_a_trial_error_means_no_tree_on_the_pool_too(self, grid_network, monkeypatch, twinned):
         def refuse(**params):
             raise ValueError("no partition here")
 
@@ -458,13 +530,13 @@ class TestParallelTrials:
             monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0)
         )
         parallel, parallel_tree = _searched(grid_network, max_trials=5, seed=0)
-        assert pooled == [2]
+        assert len(twinned) == 1
         assert [r.method for r in parallel.trials] == ["greedy", "community", "greedy"]
         assert parallel.trials == inline.trials
         assert parallel_tree.ssa_path == inline_tree.ssa_path
 
     def test_any_other_trial_exception_is_raised_as_inline(
-        self, grid_network, monkeypatch, pooled
+        self, grid_network, monkeypatch, caplog, twinned
     ):
         def explode(**params):
             raise LookupError("partition exploded")
@@ -472,20 +544,41 @@ class TestParallelTrials:
         monkeypatch.setitem(hyper._SEEDED, "partition", explode)
         with pytest.raises(LookupError, match="partition exploded"):
             _inline(monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0))
-        with pytest.raises(LookupError, match="partition exploded"):
-            _searched(grid_network, max_trials=5, seed=0)
-        assert pooled == [2]
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(LookupError, match="partition exploded"):
+                _searched(grid_network, max_trials=5, seed=0)
+        assert len(twinned) == 1
+        assert caplog.records == []
 
-    def test_the_logging_contract_holds_on_a_pooled_search(self, grid_network, caplog, pooled):
+    @pytest.mark.parametrize("failing", [(1, 4), (2, 3)], ids=["parent_first", "twin_first"])
+    def test_the_first_trial_to_raise_in_trial_order_is_raised(
+        self, grid_network, monkeypatch, twinned, failing
+    ):
+        """Of 5 trials the parent runs 1 and 3, the twin 2 and 4: the error
+        raised is inline's, whichever process met it first."""
+        seeds = [trial.seed for trial in HyperOptimizer(max_trials=5, seed=0)._draw_trials()]
+        build = hyper._build
+
+        def explode(network, trial):
+            if trial.seed in [seeds[index] for index in failing]:
+                raise LookupError(f"trial {seeds.index(trial.seed)} exploded")
+            return build(network, trial)
+
+        monkeypatch.setattr(hyper, "_build", explode)
+        expected = f"trial {failing[0]} exploded"
+        with pytest.raises(LookupError, match=expected):
+            _inline(monkeypatch, lambda: _searched(grid_network, max_trials=5, seed=0))
+        with pytest.raises(LookupError, match=expected):
+            _searched(grid_network, max_trials=5, seed=0)
+        assert len(twinned) == 1
+
+    def test_the_logging_contract_holds_on_a_pooled_search(self, grid_network, caplog, twinned):
         TestHyperOptimizer().test_search_logs_every_trial_and_the_winner(grid_network, caplog)
-        assert pooled == [2]
-        workers = [
-            r.getMessage().rsplit("worker=", 1)[1]
-            for r in caplog.records
-            if r.levelno == logging.DEBUG
-        ]
-        assert workers[0] == "inline"
-        assert all(w.isdigit() and int(w) != os.getpid() for w in workers[1:])
+        (pid,) = twinned
+        (fork,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("forked ")]
+        assert re.fullmatch(r"forked 1 trial children in \d+\.\d\d ms", fork)
+        workers = [line.rsplit("worker=", 1)[1] for line in _trial_lines(caplog)]
+        assert workers == ["inline", "inline", str(pid), "inline", str(pid)]
 
 
 # ----------------------------------------------------------------------

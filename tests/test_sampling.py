@@ -30,6 +30,7 @@ from repro.core import lifetime as lifetime_module
 from repro.execution import SharedMemoryProcessPoolBackend, ThreadPoolBackend
 from repro.execution import sampling as sampling_module
 from repro.execution.plan import CompiledPlan
+from repro.paths import optimizer as hyper
 from repro.execution.sampling import (
     CorrelatedSampleBatch,
     CorrelatedSampler,
@@ -927,6 +928,42 @@ class TestSamplingTwin:
             sampler.plan_tree(other.build_network(bases[7])[0])
             _assert_bitwise(sampler.compute_batch(bases[7]), inline.compute_batch(bases[7]))
             assert session.split is None and _reaped(twin_spy[1])
+
+    def test_a_search_beside_the_twin_lets_it_exit_at_the_end_of_its_pipe(
+        self, monkeypatch, may_fork, twin_spy
+    ):
+        """A new structure planned inside the session splits its trials with
+        forked trial twins beside the live sampling twin.  None of them keeps
+        its request pipe open: once the session closes it, the sampling twin
+        exits on its own, with status 0."""
+        trial_twins, real = [], hyper.Twin
+
+        def spy(serve):
+            trial_twins.append(real(serve))
+            return trial_twins[-1]
+
+        monkeypatch.setattr(hyper, "Twin", spy)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        bases = _twin_bases(5)
+        exits = []
+
+        def await_exit(pid, signum):  # in place of the close's SIGKILL
+            _await_zombie(pid)
+            exits.append(os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT))
+
+        with sampler.session() as session:
+            for base in bases[:3]:
+                sampler.compute_batch(base)
+            assert session.split is not None and len(twin_spy) == 1
+            searched = len(trial_twins)
+            other = CorrelatedSampler(REUSE_CIRCUIT, **{**REUSE_KWARGS, "open_qubits": (1, 3)})
+            sampler.plan_tree(other.build_network(bases[3])[0])
+            assert len(trial_twins) == searched + 1 and session.split is not None
+            assert all(_reaped(twin.pid) for twin in trial_twins)
+            monkeypatch.setattr(os, "kill", await_exit)
+        (ended,) = exits
+        assert (ended.si_pid, ended.si_code, ended.si_status) == (twin_spy[0], os.CLD_EXITED, 0)
+        assert _reaped(twin_spy[0])
 
     @pytest.mark.parametrize("split_wins", [False, True])
     def test_the_first_warm_split_batches_decide_whether_the_twin_stays(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -57,6 +59,21 @@ class TestStemStructure:
         for step in grid_stem.steps:
             assert step.result_indices <= edges
             assert step.branch_indices <= edges
+
+    def test_a_memoized_stem_leaves_its_tree_to_reference_counting(self, grid_network):
+        """The tree memoizes the stem's steps, not the stem that points back
+        at it: a dropped tree is freed at once, not at the collector's next
+        sweep."""
+        tree = GreedyOptimizer(seed=0).tree(grid_network)
+        first, again = extract_stem(tree), extract_stem(tree)
+        assert again == first and again.tree is tree
+        alive = weakref.ref(tree)
+        gc.disable()
+        try:
+            del tree, first, again
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestStemAsTree:
