@@ -60,6 +60,7 @@ from repro.circuits import grid_circuit
 from repro.core import LifetimeSliceFinder
 from repro.costs import CalibratedCostModel, calibration_payload
 from repro.execution import (
+    SerialBackend,
     SharedMemoryProcessPoolBackend,
     SlicedExecutor,
     ThreadPoolBackend,
@@ -121,7 +122,7 @@ def test_exec_plan_speedup(exec_workload, record_result):
 
     variants = {
         "reference": lambda: SlicedExecutor(network, tree, sliced, mode="reference"),
-        "cached": lambda: SlicedExecutor(network, tree, sliced),
+        "cached": lambda: SlicedExecutor(network, tree, sliced, backend=SerialBackend()),
         "batched": lambda: SlicedExecutor(network, tree, sliced, batch_indices="auto"),
         "threads": lambda: SlicedExecutor(
             network, tree, sliced, backend=ThreadPoolBackend(max_workers=EXEC_WORKERS)
@@ -249,7 +250,8 @@ def test_exec_plan_speedup(exec_workload, record_result):
 def test_exec_session_reuse(exec_workload, record_result):
     """Cold vs warm ``run_subtasks`` through a persistent pool session."""
     network, tree, sliced = exec_workload
-    serial_value = SlicedExecutor(network, tree, sliced).amplitude()
+    serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
+    serial_value = serial.amplitude()
 
     # at least two workers so the pool path (not the single-worker serial
     # shortcut) is what cold/warm timing measures, even on a 1-CPU box
@@ -335,7 +337,8 @@ def test_fault_overhead(exec_workload, record_result):
     from repro.execution import FaultPolicy
 
     network, tree, sliced = exec_workload
-    serial_value = SlicedExecutor(network, tree, sliced).amplitude()
+    serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
+    serial_value = serial.amplitude()
 
     session_workers = max(2, EXEC_WORKERS)
     backend = SharedMemoryProcessPoolBackend(max_workers=session_workers)
@@ -445,7 +448,8 @@ def test_checkpoint_overhead(record_result):
     inner = network.inner_indices()
     sliced = tuple(ix for ix in slicing.sliced if ix in inner)[:5]
 
-    serial_value = SlicedExecutor(network, tree, sliced).amplitude()
+    serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
+    serial_value = serial.amplitude()
 
     session_workers = max(2, EXEC_WORKERS)
     backend = SharedMemoryProcessPoolBackend(max_workers=session_workers)
@@ -563,7 +567,7 @@ def test_calibration_sweep(record_result):
         slicing = LifetimeSliceFinder(target).find(tree)
         inner = network.inner_indices()
         sliced = tuple(ix for ix in slicing.sliced if ix in inner)
-        executor = SlicedExecutor(network, tree, sliced)
+        executor = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
         start = time.perf_counter()
         executor.run()
         elapsed = time.perf_counter() - start

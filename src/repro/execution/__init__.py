@@ -36,8 +36,12 @@ shape:
 =============================== =====================================================
 Backend                         Use when
 =============================== =====================================================
-``SerialBackend`` (default)     Few subtasks, or anything latency-sensitive: zero
-                                scheduling overhead.
+(none: the default)              Anything: serial until a timed block shows that
+                                forked twins pay for the rest, then split with
+                                them (inside a session, kept across runs) —
+                                bitwise ``SerialBackend``.
+``SerialBackend``               A serial run or a serial reference: zero
+                                scheduling overhead, never a fork.
 ``ThreadPoolBackend``           Few *large* subtasks: numpy releases the GIL inside
                                 the contraction kernels, so threads share the
                                 invariant cache for free and scale with GEMM time.

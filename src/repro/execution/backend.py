@@ -26,6 +26,12 @@ sum (:meth:`~repro.execution.plan.CompiledPlan.finish`).
 Backends:
 
 * :class:`SerialBackend` — in-process loop; the baseline substrate.
+* The executors' default (:func:`resolve_backend` with ``None``,
+  :class:`_HandOffBackend`) — the serial loop until block 1 shows that
+  forked twins pay for the rest, then the rest split into contiguous
+  ranges between the parent and the twins (:class:`_RangeCrew`), their
+  rows folded in position order; inside a session the twins stay forked
+  across runs (:class:`_CrewSession`).
 * :class:`ThreadPoolBackend` — ``concurrent.futures`` threads over subtask
   chunks; numpy releases the GIL inside the contraction kernels, so this
   wins for few large subtasks.
@@ -63,8 +69,10 @@ from __future__ import annotations
 import logging
 import math
 import mmap
+import operator
 import pickle
 import select
+import struct
 import threading
 import time
 import weakref
@@ -176,7 +184,10 @@ def validate_execution_args(
 def resolve_backend(
     backend: Union["ExecutionBackend", str, None] = None,
 ) -> "ExecutionBackend":
-    """Resolve ``backend=`` to a backend instance (default: serial).
+    """Resolve ``backend=`` to a backend instance.
+
+    ``None`` gives the executors' default, :class:`_HandOffBackend`: serial
+    until a timed block shows that forked twins pay for the rest.
 
     ``backend`` may be a string spec: ``"distributed"`` builds a
     :class:`~repro.execution.distributed.DistributedBackend` spawning the
@@ -184,7 +195,7 @@ def resolve_backend(
     connecting to pre-started workers at the listed addresses.
     """
     if backend is None:
-        return SerialBackend()
+        return _HandOffBackend()
     if isinstance(backend, str):
         backend = _backend_from_spec(backend)
     return backend
@@ -262,8 +273,9 @@ def _swept_blocks(
     ``slots``: ``(position, contribution)`` in position order, the blocks cut
     lazily, never listed.  A contribution may alias the invariant cache or
     the arena, so it holds only until the next one is drawn (:func:`_folded`
-    takes an owned copy).  The one ordered loop of the serial backend and of
-    both halves of a split sampling batch.  ``assignments`` are read from
+    takes an owned copy).  The one ordered loop of the serial backend, of
+    both halves of a split sampling batch and of every range of the
+    default's crew (:class:`_RangeCrew`).  ``assignments`` are read from
     their first (cutting a block reads one assignment past it, so an
     iterator shared between calls would lose that one).
 
@@ -328,33 +340,28 @@ def _serial_accumulate(
     slots: StemSlots,
     checkpoint: Optional[CheckpointJob] = None,
     injector: Optional[FaultInjector] = None,
-    hand_off: Optional[Callable[..., bool]] = None,
 ) -> np.ndarray:
     """In-order, in-process accumulation — the reduction all backends match.
 
     The loop is :func:`_swept_blocks` folded by :func:`_folded`; position
     order is the same with a ledger or without, so the result is
     bit-identical to the ledger-free loop.
-
-    A ``hand_off`` is offered the blocks after block 1 (block 0 binds the
-    arena), with block 1's seconds and the running sum; the loop stops
-    where it folded them in itself (:class:`_HandOffBackend`).
     """
     accumulated: Optional[np.ndarray] = None
-    started = time.perf_counter()
-    for position, data in _swept_blocks(
+    for _, data in _swept_blocks(
         plan, network, assignments, cache, stats, slots, 0, None, checkpoint, injector
     ):
         accumulated = _folded(accumulated, data)
-        if position == 1 and hand_off is not None:
-            data = None  # (a view of the arena the hand-off may drop)
-            block_s = time.perf_counter() - started
-            rest = list(islice(plan.blocks(assignments), 2, None))
-            if hand_off(plan, network, cache, stats, block_s, rest, accumulated):
-                break
-        started = time.perf_counter()
     assert accumulated is not None
     return accumulated
+
+
+def _block_count(plan: CompiledPlan, assignments: Sequence[Mapping[str, int]]) -> int:
+    """How many blocks :meth:`~repro.execution.plan.CompiledPlan.blocks`
+    cuts ``assignments`` into: counted, never listed."""
+    if plan.inner_fold is None:
+        return len(assignments)
+    return sum(1 for _ in plan.blocks(assignments))
 
 
 def _even_chunks(blocks: List[List], count: int) -> List[List]:
@@ -549,9 +556,6 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    #: Where the sweep may send its blocks after the first warm one.
-    _hand_off: Optional[Callable[..., bool]] = None
-
     def __init__(self) -> None:
         self._slots = StemSlots()
 
@@ -574,62 +578,511 @@ class SerialBackend(ExecutionBackend):
         self.warm(plan, network, cache, stats)
         if checkpoint is not None:
             checkpoint.require_slot_shape(plan.contribution_shape)
-        accumulated = _serial_accumulate(
-            plan, network, assignments, cache, stats, self._slots, checkpoint, injector,
-            self._hand_off,
+        accumulated = self._accumulate(
+            plan, network, assignments, cache, stats, checkpoint, injector
         )
         return _result_tensor(plan, plan.finish(network, accumulated, cache, stats))
 
+    def _accumulate(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        assignments: Sequence[Mapping[str, int]],
+        cache: Dict[int, np.ndarray],
+        stats: Optional[PlanStats],
+        checkpoint: Optional[CheckpointJob],
+        injector: Optional[FaultInjector],
+    ) -> np.ndarray:
+        return _serial_accumulate(
+            plan, network, assignments, cache, stats, self._slots, checkpoint, injector
+        )
+
 
 class _HandOffBackend(SerialBackend):
-    """:meth:`repro.SimulationPlanner.execute_plan`'s default: serial until
-    block 1, the first warm one, shows that a process pool pays for the rest.
+    """The executors' default (:func:`resolve_backend` with ``None``): serial
+    until block 1, the first warm one, shows that forked twins pay for the
+    rest — then the rest is split with them.
 
     The rule is :func:`repro.forking.pool_pays` plus no native thread (a
-    multi-threaded BLAS already has the cores).  The parent then forks a
-    crew (:class:`ExecutionSession`) for the rest, sweeps its own share on
-    the arena it keeps, and adds every contribution to its running sum in
-    position order — the additions the serial loop performs, so the bits
-    are serial's.  A child that dies logs one ``WARNING`` and the rest run
-    inline; a chunk's own exception is raised as it would be inline.
+    multi-threaded BLAS already has the cores).  The parent then forks
+    ``P - 1`` twins (:class:`_RangeCrew`), cuts the blocks after block 1 into
+    ``P`` contiguous ranges in sweep order, sweeps the leading one itself on
+    the arena it keeps while each twin sweeps one of the others, and adds
+    every contribution to its running sum in position order — the
+    additions the serial loop performs, so the bits are serial's.  A run
+    with a checkpoint ledger or a fault injector stays one ordered loop.
+
+    Outside a session the twins live for one run.  Inside :meth:`session`
+    (a :class:`_CrewSession`) they stay forked across runs, so every later
+    run is split from its first block, and runs too short to pay one by one
+    add up their seconds until the session forks a crew for the next.
     """
 
-    def _hand_off(
+    def __init__(self) -> None:
+        super().__init__()
+        self._session: Optional[_CrewSession] = None
+
+    def run_subtasks(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        assignments: Sequence[Mapping[str, int]],
+        cache: Dict[int, np.ndarray],
+        stats: Optional[PlanStats] = None,
+        policy: Optional[FaultPolicy] = None,
+        injector: Optional[FaultInjector] = None,
+        checkpoint: Optional[CheckpointJob] = None,
+    ) -> Optional[Tensor]:
+        result = super().run_subtasks(
+            plan, network, assignments, cache, stats, policy, injector, checkpoint
+        )
+        session = self._session
+        if session is not None and session.crew is not None:
+            session.crew.pin(plan, network, cache)
+        return result
+
+    def session(
+        self,
+        plan: Optional[CompiledPlan] = None,
+        network: Optional[TensorNetwork] = None,
+        cache: Optional[Dict[int, np.ndarray]] = None,
+        stats: Optional[PlanStats] = None,
+    ) -> "_CrewSession":
+        """Open (or reuse) the session the crew lives in; opening forks nothing."""
+        if plan is not None:
+            self.warm(plan, network, cache, stats)
+        session = self._session
+        if session is None or session.closed:
+            session = self._session = _CrewSession(self)
+        return session
+
+    def close(self) -> None:
+        session, self._session = self._session, None
+        if session is not None:
+            session.close()
+
+    def reset_session(self) -> None:
+        if self._session is not None:
+            self._session.drop()
+
+    def warm(
         self,
         plan: CompiledPlan,
         network: TensorNetwork,
         cache: Dict[int, np.ndarray],
         stats: Optional[PlanStats],
-        block_s: float,
-        rest: List[List[Mapping[str, int]]],
-        accumulated: np.ndarray,
-    ) -> bool:
-        # a multi-threaded BLAS already spreads every GEMM over the cores
-        # the pool would take, and pooled workers would fight it for them
-        if forking.native_threads() > 1 or not forking.pool_pays(block_s, len(rest)):
-            return False
-        pooled = PlanStats()
-        pool = SharedMemoryProcessPoolBackend(min(forking.usable_cpus(), len(rest)))
+    ) -> None:
+        # a crew pins what it was forked from: drop a stale one before a
+        # re-warm allocates the new cache beside the old
+        session = self._session
+        if session is not None and session.crew is not None:
+            if not session.crew.holds(plan, network, cache):
+                session.drop()
+        super().warm(plan, network, cache, stats)
 
-        def drive(transport: ChunkTransport) -> List[Optional[np.ndarray]]:
-            return run_chunks(transport, pool._chunks(rest), FAIL_FAST, stats=pooled)
-
-        try:
-            with ExecutionSession(pool, self._slots) as session:
-                contributions = session.run(plan, network, cache, drive)
-        except (EOFError, OSError) as exc:
-            _LOG.warning(
-                "sweep pool failed (%s: %s); running the %d remaining blocks inline",
-                type(exc).__name__, exc, len(rest),
+    def _accumulate(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        assignments: Sequence[Mapping[str, int]],
+        cache: Dict[int, np.ndarray],
+        stats: Optional[PlanStats],
+        checkpoint: Optional[CheckpointJob],
+        injector: Optional[FaultInjector],
+    ) -> np.ndarray:
+        if checkpoint is not None or injector is not None:
+            # every slot is recorded, or counted as a harvest, in order
+            return super()._accumulate(
+                plan, network, assignments, cache, stats, checkpoint, injector
             )
+        session = self._session
+        if session is not None and not session.closed:
+            return session.accumulate(plan, network, assignments, cache, stats)
+        with _CrewSession(self, resident=False) as scratch:
+            return scratch.accumulate(plan, network, assignments, cache, stats)
+
+
+class _RangeCrew:
+    """``P - 1`` forked twins (:class:`repro.forking.Twin`) of the warm parent
+    and the anonymous mapping, made before the fork, they answer in.
+
+    A split run's blocks from ``first`` on are cut into ``P`` contiguous
+    ranges in sweep order (:meth:`send`): the parent keeps the leading one,
+    twin ``i`` sweeps the ``i``-th after it with :func:`_swept_blocks` on the
+    arena it inherited, writes each block's contribution to the row of its
+    position past the parent's range, and its stats to slot ``i`` after the
+    rows (:meth:`~repro.execution.plan.PlanStats.to_words`).  A request is
+    ``start, stop, first row, slot`` — followed by the pickled assignments
+    only when they are not the ones the twin holds — and a reply is empty.  Nothing is listed or
+    pickled per block, and the parent reads rows and stats in place: no
+    per-run buffer of the parent's grows with the twins' share.
+    """
+
+    __slots__ = (
+        "_held", "_assignments", "_shape", "_capacity", "_stats_words", "_rows_bytes",
+        "_mapping", "_ranges", "twins",
+    )
+
+    def __init__(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Dict[int, np.ndarray],
+        slots: StemSlots,
+        assignments: Sequence[Mapping[str, int]],
+        processes: int,
+    ) -> None:
+        #: what the twins were forked from (:meth:`pin`)
+        self._held: Tuple = ()
+        self._assignments = assignments
+        self._shape = plan.contribution_shape
+        # rows for every subtask of a full sweep, at complex128's width
+        width = math.prod(self._shape) * np.dtype(np.complex128).itemsize
+        rows = math.prod(plan.tree.index_size(ix) for ix in plan.sliced)
+        self._capacity = min(rows, _MAPPING_BYTES // width)
+        # (room for every node of the tree, leaves included)
+        self._stats_words = PlanStats.words(2 * plan.tree.num_leaves)
+        self._rows_bytes = self._capacity * width
+        self._mapping = mmap.mmap(-1, self._rows_bytes + 8 * self._stats_words * (processes - 1))
+        #: ``(twin or the error that lost it, start, stop)`` of the ranges out
+        self._ranges: List[Tuple[Union[forking.Twin, OSError], int, int]] = []
+        self.twins: List[forking.Twin] = []
+        job = (plan, network, cache, slots)
+        try:
+            for _ in range(processes - 1):
+                self.twins.append(forking.Twin(lambda request: _serve_range(job, self, request)))
+        except OSError:
+            self.close()
+            raise
+
+    def pin(
+        self, plan: CompiledPlan, network: TensorNetwork, cache: Dict[int, np.ndarray]
+    ) -> None:
+        """Record what the twins were forked from — the plan, its leaf
+        tensors, the cache and its buffers — pinned so no identity is
+        recycled.  Taken once the run that forked them has finished, so
+        the record is not part of that run's peak."""
+        if not self._held:
+            self._held = _snapshot(plan, network, cache)
+
+    def holds(
+        self, plan: CompiledPlan, network: TensorNetwork, cache: Dict[int, np.ndarray]
+    ) -> bool:
+        """Whether the twins hold ``plan``, ``network``'s leaves and ``cache``'s buffers."""
+        now = _snapshot(plan, network, cache)
+        return len(now) == len(self._held) and all(map(operator.is_, now, self._held))
+
+    def rows(self, dtype: np.dtype) -> np.ndarray:
+        """Every row of the mapping, at ``dtype``."""
+        size = math.prod(self._shape) * self._capacity
+        return np.frombuffer(self._mapping, dtype, size).reshape(self._capacity, *self._shape)
+
+    def stats_slot(self, slot: int) -> np.ndarray:
+        """Twin ``slot``'s stats words, in the mapping after the rows."""
+        offset = self._rows_bytes + 8 * self._stats_words * slot
+        return np.frombuffer(self._mapping, np.float64, self._stats_words, offset)
+
+    def send(
+        self, assignments: Sequence[Mapping[str, int]], first: int, count: int
+    ) -> Optional[int]:
+        """Start the twins on their ranges of blocks ``[first, count)``; the
+        end of the parent's range, or ``None`` when the run is too short for
+        the crew or its rows would not fit the mapping."""
+        processes = len(self.twins) + 1
+        cuts = [first + (count - first) * k // processes for k in range(processes + 1)]
+        if cuts[1] == first or count - cuts[1] > self._capacity:
+            return None
+        held = b"" if assignments is self._assignments else pickle.dumps(assignments)
+        self._assignments = assignments
+        self._ranges = []
+        for slot, (twin, start, stop) in enumerate(zip(self.twins, cuts[1:], cuts[2:])):
+            try:
+                twin.send(struct.pack("<4q", start, stop, cuts[1], slot) + held)
+            except OSError as exc:
+                twin = exc  # (lost: its range runs inline at the fold)
+            self._ranges.append((twin, start, stop))
+        return cuts[1]
+
+    def fold(
+        self,
+        accumulated: np.ndarray,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Dict[int, np.ndarray],
+        stats: Optional[PlanStats],
+        slots: StemSlots,
+    ) -> Tuple[np.ndarray, bool]:
+        """Add the twins' rows to the parent's running sum in position order:
+        ``(the sum, whether a twin was lost)``.  A lost twin's range runs
+        inline on the parent's arena, with the same bits."""
+        rows, lost = self.rows(accumulated.dtype), False
+        ranges, self._ranges = self._ranges, []
+        row0 = ranges[0][1]
+        for slot, (twin, start, stop) in enumerate(ranges):
+            try:
+                if isinstance(twin, OSError):
+                    raise twin
+                twin.wait()
+            except (EOFError, OSError) as exc:
+                lost = True
+                # (the text, not the exception: a kept record must not pin its frames)
+                _LOG.warning(
+                    "sweep twin lost (%s: %s); running blocks %d-%d inline",
+                    type(exc).__name__, str(exc), start, stop - 1,
+                )
+                if stats is not None:
+                    stats.faults += 1
+                for _, data in _swept_blocks(
+                    plan, network, self._assignments, cache, stats, slots, start, stop
+                ):
+                    accumulated += data
+                continue
             if stats is not None:
-                stats.faults += 1
-            return False
-        for contribution in contributions:
-            accumulated += contribution
-        if stats is not None:
-            stats.merge(pooled)
-        return True
+                stats.merge_words(self.stats_slot(slot))
+            for data in rows[start - row0 : stop - row0]:
+                accumulated += data
+        return accumulated, lost
+
+    def close(self) -> None:
+        """Kill and reap every twin (idempotent)."""
+        twins, self.twins = self.twins, []
+        for twin in twins:
+            twin.close()
+
+
+def _snapshot(
+    plan: CompiledPlan, network: TensorNetwork, cache: Dict[int, np.ndarray]
+) -> Tuple:
+    """What a forked twin holds of a run: the plan, its leaf tensors, the
+    cache and the cache's buffers (compared by identity)."""
+    leaves = (network.tensor(ls.tid) for ls in plan.leaf_steps)
+    return (plan, cache, *leaves, *cache.values())
+
+
+def _serve_range(job: Tuple, crew: _RangeCrew, request: bytes) -> bytes:
+    """A twin's side of one run: its range's blocks, each into its row, and
+    its stats into its slot."""
+    plan, network, cache, slots = job
+    start, stop, row0, slot = struct.unpack_from("<4q", request)
+    if len(request) > 32:
+        crew._assignments = pickle.loads(memoryview(request)[32:])
+    stats, rows = PlanStats(), None
+    for position, data in _swept_blocks(
+        plan, network, crew._assignments, cache, stats, slots, start, stop
+    ):
+        if rows is None:
+            rows = crew.rows(data.dtype)
+        np.copyto(rows[position - row0, ...], data)
+    stats.to_words(crew.stats_slot(slot))
+    return b""
+
+
+class _CrewSession(NullExecutionSession):
+    """A session of the executors' default backend: the crew of twins that
+    splits its runs (:class:`_RangeCrew`), kept across runs.
+
+    A run without a crew is serial; block 1's seconds decide whether twins
+    forked there take the rest (:class:`_HandOffBackend`).  A run too
+    short for that adds its seconds up, and once :func:`repro.forking.
+    pool_pays` accepts the mean run over the runs so far, the session forks
+    a crew for the next run.  A crew re-forks only when what it was forked
+    from changed: another plan, a rebound leaf, new cache buffers.  Unless
+    one of its first two warm split runs (after the first) beats the
+    fastest inline run, it retires with one ``INFO`` line and the session
+    stays inline.  A lost twin costs one ``WARNING`` and ``stats.faults +=
+    1``; its range runs inline and the session stays inline.  Opening a
+    session forks nothing; closing it, garbage collection and interpreter
+    exit retire the crew.
+
+    With ``resident=False`` it serves one run outside a session and keeps
+    nothing (the caller closes it).
+    """
+
+    def __init__(self, backend: _HandOffBackend, resident: bool = True) -> None:
+        super().__init__(None)
+        # (no reference back: an unclosed session dies with its backend)
+        self._owner = weakref.ref(backend)
+        self._slots = backend._slots
+        self._resident = resident
+        self.crew: Optional[_RangeCrew] = None
+        self.inline_seconds, self.inline_runs, self.fastest_inline = 0.0, 0, math.inf
+        #: split runs since the session first forked, and whether one paid
+        self.split_runs, self.paid = 0, False
+        #: a crew was dropped as stale: fork its successor at the next run
+        self.refork = False
+        self.stay_inline = False
+
+    def accumulate(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        assignments: Sequence[Mapping[str, int]],
+        cache: Dict[int, np.ndarray],
+        stats: Optional[PlanStats],
+    ) -> np.ndarray:
+        """One run's sum: split with the crew, or inline with an offer after block 1."""
+        slots = self._slots
+        started = time.perf_counter()
+        stop: Optional[int] = None
+        if self.refork and not self.stay_inline:
+            self.refork = False
+            count = _block_count(plan, assignments)
+            self._fork(plan, network, cache, slots, assignments, count)
+        crew = self.crew
+        if crew is not None:
+            stop = crew.send(assignments, 0, _block_count(plan, assignments))
+            if stop is None:  # (the crew sits this run out)
+                return _serial_accumulate(plan, network, assignments, cache, stats, slots)
+        offer = crew is None and not self.stay_inline
+        accumulated: Optional[np.ndarray] = None
+        try:
+            blocks = _swept_blocks(plan, network, assignments, cache, stats, slots, 0, stop)
+            mark = started
+            for position, data in blocks:
+                accumulated = _folded(accumulated, data)
+                if position + 1 == stop:
+                    break
+                if position == 1 and offer:
+                    count = _block_count(plan, assignments)
+                    crew = self._offer(
+                        plan, network, cache, slots, assignments, count,
+                        time.perf_counter() - mark,
+                    )
+                    stop = None if crew is None else crew.send(assignments, 2, count)
+                    if stop is None:
+                        crew = None
+                mark = time.perf_counter()
+            blocks.close()
+            assert accumulated is not None
+            if crew is None:
+                if self._resident:
+                    self._ran_inline(
+                        plan, network, cache, slots, assignments, time.perf_counter() - started
+                    )
+                return accumulated
+            accumulated, lost = crew.fold(accumulated, plan, network, cache, stats, slots)
+        except BaseException:
+            if crew is not None:
+                self.retire()  # (its twins may be in the middle of the run)
+            raise
+        if lost:
+            self.retire()
+            self.stay_inline = True
+        elif self._resident:
+            self._ran_split(time.perf_counter() - started)
+        return accumulated
+
+    def _offer(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Dict[int, np.ndarray],
+        slots: StemSlots,
+        assignments: Sequence[Mapping[str, int]],
+        count: int,
+        block_s: float,
+    ) -> Optional[_RangeCrew]:
+        """A crew for the ``count - 2`` blocks after block 1, forked now if
+        they pay for it."""
+        left = count - 2
+        # a multi-threaded BLAS already spreads every GEMM over the cores
+        # the twins would take, and they would fight it for them
+        if not forking.pool_pays(block_s, left) or forking.native_threads() > 1:
+            return None
+        return self._fork(plan, network, cache, slots, assignments, left)
+
+    def _ran_inline(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Dict[int, np.ndarray],
+        slots: StemSlots,
+        assignments: Sequence[Mapping[str, int]],
+        seconds: float,
+    ) -> None:
+        """Count an inline run; fork a crew for the next once the sum pays."""
+        self.inline_seconds += seconds
+        self.inline_runs += 1
+        self.fastest_inline = min(self.fastest_inline, seconds)
+        if self.stay_inline or not (
+            forking.pool_pays(self.inline_seconds / self.inline_runs, self.inline_runs)
+            and forking.native_threads() == 1
+        ):
+            return
+        count = _block_count(plan, assignments)
+        if count >= 2:
+            self._fork(plan, network, cache, slots, assignments, count)
+
+    def _ran_split(self, seconds: float) -> None:
+        """Judge the first two warm split runs (the crew's first run copies
+        the pages it writes): unless one of them beat the fastest inline
+        run, the crew retires for the rest of the session.  Fastest against
+        either of two, since noise only ever slows a run down."""
+        self.split_runs += 1
+        if self.paid or self.split_runs == 1:
+            return
+        if seconds < self.fastest_inline:
+            self.paid = True
+        elif self.split_runs == 3:
+            _LOG.info(
+                "sweep crew retired: neither of two warm split runs beat the fastest "
+                "inline one, %.2f ms (the last took %.2f ms); every later run of this "
+                "session runs inline",
+                self.fastest_inline * 1e3,
+                seconds * 1e3,
+            )
+            self.retire()
+            self.stay_inline = True
+
+    def _fork(
+        self,
+        plan: CompiledPlan,
+        network: TensorNetwork,
+        cache: Dict[int, np.ndarray],
+        slots: StemSlots,
+        assignments: Sequence[Mapping[str, int]],
+        blocks: int,
+    ) -> Optional[_RangeCrew]:
+        """Fork a crew of ``min(CPUs, blocks)`` processes, the parent included."""
+        processes = min(forking.usable_cpus(), blocks)
+        if processes < 2:
+            return None
+        try:
+            self.crew = _RangeCrew(plan, network, cache, slots, assignments, processes)
+        except OSError as exc:
+            _LOG.warning(
+                "sweep twins could not fork (%s: %s); the session runs inline",
+                type(exc).__name__, str(exc),
+            )
+            self.stay_inline = True
+        return self.crew
+
+    def drop(self) -> None:
+        """Retire a crew that no longer holds the run's state; its successor
+        is forked at the next run."""
+        if self.crew is not None:
+            self.retire()
+            self.refork = True
+
+    def retire(self) -> None:
+        """Kill and reap the crew's twins, if any."""
+        crew, self.crew = self.crew, None
+        if crew is not None:
+            crew.close()
+
+    def reset(self) -> None:
+        self.drop()
+
+    def close(self) -> None:
+        self.retire()
+        super().close()
+        owner = self._owner()
+        if owner is not None and owner._session is self:
+            owner._session = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        twins = 0 if self.crew is None else len(self.crew.twins)
+        return f"_CrewSession({twins} twins, closed={self.closed})"
 
 
 class LocalTransport(ChunkTransport):
@@ -1135,12 +1588,10 @@ class ExecutionSession(_ResidentSession):
     preemptible = True
     rebuildable = True
 
-    def __init__(
-        self, backend: "SharedMemoryProcessPoolBackend", slots: Optional[StemSlots] = None
-    ) -> None:
+    def __init__(self, backend: "SharedMemoryProcessPoolBackend") -> None:
         super().__init__(backend, _Crew(), _release_crew)
         #: The parent's arena, which sweeps its own share of every run.
-        self._slots = backend._serial._slots if slots is None else slots
+        self._slots = backend._serial._slots
         #: How many times this session forked its crew.
         self.forks = 0
 

@@ -281,6 +281,52 @@ class PlanStats:
             return sum(self.subtask_seconds) / len(self.subtask_seconds)
         return float("nan")
 
+    #: What :meth:`to_words` carries besides the node counts and samples.
+    _WORD_COUNTERS = (
+        "cache_hits", "executions", "slot_writes", "timed_subtasks", "subtask_seconds_sum"
+    )
+    _WORD_STAGES = ("warm_cache", "execute")
+    _WORD_HEAD = 2 + len(_WORD_COUNTERS) + len(_WORD_STAGES)
+
+    @classmethod
+    def words(cls, nodes: int) -> int:
+        """The float64 words :meth:`to_words` needs for ``nodes`` node counts."""
+        return cls._WORD_HEAD + 2 * nodes + MAX_TIMING_SAMPLES
+
+    def to_words(self, words: np.ndarray) -> None:
+        """A sweep's counters as float64 words, for a process that reads them
+        in place (:meth:`merge_words`): the node and sample counts, the
+        counters, the stage seconds, then the node ids, their counts and
+        the timing samples (every count exact: far below 2**53).  The
+        resilience counters are not carried: a sweep has none."""
+        nodes, samples = len(self.node_counts), len(self.subtask_seconds)
+        head = self._WORD_HEAD
+        words[:head] = [
+            nodes,
+            samples,
+            *(getattr(self, name) for name in self._WORD_COUNTERS),
+            *(self.stage_seconds.get(stage, 0.0) for stage in self._WORD_STAGES),
+        ]
+        words[head : head + nodes] = list(self.node_counts)
+        words[head + nodes : head + 2 * nodes] = list(self.node_counts.values())
+        words[head + 2 * nodes : head + 2 * nodes + samples] = self.subtask_seconds
+
+    def merge_words(self, words: np.ndarray) -> None:
+        """:meth:`merge` the stats :meth:`to_words` wrote, read in place:
+        nothing the size of the other stats is built."""
+        nodes, samples, head = int(words[0]), int(words[1]), self._WORD_HEAD
+        for index, name in enumerate(self._WORD_COUNTERS, 2):
+            value = getattr(self, name)
+            setattr(self, name, value + type(value)(words[index]))
+        for index, stage in enumerate(self._WORD_STAGES, 2 + len(self._WORD_COUNTERS)):
+            if words[index]:
+                self.record_stage(stage, float(words[index]))
+        for node, count in zip(words[head : head + nodes], words[head + nodes : head + 2 * nodes]):
+            self.node_counts[int(node)] = self.node_counts.get(int(node), 0) + int(count)
+        room = min(MAX_TIMING_SAMPLES - len(self.subtask_seconds), samples)
+        if room > 0:
+            self.subtask_seconds.extend(words[head + 2 * nodes : head + 2 * nodes + room])
+
     def merge(self, other: "PlanStats") -> None:
         """Fold another stats object into this one (used by worker pools)."""
         for node, count in other.node_counts.items():

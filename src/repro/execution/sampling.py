@@ -57,6 +57,7 @@ from ..tensornet.tensor import Tensor
 from .backend import (
     ExecutionBackend,
     NullExecutionSession,
+    SerialBackend,
     _folded,
     _swept_blocks,
     validate_execution_args,
@@ -582,12 +583,18 @@ class CorrelatedSampler:
         executor = resident.executors.get(slicing)
         if executor is None:
             # the fault policy/injector stay scoped to this sampler's runs
+            # without a backend the session's twin splits batches, so the
+            # executor stays serial: a crew inside a twin's batch would nest forks
             executor = SlicedExecutor(
                 resident.network,
                 resident.tree,
                 slicing,
                 mode=self.executor_mode,
-                backend=self.backend,
+                backend=(
+                    SerialBackend()
+                    if self.backend is None and self.executor_mode == "compiled"
+                    else self.backend
+                ),
                 fault_policy=self.fault_policy,
                 fault_injector=self.fault_injector,
             )

@@ -416,6 +416,7 @@ def measure_strong_scaling(
     import numpy as np
 
     from ..costs.calibration import CalibratedCostModel
+    from .backend import SerialBackend
     from .distributed import DistributedBackend
     from .sliced import SlicedExecutor
 
@@ -426,7 +427,7 @@ def measure_strong_scaling(
     kwargs = dict(executor_kwargs or {})
 
     # serial reference: the bit-identity oracle and the speedup baseline
-    serial_executor = SlicedExecutor(network, tree, sliced, **kwargs)
+    serial_executor = SlicedExecutor(network, tree, sliced, backend=SerialBackend(), **kwargs)
     reference = serial_executor.run()  # warm (plan compile + cache)
     serial_seconds = math.inf
     for _ in range(repeats):

@@ -20,8 +20,9 @@ compile-time offset in one per-worker arena.
 re-contracts everything per subtask; it is the path everything else is
 cross-checked against.
 
-*How* the subtasks run — serial, thread pool, forked process pool —
-is the backend's concern (``backend=``); see
+*How* the subtasks run — serial, split with forked twins (the default),
+thread pool, forked process pool — is the backend's concern
+(``backend=``); see
 :mod:`repro.execution.backend` for the selection guide.  All backends sum
 contributions in the same order and are bit-identical to each other.
 
@@ -158,10 +159,18 @@ class SlicedExecutor:
         reference mode still raises ``ValueError``.
     backend:
         The :class:`~repro.execution.backend.ExecutionBackend` that
-        schedules the subtasks (default :class:`SerialBackend`).  Compiled
-        mode only.  Wrap consecutive :meth:`run` calls in
-        ``with executor.session(): ...`` to keep the backend's resident
-        state (the process pool's forked children) alive between them.
+        schedules the subtasks.  Compiled mode only.  The default runs a
+        sweep serially until its block 1 shows that forked twins pay for
+        the rest (:func:`repro.forking.pool_pays`, in a process with one
+        native thread); then the parent sweeps one contiguous range of the
+        rest while each twin sweeps another, and adds their contributions
+        in position order — the bits are :class:`SerialBackend`'s, which is
+        the one to name for a serial run.  A run with a checkpoint ledger
+        or a fault injector stays serial.  Wrap consecutive :meth:`run`
+        calls in ``with executor.session(): ...`` to keep the backend's
+        resident state alive between them: the default's twins (which
+        then split every run from its first block, and which short runs
+        earn by adding up their seconds), the process pool's children.
     cost_model:
         Optional :class:`~repro.costs.CostModel`.  Derives the per-chunk
         timeouts of a ``fault_policy`` and lets :meth:`calibration_record`
@@ -388,10 +397,13 @@ class SlicedExecutor:
                 first = executor.run()
                 second = executor.run()    # the same children — warm
 
-        The session is primed with the plan :meth:`run` executes.
-        In-process backends return a no-op session, so the pattern is
-        uniform across backends; results are bit-identical with and
-        without a session.  Compiled mode only.
+        The session is primed with the plan :meth:`run` executes; opening
+        it forks nothing.  The default backend's session keeps its twins
+        forked across runs (re-forking them only for another plan, a
+        rebound leaf or new cache buffers); other in-process backends
+        return a no-op session, so the pattern is uniform across backends;
+        results are bit-identical with and without a session.  Compiled
+        mode only.
         """
         if self._backend is None:
             raise ValueError("session requires the compiled mode")

@@ -1,10 +1,14 @@
-"""When a fork pays, and the forked copies that run the work: the rule the
-path search's trials (:meth:`repro.paths.HyperOptimizer.search`), the
-front door's sweep (:meth:`repro.SimulationPlanner.execute_plan`) and a
-sampling session (:meth:`repro.execution.CorrelatedSampler.session`)
-share.  Each runs one unit inline, times it, and splits the rest with
-forked twins (:class:`Twin`, a process serving requests over a pipe) only
-when that is worth a twin's cost; the parent works beside them.
+"""When a fork pays, and the forked copies that run the work: one rule for
+the four default paths that fork — the path search's trials
+(:meth:`repro.paths.HyperOptimizer.search`), a sweep of the executors'
+default backend (:class:`repro.execution.SlicedExecutor` without a
+backend, which :meth:`repro.SimulationPlanner.execute_plan` runs), an
+executor session of short runs (:meth:`repro.execution.SlicedExecutor.session`)
+and a sampling session (:meth:`repro.execution.CorrelatedSampler.session`).
+Each runs one unit inline — a trial, a block, a run, a batch — times it,
+and splits the rest with forked twins (:class:`Twin`, a process serving
+requests over a pipe) only when that is worth a twin's cost; the parent
+works beside them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,10 @@ __all__ = ["Twin", "native_threads", "pool_pays", "usable_cpus"]
 #: sampler (79-160 ms) sets up in 275 / 216 ms, the 5x7 grid (215-430 ms)
 #: plans in 304 / 231 ms, Sycamore-53 m=12 (242-456 ms) in 537 / 385 ms;
 #: the 4x5 grid's sweep (510 blocks, 42-68 ms left) took 54.5 / 54.8 ms on
-#: a crew (11/21 pairs), which does not pay, so it stays inline.
+#: a crew (11/21 pairs), which does not pay, so it stays inline.  Runs of an
+#: executor session, inline / split with a resident twin: the 4x5 grid
+#: 49.8 / 33.7 ms (21/21 pairs), the 5x7 grid 965 / 502 ms (9/9), so a
+#: session of 4x5 runs forks once two of them have run.
 _FORK_SECONDS = 0.07
 
 
@@ -85,6 +92,8 @@ class Twin:
     collected or the interpreter exits — closes the pipes, kills the twin
     and reaps it.
     """
+
+    __slots__ = ("pid", "_send", "_receive", "_finalizer", "__weakref__")
 
     def __init__(self, serve: Callable[[bytes], bytes]) -> None:
         requests, replies = os.pipe(), os.pipe()

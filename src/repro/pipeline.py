@@ -13,7 +13,8 @@ paper's production runs do:
     counts, sustained rate), and
 7.  — for small circuits — numerically execute the sliced contraction
     (:meth:`SimulationPlanner.execute_plan`): inline, or, once a timed
-    subtask block shows the rest pays for a pool, on every usable core.
+    subtask block shows the rest pays for forked twins, on every usable
+    core.
 
 Every stage's artefacts are kept on the returned :class:`SimulationPlan` so
 examples, tests and benchmarks can inspect any intermediate.
@@ -34,7 +35,7 @@ from .core.slice_refiner import SimulatedAnnealingSliceRefiner
 from .core.slicing import SlicingCostModel, SlicingResult
 from .core.stem import Stem, extract_stem
 from .costs.model import CostModel
-from .execution.backend import ExecutionBackend, _HandOffBackend
+from .execution.backend import ExecutionBackend
 from .execution.fused import ThreadLevelSimulator, ThreadTiming
 from .execution.plan import PlanStats
 from .execution.resilience import FaultPolicy
@@ -260,8 +261,10 @@ class SimulationPlanner:
         (bounded retries, pool rebuilds, degradation) bit-identically to
         a clean run, and the recovery counters surface through
         :meth:`SimulationPlan.summary` (``retries`` / ``faults`` /
-        ``recovery_seconds``).  ``None`` (the default) fails fast.
-        Requires a ``backend``.
+        ``recovery_seconds``).  ``None`` (the default) fails fast.  A
+        policy carrying ``checkpoint_dir`` arms the write-ahead ledger on
+        any backend, the default included: such a run stays one ordered
+        loop.
     cost_model:
         Optional :class:`~repro.costs.CostModel` threaded through every
         planning stage: the tree search ranks candidates by its predicted
@@ -294,8 +297,6 @@ class SimulationPlanner:
         self.seed = seed
         self.backend = backend
         self.cost_model = cost_model
-        if fault_policy is not None and backend is None:
-            raise ValueError("fault_policy requires a backend")
         self.fault_policy = fault_policy
 
     # ------------------------------------------------------------------
@@ -403,17 +404,17 @@ class SimulationPlanner:
         Runs every slicing subtask through ``backend`` (defaulting to the
         planner's backend) and accumulates the results; returns the
         amplitude including the simplifier's scalar prefactor.  Without
-        either, the sweep runs inline until a timed block shows that a
-        process pool pays for the rest (:func:`repro.forking.pool_pays`):
-        the parent then forks children from its warm state and sweeps its
-        own share of the rest beside them on the arena it keeps.  The
-        amplitude is the serial one, bit for bit.
+        either, the executor's default runs it: the sweep runs inline until
+        a timed block shows that forked twins pay for the rest
+        (:func:`repro.forking.pool_pays`); the parent then forks them from
+        its warm state and sweeps its own range of the rest beside them on
+        the arena it keeps.  The amplitude is the serial one, bit for bit.
         The run's counters and wall timings land on
         ``plan.measured_stats``, feeding the predicted-vs-measured stage
         report and :class:`~repro.costs.CalibratedCostModel` calibration.
         """
         if backend is None:
-            backend = self.backend if self.backend is not None else _HandOffBackend()
+            backend = self.backend
         executor = SlicedExecutor(
             plan.network,
             plan.tree,

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.circuits import random_brickwork_circuit
 from repro.costs.calibration import CalibratedCostModel
 from repro.execution import (
+    SerialBackend,
     SharedMemoryProcessPoolBackend,
     SlicedExecutor,
     ThreadPoolBackend,
@@ -79,7 +80,7 @@ class TestNumpyModuleBitIdentity:
     def test_seamed_execution_is_bitwise_default(self, seed, chunk_size):
         """Threads + any chunking ≡ the default serial run."""
         tn, tree, sliced = _case(seed, num_qubits=5, depth=3)
-        baseline = SlicedExecutor(tn, tree, sliced).amplitude()
+        baseline = SlicedExecutor(tn, tree, sliced, backend=SerialBackend()).amplitude()
         chunked = SlicedExecutor(
             tn,
             tree,
@@ -176,7 +177,7 @@ class TestDtypeMatrix:
     def test_modes_agree_bitwise_per_dtype(self, dtype):
         tn, tree, sliced = _case(seed=29)
         _cast_network(tn, dtype)
-        stepwise = SlicedExecutor(tn, tree, sliced).amplitude()
+        stepwise = SlicedExecutor(tn, tree, sliced, backend=SerialBackend()).amplitude()
         threads = SlicedExecutor(
             tn, tree, sliced, backend=ThreadPoolBackend(max_workers=2)
         ).amplitude()

@@ -149,7 +149,7 @@ class TestBackendEquivalence:
     def test_process_pool_batched_sweep(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:4]
-        serial = SlicedExecutor(tn, tree, sliced).amplitude()
+        serial = SlicedExecutor(tn, tree, sliced, backend=SerialBackend()).amplitude()
         pooled = SlicedExecutor(
             tn,
             tree,
@@ -301,7 +301,7 @@ class TestMultiIndexBatching:
     def test_batch_group_matches_reference(self, case):
         tn, tree, reference = case
         sliced = sorted(tn.inner_indices())[:4]
-        plain = SlicedExecutor(tn, tree, sliced).amplitude()
+        plain = SlicedExecutor(tn, tree, sliced, backend=SerialBackend()).amplitude()
         assert plain == pytest.approx(reference, abs=1e-9)
         for width in (1, 2, 3, 4):
             executor = SlicedExecutor(tn, tree, sliced, batch_indices=sliced[:width])

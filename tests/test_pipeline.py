@@ -15,7 +15,7 @@ import pytest
 from repro import SimulationPlan, SimulationPlanner, forking
 from repro.circuits import amplitude, grid_circuit, random_brickwork_circuit
 from repro.core import lifetime as lifetime_module
-from repro.execution import SlicedExecutor, strong_scaling
+from repro.execution import SerialBackend, SlicedExecutor, strong_scaling
 from repro.execution import backend as backend_module
 from repro.execution.plan import StemSlots
 
@@ -160,16 +160,18 @@ def folding_plan():
 
 
 @pytest.fixture
-def pool_spy(monkeypatch):
-    """The ``max_workers`` of every sweep pool a run builds (the real pool still runs)."""
+def crew_spy(monkeypatch):
+    """The process count of every sweep crew a run forks (the real crew still runs)."""
     built = []
-    real = backend_module.SharedMemoryProcessPoolBackend
 
-    def spy(max_workers):
-        built.append(max_workers)
-        return real(max_workers)
+    class Spied(backend_module._RangeCrew):
+        __slots__ = ()
 
-    monkeypatch.setattr(backend_module, "SharedMemoryProcessPoolBackend", spy)
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(backend_module, "_RangeCrew", Spied)
     return built
 
 
@@ -186,8 +188,8 @@ def may_fork(monkeypatch):
     reason="the sweep forks its crew; the audit reads /dev/shm",
 )
 class TestFrontDoorPool:
-    """``execute_plan`` without a backend: the serial bits, inline or on a
-    forked crew that nothing outlives."""
+    """``execute_plan`` without a backend (the executors' default): the
+    serial bits, inline or split with forked twins that nothing outlives."""
 
     @pytest.fixture(autouse=True)
     def nothing_outlives_a_run(self):
@@ -201,7 +203,7 @@ class TestFrontDoorPool:
     @pytest.mark.parametrize("branch", ["pool", "inline"])
     @pytest.mark.parametrize("case", ["small_bench", "inner_fold", "two_blocks", "one_block"])
     def test_the_amplitude_is_the_serial_one_bit_for_bit(
-        self, request, monkeypatch, may_fork, pool_spy, branch, case
+        self, request, monkeypatch, may_fork, crew_spy, branch, case
     ):
         if case == "inner_fold":
             planner, plan = request.getfixturevalue("folding_plan")
@@ -213,7 +215,9 @@ class TestFrontDoorPool:
                 plan = _sliced_plan(plan, sorted(plan.slicing.sliced)[:keep])
         if branch == "inline":
             monkeypatch.setattr(forking, "_FORK_SECONDS", math.inf)
-        serial = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced)
+        serial = SlicedExecutor(
+            plan.network, plan.tree, plan.slicing.sliced, backend=SerialBackend()
+        )
         expected = serial.amplitude() * plan.scalar_prefactor
         blocks = sum(1 for _ in serial.plan.blocks(serial.assignments()))
         assert blocks == {"small_bench": 512, "inner_fold": 8, "two_blocks": 2, "one_block": 1}[case]
@@ -221,7 +225,7 @@ class TestFrontDoorPool:
 
         value = planner.execute_plan(plan)
         assert _bits(value) == _bits(expected)
-        assert pool_spy == ([2] if branch == "pool" and blocks > 3 else [])
+        assert crew_spy == ([2] if branch == "pool" and blocks > 3 else [])
         stats = plan.measured_stats
         assert stats.executions == serial.num_subtasks
         assert stats.faults == 0
@@ -229,46 +233,51 @@ class TestFrontDoorPool:
             assert stats.steps_executed == serial.stats.steps_executed
 
     def test_a_pooled_sweep_adds_one_top_level_walk_per_chunk(
-        self, small_bench_plan, may_fork, pool_spy
+        self, small_bench_plan, may_fork, crew_spy
     ):
         planner, plan = small_bench_plan
-        serial = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced)
+        serial = SlicedExecutor(
+            plan.network, plan.tree, plan.slicing.sliced, backend=SerialBackend()
+        )
         serial.run()
         assert serial.stats.steps_executed == 5_227
         planner.execute_plan(plan)
-        assert pool_spy == [2]
-        # the 510 blocks left run as one range of 255 per process, and each
-        # range's first subtask walks from the top (18 steps) where the
-        # serial sweep resumed: 9 steps more on each
+        assert crew_spy == [2]
+        # the 510 blocks left run as one range of 255 per process; the
+        # parent's resumes the sweep it is in, the twin's first subtask
+        # walks from the top (18 steps) where the serial sweep resumed: 9
+        # steps more
         top_level = len(serial.plan._resume_suffixes[0][1])
         assert top_level == 18
-        assert plan.measured_stats.steps_executed == 5_227 + 2 * 9 <= 5_227 + 2 * top_level
+        assert plan.measured_stats.steps_executed == 5_227 + 9 <= 5_227 + top_level
 
     def test_the_parent_sweeps_its_share_on_the_arena_it_keeps(
         self, monkeypatch, small_bench_plan, may_fork
     ):
-        arenas, seen = [], []
+        arenas, seen, parent = [], [], os.getpid()
 
         class Tracked(StemSlots):
             def __init__(self):
                 super().__init__()
                 arenas.append(self)
 
-        real = backend_module._chunk_contributions
+        real = backend_module._swept_blocks
 
-        def spy(plan, network, cache, slots, items):
-            seen.append((slots, slots.allocated_bytes))
-            return real(plan, network, cache, slots, items)
+        def spy(plan, network, assignments, cache, stats, slots, *rest):
+            if os.getpid() == parent:
+                seen.append(slots)
+            return real(plan, network, assignments, cache, stats, slots, *rest)
 
         planner, plan = small_bench_plan
         arena_bytes = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced).plan.arena_bytes
         monkeypatch.setattr(backend_module, "StemSlots", Tracked)
-        monkeypatch.setattr(backend_module, "_chunk_contributions", spy)
+        monkeypatch.setattr(backend_module, "_swept_blocks", spy)
         planner.execute_plan(plan)
-        # the door's own arena, bound by blocks 0 and 1, sweeps the
-        # parent's range; nothing else in the parent allocates one
+        # the door's own arena, bound by blocks 0 and 1, sweeps on through
+        # the parent's range in one loop; nothing else in the parent
+        # allocates one
         (door, *unused) = arenas
-        assert seen == [(door, arena_bytes)] and arena_bytes == 65_792
+        assert seen == [door] and door.allocated_bytes == arena_bytes == 65_792
         assert all(slots.allocated_bytes == 0 for slots in unused)
 
     @pytest.mark.parametrize(
@@ -279,9 +288,9 @@ class TestFrontDoorPool:
         self, monkeypatch, small_bench_plan, may_fork, rule
     ):
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep pool was constructed")
+            raise AssertionError("the sweep crew was forked")
 
-        monkeypatch.setattr(backend_module, "SharedMemoryProcessPoolBackend", refuse)
+        monkeypatch.setattr(backend_module, "_RangeCrew", refuse)
         if rule == "one_cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         if rule == "native_thread":
@@ -292,7 +301,9 @@ class TestFrontDoorPool:
         if rule == "cheap_block":
             monkeypatch.setattr(forking, "_FORK_SECONDS", math.inf)
         planner, plan = small_bench_plan
-        serial = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced)
+        serial = SlicedExecutor(
+            plan.network, plan.tree, plan.slicing.sliced, backend=SerialBackend()
+        )
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         if rule == "live_thread":
@@ -301,10 +312,7 @@ class TestFrontDoorPool:
             if rule == "one_block_left":
                 # three blocks: one is left after the timed block 1
                 ids = [0, 1, 2]
-                door = SlicedExecutor(
-                    plan.network, plan.tree, plan.slicing.sliced,
-                    backend=backend_module._HandOffBackend(),
-                )
+                door = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced)
                 assert _bits(door.amplitude(ids)) == _bits(serial.amplitude(ids))
             else:
                 value = planner.execute_plan(plan)
@@ -317,49 +325,44 @@ class TestFrontDoorPool:
 
     @pytest.mark.faults
     def test_a_killed_worker_costs_one_warning_and_not_the_bits(
-        self, monkeypatch, small_bench_plan, may_fork, pool_spy, caplog
+        self, monkeypatch, small_bench_plan, may_fork, crew_spy, caplog
     ):
         planner, plan = small_bench_plan
-        serial = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced)
+        serial = SlicedExecutor(
+            plan.network, plan.tree, plan.slicing.sliced, backend=SerialBackend()
+        )
         expected = serial.amplitude() * plan.scalar_prefactor
-        parent, execute = os.getpid(), backend_module.execute_chunk
+        parent, sweep = os.getpid(), backend_module._swept_blocks
 
-        def execute_then_die(*args):
-            if os.getpid() != parent:  # a pool worker dies mid-chunk; the parent never does
+        def sweep_then_die(*args):
+            if os.getpid() != parent:  # the twin dies in its range; the parent never does
                 os._exit(1)
-            return execute(*args)
+            return sweep(*args)
 
-        monkeypatch.setattr(backend_module, "execute_chunk", execute_then_die)
+        monkeypatch.setattr(backend_module, "_swept_blocks", sweep_then_die)
         with caplog.at_level(logging.WARNING):
             value = planner.execute_plan(plan)
-        assert pool_spy == [2]
+        assert crew_spy == [2]
         assert _bits(value) == _bits(expected)
-        front = [r for r in caplog.records if r.name == "repro.execution.backend"]
-        assert len(front) == 1 and front[0].levelno == logging.WARNING
-        assert "running the 510 remaining blocks inline" in front[0].getMessage()
-        # the scheduler's own account of the loss is the only other warning:
-        # fail-fast gives up at once, so it requeues nothing and says so
-        assert {r.name for r in caplog.records} <= {
-            "repro.execution.backend",
-            "repro.execution.resilience",
-        }
-        scheduler = [r.getMessage() for r in caplog.records if r.name == "repro.execution.resilience"]
-        assert any(" worker lost (" in m for m in scheduler)
-        assert any(m.startswith("giving up on ") for m in scheduler)
-        assert not any("front of the queue" in m for m in scheduler)
+        (record,) = caplog.records
+        assert record.name == "repro.execution.backend" and record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert message.startswith("sweep twin lost (EOFError: ")
+        assert message.endswith("; running blocks 257-511 inline")
         stats = plan.measured_stats
         assert stats.faults == 1
         assert stats.executions == serial.num_subtasks
 
     def test_a_chunk_error_is_raised_as_inline(self, monkeypatch, small_bench_plan, may_fork):
-        parent, execute = os.getpid(), backend_module.execute_chunk
+        sweep = backend_module._swept_blocks
 
-        def execute_then_raise(*args):
-            if os.getpid() != parent:
+        def sweep_then_raise(plan, network, assignments, cache, stats, slots, start=0, *rest):
+            # the twin's range raises, and so does the parent's inline rerun of it
+            if start > 2:
                 raise LookupError("chunk exploded")
-            return execute(*args)
+            return sweep(plan, network, assignments, cache, stats, slots, start, *rest)
 
-        monkeypatch.setattr(backend_module, "execute_chunk", execute_then_raise)
+        monkeypatch.setattr(backend_module, "_swept_blocks", sweep_then_raise)
         planner, plan = small_bench_plan
         with pytest.raises(LookupError, match="chunk exploded"):
             planner.execute_plan(plan)

@@ -11,6 +11,7 @@ slice-invariant).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from repro.core import slice_dependent_nodes
 from repro.execution import (
     PlanError,
     PlanStats,
+    SerialBackend,
     SlicedExecutor,
     ThreadPoolBackend,
     TreeExecutor,
@@ -94,12 +96,12 @@ class TestCompiledPlanEquivalence:
         inner = sorted(tn.inner_indices())[:4]
         for r in range(len(inner) + 1):
             for combo in itertools.combinations(inner, r):
-                executor = SlicedExecutor(tn, tree, combo)
+                executor = SlicedExecutor(tn, tree, combo, backend=SerialBackend())
                 assert executor.amplitude() == pytest.approx(reference, abs=1e-9), combo
 
     def test_empty_slicing_set(self, case):
         tn, tree, reference = case
-        executor = SlicedExecutor(tn, tree, ())
+        executor = SlicedExecutor(tn, tree, (), backend=SerialBackend())
         assert executor.num_subtasks == 1
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         # with nothing sliced, everything is invariant and cached whole
@@ -110,7 +112,7 @@ class TestCompiledPlanEquivalence:
         tn, tree, reference = case
         cover, uncovered = _leaf_cover_slicing(tn, tree)
         assert not uncovered, "workload must admit a leaf-covering slicing set"
-        executor = SlicedExecutor(tn, tree, cover)
+        executor = SlicedExecutor(tn, tree, cover, backend=SerialBackend())
         # nothing is slice-invariant: the cache can hold nothing
         assert executor.plan.invariant_nodes == frozenset()
         assert executor.plan.frontier == frozenset()
@@ -157,7 +159,7 @@ class TestCompiledPlanEquivalence:
         picks = rng.choice(len(inner), size=min(num_sliced, len(inner)), replace=False)
         sliced = [inner[i] for i in picks]
         reference = SlicedExecutor(tn, tree, sliced, mode="reference").amplitude()
-        executor = SlicedExecutor(tn, tree, sliced)
+        executor = SlicedExecutor(tn, tree, sliced, backend=SerialBackend())
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         assert reference == pytest.approx(amplitude(circ, bits), abs=1e-8)
 
@@ -193,7 +195,7 @@ class TestInvariantCaching:
     def test_invariant_steps_run_exactly_once(self, case):
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced)
+        executor = SlicedExecutor(tn, tree, sliced, backend=SerialBackend())
         executor.run()
         counts = executor.stats.node_counts
         for node in executor.plan.invariant_nodes:
@@ -222,7 +224,7 @@ class TestInvariantCaching:
         )
         seen = set()
         for network, tree, sliced in workloads:
-            executor = SlicedExecutor(network, tree, sliced)
+            executor = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
             plan = executor.plan
             if plan.fetches:
                 seen.add("open nodes")
@@ -262,6 +264,25 @@ class TestInvariantCaching:
         assert a.cache_hits == 4 and a.executions == 5
         assert a.slot_writes == 3
         assert a.steps_executed == 8
+
+    def test_stats_merged_from_words_are_stats_merged(self, case):
+        """A sweep twin's stats travel as float64 words read in place: a
+        merge of those is a merge of the stats themselves."""
+        tn, tree, _ = case
+        executor = SlicedExecutor(
+            tn, tree, sorted(tn.inner_indices())[:3], backend=SerialBackend()
+        )
+        executor.run()
+        twin = executor.stats
+        base = PlanStats(node_counts={1: 2}, cache_hits=3, executions=1, slot_writes=2)
+        base.record_subtask_time(0.5)
+        base.record_stage("execute", 0.25)
+        words = np.full(PlanStats.words(len(twin.node_counts)), np.nan)
+        twin.to_words(words)
+        direct, in_place = copy.deepcopy(base), copy.deepcopy(base)
+        direct.merge(twin)
+        in_place.merge_words(words)
+        assert in_place == direct and twin.executions == executor.num_subtasks
 
 
 class TestStemSlots:
@@ -333,7 +354,7 @@ class TestStemSlots:
     def test_serial_backend_run_uses_slots(self, case):
         tn, tree, reference = case
         sliced = sorted(tn.inner_indices())[:3]
-        executor = SlicedExecutor(tn, tree, sliced)
+        executor = SlicedExecutor(tn, tree, sliced, backend=SerialBackend())
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         assert executor.stats.slot_writes > 0
 
@@ -434,7 +455,9 @@ class TestStemSlots:
     def test_nothing_of_the_resume_state_survives_run_subtasks(self, case):
         tn, tree, _ = _case(num_qubits=8, depth=5)
         inner = sorted(tn.inner_indices())
-        executor = SlicedExecutor(tn, tree, [inner[i] for i in (0, 4, 11)])
+        executor = SlicedExecutor(
+            tn, tree, [inner[i] for i in (0, 4, 11)], backend=SerialBackend()
+        )
         executor.run()
         assert executor.plan.sweep_cost().retained_bytes > 0
         assert executor.backend._slots._resume is None
@@ -482,7 +505,9 @@ class TestLevelResume:
         tn, tree, reference = _case(num_qubits=8, depth=5)
         sliced = sorted(tn.inner_indices())[:4]
         batch_indices = tuple(sliced[1:3]) if batch == 2 else batch
-        executor = SlicedExecutor(tn, tree, sliced, batch_indices=batch_indices)
+        executor = SlicedExecutor(
+            tn, tree, sliced, batch_indices=batch_indices, backend=SerialBackend()
+        )
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         _assert_counts_match_levels(executor, executor.plan)
 
@@ -493,7 +518,9 @@ class TestLevelResume:
     )
     def test_bench_plans_run_the_published_step_counts(self, shape, steps):
         planned = _bench_plan(*shape)
-        executor = SlicedExecutor(planned.network, planned.tree, planned.slicing.sliced)
+        executor = SlicedExecutor(
+            planned.network, planned.tree, planned.slicing.sliced, backend=SerialBackend()
+        )
         executor.run()
         _assert_counts_match_levels(executor, executor.plan)
         assert executor.stats.steps_executed == steps
@@ -546,7 +573,7 @@ class TestLevelResume:
         tn, tree, _ = case
         sliced = sorted(tn.inner_indices())[:3]
         with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
-            executor = SlicedExecutor(tn, tree, sliced)
+            executor = SlicedExecutor(tn, tree, sliced, backend=SerialBackend())
             executor.run()
         records = [r for r in caplog.records if r.name == "repro.execution.plan"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
@@ -664,7 +691,7 @@ class TestSweepPlanner:
         chosen = lifetime.sweep_prediction(tree, order, open_nodes)
         today = lifetime.sweep_prediction(tree, labels)
         assert all(ours <= theirs for ours, theirs in zip(chosen, today))
-        executor = SlicedExecutor(tn, tree, labels)
+        executor = SlicedExecutor(tn, tree, labels, backend=SerialBackend())
         assert executor.sliced == order
         assert executor.amplitude() == pytest.approx(
             SlicedExecutor(tn, tree, labels, mode="reference").amplitude(), abs=1e-9
@@ -697,14 +724,14 @@ class TestSweepPlanner:
         assert folded.sliced == (
             "q6_4", "q7_14", "q2_14", "q5_6", "q3_13", "q4_11", "q4_8", "q0_4", "q1_5"
         )
-        executor = SlicedExecutor(tn, tree, labels)
+        executor = SlicedExecutor(tn, tree, labels, backend=SerialBackend())
         executor.run()
         _assert_counts_match_levels(executor, executor.plan)
         assert executor.stats.steps_executed == folded.sweep_cost().steps == 2_196
 
     def test_sampling_batch_runs_the_predicted_steps(self):
         network, tree, sliced = _sampling_batch()
-        executor = SlicedExecutor(network, tree, sliced)
+        executor = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
         executor.run()
         _assert_counts_match_levels(executor, executor.plan)
         # (4,306 without the inner fold; label order: 5,701)
@@ -776,7 +803,9 @@ class TestProducerStaging:
 
         planned = _bench_plan(*shape)
         with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
-            executor = SlicedExecutor(planned.network, planned.tree, planned.slicing.sliced)
+            executor = SlicedExecutor(
+                planned.network, planned.tree, planned.slicing.sliced, backend=SerialBackend()
+            )
         plan = executor.plan
         cost = plan.sweep_cost()
         per_use, at_producers, per_use_layout = self.PINNED[shape]
@@ -921,7 +950,7 @@ class TestInnerFold:
 
         network, tree, sliced = _sampling_batch()
         with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
-            executor = SlicedExecutor(network, tree, sliced)
+            executor = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
         plan = executor.plan
         assert plan.inner_fold == (87, 5)
         assert tree.path_to_root(87)[1:] == [88, 89, 90, 91, 92, 102]
@@ -980,7 +1009,7 @@ class TestInnerFold:
         assert (sweep.order, sweep.open_nodes) == plan_sweep(tree, sliced)
         assert (sweep.order, len(sweep.open_nodes)) == (order, open_count)
         with caplog.at_level(logging.DEBUG, logger="repro.execution.plan"):
-            executor = SlicedExecutor(planned.network, tree, sliced)
+            executor = SlicedExecutor(planned.network, tree, sliced, backend=SerialBackend())
         plan = executor.plan
         assert (plan.sliced, plan.fold_node, plan.arena_bytes) == (order, fold, arena_bytes)
         assert plan.inner_fold is None
@@ -1001,7 +1030,7 @@ class TestInnerFold:
         # (refused on its order-free bound, the product itself: no search)
         assert sweep.folds[:-1] == () and sweep.bound and sweep.product > 0.5
         assert sweep.folds == ((8, 0),)
-        executor = SlicedExecutor(tn, tree, sliced)
+        executor = SlicedExecutor(tn, tree, sliced, backend=SerialBackend())
         plan = executor.plan
         assert plan.sliced == ("q1_3", "q1_4", "q2_5") and not plan.fetches
         assert (plan.fold_node, plan.arena_bytes) == (8, 352)
@@ -1043,7 +1072,7 @@ class TestInnerFold:
         from repro.core import lifetime
 
         network, tree, sliced = _sampling_batch()
-        folded = SlicedExecutor(network, tree, sliced)
+        folded = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
         with mock.patch.object(lifetime, "INNER_FOLD_PRODUCT", 0.0):
             plain = compile_plan(network, tree, sliced)
         assert plain.inner_fold is None and plain.sliced != folded.sliced
@@ -1228,7 +1257,9 @@ class TestArena:
         assert slots.allocated_bytes == plan.arena_bytes
         assert peak <= cost.cache_bytes + plan.arena_bytes + cost.fold_bytes + 64 * 1024
         value = plan.finish(network, folded, cache)
-        reference = SlicedExecutor(network, planned.tree, planned.slicing.sliced).run()
+        reference = SlicedExecutor(
+            network, planned.tree, planned.slicing.sliced, backend=SerialBackend()
+        ).run()
         assert value.tobytes() == reference.transposed(plan.out_indices).require_data().tobytes()
 
 
@@ -1301,7 +1332,7 @@ class TestPlanValidation:
         tn, tree, _ = case
         mutated = tn.copy()
         sliced = sorted(mutated.inner_indices())[:2]
-        executor = SlicedExecutor(mutated, tree, sliced)
+        executor = SlicedExecutor(mutated, tree, sliced, backend=SerialBackend())
         executor.run()  # warms the invariant cache
         # replace a slice-invariant leaf's data, keeping the index order
         invariant_leaves = [
@@ -1318,7 +1349,7 @@ class TestPlanValidation:
         tn, tree, reference = case
         mutated = tn.copy()
         sliced = sorted(mutated.inner_indices())[:2]
-        executor = SlicedExecutor(mutated, tree, sliced)
+        executor = SlicedExecutor(mutated, tree, sliced, backend=SerialBackend())
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)
         tid = mutated.tensor_ids[0]
         tensor = mutated.tensor(tid)
@@ -1327,7 +1358,9 @@ class TestPlanValidation:
 
     def test_run_subtask_result_does_not_alias_cache(self, case):
         tn, tree, reference = case
-        executor = SlicedExecutor(tn, tree, ())  # nothing sliced: root is cached
+        executor = SlicedExecutor(
+            tn, tree, (), backend=SerialBackend()
+        )  # nothing sliced: root is cached
         first = executor.run_subtask(0)
         first.tensor.require_data()[...] = 1234.5  # caller scribbles on it
         assert executor.amplitude() == pytest.approx(reference, abs=1e-9)

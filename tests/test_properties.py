@@ -817,7 +817,7 @@ class TestFoldProperties:
         try:
             for seed, num_sliced in _FOLDING:
                 network, tree, sliced = _folding_case(seed, num_sliced)
-                serial = SlicedExecutor(network, tree, sliced)
+                serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
                 plan = serial.plan
                 fold = plan.fold_node
                 stack = ((plan.inner_fold,) if plan.inner_fold else ()) + ((fold, 0),)
@@ -969,7 +969,7 @@ class TestInnerFoldProperties:
         try:
             for seed, num_sliced in _INNER:
                 network, tree, sliced = _folding_case(seed, num_sliced)
-                serial = SlicedExecutor(network, tree, sliced)
+                serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
                 plan = serial.plan
                 node, level = plan.inner_fold
                 stack = ((node, level), (plan.fold_node, 0))
@@ -1114,7 +1114,7 @@ class TestInnerFoldProperties:
         )
         def check(case, kind, workers, chunk_size):
             network, tree, sliced = _folding_case(*case)
-            serial = SlicedExecutor(network, tree, sliced)
+            serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
             bits = serial.run().require_data().tobytes()
             if kind == "threads":
                 backend = ThreadPoolBackend(max_workers=workers)

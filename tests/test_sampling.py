@@ -27,7 +27,8 @@ from repro.circuits import (
     random_brickwork_circuit,
 )
 from repro.core import lifetime as lifetime_module
-from repro.execution import SharedMemoryProcessPoolBackend, ThreadPoolBackend
+from repro.execution import SerialBackend, SharedMemoryProcessPoolBackend, ThreadPoolBackend
+from repro.execution import backend as backend_module
 from repro.execution import sampling as sampling_module
 from repro.execution.plan import CompiledPlan
 from repro.paths import optimizer as hyper
@@ -850,6 +851,25 @@ class TestSamplingTwin:
         assert split == [False, False] + [True] * 6
         assert len(twin_spy) == 1 and _reaped(twin_spy[0])
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING and "twin" in r.getMessage()]
+
+    def test_no_batch_forks_an_executor_crew(self, monkeypatch, may_fork, twin_spy):
+        """The resident executors run on an explicit :class:`SerialBackend`:
+        the session's twin already splits every batch, and a crew inside a
+        batch would nest forks."""
+
+        def refuse(*args):
+            raise AssertionError("an executor crew was forked")
+
+        monkeypatch.setattr(backend_module, "_RangeCrew", refuse)
+        inline = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        sampler = CorrelatedSampler(REUSE_CIRCUIT, **REUSE_KWARGS)
+        with sampler.session() as session:
+            for base in _twin_bases(6):
+                _assert_bitwise(sampler.compute_batch(base), inline.compute_batch(base))
+            (executor,) = sampler._resident.executors.values()
+            assert type(executor.backend) is SerialBackend
+            assert session.split is not None
+        assert len(twin_spy) == 1 and _reaped(twin_spy[0])
 
     @pytest.mark.parametrize(
         "rule",

@@ -125,7 +125,7 @@ class TestSessionReuse:
     def test_batched_sweep_session(self, case):
         tn, tree = case
         sliced = sorted(tn.inner_indices())[:4]
-        serial = SlicedExecutor(tn, tree, sliced).amplitude()
+        serial = SlicedExecutor(tn, tree, sliced, backend=SerialBackend()).amplitude()
         backend = SharedMemoryProcessPoolBackend(max_workers=WORKERS)
         executor = SlicedExecutor(
             tn, tree, sliced, batch_indices=sliced[:2], backend=backend
@@ -400,7 +400,7 @@ class TestCrewConformance:
         tree, sliced = grid_plan.tree, grid_plan.slicing.sliced
         if inner_fold not in serial_bits:
             network = grid_plan.network.copy()
-            serial = SlicedExecutor(network, tree, sliced)
+            serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
             serial_bits[inner_fold] = _conformance_runs(network, tree, sliced, serial)
         network = grid_plan.network.copy()
         backend = SharedMemoryProcessPoolBackend(max_workers=workers, chunk_size=chunk_size)
@@ -646,3 +646,313 @@ class TestPlannerSession:
             assert first == second == serial
             if isinstance(session, ExecutionSession):
                 assert session.forks <= 1
+
+
+# ----------------------------------------------------------------------
+# The executors' default: serial, or split with a crew of forked twins
+# ----------------------------------------------------------------------
+@pytest.fixture
+def may_fork(monkeypatch):
+    """Two usable CPUs, a single-threaded BLAS and any block paying for a fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(forking, "native_threads", lambda: 1)
+    monkeypatch.setattr(forking, "_FORK_SECONDS", 0.0)
+
+
+@pytest.fixture
+def crews(monkeypatch):
+    """The process count of every crew the default forks (the real crew runs)."""
+    built = []
+
+    class Spied(backend_module._RangeCrew):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(backend_module, "_RangeCrew", Spied)
+    return built
+
+
+def _shared_mappings():
+    """This process's anonymous shared mappings (what ``mmap.mmap(-1, n)`` makes)."""
+    with open("/proc/self/maps") as maps:
+        return sum(" rw-s " in line and "/dev/zero" in line for line in maps)
+
+
+@pytest.fixture(scope="module")
+def small_bench_plan():
+    """The ``small_subtasks`` bench plan at seed 3: 512 subtasks, no inner fold."""
+    bits = [int(b) for b in np.random.default_rng(3).integers(0, 2, 20)]
+    planner = SimulationPlanner(target_rank=10, max_trials=8, seed=1)
+    return planner.plan_circuit(grid_circuit(4, 5, cycles=10, seed=3), bits, True)
+
+
+def _traced_peak(run):
+    """``tracemalloc``'s peak over ``run()``, above what was traced before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@_FORKS
+class TestDefaultCrew:
+    """``SlicedExecutor`` without a backend: the serial bits whether a run
+    stays inline or splits with forked twins, and nothing — child,
+    descriptor, mapping — outlives the crew.  CI runs the class under two
+    fixed ``PYTHONHASHSEED``s: the range cut follows sweep order."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_outlives_a_test(self):
+        assert _no_child_left()
+        fds, mappings = _fd_count(), _shared_mappings()
+        yield
+        gc.collect()
+        assert _no_child_left()
+        assert _fd_count() <= fds
+        assert _shared_mappings() <= mappings
+
+    @pytest.mark.parametrize("processes", [2, 3, 4])
+    @pytest.mark.parametrize("inner_fold", [False, True], ids=["folded", "inner_fold"])
+    def test_every_run_is_the_serial_one_bit_for_bit(
+        self, monkeypatch, may_fork, crews, grid_plan, serial_bits, inner_fold, processes
+    ):
+        """Full and subset runs, then again after a rebound leaf (a re-fork)
+        and after a leaf of another dtype (another)."""
+        if inner_fold:
+            monkeypatch.setattr(lifetime_module, "INNER_FOLD_PRODUCT", math.inf)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+        tree, sliced = grid_plan.tree, grid_plan.slicing.sliced
+        if inner_fold not in serial_bits:
+            network = grid_plan.network.copy()
+            serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
+            serial_bits[inner_fold] = _conformance_runs(network, tree, sliced, serial)
+        network = grid_plan.network.copy()
+        executor = SlicedExecutor(network, tree, sliced)
+        assert type(executor.backend) is backend_module._HandOffBackend
+        with executor.session() as session:
+            assert crews == []  # opening a session forks nothing
+            assert _conformance_runs(network, tree, sliced, executor) == serial_bits[inner_fold]
+            blocks = sum(1 for _ in executor.plan.blocks(executor.assignments()))
+            # block 1 of the first run forks the crew, each rebind re-forks it
+            assert crews == [min(processes, blocks - 2)] + [min(processes, blocks)] * 2
+            assert session.crew is not None and not session.stay_inline
+        assert executor.stats.faults == 0
+        assert executor.stats.executions == sum(
+            executor.num_subtasks + len(range(3, executor.num_subtasks - 5)) for _ in range(3)
+        )
+
+    def test_scattered_subsets_and_complex64_keep_the_serial_bits(self, case, may_fork, crews):
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        runs = [None, [5, 1, 9, 2, 14, 7, 7, 0], range(2, 13)]
+        for dtype in (None, np.complex64):
+            serial = SlicedExecutor(tn, tree, sliced, dtype=dtype, backend=SerialBackend())
+            executor = SlicedExecutor(tn, tree, sliced, dtype=dtype)
+            with executor.session():
+                for ids in runs:
+                    got, want = executor.run(ids).require_data(), serial.run(ids).require_data()
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert crews == [2, 2]
+
+    def test_a_session_of_short_runs_forks_once_the_sum_pays(self, case, monkeypatch, crews):
+        """Runs too short to pay one by one add up their seconds: after each
+        inline run the session asks ``pool_pays`` about the mean run over
+        the runs so far, and forks the crew for the next run once it
+        accepts (here: after the third), then keeps it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(forking, "native_threads", lambda: 1)
+        asked = []
+
+        def after_three_runs(unit_s, remaining):
+            asked.append(remaining)
+            return remaining == 3
+
+        monkeypatch.setattr(forking, "pool_pays", after_three_runs)
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        serial = _serial_value(tn, tree, sliced)
+        executor = SlicedExecutor(tn, tree, sliced)
+        with executor.session() as session:
+            for runs in range(1, 4):
+                assert session.crew is None
+                assert executor.amplitude() == serial
+                assert session.inline_runs == runs
+            assert crews == [2] and session.crew is not None
+            for _ in range(3):
+                assert executor.amplitude() == serial
+        # block 1 of each inline run is offered the 14 blocks after it first
+        assert asked == [14, 1, 14, 2, 14, 3]
+        assert crews == [2] and session.crew is None
+
+    def test_a_crew_that_never_beats_inline_retires_with_one_info_line(
+        self, case, may_fork, crews, monkeypatch, caplog
+    ):
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        serial = _serial_value(tn, tree, sliced)
+        executor = SlicedExecutor(tn, tree, sliced)
+        with caplog.at_level(logging.INFO, logger="repro.execution.backend"):
+            with executor.session() as session:
+                monkeypatch.setattr(session, "fastest_inline", 0.0)  # nothing beats it
+                for _ in range(5):
+                    assert executor.amplitude() == serial
+                assert session.stay_inline and session.crew is None
+        assert crews == [2]
+        (record,) = caplog.records
+        assert record.levelno == logging.INFO
+        assert record.getMessage().startswith("sweep crew retired: neither of two warm split")
+
+    @pytest.mark.faults
+    def test_a_killed_twin_costs_one_warning_and_not_the_bits(
+        self, case, may_fork, crews, caplog
+    ):
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        serial = _serial_value(tn, tree, sliced)
+        executor = SlicedExecutor(tn, tree, sliced)
+        with caplog.at_level(logging.WARNING), executor.session() as session:
+            assert executor.amplitude() == serial
+            (twin,) = session.crew.twins
+            os.kill(twin.pid, signal.SIGKILL)
+            assert _await_exit(twin.pid) is not None
+            assert executor.amplitude() == serial
+            assert session.crew is None and session.stay_inline
+            assert executor.amplitude() == serial
+        assert crews == [2]
+        (record,) = caplog.records
+        assert record.name == "repro.execution.backend" and record.levelno == logging.WARNING
+        assert record.getMessage().startswith("sweep twin lost (")
+        assert record.getMessage().endswith("; running blocks 8-15 inline")
+        assert executor.stats.faults == 1
+        assert executor.stats.executions == 3 * executor.num_subtasks
+
+    def test_close_reaps_the_crew(self, case, may_fork):
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        executor = SlicedExecutor(tn, tree, sliced)
+        session = executor.session()
+        executor.amplitude()
+        assert not _no_child_left()
+        session.close()
+        session.close()  # idempotent
+        assert _no_child_left()
+        assert executor.session() is not session
+
+    def test_collecting_an_unclosed_executor_reaps_the_crew(self, case, may_fork):
+        tn, tree = case
+        sliced = sorted(tn.inner_indices())[:4]
+        executor = SlicedExecutor(tn, tree, sliced)
+        executor.session()
+        executor.amplitude()
+        assert not _no_child_left()
+        # no reference cycle holds the session: dropping the executor reaps
+        # the crew at once, without waiting for the cyclic collector
+        del executor
+        assert _no_child_left()
+
+    def test_a_process_that_exits_unclosed_leaves_no_twin(self, tmp_path):
+        script = tmp_path / "unclosed.py"
+        script.write_text(
+            "import os\n"
+            "from repro import forking\n"
+            "from repro.circuits import random_brickwork_circuit\n"
+            "from repro.execution import SlicedExecutor\n"
+            "from repro.paths import GreedyOptimizer\n"
+            "from repro.tensornet import amplitude_network, simplify_network\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forking.native_threads = lambda: 1\n"
+            "forking._FORK_SECONDS = 0.0\n"
+            "tn = amplitude_network(random_brickwork_circuit(6, 4, seed=13), [0] * 6)\n"
+            "simplify_network(tn)\n"
+            "tree = GreedyOptimizer(seed=1).tree(tn)\n"
+            "executor = SlicedExecutor(tn, tree, sorted(tn.inner_indices())[:4])\n"
+            "session = executor.session()\n"
+            "executor.amplitude()\n"
+            "print(*(twin.pid for twin in session.crew.twins))\n"
+        )
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        (pid,) = map(int, done.stdout.split())
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"twin {pid} outlived its parent")
+
+    @pytest.mark.parametrize("path", ["fork", "inline"])
+    def test_the_parents_peak_is_the_serial_one(self, monkeypatch, small_bench_plan, path):
+        """A traced fresh pass (the bench's ``peak_bytes``) peaks within 1 KB
+        of :class:`SerialBackend`'s, whichever path it takes: nothing is
+        listed before the rule answers, and the twins' rows and stats are
+        read in place."""
+        plan = small_bench_plan
+
+        def fresh_pass(backend=None):
+            kwargs = {} if backend is None else {"backend": backend}
+            executor = SlicedExecutor(plan.network, plan.tree, plan.slicing.sliced, **kwargs)
+            with executor.session():
+                executor.amplitude()
+
+        serial = _traced_peak(lambda: fresh_pass(SerialBackend()))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(forking, "native_threads", lambda: 1)
+        monkeypatch.setattr(forking, "_FORK_SECONDS", 0.0 if path == "fork" else math.inf)
+        forks = []
+        monkeypatch.setattr(
+            backend_module._CrewSession, "_fork",
+            lambda self, *args, real=backend_module._CrewSession._fork: forks.append(1)
+            or real(self, *args),
+        )
+        assert _traced_peak(fresh_pass) <= serial + 1024
+        assert forks == ([1] if path == "fork" else [])
+
+    @pytest.mark.parametrize("through", ["executor", "planner"])
+    def test_a_checkpointed_run_stays_one_ordered_loop(
+        self, tmp_path, may_fork, crews, grid_plan, through
+    ):
+        """A ledger records every slot (no crew takes one past it), and a
+        resumed run loads them all."""
+        network, tree, sliced = grid_plan.network, grid_plan.tree, grid_plan.slicing.sliced
+        serial = SlicedExecutor(network, tree, sliced, backend=SerialBackend())
+        expected = serial.amplitude()
+        policy = FaultPolicy.retrying(checkpoint_dir=str(tmp_path), checkpoint_every=2)
+
+        def run():
+            if through == "planner":
+                planner = SimulationPlanner(fault_policy=policy)
+                value = planner.execute_plan(grid_plan)
+                return value, grid_plan.measured_stats, expected * grid_plan.scalar_prefactor
+            executor = SlicedExecutor(network, tree, sliced, fault_policy=policy)
+            return executor.amplitude(), executor.stats, expected
+
+        with pytest.MonkeyPatch.context() as patch:
+            # keep the ledger, as an interrupted run would have left it
+            patch.setattr(sliced_module.CheckpointJob, "complete", sliced_module.CheckpointJob.close)
+            value, stats, want = run()
+        assert value == want
+        assert stats.checkpointed_slots == serial.num_subtasks and stats.resumed_slots == 0
+        value, stats, want = run()
+        assert value == want
+        assert stats.resumed_slots == serial.num_subtasks and stats.checkpointed_slots == 0
+        assert crews == []
