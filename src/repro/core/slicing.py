@@ -23,10 +23,13 @@ provides:
 
 * :class:`SlicingState` — the per-node sliced ranks and reduced log2 costs of
   one *current* slicing set, from which every candidate of a move (swap one
-  edge, add one, drop one) is scored in a single vectorised call.  The SA
-  refiner, the redundancy sweep, the finder's full-tree patch and the greedy
-  baseline all evaluate their moves through it; the scalar methods of
-  :class:`SlicingCostModel` remain the public API and the test oracle.
+  edge, add one, drop one) is scored in a single vectorised call.  A move
+  updates those vectors exactly, one changed column at a time, when every
+  index size is a power of two (every qubit network), and rebuilds them
+  from the membership matrices otherwise.  The SA refiner, the redundancy
+  sweep, the finder's full-tree patch and the greedy baseline all evaluate
+  their moves through it; the scalar methods of :class:`SlicingCostModel`
+  remain the public API and the test oracle.
 
 * :class:`SlicingResult` — an immutable record of a chosen slicing set with
   its derived metrics, produced by every slicer in this package.
@@ -35,8 +38,10 @@ provides:
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,8 +118,7 @@ class SlicingCostModel:
             [tree.log2_index_size(ix) for ix in self._indices], dtype=np.float64
         )
 
-        self._contract_membership = self._membership(map(tree.contraction_indices, self._nodes))
-        self._result_membership = self._membership(map(tree.node_indices, self._nodes))
+        self._contract_membership, self._result_membership = self._memberships()
 
         self._contract_log2 = self._contract_membership @ self._log2w
         self._result_log2 = self._result_membership @ self._log2w
@@ -122,14 +126,33 @@ class SlicingCostModel:
         self._base_cost = float(np.sum(2.0**self._contract_log2))
         # built last: the matmuls above hold this constructor's peak memory
         self._node_row: Dict[int, int] = {node: row for row, node in enumerate(self._nodes)}
+        # one row per index, for SlicingState: a column's nodes are contiguous
+        self._result_by_column = np.ascontiguousarray(self._result_membership.T)
+        self._contract_by_column = np.ascontiguousarray(self._contract_membership.T)
+        # every log2 w an integer (every qubit network): sums of them are exact
+        self._integral = bool(np.all(self._log2w == np.rint(self._log2w)))
 
-    def _membership(self, index_sets: Iterable[AbstractSet[str]]) -> np.ndarray:
-        """Boolean ``(nodes, indices)`` matrix: row ``i`` marks the ``i``-th index set."""
-        pos = self._index_pos
-        membership = np.zeros((len(self._nodes), len(self._indices)), dtype=bool)
-        for row, indices in zip(membership, index_sets):
-            row[[pos[ix] for ix in indices]] = True
-        return membership
+    def _memberships(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Boolean ``(nodes, indices)`` matrices of every contraction's index set
+        ``s_v1 ∪ s_v2 ∪ s_v3`` and of every result tensor's ``s_v3``.
+
+        One fancy assignment marks every tree node's tensor; a contraction's
+        row is then its children's rows or its own.
+        """
+        tree = self._tree
+        every = tree.nodes()
+        row_of = {node: row for row, node in enumerate(every)}
+        index_sets = [tree.node_indices(node) for node in every]
+        carried = np.zeros((len(every), len(self._indices)), dtype=bool)
+        carried[
+            np.repeat(np.arange(len(every)), [len(indices) for indices in index_sets]),
+            list(map(self._index_pos.__getitem__, chain.from_iterable(index_sets))),
+        ] = True
+        left, right = zip(*map(tree.children, self._nodes))
+        result = carried[[row_of[node] for node in self._nodes]]
+        contract = carried[[row_of[a] for a in left]] | carried[[row_of[b] for b in right]]
+        contract |= result
+        return contract, result
 
     # ------------------------------------------------------------------
     # Introspection
@@ -292,11 +315,19 @@ class SlicingState:
     and ``log2`` of the subtask count — and scores all candidates of a move
     against it in one ``(candidates × nodes)`` array: feasibility as
     ``max(ranks − membership) <= target``, Eq. 4 cost as
-    ``2^log2_subtasks · Σ_nodes 2^(reduced − membership · log2 w)``.  The
-    vectors are rebuilt from the membership matrices whenever the set
-    changes (O(nodes · |S|), no drift), so at all times they equal
+    ``2^log2_subtasks · Σ_nodes 2^(reduced − membership · log2 w)``.
+
+    A move (:meth:`add`, :meth:`remove`, :meth:`replace`) updates the
+    vectors by the changed columns alone, O(nodes) whatever ``|S|``.  Ranks
+    are integers, so that is always exact; so are the reduced costs and the
+    log2 subtask count when every ``log2 w`` is an integer (every qubit
+    network), since sums of integers do not depend on their order.  With any
+    non-integral size those two are rebuilt from the membership matrices
+    instead (O(nodes · |S|)).  Either way, at all times they equal
     :meth:`SlicingCostModel.per_node_log2_cost` and the ranks behind
-    :meth:`SlicingCostModel.max_rank` exactly.
+    :meth:`SlicingCostModel.max_rank` exactly, with no drift.  The largest
+    rank and the critical nodes of the last target asked about are kept
+    until the next move.
 
     Scores agree with the scalar :class:`SlicingCostModel` methods (the
     oracle): feasibility always, costs bit-for-bit when every index size is a
@@ -304,8 +335,9 @@ class SlicingState:
     otherwise.
 
     Candidates are *columns* — positions in ``model.indices``, which is
-    sorted, so ascending columns are in label order.  The state holds O(nodes)
-    numbers; the ``(candidates × nodes)`` temporaries live for one call.
+    sorted, so ascending columns are in label order.  The state holds O(nodes
+    + indices) numbers; the ``(candidates × nodes)`` temporaries live for one
+    call.
 
     Raises :exc:`SlicingError` for an edge the tree does not have, for adding
     a sliced edge and for removing an unsliced one.
@@ -313,11 +345,9 @@ class SlicingState:
 
     def __init__(self, model: SlicingCostModel, sliced: AbstractSet[str] = frozenset()) -> None:
         self.model = model
-        self._set_columns(model._columns(sliced))
-
-    def _set_columns(self, cols: np.ndarray) -> None:
-        model = self.model
-        self._cols = cols
+        cols = model._columns(sliced)
+        self._sliced = np.zeros(len(model._indices), dtype=bool)
+        self._sliced[cols] = True
         #: The sliced edge labels, sorted.
         self.edges: List[str] = [model._indices[c] for c in cols]
         #: Sliced rank of every intermediate, in ``model.nodes`` order.
@@ -325,38 +355,81 @@ class SlicingState:
         #: Reduced log2 cost of every contraction, in ``model.nodes`` order.
         self.reduced: np.ndarray = model._reduced_log2(cols)
         self._log2_subtasks = model._log2w[cols].sum()
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop what was derived from the vectors: the largest rank, the critical rows."""
+        self._max_rank: Optional[int] = None
+        self._critical: Tuple[Optional[int], Optional[np.ndarray]] = (None, None)
+
+    def _move(self, added: Optional[int], dropped: Optional[int]) -> None:
+        """Slice column ``added`` and un-slice column ``dropped`` (either may be ``None``)."""
+        model = self.model
+        by_result, by_contract, log2w = (
+            model._result_by_column,
+            model._contract_by_column,
+            model._log2w,
+        )
+        ranks, reduced, log2_subtasks = self.ranks, self.reduced, self._log2_subtasks
+        if dropped is not None:
+            self._sliced[dropped] = False
+            ranks = ranks + by_result[dropped]
+            reduced = reduced + by_contract[dropped] * log2w[dropped]
+            log2_subtasks = log2_subtasks - log2w[dropped]
+        if added is not None:
+            self._sliced[added] = True
+            ranks = ranks - by_result[added]
+            reduced = reduced - by_contract[added] * log2w[added]
+            log2_subtasks = log2_subtasks + log2w[added]
+        self.ranks = ranks
+        if model._integral:
+            self.reduced, self._log2_subtasks = reduced, log2_subtasks
+        else:  # rounding would depend on the order of the moves: rebuild
+            cols = np.flatnonzero(self._sliced)
+            self.reduced = model._reduced_log2(cols)
+            self._log2_subtasks = log2w[cols].sum()
+        self._forget()
 
     # ------------------------------------------------------------------
     # The set
     # ------------------------------------------------------------------
     def _sliced_column(self, edge: str) -> int:
         col = self.model._column(edge)
-        if edge not in self.edges:
+        if not self._sliced[col]:
             raise SlicingError(f"edge {edge!r} is not sliced")
         return col
 
     def _unsliced_column(self, edge: str) -> int:
         col = self.model._column(edge)
-        if edge in self.edges:
+        if self._sliced[col]:
             raise SlicingError(f"edge {edge!r} is already sliced")
         return col
 
     def add(self, edge: str) -> None:
         """Slice ``edge``."""
-        self._set_columns(np.sort(np.append(self._cols, self._unsliced_column(edge))))
+        self._move(self._unsliced_column(edge), None)
+        edges = self.edges.copy()
+        insort(edges, edge)
+        self.edges = edges
 
     def remove(self, edge: str) -> None:
         """Un-slice ``edge``."""
-        self._set_columns(self._cols[self._cols != self._sliced_column(edge)])
+        self._move(None, self._sliced_column(edge))
+        self.edges = [ix for ix in self.edges if ix != edge]
 
     def replace(self, edge: str, candidate: str) -> None:
         """Swap the sliced ``edge`` for the unsliced ``candidate``."""
-        kept = self._cols[self._cols != self._sliced_column(edge)]
-        self._set_columns(np.sort(np.append(kept, self._unsliced_column(candidate))))
+        dropped = self._sliced_column(edge)
+        self._move(self._unsliced_column(candidate), dropped)
+        edges = [ix for ix in self.edges if ix != edge]
+        insort(edges, candidate)
+        self.edges = edges
 
     def satisfies_target(self, target_rank: int) -> bool:
         """Whether every intermediate's sliced rank is at most ``target_rank``."""
-        return int(self.ranks.max()) <= target_rank
+        if self._max_rank is None:
+            self._max_rank = int(self.ranks.max())
+        return self._max_rank <= target_rank
 
     # ------------------------------------------------------------------
     # Candidate enumeration
@@ -369,7 +442,7 @@ class SlicingState:
         covers the most of them.
         """
         counts = self.model._result_membership[rows].sum(axis=0)
-        counts[self._cols] = 0
+        counts[self._sliced] = 0
         return counts
 
     def swap_candidates(self, edge: str, target_rank: int) -> np.ndarray:
@@ -377,47 +450,52 @@ class SlicingState:
 
         The critical tensors (§4.3) sit at exactly ``target_rank``; un-slicing
         ``edge`` pushes those inside its lifetime over the bound unless the
-        replacement covers them all.
+        replacement covers them all.  So while the set meets the bound, every
+        candidate does too once swapped in (:meth:`feasible` would pass them
+        all): the nodes over the bound without ``edge`` are exactly those
+        critical ones, and a candidate lowers each of them.
         """
-        membership = self.model._result_membership
-        covered_critical = (self.ranks == target_rank) & membership[:, self._sliced_column(edge)]
-        mask = membership[covered_critical].all(axis=0)
-        mask[self._cols] = False
-        return np.flatnonzero(mask)
+        model = self.model
+        col = self._sliced_column(edge)
+        target, critical = self._critical
+        if target != target_rank:
+            critical = (self.ranks == target_rank).nonzero()[0]
+            self._critical = (target_rank, critical)
+        covered = critical.compress(model._result_by_column[col].take(critical))
+        mask = np.logical_and.reduce(model._result_membership.take(covered, axis=0), axis=0)
+        mask[self._sliced] = False
+        return mask.nonzero()[0]
 
     # ------------------------------------------------------------------
     # Batched move scoring
     # ------------------------------------------------------------------
-    @staticmethod
-    def _per_candidate(membership: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # C order, so the sums below run along each candidate's nodes exactly
-        # as the scalar methods' 1-D reductions do
-        return np.ascontiguousarray(membership[:, cols].T)
-
+    # Rows of ``model._*_by_column`` gathered by candidate are C-order
+    # ``(candidates × nodes)`` arrays, so the reductions below run along each
+    # candidate's nodes exactly as the scalar methods' 1-D reductions do.
     def feasible(
         self, cols: np.ndarray, target_rank: int, without: Optional[str] = None
     ) -> np.ndarray:
         """Per candidate: does the set, minus ``without``, plus the candidate, meet the bound?"""
-        membership = self.model._result_membership
+        by_column = self.model._result_by_column
         ranks = self.ranks
         if without is not None:
-            ranks = ranks + membership[:, self._sliced_column(without)]
-        return (ranks - self._per_candidate(membership, cols)).max(axis=1) <= target_rank
+            ranks = ranks + by_column[self._sliced_column(without)]
+        return (ranks - by_column.take(cols, axis=0)).max(axis=1) <= target_rank
 
     def droppable(self, target_rank: int) -> np.ndarray:
         """Per sliced edge (in :attr:`edges` order): does the set without it meet the bound?"""
-        carried = self._per_candidate(self.model._result_membership, self._cols)
+        carried = self.model._result_by_column[self._sliced]
         return (self.ranks + carried).max(axis=1) <= target_rank
 
     def costs(self, cols: np.ndarray, without: Optional[str] = None) -> np.ndarray:
         """Per candidate: Eq. 4 total cost of the set, minus ``without``, plus the candidate."""
         model = self.model
-        membership, log2w = model._contract_membership, model._log2w
+        by_column, log2w = model._contract_by_column, model._log2w
         reduced, log2_subtasks = self.reduced, self._log2_subtasks
         if without is not None:
             col = self._sliced_column(without)
-            reduced = reduced + membership[:, col] * log2w[col]
+            reduced = reduced + by_column[col] * log2w[col]
             log2_subtasks = log2_subtasks - log2w[col]
-        weights = log2w[cols]
-        per_node = reduced - self._per_candidate(membership, cols) * weights[:, None]
+        weights = log2w.take(cols)
+        per_node = reduced - by_column.take(cols, axis=0) * weights[:, None]
         return np.exp2(log2_subtasks + weights) * np.exp2(per_node).sum(axis=1)

@@ -47,11 +47,39 @@ def usable_cpus() -> int:
 
 def native_threads() -> int:
     """This process's OS threads, a BLAS library's pool included (its
-    Python threads where the platform cannot say)."""
+    Python threads where the platform cannot say).
+
+    A pool that a fork parked counts too: OpenBLAS stops its threads before
+    every fork and restarts them only at its next threaded call, so after
+    a twin the process may show one thread beside a pool that will wake in
+    parent and twin alike.  Every fork notes how many threads the process
+    ran beyond its Python threads (:func:`_note_native_threads`), and this
+    count never falls below the most it noted plus the live Python threads.
+    A Python thread alive at a fork counts on both sides, so it is never noted.
+    """
     try:
-        return len(os.listdir("/proc/self/task"))
+        tasks = len(os.listdir("/proc/self/task"))
     except OSError:
         return threading.active_count()
+    return max(tasks, threading.active_count() + _native_only)
+
+
+#: The most OS threads this process ran beyond its Python threads when it forked.
+_native_only = 0
+
+
+def _note_native_threads() -> None:
+    """Run before every fork, while a BLAS pool still runs: note its threads."""
+    global _native_only
+    try:
+        beyond = len(os.listdir("/proc/self/task")) - threading.active_count()
+    except OSError:
+        return
+    _native_only = max(_native_only, beyond)
+
+
+if hasattr(os, "register_at_fork"):  # (no fork, no hook)
+    os.register_at_fork(before=_note_native_threads)
 
 
 def pool_pays(unit_s: float, remaining: int) -> bool:

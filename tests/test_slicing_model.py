@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SlicingCostModel, SlicingError, SlicingState
-from repro.tensornet import ContractionTree
+from repro.circuits import sycamore_circuit
+from repro.core import (
+    LifetimeSliceFinder,
+    SimulatedAnnealingSliceRefiner,
+    SlicingCostModel,
+    SlicingError,
+    SlicingState,
+    extract_stem,
+)
+from repro.paths import PartitionOptimizer, TreeAnnealer
+from repro.tensornet import ContractionTree, amplitude_network, simplify_network
 
 
 def _chain_tree():
@@ -277,6 +288,91 @@ class TestSlicingStateMatchesOracle:
             # no drift, mixed sizes included: the vectors are the oracle's own
             assert np.array_equal(state.reduced, model.per_node_log2_cost(mirror))
             assert int(state.ranks.max()) == model.max_rank(mirror)
+
+    @STATE_SETTINGS
+    @pytest.mark.parametrize("sizes", [(2, 4, 8), (2, 3, 4)], ids=["integral", "mixed"])
+    @given(seed=st.integers(0, 10_000))
+    def test_long_walks_keep_the_state_a_fresh_one(self, sizes, seed):
+        """Every move updates the vectors by one column (integral sizes) or
+        rebuilds them (mixed): after each of 240 moves they are those of a
+        state built from scratch, bit for bit, and while the set meets the
+        bound every swap candidate is feasible."""
+        rng = np.random.default_rng(seed)
+        model = SlicingCostModel(_random_tree(rng, sizes=sizes))
+        state, mirror = SlicingState(model), set()
+        for _ in range(240):
+            unsliced = sorted(set(model.indices) - mirror)
+            move = rng.integers(3)
+            if move == 0 and unsliced:
+                edge = unsliced[int(rng.integers(len(unsliced)))]
+                state.add(edge)
+                mirror.add(edge)
+            elif move == 1 and mirror:
+                edge = sorted(mirror)[int(rng.integers(len(mirror)))]
+                state.remove(edge)
+                mirror.discard(edge)
+            elif mirror and unsliced:
+                old = sorted(mirror)[int(rng.integers(len(mirror)))]
+                new = unsliced[int(rng.integers(len(unsliced)))]
+                state.replace(old, new)
+                mirror = (mirror - {old}) | {new}
+            fresh = SlicingState(model, mirror)
+            assert state.edges == fresh.edges
+            assert np.array_equal(state.ranks, fresh.ranks)
+            assert np.array_equal(state.reduced, fresh.reduced)
+            assert state._log2_subtasks == fresh._log2_subtasks
+            if not mirror:
+                continue
+            # a bound the set meets, its critical tensors at the top or none
+            target = int(state.ranks.max()) + int(rng.integers(2))
+            assert state.satisfies_target(target)
+            edge = sorted(mirror)[int(rng.integers(len(mirror)))]
+            covered = set(model.critical_nodes(mirror, target)) & set(model.nodes_covering(edge))
+            candidates = np.array(
+                [model.indices.index(ix) for ix in model.edges_covering_all(sorted(covered))
+                 if ix not in mirror],
+                dtype=np.intp,
+            )
+            feasible = candidates[state.feasible(candidates, target, without=edge)]
+            assert state.swap_candidates(edge, target).tolist() == feasible.tolist()
+
+
+class TestSlicingMemory:
+    def test_find_and_refine_stay_under_the_models_own_peak(self):
+        """The model's constructor, whose ``(nodes × indices)`` float64 matmul
+        operand it frees, sets the traced peak of a slicing run: the model it
+        leaves plus everything the finder and the refiner build beside it
+        stay below that.  On the Sycamore-53 m=12 tree of
+        ``tests/test_slicers_golden.py`` (seed 0)."""
+        network = amplitude_network(sycamore_circuit(cycles=12, seed=0), [0] * 53, concrete=False)
+        simplify_network(network)
+        tree = PartitionOptimizer(seed=0).tree(network)
+        tree = TreeAnnealer(seed=0, initial_temperature=0.1, cooling=0.8).refine(tree).tree
+        target = max(tree.max_rank() - 7, 4)
+        extract_stem(tree)  # memoised per tree, as in a planner
+
+        def traced(run):
+            """``(peak, bytes still held, value)`` of one call."""
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                value = run()
+                held, peak = tracemalloc.get_traced_memory()
+                return peak - base, held - base, value
+            finally:
+                tracemalloc.stop()
+
+        model_peak, model_bytes, model = traced(lambda: SlicingCostModel(tree))
+
+        def find_and_refine():
+            found = LifetimeSliceFinder(target).find(tree, cost_model=model)
+            refiner = SimulatedAnnealingSliceRefiner(seed=0)
+            return refiner.refine(tree, found.sliced, target, cost_model=model)
+
+        slicing_peak, _, result = traced(find_and_refine)
+        assert result.satisfies_target
+        assert model_bytes + slicing_peak < model_peak
 
 
 class TestSlicingStateErrors:
