@@ -195,6 +195,28 @@ def _random_move(rng, model):
     return sliced, without, cols, target
 
 
+def _random_walk(rng, model, state, moves):
+    """Random add / remove / replace moves on ``state``; yields the set after each."""
+    mirror = set()
+    for _ in range(moves):
+        unsliced = sorted(set(model.indices) - mirror)
+        move = rng.integers(3)
+        if move == 0 and unsliced:
+            edge = unsliced[int(rng.integers(len(unsliced)))]
+            state.add(edge)
+            mirror.add(edge)
+        elif move == 1 and mirror:
+            edge = sorted(mirror)[int(rng.integers(len(mirror)))]
+            state.remove(edge)
+            mirror.discard(edge)
+        elif mirror and unsliced:
+            old = sorted(mirror)[int(rng.integers(len(mirror)))]
+            new = unsliced[int(rng.integers(len(unsliced)))]
+            state.replace(old, new)
+            mirror = (mirror - {old}) | {new}
+        yield mirror
+
+
 STATE_SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -267,23 +289,8 @@ class TestSlicingStateMatchesOracle:
     def test_vectors_follow_the_set_exactly(self, seed):
         rng = np.random.default_rng(seed)
         model = SlicingCostModel(_random_tree(rng, sizes=(2, 3, 4)))
-        state, mirror = SlicingState(model), set()
-        for _ in range(12):
-            unsliced = sorted(set(model.indices) - mirror)
-            move = rng.integers(3)
-            if move == 0 and unsliced:
-                edge = unsliced[int(rng.integers(len(unsliced)))]
-                state.add(edge)
-                mirror.add(edge)
-            elif move == 1 and mirror:
-                edge = sorted(mirror)[int(rng.integers(len(mirror)))]
-                state.remove(edge)
-                mirror.discard(edge)
-            elif mirror and unsliced:
-                old = sorted(mirror)[int(rng.integers(len(mirror)))]
-                new = unsliced[int(rng.integers(len(unsliced)))]
-                state.replace(old, new)
-                mirror = (mirror - {old}) | {new}
+        state = SlicingState(model)
+        for mirror in _random_walk(rng, model, state, 12):
             assert state.edges == sorted(mirror)
             # no drift, mixed sizes included: the vectors are the oracle's own
             assert np.array_equal(state.reduced, model.per_node_log2_cost(mirror))
@@ -299,23 +306,8 @@ class TestSlicingStateMatchesOracle:
         bound every swap candidate is feasible."""
         rng = np.random.default_rng(seed)
         model = SlicingCostModel(_random_tree(rng, sizes=sizes))
-        state, mirror = SlicingState(model), set()
-        for _ in range(240):
-            unsliced = sorted(set(model.indices) - mirror)
-            move = rng.integers(3)
-            if move == 0 and unsliced:
-                edge = unsliced[int(rng.integers(len(unsliced)))]
-                state.add(edge)
-                mirror.add(edge)
-            elif move == 1 and mirror:
-                edge = sorted(mirror)[int(rng.integers(len(mirror)))]
-                state.remove(edge)
-                mirror.discard(edge)
-            elif mirror and unsliced:
-                old = sorted(mirror)[int(rng.integers(len(mirror)))]
-                new = unsliced[int(rng.integers(len(unsliced)))]
-                state.replace(old, new)
-                mirror = (mirror - {old}) | {new}
+        state = SlicingState(model)
+        for mirror in _random_walk(rng, model, state, 240):
             fresh = SlicingState(model, mirror)
             assert state.edges == fresh.edges
             assert np.array_equal(state.ranks, fresh.ranks)
