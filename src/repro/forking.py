@@ -27,16 +27,16 @@ __all__ = ["Twin", "native_threads", "pool_pays", "usable_cpus"]
 #: Inline seconds the remaining work must be expected to take (one timed
 #: unit's seconds times the units left) before it is split with twins: a
 #: twin's fork (2-4 ms) and two busy processes' slowdown.  Forced inline/twin
-#: pairs on a 2-vCPU VM (bench plans, seed 3, medians; 7 x trial 0 in
-#: brackets): the 4x5 grid m=10 (95-180 ms) plans in 160 / 133 ms, the
-#: sampler (79-160 ms) sets up in 275 / 216 ms, the 5x7 grid (215-430 ms)
-#: plans in 304 / 231 ms, Sycamore-53 m=12 (242-456 ms) in 537 / 385 ms;
-#: the 4x5 grid's sweep (510 blocks, 42-68 ms left) took 54.5 / 54.8 ms on
-#: a crew (11/21 pairs), which does not pay, so it stays inline.  Runs of an
-#: executor session, inline / split with a resident twin: the 4x5 grid
-#: 49.8 / 33.7 ms (21/21 pairs), the 5x7 grid 965 / 502 ms (9/9), so a
-#: session of 4x5 runs forks once two of them have run.
-_FORK_SECONDS = 0.07
+#: pairs on a 2-vCPU VM (bench plans, seed 3, medians; the expected
+#: seconds left in brackets): the sampler's 8-trial search (59-65 ms)
+#: takes 99.7 / 73.2 ms (15/15 pairs), the 4x5 grid m=10's front-door
+#: execution, whose sweep of 510 blocks is split with a crew (53-122 ms),
+#: 87.6 / 66.3 ms (21/21); earlier, the 4x5 grid m=10 (95-180 ms) planned
+#: in 160 / 133 ms, the 5x7 grid (215-430 ms) in 304 / 231 ms,
+#: Sycamore-53 m=12 (242-456 ms) in 537 / 385 ms.  Runs of an executor
+#: session, inline / split with a resident twin: the 4x5 grid 49.8 / 33.7
+#: ms (21/21 pairs), the 5x7 grid 965 / 502 ms (9/9).
+_FORK_SECONDS = 0.05
 
 
 def usable_cpus() -> int:

@@ -19,13 +19,22 @@ numpy ``Generator`` call per draw (0.9 us for ``random()``, 3 us for
 ``frozenset[str]`` algebra before that about 38 us per move.  Same seed,
 same tree: every draw, tie-break and accept/reject decision is the one the
 string sets made (``tests/test_paths_golden.py``).
+
+The annealer works on a :class:`_MutableTree` built from an index space and
+an SSA path.  :meth:`TreeAnnealer.refine` keeps its tree-in, tree-out API
+by converting at both ends: the tree's index space (1.0 ms on the Sycamore
+greedy tree), the mask tree (0.2 ms), the emitted path (0.1 ms) and a
+``ContractionTree`` of it (1.6 ms), about 3 of the 18.6 ms a refine took
+on the same VM (medians of 21).  A path-search trial skips both ends: it
+builds the mask tree from the search's shared space and the method's path,
+anneals it with ``_anneal`` (14.2 ms) and scores it on its masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,28 +63,26 @@ _Move = Tuple[int, Dict[int, int], float, float]
 class _MutableTree:
     """Mutable view of a contraction tree over integer index masks, with local cost updates.
 
-    Per node: its children, the mask of its boundary indices, the cost of its
-    contraction and, for the few indices not carried by exactly two leaves
+    Built from an index space and an SSA path over its leaves.  Per node: its
+    children, the mask of its boundary indices, the cost of its contraction
+    and, for the few indices not carried by exactly two leaves
     (hyper-indices, dangling ones), how many of their leaves it covers.
     """
 
-    def __init__(self, tree: ContractionTree) -> None:
-        self.tree = tree
-        self.num_leaves = tree.num_leaves
-        self.root = tree.root
-        self.leaf_indices = [tree.node_indices(leaf) for leaf in range(tree.num_leaves)]
-        self.sizes = {ix: tree.index_size(ix) for ix in tree.all_indices()}
-        self.space = space = IndexSpace(self.leaf_indices, self.sizes, tree.output_indices)
+    def __init__(self, space: IndexSpace, ssa_path: Sequence[Tuple[int, int]]) -> None:
+        self.space = space
+        self.num_leaves = len(space.leaves)
+        self.root = self.num_leaves + len(ssa_path) - 1
         self.counted = sum(space.counts)
-        blank = [None] * (tree.num_leaves - 1)  # the internal nodes, filled in below
-        self.children: List[Optional[Tuple[int, int]]] = [None] * tree.num_leaves + blank
+        blank = [None] * len(ssa_path)  # the internal nodes, filled in below
+        self.children: List[Optional[Tuple[int, int]]] = [None] * self.num_leaves + blank
         self.indices: List[int] = space.leaves + blank
         self.counts: List[Dict[int, int]] = [
             dict.fromkeys(space.bits(leaf & self.counted), 1) for leaf in space.leaves
         ] + blank
-        self.cost: List[float] = [0.0] * tree.num_leaves + blank
-        for node in tree.internal_nodes():
-            a, b = self.children[node] = tree.children(node)
+        self.cost: List[float] = [0.0] * self.num_leaves + blank
+        for node, (a, b) in enumerate(ssa_path, self.num_leaves):
+            self.children[node] = (a, b)
             boundary, self.counts[node] = self.merge(a, b)
             self.indices[node] = boundary
             self.cost[node] = 2.0 ** space.log2size(self.indices[a] | self.indices[b] | boundary)
@@ -100,6 +107,20 @@ class _MutableTree:
     def total_cost(self) -> float:
         """Eq. 1 cost of the whole tree, summed in node order."""
         return sum(self.cost[self.num_leaves :])
+
+    def score(self, order: Sequence[int]) -> Tuple[float, int]:
+        """``(log10 total cost, max rank)`` over the internal nodes ``order`` lists.
+
+        The costs are summed in ``order``: given the order in which the
+        emitted tree creates its nodes, this is the tree's own
+        ``(log10_total_cost(), max_rank())``, bitwise wherever every index
+        has the same integer log2 size, and free of string-hash order
+        where not (the masks sum their log2 sizes in ascending bit order).
+        """
+        return (
+            math.log10(sum(self.cost[node] for node in order)),
+            max(self.indices[node].bit_count() for node in order),
+        )
 
     # ------------------------------------------------------------------
     def rotation_candidates(self, node: int) -> List[Tuple[int, int, int, int]]:
@@ -136,33 +157,26 @@ class _MutableTree:
         self.children[node] = (inner, lift)
 
     # ------------------------------------------------------------------
-    def to_ssa_path(self) -> List[Tuple[int, int]]:
-        """Emit the tree as an SSA path (post-order, left child first).
+    def emit(self) -> Tuple[List[Tuple[int, int]], List[int]]:
+        """The tree as an SSA path (post-order, left child first), and the
+        nodes it creates, in creation order.
 
         Walks an explicit stack: a deep stem neither hits nor has to raise
         the interpreter's recursion limit.
         """
         ssa: List[Tuple[int, int]] = []
+        created: List[int] = []
         ids: Dict[int, int] = {leaf: leaf for leaf in range(self.num_leaves)}
-        stack = [self.root]
+        stack = [self.root] if self.root >= self.num_leaves else []
         while stack:
             a, b = self.children[stack[-1]]  # type: ignore[misc]
             if a in ids and b in ids:
-                ids[stack.pop()] = self.num_leaves + len(ssa)
+                created.append(stack.pop())
+                ids[created[-1]] = self.num_leaves + len(ssa)
                 ssa.append((ids[a], ids[b]))
             else:
                 stack.extend(child for child in (b, a) if child not in ids)
-        return ssa
-
-    def to_tree(self) -> ContractionTree:
-        """The current shape as an immutable tree over the same leaves."""
-        return ContractionTree(
-            self.leaf_indices,
-            self.sizes,
-            self.to_ssa_path(),
-            self.tree.output_indices,
-            self.tree.leaf_tids,
-        )
+        return ssa, created
 
 
 class TreeAnnealer:
@@ -220,32 +234,36 @@ class TreeAnnealer:
             bound are always rejected (useful when a slicing budget has
             already been committed to).
         """
-        mutable = _MutableTree(tree)
-        initial_cost = current_cost = mutable.total_cost()
-        initial_log10 = math.log10(max(initial_cost, 1.0))
-        internal = list(tree.internal_nodes())
-        if len(internal) < 2:
-            # a tree with fewer than two contractions admits no rotations
-            return AnnealResult(
-                tree=tree,
-                initial_log10_cost=initial_log10,
-                final_log10_cost=initial_log10,
-                accepted_moves=0,
-                attempted_moves=0,
-            )
-        moves = len(internal) if self.moves_per_sweep is None else self.moves_per_sweep
-        with DrawStream(self._rng) as draws:
-            accepted, attempted, current_cost = self._sweeps(
-                mutable, internal, moves, current_cost, max_size_log2, draws
-            )
+        leaf_indices = [tree.node_indices(leaf) for leaf in range(tree.num_leaves)]
+        sizes = {ix: tree.index_size(ix) for ix in tree.all_indices()}
+        space = IndexSpace(leaf_indices, sizes, tree.output_indices)
+        mutable = _MutableTree(space, tree.ssa_path)
+        initial_log10 = math.log10(max(mutable.total_cost(), 1.0))
+        accepted, attempted, final_cost = self._anneal(mutable, max_size_log2)
+        if tree.num_leaves > 2:
+            output, tids = tree.output_indices, tree.leaf_tids
+            tree = ContractionTree(leaf_indices, sizes, mutable.emit()[0], output, tids)
+        # (a tree with fewer than two contractions admits no rotations: itself)
         return AnnealResult(
-            tree=mutable.to_tree(),
+            tree=tree,
             initial_log10_cost=initial_log10,
             # the running cost: a drifting delta shows up as a gap to the tree's total_cost()
-            final_log10_cost=math.log10(max(current_cost, 1.0)),
+            final_log10_cost=math.log10(max(final_cost, 1.0)),
             accepted_moves=accepted,
             attempted_moves=attempted,
         )
+
+    def _anneal(
+        self, mutable: _MutableTree, max_size_log2: Optional[float] = None
+    ) -> Tuple[int, int, float]:
+        """Anneal ``mutable`` in place: the accepted and attempted moves and the running cost."""
+        current_cost = mutable.total_cost()
+        internal = list(range(mutable.num_leaves, mutable.root + 1))
+        if len(internal) < 2:
+            return 0, 0, current_cost
+        moves = len(internal) if self.moves_per_sweep is None else self.moves_per_sweep
+        with DrawStream(self._rng) as draws:
+            return self._sweeps(mutable, internal, moves, current_cost, max_size_log2, draws)
 
     def _sweeps(
         self,

@@ -57,8 +57,12 @@ class GreedyOptimizer:
     # ------------------------------------------------------------------
     def ssa_path(self, network: TensorNetwork) -> List[Tuple[int, int]]:
         """Compute an SSA contraction path for ``network``."""
+        return self._ssa_path(IndexSpace.of_network(network))
+
+    def _ssa_path(self, space: IndexSpace, graph: object = None) -> List[Tuple[int, int]]:
+        """The path over ``space``'s leaves (the tensor graph the other methods take is unused)."""
         with DrawStream(self._rng) as draws:
-            return self._search(IndexSpace.of_network(network), draws)
+            return self._search(space, draws)
 
     def tree(self, network: TensorNetwork) -> ContractionTree:
         """Compute a full :class:`ContractionTree` for ``network``."""

@@ -21,6 +21,23 @@ steers the search toward trees that are fast *on the measured machine*,
 not merely cheap on paper.  Without a model the scoring is bit-identical
 to the historical flop-count behaviour.
 
+A trial stays in masks
+----------------------
+A search builds the network's :class:`~repro.paths.indexspace.IndexSpace`
+and its tensor graph once, before trial 0, so forked twins inherit them.
+A trial hands both to its method's ``_ssa_path(space, graph)``, anneals the
+path as a mask tree (:class:`~repro.paths.anneal._MutableTree`) and scores
+that: its ``log10_flops`` sums the node costs in the order the emitted path
+creates the nodes, which is the order
+:meth:`~repro.tensornet.ContractionTree.log10_total_cost` sums them, and
+its ``max_rank`` is the largest boundary popcount.  On a network whose
+indices all have one integer log2 size (every qubit network) the record is
+bitwise the tree's; on mixed sizes the masks sum each node's log2 sizes in
+ascending bit order, so the ranking does not depend on string hashing, as
+the tree's own frozenset-order sums do.  Only the winner becomes a
+:class:`~repro.tensornet.ContractionTree`, and a trial builds one of its
+own only for a cost model.
+
 Where the trials run
 --------------------
 A search draws every trial's ``(method, seed, hyper-parameters)`` from the
@@ -53,10 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..forking import Twin, pool_pays, usable_cpus
 from ..tensornet.contraction_tree import ContractionTree
 from ..tensornet.network import TensorNetwork
-from .anneal import TreeAnnealer
+from .anneal import TreeAnnealer, _MutableTree
 from .dynamic import DynamicProgrammingOptimizer
 from .greedy import GreedyOptimizer
-from .partition import CommunityOptimizer, PartitionOptimizer
+from .indexspace import IndexSpace
+from .partition import CommunityOptimizer, PartitionOptimizer, _Adjacency, _tensor_graph
 
 __all__ = ["HyperOptimizer", "TrialRecord", "find_tree"]
 
@@ -109,6 +127,15 @@ class _Trial:
     method: str
     seed: int
     params: Mapping[str, float]
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """What every trial of a search reads, built once before trial 0."""
+
+    network: TensorNetwork
+    space: IndexSpace
+    graph: _Adjacency
 
 
 @dataclass(frozen=True)
@@ -238,7 +265,8 @@ class HyperOptimizer:
 
     def _run_trials(self, network: TensorNetwork, trials: List[_Trial]) -> List[_Outcome]:
         """Every trial's outcome in trial order: the first inline, the rest where they pay."""
-        run_trial = partial(_run_trial, network, refine=self.refine, cost_model=self.cost_model)
+        inputs = _Inputs(network, IndexSpace.of_network(network), _tensor_graph(network))
+        run_trial = partial(_run_trial, inputs, refine=self.refine, cost_model=self.cost_model)
         started = time.perf_counter()
         outcomes = [run_trial(trials[0])]
         if pool_pays(time.perf_counter() - started, len(trials) - 1):
@@ -275,41 +303,43 @@ class HyperOptimizer:
 # ----------------------------------------------------------------------
 # One trial, wherever it runs
 # ----------------------------------------------------------------------
-def _build(network: TensorNetwork, trial: _Trial) -> Optional[ContractionTree]:
-    """The trial's unrefined tree; ``None`` when its method cannot handle the network."""
+def _build(inputs: _Inputs, trial: _Trial) -> Optional[List[Tuple[int, int]]]:
+    """The trial's unrefined path; ``None`` when its method cannot handle the network."""
     try:
         if trial.method == "dp":
-            if network.num_tensors > 16:
+            if inputs.network.num_tensors > 16:
                 return None
-            return DynamicProgrammingOptimizer().tree(network)
-        return _SEEDED[trial.method](seed=trial.seed, **trial.params).tree(network)
+            return DynamicProgrammingOptimizer().ssa_path(inputs.network)
+        optimizer = _SEEDED[trial.method](seed=trial.seed, **trial.params)
+        return optimizer._ssa_path(inputs.space, inputs.graph)
     except (ValueError, RuntimeError):
         return None
 
 
 def _run_trial(
-    network: TensorNetwork,
+    inputs: _Inputs,
     trial: _Trial,
     refine: bool,
     cost_model: Optional["CostModel"],
 ) -> _Outcome:
-    """Build, anneal and score one trial."""
+    """Build, anneal and score one trial, on masks: only a cost model needs a tree."""
     started = time.perf_counter()
-    tree = _build(network, trial)
+    ssa = _build(inputs, trial)
     built = time.perf_counter()
-    if tree is None:
+    if ssa is None:
         return _Outcome(None, (), built - started, 0.0)
+    mutable = _MutableTree(inputs.space, ssa)
+    created = range(mutable.num_leaves, mutable.root + 1)  # the path's own node order
     if refine:
-        tree = TreeAnnealer(seed=trial.seed).refine(tree).tree
+        TreeAnnealer(seed=trial.seed)._anneal(mutable)
+        ssa, created = mutable.emit()
     annealed = time.perf_counter()
-    record = TrialRecord(
-        method=trial.method,
-        log10_flops=tree.log10_total_cost(),
-        max_rank=tree.max_rank(),
-        seed=trial.seed,
-        cost=float(cost_model.tree_cost(tree)) if cost_model is not None else None,
-    )
-    return _Outcome(record, tree.ssa_path, built - started, annealed - built)
+    log10_flops, max_rank = mutable.score(created)
+    cost = None
+    if cost_model is not None:
+        cost = float(cost_model.tree_cost(ContractionTree.from_network(inputs.network, ssa)))
+    record = TrialRecord(trial.method, log10_flops, max_rank, trial.seed, cost)
+    return _Outcome(record, tuple(ssa), built - started, annealed - built)
 
 
 def _run_share(run: _RunTrial, trials: List[_Trial], worker: str = "inline") -> List[object]:
@@ -329,9 +359,6 @@ def _run_twinned(run: _RunTrial, trials: List[_Trial]) -> List[_Outcome]:
     processes, process ``k`` runs trials ``k, k + P, ...``; this one is
     process 0, which takes the longest share (a twin pays for its fork and
     its first touch of each page), and ``P - 1`` forked twins the others."""
-    if any(trial.method == "community" for trial in trials):
-        # a community trial imports networkx: once here, not once per twin
-        import networkx  # noqa: F401
     processes = min(usable_cpus(), len(trials))
     shares = [trials[k::processes] for k in range(processes)]
     # trial scratch is acyclic, freed as it goes: collections during the

@@ -11,20 +11,28 @@ offline we implement the same *divide and conquer* scheme:
   every cut are contracted independently and then merged, which is exactly
   the structure cotengra builds.
 * :class:`CommunityOptimizer` — the Girvan–Newman community structure
-  variant referenced by the paper ([13] in the bibliography), on networkx's
-  greedy modularity communities.
+  variant referenced by the paper ([13] in the bibliography), on greedy
+  modularity communities.
 
-Both start from one weighted tensor graph, :func:`_tensor_edges`.  The
-bisection runs on plain ``{node: {neighbour: weight}}`` dicts: an induced
-subgraph in the node and neighbour order ``graph.subgraph(group).copy()``
-gives, and :func:`_kernighan_lin_bisection`, a port of networkx 3.6.1's
+Both start from one weighted tensor graph, :func:`_tensor_edges`, held as
+plain ``{node: {neighbour: weight}}`` dicts, and neither imports networkx.
+The bisection takes an induced subgraph in the node and neighbour order
+``graph.subgraph(group).copy()`` gives and runs
+:func:`_kernighan_lin_bisection`, a port of networkx 3.6.1's
 ``kernighan_lin_bisection`` (its seeded shuffle, its two lazy-deletion
-heaps, its tie-breaks), so every bisection is the one networkx returns —
-``tests/test_paths.py`` checks the port against networkx itself — and a
-Sycamore-53 m=12 path takes 18 ms instead of 32.  Only the community
-optimizer still builds an ``nx.Graph``, and imports networkx when it runs.
+heaps, its tie-breaks), so every bisection is the one networkx returns; a
+Sycamore-53 m=12 path takes 18 ms instead of 32.  The communities come
+from :func:`_greedy_modularity_communities`, a port of the same release's
+Clauset–Newman–Moore ``greedy_modularity_communities``: one ``heapq`` with
+lazy deletion stands in for its ``MappedQueue`` per row and heap of row
+maxima, which pop in the same order (an exact priority queue, ties broken
+by ``(row, col)``).  ``tests/test_paths.py`` checks both ports against
+networkx itself.
 
-Both return SSA paths compatible with :class:`ContractionTree`.
+Each optimizer's ``ssa_path(network)`` builds the index space and the
+tensor graph; :class:`~repro.paths.optimizer.HyperOptimizer` builds them
+once per search and calls ``_ssa_path(space, graph)``.  Both return SSA
+paths compatible with :class:`ContractionTree`.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import heapq
 import itertools
 import math
 import random
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -71,6 +79,11 @@ def _adjacency(nodes: Iterable[int], edges: Dict[Tuple[int, int], float]) -> _Ad
         adjacency[a][b] = w
         adjacency[b][a] = w
     return adjacency
+
+
+def _tensor_graph(network: TensorNetwork) -> _Adjacency:
+    """The tensor graph of ``network``, nodes in sorted-tid order."""
+    return _adjacency(network.tensor_ids, _tensor_edges(network))
 
 
 def _induced(graph: _Adjacency, group: List[int]) -> _Adjacency:
@@ -168,6 +181,82 @@ def _kernighan_lin_bisection(
     )
 
 
+def _greedy_modularity_communities(graph: _Adjacency, resolution: float) -> List[FrozenSet[int]]:
+    """``nx.community.greedy_modularity_communities(G, weight="weight", resolution=)``
+    on adjacency dicts without self-loops.
+
+    Every float is networkx's: the degrees and ``m`` summed in node and
+    neighbour order, ``dq`` scaled and updated by the same expressions, the
+    merged community's ``a`` accumulated in merge order.  networkx keeps a
+    ``MappedQueue`` of ``-dq`` per row and one of the row maxima; both break
+    priority ties by the ``(row, col)`` element, so the next merge is the
+    least ``(-dq, row, col)`` of all live entries, which one ``heapq`` with
+    lazy deletion pops too.  An entry is live while ``dq[row][col]`` still
+    holds its value.  Merging stops, as networkx's does, when fewer than two
+    rows are left or the best ``dq`` is negative; the communities come back
+    in their surviving node's order, stably sorted largest first.  A graph
+    whose edges all weigh 0 raises ``ZeroDivisionError``, as networkx does.
+    """
+    if not any(graph.values()):
+        return [frozenset([node]) for node in graph]
+    a = b = {}  # networkx's notation: a node's fraction of the weighted degree
+    degrees = {node: sum(nbrs.values()) for node, nbrs in graph.items()}
+    q0 = 1 / (sum(degrees.values()) / 2)
+    for node, degree in degrees.items():
+        a[node] = degree * q0 * 0.5
+    # every edge once, from the first of its nodes in node order
+    dq: Dict[int, Dict[int, float]] = {}
+    seen: Set[int] = set()
+    for u, nbrs in graph.items():
+        for v, wt in nbrs.items():
+            if v not in seen:
+                row_u, row_v = dq.setdefault(u, {}), dq.setdefault(v, {})
+                row_u[v] = row_u.get(v, 0.0) + wt
+                row_v[u] = row_v.get(u, 0.0) + wt
+        seen.add(u)
+    for u, row in dq.items():
+        for v, wt in row.items():
+            row[v] = q0 * wt - resolution * (a[u] * b[v] + b[u] * a[v])
+    heap = [(-dq_uv, u, v) for u, row in dq.items() for v, dq_uv in row.items()]
+    heapq.heapify(heap)
+
+    communities = {node: frozenset([node]) for node in graph}
+    rows = len(dq)  # rows with an entry: networkx's ``len(H)``
+    while rows > 1:
+        while True:
+            negdq, u, v = heapq.heappop(heap)
+            row = dq.get(u)
+            if row is not None and row.get(v) == -negdq:
+                break
+        if -negdq < 0:
+            break
+        communities[v] = frozenset(communities[u] | communities[v])
+        del communities[u]
+
+        u_nbrs = set(dq[u])
+        v_nbrs = set(dq[v])
+        all_nbrs = (u_nbrs | v_nbrs) - {u, v}
+        both_nbrs = u_nbrs & v_nbrs
+        for w in all_nbrs:
+            if w in both_nbrs:
+                dq_vw = dq[v][w] + dq[u][w]
+            elif w in v_nbrs:
+                dq_vw = dq[v][w] - resolution * (a[u] * b[w] + a[w] * b[u])
+            else:  # w in u_nbrs
+                dq_vw = dq[u][w] - resolution * (a[v] * b[w] + a[w] * b[v])
+            for row, col in ((v, w), (w, v)):
+                if dq[row].get(col) != dq_vw:  # (an equal value's entry is still live)
+                    heapq.heappush(heap, (-dq_vw, row, col))
+                dq[row][col] = dq_vw
+        for w in dq[u]:
+            del dq[w][u]
+        del dq[u]
+        rows -= 1 if dq[v] else 2
+        a[v] += a[u]
+        a[u] = 0
+    return sorted(communities.values(), key=len, reverse=True)
+
+
 def _greedy_merge(space: IndexSpace, group: List[int], ssa: List[Tuple[int, int]]) -> int:
     """Contract a small group of leaves, smallest output first, emitting SSA steps.
 
@@ -219,13 +308,14 @@ class PartitionOptimizer:
     # ------------------------------------------------------------------
     def ssa_path(self, network: TensorNetwork) -> List[Tuple[int, int]]:
         """Compute an SSA contraction path by recursive bisection."""
-        tids = network.tensor_ids
-        leaf_of = {tid: leaf for leaf, tid in enumerate(tids)}
-        space = IndexSpace.of_network(network)  # once per path, shared by every group
-        graph = _adjacency(tids, _tensor_edges(network))
+        return self._ssa_path(IndexSpace.of_network(network), _tensor_graph(network))
+
+    def _ssa_path(self, space: IndexSpace, graph: _Adjacency) -> List[Tuple[int, int]]:
+        """The path over ``space``'s leaves, ``graph`` being their tensor graph (read only)."""
+        leaf_of = {tid: leaf for leaf, tid in enumerate(graph)}
         ssa: List[Tuple[int, int]] = []
         with DrawStream(self._rng) as draws:
-            self._conquer(list(tids), graph, space, leaf_of, ssa, draws)
+            self._conquer(list(graph), graph, space, leaf_of, ssa, draws)
         return ssa
 
     def _conquer(
@@ -271,10 +361,10 @@ class PartitionOptimizer:
 class CommunityOptimizer:
     """Community-structure contraction-path optimizer (Girvan–Newman flavour).
 
-    Detects communities of the tensor graph with networkx's greedy modularity
-    algorithm, contracts each community with a :class:`GreedyOptimizer`, and
-    merges the community results greedily.  This mirrors the community-based
-    path search cited by the paper.
+    Detects communities of the tensor graph by greedy modularity
+    (:func:`_greedy_modularity_communities`), contracts each community
+    greedily, and merges the community results pairwise.  This mirrors the
+    community-based path search cited by the paper.
     """
 
     def __init__(self, seed: Optional[int] = None, resolution: float = 1.0) -> None:
@@ -283,35 +373,25 @@ class CommunityOptimizer:
 
     def ssa_path(self, network: TensorNetwork) -> List[Tuple[int, int]]:
         """Compute an SSA contraction path guided by community structure."""
-        import networkx as nx  # only this optimizer needs it: keep it out of ``import repro``
+        return self._ssa_path(IndexSpace.of_network(network), _tensor_graph(network))
 
-        tids = network.tensor_ids
-        graph = nx.Graph()
-        graph.add_nodes_from(tids)
-        graph.add_weighted_edges_from((a, b, w) for (a, b), w in _tensor_edges(network).items())
-        tid_to_leaf = {tid: leaf for leaf, tid in enumerate(tids)}
+    def _ssa_path(self, space: IndexSpace, graph: _Adjacency) -> List[Tuple[int, int]]:
+        """The path over ``space``'s leaves, ``graph`` being their tensor graph (read only)."""
         try:
-            communities = list(
-                nx.algorithms.community.greedy_modularity_communities(
-                    graph, weight="weight", resolution=self.resolution
-                )
-            )
-        except (nx.NetworkXError, ZeroDivisionError, StopIteration):
-            communities = [set(tids)]
-        if not communities:
-            communities = [set(tids)]
-
-        space = IndexSpace.of_network(network)
+            communities = _greedy_modularity_communities(graph, self.resolution)
+        except ZeroDivisionError:  # every edge weighs 0: one community
+            communities = [frozenset(graph)]
+        leaf_of = {tid: leaf for leaf, tid in enumerate(graph)}
         ssa: List[Tuple[int, int]] = []
         roots = [
-            _greedy_merge(space, [tid_to_leaf[tid] for tid in sorted(community)], ssa)
+            _greedy_merge(space, [leaf_of[tid] for tid in sorted(community)], ssa)
             for community in communities
         ]
         # merge community roots pairwise (balanced)
         while len(roots) > 1:
             new_roots: List[int] = []
             for i in range(0, len(roots) - 1, 2):
-                new_roots.append(len(tids) + len(ssa))
+                new_roots.append(len(space.leaves) + len(ssa))
                 ssa.append((roots[i], roots[i + 1]))
             if len(roots) % 2 == 1:
                 new_roots.append(roots[-1])

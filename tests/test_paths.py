@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import logging
 import math
 import multiprocessing
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_paths_golden import NETWORKS as GOLDEN_NETWORKS
+from test_paths_golden import _network as _golden_network
 
 from repro import forking
 from repro.circuits import amplitude, random_brickwork_circuit, sycamore_circuit
@@ -291,6 +294,98 @@ class TestHyperOptimizer:
             assert stats["trials"] == float(len(method_costs))
             assert stats["best_log10_flops"] == min(method_costs)
         assert summary[best.method]["best_log10_flops"] <= best.log10_flops + 1e-12
+
+
+def _assert_trials_score_as_their_trees(network, **kwargs):
+    """Every trial's ``(log10_flops, max_rank)`` is bitwise its tree's own."""
+    optimizer = HyperOptimizer(max_trials=8, seed=0, **kwargs)
+    outcomes = optimizer._run_trials(network, optimizer._draw_trials())
+    scored = [outcome for outcome in outcomes if outcome.record is not None]
+    assert scored
+    for outcome in scored:
+        tree = ContractionTree.from_network(network, outcome.ssa_path)
+        record = outcome.record
+        assert (record.log10_flops.hex(), record.max_rank) == (
+            tree.log10_total_cost().hex(),
+            tree.max_rank(),
+        )
+
+
+@st.composite
+def _qubit_networks(draw):
+    """Size-2 indices on 2-10 tensors: pair and hyper-indices, dangling legs
+    open and closed, lone tensors and disconnected parts."""
+    num_tensors = draw(st.integers(2, 10))
+    legs = [[] for _ in range(num_tensors)]
+    open_indices = []
+    for k in range(draw(st.integers(1, 16))):
+        owners = draw(st.lists(st.integers(0, num_tensors - 1), unique=True, min_size=1, max_size=4))
+        for tensor in owners:
+            legs[tensor].append(f"i{k}")
+        if draw(st.sampled_from([False, False, True])):
+            open_indices.append(f"i{k}")
+    network = TensorNetwork(Tensor(ixs, sizes=dict.fromkeys(ixs, 2)) for ixs in legs)
+    network.set_output_indices(open_indices)
+    return network
+
+
+class TestTrialRecordOracle:
+    """A trial is scored on its masks; the score is the one its tree gives."""
+
+    @pytest.fixture(scope="class", params=sorted(GOLDEN_NETWORKS))
+    def golden_network(self, request):
+        return _golden_network(request.param)
+
+    @pytest.mark.parametrize("refine", [True, False], ids=["refined", "unrefined"])
+    def test_every_trial_on_a_golden_network_scores_as_its_tree(self, golden_network, refine):
+        _assert_trials_score_as_their_trees(golden_network, minimize="combo", refine=refine)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(network=_qubit_networks(), refine=st.booleans())
+    def test_every_trial_on_a_hostile_qubit_network_scores_as_its_tree(self, network, refine):
+        methods = ("greedy", "partition", "community", "dp")
+        _assert_trials_score_as_their_trees(network, methods=methods, refine=refine)
+
+
+#: a 20-tensor network whose index sizes are 2, 3, 5 and 7
+_MIXED_SIZE_SEARCH = """
+import numpy as np
+from repro.paths import HyperOptimizer
+from repro.tensornet import Tensor, TensorNetwork
+
+rng = np.random.default_rng(0)
+legs, sizes = [[] for _ in range(20)], {}
+owners = [[a, int(rng.integers(a))] for a in range(1, 20)]
+owners += [rng.choice(20, size=2, replace=False).tolist() for _ in range(40)]
+for k, pair in enumerate(owners):
+    sizes[f"e{k}"] = int(rng.choice([2, 3, 5, 7]))
+    for tensor in pair:
+        legs[tensor].append(f"e{k}")
+optimizer = HyperOptimizer(max_trials=8, seed=0)
+tree = optimizer.search(TensorNetwork(Tensor(ixs, sizes=sizes) for ixs in legs))
+for r in optimizer.trials:
+    print(r.method, r.seed, r.log10_flops.hex(), r.max_rank)
+print(tree.ssa_path)
+"""
+
+
+class TestTrialRankingIgnoresStringHashes:
+    def test_a_mixed_size_search_is_the_same_under_two_hash_seeds(self):
+        """The trials are scored in ascending bit order: a tree's string-set
+        sums once ranked them by ``PYTHONHASHSEED``."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", _MIXED_SIZE_SEARCH],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert len(runs[0].splitlines()) == 9
+        assert runs[0] == runs[1]
 
 
 @pytest.fixture(scope="module")
@@ -694,6 +789,38 @@ def _weighted_graphs(draw):
     return labels, edges, graph
 
 
+#: ``import repro``, then an 8-trial search with community trials, its
+#: trials twinned or inline, while any import of networkx raises, in a twin too
+_SEARCH_WITHOUT_NETWORKX = """
+import os, sys
+import repro, repro.paths, repro.pipeline
+from repro import forking
+from repro.circuits import grid_circuit
+from repro.paths import HyperOptimizer
+from repro.paths import optimizer as hyper
+from repro.tensornet import amplitude_network, simplify_network
+
+loaded = "networkx" in sys.modules
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "networkx":
+            raise ImportError(f"networkx imported in {os.getpid()}")
+
+sys.meta_path.insert(0, Refuse())
+twins, real = [], hyper.Twin
+hyper.Twin = lambda serve: twins.append(real(serve)) or twins[-1]
+forking._FORK_SECONDS = float(sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1}
+circuit = grid_circuit(3, 4, cycles=6, seed=0)
+network = amplitude_network(circuit, [0] * circuit.num_qubits, concrete=False)
+simplify_network(network)
+optimizer = HyperOptimizer(max_trials=8, seed=0)
+optimizer.search(network)
+print(loaded, "networkx" in sys.modules, len(twins), [r.method for r in optimizer.trials].count("community"))
+"""
+
+
 class TestKernighanLinOracle:
     """The dict bisection is networkx's, subgraph order and tie-breaks included."""
 
@@ -781,11 +908,74 @@ class TestKernighanLinOracle:
         assert rng.bit_generator.state == before
 
     def test_importing_repro_leaves_networkx_unloaded(self):
-        """Only the community optimizer and two graph views import it, when they run."""
-        code = "import sys, repro, repro.paths, repro.pipeline; print('networkx' in sys.modules)"
+        """Only two graph views of ``TensorNetwork`` import it, when they run:
+        not ``import repro``, nor a search's community trials, inline or twinned."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        for fork_seconds, twins in (("0", 1), ("inf", 0)):
+            out = subprocess.run(
+                [sys.executable, "-c", _SEARCH_WITHOUT_NETWORKX, fork_seconds],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            assert out.stdout.split() == ["False", "False", str(twins), "2"]
+
+
+class TestGreedyModularityOracle:
+    """The dict greedy modularity is networkx's: same communities, same order."""
+
+    @staticmethod
+    def _both(labels, edges, graph, resolution):
+        ours = partition._greedy_modularity_communities(
+            partition._adjacency(labels, edges), resolution
         )
-        assert out.stdout.strip() == "False"
+        theirs = nx.algorithms.community.greedy_modularity_communities(
+            graph, weight="weight", resolution=resolution
+        )
+        return ours, theirs
+
+    @ORACLE_SETTINGS
+    @given(graph=_weighted_graphs(), resolution=st.floats(0.6, 1.6))
+    def test_random_weighted_graphs(self, graph, resolution):
+        """Tied weights, isolated nodes, several components, the edgeless and empty graphs."""
+        ours, theirs = self._both(*graph, resolution)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("resolution", [0.6, 1.0, 1.6])
+    def test_equal_weights_tie_everywhere(self, resolution):
+        """A torus and two cliques beside isolated nodes, every weight 1: one long run of ties."""
+        labels = list(range(40))
+        edges = {}
+        for k in range(25):
+            row, col = divmod(k, 5)
+            edges[k, 5 * row + (col + 1) % 5] = 1.0
+            edges[k, 5 * ((row + 1) % 5) + col] = 1.0
+        for clique in (range(25, 31), range(31, 37)):
+            edges.update(dict.fromkeys(itertools.combinations(clique, 2), 1.0))
+        graph = nx.Graph()
+        graph.add_nodes_from(labels)
+        graph.add_weighted_edges_from((a, b, w) for (a, b), w in edges.items())
+        ours, theirs = self._both(labels, edges, graph, resolution)
+        assert ours == theirs and len(ours) > 3
+
+    def test_zero_weight_edges_divide_by_zero_as_networkx_does(self):
+        graph = nx.Graph()
+        graph.add_weighted_edges_from([(0, 1, 0.0), (1, 2, 0.0)])
+        with pytest.raises(ZeroDivisionError):
+            partition._greedy_modularity_communities(
+                partition._adjacency([0, 1, 2], {(0, 1): 0.0, (1, 2): 0.0}), 1.0
+            )
+        with pytest.raises(ZeroDivisionError):
+            nx.algorithms.community.greedy_modularity_communities(graph, weight="weight")
+
+    @pytest.mark.parametrize("resolution", [0.6, 1.0, 1.2345, 1.6])
+    def test_the_sycamore_tensor_graph(self, sycamore_network, resolution):
+        ours = partition._greedy_modularity_communities(
+            partition._tensor_graph(sycamore_network), resolution
+        )
+        theirs = nx.algorithms.community.greedy_modularity_communities(
+            _networkx_tensor_graph(sycamore_network), weight="weight", resolution=resolution
+        )
+        assert ours == theirs and len(ours) > 1

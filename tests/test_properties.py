@@ -83,6 +83,7 @@ from repro.paths import (
     TreeAnnealer,
 )
 from repro.paths.anneal import _MutableTree
+from repro.paths.indexspace import IndexSpace
 from repro.tensornet import (
     ContractionTree,
     Tensor,
@@ -354,8 +355,9 @@ class TestPathSearchProperties:
     @SETTINGS
     @given(seed=st.integers(min_value=0, max_value=10_000), moves=st.integers(0, 40))
     def test_mask_boundaries_and_tracked_cost_survive_random_rotations(self, seed, moves):
-        tree = GreedyOptimizer(temperature=0.5, seed=seed).tree(_adversarial_network(seed))
-        mutable = _MutableTree(tree)
+        network = _adversarial_network(seed)
+        tree = GreedyOptimizer(temperature=0.5, seed=seed).tree(network)
+        mutable = _MutableTree(IndexSpace.of_network(network), tree.ssa_path)
         tracked = mutable.total_cost()
         assert tracked == pytest.approx(tree.total_cost(), rel=1e-9)
         rng = np.random.default_rng(seed)
@@ -370,7 +372,7 @@ class TestPathSearchProperties:
             delta, move = mutable.try_rotation(node, outer, inner, keep, lift)
             mutable.apply_rotation(node, outer, inner, keep, lift, move)
             tracked += delta
-        emitted = mutable.to_tree()
+        emitted = ContractionTree.from_network(network, mutable.emit()[0])
         assert tracked == pytest.approx(emitted.total_cost(), rel=1e-9)
         by_leaves = {emitted.leaves_under(node): node for node in emitted.nodes()}
         space = mutable.space
